@@ -4,7 +4,8 @@
 [--ladder h0,k]`` executes one experiment; ``karcher verify <suite>`` runs
 the verification suites.  Exit codes: 0 all assertions pass, 1 assertion
 failures (with a machine-readable failure list on stdout), 2 invalid
-configuration, 3 numerical failure.
+or out-of-range configuration, 3 numerical failure.  The experiments
+themselves are defined in :mod:`karcher.acceptance`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,22 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, acceptance, fem, harness, jacobi
+from . import __version__, acceptance
 from .errors import ConfigError, KarcherError
 from .manifolds import EuclideanSpace, HyperbolicSpace, Manifold, Sphere
 
 KINDS = ("distortion-sweep", "jacobi-checks", "fem-poisson", "flat-simplex-props")
+
+
+def _require_object(field: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(field, "must be a JSON object")
+    return value
+
+
+def _require_positive(field: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(field, f"must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,15 +46,20 @@ class ManifoldSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ManifoldSpec":
-        kind = d.get("kind")
+        kind = _require_object("manifold", d).get("kind")
         if kind not in ("euclidean", "sphere", "hyperbolic"):
             raise ConfigError("manifold.kind", f"unknown manifold kind {kind!r}")
         try:
-            return ManifoldSpec(kind=kind, dim=int(d.get("dim", 2)),
+            spec = ManifoldSpec(kind=kind, dim=int(d.get("dim", 2)),
                                 radius=float(d.get("radius", 1.0)),
                                 curvature=float(d.get("curvature", 1.0)))
         except (TypeError, ValueError) as exc:
             raise ConfigError("manifold", str(exc)) from exc
+        if spec.dim < 1:
+            raise ConfigError("manifold.dim", "dimension must be at least 1")
+        _require_positive("manifold.radius", spec.radius)
+        _require_positive("manifold.curvature", spec.curvature)
+        return spec
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "dim": self.dim,
@@ -54,13 +71,6 @@ class ManifoldSpec:
         if self.kind == "sphere":
             return Sphere(self.dim, radius=self.radius)
         return HyperbolicSpace(self.dim, curvature=self.curvature)
-
-    def center(self, man: Manifold):
-        if self.kind == "euclidean":
-            return man.point(np.zeros(man.coord_dim))
-        coords = np.zeros(man.coord_dim)
-        coords[-1] = man.radius
-        return man.point(coords)
 
 
 @dataclass(frozen=True)
@@ -84,34 +94,49 @@ class ExperimentConfig:
         if "manifold" not in d:
             raise ConfigError("manifold", "missing manifold spec")
         spec = ManifoldSpec.from_dict(d["manifold"])
-        fmt = d.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError("format", f"unknown output format {fmt!r}")
-        ladder = d.get("ladder", {})
-        levels = int(ladder.get("levels", 5))
-        if kind == "distortion-sweep" and levels < 4:
-            raise ConfigError("ladder.levels",
-                              "slope experiments need at least 4 levels")
-        fem_levels = tuple(int(x) for x in d.get("fem_levels", (1, 2, 3, 4)))
-        if kind == "fem-poisson" and len(fem_levels) < 4:
-            raise ConfigError("fem_levels",
-                              "slope experiments need at least 4 levels")
-        fem_mode = d.get("fem_mode", "flat")
-        if fem_mode not in ("flat", "pulled-back"):
-            raise ConfigError("fem_mode", f"unknown assembly mode {fem_mode!r}")
+        if kind == "fem-poisson" and spec.kind != "sphere":
+            raise ConfigError("manifold.kind",
+                              "fem-poisson runs on the sphere only")
+        if kind == "fem-poisson" and spec.dim != 2:
+            raise ConfigError("manifold.dim", "fem-poisson runs on the 2-sphere")
+        if kind == "distortion-sweep" and spec.dim < 2:
+            raise ConfigError("manifold.dim",
+                              "the simplex family needs dimension >= 2")
+        ladder = _require_object("ladder", d.get("ladder", {}))
         try:
-            return ExperimentConfig(
+            cfg = ExperimentConfig(
                 kind=kind, manifold=spec,
                 ladder_h0=float(ladder.get("h0", 0.2)),
-                ladder_levels=levels,
-                fem_levels=fem_levels,
-                fem_mode=fem_mode,
+                ladder_levels=int(ladder.get("levels", 5)),
+                fem_levels=tuple(int(x) for x in d.get("fem_levels",
+                                                       (1, 2, 3, 4))),
+                fem_mode=d.get("fem_mode", "flat"),
                 trials=int(d.get("trials", 50)),
                 seed=int(d.get("seed", 0)),
                 out=str(d.get("out", ".")),
-                format=fmt)
+                format=d.get("format", "csv"))
         except (TypeError, ValueError) as exc:
             raise ConfigError("config", str(exc)) from exc
+        if cfg.format not in ("csv", "json"):
+            raise ConfigError("format", f"unknown output format {cfg.format!r}")
+        _require_positive("ladder.h0", cfg.ladder_h0)
+        if kind == "distortion-sweep" and cfg.ladder_levels < 4:
+            raise ConfigError("ladder.levels",
+                              "slope experiments need at least 4 levels")
+        if kind == "fem-poisson" and len(cfg.fem_levels) < 4:
+            raise ConfigError("fem_levels",
+                              "slope experiments need at least 4 levels")
+        if any(level < 0 for level in cfg.fem_levels):
+            raise ConfigError("fem_levels",
+                              "refinement levels must be nonnegative")
+        if cfg.fem_mode not in ("flat", "pulled-back"):
+            raise ConfigError("fem_mode",
+                              f"unknown assembly mode {cfg.fem_mode!r}")
+        if cfg.trials < 1:
+            raise ConfigError("trials", "need at least one trial")
+        if cfg.seed < 0:
+            raise ConfigError("seed", "seeds are nonnegative integers")
+        return cfg
 
     def to_dict(self) -> dict:
         return {
@@ -123,7 +148,8 @@ class ExperimentConfig:
         }
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> ExperimentConfig:
+    """Read a JSON config; ``overrides`` replace its top-level entries."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -133,7 +159,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("json", f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("json", "config must be a JSON object")
-    return ExperimentConfig.from_dict(data)
+    return ExperimentConfig.from_dict({**data, **overrides})
 
 
 def _write_json(path: Path, payload: dict):
@@ -142,13 +168,11 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list], config: dict,
-               footer: list[list] | None = None):
+               footer: list[list]):
     lines = [f"# version: {__version__}",
              f"# config: {json.dumps(config, sort_keys=True)}",
              ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(c) for c in row))
-    for row in footer or []:
+    for row in rows + footer:
         lines.append(",".join(_cell(c) for c in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -159,174 +183,31 @@ def _cell(c) -> str:
     return str(c)
 
 
-def _run_distortion(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, list[dict]]:
+def _experiment(cfg: ExperimentConfig) -> acceptance.Experiment:
+    if cfg.kind == "flat-simplex-props":
+        return acceptance.flat_simplex_experiment(cfg.seed, cfg.trials)
     man = cfg.manifold.build()
-    center = cfg.manifold.center(man)
-    family = harness.equilateral_family(man, center, h0=cfg.ladder_h0,
-                                        levels=cfg.ladder_levels)
-    report = harness.run_distortion_sweep(family)
-    failures = []
-    if cfg.manifold.kind == "euclidean":
-        for s in report.samples:
-            for name, val in s.to_dict().items():
-                if name in harness.QUANTITIES and val > 1e-9:
-                    failures.append({"assertion": f"flat {name} at h={s.h}",
-                                     "detail": f"{val:.3e} > 1e-9"})
-    else:
-        tolerances = {"metric_gap": 0.25, "connection_gap": 0.25,
-                      "dx_sigma_gap": 0.3, "nabla_dx": 0.25}
-        for name, fit in report.fitted_slopes.items():
-            target = harness.EXPECTED_SLOPES[name]
-            if not (math.isfinite(fit.slope)
-                    and abs(fit.slope - target) <= tolerances[name]):
-                failures.append({
-                    "assertion": f"slope of {name}",
-                    "detail": f"{fit.slope:.3f} outside {target}+/-{tolerances[name]}"})
-
-    payload = {"version": __version__, "config": cfg.to_dict(),
-               "report": report.to_dict(),
-               "failures": failures}
-    if cfg.format == "json":
-        _write_json(out_dir / "distortion-sweep.json", payload)
-    else:
-        header = ["h", "theta", "metric_gap", "connection_gap",
-                  "dx_sigma_gap", "nabla_dx"]
-        rows = [[s.h, s.theta, s.sup_metric_gap, s.sup_connection_gap,
-                 s.sup_dx_sigma_gap, s.sup_nabla_dx] for s in report.samples]
-        footer = [["slope", ""] + [report.fitted_slopes[q].slope
-                                   for q in harness.QUANTITIES]]
-        _write_csv(out_dir / "distortion-sweep.csv", header, rows,
-                   cfg.to_dict(), footer)
-    return payload, failures
-
-
-def _run_fem(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, list[dict]]:
-    man = cfg.manifold.build()
-    if cfg.manifold.kind != "sphere":
-        raise ConfigError("manifold.kind",
-                          "fem-poisson runs on the sphere only")
-    records = fem.poisson_ladder(
-        man, cfg.fem_levels,
-        f=lambda c: -2.0 * c[2],
-        u_exact=lambda c: c[2],
-        grad_u_exact=lambda c: np.array([0.0, 0.0, 1.0]) - c[2] * c,
-        mode=cfg.fem_mode)
-    hs = [r["h"] for r in records]
-    h1_fit = harness.fit_slope(hs, [r["h1_error"] for r in records])
-    l2_fit = harness.fit_slope(hs, [r["l2_error"] for r in records])
-    slopes = {"h1_error": h1_fit.to_dict(), "l2_error": l2_fit.to_dict()}
-    failures = []
-    if not h1_fit.slope >= 0.8:
-        failures.append({"assertion": "H1 error slope",
-                         "detail": f"{h1_fit.slope:.3f} < 0.8"})
-    l2 = [r["l2_error"] for r in records]
-    if not all(b < a for a, b in zip(l2, l2[1:])):
-        failures.append({"assertion": "L2 errors strictly decreasing",
-                         "detail": str(l2)})
-    payload = {"version": __version__, "config": cfg.to_dict(),
-               "records": records, "fitted_slopes": slopes,
-               "failures": failures}
-    if cfg.format == "json":
-        _write_json(out_dir / "fem-poisson.json", payload)
-    else:
-        header = ["level", "h", "dof", "l2_error", "h1_error"]
-        rows = [[r["level"], r["h"], r["dof"], r["l2_error"], r["h1_error"]]
-                for r in records]
-        footer = [["slope", "", "", l2_fit.slope, h1_fit.slope]]
-        _write_csv(out_dir / "fem-poisson.csv", header, rows,
-                   cfg.to_dict(), footer)
-    return payload, failures
-
-
-def _run_jacobi(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, list[dict]]:
-    man = cfg.manifold.build()
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-    worst = 0.0
-    for case in range(cfg.trials):
-        p = acceptance._random_point(man, rng)
-        direction = acceptance._random_tangent(man, p, rng)
-        tau = float(rng.uniform(0.05, 1.0))
-        gamma = man.geodesic_from(p, direction, length=tau)
-        q = gamma.point(tau)
-        V = acceptance._random_tangent(man, q, rng, unit=False)
-        jdot_tau, _ = jacobi.solve_bvp(jacobi.JacobiBVP(gamma, V))
-        gap_comps = tau * jdot_tau.components - man.hess_half_dist_sq(p, q, V).components
-        gap = man.norm(man.tangent(q, gap_comps)) if np.any(gap_comps) else 0.0
-        worst = max(worst, gap)
-        rows.append({"case": case, "tau": tau, "gap": gap})
-    failures = []
-    if worst > 1e-8:
-        failures.append({"assertion": "Jacobi oracle gap",
-                         "detail": f"max gap {worst:.3e} > 1e-8"})
-    payload = {"version": __version__, "config": cfg.to_dict(),
-               "cases": rows, "max_gap": worst, "failures": failures}
-    if cfg.format == "json":
-        _write_json(out_dir / "jacobi-checks.json", payload)
-    else:
-        _write_csv(out_dir / "jacobi-checks.csv", ["case", "tau", "gap"],
-                   [[r["case"], r["tau"], r["gap"]] for r in rows],
-                   cfg.to_dict(), [["max", "", worst]])
-    return payload, failures
-
-
-def _run_flat_simplex(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, list[dict]]:
-    from . import flat_simplex as fs
-
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-    failures = []
-    done = 0
-    while done < cfg.trials:
-        n = int(rng.integers(2, 5))
-        pts = rng.uniform(-1.0, 1.0, size=(n + 1, n))
-        system = fs.EdgeLengthSystem.from_points(pts)
-        gm = fs.flat_metric_from_lengths(system)
-        if not gm.realizable:
-            continue
-        v_cm = fs.volume_from_cayley_menger(gm.E)
-        v_gram = fs.volume_from_gram(gm.G)
-        gap = abs(v_cm - v_gram) / max(v_cm, v_gram)
-        contained = True
-        try:
-            fs.gram_eigen_bounds(gm, system.max_length)
-        except ArithmeticError:
-            contained = False
-        rows.append({"trial": done, "n": n, "volume_gap": gap,
-                     "eigen_contained": contained})
-        if gap > 1e-10:
-            failures.append({"assertion": f"volume agreement trial {done}",
-                             "detail": f"{gap:.3e} > 1e-10"})
-        if not contained:
-            failures.append({"assertion": f"eigenvalue containment trial {done}",
-                             "detail": "bounds violated"})
-        done += 1
-    payload = {"version": __version__, "config": cfg.to_dict(),
-               "trials": rows, "failures": failures}
-    if cfg.format == "json":
-        _write_json(out_dir / "flat-simplex-props.json", payload)
-    else:
-        _write_csv(out_dir / "flat-simplex-props.csv",
-                   ["trial", "n", "volume_gap", "eigen_contained"],
-                   [[r["trial"], r["n"], r["volume_gap"], r["eigen_contained"]]
-                    for r in rows], cfg.to_dict())
-    return payload, failures
-
-
-_RUNNERS = {
-    "distortion-sweep": _run_distortion,
-    "fem-poisson": _run_fem,
-    "jacobi-checks": _run_jacobi,
-    "flat-simplex-props": _run_flat_simplex,
-}
+    if cfg.kind == "distortion-sweep":
+        return acceptance.distortion_experiment(man, cfg.ladder_h0,
+                                                cfg.ladder_levels)
+    if cfg.kind == "fem-poisson":
+        return acceptance.fem_experiment(man, cfg.fem_levels, cfg.fem_mode)
+    return acceptance.jacobi_experiment(man, cfg.seed, cfg.trials)
 
 
 def run(cfg: ExperimentConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, failures = _RUNNERS[cfg.kind](cfg, out_dir)
-    if failures:
-        print(json.dumps({"failures": failures}, indent=2, sort_keys=True))
+    exp = _experiment(cfg)
+    if cfg.format == "json":
+        _write_json(out_dir / f"{cfg.kind}.json",
+                    {"version": __version__, "config": cfg.to_dict(),
+                     **exp.fields, "failures": exp.failures})
+    else:
+        _write_csv(out_dir / f"{cfg.kind}.csv", exp.header, exp.rows,
+                   cfg.to_dict(), exp.footer)
+    if exp.failures:
+        print(json.dumps({"failures": exp.failures}, indent=2, sort_keys=True))
         return 1
     return 0
 
@@ -371,29 +252,16 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return verify(args.suite)
-        cfg = load_config(args.config)
-        overrides = {}
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.format is not None:
-            overrides["format"] = args.format
-        if args.seed is not None:
-            overrides["seed"] = args.seed
+        overrides = {key: value for key, value in (
+            ("out", args.out), ("format", args.format), ("seed", args.seed))
+            if value is not None}
         if args.ladder is not None:
             try:
                 h0, levels = args.ladder.split(",")
-                overrides["ladder_h0"] = float(h0)
-                overrides["ladder_levels"] = int(levels)
+                overrides["ladder"] = {"h0": float(h0), "levels": int(levels)}
             except ValueError as exc:
                 raise ConfigError("ladder", "expected --ladder h0,levels") from exc
-        if overrides:
-            cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **{
-                k: v for k, v in overrides.items()
-                if k in ("out", "format", "seed")},
-                "ladder": {"h0": overrides.get("ladder_h0", cfg.ladder_h0),
-                           "levels": overrides.get("ladder_levels",
-                                                   cfg.ladder_levels)}})
-        return run(cfg)
+        return run(load_config(args.config, **overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

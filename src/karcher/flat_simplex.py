@@ -130,9 +130,10 @@ class FlatMetric:
     cholesky: np.ndarray | None   # lower factor of G when realizable
 
 
-def _pivoted_cholesky(G: np.ndarray, tol: float) -> np.ndarray | None:
-    """Plain Cholesky that fails (returns None) when a pivot drops below
-    tol; adequate for the small dense matrices arising from simplices."""
+def _cholesky(G: np.ndarray, tol: float) -> np.ndarray | None:
+    """Lower Cholesky factor of G without pivoting, or None when a pivot
+    (the square of a diagonal entry) drops to tol or below."""
+    # np.linalg.cholesky differs in the last bits and would change reports.
     n = G.shape[0]
     L = np.zeros_like(G)
     for j in range(n):
@@ -152,7 +153,7 @@ def flat_metric_from_lengths(system: EdgeLengthSystem) -> FlatMetric:
     E = -0.5 * system.lengths ** 2
     G = E[1:, 1:] - E[0, 1:][None, :] - E[0, 1:][:, None]
     tol = 1e-12 * max(np.trace(G), 1e-300)
-    L = _pivoted_cholesky(G, tol)
+    L = _cholesky(G, tol)
     return FlatMetric(n=n, E=E, G=G, realizable=L is not None, cholesky=L)
 
 

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from karcher.acceptance import AcceptanceContext
 from karcher.cli import load_config, main
 from karcher.errors import ConfigError
 from karcher.harness import ConvergenceReport
@@ -61,6 +63,27 @@ def test_bad_format_rejected(tmp_path):
 def test_bad_ladder_flag_exits_2(tmp_path, capsys):
     path = sphere_sweep_config(tmp_path)
     assert main(["run", path, "--ladder", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("trials", {"kind": "jacobi-checks", "trials": 0}),
+    ("seed", {"kind": "jacobi-checks", "trials": 2, "seed": -1}),
+    ("manifold.radius", {"manifold": {"kind": "sphere", "radius": 0}}),
+    ("manifold.curvature", {"manifold": {"kind": "hyperbolic",
+                                         "curvature": -1}}),
+    ("fem_levels", {"kind": "fem-poisson", "fem_levels": [-1, 0, 1, 2]}),
+    ("config", {"ladder": {"h0": 0.2, "levels": "five"}}),
+    ("ladder.h0", {"ladder": {"h0": -0.2, "levels": 4}}),
+    ("ladder", {"ladder": 5}),
+    ("manifold", {"manifold": "sphere"}),
+    ("manifold.dim", {"manifold": {"kind": "sphere", "dim": 0}}),
+    ("manifold.dim", {"kind": "fem-poisson",
+                      "manifold": {"kind": "sphere", "dim": 3}}),
+])
+def test_out_of_range_value_exits_2(tmp_path, capsys, field, overrides):
+    path = sphere_sweep_config(tmp_path, **overrides)
+    assert main(["run", path]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -154,10 +177,11 @@ def test_flat_simplex_props_run(tmp_path):
     assert len(data) == 1 + 25
 
 
-def test_fem_poisson_json_contract(tmp_path):
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_fem_poisson_json_contract(tmp_path, radius):
     path = write_config(tmp_path, {
         "kind": "fem-poisson",
-        "manifold": {"kind": "sphere", "dim": 2, "radius": 1.0},
+        "manifold": {"kind": "sphere", "dim": 2, "radius": radius},
         "fem_levels": [0, 1, 2, 3],
         "fem_mode": "flat",
         "out": str(tmp_path / "reports"),
@@ -178,6 +202,23 @@ def test_fem_requires_sphere(tmp_path, capsys):
         "out": str(tmp_path / "reports")})
     assert main(["run", path]) == 2
     assert "manifold.kind" in capsys.readouterr().err
+
+
+# -- committed configs -------------------------------------------------------
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_committed_config_runs(tmp_path, path):
+    cfg = load_config(str(path))
+    if cfg.kind == "fem-poisson":
+        # Criterion 10 runs this definition at the same levels (about 17 s).
+        ctx = AcceptanceContext()
+        assert (cfg.fem_levels, cfg.fem_mode, cfg.manifold.radius) == (
+            ctx.fem_levels, "flat", 1.0)
+        return
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
 
 
 # -- verify ----------------------------------------------------------------------
