@@ -19,8 +19,9 @@ from .flat_simplex import (BarycentricWeight, EdgeLengthSystem, FlatMetric,
                            gram_eigen_bounds, insphere_radius_unit_simplex,
                            realize_vertices, volume)
 from .barycentric import (ChartJet, KarcherChart, SolverConfig, a_operator,
-                          differential, energy, grad_field, hessian,
-                          karcher_mean, pullback_metric, sigma)
+                          default_grad_tol, differential, differential_batch,
+                          energy, grad_field, hessian, karcher_mean,
+                          pullback_metric, sigma)
 from .jacobi import (FrameField, JacobiBVP, boundary_derivative_estimate_check,
                      integrate_jacobi, ode_bound_check, second_variation,
                      solve_bvp)

@@ -19,7 +19,8 @@ from scipy.linalg import lu_factor, lu_solve
 from .errors import MeanSolverError
 from .flat_simplex import (BarycentricWeight, EdgeLengthSystem, FlatMetric,
                            SimplexTangent, flat_metric_from_lengths)
-from .manifolds import Manifold, ManifoldPoint, TangentVector
+from .manifolds import (Manifold, ManifoldPoint, Sphere, TangentVector,
+                        _stretch_array)
 
 
 @dataclass(frozen=True)
@@ -65,15 +66,31 @@ class KarcherChart:
             edge_lengths = EdgeLengthSystem(table)
         self.edge_lengths = edge_lengths
         self.h = edge_lengths.max_length
-        # A vertex set of diameter h lies in a ball of radius h around any
-        # vertex; h beyond the convexity radius forfeits uniqueness.
-        if self.h > manifold.bounds.convexity_radius * (1.0 + 1e-12):
+        if exceeds_convexity_radius(manifold, self.h):
             raise ValueError(
                 "vertex separation exceeds the convexity radius; "
                 "the center of mass may not be unique")
         self.flat_metric: FlatMetric = flat_metric_from_lengths(edge_lengths)
+        coord_scale = max(float(np.max(np.abs(v.coords))) for v in self.vertices)
         self.solver = solver if solver is not None else SolverConfig(
-            grad_tol=1e-12 * self.h)
+            grad_tol=float(default_grad_tol(self.h, coord_scale)))
+
+
+def exceeds_convexity_radius(manifold: Manifold, h):
+    """Whether vertex sets of diameter h (elementwise on arrays) may have
+    no unique center of mass: such a set lies in a ball of radius h
+    around any of its vertices, and that ball is convex only up to the
+    convexity radius."""
+    return h > manifold.bounds.convexity_radius * (1.0 + 1e-12)
+
+
+def default_grad_tol(h, coord_scale):
+    """Default stopping tolerance of the mean solver for charts of
+    diameter h: 1e-12 h, but never below 16 ulps of the coordinates, which
+    is all double precision resolves once h is small.  Works elementwise
+    on arrays."""
+    return np.maximum(1e-12 * h,
+                      16.0 * np.finfo(float).eps * np.maximum(1.0, coord_scale))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,3 +296,95 @@ def pullback_metric(chart: KarcherChart, lam: BarycentricWeight,
             out[k, l] = out[l, k] = man._ip(
                 jet.point, jet.dx_matrix[:, k], jet.dx_matrix[:, l])
     return out
+
+
+def differential_batch(manifold: Sphere, vertices, weights,
+                       solver: SolverConfig | None = None,
+                       iterations: list | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Centers of mass and their differentials for a stack of sphere
+    charts, one row per (chart, weight) pair.
+
+    ``vertices`` is (N, n+1, coord_dim) and ``weights`` is (N, n+1).
+    Returns the points (N, coord_dim) and the dx matrices
+    (N, coord_dim, n), whose columns are the images of e_k - e_0, as
+    ``differential`` gives them row by row.  Each row runs karcher_mean's
+    iteration with the same checks until its own gradient test passes.
+    A is formed in closed form, sum_i lambda_i (y y^T + f(tau_i)(P - y y^T))
+    with y the unit direction away from vertex i and P the tangent
+    projector.  Without ``solver`` every row uses its own chart's default
+    (``default_grad_tol`` of its diameter and coordinates).  A
+    MeanSolverError names the failing row in its ``index``.  A list passed
+    as ``iterations`` receives each row's number of iterates, the initial
+    guess included, which is the length karcher_mean's ``trace`` reaches.
+    """
+    if not isinstance(manifold, Sphere):
+        raise ValueError("batched jets are implemented for spheres only")
+    verts = np.asarray(vertices, dtype=float)
+    lam = np.asarray(weights, dtype=float)
+    rows, n1, _ = verts.shape
+    if solver is None:
+        i, j = np.triu_indices(n1, 1)
+        diam = manifold.dist_array(verts[:, i], verts[:, j]).max(axis=1)
+        grad_tol = default_grad_tol(diam, np.abs(verts).max(axis=(1, 2)))
+        max_iters, damping = SolverConfig.max_iters, SolverConfig.step_damping
+    else:
+        grad_tol = np.full(rows, solver.grad_tol)
+        max_iters, damping = solver.max_iters, solver.step_damping
+    conv_radius = manifold.bounds.convexity_radius
+
+    # Tangent-space average seen from vertex 0, as in _initial_guess.
+    p0 = verts[:, 0]
+    a = manifold.exp_array(p0, np.einsum(
+        "ri,rid->rd", lam[:, 1:], manifold.log_array(p0[:, None], verts[:, 1:])))
+    logs = np.empty_like(verts)        # log_a(p_i) at each row's mean
+    active = np.arange(rows)
+    iterates = np.ones(rows, dtype=int)
+    for _ in range(max_iters):
+        cur = manifold.log_array(a[active, None], verts[active])
+        far = np.linalg.norm(cur, axis=-1).max(axis=1)
+        left = np.flatnonzero(far > conv_radius * (1.0 + 1e-9))
+        if left.size:
+            k = left[0]
+            raise MeanSolverError(
+                f"iterate left the convex ball: vertex distance "
+                f"{far[k]:.3e} > {conv_radius:.3e}", index=int(active[k]))
+        F = -np.einsum("ri,rid->rd", lam[active], cur)
+        f_norm = np.linalg.norm(F, axis=-1)
+        done = f_norm <= grad_tol[active]
+        logs[active[done]] = cur[done]
+        active, F, f_norm = active[~done], F[~done], f_norm[~done]
+        if active.size == 0:
+            break
+        a[active] = manifold.exp_array(a[active], -damping * F)
+        iterates[active] += 1
+    else:
+        raise MeanSolverError(
+            f"no convergence to grad_tol={grad_tol[active[0]]:.3e} in "
+            f"{max_iters} iterations (last |F| = {f_norm[0]:.3e})",
+            index=int(active[0]))
+
+    # Orthonormal tangent frame at each mean, as Sphere.tangent_basis.
+    r = manifold.radius
+    eye = np.broadcast_to(np.eye(manifold.coord_dim), (rows,) + (manifold.coord_dim,) * 2)
+    qmat, _ = np.linalg.qr(np.concatenate([a[:, :, None] / r, eye], axis=2))
+    frame = qmat[:, :, 1:manifold.dim + 1]                   # (N, coord_dim, m)
+
+    tau = np.linalg.norm(logs, axis=-1)
+    y = np.divide(-logs, tau[..., None], out=np.zeros_like(logs),
+                  where=tau[..., None] > 0.0)
+    f, one_minus_f = _stretch_array(manifold.constant_sectional_curvature, tau)
+    y_frame = np.einsum("rid,rdk->rik", y, frame)
+    a_mat = ((lam * f).sum(axis=1)[:, None, None] * np.eye(manifold.dim)
+             + np.einsum("ri,rik,ril->rkl", lam * one_minus_f, y_frame, y_frame))
+    cond = np.linalg.cond(a_mat)
+    singular = np.flatnonzero(~(cond <= 1e12))
+    if singular.size:
+        k = singular[0]
+        raise MeanSolverError(
+            f"Hessian combination A is numerically singular: cond(A) = "
+            f"{cond[k]:.3e}", index=int(k))
+    sig = np.einsum("rjd,rdk->rkj", logs[:, 1:] - logs[:, :1], frame)
+    if iterations is not None:
+        iterations.extend(iterates.tolist())
+    return a, frame @ np.linalg.solve(a_mat, sig)

@@ -23,7 +23,15 @@ class NonRealizableError(KarcherError):
 
 
 class MeanSolverError(KarcherError):
-    """Center-of-mass iteration failed to converge or left its ball."""
+    """Center-of-mass iteration failed to converge or left its ball.
+
+    ``index`` is the failing row of a batched solve, so callers can name
+    the chart it belongs to; it is None for a single chart.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class TriangulationError(KarcherError):

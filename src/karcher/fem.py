@@ -18,10 +18,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .barycentric import (BarycentricWeight, ChartJet, KarcherChart,
-                          SolverConfig, differential, pullback_metric)
-from .errors import LinearSolverError, TriangulationError
-from .flat_simplex import EdgeLengthSystem, FlatMetric, flat_metric_from_lengths, fullness
+from .barycentric import (KarcherChart, SolverConfig, differential_batch,
+                          exceeds_convexity_radius)
+# The scalar jet of tri.chart(t), which quad_data reproduces in batch.  No
+# code here calls it; it stays importable from this module because the
+# benchmark's tracer test (perfbench/test_smoke.py) looks it up here.
+from .barycentric import differential  # noqa: F401
+from .errors import LinearSolverError, MeanSolverError, TriangulationError
+from .flat_simplex import EdgeLengthSystem, flat_metric_from_lengths, fullness
 from .manifolds import Sphere
 
 # Icosahedron vertices on the unit sphere; faces are derived from vertex
@@ -56,20 +60,21 @@ def _icosahedron_faces() -> np.ndarray:
 _ICO_FACES = _icosahedron_faces()
 
 # Order-2 quadrature on the unit triangle: interior points, weights 1/3.
+# The barycentric weights of a node are also the P1 shape function values
+# there: phi = (1 - u - v, u, v).
 _QUAD_UV = np.array([
     (2.0 / 3.0, 1.0 / 6.0),
     (1.0 / 6.0, 2.0 / 3.0),
     (1.0 / 6.0, 1.0 / 6.0),
 ])
+_QUAD_LAM = np.column_stack([1.0 - _QUAD_UV[:, 0] - _QUAD_UV[:, 1], _QUAD_UV])
 _QUAD_W = np.full(3, 1.0 / 3.0)
 _REF_AREA = 0.5
 
 # P1 shape functions on the unit triangle and their constant gradients.
 _DPHI = np.array([(-1.0, -1.0), (1.0, 0.0), (0.0, 1.0)])
-
-
-def _phi_values(u: float, v: float) -> np.ndarray:
-    return np.array([1.0 - u - v, u, v])
+# Reference mass matrix: sum_q w_q phi_q phi_q^T times the reference area.
+_MASS_REF = _REF_AREA * np.einsum("q,qa,qb->ab", _QUAD_W, _QUAD_LAM, _QUAD_LAM)
 
 
 def icosphere(level: int, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -96,47 +101,59 @@ def icosphere(level: int, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     return radius * np.array(verts), np.array(faces, dtype=int)
 
 
+# Local vertex pairs of a triangle's edges, in the order edge lengths are
+# stored: (0, 1), (0, 2), (1, 2).
+_EDGE_I = np.array([0, 0, 1])
+_EDGE_J = np.array([1, 2, 2])
+
+
 class KarcherTriangulation:
-    """Global sphere mesh with per-triangle flat metrics and charts."""
+    """Global sphere mesh with per-triangle flat metrics and charts.
+
+    Every mesh quantity is held as an array over triangles: the edge
+    lengths, the flat Gram matrices, and (after the first ``quad_data``
+    call) the chart jets at the quadrature nodes.  ``chart(t)`` builds the
+    scalar chart of one triangle from the same numbers.
+    """
 
     def __init__(self, manifold: Sphere, points, triangles: np.ndarray,
                  min_fullness: float = 0.5, solver: SolverConfig | None = None):
         self.manifold = manifold
         self.points = list(points)
         self.triangles = np.asarray(triangles, dtype=int)
+        self.solver = solver
+        self.coords = np.array([p.coords for p in self.points])
         # Geodesic edge lengths, each undirected edge measured exactly once
         # so both adjacent triangles see the same number.
-        lengths: dict[tuple[int, int], float] = {}
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (a, b) if a < b else (b, a)
-                if key not in lengths:
-                    lengths[key] = manifold.dist(self.points[a], self.points[b])
-        self.edge_lengths = lengths
-        self.h = max(lengths.values())
+        ends = np.sort(np.stack([self.triangles[:, _EDGE_I],
+                                 self.triangles[:, _EDGE_J]], axis=-1), axis=-1)
+        edges, inverse = np.unique(ends.reshape(-1, 2), axis=0, return_inverse=True)
+        lengths = manifold.dist_array(self.coords[edges[:, 0]], self.coords[edges[:, 1]])
+        self.edge_lengths = lengths[inverse.reshape(-1)].reshape(-1, 3)  # (T, 3)
+        self.h = float(lengths.max())
 
-        self.flat_metrics: list[FlatMetric] = []
-        self.charts: list[KarcherChart] = []
-        for tri in self.triangles:
-            table = np.zeros((3, 3))
-            for u, (a, b) in enumerate(((tri[0], tri[1]), (tri[0], tri[2]),
-                                        (tri[1], tri[2]))):
-                key = (a, b) if a < b else (b, a)
-                i, j = ((0, 1), (0, 2), (1, 2))[u]
-                table[i, j] = table[j, i] = lengths[key]
-            system = EdgeLengthSystem(table)
-            gm = flat_metric_from_lengths(system)
-            if not gm.realizable:
-                raise TriangulationError(f"triangle {tri} has no flat realization")
-            theta = fullness(gm, system.max_length)
-            if theta < min_fullness:
-                raise TriangulationError(
-                    f"triangle {tri} fullness {theta:.3f} below {min_fullness}")
-            self.flat_metrics.append(gm)
-            self.charts.append(KarcherChart(
-                manifold, tuple(self.points[i] for i in tri),
-                solver=solver, edge_lengths=system))
-        self._quad_cache: dict[int, list[tuple[BarycentricWeight, ChartJet]]] = {}
+        tables = np.zeros((self.num_triangles, 3, 3))
+        tables[:, _EDGE_I, _EDGE_J] = tables[:, _EDGE_J, _EDGE_I] = self.edge_lengths
+        gm = flat_metric_from_lengths(tables)
+        self.gram = gm.G                                            # (T, 2, 2)
+        bad = np.flatnonzero(~gm.realizable)
+        if bad.size:
+            raise TriangulationError(
+                f"triangle {bad[0]} {self.triangles[bad[0]]} has no flat realization")
+        diam = self.edge_lengths.max(axis=1)
+        theta = fullness(gm, diam)
+        bad = np.flatnonzero(theta < min_fullness)
+        if bad.size:
+            t = bad[0]
+            raise TriangulationError(
+                f"triangle {t} {self.triangles[t]} fullness {theta[t]:.3f} "
+                f"below {min_fullness}")
+        bad = np.flatnonzero(exceeds_convexity_radius(manifold, diam))
+        if bad.size:
+            raise ValueError(
+                f"triangle {bad[0]}: vertex separation exceeds the convexity "
+                "radius; the center of mass may not be unique")
+        self._jets: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -146,16 +163,29 @@ class KarcherTriangulation:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    def quad_data(self, t: int) -> list[tuple[BarycentricWeight, ChartJet]]:
-        """Chart jets at the quadrature nodes of triangle t (cached)."""
-        if t not in self._quad_cache:
-            chart = self.charts[t]
-            data = []
-            for u, v in _QUAD_UV:
-                lam = BarycentricWeight(np.array([1.0 - u - v, u, v]))
-                data.append((lam, differential(chart, lam)))
-            self._quad_cache[t] = data
-        return self._quad_cache[t]
+    def chart(self, t: int) -> KarcherChart:
+        """Scalar chart of triangle t, with the mesh's edge lengths."""
+        table = np.zeros((3, 3))
+        table[_EDGE_I, _EDGE_J] = table[_EDGE_J, _EDGE_I] = self.edge_lengths[t]
+        return KarcherChart(self.manifold, [self.points[i] for i in self.triangles[t]],
+                            solver=self.solver, edge_lengths=EdgeLengthSystem(table))
+
+    def quad_data(self) -> tuple[np.ndarray, np.ndarray]:
+        """Chart jets at the quadrature nodes of every triangle (cached):
+        points (T, Q, coord_dim) and dx matrices (T, Q, coord_dim, 2)."""
+        if self._jets is None:
+            T, Q = self.num_triangles, len(_QUAD_W)
+            verts = np.repeat(self.coords[self.triangles], Q, axis=0)
+            weights = np.tile(_QUAD_LAM, (T, 1))
+            try:
+                points, dx = differential_batch(self.manifold, verts, weights,
+                                                self.solver)
+            except MeanSolverError as exc:
+                t, q = divmod(exc.index, Q)
+                raise MeanSolverError(f"triangle {t}, quadrature node {q}: {exc}",
+                                      index=exc.index) from exc
+            self._jets = (points.reshape(T, Q, -1), dx.reshape(T, Q, *dx.shape[1:]))
+        return self._jets
 
 
 def build_triangulation(manifold: Sphere, subdivision_level: int,
@@ -182,6 +212,20 @@ class FemSystem:
     mode: str
 
 
+def _pullback_metrics(dx: np.ndarray) -> np.ndarray:
+    """Pulled-back metric dx^T dx at each node, in the simplex basis
+    e_k - e_0; the ambient dot product is the sphere's metric."""
+    return np.einsum("tqdk,tqdl->tqkl", dx, dx)
+
+
+def _at_nodes(fn, points: np.ndarray) -> np.ndarray:
+    """A per-point callback evaluated at every quadrature node, in
+    triangle then node order."""
+    flat = points.reshape(-1, points.shape[-1])
+    vals = np.array([fn(c) for c in flat], dtype=float)
+    return vals.reshape(points.shape[:2] + vals.shape[1:])
+
+
 def assemble(tri: KarcherTriangulation, f, mode: str = "flat") -> FemSystem:
     """Assemble stiffness, mass and load.
 
@@ -192,49 +236,32 @@ def assemble(tri: KarcherTriangulation, f, mode: str = "flat") -> FemSystem:
     """
     if mode not in ("flat", "pulled-back"):
         raise ValueError(f"unknown assembly mode {mode!r}")
+    points, dx = tri.quad_data()
+    fvals = _at_nodes(f, points)                                # (T, Q)
+    if mode == "flat":
+        G = tri.gram
+        root = np.sqrt(np.linalg.det(G))                        # (T,)
+        k_loc = _REF_AREA * root[:, None, None] * (_DPHI @ np.linalg.inv(G) @ _DPHI.T)
+        m_loc = root[:, None, None] * _MASS_REF
+        # the volume factor is constant per triangle: repeat it per node
+        root = np.broadcast_to(root[:, None], fvals.shape)
+    else:
+        mq = _pullback_metrics(dx)                              # (T, Q, 2, 2)
+        root = np.sqrt(np.linalg.det(mq))                       # (T, Q)
+        wroot = _REF_AREA * _QUAD_W * root
+        k_loc = np.einsum("tq,ak,tqkl,bl->tab", wroot, _DPHI,
+                          np.linalg.inv(mq), _DPHI, optimize=True)
+        m_loc = np.einsum("tq,qa,qb->tab", wroot, _QUAD_LAM, _QUAD_LAM)
+    f_loc = _REF_AREA * np.einsum("tq,qa->ta", _QUAD_W * root * fvals, _QUAD_LAM)
+
+    idx = tri.triangles
     nv = tri.num_vertices
-    rows, cols, k_vals, m_vals = [], [], [], []
-    load = np.zeros(nv)
-
-    for t in range(tri.num_triangles):
-        idx = tri.triangles[t]
-        gm = tri.flat_metrics[t]
-        data = tri.quad_data(t)
-
-        k_loc = np.zeros((3, 3))
-        m_loc = np.zeros((3, 3))
-        f_loc = np.zeros(3)
-        if mode == "flat":
-            ginv = np.linalg.inv(gm.G)
-            root = math.sqrt(np.linalg.det(gm.G))
-            k_loc = _REF_AREA * root * (_DPHI @ ginv @ _DPHI.T)
-            for (uq, vq), wq, (lam, jet) in zip(_QUAD_UV, _QUAD_W, data):
-                phi = _phi_values(uq, vq)
-                fval = f(jet.point.coords)
-                f_loc += _REF_AREA * wq * root * fval * phi
-                m_loc += _REF_AREA * wq * root * np.outer(phi, phi)
-        else:
-            chart = tri.charts[t]
-            for (uq, vq), wq, (lam, jet) in zip(_QUAD_UV, _QUAD_W, data):
-                mq = pullback_metric(chart, lam, jet=jet)
-                root = math.sqrt(np.linalg.det(mq))
-                minv = np.linalg.inv(mq)
-                phi = _phi_values(uq, vq)
-                k_loc += _REF_AREA * wq * root * (_DPHI @ minv @ _DPHI.T)
-                m_loc += _REF_AREA * wq * root * np.outer(phi, phi)
-                f_loc += _REF_AREA * wq * root * f(jet.point.coords) * phi
-
-        load[idx] += f_loc
-        for a in range(3):
-            for b in range(3):
-                rows.append(idx[a])
-                cols.append(idx[b])
-                k_vals.append(k_loc[a, b])
-                m_vals.append(m_loc[a, b])
-
+    load = np.bincount(idx.ravel(), weights=f_loc.ravel(), minlength=nv)
+    rows = np.repeat(idx, 3, axis=1).ravel()
+    cols = np.tile(idx, (1, 3)).ravel()
     shape = (nv, nv)
-    stiffness = sp.coo_matrix((k_vals, (rows, cols)), shape=shape).tocsr()
-    mass = sp.coo_matrix((m_vals, (rows, cols)), shape=shape).tocsr()
+    stiffness = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=shape).tocsr()
+    mass = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=shape).tocsr()
     return FemSystem(stiffness=stiffness, mass=mass, load=load, mode=mode)
 
 
@@ -287,26 +314,17 @@ def error_norms(tri: KarcherTriangulation, u_h: np.ndarray, u_exact,
     them to the components of the surface gradient.  The H1 norm includes
     the L2 part.
     """
-    man = tri.manifold
-    l2_sq = 0.0
-    semi_sq = 0.0
-    for t in range(tri.num_triangles):
-        idx = tri.triangles[t]
-        chart = tri.charts[t]
-        u_loc = u_h[idx]
-        du = _DPHI.T @ u_loc                     # constant reduced differential
-        for (uq, vq), wq, (lam, jet) in zip(_QUAD_UV, _QUAD_W, tri.quad_data(t)):
-            mq = pullback_metric(chart, lam, jet=jet)
-            root = math.sqrt(np.linalg.det(mq))
-            coords = jet.point.coords
-            e_val = float(_phi_values(uq, vq) @ u_loc) - u_exact(coords)
-            gvec = np.asarray(grad_u_exact(coords), dtype=float)
-            pulled = np.array([
-                man._ip(jet.point, gvec, jet.dx_matrix[:, k]) for k in range(2)
-            ])
-            diff = du - pulled
-            l2_sq += _REF_AREA * wq * root * e_val ** 2
-            semi_sq += _REF_AREA * wq * root * float(diff @ np.linalg.solve(mq, diff))
+    points, dx = tri.quad_data()
+    mq = _pullback_metrics(dx)
+    wroot = _REF_AREA * _QUAD_W * np.sqrt(np.linalg.det(mq))    # (T, Q)
+    u_loc = np.asarray(u_h, dtype=float)[tri.triangles]         # (T, 3)
+    e_val = u_loc @ _QUAD_LAM.T - _at_nodes(u_exact, points)
+    pulled = np.einsum("tqd,tqdk->tqk", _at_nodes(grad_u_exact, points), dx)
+    diff = (u_loc @ _DPHI)[:, None, :] - pulled                 # (T, Q, 2)
+    semi = np.einsum("tqk,tqk->tq", diff,
+                     np.linalg.solve(mq, diff[..., None])[..., 0])
+    l2_sq = float(np.sum(wroot * e_val ** 2))
+    semi_sq = float(np.sum(wroot * semi))
     return math.sqrt(l2_sq), math.sqrt(l2_sq + semi_sq)
 
 

@@ -121,40 +121,75 @@ class EdgeLengthSystem:
 
 @dataclass(frozen=True, eq=False)
 class FlatMetric:
-    """Constant metric on the standard simplex induced by edge lengths."""
+    """Constant metric on the standard simplex induced by edge lengths.
+
+    Built from a stack of length tables, every array field carries the
+    stack's leading axes and ``realizable`` is a boolean array.
+    """
 
     n: int
-    E: np.ndarray          # (n+1, n+1), E_ij = -l_ij^2 / 2
-    G: np.ndarray          # (n, n) Gram matrix over the unit simplex
-    realizable: bool
+    E: np.ndarray          # (..., n+1, n+1), E_ij = -l_ij^2 / 2
+    G: np.ndarray          # (..., n, n) Gram matrix over the unit simplex
+    realizable: bool | np.ndarray
     cholesky: np.ndarray | None   # lower factor of G when realizable
 
 
-def _cholesky(G: np.ndarray, tol: float) -> np.ndarray | None:
-    """Lower Cholesky factor of G without pivoting, or None when a pivot
-    (the square of a diagonal entry) drops to tol or below."""
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Stacked inner products; matmul takes the same BLAS dot as np.dot,
+    # so a stack gives the bits of the one-at-a-time loop.
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _cholesky(G: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack (..., n, n) without pivoting, and
+    whether each exists: it does not once a pivot (the square of a
+    diagonal entry) drops to tol or below.  Factors that do not exist
+    hold NaN from the failed pivot on."""
     # np.linalg.cholesky differs in the last bits and would change reports.
-    n = G.shape[0]
+    n = G.shape[-1]
     L = np.zeros_like(G)
+    ok = np.ones(G.shape[:-2], dtype=bool)
     for j in range(n):
-        d = G[j, j] - np.dot(L[j, :j], L[j, :j])
-        if d <= tol:
-            return None
-        L[j, j] = math.sqrt(d)
+        d = G[..., j, j] - _dot(L[..., j, :j], L[..., j, :j])
+        ok &= d > tol
+        L[..., j, j] = np.sqrt(np.where(ok, d, np.nan))
         for i in range(j + 1, n):
-            L[i, j] = (G[i, j] - np.dot(L[i, :j], L[j, :j])) / L[j, j]
-    return L
+            L[..., i, j] = (G[..., i, j] - _dot(L[..., i, :j], L[..., j, :j])) / L[..., j, j]
+    return L, ok
 
 
-def flat_metric_from_lengths(system: EdgeLengthSystem) -> FlatMetric:
+def _flagged(mask) -> tuple | None:
+    """Index of the first true entry of a mask (``()`` for a 0-d one), or
+    None when there is none."""
+    mask = np.asarray(mask)
+    return tuple(int(i) for i in np.argwhere(mask)[0]) if mask.any() else None
+
+
+def _at(k: tuple) -> str:
+    """' at simplex k' for an entry of a stack; '' for a single simplex."""
+    return f" at simplex {k[0] if len(k) == 1 else k}" if k else ""
+
+
+def _scalar(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def flat_metric_from_lengths(system) -> FlatMetric:
     """Build the E and Gram matrices; non-realizable systems are returned
-    with ``realizable=False`` rather than rejected."""
-    n = system.n
-    E = -0.5 * system.lengths ** 2
-    G = E[1:, 1:] - E[0, 1:][None, :] - E[0, 1:][:, None]
-    tol = 1e-12 * max(np.trace(G), 1e-300)
-    L = _cholesky(G, tol)
-    return FlatMetric(n=n, E=E, G=G, realizable=L is not None, cholesky=L)
+    with ``realizable=False`` rather than rejected.  ``system`` is an
+    EdgeLengthSystem or a stack (..., n+1, n+1) of symmetric length
+    tables."""
+    lengths = (system.lengths if isinstance(system, EdgeLengthSystem)
+               else np.asarray(system, dtype=float))
+    n = lengths.shape[-1] - 1
+    E = -0.5 * lengths ** 2
+    G = E[..., 1:, 1:] - E[..., 0, 1:][..., None, :] - E[..., 0, 1:][..., :, None]
+    tol = 1e-12 * np.maximum(np.trace(G, axis1=-2, axis2=-1), 1e-300)
+    L, ok = _cholesky(G, tol)
+    if ok.ndim == 0:
+        return FlatMetric(n=n, E=E, G=G, realizable=bool(ok),
+                          cholesky=L if ok else None)
+    return FlatMetric(n=n, E=E, G=G, realizable=ok, cholesky=L)
 
 
 def evaluate(gm: FlatMetric, v: SimplexTangent, w: SimplexTangent) -> float:
@@ -165,41 +200,47 @@ def evaluate(gm: FlatMetric, v: SimplexTangent, w: SimplexTangent) -> float:
     return float(v.v @ gm.E @ w.v)
 
 
-def volume_from_gram(G: np.ndarray) -> float:
-    n = G.shape[0]
-    det = float(np.linalg.det(G))
-    return math.sqrt(max(det, 0.0)) / math.factorial(n)
+def volume_from_gram(G: np.ndarray):
+    """Volume from the Gram determinant; works on stacks (..., n, n)."""
+    n = G.shape[-1]
+    det = np.linalg.det(G)
+    return _scalar(np.sqrt(np.maximum(det, 0.0)) / math.factorial(n))
 
 
-def volume_from_cayley_menger(E: np.ndarray) -> float:
-    n = E.shape[0] - 1
-    m = np.zeros((n + 2, n + 2))
-    m[0, 1:] = -0.5
-    m[1:, 0] = -0.5
-    m[1:, 1:] = E
-    det = float(np.linalg.det(m))
-    return (2.0 / math.factorial(n)) * math.sqrt(max(-det, 0.0))
+def volume_from_cayley_menger(E: np.ndarray):
+    """Volume from the Cayley-Menger determinant; works on stacks
+    (..., n+1, n+1)."""
+    n = E.shape[-1] - 1
+    m = np.zeros(E.shape[:-2] + (n + 2, n + 2))
+    m[..., 0, 1:] = -0.5
+    m[..., 1:, 0] = -0.5
+    m[..., 1:, 1:] = E
+    det = np.linalg.det(m)
+    return _scalar((2.0 / math.factorial(n)) * np.sqrt(np.maximum(-det, 0.0)))
 
 
-def volume(gm: FlatMetric) -> float:
+def volume(gm: FlatMetric):
     """Simplex volume; the Cayley-Menger and Gram-determinant routes are
-    both evaluated and must agree."""
-    if not gm.realizable:
-        raise NonRealizableError("volume of a non-realizable length system")
+    both evaluated and must agree.  A stacked metric gives an array."""
+    if (k := _flagged(~np.asarray(gm.realizable))) is not None:
+        raise NonRealizableError(f"volume of a non-realizable length system{_at(k)}")
     v_cm = volume_from_cayley_menger(gm.E)
     v_gram = volume_from_gram(gm.G)
-    if abs(v_cm - v_gram) > 1e-9 * max(v_cm, v_gram):
+    if (k := _flagged(np.abs(v_cm - v_gram) > 1e-9 * np.maximum(v_cm, v_gram))) is not None:
         raise ArithmeticError(
-            f"volume formulas disagree: {v_cm} (Cayley-Menger) vs {v_gram} (Gram)"
-        )
+            f"volume formulas disagree{_at(k)}: {np.asarray(v_cm)[k]} "
+            f"(Cayley-Menger) vs {np.asarray(v_gram)[k]} (Gram)")
     return v_cm
 
 
-def fullness(gm: FlatMetric, h: float) -> float:
-    """Thinness measure n! vol / h^n for edge bound h."""
-    max_edge = float(np.sqrt(-2.0 * gm.E.min()))
-    if h < max_edge * (1.0 - 1e-12):
-        raise ValueError(f"h={h} is below the longest edge {max_edge}")
+def fullness(gm: FlatMetric, h):
+    """Thinness measure n! vol / h^n for edge bound h.  On a stacked
+    metric h may be one bound per simplex."""
+    max_edge = np.sqrt(-2.0 * gm.E.min(axis=(-2, -1)))
+    short = h < max_edge * (1.0 - 1e-12)
+    if (k := _flagged(short)) is not None:
+        raise ValueError(f"h={np.broadcast_to(h, np.shape(short))[k]} is below the "
+                         f"longest edge {np.broadcast_to(max_edge, np.shape(short))[k]}{_at(k)}")
     return math.factorial(gm.n) * volume(gm) / h ** gm.n
 
 

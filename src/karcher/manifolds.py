@@ -120,6 +120,22 @@ class Geodesic:
         return TangentVector(ManifoldPoint(coords), vel)
 
 
+# Below u = sqrt(|K|) tau = _SERIES_U the closed forms of the stretch
+# factor cancel badly, and Taylor series replace them.
+_SERIES_U = 0.05
+
+
+def _ucotu_series(u2):
+    """u cot(u) to O(u^8), from u^2; on floats or arrays."""
+    return 1.0 - u2 / 3.0 - u2 * u2 / 45.0 - 2.0 * u2 ** 3 / 945.0
+
+
+def _stretch_closed(u, s, c):
+    """(f, 1 - f) for f = u c / s, with (s, c) = (sin u, cos u) when K > 0
+    and (sinh u, cosh u) when K < 0; on floats or arrays."""
+    return u * c / s, (s - u * c) / s
+
+
 def _stretch_coeffs(K: float, tau: float) -> tuple[float, float, float]:
     """Radial stretch factor of the squared-distance Hessian.
 
@@ -132,10 +148,10 @@ def _stretch_coeffs(K: float, tau: float) -> tuple[float, float, float]:
         return 1.0, 0.0, 0.0
     rk = math.sqrt(abs(K))
     u = rk * tau
-    if u < 0.05:
+    if u < _SERIES_U:
         u2 = u * u
         if K > 0:
-            f = 1.0 - u2 / 3.0 - u2 * u2 / 45.0 - 2.0 * u2 ** 3 / 945.0
+            f = _ucotu_series(u2)
             fp_du = -2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0 - 4.0 * u ** 5 / 315.0
         else:
             f = 1.0 + u2 / 3.0 - u2 * u2 / 45.0 + 2.0 * u2 ** 3 / 945.0
@@ -143,15 +159,21 @@ def _stretch_coeffs(K: float, tau: float) -> tuple[float, float, float]:
         return f, rk * fp_du, 1.0 - f
     if K > 0:
         s, c = math.sin(u), math.cos(u)
-        f = u * c / s
-        fp = rk * (c / s - u / (s * s))
-        one_minus_f = (s - u * c) / s
     else:
         s, c = math.sinh(u), math.cosh(u)
-        f = u * c / s
-        fp = rk * (c / s - u / (s * s))
-        one_minus_f = (s - u * c) / s
-    return f, fp, one_minus_f
+    f, one_minus_f = _stretch_closed(u, s, c)
+    return f, rk * (c / s - u / (s * s)), one_minus_f
+
+
+def _stretch_array(K: float, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, 1 - f) of ``_stretch_coeffs`` for K > 0 on an array of
+    distances."""
+    u = math.sqrt(K) * tau
+    small = u < _SERIES_U
+    f_series = _ucotu_series(u * u)
+    us = np.where(small, 1.0, u)  # keeps the closed form finite where unused
+    f, one_minus_f = _stretch_closed(us, np.sin(us), np.cos(us))
+    return np.where(small, f_series, f), np.where(small, 1.0 - f_series, one_minus_f)
 
 
 class Manifold(ABC):
@@ -430,10 +452,10 @@ class Sphere(Manifold):
         r = self.radius
         chord = float(np.linalg.norm(q.coords - p.coords))
         theta = 2.0 * math.asin(min(chord / (2.0 * r), 1.0))
-        if theta >= math.pi - _ANTIPODE_TOL:
-            raise GeodesicError("antipodal points: logarithm not unique")
         w = q.coords - (float(np.dot(q.coords, p.coords)) / r ** 2) * p.coords
         nw = float(np.linalg.norm(w))
+        if _near_antipode(theta, nw, r):
+            raise GeodesicError("antipodal points: logarithm not unique")
         if nw == 0.0:
             return TangentVector(p, np.zeros(self.coord_dim))
         return TangentVector(p, (r * theta / nw) * w)
@@ -441,6 +463,35 @@ class Sphere(Manifold):
     def dist(self, p, q):
         chord = float(np.linalg.norm(q.coords - p.coords))
         return 2.0 * self.radius * math.asin(min(chord / (2.0 * self.radius), 1.0))
+
+    # -- array kernels on (..., coord_dim) coordinate stacks ----------------
+    # The same formulas as log/exp/dist, broadcast over leading axes, for
+    # callers that hold many points at once.
+
+    def dist_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        chord = np.linalg.norm(q - p, axis=-1)
+        return 2.0 * self.radius * np.arcsin(np.minimum(chord / (2.0 * self.radius), 1.0))
+
+    def log_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        r = self.radius
+        chord = np.linalg.norm(q - p, axis=-1)
+        theta = 2.0 * np.arcsin(np.minimum(chord / (2.0 * r), 1.0))
+        w = q - (np.sum(q * p, axis=-1, keepdims=True) / r ** 2) * p
+        nw = np.linalg.norm(w, axis=-1, keepdims=True)
+        if np.any(_near_antipode(theta, nw[..., 0], r)):
+            raise GeodesicError("antipodal points: logarithm not unique")
+        scale = np.divide(r * theta[..., None], nw, out=np.zeros_like(nw),
+                          where=nw != 0.0)
+        return scale * w
+
+    def exp_array(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        t = np.linalg.norm(v, axis=-1, keepdims=True)
+        if np.any(t > self.bounds.injectivity_radius * (1.0 + 1e-9)):
+            raise GeodesicError("initial vector longer than the injectivity radius")
+        u = t / self.radius
+        c = np.cos(u) * p + np.sinc(u / math.pi) * v
+        c *= self.radius / np.linalg.norm(c, axis=-1, keepdims=True)
+        return np.where(t == 0.0, p, c)
 
     def geodesic_from(self, p, v, length=None):
         n = self.norm(v)
@@ -472,6 +523,15 @@ class Sphere(Manifold):
                             np.eye(self.coord_dim)], axis=1)
         qmat, _ = np.linalg.qr(m)
         return [TangentVector(p, qmat[:, k].copy()) for k in range(1, self.dim + 1)]
+
+
+def _near_antipode(theta, nw, r):
+    """Whether a sphere logarithm with angle theta and tangential part of
+    norm nw = r sin(theta) is within _ANTIPODE_TOL of the antipode.  Near
+    the antipode the chord's arcsine loses half the digits, so theta alone
+    can read about 3e-8 short of pi; nw keeps full precision there."""
+    return (theta >= math.pi - _ANTIPODE_TOL) | (
+        (theta > math.pi / 2) & (nw <= _ANTIPODE_TOL * r))
 
 
 def _minkowski(a: np.ndarray, b: np.ndarray) -> float:

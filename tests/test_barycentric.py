@@ -128,6 +128,19 @@ def test_mean_max_iters_error(sphere_chart):
         karcher_mean(strict, BarycentricWeight([0.3, 0.3, 0.4]))
 
 
+@pytest.mark.parametrize("h", [2e-4, 2e-5])
+def test_mean_converges_at_small_h(sphere, h):
+    # 1e-12 h alone would be below the roundoff of unit-size coordinates.
+    pole = sphere.point([0, 0, 1.0])
+    family = equilateral_family(sphere, pole, h, 1)
+    chart = generate_geodesic_simplex(sphere, pole, family.directions, h)
+    lam = BarycentricWeight([0.5, 0.3, 0.2])
+    mean = karcher_mean(chart, lam)
+    F = grad_field(chart, mean, lam)
+    assert chart.manifold.norm(F) <= chart.solver.grad_tol
+    assert chart.solver.grad_tol <= 1e-14
+
+
 def test_energy_descent_along_iterates(sphere_chart):
     lam = BarycentricWeight([0.6, 0.1, 0.3])
     trace: list = []

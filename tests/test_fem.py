@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from karcher.errors import TriangulationError
-from karcher.fem import (assemble, build_triangulation, error_norms,
-                         export_off, poisson_ladder, solve_poisson)
-from karcher.flat_simplex import fullness
+from karcher.barycentric import (SolverConfig, differential,
+                                 differential_batch, karcher_mean)
+from karcher.errors import MeanSolverError, TriangulationError
+from karcher.fem import (_QUAD_LAM, KarcherTriangulation, assemble,
+                         build_triangulation,
+                         error_norms, export_off, poisson_ladder,
+                         solve_poisson)
+from karcher.flat_simplex import BarycentricWeight, fullness
+from karcher.manifolds import Sphere
 
 
 def f_eigen(c):
@@ -51,8 +56,8 @@ def test_h_roughly_halves_per_level(sphere, tri1):
 
 def test_level2_fullness(sphere):
     tri = build_triangulation(sphere, 2)
-    thetas = [fullness(tri.flat_metrics[t], tri.charts[t].h)
-              for t in range(tri.num_triangles)]
+    charts = [tri.chart(t) for t in range(tri.num_triangles)]
+    thetas = [fullness(chart.flat_metric, chart.h) for chart in charts]
     # measured minimum is 0.6971 at this level
     assert min(thetas) >= 0.69
 
@@ -71,7 +76,7 @@ def test_shared_edges_single_length(tri1):
     # Both triangles adjacent to an edge carry the same stored length.
     seen = {}
     for t, tri_idx in enumerate(tri1.triangles):
-        table = tri1.charts[t].edge_lengths.lengths
+        table = tri1.chart(t).edge_lengths.lengths
         local = ((0, 1), (0, 2), (1, 2))
         for (a_loc, b_loc) in local:
             key = tuple(sorted((tri_idx[a_loc], tri_idx[b_loc])))
@@ -81,6 +86,68 @@ def test_shared_edges_single_length(tri1):
             else:
                 seen[key] = val
     assert len(seen) == 120  # level-1 edge count
+
+
+def _equator(sphere, *angles, z=0.0):
+    return [sphere.point(np.array([math.cos(a), math.sin(a), z])
+                         / math.sqrt(1.0 + z * z)) for a in angles]
+
+
+def test_triangle_checks_name_the_triangle(sphere, tri1):
+    pts = tri1.points
+    good = [tuple(t) for t in tri1.triangles[:2]]
+    # three points on one great circle: no flat realization
+    flat_pts = pts + _equator(sphere, 0.0, 0.2, 0.4)
+    n = len(pts)
+    with pytest.raises(TriangulationError, match="triangle 2 .* no flat realization"):
+        KarcherTriangulation(sphere, flat_pts, good + [(n, n + 1, n + 2)])
+    # a sliver: the third vertex barely off the great circle
+    sliver = pts + _equator(sphere, 0.0, 0.4) + _equator(sphere, 0.2, z=0.01)
+    with pytest.raises(TriangulationError, match="triangle 2 .* fullness 0.0"):
+        KarcherTriangulation(sphere, sliver, good + [(n, n + 1, n + 2)])
+    # a full triangle wider than the convexity radius
+    wide = pts + _equator(sphere, 0.0, 2.0 * math.pi / 3.0) + [sphere.point([0.0, 0.0, 1.0])]
+    with pytest.raises(ValueError, match="triangle 2: vertex separation exceeds"):
+        KarcherTriangulation(sphere, wide, good + [(n, n + 1, n + 2)], min_fullness=0.0)
+
+
+def test_differential_batch_counts_iterations(sphere):
+    tri = build_triangulation(sphere, 1)
+    rows = [(t, q) for t in range(0, tri.num_triangles, 7) for q in range(3)]
+    verts = np.array([tri.coords[tri.triangles[t]] for t, _ in rows])
+    weights = np.array([_QUAD_LAM[q] for _, q in rows])
+    counts: list = []
+    differential_batch(sphere, verts, weights, iterations=counts)
+    expected = []
+    for t, q in rows:
+        trace: list = []
+        karcher_mean(tri.chart(t), BarycentricWeight(_QUAD_LAM[q]), trace=trace)
+        expected.append(len(trace))
+    assert counts == expected
+    assert max(counts) >= 2
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_quad_data_matches_scalar_differential(radius):
+    man = Sphere(2, radius=radius)
+    tri = build_triangulation(man, 2)
+    points, dx = tri.quad_data()
+    assert points.shape == (tri.num_triangles, 3, 3)
+    assert dx.shape == (tri.num_triangles, 3, 3, 2)
+    for t in range(tri.num_triangles):
+        chart = tri.chart(t)
+        for q, lam in enumerate(_QUAD_LAM):
+            jet = differential(chart, BarycentricWeight(lam))
+            assert np.max(np.abs(points[t, q] - jet.point.coords)) <= 1e-13 * radius
+            assert np.max(np.abs(dx[t, q] - jet.dx_matrix)) <= 1e-13 * radius
+
+
+def test_quad_data_error_names_triangle(sphere):
+    tri = build_triangulation(sphere, 1, solver=SolverConfig(
+        grad_tol=1e-16, max_iters=1, step_damping=0.1))
+    with pytest.raises(MeanSolverError,
+                       match=r"triangle 0, quadrature node 0: no convergence.*last \|F\|"):
+        tri.quad_data()
 
 
 # -- assembly ------------------------------------------------------------------
@@ -192,14 +259,18 @@ def test_constant_reproduced_exactly(tri1):
 
 
 def test_poisson_ladder_rates(sphere):
-    records = poisson_ladder(sphere, (1, 2, 3), f_eigen, u_eigen,
-                             grad_u_eigen, mode="flat")
-    l2 = [r["l2_error"] for r in records]
-    h1 = [r["h1_error"] for r in records]
-    assert all(b < a for a, b in zip(l2, l2[1:]))
-    assert all(b < a for a, b in zip(h1, h1[1:]))
-    # dof bookkeeping
-    assert [r["dof"] for r in records] == [42, 162, 642]
+    for mode in ("flat", "pulled-back"):
+        records = poisson_ladder(sphere, (1, 2, 3, 4, 5), f_eigen, u_eigen,
+                                 grad_u_eigen, mode=mode)
+        log_h = np.log([r["h"] for r in records])
+        l2 = [r["l2_error"] for r in records]
+        h1 = [r["h1_error"] for r in records]
+        assert all(b < a for a, b in zip(l2, l2[1:]))
+        assert all(b < a for a, b in zip(h1, h1[1:]))
+        assert abs(np.polyfit(log_h, np.log(l2), 1)[0] - 2.0) <= 0.25
+        assert abs(np.polyfit(log_h, np.log(h1), 1)[0] - 1.0) <= 0.25
+        # dof bookkeeping
+        assert [r["dof"] for r in records] == [42, 162, 642, 2562, 10242]
 
 
 def test_dirichlet_energy_increases_to_continuum(sphere):

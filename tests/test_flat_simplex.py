@@ -196,6 +196,51 @@ def test_fullness_rejects_small_h():
         fullness(gm, 0.5)
 
 
+def test_stacked_metric_matches_single_simplices(rng):
+    # One stack of tables, realizable or not, against each table alone.
+    tables = []
+    for k in range(40):
+        pts = rng.normal(size=(4, 3))
+        table = EdgeLengthSystem.from_points(pts).lengths
+        if k % 5 == 0:
+            table[0, 1] = table[1, 0] = 3.0 * table[0, 1]
+        tables.append(table)
+    stack = flat_metric_from_lengths(np.array(tables))
+    assert stack.G.shape == (40, 3, 3) and stack.realizable.shape == (40,)
+    single = [flat_metric_from_lengths(lengths(t)) for t in tables]
+    assert list(stack.realizable) == [gm.realizable for gm in single]
+    assert not stack.realizable.all()
+    for k, gm in enumerate(single):
+        assert np.array_equal(stack.G[k], gm.G)
+        if gm.realizable:
+            assert np.array_equal(stack.cholesky[k], gm.cholesky)
+    with pytest.raises(NonRealizableError, match="at simplex 0"):
+        volume(stack)
+
+    good = stack.realizable
+    sub = FlatMetric(n=3, E=stack.E[good], G=stack.G[good],
+                     realizable=good[good], cholesky=stack.cholesky[good])
+    h = np.array([t.max() for t in np.array(tables)[good]])
+    kept = [gm for gm in single if gm.realizable]
+    assert np.array_equal(volume(sub), [volume(gm) for gm in kept])
+    assert fullness(sub, h) == pytest.approx(
+        [fullness(gm, float(hk)) for gm, hk in zip(kept, h)], rel=1e-15)
+    h[3] *= 0.5
+    with pytest.raises(ValueError, match="below the longest edge.*at simplex 3"):
+        fullness(sub, h)
+
+
+def test_stacked_volume_disagreement_names_the_simplex():
+    # A Gram block that does not belong to E makes the two volumes differ.
+    gm = flat_metric_from_lengths(np.array([equilateral(2).lengths] * 3))
+    G = gm.G.copy()
+    G[2] *= 1.5
+    skewed = FlatMetric(n=2, E=gm.E, G=G, realizable=gm.realizable,
+                        cholesky=gm.cholesky)
+    with pytest.raises(ArithmeticError, match="disagree at simplex 2"):
+        volume(skewed)
+
+
 # -- eigenvalue bounds ------------------------------------------------------------
 
 def test_gram_eigen_bounds_equilateral():

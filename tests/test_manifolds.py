@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from karcher.errors import BasePointError, GeodesicError
 from karcher.manifolds import (ChartManifold, EuclideanSpace, Manifold,
-                               ManifoldBounds, christoffel_from_metric)
+                               ManifoldBounds, Sphere, christoffel_from_metric)
 
 from conftest import (random_hyperbolic_point, random_sphere_point,
                       random_unit_tangent)
@@ -173,6 +173,41 @@ def test_log_rejects_antipodes(sphere):
     p = sphere.point([0.0, 0.0, 1.0])
     with pytest.raises(GeodesicError):
         sphere.log(p, sphere.point([0.0, 0.0, -1.0]))
+
+
+def test_log_rejects_exact_antipodes_of_random_points(sphere, rng):
+    # The chord's arcsine leaves theta up to ~3e-8 short of pi here.
+    for _ in range(50):
+        p = random_sphere_point(sphere, rng)
+        with pytest.raises(GeodesicError):
+            sphere.log(p, sphere.point(-p.coords))
+        with pytest.raises(GeodesicError):
+            sphere.log_array(p.coords, -p.coords)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_sphere_array_kernels_match_scalar(radius, rng):
+    man = Sphere(2, radius=radius)
+    ps = [random_sphere_point(man, rng) for _ in range(8)]
+    qs = [random_sphere_point(man, rng) for _ in range(7)] + [ps[-1]]  # last: q = p
+    P = np.array([p.coords for p in ps])
+    Q = np.array([q.coords for q in qs])
+    logs = man.log_array(P, Q)
+    assert np.max(np.abs(logs[-1])) == 0.0
+    for k, (p, q) in enumerate(zip(ps, qs)):
+        assert np.allclose(logs[k], man.log(p, q).components, rtol=0.0, atol=1e-14 * radius)
+        assert man.dist_array(P, Q)[k] == pytest.approx(man.dist(p, q), rel=1e-14, abs=0.0)
+    V = 0.3 * logs
+    V[0] = 0.0
+    exps = man.exp_array(P, V)
+    assert np.array_equal(exps[0], P[0])
+    for k, p in enumerate(ps):
+        assert np.allclose(exps[k], man.exp(p, man.tangent(p, V[k])).coords,
+                           rtol=0.0, atol=1e-14 * radius)
+    with pytest.raises(GeodesicError):
+        man.log_array(P[:1], -P[:1])
+    with pytest.raises(GeodesicError):
+        man.exp_array(P[:1], np.array([[0.0, 0.0, 1.1 * math.pi * radius]]))
 
 
 def test_chart_shooting_failure_is_reported():
