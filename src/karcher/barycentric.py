@@ -47,6 +47,10 @@ class KarcherChart:
     computed elsewhere, so mesh edges are measured exactly once), derives
     the induced flat simplex metric, and verifies that all pairwise
     distances stay below the manifold's convexity radius.
+
+    The chart also keeps the logarithms log_a(p_i) that ``karcher_mean``
+    computed at the point a it last returned, so that jets and ``sigma``
+    at that same point object do not compute them again.
     """
 
     def __init__(self, manifold: Manifold, vertices, solver: SolverConfig | None = None,
@@ -74,6 +78,7 @@ class KarcherChart:
         coord_scale = max(float(np.max(np.abs(v.coords))) for v in self.vertices)
         self.solver = solver if solver is not None else SolverConfig(
             grad_tol=float(default_grad_tol(self.h, coord_scale)))
+        self._mean_logs: tuple[ManifoldPoint | None, list] = (None, [])
 
 
 def exceeds_convexity_radius(manifold: Manifold, h):
@@ -152,7 +157,9 @@ def karcher_mean(chart: KarcherChart, lam: BarycentricWeight,
     """Damped fixed-point iteration a <- exp_a(-damping * F(a, lambda)).
 
     Near the mean the update is a contraction with rate of order C0 h^2,
-    so a handful of iterations reaches gradient norms near roundoff.
+    so a handful of iterations reaches gradient norms near roundoff.  The
+    logarithms toward the vertices at the returned point stay on the chart
+    for later jets at that point.
     """
     man = chart.manifold
     cfg = chart.solver
@@ -161,23 +168,35 @@ def karcher_mean(chart: KarcherChart, lam: BarycentricWeight,
     if trace is not None:
         trace.append(a)
     for _ in range(cfg.max_iters):
+        logs = [man.log(a, p) for p in chart.vertices]
         comps = np.zeros(man.coord_dim)
         max_dist = 0.0
-        for li, p in zip(lam.values, chart.vertices):
-            log_ap = man.log(a, p)
+        for li, log_ap in zip(lam.values, logs):
             max_dist = max(max_dist, man.norm(log_ap))
             if li != 0.0:
                 comps -= li * log_ap.components
         if max_dist > conv_radius * (1.0 + 1e-9):
-            raise MeanSolverError("iterate left the convex ball")
+            raise MeanSolverError(
+                f"iterate left the convex ball at weights {lam.values.tolist()}: "
+                f"vertex distance {max_dist:.3e} > {conv_radius:.3e}")
         F = TangentVector(a, comps)
-        if man.norm(F) <= cfg.grad_tol:
+        f_norm = man.norm(F)
+        if f_norm <= cfg.grad_tol:
+            chart._mean_logs = (a, logs)
             return a
         a = man.exp(a, -cfg.step_damping * F)
         if trace is not None:
             trace.append(a)
     raise MeanSolverError(
-        f"no convergence to grad_tol={cfg.grad_tol} in {cfg.max_iters} iterations")
+        f"no convergence to grad_tol={cfg.grad_tol:.3e} in {cfg.max_iters} "
+        f"iterations at weights {lam.values.tolist()} (last |F| = {f_norm:.3e})")
+
+
+def _mean_logs(chart: KarcherChart, a: ManifoldPoint) -> list[TangentVector] | None:
+    """log_a(p_i) for every vertex if a is the point karcher_mean last
+    returned for this chart, else None."""
+    point, logs = chart._mean_logs
+    return logs if point is a else None
 
 
 def sigma(chart: KarcherChart, lam: BarycentricWeight, v: SimplexTangent,
@@ -185,10 +204,12 @@ def sigma(chart: KarcherChart, lam: BarycentricWeight, v: SimplexTangent,
     """sum_i v^i log_a(p_i) at a = x(lambda); the flat-model differential."""
     man = chart.manifold
     a = at if at is not None else karcher_mean(chart, lam)
+    logs = _mean_logs(chart, a)
     comps = np.zeros(man.coord_dim)
-    for vi, p in zip(v.v, chart.vertices):
+    for i, (vi, p) in enumerate(zip(v.v, chart.vertices)):
         if vi != 0.0:
-            comps += vi * man.log(a, p).components
+            log_ap = logs[i] if logs is not None else man.log(a, p)
+            comps += vi * log_ap.components
     return TangentVector(a, comps)
 
 
@@ -196,26 +217,41 @@ def a_operator(chart: KarcherChart, lam: BarycentricWeight,
                V: TangentVector) -> TangentVector:
     """lambda-weighted combination of squared-distance Hessians applied to
     V at V's base point; close to the identity for small charts."""
+    return _apply_a(lam, _hessian_maps(chart, lam, V.base), V)
+
+
+def _hessian_maps(chart: KarcherChart, lam: BarycentricWeight, a: ManifoldPoint):
+    """hess_half_dist_sq(p_i, a, .) for each vertex of nonzero weight, and
+    None for the others."""
     man = chart.manifold
-    a = V.base
-    comps = np.zeros(man.coord_dim)
-    for li, p in zip(lam.values, chart.vertices):
+    return [man.hess_half_dist_sq_map(p, a) if li != 0.0 else None
+            for li, p in zip(lam.values, chart.vertices)]
+
+
+def _apply_a(lam: BarycentricWeight, hess: list, V: TangentVector) -> TangentVector:
+    """A(V) from the per-vertex Hessian maps of ``_hessian_maps``."""
+    comps = np.zeros(V.components.shape)
+    for li, h in zip(lam.values, hess):
         if li != 0.0:
-            comps += li * man.hess_half_dist_sq(p, a, V).components
-    return TangentVector(a, comps)
+            comps += li * h(V).components
+    return TangentVector(V.base, comps)
 
 
-def _assemble_linear_data(chart: KarcherChart, lam: BarycentricWeight,
-                          a: ManifoldPoint):
-    """Orthonormal tangent basis, the matrix of A in it, and the sigma
-    images of the simplex basis directions."""
+def _linear_data(chart: KarcherChart, lam: BarycentricWeight,
+                 at: ManifoldPoint | None):
+    """Setup shared by ``differential`` and ``hessian``: the mean a (``at``
+    if given), an orthonormal tangent frame at a as rows, the matrix of A
+    in it, the sigma images of the simplex basis directions in it, and the
+    per-vertex Hessian maps at a (``_hessian_maps``)."""
     man = chart.manifold
+    a = at if at is not None else karcher_mean(chart, lam)
     basis = man.tangent_basis(a)
     m = len(basis)
-    logs = [man.log(a, p) for p in chart.vertices]
+    logs = _mean_logs(chart, a) or [man.log(a, p) for p in chart.vertices]
+    hess = _hessian_maps(chart, lam, a)
     a_mat = np.empty((m, m))
     for l, b in enumerate(basis):
-        av = a_operator(chart, lam, b)
+        av = _apply_a(lam, hess, b)
         for k in range(m):
             a_mat[k, l] = man._ip(a, av.components, basis[k].components)
     sig = np.empty((m, chart.n))
@@ -223,20 +259,21 @@ def _assemble_linear_data(chart: KarcherChart, lam: BarycentricWeight,
         s = logs[j].components - logs[0].components
         for k in range(m):
             sig[k, j - 1] = man._ip(a, s, basis[k].components)
-    return basis, a_mat, sig
+    cond = np.linalg.cond(a_mat)
+    if cond > 1e12:
+        raise MeanSolverError(
+            f"Hessian combination A is numerically singular at weights "
+            f"{lam.values.tolist()}: cond(A) = {cond:.3e}")
+    frame = np.array([b.components for b in basis])  # (m, coord_dim)
+    return a, frame, a_mat, sig, hess
 
 
 def differential(chart: KarcherChart, lam: BarycentricWeight,
                  at: ManifoldPoint | None = None) -> ChartJet:
     """First derivative of the coordinate map: solves A dx(v) = sigma(v)
     for each basis direction."""
-    man = chart.manifold
-    a = at if at is not None else karcher_mean(chart, lam)
-    basis, a_mat, sig = _assemble_linear_data(chart, lam, a)
-    if np.linalg.cond(a_mat) > 1e12:
-        raise MeanSolverError("Hessian combination A is numerically singular")
+    a, frame, a_mat, sig, _ = _linear_data(chart, lam, at)
     dx_basis = np.linalg.solve(a_mat, sig)          # (m, n) in basis coords
-    frame = np.array([b.components for b in basis])  # (m, coord_dim)
     return ChartJet(point=a, dx_matrix=frame.T @ dx_basis, nabla_dx_tensor=None)
 
 
@@ -249,21 +286,18 @@ def hessian(chart: KarcherChart, lam: BarycentricWeight,
     """
     man = chart.manifold
     n = chart.n
-    a = at if at is not None else karcher_mean(chart, lam)
-    basis, a_mat, sig = _assemble_linear_data(chart, lam, a)
-    if np.linalg.cond(a_mat) > 1e12:
-        raise MeanSolverError("Hessian combination A is numerically singular")
+    a, frame, a_mat, sig, hess = _linear_data(chart, lam, at)
     lu = lu_factor(a_mat)
     dx_basis = lu_solve(lu, sig)
-    frame = np.array([b.components for b in basis])
     dx_matrix = frame.T @ dx_basis
 
     dx_vecs = [TangentVector(a, dx_matrix[:, k]) for k in range(n)]
     # H[i][k] = Hessian term of vertex i applied to dx(e_k - e_0)
     hess_comp = np.empty((n + 1, n, man.coord_dim))
     for i, p in enumerate(chart.vertices):
+        h = hess[i] if hess[i] is not None else man.hess_half_dist_sq_map(p, a)
         for k in range(n):
-            hess_comp[i, k] = man.hess_half_dist_sq(p, a, dx_vecs[k]).components
+            hess_comp[i, k] = h(dx_vecs[k]).components
 
     tensor = np.empty((n, n, man.coord_dim))
     for k in range(n):
@@ -275,7 +309,7 @@ def hessian(chart: KarcherChart, lam: BarycentricWeight,
                     rhs = rhs + li * man.second_deriv_X(
                         p, a, dx_vecs[k], dx_vecs[l]).components
             rhs_basis = np.array([man._ip(a, rhs, frame[j])
-                                  for j in range(len(basis))])
+                                  for j in range(len(frame))])
             sol = lu_solve(lu, -rhs_basis)
             tensor[k, l] = frame.T @ sol
             tensor[l, k] = tensor[k, l]

@@ -265,9 +265,6 @@ def assemble(tri: KarcherTriangulation, f, mode: str = "flat") -> FemSystem:
     return FemSystem(stiffness=stiffness, mass=mass, load=load, mode=mode)
 
 
-_DENSE_CUTOFF = 500
-
-
 def solve_poisson(system: FemSystem) -> np.ndarray:
     """Solve the discrete Poisson problem for the divergence-form
     Laplacian: stiffness u = -load on the complement of constants.
@@ -282,20 +279,18 @@ def solve_poisson(system: FemSystem) -> np.ndarray:
     b = -system.load
     b = b - ones * (b.sum() / n)      # compatibility on a closed surface
 
-    if n < _DENSE_CUTOFF:
-        dense = S.toarray() + (np.trace(S.toarray()) / n ** 2) * np.outer(ones, ones)
-        u = np.linalg.solve(dense, b)
-    else:
-        diag = S.diagonal()
+    # Jacobi-preconditioned CG, with the preconditioner projected onto the
+    # complement of constants, where S is definite.
+    diag = S.diagonal()
 
-        def precondition(x):
-            y = x / diag
-            return y - ones * (y.sum() / n)
+    def precondition(x):
+        y = x / diag
+        return y - ones * (y.sum() / n)
 
-        M = spla.LinearOperator(S.shape, matvec=precondition)
-        u, info = spla.cg(S, b, rtol=1e-12, atol=0.0, maxiter=10 * n, M=M)
-        if info != 0:
-            raise LinearSolverError(f"conjugate gradient stopped with info={info}")
+    M = spla.LinearOperator(S.shape, matvec=precondition)
+    u, info = spla.cg(S, b, rtol=1e-12, atol=0.0, maxiter=10 * n, M=M)
+    if info != 0:
+        raise LinearSolverError(f"conjugate gradient stopped with info={info}")
 
     residual = np.linalg.norm(S @ u - b)
     scale = np.linalg.norm(b)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import JacobiError
 from .integrate import solve_ode
-from .manifolds import Geodesic, TangentVector, _require_same_base
+from .manifolds import Geodesic, ManifoldPoint, TangentVector, _require_same_base
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,19 +28,22 @@ class JacobiBVP:
     end_value: TangentVector
 
     def __post_init__(self):
-        man = self.geodesic.manifold
-        tau = self.geodesic.length
-        if tau <= 0.0:
-            raise JacobiError("geodesic must have positive length")
-        C0 = man.bounds.C0
-        if C0 > 0.0 and tau >= math.pi / math.sqrt(C0) * (1.0 - 1e-12):
-            raise JacobiError("length reaches the first conjugate point")
+        _check_length(self.geodesic)
         _require_same_base(self.end_value,
                            self.geodesic.velocity(self.geodesic.length))
 
     @property
     def tau(self) -> float:
         return self.geodesic.length
+
+
+def _check_length(gamma: Geodesic):
+    tau = gamma.length
+    if tau <= 0.0:
+        raise JacobiError("geodesic must have positive length")
+    C0 = gamma.manifold.bounds.C0
+    if C0 > 0.0 and tau >= math.pi / math.sqrt(C0) * (1.0 - 1e-12):
+        raise JacobiError("length reaches the first conjugate point")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,49 +95,68 @@ def _frame_curvature(gamma: Geodesic, frame: FrameField) -> Callable[[float], np
 
     def R_of_t(t: float) -> np.ndarray:
         F = frame(t)
-        pt = gamma.point(t)
-        Tc = gamma.velocity(t).components
+        x, Tc = gamma._flow(float(t))
+        pt = ManifoldPoint(x)
+        rv = man.curvature_rt(pt, Tc, F)        # row b is R(F[b], T)T
         R = np.empty((m, m))
         for b in range(m):
-            rv = man.curvature_rt(pt, Tc, F[b])
             for a in range(m):
-                R[a, b] = man._ip(pt, rv, F[a])
+                R[a, b] = man._ip(pt, rv[b], F[a])
         return R
 
     return R_of_t
 
 
+class JacobiShooting:
+    """The part of the boundary value problems J(0) = 0, J(tau) = V along
+    one geodesic that does not depend on V: the parallel frame and the
+    shooting matrices Phi(tau), Phi'(tau) of the fields with J(0) = 0 and
+    J'(0) running through the frame.  ``solve(V)`` then costs one small
+    linear solve, so every direction at the same geodesic shares one frame
+    ODE and one shooting ODE."""
+
+    def __init__(self, gamma: Geodesic):
+        _check_length(gamma)
+        man = gamma.manifold
+        m = man.dim
+        tau = gamma.length
+        frame = parallel_frame(gamma)
+        R_of_t = _frame_curvature(gamma, frame)
+
+        def rhs(t, y):
+            Y = y[: m * m].reshape(m, m)
+            Yd = y[m * m:]
+            acc = -(R_of_t(t) @ Y).ravel()
+            return np.concatenate([Yd, acc])
+
+        y0 = np.concatenate([np.zeros(m * m), np.eye(m).ravel()])
+        sol = solve_ode(rhs, (0.0, tau), y0)
+        self.phi = sol.y[: m * m, -1].reshape(m, m)
+        self.phi_dot = sol.y[m * m:, -1].reshape(m, m)
+        if np.linalg.cond(self.phi) > 1e12:
+            raise JacobiError("shooting matrix is singular (conjugate point)")
+        self.geodesic = gamma
+        self.frame = frame
+        self.frame_end = frame(tau)
+        self.end_velocity = gamma.velocity(tau)
+
+    def solve(self, end_value: TangentVector) -> tuple[TangentVector, TangentVector]:
+        """(J'(tau), J'(0)) for the field with J(0) = 0, J(tau) = end_value."""
+        _require_same_base(end_value, self.end_velocity)
+        man = self.geodesic.manifold
+        q = self.end_velocity.base
+        F_tau = self.frame_end
+        v_frame = np.array([man._ip(q, end_value.components, F_tau[a])
+                            for a in range(man.dim)])
+        u0 = np.linalg.solve(self.phi, v_frame)
+        jdot0 = TangentVector(self.geodesic.start, self.frame.base_frame.T @ u0)
+        jdot_tau = TangentVector(q, F_tau.T @ (self.phi_dot @ u0))
+        return jdot_tau, jdot0
+
+
 def solve_bvp(bvp: JacobiBVP) -> tuple[TangentVector, TangentVector]:
     """Return (J'(tau), J'(0)) for the field with J(0) = 0, J(tau) = V."""
-    gamma = bvp.geodesic
-    man = gamma.manifold
-    m = man.dim
-    tau = bvp.tau
-    frame = parallel_frame(gamma)
-    R_of_t = _frame_curvature(gamma, frame)
-
-    def rhs(t, y):
-        Y = y[: m * m].reshape(m, m)
-        Yd = y[m * m:]
-        acc = -(R_of_t(t) @ Y).ravel()
-        return np.concatenate([Yd, acc])
-
-    y0 = np.concatenate([np.zeros(m * m), np.eye(m).ravel()])
-    sol = solve_ode(rhs, (0.0, tau), y0)
-    phi = sol.y[: m * m, -1].reshape(m, m)
-    phi_dot = sol.y[m * m:, -1].reshape(m, m)
-
-    if np.linalg.cond(phi) > 1e12:
-        raise JacobiError("shooting matrix is singular (conjugate point)")
-
-    F_tau = frame(tau)
-    q = gamma.point(tau)
-    v_frame = np.array([man._ip(q, bvp.end_value.components, F_tau[a])
-                        for a in range(m)])
-    u0 = np.linalg.solve(phi, v_frame)
-    jdot0 = TangentVector(gamma.start, frame.base_frame.T @ u0)
-    jdot_tau = TangentVector(q, F_tau.T @ (phi_dot @ u0))
-    return jdot_tau, jdot0
+    return JacobiShooting(bvp.geodesic).solve(bvp.end_value)
 
 
 def integrate_jacobi(gamma: Geodesic, j0: TangentVector, jdot0: TangentVector,

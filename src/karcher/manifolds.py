@@ -273,13 +273,13 @@ class Manifold(ABC):
 
     def curvature_rt(self, p: ManifoldPoint, T: np.ndarray,
                      w: np.ndarray) -> np.ndarray:
-        """Components of R(w, T)T at p (the Jacobi operator applied to w)."""
+        """Components of R(w, T)T at p (the Jacobi operator applied to w).
+        ``w`` may also be a stack (k, coord_dim), one vector per row."""
         K = self.constant_sectional_curvature
         if K is None:
             raise NotImplementedError
         tt = self._ip(p, T, T)
-        wt = self._ip(p, w, T)
-        return K * (tt * w - wt * T)
+        return _rows(lambda u: K * (tt * u - self._ip(p, u, T) * T), w)
 
     # -- derivatives of the squared-distance gradient ---------------------
 
@@ -288,19 +288,30 @@ class Manifold(ABC):
         """Covariant derivative at q, in direction V, of half the gradient
         of squared distance to p.  Equals the identity plus an O(C0 tau^2)
         curvature correction."""
+        return self.hess_half_dist_sq_map(p, q)(V)
+
+    def hess_half_dist_sq_map(self, p: ManifoldPoint, q: ManifoldPoint
+                              ) -> Callable[[TangentVector], TangentVector]:
+        """V -> hess_half_dist_sq(p, q, V).  The work that does not depend
+        on V (the distance and radial direction, or the Jacobi shooting
+        along the geodesic from p to q) is done once, here."""
         K = self.constant_sectional_curvature
         if K is None:
-            return self._hess_via_jacobi(p, q, V)
+            return self._hess_via_jacobi(p, q)
         tau = self.dist(p, q)
         if tau == 0.0:
-            return TangentVector(q, V.components.copy())
+            return lambda V: TangentVector(q, V.components.copy())
         if K > 0 and math.sqrt(K) * tau >= math.pi:
             raise JacobiError("distance reaches the conjugate point")
         f, _, _ = _stretch_coeffs(K, tau)
         y = -self.log(q, p).components / tau  # unit radial, away from p
-        a = self._ip(q, V.components, y)
-        perp = V.components - a * y
-        return TangentVector(q, a * y + f * perp)
+
+        def hess(V: TangentVector) -> TangentVector:
+            a = self._ip(q, V.components, y)
+            perp = V.components - a * y
+            return TangentVector(q, a * y + f * perp)
+
+        return hess
 
     def second_deriv_X(self, p: ManifoldPoint, q: ManifoldPoint,
                        V: TangentVector, W: TangentVector) -> TangentVector:
@@ -352,13 +363,25 @@ class Manifold(ABC):
         d2 = central(0.5 * step)
         return TangentVector(q, (scale ** 2) * (4.0 * d2 - d1) / 3.0)
 
-    def _hess_via_jacobi(self, p, q, V) -> TangentVector:
+    def _hess_via_jacobi(self, p, q) -> Callable[[TangentVector], TangentVector]:
         from . import jacobi  # deferred: jacobi depends on this module
 
         gamma = self.geodesic_between(p, q)
-        bvp = jacobi.JacobiBVP(gamma, V)
-        jdot_tau, _ = jacobi.solve_bvp(bvp)
-        return gamma.length * jdot_tau
+        shooting = jacobi.JacobiShooting(gamma)
+
+        def hess(V: TangentVector) -> TangentVector:
+            jdot_tau, _ = shooting.solve(V)
+            return gamma.length * jdot_tau
+
+        return hess
+
+
+def _rows(fn: Callable[[np.ndarray], np.ndarray], w) -> np.ndarray:
+    """fn applied to a vector, or to each row of a stack of vectors."""
+    w = np.asarray(w)
+    if w.ndim == 1:
+        return fn(w)
+    return np.array([fn(u) for u in w])
 
 
 class EuclideanSpace(Manifold):
@@ -398,8 +421,8 @@ class EuclideanSpace(Manifold):
     def tangent_basis(self, p):
         return [TangentVector(p, e) for e in np.eye(self.dim)]
 
-    def hess_half_dist_sq(self, p, q, V):
-        return TangentVector(q, V.components.copy())
+    def hess_half_dist_sq_map(self, p, q):
+        return lambda V: TangentVector(q, V.components.copy())
 
     def second_deriv_X(self, p, q, V, W):
         return TangentVector(q, np.zeros(self.dim))
@@ -791,6 +814,8 @@ class ChartManifold(Manifold):
         return frame
 
     def curvature_rt(self, p, T, w):
+        # The symbols and their differences are evaluated once for all
+        # rows of a stack w.
         x = p.coords
         d = self.dim
         gam = self.christoffel_fn(x)
@@ -800,13 +825,16 @@ class ChartManifold(Manifold):
             e[l] = self.fd_step
             dgam[l] = (self.christoffel_fn(x + e)
                        - self.christoffel_fn(x - e)) / (2.0 * self.fd_step)
-        # (R(u,v)w)^a with u = w_arg, v = T, w = T
-        u, vv, ww = w, T, T
-        t1 = np.einsum("mans,m,n,s->a", dgam, u, vv, ww)
-        t2 = np.einsum("mans,m,n,s->a", dgam, vv, u, ww)
-        t3 = np.einsum("aml,lns,m,n,s->a", gam, gam, u, vv, ww)
-        t4 = np.einsum("aml,lns,m,n,s->a", gam, gam, vv, u, ww)
-        return t1 - t2 + t3 - t4
+
+        def rt(u):
+            # (R(u,v)w)^a with v = w = T
+            t1 = np.einsum("mans,m,n,s->a", dgam, u, T, T)
+            t2 = np.einsum("mans,m,n,s->a", dgam, T, u, T)
+            t3 = np.einsum("aml,lns,m,n,s->a", gam, gam, u, T, T)
+            t4 = np.einsum("aml,lns,m,n,s->a", gam, gam, T, u, T)
+            return t1 - t2 + t3 - t4
+
+        return _rows(rt, w)
 
     def tangent_basis(self, p):
         g = self.metric_fn(p.coords)

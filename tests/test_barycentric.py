@@ -9,7 +9,7 @@ from karcher.barycentric import (KarcherChart, SolverConfig, a_operator,
 from karcher.errors import MeanSolverError
 from karcher.flat_simplex import BarycentricWeight, SimplexTangent
 from karcher.harness import equilateral_family, generate_geodesic_simplex
-from karcher.manifolds import EuclideanSpace
+from karcher.manifolds import EuclideanSpace, ManifoldBounds
 
 from conftest import random_unit_tangent
 
@@ -126,6 +126,38 @@ def test_mean_max_iters_error(sphere_chart):
                                               step_damping=0.1))
     with pytest.raises(MeanSolverError):
         karcher_mean(strict, BarycentricWeight([0.3, 0.3, 0.4]))
+
+
+def test_mean_no_convergence_names_weights_and_last_residual(sphere_chart):
+    strict = KarcherChart(sphere_chart.manifold, sphere_chart.vertices,
+                          solver=SolverConfig(grad_tol=1e-16, max_iters=1,
+                                              step_damping=0.1))
+    with pytest.raises(MeanSolverError, match=(
+            r"no convergence to grad_tol=1\.000e-16 in 1 iterations at weights "
+            r"\[0\.3, 0\.3, 0\.4\] \(last \|F\| = \d\.\d{3}e-\d\d\)$")):
+        karcher_mean(strict, BarycentricWeight([0.3, 0.3, 0.4]))
+
+
+class _OvershootingPlane(EuclideanSpace):
+    """The plane with a declared convexity radius of 1 and an exp map that
+    overshoots threefold, so the mean iteration leaves the ball."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.bounds = ManifoldBounds(0.0, 0.0, 2.0, 1.0)
+
+    def exp(self, p, v):
+        return super().exp(p, 3.0 * v)
+
+
+def test_mean_leaving_the_ball_names_weights_and_distance():
+    man = _OvershootingPlane()
+    chart = KarcherChart(man, [man.point(c) for c in
+                               ([0.0, 0.0], [0.6, 0.0], [0.0, 0.6])])
+    with pytest.raises(MeanSolverError, match=(
+            r"iterate left the convex ball at weights \[0\.2, 0\.4, 0\.4\]: "
+            r"vertex distance 1\.018e\+00 > 1\.000e\+00$")):
+        karcher_mean(chart, BarycentricWeight([0.2, 0.4, 0.4]))
 
 
 @pytest.mark.parametrize("h", [2e-4, 2e-5])

@@ -230,14 +230,19 @@ def test_solution_rotates_with_load(sphere, tri1):
 
 
 def test_dense_and_cg_paths_agree(sphere):
-    # level 2 has 162 dof (dense path); compare against CG by lowering the
-    # dense cutoff through a level-3 run would be slow, so instead check
-    # the CG path on level 3 reaches the documented residual.
-    tri3 = build_triangulation(sphere, 3)
-    system = assemble(tri3, f_eigen, mode="flat")
-    u = solve_poisson(system)  # 642 dof: CG path
+    # solve_poisson uses CG at every size; check it at level 2 (162 dof)
+    # against a dense solve of the same system with the constants
+    # penalized, normalized the same way.
+    system = assemble(build_triangulation(sphere, 2), f_eigen, mode="flat")
+    u = solve_poisson(system)
+    S = system.stiffness.toarray()
+    n = S.shape[0]
     b = -system.load
     b = b - b.mean()
+    u_dense = np.linalg.solve(S + (np.trace(S) / n ** 2) * np.ones((n, n)), b)
+    mass_row = system.mass @ np.ones(n)
+    u_dense -= (mass_row @ u_dense) / mass_row.sum()
+    assert np.max(np.abs(u - u_dense)) <= 1e-12 * np.max(np.abs(u_dense))
     assert np.linalg.norm(system.stiffness @ u - b) <= 1e-10 * np.linalg.norm(b)
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from karcher.errors import BasePointError, GeodesicError
 from karcher.manifolds import (ChartManifold, EuclideanSpace, Manifold,
-                               ManifoldBounds, Sphere, christoffel_from_metric)
+                               ManifoldBounds, ManifoldPoint, Sphere,
+                               christoffel_from_metric)
 
 from conftest import (random_hyperbolic_point, random_sphere_point,
                       random_unit_tangent)
@@ -497,3 +498,80 @@ def test_second_deriv_magnitude_linear_in_tau(sphere):
     assert abs(fit.slope - 1.0) <= 0.1
     # magnitude itself stays below a unit multiple of C0 tau |V|^2
     assert all(m <= 1.0 * t for m, t in zip(mags, taus))
+
+
+# -- shared Jacobi shooting and the mean's logarithms (Poincare chart) ---------
+
+def test_curvature_rt_stack_matches_single_vectors():
+    man = make_poincare_disk()
+    p = man.point([0.2, -0.1])
+    T = np.array([0.6, -0.2])
+    W = np.array([[0.1, 0.5], [-0.4, 0.3], [0.0, 1.0]])
+    stacked = man.curvature_rt(p, T, W)
+    for w, row in zip(W, stacked):
+        assert np.array_equal(row, man.curvature_rt(p, T, w))
+
+
+def test_shared_shooting_matches_per_direction_solves():
+    from karcher.jacobi import JacobiBVP, JacobiShooting, solve_bvp
+
+    man = make_poincare_disk()
+    p, q = man.point([0.1, -0.05]), man.point([-0.05, 0.12])
+    g = man.geodesic_between(p, q)
+    shooting = JacobiShooting(g)
+    hess = man.hess_half_dist_sq_map(p, q)
+    for V in man.tangent_basis(q) + [man.tangent(q, [0.3, -0.7])]:
+        shared = shooting.solve(V)
+        own = solve_bvp(JacobiBVP(g, V))
+        for a, b in zip(shared, own):
+            assert np.array_equal(a.components, b.components)
+        assert np.array_equal(hess(V).components,
+                              man.hess_half_dist_sq(p, q, V).components)
+
+
+@pytest.fixture()
+def disk_chart_and_mean():
+    from karcher.barycentric import KarcherChart, karcher_mean
+    from karcher.flat_simplex import BarycentricWeight
+
+    man = make_poincare_disk()
+    chart = KarcherChart(man, [man.point(c) for c in
+                               ([0.1, 0.05], [0.22, 0.08], [0.14, 0.2])])
+    lam = BarycentricWeight([0.2, 0.5, 0.3])
+    return chart, lam, karcher_mean(chart, lam)
+
+
+def test_differential_at_the_mean_reuses_its_logarithms(disk_chart_and_mean,
+                                                        monkeypatch):
+    from karcher.barycentric import differential
+
+    chart, lam, a = disk_chart_and_mean
+    man = chart.manifold
+    bases = []
+    log = man.log
+
+    def counting_log(p, q):
+        bases.append(p)
+        return log(p, q)
+
+    monkeypatch.setattr(man, "log", counting_log)
+    hit = differential(chart, lam, at=a)
+    assert not any(p is a for p in bases)
+    fresh = ManifoldPoint(a.coords.copy())
+    miss = differential(chart, lam, at=fresh)
+    assert sum(p is fresh for p in bases) == 3
+    assert np.array_equal(hit.point.coords, miss.point.coords)
+    assert np.array_equal(hit.dx_matrix, miss.dx_matrix)
+
+
+def test_sigma_same_bits_with_and_without_the_mean_logarithms(
+        disk_chart_and_mean):
+    from karcher.barycentric import sigma
+    from karcher.flat_simplex import SimplexTangent
+
+    chart, lam, a = disk_chart_and_mean
+    fresh = ManifoldPoint(a.coords.copy())
+    for v in ([-1.0, 0.25, 0.75], [0.0, -1.0, 1.0]):
+        v = SimplexTangent(v)
+        assert np.array_equal(sigma(chart, lam, v, at=a).components,
+                              sigma(chart, lam, v, at=fresh).components)
