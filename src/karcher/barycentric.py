@@ -299,15 +299,16 @@ def hessian(chart: KarcherChart, lam: BarycentricWeight,
         for k in range(n):
             hess_comp[i, k] = h(dx_vecs[k]).components
 
+    second = [man.second_deriv_map(p, a) if li != 0.0 else None
+              for li, p in zip(lam.values, chart.vertices)]
     tensor = np.empty((n, n, man.coord_dim))
     for k in range(n):
         for l in range(k, n):
             rhs = (hess_comp[l + 1, k] - hess_comp[0, k]
                    + hess_comp[k + 1, l] - hess_comp[0, l])
-            for i, (li, p) in enumerate(zip(lam.values, chart.vertices)):
+            for li, grad2_x in zip(lam.values, second):
                 if li != 0.0:
-                    rhs = rhs + li * man.second_deriv_X(
-                        p, a, dx_vecs[k], dx_vecs[l]).components
+                    rhs = rhs + li * grad2_x(dx_vecs[k], dx_vecs[l]).components
             rhs_basis = np.array([man._ip(a, rhs, frame[j])
                                   for j in range(len(frame))])
             sol = lu_solve(lu, -rhs_basis)

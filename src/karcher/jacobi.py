@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import JacobiError
 from .integrate import solve_ode
-from .manifolds import Geodesic, ManifoldPoint, TangentVector, _require_same_base
+from .manifolds import (Geodesic, ManifoldPoint, TangentVector, _gram_schmidt,
+                        _require_same_base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,18 +65,9 @@ def parallel_frame(gamma: Geodesic) -> FrameField:
     t0 = gamma.velocity(0.0)
     # Orthonormalize {T, tangent basis...} so the frame starts with the
     # geodesic tangent; curvature matrices then have a fixed zero row.
-    candidates = [t0] + man.tangent_basis(p)
-    frame0: list[np.ndarray] = []
-    for cand in candidates:
-        v = cand.components.copy()
-        for b in frame0:
-            v -= man._ip(p, v, b) * b
-        n2 = man._ip(p, v, v)
-        if n2 > 1e-14:
-            frame0.append(v / math.sqrt(n2))
-        if len(frame0) == man.dim:
-            break
-    base = np.array(frame0)
+    candidates = (c.components for c in [t0] + man.tangent_basis(p))
+    base = np.array(_gram_schmidt(lambda a, b: man._ip(p, a, b), candidates,
+                                  man.dim))
     vecs0 = [TangentVector(p, b) for b in base]
     evaluator = man.frame_field(gamma, vecs0)
     return FrameField(gamma, base, evaluator)

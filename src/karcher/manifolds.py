@@ -1,10 +1,13 @@
 """Riemannian manifold models.
 
-Provides exact closed-form implementations for Euclidean space, round
-spheres and hyperbolic space (hyperboloid model), plus a generic
-chart-based manifold whose geodesics, transport and curvature come from
-numerically integrated ODEs.  The closed-form spaces double as oracles
-for the generic machinery.
+``Manifold`` holds the interface and the generic derivatives of the
+squared distance (Jacobi shooting and finite differences), which the
+chart-based ``ChartManifold`` uses: its geodesics, transport and
+curvature come from numerically integrated ODEs.  Euclidean space and
+the two constant-curvature models, the round sphere and hyperbolic space
+(hyperboloid model), have closed forms instead; the latter two share them
+through ``_SpaceForm``, written once in the sign of the curvature.  The
+closed-form spaces double as oracles for the generic machinery.
 """
 
 from __future__ import annotations
@@ -125,9 +128,10 @@ class Geodesic:
 _SERIES_U = 0.05
 
 
-def _ucotu_series(u2):
-    """u cot(u) to O(u^8), from u^2; on floats or arrays."""
-    return 1.0 - u2 / 3.0 - u2 * u2 / 45.0 - 2.0 * u2 ** 3 / 945.0
+def _ucotu_series(u2, sign=1.0):
+    """u cot(u) (sign 1) or u coth(u) (sign -1) to O(u^8), from u^2; on
+    floats or arrays."""
+    return 1.0 - sign * u2 / 3.0 - u2 * u2 / 45.0 - sign * 2.0 * u2 ** 3 / 945.0
 
 
 def _stretch_closed(u, s, c):
@@ -149,13 +153,9 @@ def _stretch_coeffs(K: float, tau: float) -> tuple[float, float, float]:
     rk = math.sqrt(abs(K))
     u = rk * tau
     if u < _SERIES_U:
-        u2 = u * u
-        if K > 0:
-            f = _ucotu_series(u2)
-            fp_du = -2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0 - 4.0 * u ** 5 / 315.0
-        else:
-            f = 1.0 + u2 / 3.0 - u2 * u2 / 45.0 + 2.0 * u2 ** 3 / 945.0
-            fp_du = 2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0 + 4.0 * u ** 5 / 315.0
+        sign = 1.0 if K > 0 else -1.0
+        f = _ucotu_series(u * u, sign)
+        fp_du = -sign * 2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0 - sign * 4.0 * u ** 5 / 315.0
         return f, rk * fp_du, 1.0 - f
     if K > 0:
         s, c = math.sin(u), math.cos(u)
@@ -249,6 +249,14 @@ class Manifold(ABC):
         ``length`` defaults to the norm of v.
         """
 
+    def _unit_direction(self, v: TangentVector,
+                        length: float | None) -> tuple[np.ndarray, float]:
+        """(v / |v|, length or |v|) for ``geodesic_from``."""
+        n = self.norm(v)
+        if n == 0.0:
+            raise GeodesicError("zero initial velocity")
+        return v.components / n, n if length is None else float(length)
+
     def geodesic_between(self, p: ManifoldPoint, q: ManifoldPoint) -> Geodesic:
         return self.geodesic_from(p, self.log(p, q))
 
@@ -271,17 +279,16 @@ class Manifold(ABC):
     def tangent_basis(self, p: ManifoldPoint) -> list[TangentVector]:
         """Deterministic orthonormal basis of the tangent space at p."""
 
+    @abstractmethod
     def curvature_rt(self, p: ManifoldPoint, T: np.ndarray,
                      w: np.ndarray) -> np.ndarray:
         """Components of R(w, T)T at p (the Jacobi operator applied to w).
         ``w`` may also be a stack (k, coord_dim), one vector per row."""
-        K = self.constant_sectional_curvature
-        if K is None:
-            raise NotImplementedError
-        tt = self._ip(p, T, T)
-        return _rows(lambda u: K * (tt * u - self._ip(p, u, T) * T), w)
 
     # -- derivatives of the squared-distance gradient ---------------------
+    # The generic path: Jacobi shooting for the Hessian and finite
+    # differences of it for the second derivative.  Models with closed
+    # forms override the two ``_map`` methods.
 
     def hess_half_dist_sq(self, p: ManifoldPoint, q: ManifoldPoint,
                           V: TangentVector) -> TangentVector:
@@ -293,52 +300,31 @@ class Manifold(ABC):
     def hess_half_dist_sq_map(self, p: ManifoldPoint, q: ManifoldPoint
                               ) -> Callable[[TangentVector], TangentVector]:
         """V -> hess_half_dist_sq(p, q, V).  The work that does not depend
-        on V (the distance and radial direction, or the Jacobi shooting
-        along the geodesic from p to q) is done once, here."""
-        K = self.constant_sectional_curvature
-        if K is None:
-            return self._hess_via_jacobi(p, q)
-        tau = self.dist(p, q)
-        if tau == 0.0:
-            return lambda V: TangentVector(q, V.components.copy())
-        if K > 0 and math.sqrt(K) * tau >= math.pi:
-            raise JacobiError("distance reaches the conjugate point")
-        f, _, _ = _stretch_coeffs(K, tau)
-        y = -self.log(q, p).components / tau  # unit radial, away from p
+        on V is done once, here: one Jacobi shooting along the geodesic
+        from p to q, whose end derivative tau J'(tau) is the value at V."""
+        from . import jacobi  # deferred: jacobi depends on this module
 
-        def hess(V: TangentVector) -> TangentVector:
-            a = self._ip(q, V.components, y)
-            perp = V.components - a * y
-            return TangentVector(q, a * y + f * perp)
-
-        return hess
+        gamma = self.geodesic_between(p, q)
+        shooting = jacobi.JacobiShooting(gamma)
+        return lambda V: gamma.length * shooting.solve(V)[0]
 
     def second_deriv_X(self, p: ManifoldPoint, q: ManifoldPoint,
                        V: TangentVector, W: TangentVector) -> TangentVector:
-        """Symmetrized second covariant derivative of the squared-distance
-        gradient field, obtained by polarizing the quadratic form."""
-        K = self.constant_sectional_curvature
-        if K is not None:
-            return self._second_deriv_closed_form(K, p, q, V, W)
-        qv = self._second_quadratic(p, q, V + W)
-        qa = self._second_quadratic(p, q, V)
-        qb = self._second_quadratic(p, q, W)
-        return 0.5 * (qv - qa - qb)
+        """Symmetrized second covariant derivative at q, in directions V
+        and W, of the squared-distance gradient field of p."""
+        return self.second_deriv_map(p, q)(V, W)
 
-    def _second_deriv_closed_form(self, K, p, q, V, W) -> TangentVector:
-        tau = self.dist(p, q)
-        if tau == 0.0 or K == 0.0:
-            return TangentVector(q, np.zeros(self.coord_dim))
-        f, fp, one_minus_f = _stretch_coeffs(K, tau)
-        c = one_minus_f * f / tau
-        y = -self.log(q, p).components / tau
-        av = self._ip(q, V.components, y)
-        aw = self._ip(q, W.components, y)
-        vperp = V.components - av * y
-        wperp = W.components - aw * y
-        sym = 0.5 * (av * wperp + aw * vperp)
-        out = (fp + c) * sym + c * self._ip(q, vperp, wperp) * y
-        return TangentVector(q, out)
+    def second_deriv_map(self, p: ManifoldPoint, q: ManifoldPoint
+                         ) -> Callable[[TangentVector, TangentVector], TangentVector]:
+        """(V, W) -> second_deriv_X(p, q, V, W), by polarizing the
+        quadratic form ``_second_quadratic``."""
+        def second(V: TangentVector, W: TangentVector) -> TangentVector:
+            qv = self._second_quadratic(p, q, V + W)
+            qa = self._second_quadratic(p, q, V)
+            qb = self._second_quadratic(p, q, W)
+            return 0.5 * (qv - qa - qb)
+
+        return second
 
     def _second_quadratic(self, p: ManifoldPoint, q: ManifoldPoint,
                           U: TangentVector, step: float = 1e-4) -> TangentVector:
@@ -363,18 +349,6 @@ class Manifold(ABC):
         d2 = central(0.5 * step)
         return TangentVector(q, (scale ** 2) * (4.0 * d2 - d1) / 3.0)
 
-    def _hess_via_jacobi(self, p, q) -> Callable[[TangentVector], TangentVector]:
-        from . import jacobi  # deferred: jacobi depends on this module
-
-        gamma = self.geodesic_between(p, q)
-        shooting = jacobi.JacobiShooting(gamma)
-
-        def hess(V: TangentVector) -> TangentVector:
-            jdot_tau, _ = shooting.solve(V)
-            return gamma.length * jdot_tau
-
-        return hess
-
 
 def _rows(fn: Callable[[np.ndarray], np.ndarray], w) -> np.ndarray:
     """fn applied to a vector, or to each row of a stack of vectors."""
@@ -382,6 +356,23 @@ def _rows(fn: Callable[[np.ndarray], np.ndarray], w) -> np.ndarray:
     if w.ndim == 1:
         return fn(w)
     return np.array([fn(u) for u in w])
+
+
+def _gram_schmidt(ip: Callable[[np.ndarray, np.ndarray], float], vectors,
+                  count: int) -> list[np.ndarray]:
+    """Gram-Schmidt on ``vectors`` in order under the inner product ``ip``:
+    a vector whose remainder has squared norm 1e-14 or less is skipped,
+    and the loop stops once ``count`` orthonormal vectors are found."""
+    basis: list[np.ndarray] = []
+    for v in vectors:
+        for b in basis:
+            v = v - ip(v, b) * b
+        n2 = ip(v, v)
+        if n2 > 1e-14:
+            basis.append(v / math.sqrt(n2))
+        if len(basis) == count:
+            break
+    return basis
 
 
 class EuclideanSpace(Manifold):
@@ -403,11 +394,7 @@ class EuclideanSpace(Manifold):
         return TangentVector(p, q.coords - p.coords)
 
     def geodesic_from(self, p, v, length=None):
-        n = self.norm(v)
-        if n == 0.0:
-            raise GeodesicError("zero initial velocity")
-        u = v.components / n
-        L = n if length is None else float(length)
+        u, L = self._unit_direction(v, length)
         p0 = p.coords.copy()
 
         def flow(t):
@@ -421,41 +408,135 @@ class EuclideanSpace(Manifold):
     def tangent_basis(self, p):
         return [TangentVector(p, e) for e in np.eye(self.dim)]
 
+    def curvature_rt(self, p, T, w):
+        return np.zeros(np.shape(w))
+
     def hess_half_dist_sq_map(self, p, q):
         return lambda V: TangentVector(q, V.components.copy())
 
-    def second_deriv_X(self, p, q, V, W):
-        return TangentVector(q, np.zeros(self.dim))
+    def second_deriv_map(self, p, q):
+        return lambda V, W: TangentVector(q, np.zeros(self.dim))
 
 
-class Sphere(Manifold):
+class _SpaceForm(Manifold):
+    """What the sphere (sign +1) and the hyperboloid (sign -1) share: each
+    is the quadric <x, x> = sign R^2 in R^(dim+1) under its ambient form
+    ``_ip``, of constant curvature K = sign / R^2, so one formula in
+    (C, S) = (cos, sin) or (cosh, sinh) gives both models' geodesics,
+    transport, curvature and squared-distance derivatives.  Each model
+    keeps its own point check, exp/log/dist and tangent basis."""
+
+    def __init__(self, dim: int, radius: float, K: float,
+                 injectivity_radius: float, convexity_radius: float):
+        self.dim = dim
+        self.coord_dim = dim + 1
+        self.radius = float(radius)
+        self.bounds = ManifoldBounds(
+            C0=abs(K), C1=0.0, injectivity_radius=injectivity_radius,
+            convexity_radius=convexity_radius)
+        self.constant_sectional_curvature = K
+        self._sign = 1.0 if K > 0 else -1.0
+        self._trig = (math.cos, math.sin) if K > 0 else (math.cosh, math.sinh)
+
+    def _validate_tangent(self, v):
+        super()._validate_tangent(v)
+        ip = self._ip(v.base, v.base.coords, v.components)
+        scale = max(1.0, self.radius * float(np.linalg.norm(v.components)))
+        if abs(ip) > 1e-10 * scale:
+            surface = "sphere" if self._sign > 0 else "hyperboloid"
+            raise ValueError(f"vector is not tangent to the {surface}")
+
+    def geodesic_from(self, p, v, length=None):
+        u, L = self._unit_direction(v, length)
+        p0 = p.coords.copy()
+        r = self.radius
+        C, S = self._trig
+        sign = self._sign
+
+        def flow(t):
+            a = t / r
+            pos = C(a) * p0 + r * S(a) * u
+            vel = -sign * S(a) / r * p0 + C(a) * u
+            return pos, vel
+
+        return Geodesic(self, p, TangentVector(p, u), L, flow)
+
+    def parallel_transport(self, gamma, t0, t1, v):
+        T0 = gamma.velocity(t0)
+        _require_same_base(v, T0)
+        T1c = gamma.velocity(t1).components
+        a = self._ip(T0.base, v.components, T0.components)
+        w = v.components - a * T0.components
+        return TangentVector(gamma.point(t1), w + a * T1c)
+
+    def curvature_rt(self, p, T, w):
+        K = self.constant_sectional_curvature
+        tt = self._ip(p, T, T)
+        return _rows(lambda u: K * (tt * u - self._ip(p, u, T) * T), w)
+
+    def _radial(self, p: ManifoldPoint, q: ManifoldPoint):
+        """(tau, y, _stretch_coeffs(K, tau)) for the geodesic from p to q:
+        its length and the unit radial direction at q pointing away from
+        p.  y is None when p = q."""
+        tau = self.dist(p, q)
+        if tau == 0.0:
+            return tau, None, None
+        K = self.constant_sectional_curvature
+        if K > 0 and math.sqrt(K) * tau >= math.pi:
+            raise JacobiError("distance reaches the conjugate point")
+        y = -self.log(q, p).components / tau
+        return tau, y, _stretch_coeffs(K, tau)
+
+    def hess_half_dist_sq_map(self, p, q):
+        """Closed form: the radial part of V is kept and the part normal
+        to y is stretched by f = u cot(u) or u coth(u)."""
+        _, y, coeffs = self._radial(p, q)
+        if y is None:
+            return lambda V: TangentVector(q, V.components.copy())
+        f = coeffs[0]
+
+        def hess(V: TangentVector) -> TangentVector:
+            a = self._ip(q, V.components, y)
+            perp = V.components - a * y
+            return TangentVector(q, a * y + f * perp)
+
+        return hess
+
+    def second_deriv_map(self, p, q):
+        """Closed form: the derivative of the stretched Hessian along the
+        radial (f') and normal ((1 - f) f / tau) directions."""
+        tau, y, coeffs = self._radial(p, q)
+        if y is None:
+            return lambda V, W: TangentVector(q, np.zeros(self.coord_dim))
+        f, fp, one_minus_f = coeffs
+        c = one_minus_f * f / tau
+
+        def second(V: TangentVector, W: TangentVector) -> TangentVector:
+            av = self._ip(q, V.components, y)
+            aw = self._ip(q, W.components, y)
+            vperp = V.components - av * y
+            wperp = W.components - aw * y
+            sym = 0.5 * (av * wperp + aw * vperp)
+            return TangentVector(q, (fp + c) * sym + c * self._ip(q, vperp, wperp) * y)
+
+        return second
+
+
+class Sphere(_SpaceForm):
     """Round sphere of given radius, in ambient coordinates."""
 
     def __init__(self, dim: int = 2, radius: float = 1.0):
         if radius <= 0:
             raise ValueError("radius must be positive")
-        self.dim = dim
-        self.coord_dim = dim + 1
-        self.radius = float(radius)
-        self.bounds = ManifoldBounds(
-            C0=1.0 / radius ** 2, C1=0.0,
-            injectivity_radius=math.pi * radius,
-            convexity_radius=math.pi * radius / 2.0,
-        )
-        self.constant_sectional_curvature = 1.0 / radius ** 2
+        super().__init__(dim, radius, 1.0 / radius ** 2,
+                         injectivity_radius=math.pi * radius,
+                         convexity_radius=math.pi * radius / 2.0)
 
     def _validate_point(self, p):
         super()._validate_point(p)
         r = float(np.linalg.norm(p.coords))
         if abs(r - self.radius) > 1e-12 * max(1.0, self.radius):
             raise ValueError(f"point norm {r} is off the radius-{self.radius} sphere")
-
-    def _validate_tangent(self, v):
-        super()._validate_tangent(v)
-        ip = float(np.dot(v.base.coords, v.components))
-        scale = max(1.0, self.radius * float(np.linalg.norm(v.components)))
-        if abs(ip) > 1e-10 * scale:
-            raise ValueError("vector is not tangent to the sphere")
 
     def _ip(self, p, a, b):
         return float(np.dot(a, b))
@@ -516,31 +597,6 @@ class Sphere(Manifold):
         c *= self.radius / np.linalg.norm(c, axis=-1, keepdims=True)
         return np.where(t == 0.0, p, c)
 
-    def geodesic_from(self, p, v, length=None):
-        n = self.norm(v)
-        if n == 0.0:
-            raise GeodesicError("zero initial velocity")
-        u = v.components / n
-        L = n if length is None else float(length)
-        p0 = p.coords.copy()
-        r = self.radius
-
-        def flow(t):
-            a = t / r
-            pos = math.cos(a) * p0 + r * math.sin(a) * u
-            vel = -math.sin(a) / r * p0 + math.cos(a) * u
-            return pos, vel
-
-        return Geodesic(self, p, TangentVector(p, u), L, flow)
-
-    def parallel_transport(self, gamma, t0, t1, v):
-        T0 = gamma.velocity(t0)
-        _require_same_base(v, T0)
-        T1c = gamma.velocity(t1).components
-        a = float(np.dot(v.components, T0.components))
-        w = v.components - a * T0.components
-        return TangentVector(gamma.point(t1), w + a * T1c)
-
     def tangent_basis(self, p):
         m = np.concatenate([p.coords[:, None] / self.radius,
                             np.eye(self.coord_dim)], axis=1)
@@ -561,7 +617,7 @@ def _minkowski(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a[:-1], b[:-1]) - a[-1] * b[-1])
 
 
-class HyperbolicSpace(Manifold):
+class HyperbolicSpace(_SpaceForm):
     """Hyperbolic space of constant curvature -kappa (hyperboloid model).
 
     Points live on the upper sheet <x, x>_M = -1/kappa of the Minkowski
@@ -571,15 +627,8 @@ class HyperbolicSpace(Manifold):
     def __init__(self, dim: int = 2, curvature: float = 1.0):
         if curvature <= 0:
             raise ValueError("curvature parameter must be positive (space has -kappa)")
-        self.dim = dim
-        self.coord_dim = dim + 1
-        self.kappa = float(curvature)
-        self.radius = 1.0 / math.sqrt(curvature)
-        self.bounds = ManifoldBounds(
-            C0=curvature, C1=0.0,
-            injectivity_radius=math.inf, convexity_radius=math.inf,
-        )
-        self.constant_sectional_curvature = -curvature
+        super().__init__(dim, 1.0 / math.sqrt(curvature), -curvature,
+                         injectivity_radius=math.inf, convexity_radius=math.inf)
 
     def _validate_point(self, p):
         super()._validate_point(p)
@@ -588,13 +637,6 @@ class HyperbolicSpace(Manifold):
             raise ValueError("point is off the hyperboloid sheet")
         if p.coords[-1] <= 0:
             raise ValueError("point is on the lower sheet")
-
-    def _validate_tangent(self, v):
-        super()._validate_tangent(v)
-        ip = _minkowski(v.base.coords, v.components)
-        scale = max(1.0, self.radius * float(np.linalg.norm(v.components)))
-        if abs(ip) > 1e-10 * scale:
-            raise ValueError("vector is not tangent to the hyperboloid")
 
     def _ip(self, p, a, b):
         return _minkowski(a, b)
@@ -629,44 +671,12 @@ class HyperbolicSpace(Manifold):
         d2 = max(_minkowski(d, d), 0.0)
         return 2.0 * self.radius * math.asinh(math.sqrt(d2) / (2.0 * self.radius))
 
-    def geodesic_from(self, p, v, length=None):
-        n = self.norm(v)
-        if n == 0.0:
-            raise GeodesicError("zero initial velocity")
-        u = v.components / n
-        L = n if length is None else float(length)
-        p0 = p.coords.copy()
-        r = self.radius
-
-        def flow(t):
-            a = t / r
-            pos = math.cosh(a) * p0 + r * math.sinh(a) * u
-            vel = math.sinh(a) / r * p0 + math.cosh(a) * u
-            return pos, vel
-
-        return Geodesic(self, p, TangentVector(p, u), L, flow)
-
-    def parallel_transport(self, gamma, t0, t1, v):
-        T0 = gamma.velocity(t0)
-        _require_same_base(v, T0)
-        T1c = gamma.velocity(t1).components
-        a = _minkowski(v.components, T0.components)
-        w = v.components - a * T0.components
-        return TangentVector(gamma.point(t1), w + a * T1c)
-
     def tangent_basis(self, p):
         pp = _minkowski(p.coords, p.coords)
-        basis: list[np.ndarray] = []
-        for e in np.eye(self.coord_dim):
-            v = e - (_minkowski(e, p.coords) / pp) * p.coords
-            for b in basis:
-                v = v - _minkowski(v, b) * b
-            n2 = _minkowski(v, v)
-            if n2 > 1e-14:
-                basis.append(v / math.sqrt(n2))
-            if len(basis) == self.dim:
-                break
-        return [TangentVector(p, b) for b in basis]
+        projected = (e - (_minkowski(e, p.coords) / pp) * p.coords
+                     for e in np.eye(self.coord_dim))
+        return [TangentVector(p, b)
+                for b in _gram_schmidt(_minkowski, projected, self.dim)]
 
 
 def christoffel_from_metric(metric_fn: Callable[[np.ndarray], np.ndarray],
@@ -718,7 +728,6 @@ class ChartManifold(Manifold):
         self.fd_step = fd_step
         self.shooting_tol = shooting_tol
         self.max_shooting_iters = max_shooting_iters
-        self.constant_sectional_curvature = None
 
     def _ip(self, p, a, b):
         return float(a @ self.metric_fn(p.coords) @ b)
@@ -766,11 +775,7 @@ class ChartManifold(Manifold):
         raise GeodesicError("shooting for the logarithm did not converge")
 
     def geodesic_from(self, p, v, length=None):
-        n = self.norm(v)
-        if n == 0.0:
-            raise GeodesicError("zero initial velocity")
-        u = v.components / n
-        L = n if length is None else float(length)
+        u, L = self._unit_direction(v, length)
         y0 = np.concatenate([p.coords, u])
         span = max(L, 1e-12)
         sol = solve_ode(self._geodesic_rhs, (0.0, span), y0, dense_output=True)

@@ -367,6 +367,32 @@ def test_hessian_symmetry(sphere_chart, rng):
         assert np.max(np.abs(vw.components - wv.components)) <= 1e-8 * nv * nw
 
 
+def test_hessian_builds_each_vertex_map_once(sphere_chart, monkeypatch):
+    # At the mean the jet reads the mean's logarithms, then builds one
+    # Hessian map and one second-derivative map per vertex: 2(n+1) logs.
+    man = sphere_chart.manifold
+    lam = BarycentricWeight([0.3, 0.4, 0.3])
+    a = karcher_mean(sphere_chart, lam)
+    calls = []
+    log = man.log
+
+    def counting_log(p, q):
+        calls.append(p)
+        return log(p, q)
+
+    monkeypatch.setattr(man, "log", counting_log)
+    jet = hessian(sphere_chart, lam, at=a)
+    assert len(calls) == 2 * (sphere_chart.n + 1)
+    # The same bits as a fresh second derivative per (vertex, k, l), which
+    # is what a second_deriv_X call builds.
+    own_map = type(man).second_deriv_map
+    monkeypatch.setattr(man, "second_deriv_map",
+                        lambda p, q: lambda V, W: own_map(man, p, q)(V, W))
+    per_pair = hessian(sphere_chart, lam, at=a)
+    assert np.array_equal(jet.nabla_dx_tensor, per_pair.nabla_dx_tensor)
+    assert np.array_equal(jet.dx_matrix, per_pair.dx_matrix)
+
+
 def test_pullback_euclidean_exact(euclid_chart, rng):
     pts, chart = euclid_chart
     lam = BarycentricWeight(rng.dirichlet(np.ones(4)))

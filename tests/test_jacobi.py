@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from karcher.errors import JacobiError
-from karcher.jacobi import (JacobiBVP, boundary_derivative_estimate_check,
+from karcher.jacobi import (JacobiBVP, _frame_curvature,
+                            boundary_derivative_estimate_check,
                             integrate_jacobi, ode_bound_check, parallel_frame,
                             second_variation, solve_bvp)
-from karcher.manifolds import EuclideanSpace
+from karcher.manifolds import EuclideanSpace, HyperbolicSpace, ManifoldPoint, Sphere
 
 from conftest import (random_hyperbolic_point, random_sphere_point,
                       random_unit_tangent)
@@ -164,6 +165,29 @@ def test_frame_orthonormal_along_geodesic(sphere, rng):
             pt = g.point(t)
             gram = np.array([[man._ip(pt, a, b) for b in F] for a in F])
             assert np.max(np.abs(gram - np.eye(man.dim))) <= 1e-10
+
+
+@pytest.mark.parametrize("man", [Sphere(2), Sphere(3, radius=2.0),
+                                 HyperbolicSpace(2, curvature=2.0)],
+                         ids=["sphere", "sphere3-r2", "hyperbolic-k2"])
+def test_constant_curvature_frame_matrix_matches_curvature_rt(man, rng):
+    # The constant-K shortcut of _frame_curvature against curvature_rt
+    # projected on the parallel frame, as the generic path computes it.
+    maker = random_sphere_point if isinstance(man, Sphere) else random_hyperbolic_point
+    p = maker(man, rng)
+    g = man.geodesic_from(p, random_unit_tangent(man, p, rng), length=0.6)
+    frame = parallel_frame(g)
+    R_of_t = _frame_curvature(g, frame)
+    K = man.constant_sectional_curvature
+    assert R_of_t(0.0)[1, 1] == K
+    for t in (0.0, 0.3, 0.6):
+        F = frame(t)
+        x, T = g._flow(t)
+        pt = ManifoldPoint(x)
+        rv = man.curvature_rt(pt, T, F)
+        projected = np.array([[man._ip(pt, rv[b], F[a]) for b in range(man.dim)]
+                              for a in range(man.dim)])
+        assert np.max(np.abs(R_of_t(t) - projected)) <= 1e-14 * max(1.0, abs(K))
 
 
 # -- boundary derivative estimate ---------------------------------------------

@@ -74,6 +74,20 @@ def make_perturbed_flat():
                          bounds=ManifoldBounds(0.5, 0.5, 5.0, 2.5))
 
 
+def lift_disk(hyperbolic, x):
+    """Poincare disk -> hyperboloid, the isometry (2x, 1 + |x|^2) / (1 - |x|^2)."""
+    s = 1.0 - float(x @ x)
+    return hyperbolic.point(np.array([2 * x[0], 2 * x[1], 1 + x @ x]) / s)
+
+
+def lift_disk_differential(x, v):
+    """The differential of ``lift_disk`` at x applied to v."""
+    s = 1.0 - float(x @ x)
+    xv = float(x @ v)
+    image = np.array([2 * x[0], 2 * x[1], 1 + x @ x])
+    return np.array([2 * v[0], 2 * v[1], 2 * xv]) / s + image * (2 * xv) / s ** 2
+
+
 def embed_polar(man_sphere, x):
     phi, theta = x
     return man_sphere.point([math.sin(phi) * math.cos(theta),
@@ -92,10 +106,19 @@ def test_point_validation(sphere, hyperbolic):
         hyperbolic.point([0.5, 0.0, 1.0])    # off the quadric
 
 
-def test_tangent_validation(sphere):
-    p = sphere.point([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        sphere.tangent(p, [0.0, 0.0, 0.5])
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+def test_tangent_validation(space, sphere, hyperbolic):
+    man = sphere if space == "sphere" else hyperbolic
+    surface = "sphere" if space == "sphere" else "hyperboloid"
+    p = man.point([0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match=f"not tangent to the {surface}"):
+        man.tangent(p, [0.0, 0.0, 0.5])
+    man.tangent(p, [0.3, -0.2, 0.0])
+    if space == "hyperbolic":
+        # Tangency is orthogonality in the model's own form, here the
+        # Minkowski one, which the Euclidean dot would reject.
+        c, s = math.cosh(1.0), math.sinh(1.0)
+        man.tangent(man.point([s, 0.0, c]), [c, 0.0, s])
 
 
 def test_bounds_validation():
@@ -236,15 +259,11 @@ def test_hyperbolic_dist_closed_form_vs_chart_integration(hyperbolic):
     # come from shot geodesics, must reproduce arcosh(-<p,q>).
     disk = make_poincare_disk()
 
-    def lift(x):  # disk -> hyperboloid
-        s = 1.0 - float(x @ x)
-        return hyperbolic.point(np.array([2 * x[0], 2 * x[1], 1 + x @ x]) / s)
-
     pairs = [([0.1, -0.2], [0.35, 0.25]), ([0.0, 0.0], [0.4, 0.1]),
              ([-0.3, 0.2], [0.2, 0.3])]
     for a, b in pairs:
         a, b = np.array(a), np.array(b)
-        closed = hyperbolic.dist(lift(a), lift(b))
+        closed = hyperbolic.dist(lift_disk(hyperbolic, a), lift_disk(hyperbolic, b))
         shot = disk.dist(disk.point(a), disk.point(b))
         assert abs(closed - shot) <= 1e-8
         assert closed == pytest.approx(poincare_dist(a, b), abs=1e-12)
@@ -468,18 +487,20 @@ def test_second_deriv_euclidean_zero(euclidean3, rng):
     assert np.max(np.abs(euclidean3.second_deriv_X(p, q, v, v).components)) == 0.0
 
 
-def test_second_deriv_symmetry_and_fd_agreement(sphere, rng):
-    p = sphere.point([0.0, 0.0, 1.0])
-    g = sphere.geodesic_from(p, sphere.tangent(p, [1, 0, 0]), length=0.5)
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+def test_second_deriv_symmetry_and_fd_agreement(space, sphere, hyperbolic, rng):
+    man = sphere if space == "sphere" else hyperbolic
+    p = man.point([0.0, 0.0, 1.0])
+    g = man.geodesic_from(p, man.tangent(p, [1, 0, 0]), length=0.5)
     q = g.point(0.5)
-    v = random_unit_tangent(sphere, q, rng)
-    w = random_unit_tangent(sphere, q, rng)
-    vw = sphere.second_deriv_X(p, q, v, w)
-    wv = sphere.second_deriv_X(p, q, w, v)
+    v = random_unit_tangent(man, q, rng)
+    w = random_unit_tangent(man, q, rng)
+    vw = man.second_deriv_X(p, q, v, w)
+    wv = man.second_deriv_X(p, q, w, v)
     assert np.max(np.abs(vw.components - wv.components)) <= 1e-8
     # closed form against the generic finite-difference path
-    fd = Manifold._second_quadratic(sphere, p, q, v)
-    closed = sphere.second_deriv_X(p, q, v, v)
+    fd = Manifold._second_quadratic(man, p, q, v)
+    closed = man.second_deriv_X(p, q, v, v)
     assert np.max(np.abs(fd.components - closed.components)) <= 1e-6
 
 
@@ -527,6 +548,26 @@ def test_shared_shooting_matches_per_direction_solves():
             assert np.array_equal(a.components, b.components)
         assert np.array_equal(hess(V).components,
                               man.hess_half_dist_sq(p, q, V).components)
+
+
+def test_chart_second_deriv_matches_hyperboloid_closed_form(hyperbolic):
+    # The generic path (polarized finite differences of Jacobi shootings)
+    # on the Poincare disk against the hyperboloid's closed form, carried
+    # over by the isometry between the two models.
+    disk = make_poincare_disk()
+    xp, xq = np.array([0.1, -0.05]), np.array([-0.05, 0.12])
+    V, W = np.array([0.3, -0.7]), np.array([0.5, 0.2])
+    q = disk.point(xq)
+    fd = disk.second_deriv_X(disk.point(xp), q, disk.tangent(q, V),
+                             disk.tangent(q, W))
+    Q = lift_disk(hyperbolic, xq)
+    closed = hyperbolic.second_deriv_X(
+        lift_disk(hyperbolic, xp), Q,
+        hyperbolic.tangent(Q, lift_disk_differential(xq, V)),
+        hyperbolic.tangent(Q, lift_disk_differential(xq, W)))
+    assert np.max(np.abs(closed.components)) >= 0.1
+    assert np.max(np.abs(lift_disk_differential(xq, fd.components)
+                         - closed.components)) <= 1e-8
 
 
 @pytest.fixture()
