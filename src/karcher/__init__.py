@@ -20,8 +20,8 @@ from .flat_simplex import (BarycentricWeight, EdgeLengthSystem, FlatMetric,
                            realize_vertices, volume)
 from .barycentric import (ChartJet, KarcherChart, SolverConfig, a_operator,
                           default_grad_tol, differential, differential_batch,
-                          energy, grad_field, hessian, karcher_mean,
-                          pullback_metric, sigma)
+                          energy, grad_field, hessian, hessian_batch,
+                          karcher_mean, pullback_metric, sigma)
 from .jacobi import (FrameField, JacobiBVP, boundary_derivative_estimate_check,
                      integrate_jacobi, ode_bound_check, second_variation,
                      solve_bvp)

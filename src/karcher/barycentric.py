@@ -11,15 +11,17 @@ system driven by second derivatives of the distance functions.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import MeanSolverError
+from .errors import JacobiError, MeanSolverError
 from .flat_simplex import (BarycentricWeight, EdgeLengthSystem, FlatMetric,
                            SimplexTangent, flat_metric_from_lengths)
-from .manifolds import (Manifold, ManifoldPoint, Sphere, TangentVector,
+from .manifolds import (Manifold, ManifoldPoint, TangentVector, _SpaceForm,
                         _stretch_array)
 
 
@@ -333,12 +335,12 @@ def pullback_metric(chart: KarcherChart, lam: BarycentricWeight,
     return out
 
 
-def differential_batch(manifold: Sphere, vertices, weights,
-                       solver: SolverConfig | None = None,
+def differential_batch(manifold: _SpaceForm, vertices, weights,
+                       solver: SolverConfig | Sequence[SolverConfig] | None = None,
                        iterations: list | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Centers of mass and their differentials for a stack of sphere
-    charts, one row per (chart, weight) pair.
+    """Centers of mass and their differentials for a stack of charts on
+    the sphere or hyperbolic space, one row per (chart, weight) pair.
 
     ``vertices`` is (N, n+1, coord_dim) and ``weights`` is (N, n+1).
     Returns the points (N, coord_dim) and the dx matrices
@@ -347,37 +349,91 @@ def differential_batch(manifold: Sphere, vertices, weights,
     iteration with the same checks until its own gradient test passes.
     A is formed in closed form, sum_i lambda_i (y y^T + f(tau_i)(P - y y^T))
     with y the unit direction away from vertex i and P the tangent
-    projector.  Without ``solver`` every row uses its own chart's default
-    (``default_grad_tol`` of its diameter and coordinates).  A
+    projector.  ``solver`` is one SolverConfig for every row or a
+    sequence of one per row; without it every row uses its own chart's
+    default (``default_grad_tol`` of its diameter and coordinates).  A
     MeanSolverError names the failing row in its ``index``.  A list passed
     as ``iterations`` receives each row's number of iterates, the initial
     guess included, which is the length karcher_mean's ``trace`` reaches.
     """
-    if not isinstance(manifold, Sphere):
-        raise ValueError("batched jets are implemented for spheres only")
-    verts = np.asarray(vertices, dtype=float)
+    a, frame, a_mat, sig, _, iterates = _batch_linear_data(
+        manifold, vertices, weights, solver)
+    if iterations is not None:
+        iterations.extend(iterates.tolist())
+    return a, frame @ np.linalg.solve(a_mat, sig)
+
+
+def hessian_batch(manifold: _SpaceForm, vertices, weights,
+                  solver: SolverConfig | Sequence[SolverConfig] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``differential_batch`` plus nabla dx, as ``hessian`` gives it row
+    by row: returns the points, the dx matrices and the tensors
+    (N, n, n, coord_dim), symmetric in the middle axes.
+
+    The right-hand side of nabla dx is formed in closed form from the
+    Hessian H_i(V) = <V, y> y + f (V - <V, y> y) of each vertex and the
+    second derivative (f' + c) sym(<V, y> W_perp) + c <V_perp, W_perp> y,
+    c = (1 - f) f / tau, of ``_SpaceForm.second_deriv_map``, and solved
+    against the same A as dx.
+    """
+    a, frame, a_mat, sig, radial, _ = _batch_linear_data(
+        manifold, vertices, weights, solver)
+    y, tau, f, fp, one_minus_f = radial
     lam = np.asarray(weights, dtype=float)
+    rows, n = sig.shape[0], sig.shape[2]
+    dx = frame @ np.linalg.solve(a_mat, sig)
+    vecs = np.swapaxes(dx, 1, 2)                                  # (N, n, D)
+    along = np.einsum("rid,rkd->rik", y * manifold.signature, vecs)  # <V_k, y_i>
+    perp = vecs[:, None] - along[..., None] * y[:, :, None]       # (N, n+1, n, D)
+    hess = along[..., None] * y[:, :, None] + f[:, :, None, None] * perp
+    hdiff = hess[:, 1:] - hess[:, :1]       # [r, l, k]: H_{l+1}(V_k) - H_0(V_k)
+    c = np.divide(one_minus_f * f, tau, out=np.zeros_like(tau), where=tau > 0.0)
+    sym = 0.5 * (along[:, :, :, None, None] * perp[:, :, None]
+                 + along[:, :, None, :, None] * perp[:, :, :, None])
+    perp_ip = np.einsum("rikd,rild->rikl", perp * manifold.signature, perp)
+    second = ((fp + c)[:, :, None, None, None] * sym
+              + (c[:, :, None, None] * perp_ip)[..., None] * y[:, :, None, None])
+    rhs = (np.swapaxes(hdiff, 1, 2) + hdiff
+           + np.einsum("ri,rikld->rkld", lam, second))
+    rhs_frame = np.einsum("rkld,rdj->rjkl", rhs * manifold.signature, frame)
+    sol = np.linalg.solve(a_mat, -rhs_frame.reshape(rows, -1, n * n))
+    nabla = (frame @ sol).reshape(rows, -1, n, n).transpose(0, 2, 3, 1)
+    return a, dx, nabla
+
+
+def _batch_settings(manifold: _SpaceForm, verts: np.ndarray, solver):
+    """Per-row grad_tol, max_iters and step_damping arrays."""
     rows, n1, _ = verts.shape
     if solver is None:
         i, j = np.triu_indices(n1, 1)
         diam = manifold.dist_array(verts[:, i], verts[:, j]).max(axis=1)
-        grad_tol = default_grad_tol(diam, np.abs(verts).max(axis=(1, 2)))
-        max_iters, damping = SolverConfig.max_iters, SolverConfig.step_damping
-    else:
-        grad_tol = np.full(rows, solver.grad_tol)
-        max_iters, damping = solver.max_iters, solver.step_damping
-    conv_radius = manifold.bounds.convexity_radius
+        return (default_grad_tol(diam, np.abs(verts).max(axis=(1, 2))),
+                np.full(rows, SolverConfig.max_iters),
+                np.full(rows, SolverConfig.step_damping))
+    configs = [solver] * rows if isinstance(solver, SolverConfig) else list(solver)
+    if len(configs) != rows:
+        raise ValueError(f"{len(configs)} solver configurations for {rows} rows")
+    return (np.array([c.grad_tol for c in configs]),
+            np.array([c.max_iters for c in configs]),
+            np.array([c.step_damping for c in configs]))
 
+
+def _batch_mean(manifold: _SpaceForm, verts: np.ndarray, lam: np.ndarray, solver):
+    """karcher_mean on every row: the means (N, coord_dim), the logarithms
+    log_a(p_i) there (N, n+1, coord_dim) and each row's iterate count."""
+    grad_tol, max_iters, damping = _batch_settings(manifold, verts, solver)
+    conv_radius = manifold.bounds.convexity_radius
+    rows = len(verts)
     # Tangent-space average seen from vertex 0, as in _initial_guess.
     p0 = verts[:, 0]
     a = manifold.exp_array(p0, np.einsum(
         "ri,rid->rd", lam[:, 1:], manifold.log_array(p0[:, None], verts[:, 1:])))
-    logs = np.empty_like(verts)        # log_a(p_i) at each row's mean
+    logs = np.empty_like(verts)
     active = np.arange(rows)
     iterates = np.ones(rows, dtype=int)
-    for _ in range(max_iters):
+    for it in range(int(max_iters.max())):
         cur = manifold.log_array(a[active, None], verts[active])
-        far = np.linalg.norm(cur, axis=-1).max(axis=1)
+        far = manifold.norm_array(cur).max(axis=1)
         left = np.flatnonzero(far > conv_radius * (1.0 + 1e-9))
         if left.size:
             k = left[0]
@@ -385,31 +441,50 @@ def differential_batch(manifold: Sphere, vertices, weights,
                 f"iterate left the convex ball: vertex distance "
                 f"{far[k]:.3e} > {conv_radius:.3e}", index=int(active[k]))
         F = -np.einsum("ri,rid->rd", lam[active], cur)
-        f_norm = np.linalg.norm(F, axis=-1)
+        f_norm = manifold.norm_array(F)
         done = f_norm <= grad_tol[active]
         logs[active[done]] = cur[done]
-        active, F, f_norm = active[~done], F[~done], f_norm[~done]
+        stuck = np.flatnonzero(~done & (max_iters[active] <= it + 1))
+        if stuck.size:
+            k, row = stuck[0], active[stuck[0]]
+            raise MeanSolverError(
+                f"no convergence to grad_tol={grad_tol[row]:.3e} in "
+                f"{max_iters[row]} iterations (last |F| = {f_norm[k]:.3e})",
+                index=int(row))
+        active, F = active[~done], F[~done]
         if active.size == 0:
             break
-        a[active] = manifold.exp_array(a[active], -damping * F)
+        a[active] = manifold.exp_array(a[active], -damping[active, None] * F)
         iterates[active] += 1
-    else:
-        raise MeanSolverError(
-            f"no convergence to grad_tol={grad_tol[active[0]]:.3e} in "
-            f"{max_iters} iterations (last |F| = {f_norm[0]:.3e})",
-            index=int(active[0]))
+    return a, logs, iterates
 
-    # Orthonormal tangent frame at each mean, as Sphere.tangent_basis.
-    r = manifold.radius
-    eye = np.broadcast_to(np.eye(manifold.coord_dim), (rows,) + (manifold.coord_dim,) * 2)
-    qmat, _ = np.linalg.qr(np.concatenate([a[:, :, None] / r, eye], axis=2))
-    frame = qmat[:, :, 1:manifold.dim + 1]                   # (N, coord_dim, m)
 
-    tau = np.linalg.norm(logs, axis=-1)
+def _batch_linear_data(manifold: _SpaceForm, vertices, weights, solver):
+    """Setup shared by ``differential_batch`` and ``hessian_batch``, as
+    ``_linear_data`` is for one chart: the means, orthonormal tangent
+    frames (N, coord_dim, m), the matrices of A (N, m, m) and the sigma
+    images of the simplex basis (N, m, n) in those frames, the radial data
+    (y, tau, f, f', 1 - f) of every vertex, and the iterate counts."""
+    if not isinstance(manifold, _SpaceForm):
+        raise ValueError("batched jets are implemented for the sphere and "
+                         "hyperbolic space only")
+    verts = np.asarray(vertices, dtype=float)
+    lam = np.asarray(weights, dtype=float)
+    a, logs, iterates = _batch_mean(manifold, verts, lam, solver)
+    frame = manifold.tangent_frame_array(a)
+    # Components in the frame are ambient products with the lowered frame.
+    low_frame = frame * manifold.signature[:, None]
+    tau = manifold.norm_array(logs)
+    K = manifold.constant_sectional_curvature
+    if K > 0:
+        conjugate = np.flatnonzero((math.sqrt(K) * tau >= math.pi).any(axis=1))
+        if conjugate.size:
+            raise JacobiError(f"row {conjugate[0]}: distance reaches the "
+                              "conjugate point")
     y = np.divide(-logs, tau[..., None], out=np.zeros_like(logs),
                   where=tau[..., None] > 0.0)
-    f, one_minus_f = _stretch_array(manifold.constant_sectional_curvature, tau)
-    y_frame = np.einsum("rid,rdk->rik", y, frame)
+    f, fp, one_minus_f = _stretch_array(K, tau)
+    y_frame = np.einsum("rid,rdk->rik", y, low_frame)
     a_mat = ((lam * f).sum(axis=1)[:, None, None] * np.eye(manifold.dim)
              + np.einsum("ri,rik,ril->rkl", lam * one_minus_f, y_frame, y_frame))
     cond = np.linalg.cond(a_mat)
@@ -419,7 +494,5 @@ def differential_batch(manifold: Sphere, vertices, weights,
         raise MeanSolverError(
             f"Hessian combination A is numerically singular: cond(A) = "
             f"{cond[k]:.3e}", index=int(k))
-    sig = np.einsum("rjd,rdk->rkj", logs[:, 1:] - logs[:, :1], frame)
-    if iterations is not None:
-        iterations.extend(iterates.tolist())
-    return a, frame @ np.linalg.solve(a_mat, sig)
+    sig = np.einsum("rjd,rdk->rkj", logs[:, 1:] - logs[:, :1], low_frame)
+    return a, frame, a_mat, sig, (y, tau, f, fp, one_minus_f), iterates

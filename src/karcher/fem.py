@@ -323,17 +323,6 @@ def error_norms(tri: KarcherTriangulation, u_h: np.ndarray, u_exact,
     return math.sqrt(l2_sq), math.sqrt(l2_sq + semi_sq)
 
 
-def export_off(tri: KarcherTriangulation, path: str):
-    """Write the mesh as OFF text for external viewers."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{tri.num_vertices} {tri.num_triangles} 0\n")
-        for p in tri.points:
-            fh.write(" ".join(f"{c:.17g}" for c in p.coords) + "\n")
-        for tri_idx in tri.triangles:
-            fh.write("3 " + " ".join(str(int(i)) for i in tri_idx) + "\n")
-
-
 def poisson_ladder(manifold: Sphere, levels, f, u_exact, grad_u_exact,
                    mode: str = "flat") -> list[dict]:
     """Solve the model problem on a sequence of refinement levels and

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .barycentric import (KarcherChart, SolverConfig, hessian, karcher_mean,
-                          sigma)
-from .errors import NonRealizableError
+from .barycentric import (KarcherChart, SolverConfig, hessian, hessian_batch,
+                          karcher_mean, sigma)
+from .errors import MeanSolverError, NonRealizableError
 from .flat_simplex import BarycentricWeight, SimplexTangent, fullness
-from .manifolds import Manifold, ManifoldPoint, TangentVector
+from .manifolds import Manifold, ManifoldPoint, TangentVector, _SpaceForm
 
 MIN_INTERIOR_WEIGHT = 0.05
 
@@ -150,54 +150,86 @@ def _orthonormal_tangent_frame(chart: KarcherChart) -> np.ndarray:
     return np.linalg.solve(L, np.eye(chart.n)).T
 
 
-def _full_tangent(reduced: np.ndarray) -> SimplexTangent:
-    v = np.concatenate([[-reduced.sum()], reduced])
-    return SimplexTangent(v)
-
-
 def measure_distortion(chart: KarcherChart,
                        sample_weights) -> DistortionSample:
     """Suprema of the four distortion quantities over the given interior
     weights."""
-    man = chart.manifold
-    n = chart.n
-    B = _orthonormal_tangent_frame(chart)
-    metric_gap = conn_gap = dx_sigma = nabla_sup = 0.0
-    for lam in sample_weights:
+    return _measure([chart], sample_weights)[0]
+
+
+def _measure(charts, sample_weights) -> list[DistortionSample]:
+    """``measure_distortion`` of each chart (all on one manifold), from
+    one stack of jets with a row per (chart, weight) pair."""
+    weights = list(sample_weights)
+    for lam in weights:
         if np.min(lam.values) < MIN_INTERIOR_WEIGHT - 1e-12:
             raise ValueError("sample weights must be interior (entries >= 0.05)")
-        jet = hessian(chart, lam)
-        a = jet.point
-        dxB = jet.dx_matrix @ B                     # (coord_dim, n)
-        xg = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                xg[i, j] = man._ip(a, dxB[:, i], dxB[:, j])
-        metric_gap = max(metric_gap, float(np.max(np.abs(xg - np.eye(n)))))
-
-        for i in range(n):
-            sig = sigma(chart, lam, _full_tangent(B[:, i]), at=a)
-            gap_vec = dxB[:, i] - sig.components
-            dx_sigma = max(dx_sigma, math.sqrt(max(
-                man._ip(a, gap_vec, gap_vec), 0.0)))
-
-        nb = np.einsum("klc,ka,lb->abc", jet.nabla_dx_tensor, B, B)
-        for i in range(n):
-            for j in range(n):
-                nabla_sup = max(nabla_sup, math.sqrt(max(
-                    man._ip(a, nb[i, j], nb[i, j]), 0.0)))
-        # flat derivative of the pulled-back metric via the product rule
-        for u in range(n):
-            for i in range(n):
-                for j in range(n):
-                    val = (man._ip(a, nb[u, i], dxB[:, j])
-                           + man._ip(a, dxB[:, i], nb[u, j]))
-                    conn_gap = max(conn_gap, abs(val))
-
-    return DistortionSample(
+    n = charts[0].n
+    metric, dx, sig, nabla = _jet_stack(charts, weights)
+    B = np.repeat(np.array([_orthonormal_tangent_frame(c) for c in charts]),
+                  len(weights), axis=0)                   # (R, n, n)
+    dxB = dx @ B                                          # (R, D, n)
+    xg = np.swapaxes(dxB, 1, 2) @ metric @ dxB
+    metric_gap = np.abs(xg - np.eye(n)).max(axis=(1, 2))
+    gap = dxB - sig @ B
+    dx_sigma = _norm_rows(np.einsum("rda,rda->ra", gap, metric @ gap)).max(axis=1)
+    nb = np.einsum("rklc,rka,rlb->rabc", nabla, B, B)     # (R, n, n, D)
+    low_nb = nb @ metric[..., None, :, :]
+    nabla_sup = _norm_rows(np.einsum("rabc,rabc->rab", nb, low_nb)).max(axis=(1, 2))
+    # flat derivative of the pulled-back metric via the product rule:
+    # <nb[u, i], dxB[:, j]> + <dxB[:, i], nb[u, j]>
+    prod = low_nb @ dxB[:, None]                          # (R, n, n, n)
+    conn_gap = np.abs(prod + np.swapaxes(prod, 2, 3)).max(axis=(1, 2, 3))
+    per_level = [q.reshape(len(charts), -1).max(axis=1)
+                 for q in (metric_gap, conn_gap, dx_sigma, nabla_sup)]
+    return [DistortionSample(
         h=chart.h, theta=achieved_fullness(chart),
-        sup_metric_gap=metric_gap, sup_connection_gap=conn_gap,
-        sup_dx_sigma_gap=dx_sigma, sup_nabla_dx=nabla_sup)
+        sup_metric_gap=float(m), sup_connection_gap=float(c),
+        sup_dx_sigma_gap=float(d), sup_nabla_dx=float(nd))
+        for chart, m, c, d, nd in zip(charts, *per_level)]
+
+
+def _norm_rows(squares: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(squares, 0.0))
+
+
+def _jet_stack(charts, weights):
+    """Jets at every (chart, weight) pair, chart-major: the metric in
+    coordinates (R, D, D), or one (D, D) matrix for all rows, and
+    the dx matrices (R, D, n), sigma images of the simplex basis
+    (R, D, n) and nabla dx tensors (R, n, n, D).  On the sphere and
+    hyperbolic space one ``hessian_batch`` solves every row; other
+    manifolds stack the scalar ``hessian`` jets."""
+    man = charts[0].manifold
+    n = charts[0].n
+    if isinstance(man, _SpaceForm):
+        verts = np.repeat(np.array([[v.coords for v in c.vertices] for c in charts]),
+                          len(weights), axis=0)
+        lam = np.tile(np.array([w.values for w in weights]), (len(charts), 1))
+        try:
+            points, dx, nabla = hessian_batch(
+                man, verts, lam, solver=[c.solver for c in charts for _ in weights])
+        except MeanSolverError as exc:
+            level, k = divmod(exc.index, len(weights))
+            raise MeanSolverError(
+                f"level h={charts[level].h}, weights "
+                f"{weights[k].values.tolist()}: {exc}", index=exc.index) from exc
+        logs = man.log_array(points[:, None], verts)
+        sig = np.swapaxes(logs[:, 1:] - logs[:, :1], 1, 2)
+        return np.diag(man.signature), dx, sig, nabla  # the ambient form is constant
+    eye = np.eye(n + 1)
+    directions = [SimplexTangent(eye[k + 1] - eye[0]) for k in range(n)]
+    coords = np.eye(man.coord_dim)
+    rows = []
+    for chart in charts:
+        for lam in weights:
+            jet = hessian(chart, lam)
+            a = jet.point
+            sig = np.stack([sigma(chart, lam, v, at=a).components
+                            for v in directions], axis=1)
+            metric = np.array([[man._ip(a, e, g) for g in coords] for e in coords])
+            rows.append((metric, jet.dx_matrix, sig, jet.nabla_dx_tensor))
+    return tuple(np.array(x) for x in zip(*rows))
 
 
 def connection_gap_fd(chart: KarcherChart, lam: BarycentricWeight,
@@ -309,11 +341,11 @@ def run_distortion_sweep(family: SimplexFamily,
                          extra_weights: int = 20) -> ConvergenceReport:
     """Generate the ladder, measure every level and fit orders.
 
-    Levels are generated in ladder order and aggregation is a pure
+    Every level's chart is built first; the jets of all levels and
+    weights are then measured as one stack, and aggregation is a pure
     reduction, so results do not depend on evaluation scheduling.
     """
-    samples = []
-    weights = interior_weights(family.n, extra=extra_weights)
+    charts = []
     for h in family.ladder:
         chart = generate_geodesic_simplex(family.manifold, family.center,
                                           family.directions, h)
@@ -321,7 +353,8 @@ def run_distortion_sweep(family: SimplexFamily,
         if theta < 0.9 * family.fullness_target:
             raise ValueError(
                 f"simplex at h={h} is too thin: fullness {theta:.3f}")
-        samples.append(measure_distortion(chart, weights))
+        charts.append(chart)
+    samples = _measure(charts, interior_weights(family.n, extra=extra_weights))
     report = fit_orders(samples)
 
     C0 = family.manifold.bounds.C0

@@ -165,15 +165,23 @@ def _stretch_coeffs(K: float, tau: float) -> tuple[float, float, float]:
     return f, rk * (c / s - u / (s * s)), one_minus_f
 
 
-def _stretch_array(K: float, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, 1 - f) of ``_stretch_coeffs`` for K > 0 on an array of
-    distances."""
-    u = math.sqrt(K) * tau
+def _stretch_array(K: float, tau: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, df/dtau, 1 - f) of ``_stretch_coeffs`` on an array of
+    distances, for K of either sign."""
+    sign = 1.0 if K > 0 else -1.0
+    rk = math.sqrt(abs(K))
+    u = rk * tau
     small = u < _SERIES_U
-    f_series = _ucotu_series(u * u)
+    f_series = _ucotu_series(u * u, sign)
+    fp_du_series = (-sign * 2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0
+                    - sign * 4.0 * u ** 5 / 315.0)
     us = np.where(small, 1.0, u)  # keeps the closed form finite where unused
-    f, one_minus_f = _stretch_closed(us, np.sin(us), np.cos(us))
-    return np.where(small, f_series, f), np.where(small, 1.0 - f_series, one_minus_f)
+    s, c = (np.sin(us), np.cos(us)) if K > 0 else (np.sinh(us), np.cosh(us))
+    f, one_minus_f = _stretch_closed(us, s, c)
+    fp = rk * (c / s - us / (s * s))
+    return (np.where(small, f_series, f), np.where(small, rk * fp_du_series, fp),
+            np.where(small, 1.0 - f_series, one_minus_f))
 
 
 class Manifold(ABC):
@@ -437,6 +445,10 @@ class _SpaceForm(Manifold):
         self.constant_sectional_curvature = K
         self._sign = 1.0 if K > 0 else -1.0
         self._trig = (math.cos, math.sin) if K > 0 else (math.cosh, math.sinh)
+        # Diagonal of the ambient form: all ones on the sphere,
+        # (1, ..., 1, -1) on the hyperboloid.
+        self.signature = np.ones(self.coord_dim)
+        self.signature[-1] = self._sign
 
     def _validate_tangent(self, v):
         super()._validate_tangent(v)
@@ -473,6 +485,17 @@ class _SpaceForm(Manifold):
         K = self.constant_sectional_curvature
         tt = self._ip(p, T, T)
         return _rows(lambda u: K * (tt * u - self._ip(p, u, T) * T), w)
+
+    # -- array kernels on (..., coord_dim) coordinate stacks ----------------
+    # Each model adds log_array/exp_array/dist_array, the same formulas as
+    # its log/exp/dist broadcast over leading axes, and tangent_frame_array.
+
+    def ip_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The ambient form ``_ip`` row by row."""
+        return np.sum(a * self.signature * b, axis=-1)
+
+    def norm_array(self, v: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.maximum(self.ip_array(v, v), 0.0))
 
     def _radial(self, p: ManifoldPoint, q: ManifoldPoint):
         """(tau, y, _stretch_coeffs(K, tau)) for the geodesic from p to q:
@@ -568,10 +591,6 @@ class Sphere(_SpaceForm):
         chord = float(np.linalg.norm(q.coords - p.coords))
         return 2.0 * self.radius * math.asin(min(chord / (2.0 * self.radius), 1.0))
 
-    # -- array kernels on (..., coord_dim) coordinate stacks ----------------
-    # The same formulas as log/exp/dist, broadcast over leading axes, for
-    # callers that hold many points at once.
-
     def dist_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         chord = np.linalg.norm(q - p, axis=-1)
         return 2.0 * self.radius * np.arcsin(np.minimum(chord / (2.0 * self.radius), 1.0))
@@ -596,6 +615,13 @@ class Sphere(_SpaceForm):
         c = np.cos(u) * p + np.sinc(u / math.pi) * v
         c *= self.radius / np.linalg.norm(c, axis=-1, keepdims=True)
         return np.where(t == 0.0, p, c)
+
+    def tangent_frame_array(self, p: np.ndarray) -> np.ndarray:
+        """Orthonormal tangent frames (..., coord_dim, dim), one basis
+        vector per column, as ``tangent_basis`` builds them."""
+        eye = np.broadcast_to(np.eye(self.coord_dim), p.shape + (self.coord_dim,))
+        qmat, _ = np.linalg.qr(np.concatenate([p[..., None] / self.radius, eye], axis=-1))
+        return qmat[..., 1:self.dim + 1]
 
     def tangent_basis(self, p):
         m = np.concatenate([p.coords[:, None] / self.radius,
@@ -670,6 +696,41 @@ class HyperbolicSpace(_SpaceForm):
         d = q.coords - p.coords
         d2 = max(_minkowski(d, d), 0.0)
         return 2.0 * self.radius * math.asinh(math.sqrt(d2) / (2.0 * self.radius))
+
+    def dist_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        d = q - p
+        d2 = np.maximum(self.ip_array(d, d), 0.0)
+        return 2.0 * self.radius * np.arcsinh(np.sqrt(d2) / (2.0 * self.radius))
+
+    def log_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        r = self.radius
+        d = q - p
+        d2 = np.maximum(self.ip_array(d, d), 0.0)
+        theta = 2.0 * np.arcsinh(np.sqrt(d2) / (2.0 * r))
+        w = q - (1.0 + d2 / (2.0 * r ** 2))[..., None] * p
+        nw = self.norm_array(w)
+        scale = np.divide(r * theta, nw, out=np.zeros_like(nw), where=theta != 0.0)
+        return scale[..., None] * w
+
+    def exp_array(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        t = self.norm_array(v)[..., None]
+        u = t / self.radius
+        big = u > 1e-8
+        shc = np.where(big, np.sinh(u) / np.where(big, u, 1.0), 1.0 + u * u / 6.0)
+        c = np.cosh(u) * p + shc * v
+        c *= (self.radius / np.sqrt(-self.ip_array(c, c)))[..., None]
+        return np.where(t == 0.0, p, c)
+
+    def tangent_frame_array(self, p: np.ndarray) -> np.ndarray:
+        """Orthonormal tangent frames (..., coord_dim, dim), one basis
+        vector per column: the Lorentz boost taking (0, ..., 0, R) to
+        p = (x, t) applied to the standard basis, E_k = (e_k + x x_k /
+        (R (R + t)), x_k / R)."""
+        r = self.radius
+        x, t = p[..., :-1], p[..., -1]
+        spatial = np.eye(self.dim) + (x[..., :, None] * x[..., None, :]
+                                      / (r * (r + t))[..., None, None])
+        return np.concatenate([spatial, x[..., None, :] / r], axis=-2)
 
     def tangent_basis(self, p):
         pp = _minkowski(p.coords, p.coords)

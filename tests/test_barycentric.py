@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, strategies as st
+
 from karcher.barycentric import (KarcherChart, SolverConfig, a_operator,
                                  differential, energy, grad_field, hessian,
-                                 karcher_mean, pullback_metric, sigma)
+                                 hessian_batch, karcher_mean, pullback_metric,
+                                 sigma)
 from karcher.errors import MeanSolverError
 from karcher.flat_simplex import BarycentricWeight, SimplexTangent
 from karcher.harness import equilateral_family, generate_geodesic_simplex
-from karcher.manifolds import EuclideanSpace, ManifoldBounds
+from karcher.manifolds import (EuclideanSpace, HyperbolicSpace, ManifoldBounds,
+                               Sphere)
 
 from conftest import random_unit_tangent
 
@@ -413,3 +417,98 @@ def test_pullback_spd_and_conditioning(sphere):
             assert np.all(np.linalg.eigvalsh(xg) > 0.0)
             mu = sla.eigh(xg, chart.flat_metric.G, eigvals_only=True)
             assert mu.max() / mu.min() <= 1.0 + 2.0 * h ** 2
+
+
+# -- batched jets on the sphere and hyperbolic space ---------------------------
+
+BATCH_SPACES = {
+    "sphere": lambda: Sphere(2),
+    "sphere3-r2": lambda: Sphere(3, radius=2.0),
+    "hyperbolic": lambda: HyperbolicSpace(2),
+    "hyperbolic-k2": lambda: HyperbolicSpace(2, curvature=2.0),
+}
+
+
+def _space_form_point(man, rng, max_dist):
+    """A point at a uniform distance up to max_dist from (0, ..., 0, R),
+    in a random direction."""
+    r = man.radius
+    d = rng.uniform(0.0, max_dist)
+    u = rng.normal(size=man.dim)
+    u /= np.linalg.norm(u)
+    trig = (math.sin, math.cos) if isinstance(man, Sphere) else (math.sinh, math.cosh)
+    return man.point(np.concatenate([r * trig[0](d / r) * u, [r * trig[1](d / r)]]))
+
+
+def _batch_rows(man, rng, charts=3, weights=4, max_dist=2.5):
+    """Random simplices (n = dim) of diameter about 0.05-0.3 and interior
+    weights: the charts and weights row by row, and the stacked inputs."""
+    rows = []
+    for _ in range(charts):
+        center = _space_form_point(man, rng, max_dist)
+        basis = np.array([b.components for b in man.tangent_basis(center)])
+        size = rng.uniform(0.05, 0.3)
+        chart = KarcherChart(man, [
+            man.exp(center, man.tangent(center, size * rng.normal(size=man.dim) @ basis))
+            for _ in range(man.dim + 1)])
+        for _ in range(weights):
+            lam = 0.05 + (1.0 - 0.05 * (man.dim + 1)) * rng.dirichlet(np.ones(man.dim + 1))
+            rows.append((chart, BarycentricWeight(lam)))
+    verts = np.array([[v.coords for v in c.vertices] for c, _ in rows])
+    lams = np.array([lam.values for _, lam in rows])
+    return rows, verts, lams
+
+
+@pytest.mark.parametrize("space", BATCH_SPACES)
+def test_hessian_batch_matches_scalar_hessian(space, rng):
+    man = BATCH_SPACES[space]()
+    rows, verts, lams = _batch_rows(man, rng)
+    points, dx, nabla = hessian_batch(man, verts, lams,
+                                      solver=[c.solver for c, _ in rows])
+    assert nabla.shape == (len(rows), man.dim, man.dim, man.coord_dim)
+    for k, (chart, lam) in enumerate(rows):
+        jet = hessian(chart, lam)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(verts[k]))))
+        assert np.max(np.abs(points[k] - jet.point.coords)) <= tol
+        assert np.max(np.abs(dx[k] - jet.dx_matrix)) <= tol
+        assert np.max(np.abs(nabla[k] - jet.nabla_dx_tensor)) <= tol
+
+
+def _random_isometry(man, rng):
+    """A random rotation of the ambient space (sphere), or a random Lorentz
+    boost of rapidity up to 1.5 after a random spatial rotation
+    (hyperboloid): a linear map of the ambient coordinates."""
+    def rotation(d):
+        q, r = np.linalg.qr(rng.normal(size=(d, d)))
+        return q * np.sign(np.diag(r))
+
+    if isinstance(man, Sphere):
+        return rotation(man.coord_dim)
+    n = rng.normal(size=man.dim)
+    n /= np.linalg.norm(n)
+    phi = rng.uniform(0.0, 1.5)
+    boost = np.eye(man.coord_dim)
+    boost[:-1, :-1] += (math.cosh(phi) - 1.0) * np.outer(n, n)
+    boost[:-1, -1] = boost[-1, :-1] = math.sinh(phi) * n
+    boost[-1, -1] = math.cosh(phi)
+    spin = np.eye(man.coord_dim)
+    spin[:-1, :-1] = rotation(man.dim)
+    return boost @ spin
+
+
+@pytest.mark.parametrize("space", BATCH_SPACES)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_hessian_batch_is_isometry_invariant(space, seed):
+    # Moving every vertex by an isometry M moves the points, dx and
+    # nabla dx by the same linear map.
+    man = BATCH_SPACES[space]()
+    rng = np.random.default_rng(seed)
+    _, verts, lams = _batch_rows(man, rng, charts=2, weights=3, max_dist=1.0)
+    M = _random_isometry(man, rng)
+    moved = verts @ M.T
+    points, dx, nabla = hessian_batch(man, verts, lams)
+    m_points, m_dx, m_nabla = hessian_batch(man, moved, lams)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(moved))))
+    assert np.max(np.abs(m_points - points @ M.T)) <= tol
+    assert np.max(np.abs(m_dx - M @ dx)) <= tol
+    assert np.max(np.abs(m_nabla - nabla @ M.T)) <= tol

@@ -135,6 +135,42 @@ def test_sweep_json_roundtrip(tmp_path):
     assert payload["config"]["kind"] == "distortion-sweep"
 
 
+DATA = Path(__file__).parent / "data"
+CONFIG_DIR = Path(__file__).parents[1] / "configs"
+
+
+def _distortion_report(path: Path) -> tuple[list[dict], dict]:
+    """Per-level samples and fitted slopes of a distortion-sweep report,
+    CSV or JSON."""
+    if path.suffix == ".json":
+        report = json.loads(path.read_text())["report"]
+        return report["samples"], {k: v["slope"] for k, v in
+                                   report["fitted_slopes"].items()}
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, map(float, l.split(",")))) for l in lines[1:-1]]
+    slopes = dict(zip(header[2:], map(float, lines[-1].split(",")[2:])))
+    return rows, slopes
+
+
+@pytest.mark.parametrize("name, fmt", [("sphere_distortion", "csv"),
+                                       ("hyperbolic_distortion", "json")])
+def test_distortion_reports_match_stored_reports(tmp_path, name, fmt):
+    # tests/data holds the reports of these configs from before the sweep
+    # ran on batched jets; the batch changes rounding only.
+    assert main(["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    rows, slopes = _distortion_report(tmp_path / f"distortion-sweep.{fmt}")
+    want_rows, want_slopes = _distortion_report(DATA / f"{name}.{fmt}")
+    assert len(rows) == len(want_rows) == 5
+    for got, want in zip(rows, want_rows):
+        assert (got["h"], got["theta"]) == (want["h"], want["theta"])
+        for q in ("metric_gap", "connection_gap", "dx_sigma_gap", "nabla_dx"):
+            assert got[q] == pytest.approx(want[q], rel=1e-9, abs=0.0)
+    assert slopes.keys() == want_slopes.keys()
+    for q, slope in want_slopes.items():
+        assert slopes[q] == pytest.approx(slope, rel=1e-9, abs=0.0)
+
+
 def test_euclidean_sweep_asserts_flatness(tmp_path):
     path = write_config(tmp_path, {
         "kind": "distortion-sweep",

@@ -8,7 +8,7 @@ from karcher.barycentric import (SolverConfig, differential,
 from karcher.errors import MeanSolverError, TriangulationError
 from karcher.fem import (_QUAD_LAM, KarcherTriangulation, assemble,
                          build_triangulation,
-                         error_norms, export_off, poisson_ladder,
+                         error_norms, poisson_ladder,
                          solve_poisson)
 from karcher.flat_simplex import BarycentricWeight, fullness
 from karcher.manifolds import Sphere
@@ -289,16 +289,3 @@ def test_dirichlet_energy_increases_to_continuum(sphere):
         energies.append(float(u @ (system.stiffness @ u)))
     assert all(b >= a - 1e-9 for a, b in zip(energies, energies[1:]))
     assert energies[-1] <= 8.0 * math.pi / 3.0
-
-
-def test_export_off_roundtrip(tmp_path, tri1):
-    path = tmp_path / "mesh.off"
-    export_off(tri1, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "OFF"
-    nv, nt, _ = (int(x) for x in lines[1].split())
-    assert (nv, nt) == (42, 80)
-    first = np.array([float(x) for x in lines[2].split()])
-    assert np.allclose(first, tri1.points[0].coords)
-    face = lines[2 + nv].split()
-    assert face[0] == "3" and len(face) == 4

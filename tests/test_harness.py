@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from karcher.barycentric import BarycentricWeight
+from karcher.barycentric import BarycentricWeight, SolverConfig
+from karcher.errors import MeanSolverError
 from karcher.harness import (ConvergenceReport, achieved_fullness,
                              check_edge_length_comparison, connection_gap_fd,
                              edge_length_rate, equilateral_family, fit_slope,
@@ -69,6 +70,21 @@ def test_measure_rejects_boundary_weights(sphere, sphere_family):
                                       sphere_family.directions, 0.1)
     with pytest.raises(ValueError):
         measure_distortion(chart, [BarycentricWeight([0.5, 0.5, 0.0])])
+
+
+def test_measure_error_names_level_and_weights(sphere, sphere_family):
+    # With one iteration allowed, the initial guess must pass: near vertex
+    # 0 it does (|F| = 7.2e-7), at the far weight it does not (1.3e-5).
+    chart = generate_geodesic_simplex(
+        sphere, sphere.point([0, 0, 1.0]), sphere_family.directions, 0.1,
+        solver=SolverConfig(grad_tol=1e-6, max_iters=1))
+    weights = [BarycentricWeight([0.9, 0.05, 0.05]),
+               BarycentricWeight([0.05, 0.05, 0.9])]
+    with pytest.raises(MeanSolverError, match=(
+            rf"level h={chart.h}, weights \[0\.05, 0\.05, 0\.9\]: "
+            r"no convergence .* in 1 iterations")) as info:
+        measure_distortion(chart, weights)
+    assert info.value.index == 1
 
 
 # -- measurement -------------------------------------------------------------------

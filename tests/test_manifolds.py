@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from karcher.errors import BasePointError, GeodesicError
-from karcher.manifolds import (ChartManifold, EuclideanSpace, Manifold,
-                               ManifoldBounds, ManifoldPoint, Sphere,
+from karcher.manifolds import (ChartManifold, EuclideanSpace, HyperbolicSpace,
+                               Manifold, ManifoldBounds, ManifoldPoint, Sphere,
                                christoffel_from_metric)
 
 from conftest import (random_hyperbolic_point, random_sphere_point,
@@ -209,17 +209,40 @@ def test_log_rejects_exact_antipodes_of_random_points(sphere, rng):
             sphere.log_array(p.coords, -p.coords)
 
 
-@pytest.mark.parametrize("radius", [1.0, 2.0])
-def test_sphere_array_kernels_match_scalar(radius, rng):
-    man = Sphere(2, radius=radius)
-    ps = [random_sphere_point(man, rng) for _ in range(8)]
-    qs = [random_sphere_point(man, rng) for _ in range(7)] + [ps[-1]]  # last: q = p
+def hyperbolic_point_at(man, rng, max_dist=2.5):
+    """A point at a uniform distance up to max_dist from (0, ..., 0, R)."""
+    d = rng.uniform(0.0, max_dist)
+    u = rng.normal(size=man.dim)
+    r = man.radius
+    return man.point(np.concatenate([r * math.sinh(d / r) * u / np.linalg.norm(u),
+                                     [r * math.cosh(d / r)]]))
+
+
+ARRAY_SPACES = {
+    "sphere-r1": (lambda: Sphere(2), random_sphere_point),
+    "sphere-r2": (lambda: Sphere(2, radius=2.0), random_sphere_point),
+    "hyperbolic-k1": (lambda: HyperbolicSpace(2), hyperbolic_point_at),
+    "hyperbolic-k2": (lambda: HyperbolicSpace(2, curvature=2.0), hyperbolic_point_at),
+}
+
+
+@pytest.mark.parametrize("space", ARRAY_SPACES)
+def test_array_kernels_match_scalar(space, rng):
+    make, draw = ARRAY_SPACES[space]
+    man = make()
+    ps = [draw(man, rng) for _ in range(8)]
+    qs = [draw(man, rng) for _ in range(7)] + [ps[-1]]  # last: q = p
     P = np.array([p.coords for p in ps])
     Q = np.array([q.coords for q in qs])
+    # Per-row scale R (c/R)^3 for coordinates of size c: the radius on the
+    # sphere; on the hyperboloid Minkowski products cancel terms of size
+    # (c/R)^2, and tangent vectors grow like c.
+    coord = np.maximum(np.abs(P).max(axis=1), np.abs(Q).max(axis=1))
+    scale = man.radius * (np.maximum(coord, man.radius) / man.radius) ** 3
     logs = man.log_array(P, Q)
     assert np.max(np.abs(logs[-1])) == 0.0
     for k, (p, q) in enumerate(zip(ps, qs)):
-        assert np.allclose(logs[k], man.log(p, q).components, rtol=0.0, atol=1e-14 * radius)
+        assert np.allclose(logs[k], man.log(p, q).components, rtol=0.0, atol=1e-14 * scale[k])
         assert man.dist_array(P, Q)[k] == pytest.approx(man.dist(p, q), rel=1e-14, abs=0.0)
     V = 0.3 * logs
     V[0] = 0.0
@@ -227,11 +250,18 @@ def test_sphere_array_kernels_match_scalar(radius, rng):
     assert np.array_equal(exps[0], P[0])
     for k, p in enumerate(ps):
         assert np.allclose(exps[k], man.exp(p, man.tangent(p, V[k])).coords,
-                           rtol=0.0, atol=1e-14 * radius)
-    with pytest.raises(GeodesicError):
-        man.log_array(P[:1], -P[:1])
-    with pytest.raises(GeodesicError):
-        man.exp_array(P[:1], np.array([[0.0, 0.0, 1.1 * math.pi * radius]]))
+                           rtol=0.0, atol=1e-14 * scale[k])
+    frames = man.tangent_frame_array(P)
+    for k, p in enumerate(ps):
+        gram = frames[k].T @ np.diag(man.signature) @ frames[k]
+        assert np.allclose(gram, np.eye(man.dim), rtol=0.0, atol=1e-14 * scale[k])
+        assert np.allclose(man.ip_array(frames[k].T, p.coords), 0.0,
+                           rtol=0.0, atol=1e-14 * scale[k])
+    if isinstance(man, Sphere):
+        with pytest.raises(GeodesicError):
+            man.log_array(P[:1], -P[:1])
+        with pytest.raises(GeodesicError):
+            man.exp_array(P[:1], np.array([[0.0, 0.0, 1.1 * math.pi * man.radius]]))
 
 
 def test_chart_shooting_failure_is_reported():
