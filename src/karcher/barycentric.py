@@ -159,7 +159,11 @@ def karcher_mean(chart: KarcherChart, lam: BarycentricWeight,
     """Damped fixed-point iteration a <- exp_a(-damping * F(a, lambda)).
 
     Near the mean the update is a contraction with rate of order C0 h^2,
-    so a handful of iterations reaches gradient norms near roundoff.  The
+    so a handful of iterations reaches gradient norms near roundoff.  Each
+    iterate's logarithm toward a vertex is passed to the next one's as a
+    warm start (``Manifold.log``'s ``start``): the closed-form spaces
+    ignore it, and a ``ChartManifold``'s shooting starts from it, so its
+    logarithms agree with cold ones to the shooting tolerance.  The
     logarithms toward the vertices at the returned point stay on the chart
     for later jets at that point.
     """
@@ -169,8 +173,9 @@ def karcher_mean(chart: KarcherChart, lam: BarycentricWeight,
     a = _initial_guess(chart, lam)
     if trace is not None:
         trace.append(a)
+    logs = [None] * len(chart.vertices)
     for _ in range(cfg.max_iters):
-        logs = [man.log(a, p) for p in chart.vertices]
+        logs = [man.log(a, p, start=s) for p, s in zip(chart.vertices, logs)]
         comps = np.zeros(man.coord_dim)
         max_dist = 0.0
         for li, log_ap in zip(lam.values, logs):
@@ -222,12 +227,14 @@ def a_operator(chart: KarcherChart, lam: BarycentricWeight,
     return _apply_a(lam, _hessian_maps(chart, lam, V.base), V)
 
 
-def _hessian_maps(chart: KarcherChart, lam: BarycentricWeight, a: ManifoldPoint):
+def _hessian_maps(chart: KarcherChart, lam: BarycentricWeight, a: ManifoldPoint,
+                  logs: list[TangentVector] | None = None):
     """hess_half_dist_sq(p_i, a, .) for each vertex of nonzero weight, and
-    None for the others."""
+    None for the others; built from the logarithms log_a(p_i) if given."""
     man = chart.manifold
-    return [man.hess_half_dist_sq_map(p, a) if li != 0.0 else None
-            for li, p in zip(lam.values, chart.vertices)]
+    logs = logs or [None] * len(chart.vertices)
+    return [man.hess_half_dist_sq_map(p, a, log_ap) if li != 0.0 else None
+            for li, p, log_ap in zip(lam.values, chart.vertices, logs)]
 
 
 def _apply_a(lam: BarycentricWeight, hess: list, V: TangentVector) -> TangentVector:
@@ -243,14 +250,15 @@ def _linear_data(chart: KarcherChart, lam: BarycentricWeight,
                  at: ManifoldPoint | None):
     """Setup shared by ``differential`` and ``hessian``: the mean a (``at``
     if given), an orthonormal tangent frame at a as rows, the matrix of A
-    in it, the sigma images of the simplex basis directions in it, and the
-    per-vertex Hessian maps at a (``_hessian_maps``)."""
+    in it, the sigma images of the simplex basis directions in it, the
+    per-vertex Hessian maps at a (``_hessian_maps``) and the logarithms
+    log_a(p_i) they were built from."""
     man = chart.manifold
     a = at if at is not None else karcher_mean(chart, lam)
     basis = man.tangent_basis(a)
     m = len(basis)
     logs = _mean_logs(chart, a) or [man.log(a, p) for p in chart.vertices]
-    hess = _hessian_maps(chart, lam, a)
+    hess = _hessian_maps(chart, lam, a, logs)
     a_mat = np.empty((m, m))
     for l, b in enumerate(basis):
         av = _apply_a(lam, hess, b)
@@ -267,14 +275,14 @@ def _linear_data(chart: KarcherChart, lam: BarycentricWeight,
             f"Hessian combination A is numerically singular at weights "
             f"{lam.values.tolist()}: cond(A) = {cond:.3e}")
     frame = np.array([b.components for b in basis])  # (m, coord_dim)
-    return a, frame, a_mat, sig, hess
+    return a, frame, a_mat, sig, hess, logs
 
 
 def differential(chart: KarcherChart, lam: BarycentricWeight,
                  at: ManifoldPoint | None = None) -> ChartJet:
     """First derivative of the coordinate map: solves A dx(v) = sigma(v)
     for each basis direction."""
-    a, frame, a_mat, sig, _ = _linear_data(chart, lam, at)
+    a, frame, a_mat, sig, _, _ = _linear_data(chart, lam, at)
     dx_basis = np.linalg.solve(a_mat, sig)          # (m, n) in basis coords
     return ChartJet(point=a, dx_matrix=frame.T @ dx_basis, nabla_dx_tensor=None)
 
@@ -288,7 +296,7 @@ def hessian(chart: KarcherChart, lam: BarycentricWeight,
     """
     man = chart.manifold
     n = chart.n
-    a, frame, a_mat, sig, hess = _linear_data(chart, lam, at)
+    a, frame, a_mat, sig, hess, logs = _linear_data(chart, lam, at)
     lu = lu_factor(a_mat)
     dx_basis = lu_solve(lu, sig)
     dx_matrix = frame.T @ dx_basis
@@ -297,7 +305,8 @@ def hessian(chart: KarcherChart, lam: BarycentricWeight,
     # H[i][k] = Hessian term of vertex i applied to dx(e_k - e_0)
     hess_comp = np.empty((n + 1, n, man.coord_dim))
     for i, p in enumerate(chart.vertices):
-        h = hess[i] if hess[i] is not None else man.hess_half_dist_sq_map(p, a)
+        h = (hess[i] if hess[i] is not None
+             else man.hess_half_dist_sq_map(p, a, logs[i]))
         for k in range(n):
             hess_comp[i, k] = h(dx_vecs[k]).components
 

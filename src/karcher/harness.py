@@ -10,6 +10,7 @@ then fits log-log slopes.  Expected orders: metric gap 2, connection gap
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -99,13 +100,20 @@ def interior_weights(n: int, extra: int = 20) -> list[BarycentricWeight]:
             lam[i] = lam[j] = 0.5
             out.append(BarycentricWeight((1.0 - pull) * lam + pull * bary))
     if extra > 0:
-        halton = qmc.Halton(d=n, scramble=False)
-        pts = halton.random(extra)
-        for row in pts:
+        for row in _halton_points(n, extra):
             z = np.sort(row)
             lam = np.diff(np.concatenate([[0.0], z, [1.0]]))
             out.append(BarycentricWeight((1.0 - pull) * lam + pull * bary))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _halton_points(n: int, extra: int) -> np.ndarray:
+    """The first ``extra`` points of the unscrambled n-dimensional Halton
+    sequence, drawn once per (n, extra) and returned read-only."""
+    pts = qmc.Halton(d=n, scramble=False).random(extra)
+    pts.flags.writeable = False
+    return pts
 
 
 @dataclass(frozen=True)
@@ -157,9 +165,10 @@ def measure_distortion(chart: KarcherChart,
     return _measure([chart], sample_weights)[0]
 
 
-def _measure(charts, sample_weights) -> list[DistortionSample]:
+def _measure(charts, sample_weights, thetas=None) -> list[DistortionSample]:
     """``measure_distortion`` of each chart (all on one manifold), from
-    one stack of jets with a row per (chart, weight) pair."""
+    one stack of jets with a row per (chart, weight) pair.  ``thetas``
+    are the charts' ``achieved_fullness`` if the caller has them."""
     weights = list(sample_weights)
     for lam in weights:
         if np.min(lam.values) < MIN_INTERIOR_WEIGHT - 1e-12:
@@ -182,11 +191,13 @@ def _measure(charts, sample_weights) -> list[DistortionSample]:
     conn_gap = np.abs(prod + np.swapaxes(prod, 2, 3)).max(axis=(1, 2, 3))
     per_level = [q.reshape(len(charts), -1).max(axis=1)
                  for q in (metric_gap, conn_gap, dx_sigma, nabla_sup)]
+    if thetas is None:
+        thetas = [achieved_fullness(chart) for chart in charts]
     return [DistortionSample(
-        h=chart.h, theta=achieved_fullness(chart),
+        h=chart.h, theta=theta,
         sup_metric_gap=float(m), sup_connection_gap=float(c),
         sup_dx_sigma_gap=float(d), sup_nabla_dx=float(nd))
-        for chart, m, c, d, nd in zip(charts, *per_level)]
+        for chart, theta, m, c, d, nd in zip(charts, thetas, *per_level)]
 
 
 def _norm_rows(squares: np.ndarray) -> np.ndarray:
@@ -345,7 +356,7 @@ def run_distortion_sweep(family: SimplexFamily,
     weights are then measured as one stack, and aggregation is a pure
     reduction, so results do not depend on evaluation scheduling.
     """
-    charts = []
+    charts, thetas = [], []
     for h in family.ladder:
         chart = generate_geodesic_simplex(family.manifold, family.center,
                                           family.directions, h)
@@ -354,7 +365,9 @@ def run_distortion_sweep(family: SimplexFamily,
             raise ValueError(
                 f"simplex at h={h} is too thin: fullness {theta:.3f}")
         charts.append(chart)
-    samples = _measure(charts, interior_weights(family.n, extra=extra_weights))
+        thetas.append(theta)
+    samples = _measure(charts, interior_weights(family.n, extra=extra_weights),
+                       thetas)
     report = fit_orders(samples)
 
     C0 = family.manifold.bounds.C0

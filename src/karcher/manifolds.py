@@ -122,6 +122,21 @@ class Geodesic:
         coords, vel = self._flow(float(t))
         return TangentVector(ManifoldPoint(coords), vel)
 
+    def reversed(self) -> "Geodesic":
+        """The same segment run from its end back to its start: point(t)
+        is this geodesic's point(length - t), with the velocity negated."""
+        L = self.length
+        flow = self._flow
+
+        def back(t):
+            coords, vel = flow(L - t)
+            return coords, -vel
+
+        end, end_vel = flow(L)
+        start = ManifoldPoint(end)
+        return Geodesic(self.manifold, start, TangentVector(start, -end_vel),
+                        L, back)
+
 
 # Below u = sqrt(|K|) tau = _SERIES_U the closed forms of the stretch
 # factor cancel badly, and Taylor series replace them.
@@ -243,8 +258,12 @@ class Manifold(ABC):
         ...
 
     @abstractmethod
-    def log(self, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
-        ...
+    def log(self, p: ManifoldPoint, q: ManifoldPoint,
+            start: TangentVector | None = None) -> TangentVector:
+        """The tangent vector at p whose geodesic reaches q.  ``start``
+        may be a logarithm toward q taken at a nearby base point, such as
+        the previous iterate of a mean; models that solve for the
+        logarithm start from it, and closed forms ignore it."""
 
     def dist(self, p: ManifoldPoint, q: ManifoldPoint) -> float:
         return self.norm(self.log(p, q))
@@ -305,14 +324,18 @@ class Manifold(ABC):
         curvature correction."""
         return self.hess_half_dist_sq_map(p, q)(V)
 
-    def hess_half_dist_sq_map(self, p: ManifoldPoint, q: ManifoldPoint
+    def hess_half_dist_sq_map(self, p: ManifoldPoint, q: ManifoldPoint,
+                              log_qp: TangentVector | None = None
                               ) -> Callable[[TangentVector], TangentVector]:
         """V -> hess_half_dist_sq(p, q, V).  The work that does not depend
         on V is done once, here: one Jacobi shooting along the geodesic
-        from p to q, whose end derivative tau J'(tau) is the value at V."""
+        from p to q, whose end derivative tau J'(tau) is the value at V.
+        ``log_qp``, if given, is log_q(p); the geodesic is then the
+        reverse of the one it starts at q, and no logarithm is taken."""
         from . import jacobi  # deferred: jacobi depends on this module
 
-        gamma = self.geodesic_between(p, q)
+        gamma = (self.geodesic_between(p, q) if log_qp is None
+                 else self.geodesic_from(q, log_qp).reversed())
         shooting = jacobi.JacobiShooting(gamma)
         return lambda V: gamma.length * shooting.solve(V)[0]
 
@@ -398,7 +421,7 @@ class EuclideanSpace(Manifold):
     def exp(self, p, v):
         return ManifoldPoint(p.coords + v.components)
 
-    def log(self, p, q):
+    def log(self, p, q, start=None):
         return TangentVector(p, q.coords - p.coords)
 
     def geodesic_from(self, p, v, length=None):
@@ -419,7 +442,7 @@ class EuclideanSpace(Manifold):
     def curvature_rt(self, p, T, w):
         return np.zeros(np.shape(w))
 
-    def hess_half_dist_sq_map(self, p, q):
+    def hess_half_dist_sq_map(self, p, q, log_qp=None):
         return lambda V: TangentVector(q, V.components.copy())
 
     def second_deriv_map(self, p, q):
@@ -497,23 +520,26 @@ class _SpaceForm(Manifold):
     def norm_array(self, v: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(self.ip_array(v, v), 0.0))
 
-    def _radial(self, p: ManifoldPoint, q: ManifoldPoint):
+    def _radial(self, p: ManifoldPoint, q: ManifoldPoint,
+                log_qp: TangentVector | None = None):
         """(tau, y, _stretch_coeffs(K, tau)) for the geodesic from p to q:
         its length and the unit radial direction at q pointing away from
-        p.  y is None when p = q."""
+        p, from ``log_qp`` = log_q(p) if given.  y is None when p = q."""
         tau = self.dist(p, q)
         if tau == 0.0:
             return tau, None, None
         K = self.constant_sectional_curvature
         if K > 0 and math.sqrt(K) * tau >= math.pi:
             raise JacobiError("distance reaches the conjugate point")
-        y = -self.log(q, p).components / tau
+        if log_qp is None:
+            log_qp = self.log(q, p)
+        y = -log_qp.components / tau
         return tau, y, _stretch_coeffs(K, tau)
 
-    def hess_half_dist_sq_map(self, p, q):
+    def hess_half_dist_sq_map(self, p, q, log_qp=None):
         """Closed form: the radial part of V is kept and the part normal
         to y is stretched by f = u cot(u) or u coth(u)."""
-        _, y, coeffs = self._radial(p, q)
+        _, y, coeffs = self._radial(p, q, log_qp)
         if y is None:
             return lambda V: TangentVector(q, V.components.copy())
         f = coeffs[0]
@@ -575,7 +601,7 @@ class Sphere(_SpaceForm):
         c *= self.radius / np.linalg.norm(c)
         return ManifoldPoint(c)
 
-    def log(self, p, q):
+    def log(self, p, q, start=None):
         r = self.radius
         chord = float(np.linalg.norm(q.coords - p.coords))
         theta = 2.0 * math.asin(min(chord / (2.0 * r), 1.0))
@@ -680,7 +706,7 @@ class HyperbolicSpace(_SpaceForm):
         c = math.cosh(u) * p.coords + shc * v.components
         return ManifoldPoint(self._renorm(c))
 
-    def log(self, p, q):
+    def log(self, p, q, start=None):
         r = self.radius
         d = q.coords - p.coords
         d2 = max(_minkowski(d, d), 0.0)
@@ -764,6 +790,24 @@ def christoffel_from_metric(metric_fn: Callable[[np.ndarray], np.ndarray],
     return christoffel
 
 
+def _shooting_state(p: ManifoldPoint, q: ManifoldPoint, steps: int,
+                    refreshes: int, res: float) -> str:
+    """Where a ``ChartManifold.log`` shooting stood when it failed."""
+    return (f" from p = {p.coords.tolist()} to q = {q.coords.tolist()} after "
+            f"{steps} Newton steps ({refreshes} with a fresh Jacobian), last "
+            f"residual |exp_p(v) - q| = {res:.3e}")
+
+
+@dataclass(frozen=True, eq=False)
+class ShotLog(TangentVector):
+    """A logarithm found by shooting, with the endpoint Jacobian of
+    v -> exp_p(v) that its last Newton steps used (None if none was
+    needed), so that a later shooting toward the same point can start
+    from both."""
+
+    jacobian: np.ndarray | None = field(default=None, repr=False)
+
+
 class ChartManifold(Manifold):
     """Manifold given by a metric (and optionally Christoffel) callback on
     a single chart.  Geodesics are shot with an adaptive RK integrator and
@@ -813,27 +857,63 @@ class ChartManifold(Manifold):
             raise GeodesicError("initial vector longer than the injectivity radius")
         return ManifoldPoint(self._exp_coords(p.coords, v.components))
 
-    def log(self, p, q):
-        v = q.coords - p.coords
-        if not np.any(v):
-            return TangentVector(p, np.zeros(self.dim))
+    def log(self, p, q, start=None):
+        """Newton shooting on v -> exp_p(v) - q until its norm is below
+        ``shooting_tol``.  A cold start shoots from the chord q - p with a
+        finite-difference endpoint Jacobian.  With ``start``, a logarithm
+        toward q at a nearby base point b, it shoots from start - (p - b)
+        and takes start's endpoint Jacobian as a chord; if the first step
+        from there fails to halve the residual, the start is dropped for
+        the cold one.  A Jacobian is kept from step to step and recomputed
+        by finite differences only when a step fails to halve the
+        residual.  The returned ``ShotLog`` carries the last Jacobian for
+        the next warm start.  Warm and cold logarithms agree to the
+        shooting tolerance."""
+        chord = q.coords - p.coords
+        if not np.any(chord):
+            return ShotLog(p, np.zeros(self.dim))
         target = q.coords
+        v, jac = chord, None
+        if start is not None:
+            v = start.components - (p.coords - start.base.coords)
+            jac = getattr(start, "jacobian", None)
+        steps = refreshes = 0
+        res = last = math.inf
         for _ in range(self.max_shooting_iters):
-            err = self._exp_coords(p.coords, v) - target
-            if float(np.linalg.norm(err)) < self.shooting_tol:
-                return TangentVector(p, v)
-            h = 1e-7 * max(1.0, float(np.linalg.norm(v)))
-            jac = np.empty((self.dim, self.dim))
-            base = err + target
-            for k in range(self.dim):
-                dv = np.zeros(self.dim)
-                dv[k] = h
-                jac[:, k] = (self._exp_coords(p.coords, v + dv) - base) / h
+            end = self._exp_coords(p.coords, v)
+            err = end - target
+            last, res = res, float(np.linalg.norm(err))
+            if res < self.shooting_tol:
+                return ShotLog(p, v, jac)
+            if not res <= 0.5 * last:
+                if start is not None and steps == 1:
+                    v, jac, start, res = chord, None, None, math.inf
+                    continue
+                jac = None
+            if jac is None:
+                jac = self._endpoint_jacobian(p.coords, v, end)
+                refreshes += 1
             try:
                 v = v - np.linalg.solve(jac, err)
             except np.linalg.LinAlgError as exc:
-                raise GeodesicError("endpoint Jacobian is singular") from exc
-        raise GeodesicError("shooting for the logarithm did not converge")
+                raise GeodesicError(
+                    "endpoint Jacobian is singular"
+                    + _shooting_state(p, q, steps, refreshes, res)) from exc
+            steps += 1
+        raise GeodesicError("shooting for the logarithm did not converge"
+                            + _shooting_state(p, q, steps, refreshes, res))
+
+    def _endpoint_jacobian(self, p_coords: np.ndarray, v: np.ndarray,
+                           end: np.ndarray) -> np.ndarray:
+        """Forward-difference Jacobian of v -> exp_p(v) at v, whose value
+        there is ``end``."""
+        h = 1e-7 * max(1.0, float(np.linalg.norm(v)))
+        jac = np.empty((self.dim, self.dim))
+        for k in range(self.dim):
+            dv = np.zeros(self.dim)
+            dv[k] = h
+            jac[:, k] = (self._exp_coords(p_coords, v + dv) - end) / h
+        return jac
 
     def geodesic_from(self, p, v, length=None):
         u, L = self._unit_direction(v, length)
