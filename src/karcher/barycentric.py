@@ -11,18 +11,16 @@ system driven by second derivatives of the distance functions.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import JacobiError, MeanSolverError
+from .errors import MeanSolverError
 from .flat_simplex import (BarycentricWeight, EdgeLengthSystem, FlatMetric,
                            SimplexTangent, flat_metric_from_lengths)
-from .manifolds import (Manifold, ManifoldPoint, TangentVector, _SpaceForm,
-                        _stretch_array)
+from .manifolds import Manifold, ManifoldPoint, TangentVector, _SpaceForm
 
 
 @dataclass(frozen=True)
@@ -379,29 +377,20 @@ def hessian_batch(manifold: _SpaceForm, vertices, weights,
     by row: returns the points, the dx matrices and the tensors
     (N, n, n, coord_dim), symmetric in the middle axes.
 
-    The right-hand side of nabla dx is formed in closed form from the
-    Hessian H_i(V) = <V, y> y + f (V - <V, y> y) of each vertex and the
-    second derivative (f' + c) sym(<V, y> W_perp) + c <V_perp, W_perp> y,
-    c = (1 - f) f / tau, of ``_SpaceForm.second_deriv_map``, and solved
-    against the same A as dx.
+    The right-hand side of nabla dx is formed in closed form from each
+    vertex's Hessian and second derivative, ``_SpaceForm.hess_array`` and
+    ``second_deriv_array``, and solved against the same A as dx.
     """
     a, frame, a_mat, sig, radial, _ = _batch_linear_data(
         manifold, vertices, weights, solver)
-    y, tau, f, fp, one_minus_f = radial
+    y, _, f, _, _ = radial
     lam = np.asarray(weights, dtype=float)
     rows, n = sig.shape[0], sig.shape[2]
     dx = frame @ np.linalg.solve(a_mat, sig)
     vecs = np.swapaxes(dx, 1, 2)                                  # (N, n, D)
-    along = np.einsum("rid,rkd->rik", y * manifold.signature, vecs)  # <V_k, y_i>
-    perp = vecs[:, None] - along[..., None] * y[:, :, None]       # (N, n+1, n, D)
-    hess = along[..., None] * y[:, :, None] + f[:, :, None, None] * perp
+    hess = manifold.hess_array(y, f, vecs)
     hdiff = hess[:, 1:] - hess[:, :1]       # [r, l, k]: H_{l+1}(V_k) - H_0(V_k)
-    c = np.divide(one_minus_f * f, tau, out=np.zeros_like(tau), where=tau > 0.0)
-    sym = 0.5 * (along[:, :, :, None, None] * perp[:, :, None]
-                 + along[:, :, None, :, None] * perp[:, :, :, None])
-    perp_ip = np.einsum("rikd,rild->rikl", perp * manifold.signature, perp)
-    second = ((fp + c)[:, :, None, None, None] * sym
-              + (c[:, :, None, None] * perp_ip)[..., None] * y[:, :, None, None])
+    second = manifold.second_deriv_array(radial, vecs)            # (N, n+1, n, n, D)
     rhs = (np.swapaxes(hdiff, 1, 2) + hdiff
            + np.einsum("ri,rikld->rkld", lam, second))
     rhs_frame = np.einsum("rkld,rdj->rjkl", rhs * manifold.signature, frame)
@@ -472,8 +461,9 @@ def _batch_linear_data(manifold: _SpaceForm, vertices, weights, solver):
     """Setup shared by ``differential_batch`` and ``hessian_batch``, as
     ``_linear_data`` is for one chart: the means, orthonormal tangent
     frames (N, coord_dim, m), the matrices of A (N, m, m) and the sigma
-    images of the simplex basis (N, m, n) in those frames, the radial data
-    (y, tau, f, f', 1 - f) of every vertex, and the iterate counts."""
+    images of the simplex basis (N, m, n) in those frames, the
+    ``radial_array`` data (y, tau, f, f', 1 - f) of every vertex, and the
+    iterate counts."""
     if not isinstance(manifold, _SpaceForm):
         raise ValueError("batched jets are implemented for the sphere and "
                          "hyperbolic space only")
@@ -483,16 +473,8 @@ def _batch_linear_data(manifold: _SpaceForm, vertices, weights, solver):
     frame = manifold.tangent_frame_array(a)
     # Components in the frame are ambient products with the lowered frame.
     low_frame = frame * manifold.signature[:, None]
-    tau = manifold.norm_array(logs)
-    K = manifold.constant_sectional_curvature
-    if K > 0:
-        conjugate = np.flatnonzero((math.sqrt(K) * tau >= math.pi).any(axis=1))
-        if conjugate.size:
-            raise JacobiError(f"row {conjugate[0]}: distance reaches the "
-                              "conjugate point")
-    y = np.divide(-logs, tau[..., None], out=np.zeros_like(logs),
-                  where=tau[..., None] > 0.0)
-    f, fp, one_minus_f = _stretch_array(K, tau)
+    radial = manifold.radial_array(logs)
+    y, _, f, _, one_minus_f = radial
     y_frame = np.einsum("rid,rdk->rik", y, low_frame)
     a_mat = ((lam * f).sum(axis=1)[:, None, None] * np.eye(manifold.dim)
              + np.einsum("ri,rik,ril->rkl", lam * one_minus_f, y_frame, y_frame))
@@ -504,4 +486,4 @@ def _batch_linear_data(manifold: _SpaceForm, vertices, weights, solver):
             f"Hessian combination A is numerically singular: cond(A) = "
             f"{cond[k]:.3e}", index=int(k))
     sig = np.einsum("rjd,rdk->rkj", logs[:, 1:] - logs[:, :1], low_frame)
-    return a, frame, a_mat, sig, (y, tau, f, fp, one_minus_f), iterates
+    return a, frame, a_mat, sig, radial, iterates

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import JacobiError
 from .integrate import solve_ode
 from .manifolds import (Geodesic, ManifoldPoint, TangentVector, _gram_schmidt,
-                        _require_same_base)
+                        _require_same_base, _second_difference)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,35 +216,18 @@ def boundary_derivative_estimate_check(bvp: JacobiBVP) -> BoundaryDerivativeRepo
 def second_variation(bvp: JacobiBVP, step: float = 1e-4) -> TangentVector:
     """tau * D_s J'(0, tau): Richardson-extrapolated central difference of
     the boundary derivative under the geodesic variation of the endpoint
-    with initial speed V."""
+    with initial speed V (``_second_difference`` of that derivative)."""
     gamma = bvp.geodesic
     man = gamma.manifold
     p = gamma.start
-    q = gamma.point(gamma.length)
-    scale = man.norm(bvp.end_value)
-    if scale == 0.0:
-        return TangentVector(q, np.zeros(man.coord_dim))
-    u_hat = bvp.end_value * (1.0 / scale)
-    fwd = man.geodesic_from(q, u_hat, length=2.0 * step)
-    bwd = man.geodesic_from(q, -1.0 * u_hat, length=2.0 * step)
 
-    def boundary_derivative(geo: Geodesic, s: float, sign: float) -> TangentVector:
-        endpoint = geo.point(s)
-        vel = sign * geo.velocity(s)
+    def boundary_derivative(endpoint: ManifoldPoint, vel: TangentVector) -> TangentVector:
         connecting = man.geodesic_between(p, endpoint)
         jdot_tau, _ = solve_bvp(JacobiBVP(connecting, vel))
         return connecting.length * jdot_tau
 
-    def central(s: float) -> np.ndarray:
-        hp = boundary_derivative(fwd, s, +1.0)
-        hm = boundary_derivative(bwd, s, -1.0)
-        a = man.parallel_transport(fwd, s, 0.0, hp).components
-        b = man.parallel_transport(bwd, s, 0.0, hm).components
-        return (a - b) / (2.0 * s)
-
-    d1 = central(step)
-    d2 = central(0.5 * step)
-    return TangentVector(q, scale ** 2 * (4.0 * d2 - d1) / 3.0)
+    return _second_difference(man, gamma.point(gamma.length), bvp.end_value,
+                              boundary_derivative, step)
 
 
 @dataclass(frozen=True)

@@ -139,61 +139,31 @@ class Geodesic:
 
 
 # Below u = sqrt(|K|) tau = _SERIES_U the closed forms of the stretch
-# factor cancel badly, and Taylor series replace them.
+# factor cancel badly, and Taylor series to O(u^8) replace them.
 _SERIES_U = 0.05
-
-
-def _ucotu_series(u2, sign=1.0):
-    """u cot(u) (sign 1) or u coth(u) (sign -1) to O(u^8), from u^2; on
-    floats or arrays."""
-    return 1.0 - sign * u2 / 3.0 - u2 * u2 / 45.0 - sign * 2.0 * u2 ** 3 / 945.0
-
-
-def _stretch_closed(u, s, c):
-    """(f, 1 - f) for f = u c / s, with (s, c) = (sin u, cos u) when K > 0
-    and (sinh u, cosh u) when K < 0; on floats or arrays."""
-    return u * c / s, (s - u * c) / s
-
-
-def _stretch_coeffs(K: float, tau: float) -> tuple[float, float, float]:
-    """Radial stretch factor of the squared-distance Hessian.
-
-    Returns (f, df/dtau, 1 - f) where f multiplies the component
-    orthogonal to the connecting geodesic: f = u*cot(u) for curvature
-    K > 0 and f = u*coth(u) for K < 0, with u = sqrt(|K|)*tau.
-    ``1 - f`` is returned separately because it cancels badly for small u.
-    """
-    if K == 0.0 or tau == 0.0:
-        return 1.0, 0.0, 0.0
-    rk = math.sqrt(abs(K))
-    u = rk * tau
-    if u < _SERIES_U:
-        sign = 1.0 if K > 0 else -1.0
-        f = _ucotu_series(u * u, sign)
-        fp_du = -sign * 2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0 - sign * 4.0 * u ** 5 / 315.0
-        return f, rk * fp_du, 1.0 - f
-    if K > 0:
-        s, c = math.sin(u), math.cos(u)
-    else:
-        s, c = math.sinh(u), math.cosh(u)
-    f, one_minus_f = _stretch_closed(u, s, c)
-    return f, rk * (c / s - u / (s * s)), one_minus_f
 
 
 def _stretch_array(K: float, tau: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, df/dtau, 1 - f) of ``_stretch_coeffs`` on an array of
-    distances, for K of either sign."""
+    """Radial stretch factor of the squared-distance Hessian on an array
+    of distances, for K of either sign.
+
+    Returns (f, df/dtau, 1 - f) where f multiplies the component
+    orthogonal to the connecting geodesic: f = u cot(u) for curvature
+    K > 0 and f = u coth(u) for K < 0, with u = sqrt(|K|) tau.
+    ``1 - f`` is returned separately because it cancels badly for small u.
+    """
     sign = 1.0 if K > 0 else -1.0
     rk = math.sqrt(abs(K))
     u = rk * tau
     small = u < _SERIES_U
-    f_series = _ucotu_series(u * u, sign)
+    u2 = u * u
+    f_series = 1.0 - sign * u2 / 3.0 - u2 * u2 / 45.0 - sign * 2.0 * u2 ** 3 / 945.0
     fp_du_series = (-sign * 2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0
                     - sign * 4.0 * u ** 5 / 315.0)
     us = np.where(small, 1.0, u)  # keeps the closed form finite where unused
     s, c = (np.sin(us), np.cos(us)) if K > 0 else (np.sinh(us), np.cosh(us))
-    f, one_minus_f = _stretch_closed(us, s, c)
+    f, one_minus_f = us * c / s, (s - us * c) / s
     fp = rk * (c / s - us / (s * s))
     return (np.where(small, f_series, f), np.where(small, rk * fp_du_series, fp),
             np.where(small, 1.0 - f_series, one_minus_f))
@@ -359,26 +329,36 @@ class Manifold(ABC):
 
     def _second_quadratic(self, p: ManifoldPoint, q: ManifoldPoint,
                           U: TangentVector, step: float = 1e-4) -> TangentVector:
-        """Quadratic form U -> sym(grad^2)(U,U) by Richardson-extrapolated
-        central differences of hess_half_dist_sq along the geodesic through
-        q with direction U."""
-        scale = self.norm(U)
-        if scale == 0.0:
-            return TangentVector(q, np.zeros(self.coord_dim))
-        u_hat = U * (1.0 / scale)
-        fwd = self.geodesic_from(q, u_hat, length=2.0 * step)
-        bwd = self.geodesic_from(q, -u_hat, length=2.0 * step)
+        """Quadratic form U -> sym(grad^2)(U,U): the ``_second_difference``
+        of hess_half_dist_sq(p, ., .) at q in direction U."""
+        return _second_difference(
+            self, q, U, lambda x, V: self.hess_half_dist_sq(p, x, V), step)
 
-        def central(s: float) -> np.ndarray:
-            hp = self.hess_half_dist_sq(p, fwd.point(s), fwd.velocity(s))
-            hm = self.hess_half_dist_sq(p, bwd.point(s), -1.0 * bwd.velocity(s))
-            hp0 = self.parallel_transport(fwd, s, 0.0, hp)
-            hm0 = self.parallel_transport(bwd, s, 0.0, hm)
-            return (hp0.components - hm0.components) / (2.0 * s)
 
-        d1 = central(step)
-        d2 = central(0.5 * step)
-        return TangentVector(q, (scale ** 2) * (4.0 * d2 - d1) / 3.0)
+def _second_difference(man: Manifold, q: ManifoldPoint, U: TangentVector,
+                       field: Callable[[ManifoldPoint, TangentVector], TangentVector],
+                       step: float) -> TangentVector:
+    """|U|^2 times the covariant derivative at q, in direction U / |U|, of
+    field(x, u), with u the velocity at x of the geodesic through q in
+    that direction: Richardson-extrapolated central differences of steps
+    ``step`` and ``step / 2``, each value transported back to q."""
+    scale = man.norm(U)
+    if scale == 0.0:
+        return TangentVector(q, np.zeros(man.coord_dim))
+    u_hat = U * (1.0 / scale)
+    fwd = man.geodesic_from(q, u_hat, length=2.0 * step)
+    bwd = man.geodesic_from(q, -u_hat, length=2.0 * step)
+
+    def central(s: float) -> np.ndarray:
+        hp = field(fwd.point(s), fwd.velocity(s))
+        hm = field(bwd.point(s), -1.0 * bwd.velocity(s))
+        hp0 = man.parallel_transport(fwd, s, 0.0, hp)
+        hm0 = man.parallel_transport(bwd, s, 0.0, hm)
+        return (hp0.components - hm0.components) / (2.0 * s)
+
+    d1 = central(step)
+    d2 = central(0.5 * step)
+    return TangentVector(q, (scale ** 2) * (4.0 * d2 - d1) / 3.0)
 
 
 def _rows(fn: Callable[[np.ndarray], np.ndarray], w) -> np.ndarray:
@@ -455,7 +435,7 @@ class _SpaceForm(Manifold):
     ``_ip``, of constant curvature K = sign / R^2, so one formula in
     (C, S) = (cos, sin) or (cosh, sinh) gives both models' geodesics,
     transport, curvature and squared-distance derivatives.  Each model
-    keeps its own point check, exp/log/dist and tangent basis."""
+    keeps its own point check, exp/log/dist and tangent frame."""
 
     def __init__(self, dim: int, radius: float, K: float,
                  injectivity_radius: float, convexity_radius: float):
@@ -520,55 +500,72 @@ class _SpaceForm(Manifold):
     def norm_array(self, v: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(self.ip_array(v, v), 0.0))
 
-    def _radial(self, p: ManifoldPoint, q: ManifoldPoint,
-                log_qp: TangentVector | None = None):
-        """(tau, y, _stretch_coeffs(K, tau)) for the geodesic from p to q:
-        its length and the unit radial direction at q pointing away from
-        p, from ``log_qp`` = log_q(p) if given.  y is None when p = q."""
-        tau = self.dist(p, q)
-        if tau == 0.0:
-            return tau, None, None
+    def tangent_basis(self, p):
+        """The columns of ``tangent_frame_array`` at p."""
+        return [TangentVector(p, b) for b in self.tangent_frame_array(p.coords).T]
+
+    # -- closed forms of the squared-distance derivatives, on stacks --------
+    # Row r is one point q with vertices p_i: logarithms log_q(p_i) come
+    # as (N, n+1, coord_dim) and directions V_k at q as (N, k, coord_dim).
+    # The scalar maps apply them to one row.
+
+    def radial_array(self, logs: np.ndarray):
+        """(y, tau, f, f', 1 - f) of the geodesics from p_i to q, from the
+        logarithms log_q(p_i): the unit directions y at q pointing away from
+        p_i (zero where p_i = q), the lengths tau and ``_stretch_array`` of
+        them.  A JacobiError names the first row with a length at the
+        conjugate point."""
+        tau = self.norm_array(logs)
         K = self.constant_sectional_curvature
-        if K > 0 and math.sqrt(K) * tau >= math.pi:
-            raise JacobiError("distance reaches the conjugate point")
-        if log_qp is None:
-            log_qp = self.log(q, p)
-        y = -log_qp.components / tau
-        return tau, y, _stretch_coeffs(K, tau)
+        if K > 0:
+            conjugate = np.flatnonzero((math.sqrt(K) * tau >= math.pi).any(axis=1))
+            if conjugate.size:
+                raise JacobiError(f"row {conjugate[0]}: distance reaches the "
+                                  "conjugate point")
+        y = np.divide(-logs, tau[..., None], out=np.zeros_like(logs),
+                      where=tau[..., None] > 0.0)
+        return (y, tau) + _stretch_array(K, tau)
+
+    def _split_radial(self, y: np.ndarray, V: np.ndarray):
+        """<V_k, y_i> (N, n+1, k) and the parts V_k - <V_k, y_i> y_i normal
+        to y_i (N, n+1, k, coord_dim)."""
+        along = np.einsum("rid,rkd->rik", y * self.signature, V)
+        return along, V[:, None] - along[..., None] * y[:, :, None]
+
+    def hess_array(self, y: np.ndarray, f: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """H_i(V_k) = <V_k, y_i> y_i + f_i (V_k - <V_k, y_i> y_i), as
+        (N, n+1, k, coord_dim): the radial part of V is kept and the part
+        normal to y is stretched by f = u cot(u) or u coth(u)."""
+        along, perp = self._split_radial(y, V)
+        return along[..., None] * y[:, :, None] + f[:, :, None, None] * perp
+
+    def second_deriv_array(self, radial, V: np.ndarray) -> np.ndarray:
+        """grad^2 X_i(V_k, V_l) from ``radial_array``'s output, as
+        (N, n+1, k, k, coord_dim): (f' + c) sym(<V_k, y> V_l,perp) +
+        c <V_k,perp, V_l,perp> y with c = (1 - f) f / tau, the derivative of
+        the stretched Hessian along the radial and normal directions."""
+        y, tau, f, fp, one_minus_f = radial
+        along, perp = self._split_radial(y, V)
+        c = np.divide(one_minus_f * f, tau, out=np.zeros_like(tau), where=tau > 0.0)
+        sym = 0.5 * (along[:, :, :, None, None] * perp[:, :, None]
+                     + along[:, :, None, :, None] * perp[:, :, :, None])
+        perp_ip = np.einsum("rikd,rild->rikl", perp * self.signature, perp)
+        return ((fp + c)[:, :, None, None, None] * sym
+                + (c[:, :, None, None] * perp_ip)[..., None] * y[:, :, None, None])
 
     def hess_half_dist_sq_map(self, p, q, log_qp=None):
-        """Closed form: the radial part of V is kept and the part normal
-        to y is stretched by f = u cot(u) or u coth(u)."""
-        _, y, coeffs = self._radial(p, q, log_qp)
-        if y is None:
-            return lambda V: TangentVector(q, V.components.copy())
-        f = coeffs[0]
-
-        def hess(V: TangentVector) -> TangentVector:
-            a = self._ip(q, V.components, y)
-            perp = V.components - a * y
-            return TangentVector(q, a * y + f * perp)
-
-        return hess
+        """Closed form: ``hess_array`` on one row."""
+        if log_qp is None:
+            log_qp = self.log(q, p)
+        y, _, f, _, _ = self.radial_array(log_qp.components[None, None])
+        return lambda V: TangentVector(
+            q, self.hess_array(y, f, V.components[None, None])[0, 0, 0])
 
     def second_deriv_map(self, p, q):
-        """Closed form: the derivative of the stretched Hessian along the
-        radial (f') and normal ((1 - f) f / tau) directions."""
-        tau, y, coeffs = self._radial(p, q)
-        if y is None:
-            return lambda V, W: TangentVector(q, np.zeros(self.coord_dim))
-        f, fp, one_minus_f = coeffs
-        c = one_minus_f * f / tau
-
-        def second(V: TangentVector, W: TangentVector) -> TangentVector:
-            av = self._ip(q, V.components, y)
-            aw = self._ip(q, W.components, y)
-            vperp = V.components - av * y
-            wperp = W.components - aw * y
-            sym = 0.5 * (av * wperp + aw * vperp)
-            return TangentVector(q, (fp + c) * sym + c * self._ip(q, vperp, wperp) * y)
-
-        return second
+        """Closed form: ``second_deriv_array`` on one row."""
+        radial = self.radial_array(self.log(q, p).components[None, None])
+        return lambda V, W: TangentVector(q, self.second_deriv_array(
+            radial, np.stack([V.components, W.components])[None])[0, 0, 0, 1])
 
 
 class Sphere(_SpaceForm):
@@ -644,16 +641,11 @@ class Sphere(_SpaceForm):
 
     def tangent_frame_array(self, p: np.ndarray) -> np.ndarray:
         """Orthonormal tangent frames (..., coord_dim, dim), one basis
-        vector per column, as ``tangent_basis`` builds them."""
+        vector per column: the QR of (p / R, e_0, ..., e_dim) less its
+        first column."""
         eye = np.broadcast_to(np.eye(self.coord_dim), p.shape + (self.coord_dim,))
         qmat, _ = np.linalg.qr(np.concatenate([p[..., None] / self.radius, eye], axis=-1))
         return qmat[..., 1:self.dim + 1]
-
-    def tangent_basis(self, p):
-        m = np.concatenate([p.coords[:, None] / self.radius,
-                            np.eye(self.coord_dim)], axis=1)
-        qmat, _ = np.linalg.qr(m)
-        return [TangentVector(p, qmat[:, k].copy()) for k in range(1, self.dim + 1)]
 
 
 def _near_antipode(theta, nw, r):
@@ -757,13 +749,6 @@ class HyperbolicSpace(_SpaceForm):
         spatial = np.eye(self.dim) + (x[..., :, None] * x[..., None, :]
                                       / (r * (r + t))[..., None, None])
         return np.concatenate([spatial, x[..., None, :] / r], axis=-2)
-
-    def tangent_basis(self, p):
-        pp = _minkowski(p.coords, p.coords)
-        projected = (e - (_minkowski(e, p.coords) / pp) * p.coords
-                     for e in np.eye(self.coord_dim))
-        return [TangentVector(p, b)
-                for b in _gram_schmidt(_minkowski, projected, self.dim)]
 
 
 def christoffel_from_metric(metric_fn: Callable[[np.ndarray], np.ndarray],

@@ -443,15 +443,20 @@ def _space_form_point(man, rng, max_dist):
 
 def _batch_rows(man, rng, charts=3, weights=4, max_dist=2.5):
     """Random simplices (n = dim) of diameter about 0.05-0.3 and interior
-    weights: the charts and weights row by row, and the stacked inputs."""
+    weights: the charts and weights row by row, and the stacked inputs.
+    Each vertex lies within ``size`` <= 0.3 of the center (a normal step,
+    cut back to length ``size``), so every chart's diameter stays far
+    below the sphere's convexity radius pi R / 2."""
     rows = []
     for _ in range(charts):
         center = _space_form_point(man, rng, max_dist)
         basis = np.array([b.components for b in man.tangent_basis(center)])
         size = rng.uniform(0.05, 0.3)
+        steps = rng.normal(size=(man.dim + 1, man.dim))
+        steps /= np.maximum(1.0, np.linalg.norm(steps, axis=1, keepdims=True))
         chart = KarcherChart(man, [
-            man.exp(center, man.tangent(center, size * rng.normal(size=man.dim) @ basis))
-            for _ in range(man.dim + 1)])
+            man.exp(center, man.tangent(center, size * step @ basis))
+            for step in steps])
         for _ in range(weights):
             lam = 0.05 + (1.0 - 0.05 * (man.dim + 1)) * rng.dirichlet(np.ones(man.dim + 1))
             rows.append((chart, BarycentricWeight(lam)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from karcher.errors import BasePointError, GeodesicError
+from karcher.errors import BasePointError, GeodesicError, JacobiError, KarcherError
 from karcher.manifolds import (ChartManifold, EuclideanSpace, HyperbolicSpace,
                                Manifold, ManifoldBounds, ManifoldPoint, ShotLog,
                                Sphere, christoffel_from_metric)
@@ -571,6 +571,34 @@ def test_second_deriv_magnitude_linear_in_tau(sphere):
     assert abs(fit.slope - 1.0) <= 0.1
     # magnitude itself stays below a unit multiple of C0 tau |V|^2
     assert all(m <= 1.0 * t for m, t in zip(mags, taus))
+
+
+def test_radial_array_rejects_conjugate_distances():
+    # Logarithms of length pi R reach the conjugate point, where the
+    # stretch factor u cot(u) blows up; the error names the first such row.
+    # Inside the batched jets log_array rejects near-antipodes first.
+    man = Sphere(2, radius=2.0)
+    logs = np.zeros((3, 3, 3))
+    logs[:, :, 0] = 0.5
+    logs[1, 2] = [0.0, math.pi * man.radius, 0.0]
+    logs[2, 0] = [0.0, 0.0, 1.5 * math.pi * man.radius]
+    with pytest.raises(JacobiError, match=r"row 1: distance reaches the conjugate point"):
+        man.radial_array(logs)
+    y, tau, f, _, one_minus_f = man.radial_array(logs[:1])
+    assert np.allclose(tau, 0.5) and np.allclose(y, [-1.0, 0.0, 0.0])
+    assert np.allclose(f + one_minus_f, 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_scalar_closed_forms_reject_antipodal_points(sphere):
+    # The scalar maps take log_q(p) before the distance, so the sphere
+    # log's antipode check answers first.
+    p, q = sphere.point([0.0, 0.0, 1.0]), sphere.point([0.0, 0.0, -1.0])
+    V = sphere.tangent(q, [1.0, 0.0, 0.0])
+    for call in (lambda: sphere.hess_half_dist_sq(p, q, V),
+                 lambda: sphere.second_deriv_X(p, q, V, V)):
+        with pytest.raises(KarcherError, match="antipodal") as info:
+            call()
+        assert isinstance(info.value, GeodesicError)
 
 
 # -- shared Jacobi shooting and the mean's logarithms (Poincare chart) ---------
