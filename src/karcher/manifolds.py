@@ -829,18 +829,22 @@ class ChartManifold(Manifold):
         acc = -np.einsum("kij,i,j->k", gamma, u, u)
         return np.concatenate([u, acc])
 
-    def _exp_coords(self, p_coords: np.ndarray, v_comps: np.ndarray) -> np.ndarray:
+    def _shoot(self, p_coords: np.ndarray, v_comps: np.ndarray,
+               step: float = 1.0) -> tuple[np.ndarray, float]:
+        """exp_p(v) in coordinates, integrated over (0, 1) from a first
+        step of ``step``, and the first step the integrator accepted,
+        which the next shot of the same logarithm starts from."""
         if not np.any(v_comps):
-            return p_coords.copy()
+            return p_coords.copy(), step
         y0 = np.concatenate([p_coords, v_comps])
-        sol = solve_ode(self._geodesic_rhs, (0.0, 1.0), y0)
-        return sol.y[: self.dim, -1]
+        sol = solve_ode(self._geodesic_rhs, (0.0, 1.0), y0, first_step=step)
+        return sol.y[: self.dim, -1], float(sol.t[1])
 
     def exp(self, p, v):
         n = self.norm(v)
         if n > self.bounds.injectivity_radius * (1.0 + 1e-9):
             raise GeodesicError("initial vector longer than the injectivity radius")
-        return ManifoldPoint(self._exp_coords(p.coords, v.components))
+        return ManifoldPoint(self._shoot(p.coords, v.components)[0])
 
     def log(self, p, q, start=None):
         """Newton shooting on v -> exp_p(v) - q until its norm is below
@@ -853,7 +857,10 @@ class ChartManifold(Manifold):
         by finite differences only when a step fails to halve the
         residual.  The returned ``ShotLog`` carries the last Jacobian for
         the next warm start.  Warm and cold logarithms agree to the
-        shooting tolerance."""
+        shooting tolerance.  The first shot tries the whole interval as
+        one integration step; every later shot, Newton iterate or
+        Jacobian column, starts from the first step the previous shot
+        accepted."""
         chord = q.coords - p.coords
         if not np.any(chord):
             return ShotLog(p, np.zeros(self.dim))
@@ -864,8 +871,9 @@ class ChartManifold(Manifold):
             jac = getattr(start, "jacobian", None)
         steps = refreshes = 0
         res = last = math.inf
+        step = 1.0
         for _ in range(self.max_shooting_iters):
-            end = self._exp_coords(p.coords, v)
+            end, step = self._shoot(p.coords, v, step)
             err = end - target
             last, res = res, float(np.linalg.norm(err))
             if res < self.shooting_tol:
@@ -876,7 +884,7 @@ class ChartManifold(Manifold):
                     continue
                 jac = None
             if jac is None:
-                jac = self._endpoint_jacobian(p.coords, v, end)
+                jac, step = self._endpoint_jacobian(p.coords, v, end, step)
                 refreshes += 1
             try:
                 v = v - np.linalg.solve(jac, err)
@@ -889,16 +897,19 @@ class ChartManifold(Manifold):
                             + _shooting_state(p, q, steps, refreshes, res))
 
     def _endpoint_jacobian(self, p_coords: np.ndarray, v: np.ndarray,
-                           end: np.ndarray) -> np.ndarray:
+                           end: np.ndarray, step: float
+                           ) -> tuple[np.ndarray, float]:
         """Forward-difference Jacobian of v -> exp_p(v) at v, whose value
-        there is ``end``."""
+        there is ``end``, with its shots chained from ``step`` as in
+        ``_shoot``; returns the Jacobian and the last shot's step."""
         h = 1e-7 * max(1.0, float(np.linalg.norm(v)))
         jac = np.empty((self.dim, self.dim))
         for k in range(self.dim):
             dv = np.zeros(self.dim)
             dv[k] = h
-            jac[:, k] = (self._exp_coords(p_coords, v + dv) - end) / h
-        return jac
+            shot, step = self._shoot(p_coords, v + dv, step)
+            jac[:, k] = (shot - end) / h
+        return jac, step
 
     def geodesic_from(self, p, v, length=None):
         u, L = self._unit_direction(v, length)

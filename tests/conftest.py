@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import hypothesis
 import numpy as np
 import pytest
@@ -23,6 +25,44 @@ def hyperbolic():
 @pytest.fixture(scope="session")
 def euclidean3():
     return EuclideanSpace(3)
+
+
+@dataclass(frozen=True)
+class OdeCall:
+    """One ``solve_ode`` call: its right-hand side and span, the first step
+    it was asked to try (None for the default, the whole span), its
+    right-hand-side evaluations and the step sizes it accepted."""
+    rhs: object
+    t_span: tuple
+    first_step: float | None
+    nfev: int
+    steps: np.ndarray
+
+
+@pytest.fixture
+def ode_calls(monkeypatch):
+    """The ``solve_ode`` calls that ``karcher.manifolds`` and
+    ``karcher.jacobi`` make while the test runs, in order."""
+    from karcher import integrate, jacobi, manifolds
+
+    calls = []
+
+    def recording(rhs, t_span, y0, **kwargs):
+        sol = integrate.solve_ode(rhs, t_span, y0, **kwargs)
+        calls.append(OdeCall(rhs, tuple(t_span), kwargs.get("first_step"),
+                             int(sol.nfev), np.diff(sol.t)))
+        return sol
+
+    for mod in (manifolds, jacobi):
+        monkeypatch.setattr(mod, "solve_ode", recording)
+    return calls
+
+
+def endpoint_shots(calls, man):
+    """The calls that shoot exp_p(v) on the chart manifold ``man``: its
+    geodesic equation over (0, 1)."""
+    return [c for c in calls
+            if c.rhs == man._geodesic_rhs and c.t_span == (0.0, 1.0)]
 
 
 @pytest.fixture

@@ -9,8 +9,8 @@ from karcher.manifolds import (ChartManifold, EuclideanSpace, HyperbolicSpace,
                                Manifold, ManifoldBounds, ManifoldPoint, ShotLog,
                                Sphere, christoffel_from_metric)
 
-from conftest import (random_hyperbolic_point, random_sphere_point,
-                      random_unit_tangent)
+from conftest import (endpoint_shots, random_hyperbolic_point,
+                      random_sphere_point, random_unit_tangent)
 
 
 # -- chart test manifolds ---------------------------------------------------
@@ -668,7 +668,7 @@ def test_warm_started_log_matches_cold_log_property(x, y, r, ang, shift, shift_a
     assert isinstance(warm, ShotLog)
     gap = np.linalg.norm(warm.components - cold.components)
     assert gap <= 1e-10 * max(1.0, float(np.linalg.norm(cold.components)))
-    residual = np.linalg.norm(man._exp_coords(p.coords, warm.components) - q.coords)
+    residual = np.linalg.norm(man.exp(p, warm).coords - q.coords)
     assert residual < man.shooting_tol
 
 
@@ -693,8 +693,7 @@ def test_bad_start_falls_back_to_a_fresh_jacobian(start, monkeypatch):
     warm = man.log(p, q, start=start)
     assert refreshes
     assert np.linalg.norm(warm.components - cold.components) <= 1e-10
-    assert np.linalg.norm(man._exp_coords(p.coords, warm.components)
-                          - q.coords) < man.shooting_tol
+    assert np.linalg.norm(man.exp(p, warm).coords - q.coords) < man.shooting_tol
 
 
 REVERSAL_CASES = {
@@ -776,7 +775,7 @@ def _log_agreement(man: ChartManifold, a: ManifoldPoint, vertices) -> float:
     the exact one, s the smallest singular value of the endpoint map's
     Jacobian there."""
     s = min(np.linalg.svd(man._endpoint_jacobian(a.coords, man.log(a, p).components,
-                                                 p.coords), compute_uv=False).min()
+                                                 p.coords, 1.0)[0], compute_uv=False).min()
             for p in vertices)
     return 2.0 * man.shooting_tol / s
 
@@ -831,28 +830,114 @@ def test_sigma_same_bits_with_and_without_the_mean_logarithms(chart_and_mean):
             assert np.array_equal(hit, miss)
 
 
-# karcher_mean plus differential on the disk chart of ``_mean_vertices``
-# took 167 endpoint shots (``ChartManifold._exp_coords`` calls) when every
-# logarithm started cold from the chord with a fresh finite-difference
-# Jacobian per Newton step, and each Hessian map took its own logarithm.
-COLD_START_SHOTS = 167
-
-
-def test_warm_started_disk_jet_takes_at_most_55_percent_of_the_cold_shots(
-        monkeypatch):
+def _disk_jet():
+    """karcher_mean plus differential on the disk chart of ``_mean_vertices``."""
     from karcher.barycentric import KarcherChart, differential, karcher_mean
     from karcher.flat_simplex import BarycentricWeight
 
     man, vertices = _mean_vertices("disk")
     chart = KarcherChart(man, vertices)
     lam = BarycentricWeight([0.2, 0.5, 0.3])
-    shots = []
-    exp_coords = man._exp_coords
-
-    def counting_exp_coords(p_coords, v):
-        shots.append(v)
-        return exp_coords(p_coords, v)
-
-    monkeypatch.setattr(man, "_exp_coords", counting_exp_coords)
     differential(chart, lam, at=karcher_mean(chart, lam))
-    assert len(shots) <= 0.55 * COLD_START_SHOTS
+    return man
+
+
+# ``_disk_jet`` took 167 endpoint shots when every logarithm started cold
+# from the chord with a fresh finite-difference Jacobian per Newton step,
+# and each Hessian map took its own logarithm.
+COLD_START_SHOTS = 167
+
+
+def test_warm_started_disk_jet_takes_at_most_55_percent_of_the_cold_shots(
+        ode_calls):
+    man = _disk_jet()
+    assert len(endpoint_shots(ode_calls, man)) <= 0.55 * COLD_START_SHOTS
+
+
+# -- integration steps of the chart's geodesics ------------------------------
+
+# ``_disk_jet`` took 3765 right-hand-side evaluations over its 90
+# ``solve_ode`` calls when every integration began from scipy's own
+# starting-step estimate (about 0.02 for a unit shot).
+DEFAULT_FIRST_STEP_JET_NFEV = 3765
+
+
+def test_disk_jet_takes_at_most_65_percent_of_the_default_first_step_nfev(
+        ode_calls):
+    _disk_jet()
+    assert len(ode_calls) == 90
+    assert sum(c.nfev for c in ode_calls) <= 0.65 * DEFAULT_FIRST_STEP_JET_NFEV
+
+
+def test_short_disk_exp_is_one_whole_interval_step(ode_calls):
+    # scipy's starting-step estimate took 3 steps and 38 evaluations here.
+    man = make_poincare_disk()
+    p = man.point([0.1, -0.2])
+    man.exp(p, man.tangent(p, [0.03, 0.04]))
+    [shot] = ode_calls
+    assert shot.t_span == (0.0, 1.0)
+    assert np.array_equal(shot.steps, [1.0])
+    assert shot.nfev == 13
+
+
+@pytest.mark.parametrize("length", [0.05, 0.4, 1.2, 3.0])
+@pytest.mark.parametrize("x, direction", [
+    ([0.0, 0.0], [1.0, 0.0]),
+    ([0.4, 0.0], [0.3, 1.0]),
+    ([-0.2, 0.3], [0.6, -0.8]),
+    ([0.1, -0.25], [-1.0, 0.5]),
+])
+def test_disk_geodesic_dense_output_matches_the_hyperboloid(hyperbolic, x, direction,
+                                                            length):
+    # Whole-interval steps leave few step points, so the interior of the
+    # geodesic comes from DOP853's dense interpolant.
+    disk = make_poincare_disk()
+    x = np.array(x)
+    p = disk.point(x)
+    v = disk.tangent(p, direction)
+    gamma = disk.geodesic_from(p, v, length)
+    P = lift_disk(hyperbolic, x)
+    u = lift_disk_differential(x, v.components)
+    U = hyperbolic.tangent(P, u / hyperbolic.norm(hyperbolic.tangent(P, u)))
+    for t in np.linspace(0.0, length, 11)[1:-1]:
+        X = hyperbolic.exp(P, t * U).coords
+        want = X[:2] / (1.0 + X[2])
+        got = gamma.point(t).coords
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, float(np.max(np.abs(want))))
+
+
+# A cold shooting of this pair took 774 right-hand-side evaluations over 9
+# shots of 7 steps each when every shot began from scipy's own
+# starting-step estimate.
+DEFAULT_FIRST_STEP_LOG_NFEV = 774
+
+
+def test_cold_log_shots_start_from_the_previous_accepted_step(ode_calls):
+    man = make_poincare_disk()
+    p, q = man.point([0.1, -0.2]), man.point([0.3, 0.1])
+    log = man.log(p, q)
+    shots = endpoint_shots(ode_calls, man)
+    assert len(shots) == len(ode_calls)
+    assert len(shots) > 1 and all(len(s.steps) > 1 for s in shots)
+    assert shots[0].first_step == 1.0
+    for before, after in zip(shots, shots[1:]):
+        assert after.first_step == before.steps[0]
+    assert sum(s.nfev for s in shots) < DEFAULT_FIRST_STEP_LOG_NFEV
+    assert np.linalg.norm(man.exp(p, log).coords - q.coords) < man.shooting_tol
+
+
+def test_solve_ode_rejects_a_zero_length_interval():
+    from karcher.integrate import solve_ode
+
+    with pytest.raises(KarcherError, match=r"ODE interval \[0\.5, 0\.5\] has zero length"):
+        solve_ode(lambda t, y: -y, (0.5, 0.5), [1.0])
+
+
+def test_solve_ode_failure_names_the_interval_and_evaluations():
+    from karcher.integrate import solve_ode
+
+    # y' = y^2, y(0) = 1 blows up at t = 1.
+    with pytest.raises(GeodesicError, match=(
+            r"ODE integration over \[0\.0, 2\.0\] failed after \d+ "
+            r"right-hand-side evaluations: \S")):
+        solve_ode(lambda t, y: y * y, (0.0, 2.0), [1.0])
