@@ -11,49 +11,36 @@ system driven by second derivatives of the distance functions.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import MeanSolverError
 from .flat_simplex import (BarycentricWeight, EdgeLengthSystem, FlatMetric,
                            SimplexTangent, flat_metric_from_lengths)
 from .manifolds import Manifold, ManifoldPoint, TangentVector, _SpaceForm
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Settings for the center-of-mass fixed-point iteration."""
-
-    grad_tol: float
-    max_iters: int = 100
-    step_damping: float = 1.0
-
-    def __post_init__(self):
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not 0.0 < self.step_damping <= 1.0:
-            raise ValueError("step_damping must lie in (0, 1]")
+# Iteration cap of the center-of-mass solve, scalar and batched.
+MAX_MEAN_ITERS = 100
 
 
 class KarcherChart:
-    """n+1 manifold vertices plus solver configuration.
+    """n+1 manifold vertices and the mean solver's stopping tolerance.
 
     Construction computes the geodesic edge lengths (or reuses a table
     computed elsewhere, so mesh edges are measured exactly once), derives
     the induced flat simplex metric, and verifies that all pairwise
-    distances stay below the manifold's convexity radius.
+    distances stay below the manifold's convexity radius.  ``grad_tol`` is
+    ``default_grad_tol`` of the diameter and coordinate scale, floored at
+    the manifold's logarithm tolerance ``shooting_tol``: the gradient test
+    reads logarithms that are only that exact.
 
     The chart also keeps the logarithms log_a(p_i) that ``karcher_mean``
     computed at the point a it last returned, so that jets and ``sigma``
     at that same point object do not compute them again.
     """
 
-    def __init__(self, manifold: Manifold, vertices, solver: SolverConfig | None = None,
+    def __init__(self, manifold: Manifold, vertices,
                  edge_lengths: EdgeLengthSystem | None = None):
         self.manifold = manifold
         self.vertices = tuple(vertices)
@@ -76,8 +63,8 @@ class KarcherChart:
                 "the center of mass may not be unique")
         self.flat_metric: FlatMetric = flat_metric_from_lengths(edge_lengths)
         coord_scale = max(float(np.max(np.abs(v.coords))) for v in self.vertices)
-        self.solver = solver if solver is not None else SolverConfig(
-            grad_tol=float(default_grad_tol(self.h, coord_scale)))
+        self.grad_tol = max(float(default_grad_tol(self.h, coord_scale)),
+                            manifold.shooting_tol)
         self._mean_logs: tuple[ManifoldPoint | None, list] = (None, [])
 
 
@@ -154,7 +141,8 @@ def _initial_guess(chart: KarcherChart, lam: BarycentricWeight) -> ManifoldPoint
 
 def karcher_mean(chart: KarcherChart, lam: BarycentricWeight,
                  trace: list | None = None) -> ManifoldPoint:
-    """Damped fixed-point iteration a <- exp_a(-damping * F(a, lambda)).
+    """Fixed-point iteration a <- exp_a(-F(a, lambda)) until |F| is at most
+    the chart's ``grad_tol``, for at most MAX_MEAN_ITERS iterates.
 
     Near the mean the update is a contraction with rate of order C0 h^2,
     so a handful of iterations reaches gradient norms near roundoff.  Each
@@ -166,13 +154,12 @@ def karcher_mean(chart: KarcherChart, lam: BarycentricWeight,
     for later jets at that point.
     """
     man = chart.manifold
-    cfg = chart.solver
     conv_radius = man.bounds.convexity_radius
     a = _initial_guess(chart, lam)
     if trace is not None:
         trace.append(a)
     logs = [None] * len(chart.vertices)
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_MEAN_ITERS):
         logs = [man.log(a, p, start=s) for p, s in zip(chart.vertices, logs)]
         comps = np.zeros(man.coord_dim)
         max_dist = 0.0
@@ -186,14 +173,14 @@ def karcher_mean(chart: KarcherChart, lam: BarycentricWeight,
                 f"vertex distance {max_dist:.3e} > {conv_radius:.3e}")
         F = TangentVector(a, comps)
         f_norm = man.norm(F)
-        if f_norm <= cfg.grad_tol:
+        if f_norm <= chart.grad_tol:
             chart._mean_logs = (a, logs)
             return a
-        a = man.exp(a, -cfg.step_damping * F)
+        a = man.exp(a, -F)
         if trace is not None:
             trace.append(a)
     raise MeanSolverError(
-        f"no convergence to grad_tol={cfg.grad_tol:.3e} in {cfg.max_iters} "
+        f"no convergence to grad_tol={chart.grad_tol:.3e} in {MAX_MEAN_ITERS} "
         f"iterations at weights {lam.values.tolist()} (last |F| = {f_norm:.3e})")
 
 
@@ -247,42 +234,30 @@ def _apply_a(lam: BarycentricWeight, hess: list, V: TangentVector) -> TangentVec
 def _linear_data(chart: KarcherChart, lam: BarycentricWeight,
                  at: ManifoldPoint | None):
     """Setup shared by ``differential`` and ``hessian``: the mean a (``at``
-    if given), an orthonormal tangent frame at a as rows, the matrix of A
-    in it, the sigma images of the simplex basis directions in it, the
+    if given), its ``_frame_system`` and dx as one-row stacks, the
     per-vertex Hessian maps at a (``_hessian_maps``) and the logarithms
-    log_a(p_i) they were built from."""
+    log_a(p_i) they were built from.  A is applied to each vector of the
+    tangent frame through the maps."""
     man = chart.manifold
     a = at if at is not None else karcher_mean(chart, lam)
-    basis = man.tangent_basis(a)
-    m = len(basis)
     logs = _mean_logs(chart, a) or [man.log(a, p) for p in chart.vertices]
     hess = _hessian_maps(chart, lam, a, logs)
-    a_mat = np.empty((m, m))
-    for l, b in enumerate(basis):
-        av = _apply_a(lam, hess, b)
-        for k in range(m):
-            a_mat[k, l] = man._ip(a, av.components, basis[k].components)
-    sig = np.empty((m, chart.n))
-    for j in range(1, chart.n + 1):
-        s = logs[j].components - logs[0].components
-        for k in range(m):
-            sig[k, j - 1] = man._ip(a, s, basis[k].components)
-    cond = np.linalg.cond(a_mat)
-    if cond > 1e12:
-        raise MeanSolverError(
-            f"Hessian combination A is numerically singular at weights "
-            f"{lam.values.tolist()}: cond(A) = {cond:.3e}")
-    frame = np.array([b.components for b in basis])  # (m, coord_dim)
-    return a, frame, a_mat, sig, hess, logs
+    basis = man.tangent_basis(a)
+    frame = np.stack([b.components for b in basis], axis=1)[None]   # (1, D, m)
+    low_frame = man.metric_matrix(a) @ frame
+    a_cols = np.stack([_apply_a(lam, hess, b).components for b in basis], axis=1)
+    system = (frame, low_frame, np.swapaxes(low_frame, 1, 2) @ a_cols)
+    dx = _frame_system(system, np.array([[log_ap.components for log_ap in logs]]),
+                       lam.values[None])
+    return a, system, dx, hess, logs
 
 
 def differential(chart: KarcherChart, lam: BarycentricWeight,
                  at: ManifoldPoint | None = None) -> ChartJet:
     """First derivative of the coordinate map: solves A dx(v) = sigma(v)
     for each basis direction."""
-    a, frame, a_mat, sig, _, _ = _linear_data(chart, lam, at)
-    dx_basis = np.linalg.solve(a_mat, sig)          # (m, n) in basis coords
-    return ChartJet(point=a, dx_matrix=frame.T @ dx_basis, nabla_dx_tensor=None)
+    a, _, dx, _, _ = _linear_data(chart, lam, at)
+    return ChartJet(point=a, dx_matrix=dx[0], nabla_dx_tensor=None)
 
 
 def hessian(chart: KarcherChart, lam: BarycentricWeight,
@@ -290,40 +265,27 @@ def hessian(chart: KarcherChart, lam: BarycentricWeight,
     """Jet with both dx and the symmetric bilinear map nabla dx.
 
     nabla dx(v, w) solves A(nabla dx) = -(sum w^i H_i V + sum v^i H_i W +
-    sum lambda^i grad2 X_i (V, W)) with V = dx(v), W = dx(w).
+    sum lambda^i grad2 X_i (V, W)) with V = dx(v), W = dx(w).  Each
+    vertex's Hessian and second-derivative maps are applied to the dx
+    columns here, and ``_nabla_dx`` forms and solves the system.
     """
     man = chart.manifold
     n = chart.n
-    a, frame, a_mat, sig, hess, logs = _linear_data(chart, lam, at)
-    lu = lu_factor(a_mat)
-    dx_basis = lu_solve(lu, sig)
-    dx_matrix = frame.T @ dx_basis
-
-    dx_vecs = [TangentVector(a, dx_matrix[:, k]) for k in range(n)]
-    # H[i][k] = Hessian term of vertex i applied to dx(e_k - e_0)
-    hess_comp = np.empty((n + 1, n, man.coord_dim))
-    for i, p in enumerate(chart.vertices):
-        h = (hess[i] if hess[i] is not None
-             else man.hess_half_dist_sq_map(p, a, logs[i]))
-        for k in range(n):
-            hess_comp[i, k] = h(dx_vecs[k]).components
-
-    second = [man.second_deriv_map(p, a) if li != 0.0 else None
-              for li, p in zip(lam.values, chart.vertices)]
-    tensor = np.empty((n, n, man.coord_dim))
-    for k in range(n):
-        for l in range(k, n):
-            rhs = (hess_comp[l + 1, k] - hess_comp[0, k]
-                   + hess_comp[k + 1, l] - hess_comp[0, l])
-            for li, grad2_x in zip(lam.values, second):
-                if li != 0.0:
-                    rhs = rhs + li * grad2_x(dx_vecs[k], dx_vecs[l]).components
-            rhs_basis = np.array([man._ip(a, rhs, frame[j])
-                                  for j in range(len(frame))])
-            sol = lu_solve(lu, -rhs_basis)
-            tensor[k, l] = frame.T @ sol
-            tensor[l, k] = tensor[k, l]
-    return ChartJet(point=a, dx_matrix=dx_matrix, nabla_dx_tensor=tensor)
+    a, system, dx, hess, logs = _linear_data(chart, lam, at)
+    vecs = [TangentVector(a, v) for v in dx[0].T]
+    maps = [h if h is not None else man.hess_half_dist_sq_map(p, a, log_ap)
+            for h, p, log_ap in zip(hess, chart.vertices, logs)]
+    hess_vecs = np.array([[h(v).components for v in vecs] for h in maps])
+    second = np.zeros((n + 1, n, n, man.coord_dim))
+    for i, (li, p) in enumerate(zip(lam.values, chart.vertices)):
+        if li != 0.0:
+            grad2_x = man.second_deriv_map(p, a)
+            for k in range(n):
+                for l in range(k, n):
+                    second[i, k, l] = second[i, l, k] = \
+                        grad2_x(vecs[k], vecs[l]).components
+    nabla = _nabla_dx(system, hess_vecs[None], second[None], lam.values[None])
+    return ChartJet(point=a, dx_matrix=dx[0], nabla_dx_tensor=nabla[0])
 
 
 def pullback_metric(chart: KarcherChart, lam: BarycentricWeight,
@@ -332,18 +294,53 @@ def pullback_metric(chart: KarcherChart, lam: BarycentricWeight,
     tangent basis e_k - e_0."""
     if jet is None:
         jet = differential(chart, lam)
-    man = chart.manifold
-    n = chart.n
-    out = np.empty((n, n))
-    for k in range(n):
-        for l in range(k, n):
-            out[k, l] = out[l, k] = man._ip(
-                jet.point, jet.dx_matrix[:, k], jet.dx_matrix[:, l])
-    return out
+    dx = jet.dx_matrix
+    return dx.T @ chart.manifold.metric_matrix(jet.point) @ dx
+
+
+def _frame_system(system, logs: np.ndarray, lam: np.ndarray,
+                  index: bool = False) -> np.ndarray:
+    """dx (N, coord_dim, n) of a stack of jets, one row per (chart,
+    weight) pair; the tail that scalar and batched jets share.
+    ``system`` holds orthonormal tangent frames (N, coord_dim, m) as
+    columns, the frames lowered by the metric, so that the frame
+    components of a vector u are u @ low_frame, and the matrices of A
+    (N, m, m) in the frames; ``logs`` (N, n+1, coord_dim) are log_a(p_i)
+    and ``lam`` (N, n+1) the weights.  Checks that every A is well
+    conditioned and solves A dx(v) = sigma(v) for the simplex basis
+    directions in the frame.  The MeanSolverError for a singular A names
+    the weights of its row, and the row itself as ``index`` on a batch."""
+    frame, low_frame, a_mat = system
+    cond = np.linalg.cond(a_mat)
+    singular = np.flatnonzero(~(cond <= 1e12))
+    if singular.size:
+        k = singular[0]
+        raise MeanSolverError(
+            f"Hessian combination A is numerically singular at weights "
+            f"{lam[k].tolist()}: cond(A) = {cond[k]:.3e}",
+            index=int(k) if index else None)
+    sig = np.einsum("rjd,rdk->rkj", logs[:, 1:] - logs[:, :1], low_frame)
+    return frame @ np.linalg.solve(a_mat, sig)
+
+
+def _nabla_dx(system, hess: np.ndarray, second: np.ndarray,
+              lam: np.ndarray) -> np.ndarray:
+    """nabla dx (N, n, n, coord_dim), symmetric in the middle axes, from
+    each vertex's Hessian applied to the dx columns, H_i(V_k) as
+    (N, n+1, n, coord_dim), and its second derivative grad2 X_i(V_k, V_l)
+    as (N, n+1, n, n, coord_dim): the right-hand side of ``hessian``,
+    solved in the frames of ``_frame_system`` against the same A as dx."""
+    frame, low_frame, a_mat = system
+    rows, n = hess.shape[0], hess.shape[2]
+    hdiff = hess[:, 1:] - hess[:, :1]       # [r, l, k]: H_{l+1}(V_k) - H_0(V_k)
+    rhs = (np.swapaxes(hdiff, 1, 2) + hdiff
+           + np.einsum("ri,rikld->rkld", lam, second))
+    rhs_frame = np.einsum("rkld,rdj->rjkl", rhs, low_frame)
+    sol = np.linalg.solve(a_mat, -rhs_frame.reshape(rows, -1, n * n))
+    return (frame @ sol).reshape(rows, -1, n, n).transpose(0, 2, 3, 1)
 
 
 def differential_batch(manifold: _SpaceForm, vertices, weights,
-                       solver: SolverConfig | Sequence[SolverConfig] | None = None,
                        iterations: list | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Centers of mass and their differentials for a stack of charts on
@@ -353,83 +350,58 @@ def differential_batch(manifold: _SpaceForm, vertices, weights,
     Returns the points (N, coord_dim) and the dx matrices
     (N, coord_dim, n), whose columns are the images of e_k - e_0, as
     ``differential`` gives them row by row.  Each row runs karcher_mean's
-    iteration with the same checks until its own gradient test passes.
+    iteration with the same checks until its own gradient test passes,
+    at the ``default_grad_tol`` of its chart's diameter and coordinates.
     A is formed in closed form, sum_i lambda_i (y y^T + f(tau_i)(P - y y^T))
     with y the unit direction away from vertex i and P the tangent
-    projector.  ``solver`` is one SolverConfig for every row or a
-    sequence of one per row; without it every row uses its own chart's
-    default (``default_grad_tol`` of its diameter and coordinates).  A
-    MeanSolverError names the failing row in its ``index``.  A list passed
-    as ``iterations`` receives each row's number of iterates, the initial
-    guess included, which is the length karcher_mean's ``trace`` reaches.
+    projector, and the rest is ``differential``'s ``_frame_system``.  A
+    MeanSolverError names the failing row in its ``index``.  A list
+    passed as ``iterations`` receives each row's number of iterates, the
+    initial guess included, which is the length karcher_mean's ``trace``
+    reaches.
     """
-    a, frame, a_mat, sig, _, iterates = _batch_linear_data(
-        manifold, vertices, weights, solver)
+    a, _, dx, _, iterates = _batch_linear_data(manifold, vertices, weights)
     if iterations is not None:
         iterations.extend(iterates.tolist())
-    return a, frame @ np.linalg.solve(a_mat, sig)
+    return a, dx
 
 
-def hessian_batch(manifold: _SpaceForm, vertices, weights,
-                  solver: SolverConfig | Sequence[SolverConfig] | None = None
+def hessian_batch(manifold: _SpaceForm, vertices, weights
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``differential_batch`` plus nabla dx, as ``hessian`` gives it row
     by row: returns the points, the dx matrices and the tensors
     (N, n, n, coord_dim), symmetric in the middle axes.
 
-    The right-hand side of nabla dx is formed in closed form from each
-    vertex's Hessian and second derivative, ``_SpaceForm.hess_array`` and
-    ``second_deriv_array``, and solved against the same A as dx.
+    Each vertex's Hessian and second derivative are applied to the dx
+    columns in closed form, ``_SpaceForm.hess_array`` and
+    ``second_deriv_array``, and ``_nabla_dx`` solves the system as it
+    does for ``hessian``.
     """
-    a, frame, a_mat, sig, radial, _ = _batch_linear_data(
-        manifold, vertices, weights, solver)
+    a, system, dx, radial, _ = _batch_linear_data(manifold, vertices, weights)
     y, _, f, _, _ = radial
-    lam = np.asarray(weights, dtype=float)
-    rows, n = sig.shape[0], sig.shape[2]
-    dx = frame @ np.linalg.solve(a_mat, sig)
     vecs = np.swapaxes(dx, 1, 2)                                  # (N, n, D)
-    hess = manifold.hess_array(y, f, vecs)
-    hdiff = hess[:, 1:] - hess[:, :1]       # [r, l, k]: H_{l+1}(V_k) - H_0(V_k)
-    second = manifold.second_deriv_array(radial, vecs)            # (N, n+1, n, n, D)
-    rhs = (np.swapaxes(hdiff, 1, 2) + hdiff
-           + np.einsum("ri,rikld->rkld", lam, second))
-    rhs_frame = np.einsum("rkld,rdj->rjkl", rhs * manifold.signature, frame)
-    sol = np.linalg.solve(a_mat, -rhs_frame.reshape(rows, -1, n * n))
-    nabla = (frame @ sol).reshape(rows, -1, n, n).transpose(0, 2, 3, 1)
+    nabla = _nabla_dx(system, manifold.hess_array(y, f, vecs),
+                      manifold.second_deriv_array(radial, vecs),
+                      np.asarray(weights, dtype=float))
     return a, dx, nabla
 
 
-def _batch_settings(manifold: _SpaceForm, verts: np.ndarray, solver):
-    """Per-row grad_tol, max_iters and step_damping arrays."""
-    rows, n1, _ = verts.shape
-    if solver is None:
-        i, j = np.triu_indices(n1, 1)
-        diam = manifold.dist_array(verts[:, i], verts[:, j]).max(axis=1)
-        return (default_grad_tol(diam, np.abs(verts).max(axis=(1, 2))),
-                np.full(rows, SolverConfig.max_iters),
-                np.full(rows, SolverConfig.step_damping))
-    configs = [solver] * rows if isinstance(solver, SolverConfig) else list(solver)
-    if len(configs) != rows:
-        raise ValueError(f"{len(configs)} solver configurations for {rows} rows")
-    return (np.array([c.grad_tol for c in configs]),
-            np.array([c.max_iters for c in configs]),
-            np.array([c.step_damping for c in configs]))
-
-
-def _batch_mean(manifold: _SpaceForm, verts: np.ndarray, lam: np.ndarray, solver):
-    """karcher_mean on every row: the means (N, coord_dim), the logarithms
-    log_a(p_i) there (N, n+1, coord_dim) and each row's iterate count."""
-    grad_tol, max_iters, damping = _batch_settings(manifold, verts, solver)
+def _batch_mean(manifold: _SpaceForm, verts: np.ndarray, lam: np.ndarray):
+    """karcher_mean on every row, each at the ``default_grad_tol`` of its
+    chart: the means (N, coord_dim), the logarithms log_a(p_i) there
+    (N, n+1, coord_dim) and each row's iterate count."""
+    i, j = np.triu_indices(verts.shape[1], 1)
+    diam = manifold.dist_array(verts[:, i], verts[:, j]).max(axis=1)
+    grad_tol = default_grad_tol(diam, np.abs(verts).max(axis=(1, 2)))
     conv_radius = manifold.bounds.convexity_radius
-    rows = len(verts)
     # Tangent-space average seen from vertex 0, as in _initial_guess.
     p0 = verts[:, 0]
     a = manifold.exp_array(p0, np.einsum(
         "ri,rid->rd", lam[:, 1:], manifold.log_array(p0[:, None], verts[:, 1:])))
     logs = np.empty_like(verts)
-    active = np.arange(rows)
-    iterates = np.ones(rows, dtype=int)
-    for it in range(int(max_iters.max())):
+    active = np.arange(len(verts))
+    iterates = np.ones(len(verts), dtype=int)
+    for _ in range(MAX_MEAN_ITERS):
         cur = manifold.log_array(a[active, None], verts[active])
         far = manifold.norm_array(cur).max(axis=1)
         left = np.flatnonzero(far > conv_radius * (1.0 + 1e-9))
@@ -442,34 +414,28 @@ def _batch_mean(manifold: _SpaceForm, verts: np.ndarray, lam: np.ndarray, solver
         f_norm = manifold.norm_array(F)
         done = f_norm <= grad_tol[active]
         logs[active[done]] = cur[done]
-        stuck = np.flatnonzero(~done & (max_iters[active] <= it + 1))
-        if stuck.size:
-            k, row = stuck[0], active[stuck[0]]
-            raise MeanSolverError(
-                f"no convergence to grad_tol={grad_tol[row]:.3e} in "
-                f"{max_iters[row]} iterations (last |F| = {f_norm[k]:.3e})",
-                index=int(row))
-        active, F = active[~done], F[~done]
+        active, F, f_norm = active[~done], F[~done], f_norm[~done]
         if active.size == 0:
-            break
-        a[active] = manifold.exp_array(a[active], -damping[active, None] * F)
+            return a, logs, iterates
+        a[active] = manifold.exp_array(a[active], -F)
         iterates[active] += 1
-    return a, logs, iterates
+    row = active[0]
+    raise MeanSolverError(
+        f"no convergence to grad_tol={grad_tol[row]:.3e} in {MAX_MEAN_ITERS} "
+        f"iterations (last |F| = {f_norm[0]:.3e})", index=int(row))
 
 
-def _batch_linear_data(manifold: _SpaceForm, vertices, weights, solver):
+def _batch_linear_data(manifold: _SpaceForm, vertices, weights):
     """Setup shared by ``differential_batch`` and ``hessian_batch``, as
-    ``_linear_data`` is for one chart: the means, orthonormal tangent
-    frames (N, coord_dim, m), the matrices of A (N, m, m) and the sigma
-    images of the simplex basis (N, m, n) in those frames, the
-    ``radial_array`` data (y, tau, f, f', 1 - f) of every vertex, and the
-    iterate counts."""
+    ``_linear_data`` is for one chart: the means, their ``_frame_system``
+    and dx, the ``radial_array`` data (y, tau, f, f', 1 - f) of every
+    vertex, and the iterate counts."""
     if not isinstance(manifold, _SpaceForm):
         raise ValueError("batched jets are implemented for the sphere and "
                          "hyperbolic space only")
     verts = np.asarray(vertices, dtype=float)
     lam = np.asarray(weights, dtype=float)
-    a, logs, iterates = _batch_mean(manifold, verts, lam, solver)
+    a, logs, iterates = _batch_mean(manifold, verts, lam)
     frame = manifold.tangent_frame_array(a)
     # Components in the frame are ambient products with the lowered frame.
     low_frame = frame * manifold.signature[:, None]
@@ -478,12 +444,6 @@ def _batch_linear_data(manifold: _SpaceForm, vertices, weights, solver):
     y_frame = np.einsum("rid,rdk->rik", y, low_frame)
     a_mat = ((lam * f).sum(axis=1)[:, None, None] * np.eye(manifold.dim)
              + np.einsum("ri,rik,ril->rkl", lam * one_minus_f, y_frame, y_frame))
-    cond = np.linalg.cond(a_mat)
-    singular = np.flatnonzero(~(cond <= 1e12))
-    if singular.size:
-        k = singular[0]
-        raise MeanSolverError(
-            f"Hessian combination A is numerically singular: cond(A) = "
-            f"{cond[k]:.3e}", index=int(k))
-    sig = np.einsum("rjd,rdk->rkj", logs[:, 1:] - logs[:, :1], low_frame)
-    return a, frame, a_mat, sig, radial, iterates
+    system = (frame, low_frame, a_mat)
+    dx = _frame_system(system, logs, lam, index=True)
+    return a, system, dx, radial, iterates

@@ -32,6 +32,14 @@ def _require_object(field: str, value) -> dict:
     return value
 
 
+def _require_int(field: str, value) -> int:
+    """``value`` if it is a JSON integer; floats, strings and booleans are
+    rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(field, f"must be an integer, got {value!r}")
+    return value
+
+
 def _require_positive(field: str, value: float):
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(field, f"must be positive and finite, got {value!r}")
@@ -50,7 +58,8 @@ class ManifoldSpec:
         if kind not in ("euclidean", "sphere", "hyperbolic"):
             raise ConfigError("manifold.kind", f"unknown manifold kind {kind!r}")
         try:
-            spec = ManifoldSpec(kind=kind, dim=int(d.get("dim", 2)),
+            spec = ManifoldSpec(kind=kind,
+                                dim=_require_int("manifold.dim", d.get("dim", 2)),
                                 radius=float(d.get("radius", 1.0)),
                                 curvature=float(d.get("curvature", 1.0)))
         except (TypeError, ValueError) as exc:
@@ -103,16 +112,18 @@ class ExperimentConfig:
             raise ConfigError("manifold.dim",
                               "the simplex family needs dimension >= 2")
         ladder = _require_object("ladder", d.get("ladder", {}))
+        fem_levels = d.get("fem_levels", [1, 2, 3, 4])
+        if not isinstance(fem_levels, list):
+            raise ConfigError("fem_levels", f"must be a list, got {fem_levels!r}")
         try:
             cfg = ExperimentConfig(
                 kind=kind, manifold=spec,
                 ladder_h0=float(ladder.get("h0", 0.2)),
-                ladder_levels=int(ladder.get("levels", 5)),
-                fem_levels=tuple(int(x) for x in d.get("fem_levels",
-                                                       (1, 2, 3, 4))),
+                ladder_levels=_require_int("ladder.levels", ladder.get("levels", 5)),
+                fem_levels=tuple(_require_int("fem_levels", x) for x in fem_levels),
                 fem_mode=d.get("fem_mode", "flat"),
-                trials=int(d.get("trials", 50)),
-                seed=int(d.get("seed", 0)),
+                trials=_require_int("trials", d.get("trials", 50)),
+                seed=_require_int("seed", d.get("seed", 0)),
                 out=str(d.get("out", ".")),
                 format=d.get("format", "csv"))
         except (TypeError, ValueError) as exc:

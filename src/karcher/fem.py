@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .barycentric import (KarcherChart, SolverConfig, differential_batch,
+from .barycentric import (KarcherChart, differential_batch,
                           exceeds_convexity_radius)
 # The scalar jet of tri.chart(t), which quad_data reproduces in batch.  No
 # code here calls it; it stays importable from this module because the
@@ -106,6 +106,9 @@ def icosphere(level: int, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
 _EDGE_I = np.array([0, 0, 1])
 _EDGE_J = np.array([1, 2, 2])
 
+# Least ``flat_simplex.fullness`` a mesh triangle may have.
+MIN_FULLNESS = 0.5
+
 
 class KarcherTriangulation:
     """Global sphere mesh with per-triangle flat metrics and charts.
@@ -116,12 +119,10 @@ class KarcherTriangulation:
     scalar chart of one triangle from the same numbers.
     """
 
-    def __init__(self, manifold: Sphere, points, triangles: np.ndarray,
-                 min_fullness: float = 0.5, solver: SolverConfig | None = None):
+    def __init__(self, manifold: Sphere, points, triangles: np.ndarray):
         self.manifold = manifold
         self.points = list(points)
         self.triangles = np.asarray(triangles, dtype=int)
-        self.solver = solver
         self.coords = np.array([p.coords for p in self.points])
         # Geodesic edge lengths, each undirected edge measured exactly once
         # so both adjacent triangles see the same number.
@@ -142,12 +143,12 @@ class KarcherTriangulation:
                 f"triangle {bad[0]} {self.triangles[bad[0]]} has no flat realization")
         diam = self.edge_lengths.max(axis=1)
         theta = fullness(gm, diam)
-        bad = np.flatnonzero(theta < min_fullness)
+        bad = np.flatnonzero(theta < MIN_FULLNESS)
         if bad.size:
             t = bad[0]
             raise TriangulationError(
                 f"triangle {t} {self.triangles[t]} fullness {theta[t]:.3f} "
-                f"below {min_fullness}")
+                f"below {MIN_FULLNESS}")
         bad = np.flatnonzero(exceeds_convexity_radius(manifold, diam))
         if bad.size:
             raise ValueError(
@@ -168,7 +169,7 @@ class KarcherTriangulation:
         table = np.zeros((3, 3))
         table[_EDGE_I, _EDGE_J] = table[_EDGE_J, _EDGE_I] = self.edge_lengths[t]
         return KarcherChart(self.manifold, [self.points[i] for i in self.triangles[t]],
-                            solver=self.solver, edge_lengths=EdgeLengthSystem(table))
+                            edge_lengths=EdgeLengthSystem(table))
 
     def quad_data(self) -> tuple[np.ndarray, np.ndarray]:
         """Chart jets at the quadrature nodes of every triangle (cached):
@@ -178,8 +179,7 @@ class KarcherTriangulation:
             verts = np.repeat(self.coords[self.triangles], Q, axis=0)
             weights = np.tile(_QUAD_LAM, (T, 1))
             try:
-                points, dx = differential_batch(self.manifold, verts, weights,
-                                                self.solver)
+                points, dx = differential_batch(self.manifold, verts, weights)
             except MeanSolverError as exc:
                 t, q = divmod(exc.index, Q)
                 raise MeanSolverError(f"triangle {t}, quadrature node {q}: {exc}",
@@ -188,9 +188,8 @@ class KarcherTriangulation:
         return self._jets
 
 
-def build_triangulation(manifold: Sphere, subdivision_level: int,
-                        min_fullness: float = 0.5,
-                        solver: SolverConfig | None = None) -> KarcherTriangulation:
+def build_triangulation(manifold: Sphere, subdivision_level: int
+                        ) -> KarcherTriangulation:
     """Icosahedral mesh of the sphere, subdivided 4-to-1 per level."""
     if not isinstance(manifold, Sphere):
         raise ValueError("global triangulations are provided for spheres only")
@@ -198,8 +197,7 @@ def build_triangulation(manifold: Sphere, subdivision_level: int,
         raise ValueError("subdivision level must be nonnegative")
     coords, faces = icosphere(subdivision_level, manifold.radius)
     points = [manifold.point(c) for c in coords]
-    return KarcherTriangulation(manifold, points, faces,
-                                min_fullness=min_fullness, solver=solver)
+    return KarcherTriangulation(manifold, points, faces)
 
 
 @dataclass(frozen=True, eq=False)

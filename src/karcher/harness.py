@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .barycentric import (KarcherChart, SolverConfig, hessian, hessian_batch,
-                          karcher_mean, sigma)
+from .barycentric import (KarcherChart, hessian, hessian_batch, karcher_mean,
+                          sigma)
 from .errors import MeanSolverError, NonRealizableError
 from .flat_simplex import BarycentricWeight, SimplexTangent, fullness
 from .manifolds import Manifold, ManifoldPoint, TangentVector, _SpaceForm
@@ -58,8 +58,7 @@ def equilateral_family(manifold: Manifold, center: ManifoldPoint,
 
 
 def generate_geodesic_simplex(manifold: Manifold, center: ManifoldPoint,
-                              directions, h: float,
-                              solver: SolverConfig | None = None) -> KarcherChart:
+                              directions, h: float) -> KarcherChart:
     """Vertices exp_center(s * u_i) with s chosen so the tangent-space
     simplex has maximal edge h; the geodesic edge lengths then differ from
     h only at order C0 h^3."""
@@ -78,7 +77,7 @@ def generate_geodesic_simplex(manifold: Manifold, center: ManifoldPoint,
     if scale >= manifold.bounds.convexity_radius:
         raise ValueError("requested scale exceeds the convexity radius")
     vertices = [manifold.exp(center, scale * u) for u in units]
-    chart = KarcherChart(manifold, vertices, solver=solver)
+    chart = KarcherChart(manifold, vertices)
     if not chart.flat_metric.realizable:
         raise NonRealizableError("generated edge lengths are not realizable")
     return chart
@@ -218,8 +217,7 @@ def _jet_stack(charts, weights):
                           len(weights), axis=0)
         lam = np.tile(np.array([w.values for w in weights]), (len(charts), 1))
         try:
-            points, dx, nabla = hessian_batch(
-                man, verts, lam, solver=[c.solver for c in charts for _ in weights])
+            points, dx, nabla = hessian_batch(man, verts, lam)
         except MeanSolverError as exc:
             level, k = divmod(exc.index, len(weights))
             raise MeanSolverError(
@@ -230,7 +228,6 @@ def _jet_stack(charts, weights):
         return np.diag(man.signature), dx, sig, nabla  # the ambient form is constant
     eye = np.eye(n + 1)
     directions = [SimplexTangent(eye[k + 1] - eye[0]) for k in range(n)]
-    coords = np.eye(man.coord_dim)
     rows = []
     for chart in charts:
         for lam in weights:
@@ -238,8 +235,7 @@ def _jet_stack(charts, weights):
             a = jet.point
             sig = np.stack([sigma(chart, lam, v, at=a).components
                             for v in directions], axis=1)
-            metric = np.array([[man._ip(a, e, g) for g in coords] for e in coords])
-            rows.append((metric, jet.dx_matrix, sig, jet.nabla_dx_tensor))
+            rows.append((man.metric_matrix(a), jet.dx_matrix, sig, jet.nabla_dx_tensor))
     return tuple(np.array(x) for x in zip(*rows))
 
 
@@ -269,11 +265,6 @@ class SlopeFit:
     stderr: float
     n_used: int
     dropped_coarsest: bool
-
-    @property
-    def confidence(self) -> float:
-        """Half-width of a two-standard-error interval."""
-        return 2.0 * self.stderr
 
     def to_dict(self) -> dict:
         return {"slope": self.slope, "intercept": self.intercept,
@@ -348,8 +339,7 @@ def fit_orders(samples) -> ConvergenceReport:
     return ConvergenceReport(samples=samples, fitted_slopes=slopes)
 
 
-def run_distortion_sweep(family: SimplexFamily,
-                         extra_weights: int = 20) -> ConvergenceReport:
+def run_distortion_sweep(family: SimplexFamily) -> ConvergenceReport:
     """Generate the ladder, measure every level and fit orders.
 
     Every level's chart is built first; the jets of all levels and
@@ -366,8 +356,7 @@ def run_distortion_sweep(family: SimplexFamily,
                 f"simplex at h={h} is too thin: fullness {theta:.3f}")
         charts.append(chart)
         thetas.append(theta)
-    samples = _measure(charts, interior_weights(family.n, extra=extra_weights),
-                       thetas)
+    samples = _measure(charts, interior_weights(family.n), thetas)
     report = fit_orders(samples)
 
     C0 = family.manifold.bounds.C0

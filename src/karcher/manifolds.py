@@ -182,6 +182,9 @@ class Manifold(ABC):
     # Signed sectional curvature if the space has constant curvature,
     # else None.  Lets Jacobi solvers use the exact frame curvature matrix.
     constant_sectional_curvature: float | None = None
+    # Accuracy of ``log``: 0 for closed forms, the shooting tolerance for
+    # models that solve for it.  No mean is certified below it.
+    shooting_tol: float = 0.0
 
     # -- point / vector construction ------------------------------------
 
@@ -212,6 +215,12 @@ class Manifold(ABC):
         """Metric applied to raw component arrays at p."""
 
     # -- metric operations ------------------------------------------------
+
+    def metric_matrix(self, p: ManifoldPoint) -> np.ndarray:
+        """The metric at p as a (coord_dim, coord_dim) matrix: ``_ip`` of
+        the coordinate unit vectors."""
+        eye = np.eye(self.coord_dim)
+        return np.array([[self._ip(p, e, g) for g in eye] for e in eye])
 
     def metric(self, p: ManifoldPoint, v: TangentVector, w: TangentVector) -> float:
         _require_same_base(v, w)
@@ -821,6 +830,9 @@ class ChartManifold(Manifold):
 
     def _ip(self, p, a, b):
         return float(a @ self.metric_fn(p.coords) @ b)
+
+    def metric_matrix(self, p):
+        return self.metric_fn(p.coords)
 
     def _geodesic_rhs(self, t, y):
         d = self.dim

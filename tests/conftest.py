@@ -65,6 +65,16 @@ def endpoint_shots(calls, man):
             if c.rhs == man._geodesic_rhs and c.t_span == (0.0, 1.0)]
 
 
+def strict_solver(monkeypatch, grad_tol=1e-16):
+    """Lets the mean solver take one iterate, and gives every chart built
+    afterwards and every batched row the stopping tolerance grad_tol."""
+    from karcher import barycentric
+
+    monkeypatch.setattr(barycentric, "MAX_MEAN_ITERS", 1)
+    monkeypatch.setattr(barycentric, "default_grad_tol",
+                        lambda h, coord_scale: np.full(np.shape(h), grad_tol))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

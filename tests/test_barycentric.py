@@ -5,17 +5,17 @@ import pytest
 
 from hypothesis import given, strategies as st
 
-from karcher.barycentric import (KarcherChart, SolverConfig, a_operator,
-                                 differential, energy, grad_field, hessian,
-                                 hessian_batch, karcher_mean, pullback_metric,
-                                 sigma)
+from karcher.barycentric import (KarcherChart, a_operator, differential,
+                                 differential_batch, energy, grad_field,
+                                 hessian, hessian_batch, karcher_mean,
+                                 pullback_metric, sigma)
 from karcher.errors import MeanSolverError
 from karcher.flat_simplex import BarycentricWeight, SimplexTangent
 from karcher.harness import equilateral_family, generate_geodesic_simplex
 from karcher.manifolds import (EuclideanSpace, HyperbolicSpace, ManifoldBounds,
-                               Sphere)
+                               Sphere, TangentVector)
 
-from conftest import random_unit_tangent
+from conftest import random_unit_tangent, strict_solver
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +29,6 @@ def sphere_chart(sphere):
 def euclid_chart(euclidean3, rng):
     pts = rng.uniform(-1.0, 1.0, size=(4, 3))
     return pts, KarcherChart(euclidean3, [euclidean3.point(p) for p in pts])
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(grad_tol=1e-12, max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(grad_tol=1e-12, step_damping=1.5)
 
 
 def test_chart_rejects_vertices_beyond_convexity(sphere):
@@ -75,7 +66,7 @@ def test_grad_vanishes_at_mean(sphere_chart):
     lam = BarycentricWeight([0.3, 0.45, 0.25])
     a = karcher_mean(sphere_chart, lam)
     F = grad_field(sphere_chart, a, lam)
-    assert sphere_chart.manifold.norm(F) <= sphere_chart.solver.grad_tol
+    assert sphere_chart.manifold.norm(F) <= sphere_chart.grad_tol
 
 
 def test_grad_euclidean_formula(euclid_chart, euclidean3, rng):
@@ -124,18 +115,17 @@ def test_mean_equilateral_center_is_pole(sphere_chart):
     assert np.allclose(mean.coords, [0.0, 0.0, 1.0], atol=1e-12)
 
 
-def test_mean_max_iters_error(sphere_chart):
-    strict = KarcherChart(sphere_chart.manifold, sphere_chart.vertices,
-                          solver=SolverConfig(grad_tol=1e-16, max_iters=1,
-                                              step_damping=0.1))
+def test_mean_max_iters_error(sphere_chart, monkeypatch):
+    strict_solver(monkeypatch)
+    strict = KarcherChart(sphere_chart.manifold, sphere_chart.vertices)
     with pytest.raises(MeanSolverError):
         karcher_mean(strict, BarycentricWeight([0.3, 0.3, 0.4]))
 
 
-def test_mean_no_convergence_names_weights_and_last_residual(sphere_chart):
-    strict = KarcherChart(sphere_chart.manifold, sphere_chart.vertices,
-                          solver=SolverConfig(grad_tol=1e-16, max_iters=1,
-                                              step_damping=0.1))
+def test_mean_no_convergence_names_weights_and_last_residual(sphere_chart,
+                                                             monkeypatch):
+    strict_solver(monkeypatch)
+    strict = KarcherChart(sphere_chart.manifold, sphere_chart.vertices)
     with pytest.raises(MeanSolverError, match=(
             r"no convergence to grad_tol=1\.000e-16 in 1 iterations at weights "
             r"\[0\.3, 0\.3, 0\.4\] \(last \|F\| = \d\.\d{3}e-\d\d\)$")):
@@ -173,8 +163,29 @@ def test_mean_converges_at_small_h(sphere, h):
     lam = BarycentricWeight([0.5, 0.3, 0.2])
     mean = karcher_mean(chart, lam)
     F = grad_field(chart, mean, lam)
-    assert chart.manifold.norm(F) <= chart.solver.grad_tol
-    assert chart.solver.grad_tol <= 1e-14
+    assert chart.manifold.norm(F) <= chart.grad_tol
+    assert chart.grad_tol <= 1e-14
+
+
+@pytest.mark.parametrize("coords, weights", [
+    ([[0.266, -0.087], [0.37, -0.115], [0.322, -0.008]], [0.14, 0.08, 0.78]),
+    ([[0.357, -0.058], [0.387, -0.171], [0.465, -0.08]], [0.13, 0.39, 0.48]),
+    ([[0.103, -0.122], [0.162, -0.016], [0.031, 0.006]], [0.53, 0.38, 0.09]),
+])
+def test_chart_manifold_mean_meets_grad_tol_exactly(hyperbolic, coords, weights):
+    # The mean's gradient test reads shooting logarithms, exact only to the
+    # shooting tolerance; the true gradient at the returned mean comes
+    # from the hyperboloid's closed-form logarithms.
+    from test_manifolds import lift_disk, make_poincare_disk
+
+    disk = make_poincare_disk()
+    chart = KarcherChart(disk, [disk.point(c) for c in coords])
+    assert chart.grad_tol == disk.shooting_tol
+    a = karcher_mean(chart, BarycentricWeight(weights))
+    A = lift_disk(hyperbolic, a.coords)
+    F = sum(w * hyperbolic.log(A, lift_disk(hyperbolic, np.array(c))).components
+            for w, c in zip(weights, coords))
+    assert hyperbolic.norm(TangentVector(A, F)) <= 2.0 * chart.grad_tol
 
 
 def test_energy_descent_along_iterates(sphere_chart):
@@ -205,7 +216,7 @@ def test_edge_weights_trace_geodesic(sphere_chart):
         lam = BarycentricWeight([1.0 - t, 0.0, t])
         x = karcher_mean(sphere_chart, lam)
         assert man.dist(x, g.point(t * g.length)) <= \
-            10.0 * sphere_chart.solver.grad_tol
+            10.0 * sphere_chart.grad_tol
 
 
 def test_totally_geodesic_circle(sphere, rng):
@@ -349,6 +360,29 @@ def test_dG_residual_zero(sphere_chart, rng):
         assert man.norm(lhs - rhs) <= 1e-8 * norm_v
 
 
+class _ZeroHessianSphere(Sphere):
+    """The unit sphere with every squared-distance Hessian replaced by
+    zero, scalar and batched, so that A vanishes."""
+
+    def radial_array(self, logs):
+        y, tau, f, fp, one_minus_f = super().radial_array(logs)
+        return 0.0 * y, tau, 0.0 * f, fp, 0.0 * one_minus_f
+
+
+def test_singular_a_names_weights_scalar_and_batched(sphere_chart):
+    man = _ZeroHessianSphere(2)
+    chart = KarcherChart(man, sphere_chart.vertices)
+    message = (r"^Hessian combination A is numerically singular at weights "
+               r"\[0\.3, 0\.3, 0\.4\]: cond\(A\) = inf$")
+    with pytest.raises(MeanSolverError, match=message) as scalar:
+        differential(chart, BarycentricWeight([0.3, 0.3, 0.4]))
+    assert scalar.value.index is None
+    verts = np.array([[v.coords for v in chart.vertices]] * 2)
+    with pytest.raises(MeanSolverError, match=message) as batched:
+        differential_batch(man, verts, np.array([[0.3, 0.3, 0.4], [0.2, 0.4, 0.4]]))
+    assert batched.value.index == 0
+
+
 def test_hessian_euclidean_zero(euclid_chart, rng):
     pts, chart = euclid_chart
     lam = BarycentricWeight(rng.dirichlet(np.ones(4)))
@@ -469,8 +503,9 @@ def _batch_rows(man, rng, charts=3, weights=4, max_dist=2.5):
 def test_hessian_batch_matches_scalar_hessian(space, rng):
     man = BATCH_SPACES[space]()
     rows, verts, lams = _batch_rows(man, rng)
-    points, dx, nabla = hessian_batch(man, verts, lams,
-                                      solver=[c.solver for c, _ in rows])
+    # Each row's tolerance is derived from its own chart, as the scalar
+    # chart derives it.
+    points, dx, nabla = hessian_batch(man, verts, lams)
     assert nabla.shape == (len(rows), man.dim, man.dim, man.coord_dim)
     for k, (chart, lam) in enumerate(rows):
         jet = hessian(chart, lam)

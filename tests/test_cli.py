@@ -72,13 +72,21 @@ def test_bad_ladder_flag_exits_2(tmp_path, capsys):
     ("manifold.curvature", {"manifold": {"kind": "hyperbolic",
                                          "curvature": -1}}),
     ("fem_levels", {"kind": "fem-poisson", "fem_levels": [-1, 0, 1, 2]}),
-    ("config", {"ladder": {"h0": 0.2, "levels": "five"}}),
+    ("ladder.levels", {"ladder": {"h0": 0.2, "levels": "five"}}),
     ("ladder.h0", {"ladder": {"h0": -0.2, "levels": 4}}),
     ("ladder", {"ladder": 5}),
     ("manifold", {"manifold": "sphere"}),
     ("manifold.dim", {"manifold": {"kind": "sphere", "dim": 0}}),
     ("manifold.dim", {"kind": "fem-poisson",
                       "manifold": {"kind": "sphere", "dim": 3}}),
+    # Integers are not coerced from strings, floats or booleans.
+    ("fem_levels", {"kind": "fem-poisson", "fem_levels": "0123"}),
+    ("fem_levels", {"kind": "fem-poisson", "fem_levels": [1, 2, 3.0, 4]}),
+    ("ladder.levels", {"ladder": {"h0": 0.2, "levels": 4.7}}),
+    ("trials", {"kind": "jacobi-checks", "trials": 2.9}),
+    ("trials", {"kind": "jacobi-checks", "trials": True}),
+    ("manifold.dim", {"manifold": {"kind": "sphere", "dim": 2.5}}),
+    ("seed", {"seed": "7"}),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, field, overrides):
     path = sphere_sweep_config(tmp_path, **overrides)

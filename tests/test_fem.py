@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from karcher.barycentric import (SolverConfig, differential,
-                                 differential_batch, karcher_mean)
+from karcher import fem
+from karcher.barycentric import differential, differential_batch, karcher_mean
 from karcher.errors import MeanSolverError, TriangulationError
 from karcher.fem import (_QUAD_LAM, KarcherTriangulation, assemble,
                          build_triangulation,
@@ -12,6 +12,8 @@ from karcher.fem import (_QUAD_LAM, KarcherTriangulation, assemble,
                          solve_poisson)
 from karcher.flat_simplex import BarycentricWeight, fullness
 from karcher.manifolds import Sphere
+
+from conftest import strict_solver
 
 
 def f_eigen(c):
@@ -62,9 +64,10 @@ def test_level2_fullness(sphere):
     assert min(thetas) >= 0.69
 
 
-def test_fullness_threshold_error(sphere):
+def test_fullness_threshold_error(sphere, monkeypatch):
+    monkeypatch.setattr(fem, "MIN_FULLNESS", 0.95)
     with pytest.raises(TriangulationError):
-        build_triangulation(sphere, 1, min_fullness=0.95)
+        build_triangulation(sphere, 1)
 
 
 def test_level_validation(sphere):
@@ -93,7 +96,7 @@ def _equator(sphere, *angles, z=0.0):
                          / math.sqrt(1.0 + z * z)) for a in angles]
 
 
-def test_triangle_checks_name_the_triangle(sphere, tri1):
+def test_triangle_checks_name_the_triangle(sphere, tri1, monkeypatch):
     pts = tri1.points
     good = [tuple(t) for t in tri1.triangles[:2]]
     # three points on one great circle: no flat realization
@@ -107,8 +110,9 @@ def test_triangle_checks_name_the_triangle(sphere, tri1):
         KarcherTriangulation(sphere, sliver, good + [(n, n + 1, n + 2)])
     # a full triangle wider than the convexity radius
     wide = pts + _equator(sphere, 0.0, 2.0 * math.pi / 3.0) + [sphere.point([0.0, 0.0, 1.0])]
+    monkeypatch.setattr(fem, "MIN_FULLNESS", 0.0)
     with pytest.raises(ValueError, match="triangle 2: vertex separation exceeds"):
-        KarcherTriangulation(sphere, wide, good + [(n, n + 1, n + 2)], min_fullness=0.0)
+        KarcherTriangulation(sphere, wide, good + [(n, n + 1, n + 2)])
 
 
 def test_differential_batch_counts_iterations(sphere):
@@ -142,9 +146,9 @@ def test_quad_data_matches_scalar_differential(radius):
             assert np.max(np.abs(dx[t, q] - jet.dx_matrix)) <= 1e-13 * radius
 
 
-def test_quad_data_error_names_triangle(sphere):
-    tri = build_triangulation(sphere, 1, solver=SolverConfig(
-        grad_tol=1e-16, max_iters=1, step_damping=0.1))
+def test_quad_data_error_names_triangle(sphere, monkeypatch):
+    strict_solver(monkeypatch)
+    tri = build_triangulation(sphere, 1)
     with pytest.raises(MeanSolverError,
                        match=r"triangle 0, quadrature node 0: no convergence.*last \|F\|"):
         tri.quad_data()

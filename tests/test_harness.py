@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from karcher.barycentric import BarycentricWeight, SolverConfig
+from karcher.barycentric import BarycentricWeight
 from karcher.errors import MeanSolverError
 from karcher.harness import (ConvergenceReport, achieved_fullness,
                              check_edge_length_comparison, connection_gap_fd,
@@ -10,6 +10,8 @@ from karcher.harness import (ConvergenceReport, achieved_fullness,
                              generate_geodesic_simplex, interior_weights,
                              measure_distortion, run_distortion_sweep)
 from karcher.manifolds import EuclideanSpace
+
+from conftest import strict_solver
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +74,13 @@ def test_measure_rejects_boundary_weights(sphere, sphere_family):
         measure_distortion(chart, [BarycentricWeight([0.5, 0.5, 0.0])])
 
 
-def test_measure_error_names_level_and_weights(sphere, sphere_family):
+def test_measure_error_names_level_and_weights(sphere, sphere_family,
+                                                monkeypatch):
     # With one iteration allowed, the initial guess must pass: near vertex
     # 0 it does (|F| = 7.2e-7), at the far weight it does not (1.3e-5).
+    strict_solver(monkeypatch, grad_tol=1e-6)
     chart = generate_geodesic_simplex(
-        sphere, sphere.point([0, 0, 1.0]), sphere_family.directions, 0.1,
-        solver=SolverConfig(grad_tol=1e-6, max_iters=1))
+        sphere, sphere.point([0, 0, 1.0]), sphere_family.directions, 0.1)
     weights = [BarycentricWeight([0.9, 0.05, 0.05]),
                BarycentricWeight([0.05, 0.05, 0.9])]
     with pytest.raises(MeanSolverError, match=(
@@ -158,8 +161,8 @@ def test_report_roundtrip(sphere_report):
 
 def test_sweep_determinism(sphere, sphere_family):
     fam = equilateral_family(sphere, sphere.point([0, 0, 1.0]), 0.2, 4)
-    r1 = run_distortion_sweep(fam, extra_weights=4)
-    r2 = run_distortion_sweep(fam, extra_weights=4)
+    r1 = run_distortion_sweep(fam)
+    r2 = run_distortion_sweep(fam)
     assert r1.to_dict() == r2.to_dict()  # bit-identical
 
 
