@@ -37,7 +37,12 @@ class KarcherChart:
 
     The chart also keeps the logarithms log_a(p_i) that ``karcher_mean``
     computed at the point a it last returned, so that jets and ``sigma``
-    at that same point object do not compute them again.
+    at that same point object do not compute them again.  On a model
+    whose logarithm is solved for (``shooting_tol > 0``) a chart that
+    measures its own edges shoots log_p0(p_j) once and keeps them: the
+    (0, j) edge lengths are their norms, which is what ``dist`` computes
+    there, and ``_initial_guess`` reads them.  Closed-form spaces measure
+    every edge with ``dist``.
     """
 
     def __init__(self, manifold: Manifold, vertices,
@@ -47,10 +52,17 @@ class KarcherChart:
         self.n = len(self.vertices) - 1
         if self.n < 1:
             raise ValueError("need at least two vertices")
+        self._edge_logs: list[TangentVector] | None = None
         if edge_lengths is None:
             n1 = self.n + 1
             table = np.zeros((n1, n1))
-            for i in range(n1):
+            rows = range(n1)
+            if manifold.shooting_tol > 0:
+                p0 = self.vertices[0]
+                self._edge_logs = [manifold.log(p0, p) for p in self.vertices[1:]]
+                table[0, 1:] = table[1:, 0] = [manifold.norm(v) for v in self._edge_logs]
+                rows = range(1, n1)
+            for i in rows:
                 for j in range(i + 1, n1):
                     table[i, j] = table[j, i] = manifold.dist(
                         self.vertices[i], self.vertices[j])
@@ -132,10 +144,11 @@ def _initial_guess(chart: KarcherChart, lam: BarycentricWeight) -> ManifoldPoint
     # Tangent-space average seen from vertex 0: exact in flat space.
     man = chart.manifold
     p0 = chart.vertices[0]
+    logs = chart._edge_logs or [None] * chart.n
     comps = np.zeros(man.coord_dim)
-    for li, p in zip(lam.values[1:], chart.vertices[1:]):
+    for li, p, log in zip(lam.values[1:], chart.vertices[1:], logs):
         if li != 0.0:
-            comps += li * man.log(p0, p).components
+            comps += li * (log if log is not None else man.log(p0, p)).components
     return man.exp(p0, TangentVector(p0, comps))
 
 

@@ -40,9 +40,14 @@ def _require_int(field: str, value) -> int:
     return value
 
 
-def _require_positive(field: str, value: float):
+def _require_positive(field: str, value) -> float:
+    """``value`` as a float if it is a positive, finite JSON number;
+    strings and booleans are rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(field, f"must be a number, got {value!r}")
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(field, f"must be positive and finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -57,17 +62,13 @@ class ManifoldSpec:
         kind = _require_object("manifold", d).get("kind")
         if kind not in ("euclidean", "sphere", "hyperbolic"):
             raise ConfigError("manifold.kind", f"unknown manifold kind {kind!r}")
-        try:
-            spec = ManifoldSpec(kind=kind,
-                                dim=_require_int("manifold.dim", d.get("dim", 2)),
-                                radius=float(d.get("radius", 1.0)),
-                                curvature=float(d.get("curvature", 1.0)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("manifold", str(exc)) from exc
+        spec = ManifoldSpec(
+            kind=kind, dim=_require_int("manifold.dim", d.get("dim", 2)),
+            radius=_require_positive("manifold.radius", d.get("radius", 1.0)),
+            curvature=_require_positive("manifold.curvature",
+                                        d.get("curvature", 1.0)))
         if spec.dim < 1:
             raise ConfigError("manifold.dim", "dimension must be at least 1")
-        _require_positive("manifold.radius", spec.radius)
-        _require_positive("manifold.curvature", spec.curvature)
         return spec
 
     def to_dict(self) -> dict:
@@ -115,22 +116,18 @@ class ExperimentConfig:
         fem_levels = d.get("fem_levels", [1, 2, 3, 4])
         if not isinstance(fem_levels, list):
             raise ConfigError("fem_levels", f"must be a list, got {fem_levels!r}")
-        try:
-            cfg = ExperimentConfig(
-                kind=kind, manifold=spec,
-                ladder_h0=float(ladder.get("h0", 0.2)),
-                ladder_levels=_require_int("ladder.levels", ladder.get("levels", 5)),
-                fem_levels=tuple(_require_int("fem_levels", x) for x in fem_levels),
-                fem_mode=d.get("fem_mode", "flat"),
-                trials=_require_int("trials", d.get("trials", 50)),
-                seed=_require_int("seed", d.get("seed", 0)),
-                out=str(d.get("out", ".")),
-                format=d.get("format", "csv"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("config", str(exc)) from exc
+        cfg = ExperimentConfig(
+            kind=kind, manifold=spec,
+            ladder_h0=_require_positive("ladder.h0", ladder.get("h0", 0.2)),
+            ladder_levels=_require_int("ladder.levels", ladder.get("levels", 5)),
+            fem_levels=tuple(_require_int("fem_levels", x) for x in fem_levels),
+            fem_mode=d.get("fem_mode", "flat"),
+            trials=_require_int("trials", d.get("trials", 50)),
+            seed=_require_int("seed", d.get("seed", 0)),
+            out=str(d.get("out", ".")),
+            format=d.get("format", "csv"))
         if cfg.format not in ("csv", "json"):
             raise ConfigError("format", f"unknown output format {cfg.format!r}")
-        _require_positive("ladder.h0", cfg.ladder_h0)
         if kind == "distortion-sweep" and cfg.ladder_levels < 4:
             raise ConfigError("ladder.levels",
                               "slope experiments need at least 4 levels")

@@ -785,19 +785,21 @@ def christoffel_from_metric(metric_fn: Callable[[np.ndarray], np.ndarray],
 
 
 def _shooting_state(p: ManifoldPoint, q: ManifoldPoint, steps: int,
-                    refreshes: int, res: float) -> str:
-    """Where a ``ChartManifold.log`` shooting stood when it failed."""
+                    fresh: int, res: float) -> str:
+    """Where a ``ChartManifold.log`` shooting stood when it failed; the
+    Christoffel seed and finite-difference Jacobians count as fresh."""
     return (f" from p = {p.coords.tolist()} to q = {q.coords.tolist()} after "
-            f"{steps} Newton steps ({refreshes} with a fresh Jacobian), last "
+            f"{steps} Newton steps ({fresh} with a fresh Jacobian), last "
             f"residual |exp_p(v) - q| = {res:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
 class ShotLog(TangentVector):
-    """A logarithm found by shooting, with the endpoint Jacobian of
-    v -> exp_p(v) that its last Newton steps used (None if none was
-    needed), so that a later shooting toward the same point can start
-    from both."""
+    """A logarithm found by shooting, with its estimate of the endpoint
+    Jacobian of v -> exp_p(v): the Jacobian of its last Newton step after
+    that step's Broyden update, the Christoffel seed if the first shot
+    hit, or None if p = q.  A later shooting toward the same point
+    starts from both."""
 
     jacobian: np.ndarray | None = field(default=None, repr=False)
 
@@ -860,14 +862,29 @@ class ChartManifold(Manifold):
 
     def log(self, p, q, start=None):
         """Newton shooting on v -> exp_p(v) - q until its norm is below
-        ``shooting_tol``.  A cold start shoots from the chord q - p with a
-        finite-difference endpoint Jacobian.  With ``start``, a logarithm
-        toward q at a nearby base point b, it shoots from start - (p - b)
-        and takes start's endpoint Jacobian as a chord; if the first step
-        from there fails to halve the residual, the start is dropped for
-        the cold one.  A Jacobian is kept from step to step and recomputed
-        by finite differences only when a step fails to halve the
-        residual.  The returned ``ShotLog`` carries the last Jacobian for
+        ``shooting_tol``.
+
+        The Christoffel symbols at p give the second-order Taylor
+        expansion of the endpoint map, exp_p(v) = p + v - Gamma(p)(v, v)/2
+        + O(|v|^3), for one ``christoffel_fn`` call and no shots.  A cold
+        start shoots from its inverse, v0 = chord + Gamma(p)(chord,
+        chord)/2 with chord = q - p, against the seed Jacobian
+        I - Gamma(p)(v0, .).  With ``start``, a logarithm toward q at a
+        nearby base point b, it shoots from start moved to p by the same
+        expansion, start - (p - b) + (Gamma(p)(q - p, q - p) - Gamma(b)(q
+        - b, q - b))/2, against start's Jacobian (the seed Jacobian if it
+        has none).  After every accepted step the Jacobian takes a
+        rank-one (good) Broyden update from the step and the change of
+        the endpoint.
+
+        A step is accepted if it halves the residual (a step cut to t of
+        the Newton step must cut it to 1 - t/2).  A failed step is taken
+        back.  If it was the first step from the seed or the start, that
+        start is bad and the shooting restarts from the chord with a
+        finite-difference Jacobian (``_endpoint_jacobian``).  Otherwise
+        the Jacobian is recomputed by finite differences at the last
+        accepted iterate, and a step that fails with such a Jacobian is
+        halved.  The returned ``ShotLog`` carries the last Jacobian on to
         the next warm start.  Warm and cold logarithms agree to the
         shooting tolerance.  The first shot tries the whole interval as
         one integration step; every later shot, Newton iterate or
@@ -876,37 +893,57 @@ class ChartManifold(Manifold):
         chord = q.coords - p.coords
         if not np.any(chord):
             return ShotLog(p, np.zeros(self.dim))
-        target = q.coords
-        v, jac = chord, None
-        if start is not None:
-            v = start.components - (p.coords - start.base.coords)
+        gamma = self.christoffel_fn(p.coords)
+        bend = 0.5 * np.einsum("kij,i,j->k", gamma, chord, chord)
+        if start is None:
+            v, jac = chord + bend, None
+        else:
+            b = start.base.coords
+            v = (start.components - (p.coords - b) + bend - 0.5 * np.einsum(
+                "kij,i,j->k", self.christoffel_fn(b), q.coords - b, q.coords - b))
             jac = getattr(start, "jacobian", None)
-        steps = refreshes = 0
-        res = last = math.inf
-        step = 1.0
+        fresh = 0
+        if jac is None:
+            jac, fresh = np.eye(self.dim) - np.einsum("kij,i->kj", gamma, v), 1
+        # The last accepted iterate (None before the first shot), its
+        # endpoint and residual; whether the next step is the first from
+        # the seed or start; whether jac is by finite differences there.
+        base = base_end = None
+        base_res = res = math.inf
+        first, exact = True, False
+        steps, t, step = 0, 1.0, 1.0
         for _ in range(self.max_shooting_iters):
             end, step = self._shoot(p.coords, v, step)
-            err = end - target
-            last, res = res, float(np.linalg.norm(err))
-            if res < self.shooting_tol:
-                return ShotLog(p, v, jac)
-            if not res <= 0.5 * last:
-                if start is not None and steps == 1:
-                    v, jac, start, res = chord, None, None, math.inf
-                    continue
+            res = float(np.linalg.norm(end - q.coords))
+            done = res < self.shooting_tol
+            if done or base is None or res <= (1.0 - 0.5 * t) * base_res:
+                if base is not None:  # good Broyden update
+                    moved = v - base
+                    jac = jac + np.outer(end - base_end - jac @ moved, moved) / (moved @ moved)
+                    first, exact = False, False
+                if done:
+                    return ShotLog(p, v, jac)
+                base, base_end, base_res, t = v, end, res, 1.0
+            elif first:
+                v, jac, base, first = chord, None, None, False
+                continue
+            elif exact:
+                t *= 0.5
+            else:
                 jac = None
             if jac is None:
-                jac, step = self._endpoint_jacobian(p.coords, v, end, step)
-                refreshes += 1
+                jac, step = self._endpoint_jacobian(p.coords, base, base_end, step)
+                fresh, exact = fresh + 1, True
             try:
-                v = v - np.linalg.solve(jac, err)
+                newton = -np.linalg.solve(jac, base_end - q.coords)
             except np.linalg.LinAlgError as exc:
                 raise GeodesicError(
                     "endpoint Jacobian is singular"
-                    + _shooting_state(p, q, steps, refreshes, res)) from exc
+                    + _shooting_state(p, q, steps, fresh, base_res)) from exc
+            v = base + t * newton
             steps += 1
         raise GeodesicError("shooting for the logarithm did not converge"
-                            + _shooting_state(p, q, steps, refreshes, res))
+                            + _shooting_state(p, q, steps, fresh, res))
 
     def _endpoint_jacobian(self, p_coords: np.ndarray, v: np.ndarray,
                            end: np.ndarray, step: float

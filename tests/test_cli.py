@@ -87,6 +87,10 @@ def test_bad_ladder_flag_exits_2(tmp_path, capsys):
     ("trials", {"kind": "jacobi-checks", "trials": True}),
     ("manifold.dim", {"manifold": {"kind": "sphere", "dim": 2.5}}),
     ("seed", {"seed": "7"}),
+    # Floats are not coerced from strings or booleans.
+    ("manifold.radius", {"manifold": {"kind": "sphere", "radius": "2"}}),
+    ("manifold.curvature", {"manifold": {"kind": "hyperbolic", "curvature": True}}),
+    ("ladder.h0", {"ladder": {"h0": "0.2", "levels": 4}}),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, field, overrides):
     path = sphere_sweep_config(tmp_path, **overrides)
