@@ -25,6 +25,14 @@ from .errors import GeodesicError
 ODE_RTOL = 1e-12
 ODE_ATOL = 1e-13
 
+# Right-hand-side evaluations one solve may take.  The most any solve
+# takes in the tests, ``karcher verify all``, the example configs and the
+# benchmark workloads is 889 (a long cold logarithm near the rim of the
+# Poincare disk).  A solve that needs over ten times that is running into
+# a singularity, such as a geodesic shot toward the rim of the disk, whose
+# steps shrink without end; it fails instead of hanging.
+ODE_MAX_NFEV = 10_000
+
 
 def solve_ode(rhs, t_span, y0, dense_output=False, first_step=None):
     """Integrate ``y' = rhs(t, y)`` over ``t_span`` and return the scipy
@@ -33,15 +41,27 @@ def solve_ode(rhs, t_span, y0, dense_output=False, first_step=None):
     integrates a run of similar ODEs passes the first step its previous
     solve accepted, ``sol.t[1] - sol.t[0]``.
 
-    Raises GeodesicError on a zero-length interval and if the integrator
-    reports failure.
+    Raises GeodesicError on a zero-length interval, once the solve takes
+    more than ``ODE_MAX_NFEV`` right-hand-side evaluations, and if the
+    integrator reports failure.
     """
     t0, t1 = t_span
     span = abs(t1 - t0)
     if span == 0.0:
         raise GeodesicError(f"ODE interval [{t0}, {t1}] has zero length")
     step = span if first_step is None else min(first_step, span)
-    sol = solve_ivp(rhs, t_span, np.asarray(y0, dtype=float), method="DOP853",
+    nfev = 0
+
+    def budgeted(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > ODE_MAX_NFEV:
+            raise GeodesicError(
+                f"ODE integration over [{t0}, {t1}] stopped at t = {t} after "
+                f"{ODE_MAX_NFEV} right-hand-side evaluations")
+        return rhs(t, y)
+
+    sol = solve_ivp(budgeted, t_span, np.asarray(y0, dtype=float), method="DOP853",
                     rtol=ODE_RTOL, atol=ODE_ATOL, first_step=step,
                     dense_output=dense_output)
     if not sol.success:

@@ -5,6 +5,11 @@ parallel orthonormal frame, where the equation becomes a linear ODE with
 matrix-valued coefficient.  Also provides the second variation (the
 s-derivative of the boundary derivative under a geodesic variation of the
 endpoint) and a checker for the two-point ODE bound used to control it.
+
+No model computes its distance Hessian through this module:
+``ChartManifold`` integrates its own fused Jacobi ODE from the other end
+of the geodesic, and the closed-form spaces need none.  ``JacobiShooting``
+and ``solve_bvp`` are the independent check of both.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import numpy as np
 
 from .errors import JacobiError
 from .integrate import solve_ode
-from .manifolds import (Geodesic, ManifoldPoint, TangentVector, _gram_schmidt,
-                        _require_same_base, _second_difference)
+from .manifolds import (Geodesic, ManifoldPoint, TangentVector, _check_length,
+                        _gram_schmidt, _require_same_base, _second_difference)
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,22 +34,13 @@ class JacobiBVP:
     end_value: TangentVector
 
     def __post_init__(self):
-        _check_length(self.geodesic)
+        _check_length(self.geodesic.manifold, self.geodesic.length)
         _require_same_base(self.end_value,
                            self.geodesic.velocity(self.geodesic.length))
 
     @property
     def tau(self) -> float:
         return self.geodesic.length
-
-
-def _check_length(gamma: Geodesic):
-    tau = gamma.length
-    if tau <= 0.0:
-        raise JacobiError("geodesic must have positive length")
-    C0 = gamma.manifold.bounds.C0
-    if C0 > 0.0 and tau >= math.pi / math.sqrt(C0) * (1.0 - 1e-12):
-        raise JacobiError("length reaches the first conjugate point")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +104,7 @@ class JacobiShooting:
     ODE and one shooting ODE."""
 
     def __init__(self, gamma: Geodesic):
-        _check_length(gamma)
+        _check_length(gamma.manifold, gamma.length)
         man = gamma.manifold
         m = man.dim
         tau = gamma.length

@@ -1,13 +1,14 @@
 """Riemannian manifold models.
 
-``Manifold`` holds the interface and the generic derivatives of the
-squared distance (Jacobi shooting and finite differences), which the
-chart-based ``ChartManifold`` uses: its geodesics, transport and
-curvature come from numerically integrated ODEs.  Euclidean space and
-the two constant-curvature models, the round sphere and hyperbolic space
-(hyperboloid model), have closed forms instead; the latter two share them
-through ``_SpaceForm``, written once in the sign of the curvature.  The
-closed-form spaces double as oracles for the generic machinery.
+``Manifold`` holds the interface and the generic second derivative of
+the squared distance (finite differences of the Hessian), which the
+chart-based ``ChartManifold`` uses: its geodesics, transport, curvature
+and distance Hessian come from numerically integrated ODEs.  Euclidean
+space and the two constant-curvature models, the round sphere and
+hyperbolic space (hyperboloid model), have closed forms instead; the
+latter two share them through ``_SpaceForm``, written once in the sign
+of the curvature.  The closed-form spaces double as oracles for the
+generic machinery.
 """
 
 from __future__ import annotations
@@ -121,21 +122,6 @@ class Geodesic:
     def velocity(self, t: float) -> TangentVector:
         coords, vel = self._flow(float(t))
         return TangentVector(ManifoldPoint(coords), vel)
-
-    def reversed(self) -> "Geodesic":
-        """The same segment run from its end back to its start: point(t)
-        is this geodesic's point(length - t), with the velocity negated."""
-        L = self.length
-        flow = self._flow
-
-        def back(t):
-            coords, vel = flow(L - t)
-            return coords, -vel
-
-        end, end_vel = flow(L)
-        start = ManifoldPoint(end)
-        return Geodesic(self.manifold, start, TangentVector(start, -end_vel),
-                        L, back)
 
 
 # Below u = sqrt(|K|) tau = _SERIES_U the closed forms of the stretch
@@ -292,9 +278,9 @@ class Manifold(ABC):
         ``w`` may also be a stack (k, coord_dim), one vector per row."""
 
     # -- derivatives of the squared-distance gradient ---------------------
-    # The generic path: Jacobi shooting for the Hessian and finite
-    # differences of it for the second derivative.  Models with closed
-    # forms override the two ``_map`` methods.
+    # Every model has its own Hessian map; the second derivative defaults
+    # to finite differences of it, and models with closed forms override
+    # ``second_deriv_map`` as well.
 
     def hess_half_dist_sq(self, p: ManifoldPoint, q: ManifoldPoint,
                           V: TangentVector) -> TangentVector:
@@ -303,20 +289,13 @@ class Manifold(ABC):
         curvature correction."""
         return self.hess_half_dist_sq_map(p, q)(V)
 
+    @abstractmethod
     def hess_half_dist_sq_map(self, p: ManifoldPoint, q: ManifoldPoint,
                               log_qp: TangentVector | None = None
                               ) -> Callable[[TangentVector], TangentVector]:
         """V -> hess_half_dist_sq(p, q, V).  The work that does not depend
-        on V is done once, here: one Jacobi shooting along the geodesic
-        from p to q, whose end derivative tau J'(tau) is the value at V.
-        ``log_qp``, if given, is log_q(p); the geodesic is then the
-        reverse of the one it starts at q, and no logarithm is taken."""
-        from . import jacobi  # deferred: jacobi depends on this module
-
-        gamma = (self.geodesic_between(p, q) if log_qp is None
-                 else self.geodesic_from(q, log_qp).reversed())
-        shooting = jacobi.JacobiShooting(gamma)
-        return lambda V: gamma.length * shooting.solve(V)[0]
+        on V is done once, here.  ``log_qp``, if given, is log_q(p), and
+        no logarithm is taken."""
 
     def second_deriv_X(self, p: ManifoldPoint, q: ManifoldPoint,
                        V: TangentVector, W: TangentVector) -> TangentVector:
@@ -393,6 +372,17 @@ def _gram_schmidt(ip: Callable[[np.ndarray, np.ndarray], float], vectors,
         if len(basis) == count:
             break
     return basis
+
+
+def _check_length(man: Manifold, tau: float):
+    """JacobiError unless a Jacobi boundary value problem along a geodesic
+    of length tau has a unique solution on ``man``: tau must be positive
+    and below the first conjugate length pi / sqrt(C0)."""
+    if tau <= 0.0:
+        raise JacobiError("geodesic must have positive length")
+    C0 = man.bounds.C0
+    if C0 > 0.0 and tau >= math.pi / math.sqrt(C0) * (1.0 - 1e-12):
+        raise JacobiError("length reaches the first conjugate point")
 
 
 class EuclideanSpace(Manifold):
@@ -784,6 +774,34 @@ def christoffel_from_metric(metric_fn: Callable[[np.ndarray], np.ndarray],
     return christoffel
 
 
+def _jacobi_operator(gam: np.ndarray, dgam: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The matrix of w -> R(w, T)T from the Christoffel symbols gam and
+    their derivatives dgam[l] = d Gamma / d x_l at a point (symmetric
+    symbols): (d_w Gamma)(T, T) - (d_T Gamma)(w, T) + Gamma(w, Gamma(T,
+    T)) - Gamma(T, Gamma(w, T))."""
+    dT = dgam @ T                       # dT[l] = (d_l Gamma)(., T)
+    gT = gam @ T                        # w -> Gamma(w, T)
+    return (dT @ T).T - np.tensordot(T, dT, 1) + gam @ (gT @ T) - gT @ gT
+
+
+def _third_order_seed(gam: np.ndarray, dgam: np.ndarray, chord: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Start and Jacobian of the Newton shooting for log_p(p + chord) from
+    the third-order expansion of the endpoint map at p, E(v) = p + v -
+    Gamma(v, v)/2 - (dGamma[v](v, v) - 2 Gamma(Gamma(v, v), v))/6 +
+    O(|v|^4), with gam, dgam the symbols and their derivatives at p: v0 =
+    c + Gamma(c, c)/2 + (dGamma[c](c, c) + Gamma(Gamma(c, c), c))/6 with
+    c = chord inverts E to that order, and the Jacobian is dE at v0."""
+    c = chord
+    gc = gam @ c
+    v = c + 0.5 * (gc @ c) + (c @ ((dgam @ c) @ c) + gc @ (gc @ c)) / 6.0
+    gv, dv = gam @ v, dgam @ v
+    # d/dw of dGamma[v](v, v) - 2 Gamma(Gamma(v, v), v) along w
+    cubic = ((dv @ v).T + 2.0 * np.tensordot(v, dv, 1)
+             - 4.0 * gv @ gv - 2.0 * gam @ (gv @ v))
+    return v, np.eye(v.size) - gv - cubic / 6.0
+
+
 def _shooting_state(p: ManifoldPoint, q: ManifoldPoint, steps: int,
                     fresh: int, res: float) -> str:
     """Where a ``ChartManifold.log`` shooting stood when it failed; the
@@ -839,9 +857,15 @@ class ChartManifold(Manifold):
     def _geodesic_rhs(self, t, y):
         d = self.dim
         x, u = y[:d], y[d:]
-        gamma = self.christoffel_fn(x)
-        acc = -np.einsum("kij,i,j->k", gamma, u, u)
-        return np.concatenate([u, acc])
+        return np.concatenate([u, -((self.christoffel_fn(x) @ u) @ u)])
+
+    def _christoffel_jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gamma(x) and its central differences with step ``fd_step``,
+        dgam[l] = d Gamma / d x_l: 2 dim + 1 ``christoffel_fn`` calls."""
+        h = self.fd_step
+        dgam = np.array([(self.christoffel_fn(x + e) - self.christoffel_fn(x - e))
+                         / (2.0 * h) for e in h * np.eye(self.dim)])
+        return self.christoffel_fn(x), dgam
 
     def _shoot(self, p_coords: np.ndarray, v_comps: np.ndarray,
                step: float = 1.0) -> tuple[np.ndarray, float]:
@@ -864,18 +888,19 @@ class ChartManifold(Manifold):
         """Newton shooting on v -> exp_p(v) - q until its norm is below
         ``shooting_tol``.
 
-        The Christoffel symbols at p give the second-order Taylor
-        expansion of the endpoint map, exp_p(v) = p + v - Gamma(p)(v, v)/2
-        + O(|v|^3), for one ``christoffel_fn`` call and no shots.  A cold
-        start shoots from its inverse, v0 = chord + Gamma(p)(chord,
-        chord)/2 with chord = q - p, against the seed Jacobian
-        I - Gamma(p)(v0, .).  With ``start``, a logarithm toward q at a
-        nearby base point b, it shoots from start moved to p by the same
-        expansion, start - (p - b) + (Gamma(p)(q - p, q - p) - Gamma(b)(q
-        - b, q - b))/2, against start's Jacobian (the seed Jacobian if it
-        has none).  After every accepted step the Jacobian takes a
-        rank-one (good) Broyden update from the step and the change of
-        the endpoint.
+        The Christoffel symbols at p and their central differences give
+        the third-order Taylor expansion of the endpoint map, exp_p(v) = p
+        + v - Gamma(v, v)/2 - (dGamma[v](v, v) - 2 Gamma(Gamma(v, v),
+        v))/6 + O(|v|^4), for 2 dim + 1 ``christoffel_fn`` calls and no
+        shots.  A cold start shoots from its inverse at chord = q - p
+        against the derivative of the expansion there
+        (``_third_order_seed``).  With ``start``, a logarithm toward q at a
+        nearby base point b, it shoots from start moved to p by the
+        second-order expansion, start - (p - b) + (Gamma(p)(q - p, q - p)
+        - Gamma(b)(q - b, q - b))/2, against start's Jacobian (if it has
+        none, the second-order seed Jacobian I - Gamma(p)(v0, .)).  After
+        every accepted step the Jacobian takes a rank-one (good) Broyden
+        update from the step and the change of the endpoint.
 
         A step is accepted if it halves the residual (a step cut to t of
         the Newton step must cut it to 1 - t/2).  A failed step is taken
@@ -893,18 +918,20 @@ class ChartManifold(Manifold):
         chord = q.coords - p.coords
         if not np.any(chord):
             return ShotLog(p, np.zeros(self.dim))
-        gamma = self.christoffel_fn(p.coords)
-        bend = 0.5 * np.einsum("kij,i,j->k", gamma, chord, chord)
-        if start is None:
-            v, jac = chord + bend, None
-        else:
-            b = start.base.coords
-            v = (start.components - (p.coords - b) + bend - 0.5 * np.einsum(
-                "kij,i,j->k", self.christoffel_fn(b), q.coords - b, q.coords - b))
-            jac = getattr(start, "jacobian", None)
         fresh = 0
-        if jac is None:
-            jac, fresh = np.eye(self.dim) - np.einsum("kij,i->kj", gamma, v), 1
+        if start is None:
+            (v, jac), fresh = _third_order_seed(*self._christoffel_jet(p.coords),
+                                                chord), 1
+        else:
+            gamma = self.christoffel_fn(p.coords)
+            b = start.base.coords
+            v = (start.components - (p.coords - b)
+                 + 0.5 * np.einsum("kij,i,j->k", gamma, chord, chord)
+                 - 0.5 * np.einsum("kij,i,j->k", self.christoffel_fn(b),
+                                   q.coords - b, q.coords - b))
+            jac = getattr(start, "jacobian", None)
+            if jac is None:
+                jac, fresh = np.eye(self.dim) - np.einsum("kij,i->kj", gamma, v), 1
         # The last accepted iterate (None before the first shot), its
         # endpoint and residual; whether the next step is the first from
         # the seed or start; whether jac is by finite differences there.
@@ -1005,27 +1032,52 @@ class ChartManifold(Manifold):
         return frame
 
     def curvature_rt(self, p, T, w):
-        # The symbols and their differences are evaluated once for all
-        # rows of a stack w.
-        x = p.coords
-        d = self.dim
-        gam = self.christoffel_fn(x)
-        dgam = np.empty((d, d, d, d))  # dgam[l] = d Gamma / d x_l
-        for l in range(d):
-            e = np.zeros(d)
-            e[l] = self.fd_step
-            dgam[l] = (self.christoffel_fn(x + e)
-                       - self.christoffel_fn(x - e)) / (2.0 * self.fd_step)
+        # One matrix, from one ``_christoffel_jet``, for all rows of a
+        # stack w.
+        M = _jacobi_operator(*self._christoffel_jet(p.coords), np.asarray(T))
+        return np.einsum("ab,...b->...a", M, w)
 
-        def rt(u):
-            # (R(u,v)w)^a with v = w = T
-            t1 = np.einsum("mans,m,n,s->a", dgam, u, T, T)
-            t2 = np.einsum("mans,m,n,s->a", dgam, T, u, T)
-            t3 = np.einsum("aml,lns,m,n,s->a", gam, gam, u, T, T)
-            t4 = np.einsum("aml,lns,m,n,s->a", gam, gam, T, u, T)
-            return t1 - t2 + t3 - t4
+    def hess_half_dist_sq_map(self, p, q, log_qp=None):
+        """One fused ODE from q along the geodesic to p, v = log_q(p) (taken
+        here if not given), with unit speed u and sigma in [0, tau], tau =
+        |v|: the geodesic x' = u, u' = -Gamma(u, u); the parallel frame
+        F_b' = -Gamma(u, F_b), Gram-Schmidt of {v, ``tangent_basis(q)``}
+        at q; and the Jacobi fields Y'' = -R Y in that frame, R_ab =
+        g(F_a, R(F_b, u)u), with Y(0) = [I | 0] and Y'(0) = [0 | I].  With
+        C, S the two blocks of Y(tau), the Jacobi field J(0) = V, J(tau) =
+        0 has J'(0) = -S^-1 C V, and the Hessian is -tau J'(0): the map
+        is tau S^-1 C in q's frame.  A JacobiError is raised at a
+        conjugate point: tau beyond pi / sqrt(C0), or S singular."""
+        if log_qp is None:
+            log_qp = self.log(q, p)
+        tau = self.norm(log_qp)
+        _check_length(self, tau)
+        d = m = self.dim
+        u0 = log_qp.components / tau
+        g_q = self.metric_fn(q.coords)
+        F0 = np.array(_gram_schmidt(
+            lambda a, b: float(a @ g_q @ b),
+            [u0] + [b.components for b in self.tangent_basis(q)], m))
+        frame, jacobi = slice(2 * d, 2 * d + m * d), slice(2 * d + m * d, None)
 
-        return _rows(rt, w)
+        def rhs(s, y):
+            x, u = y[:d], y[d:2 * d]
+            F = y[frame].reshape(m, d)
+            Y = y[jacobi].reshape(2, m, 2 * m)
+            gam, dgam = self._christoffel_jet(x)
+            gu = gam @ u                                # w -> Gamma(u, w)
+            R = F @ self.metric_fn(x) @ _jacobi_operator(gam, dgam, u) @ F.T
+            return np.concatenate([u, -(gu @ u), -(F @ gu.T).ravel(),
+                                   Y[1].ravel(), -(R @ Y[0]).ravel()])
+
+        # Y(0) = [I | 0] over Y'(0) = [0 | I] is the identity of size 2m.
+        y0 = np.concatenate([q.coords, u0, F0.ravel(), np.eye(2 * m).ravel()])
+        Y = solve_ode(rhs, (0.0, tau), y0).y[jacobi, -1].reshape(2, m, 2 * m)[0]
+        C, S = Y[:, :m], Y[:, m:]
+        if np.linalg.cond(S) > 1e12:
+            raise JacobiError("shooting matrix is singular (conjugate point)")
+        hess = F0.T @ (tau * np.linalg.solve(S, C)) @ F0 @ g_q
+        return lambda V: TangentVector(q, hess @ V.components)
 
     def tangent_basis(self, p):
         g = self.metric_fn(p.coords)
