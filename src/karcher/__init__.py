@@ -18,10 +18,9 @@ from .flat_simplex import (BarycentricWeight, EdgeLengthSystem, FlatMetric,
                            flat_metric_from_lengths, fullness,
                            gram_eigen_bounds, insphere_radius_unit_simplex,
                            realize_vertices, volume)
-from .barycentric import (ChartJet, KarcherChart, a_operator, default_grad_tol,
-                          differential, differential_batch, energy,
-                          grad_field, hessian, hessian_batch, karcher_mean,
-                          pullback_metric, sigma)
+from .barycentric import (ChartJet, KarcherChart, default_grad_tol,
+                          differential, differential_batch, hessian,
+                          hessian_batch, karcher_mean, pullback_metric, sigma)
 from .jacobi import (FrameField, JacobiBVP, boundary_derivative_estimate_check,
                      integrate_jacobi, ode_bound_check, second_variation,
                      solve_bvp)

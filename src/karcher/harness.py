@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .barycentric import (KarcherChart, hessian, hessian_batch, karcher_mean,
-                          sigma)
+from .barycentric import KarcherChart, hessian_batch, karcher_mean, sigma
 from .errors import MeanSolverError, NonRealizableError
 from .flat_simplex import BarycentricWeight, SimplexTangent, fullness
-from .manifolds import Manifold, ManifoldPoint, TangentVector, _SpaceForm
+from .manifolds import Manifold, ManifoldPoint, TangentVector
 
 MIN_INTERIOR_WEIGHT = 0.05
 
@@ -204,39 +203,22 @@ def _norm_rows(squares: np.ndarray) -> np.ndarray:
 
 
 def _jet_stack(charts, weights):
-    """Jets at every (chart, weight) pair, chart-major: the metric in
-    coordinates (R, D, D), or one (D, D) matrix for all rows, and
-    the dx matrices (R, D, n), sigma images of the simplex basis
-    (R, D, n) and nabla dx tensors (R, n, n, D).  On the sphere and
-    hyperbolic space one ``hessian_batch`` solves every row; other
-    manifolds stack the scalar ``hessian`` jets."""
+    """Jets at every (chart, weight) pair, chart-major, from one
+    ``hessian_batch``: the metric in coordinates (R, D, D), or one (D, D)
+    matrix for all rows where it is constant, the dx
+    matrices (R, D, n), sigma images of the simplex basis (R, D, n) and
+    nabla dx tensors (R, n, n, D)."""
     man = charts[0].manifold
-    n = charts[0].n
-    if isinstance(man, _SpaceForm):
-        verts = np.repeat(np.array([[v.coords for v in c.vertices] for c in charts]),
-                          len(weights), axis=0)
-        lam = np.tile(np.array([w.values for w in weights]), (len(charts), 1))
-        try:
-            points, dx, nabla = hessian_batch(man, verts, lam)
-        except MeanSolverError as exc:
-            level, k = divmod(exc.index, len(weights))
-            raise MeanSolverError(
-                f"level h={charts[level].h}, weights "
-                f"{weights[k].values.tolist()}: {exc}", index=exc.index) from exc
-        logs = man.log_array(points[:, None], verts)
-        sig = np.swapaxes(logs[:, 1:] - logs[:, :1], 1, 2)
-        return np.diag(man.signature), dx, sig, nabla  # the ambient form is constant
-    eye = np.eye(n + 1)
-    directions = [SimplexTangent(eye[k + 1] - eye[0]) for k in range(n)]
-    rows = []
-    for chart in charts:
-        for lam in weights:
-            jet = hessian(chart, lam)
-            a = jet.point
-            sig = np.stack([sigma(chart, lam, v, at=a).components
-                            for v in directions], axis=1)
-            rows.append((man.metric_matrix(a), jet.dx_matrix, sig, jet.nabla_dx_tensor))
-    return tuple(np.array(x) for x in zip(*rows))
+    verts = np.repeat(np.array([c.coords for c in charts]), len(weights), axis=0)
+    lam = np.tile(np.array([w.values for w in weights]), (len(charts), 1))
+    try:
+        points, dx, nabla = hessian_batch(man, verts, lam)
+    except MeanSolverError as exc:
+        raise MeanSolverError(f"level h={charts[exc.index // len(weights)].h}: {exc}",
+                              index=exc.index) from exc
+    logs = man.log_array(points[:, None], verts)
+    sig = np.swapaxes(logs[:, 1:] - logs[:, :1], 1, 2)
+    return man.metric_matrix(points), dx, sig, nabla
 
 
 def connection_gap_fd(chart: KarcherChart, lam: BarycentricWeight,
@@ -384,12 +366,10 @@ def check_edge_length_comparison(chart: KarcherChart) -> EdgeLengthReport:
     n = chart.n
     lam = BarycentricWeight.barycenter(n)
     a = karcher_mean(chart, lam)
-    logs = [man.log(a, p) for p in chart.vertices]
     worst = 0.0
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            chord = logs[i] - logs[j]
-            tangent_len = man.norm(chord)
+            tangent_len = man.norm(sigma(chart, lam, SimplexTangent.edge(n, j, i), at=a))
             geodesic_len = chart.edge_lengths.lengths[i, j]
             worst = max(worst, abs(geodesic_len - tangent_len) / geodesic_len)
     return EdgeLengthReport(h=chart.h, max_rel_gap=worst)

@@ -202,11 +202,13 @@ class Manifold(ABC):
 
     # -- metric operations ------------------------------------------------
 
-    def metric_matrix(self, p: ManifoldPoint) -> np.ndarray:
-        """The metric at p as a (coord_dim, coord_dim) matrix: ``_ip`` of
-        the coordinate unit vectors."""
+    def metric_matrix(self, p: np.ndarray) -> np.ndarray:
+        """The metric at the coordinates p (..., coord_dim) as matrices
+        (..., coord_dim, coord_dim), or as one such matrix where it is the
+        same at every point: ``_ip`` of the coordinate unit vectors."""
         eye = np.eye(self.coord_dim)
-        return np.array([[self._ip(p, e, g) for g in eye] for e in eye])
+        return _rows(lambda x: np.array([[self._ip(ManifoldPoint(x), e, g) for g in eye]
+                                         for e in eye]), p)
 
     def metric(self, p: ManifoldPoint, v: TangentVector, w: TangentVector) -> float:
         _require_same_base(v, w)
@@ -223,12 +225,8 @@ class Manifold(ABC):
         ...
 
     @abstractmethod
-    def log(self, p: ManifoldPoint, q: ManifoldPoint,
-            start: TangentVector | None = None) -> TangentVector:
-        """The tangent vector at p whose geodesic reaches q.  ``start``
-        may be a logarithm toward q taken at a nearby base point, such as
-        the previous iterate of a mean; models that solve for the
-        logarithm start from it, and closed forms ignore it."""
+    def log(self, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
+        """The tangent vector at p whose geodesic reaches q."""
 
     def dist(self, p: ManifoldPoint, q: ManifoldPoint) -> float:
         return self.norm(self.log(p, q))
@@ -267,9 +265,15 @@ class Manifold(ABC):
             ])
         return frame
 
-    @abstractmethod
     def tangent_basis(self, p: ManifoldPoint) -> list[TangentVector]:
-        """Deterministic orthonormal basis of the tangent space at p."""
+        """Deterministic orthonormal basis of the tangent space at p: the
+        columns of ``tangent_frame_array``."""
+        return [TangentVector(p, b) for b in self.tangent_frame_array(p.coords).T]
+
+    @abstractmethod
+    def tangent_frame_array(self, p: np.ndarray) -> np.ndarray:
+        """Orthonormal tangent frames (..., coord_dim, dim) at the
+        coordinates p (..., coord_dim), one basis vector per column."""
 
     @abstractmethod
     def curvature_rt(self, p: ManifoldPoint, T: np.ndarray,
@@ -322,6 +326,90 @@ class Manifold(ABC):
         return _second_difference(
             self, q, U, lambda x, V: self.hess_half_dist_sq(p, x, V), step)
 
+    # -- stacks ------------------------------------------------------------
+    # The maps above row by row on (..., coord_dim) coordinate arrays,
+    # broadcast over their leading axes: what the mean and the jets of
+    # ``barycentric`` read.  Each default loops the scalar method; the
+    # space forms override them with closed forms.
+
+    def exp_array(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        def exp(x, u):
+            x = ManifoldPoint(x)
+            return self.exp(x, TangentVector(x, u)).coords
+        return _rows(exp, p, v)
+
+    def log_array(self, p: np.ndarray, q: np.ndarray, start=None) -> np.ndarray:
+        """log_p(q) row by row.  ``start``, if given, is a warm start (b,
+        v, jac): logarithms v toward q taken at nearby base points b, such
+        as a mean's previous iterate, and the endpoint Jacobians jac that
+        ``_warm_log_array`` gave with them.  Models that solve for the
+        logarithm start from it; the default and the closed forms ignore
+        it."""
+        return _rows(lambda x, y: self.log(ManifoldPoint(x), ManifoldPoint(y)).components,
+                     p, q)
+
+    def _warm_log_array(self, p: np.ndarray, q: np.ndarray, start=None):
+        """``log_array`` and the endpoint Jacobians that a later warm start
+        carries, None for models that keep none."""
+        return self.log_array(p, q, start), None
+
+    def dist_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return _rows(lambda x, y: self.dist(ManifoldPoint(x), ManifoldPoint(y)), p, q)
+
+    def norm_array(self, v: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Norms of the vectors v at the base points p."""
+        return _rows(lambda u, x: self.norm(TangentVector(ManifoldPoint(x), u)), v, p)
+
+    # Row r is one point q (N, coord_dim) with vertices p_i (N, n+1,
+    # coord_dim), logarithms log_q(p_i) (N, n+1, coord_dim) and directions
+    # V_k at q (N, k, coord_dim).  ``hess_terms_array`` does the work that
+    # does not depend on the directions, once per row and vertex.
+
+    def hess_terms_array(self, p: np.ndarray, q: np.ndarray, logs: np.ndarray,
+                         mask: np.ndarray):
+        """What ``hess_array``, ``second_deriv_array`` and
+        ``a_matrix_array`` read, for the vertices where ``mask`` (N, n+1)
+        holds: here p, q, the mask and the coordinate matrices (N, n+1,
+        coord_dim, coord_dim) of ``hess_half_dist_sq_map`` built from
+        log_q(p_i) there, zero elsewhere."""
+        eye = np.eye(self.coord_dim)
+        mats = np.zeros(logs.shape + eye.shape[:1])
+        for r, i in zip(*np.nonzero(mask)):
+            x = ManifoldPoint(q[r])
+            hess = self.hess_half_dist_sq_map(ManifoldPoint(p[r, i]), x,
+                                              TangentVector(x, logs[r, i]))
+            mats[r, i] = np.array([hess(TangentVector(x, e)).components for e in eye]).T
+        return p, q, mask, mats
+
+    def hess_array(self, terms, V: np.ndarray) -> np.ndarray:
+        """H_i(V_k) = hess_half_dist_sq(p_i, q, V_k) as (N, n+1, k,
+        coord_dim)."""
+        return np.einsum("ride,rke->rikd", terms[3], V)
+
+    def second_deriv_array(self, terms, V: np.ndarray) -> np.ndarray:
+        """grad^2 X_i(V_k, V_l) as (N, n+1, k, k, coord_dim): one
+        ``second_deriv_map`` per row and vertex of the terms' mask, zero
+        elsewhere."""
+        p, q, mask, _ = terms
+        k = V.shape[1]
+        out = np.zeros(mask.shape + (k, k, self.coord_dim))
+        for r, i in zip(*np.nonzero(mask)):
+            x = ManifoldPoint(q[r])
+            second = self.second_deriv_map(ManifoldPoint(p[r, i]), x)
+            vecs = [TangentVector(x, u) for u in V[r]]
+            for a, b in zip(*np.triu_indices(k)):
+                out[r, i, a, b] = out[r, i, b, a] = second(vecs[a], vecs[b]).components
+        return out
+
+    def a_matrix_array(self, terms, lam: np.ndarray, frame: np.ndarray,
+                       low_frame: np.ndarray) -> np.ndarray:
+        """The matrices (N, m, m) of A = sum_i lam_i H_i in the orthonormal
+        frames (N, coord_dim, m), whose lowered forms ``low_frame`` give
+        the frame components of a vector u as u @ low_frame."""
+        cols = np.einsum("ri,rikd->rdk", lam,
+                         self.hess_array(terms, np.swapaxes(frame, 1, 2)))
+        return np.swapaxes(low_frame, 1, 2) @ cols
+
 
 def _second_difference(man: Manifold, q: ManifoldPoint, U: TangentVector,
                        field: Callable[[ManifoldPoint, TangentVector], TangentVector],
@@ -349,12 +437,14 @@ def _second_difference(man: Manifold, q: ManifoldPoint, U: TangentVector,
     return TangentVector(q, (scale ** 2) * (4.0 * d2 - d1) / 3.0)
 
 
-def _rows(fn: Callable[[np.ndarray], np.ndarray], w) -> np.ndarray:
-    """fn applied to a vector, or to each row of a stack of vectors."""
-    w = np.asarray(w)
-    if w.ndim == 1:
-        return fn(w)
-    return np.array([fn(u) for u in w])
+def _rows(fn: Callable[..., np.ndarray], *arrays) -> np.ndarray:
+    """fn on each row of (..., coord_dim) arrays broadcast over their
+    leading axes, with the results stacked along those axes."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+    arrays = [np.broadcast_to(a, lead + a.shape[-1:]) for a in arrays]
+    out = [fn(*(a[idx] for a in arrays)) for idx in np.ndindex(lead)]
+    return np.array(out).reshape(lead + np.shape(out[0]))
 
 
 def _gram_schmidt(ip: Callable[[np.ndarray, np.ndarray], float], vectors,
@@ -400,7 +490,7 @@ class EuclideanSpace(Manifold):
     def exp(self, p, v):
         return ManifoldPoint(p.coords + v.components)
 
-    def log(self, p, q, start=None):
+    def log(self, p, q):
         return TangentVector(p, q.coords - p.coords)
 
     def geodesic_from(self, p, v, length=None):
@@ -415,8 +505,8 @@ class EuclideanSpace(Manifold):
     def parallel_transport(self, gamma, t0, t1, v):
         return TangentVector(gamma.point(t1), v.components.copy())
 
-    def tangent_basis(self, p):
-        return [TangentVector(p, e) for e in np.eye(self.dim)]
+    def tangent_frame_array(self, p):
+        return np.zeros(np.shape(p) + (self.dim,)) + np.eye(self.dim)
 
     def curvature_rt(self, p, T, w):
         return np.zeros(np.shape(w))
@@ -488,7 +578,7 @@ class _SpaceForm(Manifold):
         tt = self._ip(p, T, T)
         return _rows(lambda u: K * (tt * u - self._ip(p, u, T) * T), w)
 
-    # -- array kernels on (..., coord_dim) coordinate stacks ----------------
+    # -- closed-form stacks -------------------------------------------------
     # Each model adds log_array/exp_array/dist_array, the same formulas as
     # its log/exp/dist broadcast over leading axes, and tangent_frame_array.
 
@@ -496,17 +586,18 @@ class _SpaceForm(Manifold):
         """The ambient form ``_ip`` row by row."""
         return np.sum(a * self.signature * b, axis=-1)
 
-    def norm_array(self, v: np.ndarray) -> np.ndarray:
+    def norm_array(self, v: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
         return np.sqrt(np.maximum(self.ip_array(v, v), 0.0))
 
-    def tangent_basis(self, p):
-        """The columns of ``tangent_frame_array`` at p."""
-        return [TangentVector(p, b) for b in self.tangent_frame_array(p.coords).T]
+    def metric_matrix(self, p):
+        """The ambient form, one matrix for every point."""
+        return np.diag(self.signature)
 
-    # -- closed forms of the squared-distance derivatives, on stacks --------
-    # Row r is one point q with vertices p_i: logarithms log_q(p_i) come
-    # as (N, n+1, coord_dim) and directions V_k at q as (N, k, coord_dim).
-    # The scalar maps apply them to one row.
+    # The squared-distance derivatives read ``radial_array`` of the
+    # logarithms as their terms; the scalar maps apply them to one row.
+
+    def hess_terms_array(self, p, q, logs, mask):
+        return self.radial_array(logs)
 
     def radial_array(self, logs: np.ndarray):
         """(y, tau, f, f', 1 - f) of the geodesics from p_i to q, from the
@@ -531,10 +622,11 @@ class _SpaceForm(Manifold):
         along = np.einsum("rid,rkd->rik", y * self.signature, V)
         return along, V[:, None] - along[..., None] * y[:, :, None]
 
-    def hess_array(self, y: np.ndarray, f: np.ndarray, V: np.ndarray) -> np.ndarray:
+    def hess_array(self, radial, V: np.ndarray) -> np.ndarray:
         """H_i(V_k) = <V_k, y_i> y_i + f_i (V_k - <V_k, y_i> y_i), as
         (N, n+1, k, coord_dim): the radial part of V is kept and the part
         normal to y is stretched by f = u cot(u) or u coth(u)."""
+        y, _, f, _, _ = radial
         along, perp = self._split_radial(y, V)
         return along[..., None] * y[:, :, None] + f[:, :, None, None] * perp
 
@@ -552,13 +644,22 @@ class _SpaceForm(Manifold):
         return ((fp + c)[:, :, None, None, None] * sym
                 + (c[:, :, None, None] * perp_ip)[..., None] * y[:, :, None, None])
 
+    def a_matrix_array(self, radial, lam, frame, low_frame):
+        """Closed form: sum_i lam_i (y y^T + f (P - y y^T)) in the frames,
+        with y the unit direction away from vertex i and P the tangent
+        projector."""
+        y, _, f, _, one_minus_f = radial
+        y_frame = np.einsum("rid,rdk->rik", y, low_frame)
+        return ((lam * f).sum(axis=1)[:, None, None] * np.eye(self.dim)
+                + np.einsum("ri,rik,ril->rkl", lam * one_minus_f, y_frame, y_frame))
+
     def hess_half_dist_sq_map(self, p, q, log_qp=None):
         """Closed form: ``hess_array`` on one row."""
         if log_qp is None:
             log_qp = self.log(q, p)
-        y, _, f, _, _ = self.radial_array(log_qp.components[None, None])
+        radial = self.radial_array(log_qp.components[None, None])
         return lambda V: TangentVector(
-            q, self.hess_array(y, f, V.components[None, None])[0, 0, 0])
+            q, self.hess_array(radial, V.components[None, None])[0, 0, 0])
 
     def second_deriv_map(self, p, q):
         """Closed form: ``second_deriv_array`` on one row."""
@@ -597,7 +698,7 @@ class Sphere(_SpaceForm):
         c *= self.radius / np.linalg.norm(c)
         return ManifoldPoint(c)
 
-    def log(self, p, q, start=None):
+    def log(self, p, q):
         r = self.radius
         chord = float(np.linalg.norm(q.coords - p.coords))
         theta = 2.0 * math.asin(min(chord / (2.0 * r), 1.0))
@@ -617,7 +718,7 @@ class Sphere(_SpaceForm):
         chord = np.linalg.norm(q - p, axis=-1)
         return 2.0 * self.radius * np.arcsin(np.minimum(chord / (2.0 * self.radius), 1.0))
 
-    def log_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    def log_array(self, p: np.ndarray, q: np.ndarray, start=None) -> np.ndarray:
         r = self.radius
         chord = np.linalg.norm(q - p, axis=-1)
         theta = 2.0 * np.arcsin(np.minimum(chord / (2.0 * r), 1.0))
@@ -697,7 +798,7 @@ class HyperbolicSpace(_SpaceForm):
         c = math.cosh(u) * p.coords + shc * v.components
         return ManifoldPoint(self._renorm(c))
 
-    def log(self, p, q, start=None):
+    def log(self, p, q):
         r = self.radius
         d = q.coords - p.coords
         d2 = max(_minkowski(d, d), 0.0)
@@ -719,7 +820,7 @@ class HyperbolicSpace(_SpaceForm):
         d2 = np.maximum(self.ip_array(d, d), 0.0)
         return 2.0 * self.radius * np.arcsinh(np.sqrt(d2) / (2.0 * self.radius))
 
-    def log_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    def log_array(self, p: np.ndarray, q: np.ndarray, start=None) -> np.ndarray:
         r = self.radius
         d = q - p
         d2 = np.maximum(self.ip_array(d, d), 0.0)
@@ -802,24 +903,13 @@ def _third_order_seed(gam: np.ndarray, dgam: np.ndarray, chord: np.ndarray
     return v, np.eye(v.size) - gv - cubic / 6.0
 
 
-def _shooting_state(p: ManifoldPoint, q: ManifoldPoint, steps: int,
+def _shooting_state(p: np.ndarray, q: np.ndarray, steps: int,
                     fresh: int, res: float) -> str:
     """Where a ``ChartManifold.log`` shooting stood when it failed; the
     Christoffel seed and finite-difference Jacobians count as fresh."""
-    return (f" from p = {p.coords.tolist()} to q = {q.coords.tolist()} after "
+    return (f" from p = {p.tolist()} to q = {q.tolist()} after "
             f"{steps} Newton steps ({fresh} with a fresh Jacobian), last "
             f"residual |exp_p(v) - q| = {res:.3e}")
-
-
-@dataclass(frozen=True, eq=False)
-class ShotLog(TangentVector):
-    """A logarithm found by shooting, with its estimate of the endpoint
-    Jacobian of v -> exp_p(v): the Jacobian of its last Newton step after
-    that step's Broyden update, the Christoffel seed if the first shot
-    hit, or None if p = q.  A later shooting toward the same point
-    starts from both."""
-
-    jacobian: np.ndarray | None = field(default=None, repr=False)
 
 
 class ChartManifold(Manifold):
@@ -851,9 +941,6 @@ class ChartManifold(Manifold):
     def _ip(self, p, a, b):
         return float(a @ self.metric_fn(p.coords) @ b)
 
-    def metric_matrix(self, p):
-        return self.metric_fn(p.coords)
-
     def _geodesic_rhs(self, t, y):
         d = self.dim
         x, u = y[:d], y[d:]
@@ -884,9 +971,34 @@ class ChartManifold(Manifold):
             raise GeodesicError("initial vector longer than the injectivity radius")
         return ManifoldPoint(self._shoot(p.coords, v.components)[0])
 
-    def log(self, p, q, start=None):
-        """Newton shooting on v -> exp_p(v) - q until its norm is below
-        ``shooting_tol``.
+    def log(self, p, q):
+        return TangentVector(p, self._shoot_log(p.coords, q.coords)[0])
+
+    def log_array(self, p, q, start=None):
+        return self._warm_log_array(p, q, start)[0]
+
+    def _warm_log_array(self, p, q, start=None):
+        """``_shoot_log`` on every row, and each logarithm's endpoint
+        Jacobian (NaN where p = q) for the next warm start."""
+        p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+        logs = np.empty(p.shape)
+        jacs = np.full(p.shape + (self.dim,), np.nan)
+        if start is not None:
+            b, v, jac = start
+            b = np.broadcast_to(b, p.shape)
+        for idx in np.ndindex(p.shape[:-1]):
+            warm = None if start is None else (
+                b[idx], v[idx], None if jac is None else jac[idx])
+            logs[idx], found = self._shoot_log(p[idx], q[idx], warm)
+            if found is not None:
+                jacs[idx] = found
+        return logs, jacs
+
+    def _shoot_log(self, p: np.ndarray, q: np.ndarray, start=None
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Newton shooting on v -> exp_p(v) - q, in coordinates, until its
+        norm is below ``shooting_tol``; returns v and its estimate of the
+        endpoint Jacobian of v -> exp_p(v) (None if p = q).
 
         The Christoffel symbols at p and their central differences give
         the third-order Taylor expansion of the endpoint map, exp_p(v) = p
@@ -894,13 +1006,14 @@ class ChartManifold(Manifold):
         v))/6 + O(|v|^4), for 2 dim + 1 ``christoffel_fn`` calls and no
         shots.  A cold start shoots from its inverse at chord = q - p
         against the derivative of the expansion there
-        (``_third_order_seed``).  With ``start``, a logarithm toward q at a
-        nearby base point b, it shoots from start moved to p by the
-        second-order expansion, start - (p - b) + (Gamma(p)(q - p, q - p)
-        - Gamma(b)(q - b, q - b))/2, against start's Jacobian (if it has
-        none, the second-order seed Jacobian I - Gamma(p)(v0, .)).  After
-        every accepted step the Jacobian takes a rank-one (good) Broyden
-        update from the step and the change of the endpoint.
+        (``_third_order_seed``).  With ``start`` = (b, w, J), a logarithm
+        w toward q at a nearby base point b and its endpoint Jacobian J, it
+        shoots from w moved to p by the second-order expansion, w - (p - b)
+        + (Gamma(p)(q - p, q - p) - Gamma(b)(q - b, q - b))/2, against J
+        (if J is None or NaN, the second-order seed Jacobian I -
+        Gamma(p)(v0, .)).  After every accepted step the Jacobian takes a
+        rank-one (good) Broyden update from the step and the change of the
+        endpoint.
 
         A step is accepted if it halves the residual (a step cut to t of
         the Newton step must cut it to 1 - t/2).  A failed step is taken
@@ -909,28 +1022,24 @@ class ChartManifold(Manifold):
         finite-difference Jacobian (``_endpoint_jacobian``).  Otherwise
         the Jacobian is recomputed by finite differences at the last
         accepted iterate, and a step that fails with such a Jacobian is
-        halved.  The returned ``ShotLog`` carries the last Jacobian on to
-        the next warm start.  Warm and cold logarithms agree to the
-        shooting tolerance.  The first shot tries the whole interval as
-        one integration step; every later shot, Newton iterate or
-        Jacobian column, starts from the first step the previous shot
-        accepted."""
-        chord = q.coords - p.coords
+        halved.  The returned Jacobian, the last one after its Broyden
+        update, carries on to the next warm start.  Warm and cold
+        logarithms agree to the shooting tolerance.  The first shot tries
+        the whole interval as one integration step; every later shot,
+        Newton iterate or Jacobian column, starts from the first step the
+        previous shot accepted."""
+        chord = q - p
         if not np.any(chord):
-            return ShotLog(p, np.zeros(self.dim))
+            return np.zeros(self.dim), None
         fresh = 0
         if start is None:
-            (v, jac), fresh = _third_order_seed(*self._christoffel_jet(p.coords),
-                                                chord), 1
+            (v, jac), fresh = _third_order_seed(*self._christoffel_jet(p), chord), 1
         else:
-            gamma = self.christoffel_fn(p.coords)
-            b = start.base.coords
-            v = (start.components - (p.coords - b)
-                 + 0.5 * np.einsum("kij,i,j->k", gamma, chord, chord)
-                 - 0.5 * np.einsum("kij,i,j->k", self.christoffel_fn(b),
-                                   q.coords - b, q.coords - b))
-            jac = getattr(start, "jacobian", None)
-            if jac is None:
+            gamma = self.christoffel_fn(p)
+            b, v, jac = start
+            v = (v - (p - b) + 0.5 * np.einsum("kij,i,j->k", gamma, chord, chord)
+                 - 0.5 * np.einsum("kij,i,j->k", self.christoffel_fn(b), q - b, q - b))
+            if jac is None or np.isnan(jac).any():
                 jac, fresh = np.eye(self.dim) - np.einsum("kij,i->kj", gamma, v), 1
         # The last accepted iterate (None before the first shot), its
         # endpoint and residual; whether the next step is the first from
@@ -940,8 +1049,8 @@ class ChartManifold(Manifold):
         first, exact = True, False
         steps, t, step = 0, 1.0, 1.0
         for _ in range(self.max_shooting_iters):
-            end, step = self._shoot(p.coords, v, step)
-            res = float(np.linalg.norm(end - q.coords))
+            end, step = self._shoot(p, v, step)
+            res = float(np.linalg.norm(end - q))
             done = res < self.shooting_tol
             if done or base is None or res <= (1.0 - 0.5 * t) * base_res:
                 if base is not None:  # good Broyden update
@@ -949,7 +1058,7 @@ class ChartManifold(Manifold):
                     jac = jac + np.outer(end - base_end - jac @ moved, moved) / (moved @ moved)
                     first, exact = False, False
                 if done:
-                    return ShotLog(p, v, jac)
+                    return v, jac
                 base, base_end, base_res, t = v, end, res, 1.0
             elif first:
                 v, jac, base, first = chord, None, None, False
@@ -959,10 +1068,10 @@ class ChartManifold(Manifold):
             else:
                 jac = None
             if jac is None:
-                jac, step = self._endpoint_jacobian(p.coords, base, base_end, step)
+                jac, step = self._endpoint_jacobian(p, base, base_end, step)
                 fresh, exact = fresh + 1, True
             try:
-                newton = -np.linalg.solve(jac, base_end - q.coords)
+                newton = -np.linalg.solve(jac, base_end - q)
             except np.linalg.LinAlgError as exc:
                 raise GeodesicError(
                     "endpoint Jacobian is singular"
@@ -1079,8 +1188,8 @@ class ChartManifold(Manifold):
         hess = F0.T @ (tau * np.linalg.solve(S, C)) @ F0 @ g_q
         return lambda V: TangentVector(q, hess @ V.components)
 
-    def tangent_basis(self, p):
-        g = self.metric_fn(p.coords)
-        L = np.linalg.cholesky(g)
-        B = np.linalg.solve(L, np.eye(self.dim)).T  # columns are g-orthonormal
-        return [TangentVector(p, B[:, k].copy()) for k in range(self.dim)]
+    def tangent_frame_array(self, p):
+        """The inverse transposed Cholesky factor of the metric, whose
+        columns are g-orthonormal."""
+        return _rows(lambda x: np.linalg.solve(np.linalg.cholesky(self.metric_fn(x)),
+                                               np.eye(self.dim)).T, p)

@@ -5,17 +5,17 @@ import pytest
 
 from hypothesis import given, strategies as st
 
-from karcher.barycentric import (KarcherChart, a_operator, differential,
-                                 differential_batch, energy, grad_field,
+from karcher.barycentric import (KarcherChart, differential, differential_batch,
                                  hessian, hessian_batch, karcher_mean,
                                  pullback_metric, sigma)
 from karcher.errors import MeanSolverError
 from karcher.flat_simplex import BarycentricWeight, SimplexTangent
 from karcher.harness import equilateral_family, generate_geodesic_simplex
-from karcher.manifolds import (EuclideanSpace, HyperbolicSpace, ManifoldBounds,
-                               Sphere, TangentVector)
+from karcher.manifolds import (ChartManifold, EuclideanSpace, HyperbolicSpace,
+                               ManifoldBounds, Sphere, TangentVector)
 
 from conftest import random_unit_tangent, strict_solver
+from oracles import energy, grad_field
 
 
 @pytest.fixture(scope="module")
@@ -126,15 +126,22 @@ def test_mean_no_convergence_names_weights_and_last_residual(sphere_chart,
                                                              monkeypatch):
     strict_solver(monkeypatch)
     strict = KarcherChart(sphere_chart.manifold, sphere_chart.vertices)
-    with pytest.raises(MeanSolverError, match=(
-            r"no convergence to grad_tol=1\.000e-16 in 1 iterations at weights "
-            r"\[0\.3, 0\.3, 0\.4\] \(last \|F\| = \d\.\d{3}e-\d\d\)$")):
+    message = (r"no convergence to grad_tol=1\.000e-16 in 1 iterations at weights "
+               r"\[0\.3, 0\.3, 0\.4\] \(last \|F\| = \d\.\d{3}e-\d\d\)$")
+    with pytest.raises(MeanSolverError, match=message):
         karcher_mean(strict, BarycentricWeight([0.3, 0.3, 0.4]))
+    # Stacked, behind a row whose initial guess, vertex 0 itself, passes.
+    verts = np.array([strict.coords] * 2)
+    for call in (differential_batch, hessian_batch):
+        with pytest.raises(MeanSolverError, match=message) as info:
+            call(strict.manifold, verts, np.array([[1.0, 0.0, 0.0], [0.3, 0.3, 0.4]]))
+        assert info.value.index == 1
 
 
 class _OvershootingPlane(EuclideanSpace):
     """The plane with a declared convexity radius of 1 and an exp map that
-    overshoots threefold, so the mean iteration leaves the ball."""
+    overshoots threefold, so the mean iteration leaves the ball; the
+    stacked ``exp_array`` loops over this ``exp``."""
 
     def __init__(self):
         super().__init__(2)
@@ -148,10 +155,15 @@ def test_mean_leaving_the_ball_names_weights_and_distance():
     man = _OvershootingPlane()
     chart = KarcherChart(man, [man.point(c) for c in
                                ([0.0, 0.0], [0.6, 0.0], [0.0, 0.6])])
-    with pytest.raises(MeanSolverError, match=(
-            r"iterate left the convex ball at weights \[0\.2, 0\.4, 0\.4\]: "
-            r"vertex distance 1\.018e\+00 > 1\.000e\+00$")):
+    message = (r"iterate left the convex ball at weights \[0\.2, 0\.4, 0\.4\]: "
+               r"vertex distance 1\.018e\+00 > 1\.000e\+00$")
+    with pytest.raises(MeanSolverError, match=message):
         karcher_mean(chart, BarycentricWeight([0.2, 0.4, 0.4]))
+    verts = np.array([chart.coords] * 2)
+    for call in (differential_batch, hessian_batch):
+        with pytest.raises(MeanSolverError, match=message) as info:
+            call(man, verts, np.array([[1.0, 0.0, 0.0], [0.2, 0.4, 0.4]]))
+        assert info.value.index == 1
 
 
 @pytest.mark.parametrize("h", [2e-4, 2e-5])
@@ -257,14 +269,28 @@ def test_sigma_edge_norm_matches_edge_length(sphere):
     assert abs(sphere.norm(s) - l01) / l01 <= 2.0 * 0.05 ** 2
 
 
-# -- a_operator ----------------------------------------------------------------------
+# -- A, the Hessian combination ---------------------------------------------------
+
+def _a_operator(chart, lam, V):
+    """A(V) at V's base point, from the matrix of A in the tangent frame
+    there as the jets form it (``Manifold.a_matrix_array``)."""
+    man = chart.manifold
+    a = V.base.coords[None]
+    verts = chart.coords[None]
+    frame = man.tangent_frame_array(a)
+    low_frame = man.metric_matrix(a) @ frame
+    terms = man.hess_terms_array(verts, a, man.log_array(a[:, None], verts),
+                                 np.ones((1, chart.n + 1), dtype=bool))
+    a_mat = man.a_matrix_array(terms, lam.values[None], frame, low_frame)[0]
+    return TangentVector(V.base, frame[0] @ a_mat @ (V.components @ low_frame[0]))
+
 
 def test_a_operator_euclidean_identity(euclid_chart, euclidean3, rng):
     pts, chart = euclid_chart
     lam = BarycentricWeight(rng.dirichlet(np.ones(4)))
     a = karcher_mean(chart, lam)
     v = euclidean3.tangent(a, rng.normal(size=3))
-    out = a_operator(chart, lam, v)
+    out = _a_operator(chart, lam, v)
     assert np.allclose(out.components, v.components, atol=1e-14)
 
 
@@ -282,7 +308,7 @@ def test_a_operator_vertex_weight_single_hessian(sphere_chart, rng):
     perp = b - man.metric(p1, b, radial) * radial
     perp = perp * (1.0 / man.norm(perp))
     lam_e0 = BarycentricWeight.vertex(2, 0)
-    out = a_operator(sphere_chart, lam_e0, perp)
+    out = _a_operator(sphere_chart, lam_e0, perp)
     # single-term A equals the vertex Hessian with factor tau cot(tau)
     assert man.norm(out) == pytest.approx(tau / math.tan(tau), rel=1e-10)
 
@@ -292,9 +318,9 @@ def test_a_operator_linear_in_lambda(sphere_chart, rng):
     lam_mid = BarycentricWeight([0.5, 0.5, 0.0])
     a = karcher_mean(sphere_chart, lam_mid)
     v = random_unit_tangent(man, a, rng)
-    mid = a_operator(sphere_chart, lam_mid, v)
-    avg = 0.5 * (a_operator(sphere_chart, BarycentricWeight.vertex(2, 0), v)
-                 + a_operator(sphere_chart, BarycentricWeight.vertex(2, 1), v))
+    mid = _a_operator(sphere_chart, lam_mid, v)
+    avg = 0.5 * (_a_operator(sphere_chart, BarycentricWeight.vertex(2, 0), v)
+                 + _a_operator(sphere_chart, BarycentricWeight.vertex(2, 1), v))
     assert np.max(np.abs(mid.components - avg.components)) <= 1e-12
 
 
@@ -308,7 +334,7 @@ def test_a_operator_self_adjoint_and_near_identity(sphere, rng):
         lam = BarycentricWeight.barycenter(2)
         a = karcher_mean(chart, lam)
         basis = sphere.tangent_basis(a)
-        mat = np.array([[sphere.metric(a, a_operator(chart, lam, bj), bi)
+        mat = np.array([[sphere.metric(a, _a_operator(chart, lam, bj), bi)
                          for bj in basis] for bi in basis])
         assert np.max(np.abs(mat - mat.T)) <= 1e-12
         deviations.append(np.linalg.norm(mat - np.eye(2), 2))
@@ -354,7 +380,7 @@ def test_dG_residual_zero(sphere_chart, rng):
     for _ in range(5):
         raw = rng.normal(size=3)
         v = SimplexTangent(raw - raw.mean())
-        lhs = a_operator(sphere_chart, lam, jet.dx(v))
+        lhs = _a_operator(sphere_chart, lam, jet.dx(v))
         rhs = sigma(sphere_chart, lam, v, at=jet.point)
         norm_v = math.sqrt(sum(x * x for x in v.v))
         assert man.norm(lhs - rhs) <= 1e-8 * norm_v
@@ -376,11 +402,12 @@ def test_singular_a_names_weights_scalar_and_batched(sphere_chart):
                r"\[0\.3, 0\.3, 0\.4\]: cond\(A\) = inf$")
     with pytest.raises(MeanSolverError, match=message) as scalar:
         differential(chart, BarycentricWeight([0.3, 0.3, 0.4]))
-    assert scalar.value.index is None
-    verts = np.array([[v.coords for v in chart.vertices]] * 2)
-    with pytest.raises(MeanSolverError, match=message) as batched:
-        differential_batch(man, verts, np.array([[0.3, 0.3, 0.4], [0.2, 0.4, 0.4]]))
-    assert batched.value.index == 0
+    assert scalar.value.index == 0  # a scalar jet is a one-row stack
+    verts = np.array([chart.coords] * 2)
+    for call in (differential_batch, hessian_batch):
+        with pytest.raises(MeanSolverError, match=message) as batched:
+            call(man, verts, np.array([[0.3, 0.3, 0.4], [0.2, 0.4, 0.4]]))
+        assert batched.value.index == 0
 
 
 def test_hessian_euclidean_zero(euclid_chart, rng):
@@ -405,29 +432,34 @@ def test_hessian_symmetry(sphere_chart, rng):
         assert np.max(np.abs(vw.components - wv.components)) <= 1e-8 * nv * nw
 
 
-def test_hessian_builds_each_vertex_map_once(sphere_chart, monkeypatch):
-    # At the mean the jet reads the mean's logarithms, which also give
-    # each vertex's Hessian map its radial direction, then builds one
-    # second-derivative map per vertex: n+1 logs.
-    man = sphere_chart.manifold
+def test_hessian_builds_each_vertex_map_once(monkeypatch):
+    # A model without closed forms: at the mean the jet reads the mean's
+    # logarithms and builds one Hessian map and one second-derivative map
+    # per vertex, each applied to every direction it needs.
+    man = ChartManifold(2, lambda x: np.eye(2), lambda x: np.zeros((2, 2, 2)))
+    chart = KarcherChart(man, [man.point(c) for c in ([0.0, 0.0], [0.3, 0.0], [0.1, 0.25])])
     lam = BarycentricWeight([0.3, 0.4, 0.3])
-    a = karcher_mean(sphere_chart, lam)
+    a = karcher_mean(chart, lam)
     calls = []
-    log = man.log
-
-    def counting_log(p, q):
-        calls.append(p)
-        return log(p, q)
-
-    monkeypatch.setattr(man, "log", counting_log)
-    jet = hessian(sphere_chart, lam, at=a)
-    assert len(calls) == sphere_chart.n + 1
+    for name in ("log", "hess_half_dist_sq_map", "second_deriv_map"):
+        def counting(p, q, *args, _name=name, _fn=getattr(man, name)):
+            if q is not a and np.array_equal(p.coords, a.coords):
+                calls.append((_name, "from the mean"))
+            elif q is a or np.array_equal(q.coords, a.coords):
+                calls.append((_name, "at the mean"))
+            return _fn(p, q, *args)
+        monkeypatch.setattr(man, name, counting)
+    jet = hessian(chart, lam, at=a)
+    assert sorted(set(calls)) == [("hess_half_dist_sq_map", "at the mean"),
+                                  ("second_deriv_map", "at the mean")]
+    for name in ("hess_half_dist_sq_map", "second_deriv_map"):
+        assert calls.count((name, "at the mean")) == chart.n + 1
     # The same bits as a fresh second derivative per (vertex, k, l), which
     # is what a second_deriv_X call builds.
     own_map = type(man).second_deriv_map
     monkeypatch.setattr(man, "second_deriv_map",
                         lambda p, q: lambda V, W: own_map(man, p, q)(V, W))
-    per_pair = hessian(sphere_chart, lam, at=a)
+    per_pair = hessian(chart, lam, at=a)
     assert np.array_equal(jet.nabla_dx_tensor, per_pair.nabla_dx_tensor)
     assert np.array_equal(jet.dx_matrix, per_pair.dx_matrix)
 
@@ -500,19 +532,44 @@ def _batch_rows(man, rng, charts=3, weights=4, max_dist=2.5):
 
 
 @pytest.mark.parametrize("space", BATCH_SPACES)
-def test_hessian_batch_matches_scalar_hessian(space, rng):
+def test_hessian_batch_rows_match_one_row_calls(space, rng):
+    # Each row of a stack is solved as if alone, as the one-row stack and
+    # the scalar jet of its chart solve it.  The rows need different
+    # numbers of iterates, so converged rows leave the iteration while
+    # the others go on: the first row sits at a vertex, where the initial
+    # guess passes.
     man = BATCH_SPACES[space]()
     rows, verts, lams = _batch_rows(man, rng)
-    # Each row's tolerance is derived from its own chart, as the scalar
-    # chart derives it.
+    lams[0] = np.eye(man.dim + 1)[0]
+    rows[0] = (rows[0][0], BarycentricWeight(lams[0]))
+    counts = []
+    differential_batch(man, verts, lams, iterations=counts)
+    assert len(set(counts)) > 1
     points, dx, nabla = hessian_batch(man, verts, lams)
     assert nabla.shape == (len(rows), man.dim, man.dim, man.coord_dim)
     for k, (chart, lam) in enumerate(rows):
         jet = hessian(chart, lam)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(verts[k]))))
-        assert np.max(np.abs(points[k] - jet.point.coords)) <= tol
-        assert np.max(np.abs(dx[k] - jet.dx_matrix)) <= tol
-        assert np.max(np.abs(nabla[k] - jet.nabla_dx_tensor)) <= tol
+        one_row = hessian_batch(man, verts[k:k + 1], lams[k:k + 1])
+        for want in ([x[0] for x in one_row],
+                     (jet.point.coords, jet.dx_matrix, jet.nabla_dx_tensor)):
+            for got, row in zip((points, dx, nabla), want):
+                assert np.max(np.abs(got[k] - row)) <= tol
+
+
+def test_euclidean_batch_jets_are_affine(euclid_chart, rng):
+    # The mean is lambda . p, dx(e_k - e_0) = p_k - p_0 and nabla dx = 0.
+    pts, chart = euclid_chart
+    lams = rng.dirichlet(np.ones(4), size=5)
+    verts = np.array([pts] * 5)
+    points, dx = differential_batch(chart.manifold, verts, lams)
+    h_points, h_dx, nabla = hessian_batch(chart.manifold, verts, lams)
+    edges = (pts[1:] - pts[0]).T
+    for got in (points, h_points):
+        assert np.max(np.abs(got - lams @ pts)) <= 1e-12
+    for got in (dx, h_dx):
+        assert np.max(np.abs(got - edges)) <= 1e-12
+    assert np.max(np.abs(nabla)) <= 1e-12
 
 
 def _random_isometry(man, rng):

@@ -84,8 +84,8 @@ def test_measure_error_names_level_and_weights(sphere, sphere_family,
     weights = [BarycentricWeight([0.9, 0.05, 0.05]),
                BarycentricWeight([0.05, 0.05, 0.9])]
     with pytest.raises(MeanSolverError, match=(
-            rf"level h={chart.h}, weights \[0\.05, 0\.05, 0\.9\]: "
-            r"no convergence .* in 1 iterations")) as info:
+            rf"level h={chart.h}: no convergence .* in 1 iterations at weights "
+            r"\[0\.05, 0\.05, 0\.9\]")) as info:
         measure_distortion(chart, weights)
     assert info.value.index == 1
 

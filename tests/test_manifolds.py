@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from karcher.errors import BasePointError, GeodesicError, JacobiError, KarcherError
 from karcher.manifolds import (ChartManifold, EuclideanSpace, HyperbolicSpace,
-                               Manifold, ManifoldBounds, ManifoldPoint, ShotLog,
+                               Manifold, ManifoldBounds, ManifoldPoint,
                                Sphere, christoffel_from_metric)
 
 from conftest import (endpoint_shots, random_hyperbolic_point,
@@ -316,13 +316,13 @@ def test_chart_shooting_failure_is_reported():
         man.log(p, q)
     residual = float(info.value.args[0].rsplit(" = ", 1)[1])
     assert residual >= man.shooting_tol
-    # A singular Jacobian carried in by a start is reported the same way.
-    start = ShotLog(p, np.array([0.5, 0.0]), jacobian=np.zeros((2, 2)))
+    # A singular Jacobian carried in by a warm start is reported the same way.
+    start = (p.coords, np.array([0.5, 0.0]), np.zeros((2, 2)))
     with pytest.raises(GeodesicError, match=(
             r"endpoint Jacobian is singular from p = \[0\.0, 0\.0\] to "
             r"q = \[0\.7, 0\.0\] after 0 Newton steps \(0 with a fresh "
             r"Jacobian\), last residual")):
-        man.log(p, q, start=start)
+        man.log_array(p.coords, q.coords, start=start)
 
 
 def test_chart_exp_rejects_long_vectors():
@@ -719,26 +719,26 @@ def test_chart_second_deriv_matches_hyperboloid_closed_form(hyperbolic):
        st.floats(0.0, 2 * math.pi))
 def test_warm_started_log_matches_cold_log_property(x, y, r, ang, shift, shift_ang):
     # The start is the logarithm toward q from a base point near p, as a
-    # mean's previous iterate gives it.
+    # mean's previous iterate gives it, with its endpoint Jacobian and
+    # without one.
     man = make_poincare_disk()
     p = man.point([x, y])
     q = man.point(p.coords + r * np.array([math.cos(ang), math.sin(ang)]))
     b = man.point(p.coords + shift * np.array([math.cos(shift_ang),
                                                math.sin(shift_ang)]))
-    warm = man.log(p, q, start=man.log(b, q))
-    cold = man.log(p, q)
-    assert isinstance(warm, ShotLog)
-    gap = np.linalg.norm(warm.components - cold.components)
-    assert gap <= 1e-10 * max(1.0, float(np.linalg.norm(cold.components)))
-    residual = np.linalg.norm(man.exp(p, warm).coords - q.coords)
-    assert residual < man.shooting_tol
+    v, jac = man._warm_log_array(b.coords, q.coords)
+    cold = man.log(p, q).components
+    for warm in (man.log_array(p.coords, q.coords, start=(b.coords, v, jac)),
+                 man.log_array(p.coords, q.coords, start=(b.coords, v, None))):
+        gap = np.linalg.norm(warm - cold)
+        assert gap <= 1e-10 * max(1.0, float(np.linalg.norm(cold)))
+        residual = np.linalg.norm(man.exp(p, man.tangent(p, warm)).coords - q.coords)
+        assert residual < man.shooting_tol
 
 
 @pytest.mark.parametrize("start", [
-    ShotLog(ManifoldPoint([-0.6, 0.5]), np.array([2.0, -1.5]),
-            jacobian=np.array([[0.0, 5.0], [-3.0, 0.1]])),
-    ShotLog(ManifoldPoint([0.11, -0.2]), np.array([0.2, 0.3]),
-            jacobian=-np.eye(2)),
+    (np.array([-0.6, 0.5]), np.array([2.0, -1.5]), np.array([[0.0, 5.0], [-3.0, 0.1]])),
+    (np.array([0.11, -0.2]), np.array([0.2, 0.3]), -np.eye(2)),
 ], ids=["far-base", "wrong-jacobian"])
 def test_bad_start_falls_back_to_a_fresh_jacobian(start, monkeypatch):
     man = make_poincare_disk()
@@ -752,10 +752,11 @@ def test_bad_start_falls_back_to_a_fresh_jacobian(start, monkeypatch):
         return jacobian(*args)
 
     monkeypatch.setattr(man, "_endpoint_jacobian", counting_jacobian)
-    warm = man.log(p, q, start=start)
+    warm = man.log_array(p.coords, q.coords, start=start)
     assert refreshes
-    assert np.linalg.norm(warm.components - cold.components) <= 1e-10
-    assert np.linalg.norm(man.exp(p, warm).coords - q.coords) < man.shooting_tol
+    assert np.linalg.norm(warm - cold.components) <= 1e-10
+    assert np.linalg.norm(man.exp(p, man.tangent(p, warm)).coords - q.coords) \
+        < man.shooting_tol
 
 
 def test_chart_hessian_map_from_a_log_matches_the_hyperboloid(hyperbolic):
@@ -805,7 +806,7 @@ def chart_and_mean(request):
 
 @pytest.mark.parametrize("space", ["sphere", "hyperbolic", "disk"])
 def test_chart_edge_logarithms_feed_the_initial_guess(space, monkeypatch):
-    from karcher.barycentric import KarcherChart, _initial_guess
+    from karcher.barycentric import KarcherChart, karcher_mean
     from karcher.flat_simplex import BarycentricWeight
 
     man, vertices = _mean_vertices(space)
@@ -823,9 +824,20 @@ def test_chart_edge_logarithms_feed_the_initial_guess(space, monkeypatch):
         assert calls == ["dist"] * 3 and chart._edge_logs is None
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert chart.edge_lengths.lengths[i, j] == man.dist(vertices[i], vertices[j])
+    # The mean's initial guess takes the logarithms log_p0(p_j) as one
+    # stack on the closed forms, and none on the chart.
+    bases = []
+
+    def counting_log_array(p, q, start=None, _fn=man.log_array):
+        bases.append(np.asarray(p))
+        return _fn(p, q, start)
+
+    monkeypatch.setattr(man, "log_array", counting_log_array)
     del calls[:]
-    _initial_guess(chart, BarycentricWeight([0.2, 0.5, 0.3]))
-    assert calls.count("log") == (0 if isinstance(man, ChartManifold) else 2)
+    karcher_mean(chart, BarycentricWeight([0.2, 0.5, 0.3]))
+    from_p0 = [b for b in bases if np.array_equal(b, vertices[0].coords)]
+    assert not calls
+    assert len(from_p0) == (0 if isinstance(man, ChartManifold) else 1)
 
 
 def _log_agreement(man: ChartManifold, a: ManifoldPoint, vertices) -> float:
@@ -846,18 +858,17 @@ def test_differential_at_the_mean_reuses_its_logarithms(chart_and_mean,
     chart, lam, a = chart_and_mean
     man = chart.manifold
     bases = []
-    log = man.log
-
-    def counting_log(p, q, start=None):
-        bases.append(p)
-        return log(p, q, start=start)
-
-    monkeypatch.setattr(man, "log", counting_log)
+    for name in ("log", "log_array"):
+        def counting(p, q, *start, _fn=getattr(man, name)):
+            bases.append(p)
+            return _fn(p, q, *start)
+        monkeypatch.setattr(man, name, counting)
     hit = differential(chart, lam, at=a)
-    assert not any(p is a for p in bases)
+    assert not bases
     fresh = ManifoldPoint(a.coords.copy())
     miss = differential(chart, lam, at=fresh)
-    assert sum(p is fresh for p in bases) == 3
+    # One stack of logarithms from the fresh point toward every vertex.
+    assert len(bases) == 1 and np.array_equal(bases[0], fresh.coords)
     assert np.array_equal(hit.point.coords, miss.point.coords)
     if isinstance(man, ChartManifold):
         # The mean's logarithms are warm-started and the fresh ones cold.
@@ -940,6 +951,34 @@ def test_stereographic_sphere_jets_match_the_closed_form_batch():
         assert np.max(np.abs(lift_stereographic(x) - point)) <= 1e-8
         assert np.max(np.abs(lift_stereographic_differential(x) @ jet.dx_matrix
                              - dx_row)) <= 1e-8
+
+
+def test_disk_batch_jets_match_the_hyperboloid_batch(hyperbolic):
+    # Stacked jets of a model without closed forms: differential_batch
+    # and hessian_batch on the Poincare disk chart against the
+    # hyperboloid's closed-form batch, carried over by the isometry
+    # between the two models.
+    from karcher.barycentric import differential_batch, hessian_batch
+
+    disk = make_poincare_disk()
+    verts = np.array([MEAN_VERTICES, [[-0.2, 0.1], [-0.05, 0.12], [-0.12, -0.02]]])
+    lams = np.array([[0.2, 0.5, 0.3], [0.45, 0.25, 0.3]])
+    lifted = [[lift_disk(hyperbolic, x).coords for x in row] for row in verts]
+    points, dx, nabla = hessian_batch(hyperbolic, lifted, lams)
+    d_points, d_dx = differential_batch(disk, verts, lams)
+    h_points, h_dx, h_nabla = hessian_batch(disk, verts, lams)
+    for x, x_dx in ((d_points, d_dx), (h_points, h_dx)):
+        for k in range(len(verts)):
+            assert np.max(np.abs(lift_disk(hyperbolic, x[k]).coords - points[k])) <= 1e-8
+            for j in range(2):
+                assert np.max(np.abs(lift_disk_differential(x[k], x_dx[k][:, j])
+                                     - dx[k][:, j])) <= 1e-8
+    assert np.max(np.abs(nabla)) >= 1e-3
+    for k, x in enumerate(h_points):
+        for a in range(2):
+            for b in range(2):
+                assert np.max(np.abs(lift_disk_differential(x, h_nabla[k, a, b])
+                                     - nabla[k, a, b])) <= 1e-8
 
 
 def _disk_pair(hyperbolic, rng):
