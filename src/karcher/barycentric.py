@@ -218,7 +218,7 @@ def differential_batch(manifold: Manifold, vertices, weights,
     each row's number of iterates, the initial guess included, which is
     the length karcher_mean's ``trace`` reaches.
     """
-    a, dx, _ = _stack_jets(manifold, vertices, weights, False, iterations)
+    a, _, dx, _ = _stack_jets(manifold, vertices, weights, False, iterations)
     return a, dx
 
 
@@ -227,24 +227,35 @@ def hessian_batch(manifold: Manifold, vertices, weights
     """``differential_batch`` plus nabla dx: returns the points, the dx
     matrices and the tensors (N, n, n, coord_dim), symmetric in the
     middle axes."""
-    return _stack_jets(manifold, vertices, weights, True)
+    a, _, dx, nabla = _stack_jets(manifold, vertices, weights, True)
+    return a, dx, nabla
 
 
 def _stack_jets(manifold: Manifold, vertices, weights, second: bool,
                 iterations: list | None = None):
     """The means of a stack of charts, each at its own chart's tolerance
-    and from the logarithms log_p0(p_j), and their ``_jets``."""
+    and from the logarithms log_p0(p_j), their logarithms log_a(p_i)
+    and their ``_jets``.  As in ``KarcherChart``, a model that shoots its
+    logarithms takes the (0, j) edge lengths as the norms of log_p0(p_j)
+    and shoots each edge once."""
     verts = np.asarray(vertices, dtype=float)
     lam = np.asarray(weights, dtype=float)
+    guess = manifold.log_array(verts[:, :1], verts[:, 1:])
     i, j = np.triu_indices(verts.shape[1], 1)
-    diam = manifold.dist_array(verts[:, i], verts[:, j]).max(axis=1)
-    grad_tol = np.maximum(default_grad_tol(diam, np.abs(verts).max(axis=(1, 2))),
+    if manifold.shooting_tol > 0:
+        rest = i > 0
+        lengths = np.concatenate([manifold.norm_array(guess, verts[:, :1]),
+                                  manifold.dist_array(verts[:, i[rest]], verts[:, j[rest]])],
+                                 axis=1)
+    else:
+        lengths = manifold.dist_array(verts[:, i], verts[:, j])
+    grad_tol = np.maximum(default_grad_tol(lengths.max(axis=1),
+                                           np.abs(verts).max(axis=(1, 2))),
                           manifold.shooting_tol)
-    a, logs, iterates = _batch_mean(manifold, verts, lam, grad_tol,
-                                    manifold.log_array(verts[:, :1], verts[:, 1:]))
+    a, logs, iterates = _batch_mean(manifold, verts, lam, grad_tol, guess)
     if iterations is not None:
         iterations.extend(iterates.tolist())
-    return (a, *_jets(manifold, verts, lam, a, logs, second))
+    return (a, logs, *_jets(manifold, verts, lam, a, logs, second))
 
 
 def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
@@ -260,9 +271,15 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
     exact in flat space.  Near the mean the update is a contraction with
     rate of order C0 h^2, so a handful of iterations reaches gradient
     norms near roundoff.  On a model that shoots its logarithms, each
-    iterate's logarithms toward the vertices and their endpoint Jacobians
-    are the next iterate's warm start (``Manifold.log_array``).  Rows
-    that have converged leave the iteration.  Returns the means (N, coord_dim), the
+    iterate's logarithms toward the vertices, their endpoint Jacobians
+    and first-shot residuals are the next iterate's warm start
+    (``Manifold.log_array``), and each logarithm takes one shot per
+    iterate: the Newton step from that shot stands in for it,
+    unverified, while its first-shot residual at least halves from
+    iterate to iterate (``ChartManifold._shoot_log``); any other
+    logarithm is shot to ``shooting_tol``.  A row has converged once its
+    |F| is at most its ``grad_tol`` and every logarithm of that iterate
+    is verified, and then leaves the iteration.  Returns the means (N, coord_dim), the
     logarithms there (N, n+1, coord_dim) and each row's iterate count; a
     list passed as ``trace`` receives a copy of the means (N, coord_dim)
     at every iterate tested.  A MeanSolverError names the weights of the
@@ -278,7 +295,8 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
         if trace is not None:
             trace.append(a.copy())
         base = a[active, None]
-        cur, jac = manifold._warm_log_array(base, verts[active], start)
+        cur, jac, res, exact = manifold._warm_log_array(base, verts[active], start,
+                                                        one_shot=True)
         far = manifold.norm_array(cur, base).max(axis=1)
         left = np.flatnonzero(far > conv_radius * (1.0 + 1e-9))
         if left.size:
@@ -289,14 +307,14 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
                 index=int(active[k]))
         F = -np.einsum("ri,rid->rd", lam[active], cur)
         f_norm = manifold.norm_array(F, base[:, 0])
-        done = f_norm <= grad_tol[active]
+        done = (f_norm <= grad_tol[active]) & exact.all(axis=1)
         logs[active[done]] = cur[done]
         keep = ~done
         active, F, f_norm = active[keep], F[keep], f_norm[keep]
         if active.size == 0:
             return a, logs, iterates
         if jac is not None:
-            start = (base[keep], cur[keep], jac[keep])
+            start = (base[keep], cur[keep], jac[keep], res[keep])
         a[active] = manifold.exp_array(a[active], -F)
         iterates[active] += 1
     row = active[0]

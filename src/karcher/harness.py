@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .barycentric import KarcherChart, hessian_batch, karcher_mean, sigma
+from .barycentric import KarcherChart, _stack_jets, karcher_mean, sigma
 from .errors import MeanSolverError, NonRealizableError
 from .flat_simplex import BarycentricWeight, SimplexTangent, fullness
 from .manifolds import Manifold, ManifoldPoint, TangentVector
@@ -203,20 +203,19 @@ def _norm_rows(squares: np.ndarray) -> np.ndarray:
 
 
 def _jet_stack(charts, weights):
-    """Jets at every (chart, weight) pair, chart-major, from one
-    ``hessian_batch``: the metric in coordinates (R, D, D), or one (D, D)
-    matrix for all rows where it is constant, the dx
-    matrices (R, D, n), sigma images of the simplex basis (R, D, n) and
-    nabla dx tensors (R, n, n, D)."""
+    """Jets at every (chart, weight) pair, chart-major, from one stack of
+    ``hessian_batch`` jets: the metric in coordinates (R, D, D), or one
+    (D, D) matrix for all rows where it is constant, the dx matrices
+    (R, D, n), sigma images of the simplex basis (R, D, n), from the
+    mean's own logarithms, and nabla dx tensors (R, n, n, D)."""
     man = charts[0].manifold
     verts = np.repeat(np.array([c.coords for c in charts]), len(weights), axis=0)
     lam = np.tile(np.array([w.values for w in weights]), (len(charts), 1))
     try:
-        points, dx, nabla = hessian_batch(man, verts, lam)
+        points, logs, dx, nabla = _stack_jets(man, verts, lam, True)
     except MeanSolverError as exc:
         raise MeanSolverError(f"level h={charts[exc.index // len(weights)].h}: {exc}",
                               index=exc.index) from exc
-    logs = man.log_array(points[:, None], verts)
     sig = np.swapaxes(logs[:, 1:] - logs[:, :1], 1, 2)
     return man.metric_matrix(points), dx, sig, nabla
 

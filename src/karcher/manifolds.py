@@ -348,10 +348,16 @@ class Manifold(ABC):
         return _rows(lambda x, y: self.log(ManifoldPoint(x), ManifoldPoint(y)).components,
                      p, q)
 
-    def _warm_log_array(self, p: np.ndarray, q: np.ndarray, start=None):
-        """``log_array`` and the endpoint Jacobians that a later warm start
-        carries, None for models that keep none."""
-        return self.log_array(p, q, start), None
+    def _warm_log_array(self, p: np.ndarray, q: np.ndarray, start=None,
+                        one_shot: bool = False):
+        """``log_array`` as the mean reads it: the logarithms, what a later
+        warm start carries (endpoint Jacobians and first-shot residuals,
+        None and None for models that keep none) and whether each
+        logarithm is verified to ``shooting_tol``, always true for models
+        that do not shoot.  ``one_shot`` is ``ChartManifold``'s mode for
+        the mean."""
+        logs = self.log_array(p, q, start)
+        return logs, None, None, np.ones(logs.shape[:-1], dtype=bool)
 
     def dist_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return _rows(lambda x, y: self.dist(ManifoldPoint(x), ManifoldPoint(y)), p, q)
@@ -977,28 +983,43 @@ class ChartManifold(Manifold):
     def log_array(self, p, q, start=None):
         return self._warm_log_array(p, q, start)[0]
 
-    def _warm_log_array(self, p, q, start=None):
-        """``_shoot_log`` on every row, and each logarithm's endpoint
-        Jacobian (NaN where p = q) for the next warm start."""
+    def _warm_log_array(self, p, q, start=None, one_shot=False):
+        """``_shoot_log`` on every row: the logarithms, each one's endpoint
+        Jacobian (NaN where p = q) and first-shot residual for the next
+        warm start, and whether each is verified.
+
+        ``one_shot`` is the mean's mode, in which a start is (b, v, jac,
+        res), res the first-shot residuals that came with v.  A row's
+        guard reference is its res, or |q - p| (the residual of v = 0)
+        without a start; a row whose first shot misses by at most half
+        of it returns that shot's Newton step unverified."""
         p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+        lead = p.shape[:-1]
         logs = np.empty(p.shape)
         jacs = np.full(p.shape + (self.dim,), np.nan)
+        res, exact = np.empty(lead), np.empty(lead, dtype=bool)
         if start is not None:
-            b, v, jac = start
+            b, v, jac, *prev = start
             b = np.broadcast_to(b, p.shape)
-        for idx in np.ndindex(p.shape[:-1]):
+        for idx in np.ndindex(lead):
             warm = None if start is None else (
                 b[idx], v[idx], None if jac is None else jac[idx])
-            logs[idx], found = self._shoot_log(p[idx], q[idx], warm)
+            ref = 0.0
+            if one_shot:
+                ref = prev[0][idx] if start is not None else np.linalg.norm(q[idx] - p[idx])
+            logs[idx], found, res[idx], exact[idx] = self._shoot_log(
+                p[idx], q[idx], warm, ref)
             if found is not None:
                 jacs[idx] = found
-        return logs, jacs
+        return logs, jacs, res, exact
 
-    def _shoot_log(self, p: np.ndarray, q: np.ndarray, start=None
-                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    def _shoot_log(self, p: np.ndarray, q: np.ndarray, start=None, ref: float = 0.0
+                   ) -> tuple[np.ndarray, np.ndarray | None, float, bool]:
         """Newton shooting on v -> exp_p(v) - q, in coordinates, until its
-        norm is below ``shooting_tol``; returns v and its estimate of the
-        endpoint Jacobian of v -> exp_p(v) (None if p = q).
+        norm is below ``shooting_tol``; returns v, its estimate of the
+        endpoint Jacobian of v -> exp_p(v) (None if p = q), the residual
+        of the first shot (0 if p = q) and whether v is verified: True
+        unless ``ref`` cut the shooting short.
 
         The Christoffel symbols at p and their central differences give
         the third-order Taylor expansion of the endpoint map, exp_p(v) = p
@@ -1027,10 +1048,16 @@ class ChartManifold(Manifold):
         logarithms agree to the shooting tolerance.  The first shot tries
         the whole interval as one integration step; every later shot,
         Newton iterate or Jacobian column, starts from the first step the
-        previous shot accepted."""
+        previous shot accepted.
+
+        A positive ``ref`` is the one-shot mode of a mean iterate (an
+        inexact Newton step): if the first shot misses q by more than the
+        tolerance but by at most ref / 2, the Newton step from it, v -
+        J^-1 (exp_p(v) - q), is returned unverified, with J as it was.
+        Any other first shot goes on as above."""
         chord = q - p
         if not np.any(chord):
-            return np.zeros(self.dim), None
+            return np.zeros(self.dim), None, 0.0, True
         fresh = 0
         if start is None:
             (v, jac), fresh = _third_order_seed(*self._christoffel_jet(p), chord), 1
@@ -1048,9 +1075,12 @@ class ChartManifold(Manifold):
         base_res = res = math.inf
         first, exact = True, False
         steps, t, step = 0, 1.0, 1.0
+        first_res = None
         for _ in range(self.max_shooting_iters):
             end, step = self._shoot(p, v, step)
             res = float(np.linalg.norm(end - q))
+            if first_res is None:
+                first_res = res
             done = res < self.shooting_tol
             if done or base is None or res <= (1.0 - 0.5 * t) * base_res:
                 if base is not None:  # good Broyden update
@@ -1058,7 +1088,7 @@ class ChartManifold(Manifold):
                     jac = jac + np.outer(end - base_end - jac @ moved, moved) / (moved @ moved)
                     first, exact = False, False
                 if done:
-                    return v, jac
+                    return v, jac, first_res, True
                 base, base_end, base_res, t = v, end, res, 1.0
             elif first:
                 v, jac, base, first = chord, None, None, False
@@ -1078,6 +1108,8 @@ class ChartManifold(Manifold):
                     + _shooting_state(p, q, steps, fresh, base_res)) from exc
             v = base + t * newton
             steps += 1
+            if steps == 1 and first_res <= 0.5 * ref:
+                return v, jac, first_res, False
         raise GeodesicError("shooting for the logarithm did not converge"
                             + _shooting_state(p, q, steps, fresh, res))
 

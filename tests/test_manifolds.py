@@ -726,7 +726,8 @@ def test_warm_started_log_matches_cold_log_property(x, y, r, ang, shift, shift_a
     q = man.point(p.coords + r * np.array([math.cos(ang), math.sin(ang)]))
     b = man.point(p.coords + shift * np.array([math.cos(shift_ang),
                                                math.sin(shift_ang)]))
-    v, jac = man._warm_log_array(b.coords, q.coords)
+    v, jac, _, exact = man._warm_log_array(b.coords, q.coords)
+    assert exact
     cold = man.log(p, q).components
     for warm in (man.log_array(p.coords, q.coords, start=(b.coords, v, jac)),
                  man.log_array(p.coords, q.coords, start=(b.coords, v, None))):
@@ -757,6 +758,134 @@ def test_bad_start_falls_back_to_a_fresh_jacobian(start, monkeypatch):
     assert np.linalg.norm(warm - cold.components) <= 1e-10
     assert np.linalg.norm(man.exp(p, man.tangent(p, warm)).coords - q.coords) \
         < man.shooting_tol
+
+
+# -- one shot per vertex and mean iterate, and its guard ---------------------
+
+def _record_shots(monkeypatch):
+    """Every endpoint shot of a ChartManifold as (p, v, exp_p(v))."""
+    shots = []
+    shoot = ChartManifold._shoot
+
+    def recording(self, p, v, step=1.0):
+        end, step = shoot(self, p, v, step)
+        shots.append((p.copy(), v.copy(), end))
+        return end, step
+
+    monkeypatch.setattr(ChartManifold, "_shoot", recording)
+    return shots
+
+
+def _verified(shots, p, v, q, tol):
+    """Whether v was shot from p and landed within tol of q."""
+    return any(np.array_equal(a, p) and np.array_equal(w, v)
+               and np.linalg.norm(end - q) < tol for a, w, end in shots)
+
+
+def _disk_rows(count=8, seed=7):
+    """Triangles of the Poincare disk of diameter 0.05 to 0.2 within
+    radius 0.5 of the origin, and interior weights."""
+    rng = np.random.default_rng(seed)
+    verts, lams = [], []
+    for diam in np.linspace(0.05, 0.2, count):
+        center = rng.uniform(-0.3, 0.3, size=2)
+        angles = rng.uniform(0.0, 2.0 * math.pi) + 2.0 * math.pi * np.arange(3) / 3.0
+        verts.append([center + diam / math.sqrt(3.0) * np.array([math.cos(a), math.sin(a)])
+                      for a in angles])
+        lams.append(0.05 + 0.85 * rng.dirichlet(np.ones(3)))
+    return np.array(verts), np.array(lams)
+
+
+ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+SEED_CORRUPTIONS = {"times-3": lambda jac: 3.0 * jac,
+                    "rotated-90": lambda jac: ROTATION @ jac,
+                    "times-0.3": lambda jac: 0.3 * jac}
+
+
+def _corrupt_seed(monkeypatch, corrupt):
+    from karcher import manifolds
+
+    seed = manifolds._third_order_seed
+
+    def corrupted(gam, dgam, chord):
+        v, jac = seed(gam, dgam, chord)
+        return v, corrupt(jac)
+
+    monkeypatch.setattr(manifolds, "_third_order_seed", corrupted)
+
+
+@pytest.mark.parametrize("corruption", sorted(SEED_CORRUPTIONS))
+def test_guard_keeps_means_with_a_corrupted_seed_jacobian(corruption, monkeypatch):
+    # A one-shot logarithm trusts the Newton step of a Jacobian it has
+    # not checked.  Without the guard a seed Jacobian three times too
+    # large took 28-42 mean iterates on these rows, and the other two
+    # corruptions raised a GeodesicError; with it a row takes at most
+    # one more iterate.
+    from karcher.barycentric import differential_batch
+
+    disk = make_poincare_disk()
+    verts, lams = _disk_rows()
+    clean_iters, iters = [], []
+    clean, _ = differential_batch(disk, verts, lams, iterations=clean_iters)
+    _corrupt_seed(monkeypatch, SEED_CORRUPTIONS[corruption])
+    points, _ = differential_batch(disk, verts, lams, iterations=iters)
+    assert np.max(np.abs(points - clean)) <= 1e-10
+    assert all(k <= c + 1 for k, c in zip(iters, clean_iters))
+
+
+@pytest.mark.parametrize("corruption", [None] + sorted(SEED_CORRUPTIONS))
+def test_mean_returns_only_verified_logarithms(corruption, monkeypatch):
+    # Each logarithm the mean returns is a v whose own shot from the mean
+    # landed within shooting_tol of its vertex, so its stopping test
+    # |F| <= grad_tol reads logarithms as exact as a full shooting gives.
+    from karcher.barycentric import _stack_jets
+
+    disk = make_poincare_disk()
+    verts, lams = _disk_rows()
+    if corruption is not None:
+        _corrupt_seed(monkeypatch, SEED_CORRUPTIONS[corruption])
+    shots = _record_shots(monkeypatch)
+    points, logs, _, _ = _stack_jets(disk, verts, lams, False)
+    for a, row_logs, row_verts in zip(points, logs, verts):
+        for v, p in zip(row_logs, row_verts):
+            assert _verified(shots, a, v, p, disk.shooting_tol)
+
+
+def test_log_array_with_a_start_returns_verified_logarithms(monkeypatch):
+    # The same warm start that the mean's one-shot mode takes as one
+    # unverified Newton step is shot to the tolerance by log_array.
+    man = make_poincare_disk()
+    p, q = np.array([0.1, -0.2]), np.array([0.3, 0.1])
+    b = p + 0.01 * np.array([0.6, 0.8])
+    v, jac, _, _ = man._warm_log_array(b, q)
+    _, _, _, exact = man._warm_log_array(p, q, (b, v, jac, np.linalg.norm(q - p)),
+                                         one_shot=True)
+    assert not exact
+    shots = _record_shots(monkeypatch)
+    warm = man.log_array(p, q, start=(b, v, jac))
+    assert _verified(shots, p, warm, q, man.shooting_tol)
+
+
+def test_disk_differential_batch_shoots_each_edge_once(monkeypatch):
+    # The (0, j) edge lengths are the norms of the initial guess's
+    # logarithms log_p0(p_j), so besides the mean's shootings from its
+    # iterates each edge of a row is shot once: (0, 1), (0, 2), (1, 2).
+    from karcher.barycentric import differential_batch
+
+    disk = make_poincare_disk()
+    verts, lams = _disk_rows(count=3)
+    vertices = {tuple(x) for x in verts.reshape(-1, 2)}
+    calls = []
+    shoot_log = ChartManifold._shoot_log
+
+    def counting(self, p, q, *args):
+        calls.append((tuple(p), tuple(q)))
+        return shoot_log(self, p, q, *args)
+
+    monkeypatch.setattr(ChartManifold, "_shoot_log", counting)
+    differential_batch(disk, verts, lams)
+    assert sorted(c for c in calls if c[0] in vertices) == sorted(
+        (tuple(row[i]), tuple(row[j])) for row in verts for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 def test_chart_hessian_map_from_a_log_matches_the_hyperboloid(hyperbolic):
@@ -1034,10 +1163,12 @@ DEFAULT_FIRST_STEP_JET_NFEV = 3765
 def test_disk_jet_takes_at_most_half_the_default_first_step_nfev(ode_calls):
     # 90 calls before the logarithms were seeded from the Christoffel
     # symbols, updated by Broyden steps and the edge logarithms reused; 64
-    # before the seeds were third-order and each Hessian map one ODE.
+    # before the seeds were third-order and each Hessian map one ODE; 52
+    # (0.36 of the evaluations) before each mean iterate shot each
+    # vertex once.
     _disk_jet()
-    assert len(ode_calls) == 52
-    assert sum(c.nfev for c in ode_calls) <= 0.36 * DEFAULT_FIRST_STEP_JET_NFEV
+    assert len(ode_calls) == 36
+    assert sum(c.nfev for c in ode_calls) <= 0.27 * DEFAULT_FIRST_STEP_JET_NFEV
 
 
 def test_disk_jet_needs_no_finite_difference_jacobian(monkeypatch):
