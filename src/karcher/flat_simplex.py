@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import NonRealizableError
 
@@ -192,14 +191,6 @@ def flat_metric_from_lengths(system) -> FlatMetric:
     return FlatMetric(n=n, E=E, G=G, realizable=ok, cholesky=L)
 
 
-def evaluate(gm: FlatMetric, v: SimplexTangent, w: SimplexTangent) -> float:
-    """The bilinear form sum_ij E_ij v^i w^j; unchanged under the gauge
-    shift E -> E + rho because tangent components sum to zero."""
-    if v.n != gm.n or w.n != gm.n:
-        raise ValueError("tangent dimension does not match the metric")
-    return float(v.v @ gm.E @ w.v)
-
-
 def volume_from_gram(G: np.ndarray):
     """Volume from the Gram determinant; works on stacks (..., n, n)."""
     n = G.shape[-1]
@@ -257,32 +248,3 @@ def gram_eigen_bounds(gm: FlatMetric, h: float) -> tuple[float, float]:
     if roots.min() < lo * (1.0 - 1e-9) or roots.max() > hi * (1.0 + 1e-9):
         raise ArithmeticError("Gram eigenvalues escaped their theoretical bounds")
     return lo, hi
-
-
-def compare_metrics(g1: FlatMetric, g2: FlatMetric) -> float:
-    """sup over nonzero tangents of |(g1 - g2)(v, v)| / g1(v, v), computed
-    as a generalized eigenvalue problem on the Gram matrices."""
-    if g1.n != g2.n:
-        raise ValueError("metrics have different dimensions")
-    if not g1.realizable:
-        raise NonRealizableError("reference metric must be positive definite")
-    diff = g1.G - g2.G
-    vals = eigh(diff, g1.G, eigvals_only=True)
-    return float(np.max(np.abs(vals)))
-
-
-def insphere_radius_unit_simplex(n: int) -> float:
-    """Inradius of the unit simplex in R^n."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    return 1.0 / (n + math.sqrt(n))
-
-
-def realize_vertices(gm: FlatMetric) -> np.ndarray:
-    """Coordinates of one Euclidean realization: vertex 0 at the origin and
-    vertex i at the i-th column of the transposed Cholesky factor."""
-    if not gm.realizable or gm.cholesky is None:
-        raise NonRealizableError("cannot realize a non-realizable system")
-    pts = np.zeros((gm.n + 1, gm.n))
-    pts[1:, :] = gm.cholesky  # row i of L: coordinates of vertex i (Gram = L L^T)
-    return pts

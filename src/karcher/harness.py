@@ -220,25 +220,6 @@ def _jet_stack(charts, weights):
     return man.metric_matrix(points), dx, sig, nabla
 
 
-def connection_gap_fd(chart: KarcherChart, lam: BarycentricWeight,
-                      step: float = 1e-4) -> float:
-    """Cross-check value of the largest flat metric derivative computed by
-    differencing the pulled-back metric matrix along weight lines."""
-    from .barycentric import pullback_metric
-
-    man = chart.manifold
-    n = chart.n
-    B = _orthonormal_tangent_frame(chart)
-    worst = 0.0
-    for u in range(n):
-        direction = np.concatenate([[-B[:, u].sum()], B[:, u]])
-        lp = BarycentricWeight(lam.values + step * direction)
-        lm = BarycentricWeight(lam.values - step * direction)
-        dmat = (pullback_metric(chart, lp) - pullback_metric(chart, lm)) / (2 * step)
-        worst = max(worst, float(np.max(np.abs(B.T @ dmat @ B))))
-    return worst
-
-
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float

@@ -26,12 +26,12 @@ ODE_RTOL = 1e-12
 ODE_ATOL = 1e-13
 
 # Right-hand-side evaluations one solve may take.  The most any successful
-# solve takes in the tests is 1381, in 108 steps: the first shot of a
-# long cold logarithm in the Poincare disk, from its third-order seed.
+# solve takes in the tests is 553, in 39 steps: the first shot, along the
+# chord, of a long cold logarithm near the rim of the Poincare disk.
 # ``karcher verify all`` takes at most 400, the example configs 73 and the
-# benchmark workloads 61.  A solve that needs over seven times the most
-# is running into a singularity, such as a geodesic shot toward the rim
-# of the disk, whose steps shrink without end; it fails instead of
+# benchmark workloads 61.  A solve that needs over eighteen times the
+# most is running into a singularity, such as a geodesic shot toward the
+# rim of the disk, whose steps shrink without end; it fails instead of
 # hanging.
 ODE_MAX_NFEV = 10_000
 

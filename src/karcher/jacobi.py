@@ -2,9 +2,9 @@
 
 Solves J'' + R(J, T)T = 0 with J(0) = 0 and J(tau) = V by shooting in a
 parallel orthonormal frame, where the equation becomes a linear ODE with
-matrix-valued coefficient.  Also provides the second variation (the
-s-derivative of the boundary derivative under a geodesic variation of the
-endpoint) and a checker for the two-point ODE bound used to control it.
+matrix-valued coefficient.  Also provides a checker for the two-point
+ODE bound that controls the second variation (the s-derivative of the
+boundary derivative under a geodesic variation of the endpoint).
 
 No model computes its distance Hessian through this module:
 ``ChartManifold`` integrates its own fused Jacobi ODE from the other end
@@ -15,7 +15,6 @@ and ``solve_bvp`` are the independent check of both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import math
 from typing import Callable
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import JacobiError
 from .integrate import solve_ode
 from .manifolds import (Geodesic, ManifoldPoint, TangentVector, _check_length,
-                        _gram_schmidt, _require_same_base, _second_difference)
+                        _gram_schmidt, _require_same_base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,85 +146,6 @@ def solve_bvp(bvp: JacobiBVP) -> tuple[TangentVector, TangentVector]:
     return JacobiShooting(bvp.geodesic).solve(bvp.end_value)
 
 
-def integrate_jacobi(gamma: Geodesic, j0: TangentVector, jdot0: TangentVector,
-                     ts: np.ndarray) -> tuple[list[TangentVector], list[TangentVector]]:
-    """Propagate a Jacobi field with given initial value and derivative;
-    returns (J(t), J'(t)) at the requested times."""
-    man = gamma.manifold
-    m = man.dim
-    frame = parallel_frame(gamma)
-    R_of_t = _frame_curvature(gamma, frame)
-
-    p = gamma.start
-    F0 = frame(0.0)
-    y = np.array([man._ip(p, j0.components, F0[a]) for a in range(m)])
-    yd = np.array([man._ip(p, jdot0.components, F0[a]) for a in range(m)])
-
-    def rhs(t, state):
-        return np.concatenate([state[m:], -(R_of_t(t) @ state[:m])])
-
-    ts = np.asarray(ts, dtype=float)
-    sol = solve_ode(rhs, (0.0, float(ts[-1])), np.concatenate([y, yd]),
-                    dense_output=True)
-    js, jdots = [], []
-    for t in ts:
-        state = sol.sol(t)
-        F = frame(t)
-        pt = gamma.point(t)
-        js.append(TangentVector(pt, F.T @ state[:m]))
-        jdots.append(TangentVector(pt, F.T @ state[m:]))
-    return js, jdots
-
-
-@dataclass(frozen=True)
-class BoundaryDerivativeReport:
-    tau: float
-    deviation: float        # |tau J'(tau) - V|
-    bound: float            # C0 tau^2 |V|
-    ratio: float
-    within_bound: bool
-
-
-def boundary_derivative_estimate_check(bvp: JacobiBVP) -> BoundaryDerivativeReport:
-    """Measure how far tau*J'(tau) is from the boundary value V; the gap is
-    controlled by C0 tau^2 |V| with constant at most one on the model
-    spaces."""
-    man = bvp.geodesic.manifold
-    C0 = man.bounds.C0
-    tau = bvp.tau
-    if C0 > 0.0 and tau >= math.pi / (2.0 * math.sqrt(C0)):
-        raise JacobiError("estimate requires tau below half the conjugate length")
-    jdot_tau, _ = solve_bvp(bvp)
-    q = bvp.geodesic.point(tau)
-    dev_vec = TangentVector(q, tau * jdot_tau.components - bvp.end_value.components)
-    deviation = man.norm(dev_vec)
-    bound = C0 * tau ** 2 * man.norm(bvp.end_value)
-    if bound > 0.0:
-        ratio = deviation / bound
-        within = ratio <= 1.0
-    else:
-        ratio = 0.0
-        within = deviation <= 1e-9
-    return BoundaryDerivativeReport(tau, deviation, bound, ratio, within)
-
-
-def second_variation(bvp: JacobiBVP, step: float = 1e-4) -> TangentVector:
-    """tau * D_s J'(0, tau): Richardson-extrapolated central difference of
-    the boundary derivative under the geodesic variation of the endpoint
-    with initial speed V (``_second_difference`` of that derivative)."""
-    gamma = bvp.geodesic
-    man = gamma.manifold
-    p = gamma.start
-
-    def boundary_derivative(endpoint: ManifoldPoint, vel: TangentVector) -> TangentVector:
-        connecting = man.geodesic_between(p, endpoint)
-        jdot_tau, _ = solve_bvp(JacobiBVP(connecting, vel))
-        return connecting.length * jdot_tau
-
-    return _second_difference(man, gamma.point(gamma.length), bvp.end_value,
-                              boundary_derivative, step)
-
-
 @dataclass(frozen=True)
 class OdeBoundReport:
     tau: float
@@ -238,10 +158,10 @@ class OdeBoundReport:
 
 def ode_bound_check(A_fn: Callable[[float], np.ndarray],
                     B_fn: Callable[[float], np.ndarray],
-                    tau: float, n_samples: int = 200) -> OdeBoundReport:
+                    tau: float) -> OdeBoundReport:
     """Solve U'' = A(t) U + B(t), U(0) = U(tau) = 0 and test the derivative
     bound max|U'| <= 3 max|B| tau, valid whenever |A| tau^2 <= 1."""
-    ts = np.linspace(0.0, tau, n_samples)
+    ts = np.linspace(0.0, tau, 200)
     a_max = max(float(np.linalg.norm(A_fn(t), 2)) for t in ts)
     b_max = max(float(np.linalg.norm(B_fn(t))) for t in ts)
     if a_max * tau ** 2 > 1.0 + 1e-9:

@@ -25,6 +25,11 @@ from .integrate import solve_ode
 
 _BASE_TOL = 1e-8
 _ANTIPODE_TOL = 1e-8
+# Central-difference step of a ``ChartManifold``'s finite-difference
+# Christoffel symbols and their derivatives.
+_FD_STEP = 1e-5
+# Newton steps one ``ChartManifold`` logarithm may take.
+MAX_SHOOTING_ITERS = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -857,10 +862,10 @@ class HyperbolicSpace(_SpaceForm):
         return np.concatenate([spatial, x[..., None, :] / r], axis=-2)
 
 
-def christoffel_from_metric(metric_fn: Callable[[np.ndarray], np.ndarray],
-                            step: float = 1e-5) -> Callable[[np.ndarray], np.ndarray]:
+def christoffel_from_metric(metric_fn: Callable[[np.ndarray], np.ndarray]
+                            ) -> Callable[[np.ndarray], np.ndarray]:
     """Finite-difference Christoffel symbols Gamma[k, i, j] from a metric
-    callback, using central differences with the given step."""
+    callback, using central differences with step ``_FD_STEP``."""
 
     def christoffel(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -868,8 +873,8 @@ def christoffel_from_metric(metric_fn: Callable[[np.ndarray], np.ndarray],
         dg = np.empty((d, d, d))  # dg[l] = d g / d x_l
         for l in range(d):
             e = np.zeros(d)
-            e[l] = step
-            dg[l] = (metric_fn(x + e) - metric_fn(x - e)) / (2.0 * step)
+            e[l] = _FD_STEP
+            dg[l] = (metric_fn(x + e) - metric_fn(x - e)) / (2.0 * _FD_STEP)
         ginv = np.linalg.inv(metric_fn(x))
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
         term = np.empty((d, d, d))
@@ -921,28 +926,27 @@ def _shooting_state(p: np.ndarray, q: np.ndarray, steps: int,
 class ChartManifold(Manifold):
     """Manifold given by a metric (and optionally Christoffel) callback on
     a single chart.  Geodesics are shot with an adaptive RK integrator and
-    logarithms are found by Newton shooting on the endpoint map.
+    logarithms are found by Newton shooting on the endpoint map, to
+    ``shooting_tol`` in at most ``MAX_SHOOTING_ITERS`` Newton steps.
+    Without ``christoffel_fn`` the symbols are central differences of the
+    metric (``christoffel_from_metric``).
 
     Curvature bounds are taken from the caller and are not validated.
     """
 
+    shooting_tol = 1e-11
+
     def __init__(self, dim: int,
                  metric_fn: Callable[[np.ndarray], np.ndarray],
                  christoffel_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-                 bounds: ManifoldBounds | None = None,
-                 fd_step: float = 1e-5,
-                 shooting_tol: float = 1e-11,
-                 max_shooting_iters: int = 50):
+                 bounds: ManifoldBounds | None = None):
         self.dim = dim
         self.coord_dim = dim
         self.metric_fn = metric_fn
         self.christoffel_fn = (christoffel_fn if christoffel_fn is not None
-                               else christoffel_from_metric(metric_fn, fd_step))
+                               else christoffel_from_metric(metric_fn))
         self.bounds = bounds if bounds is not None else ManifoldBounds(
             0.0, 0.0, math.inf, math.inf)
-        self.fd_step = fd_step
-        self.shooting_tol = shooting_tol
-        self.max_shooting_iters = max_shooting_iters
 
     def _ip(self, p, a, b):
         return float(a @ self.metric_fn(p.coords) @ b)
@@ -953,9 +957,9 @@ class ChartManifold(Manifold):
         return np.concatenate([u, -((self.christoffel_fn(x) @ u) @ u)])
 
     def _christoffel_jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gamma(x) and its central differences with step ``fd_step``,
+        """Gamma(x) and its central differences with step ``_FD_STEP``,
         dgam[l] = d Gamma / d x_l: 2 dim + 1 ``christoffel_fn`` calls."""
-        h = self.fd_step
+        h = _FD_STEP
         dgam = np.array([(self.christoffel_fn(x + e) - self.christoffel_fn(x - e))
                          / (2.0 * h) for e in h * np.eye(self.dim)])
         return self.christoffel_fn(x), dgam
@@ -1027,7 +1031,11 @@ class ChartManifold(Manifold):
         v))/6 + O(|v|^4), for 2 dim + 1 ``christoffel_fn`` calls and no
         shots.  A cold start shoots from its inverse at chord = q - p
         against the derivative of the expansion there
-        (``_third_order_seed``).  With ``start`` = (b, w, J), a logarithm
+        (``_third_order_seed``).  A seed farther from the chord than the
+        chord's own length is outside the expansion's range: the shooting
+        then starts from the chord with a finite-difference Jacobian
+        (``_endpoint_jacobian``), where the take-back rule below would
+        end up after wasted shots.  With ``start`` = (b, w, J), a logarithm
         w toward q at a nearby base point b and its endpoint Jacobian J, it
         shoots from w moved to p by the second-order expansion, w - (p - b)
         + (Gamma(p)(q - p, q - p) - Gamma(b)(q - b, q - b))/2, against J
@@ -1058,9 +1066,13 @@ class ChartManifold(Manifold):
         chord = q - p
         if not np.any(chord):
             return np.zeros(self.dim), None, 0.0, True
-        fresh = 0
+        fresh, first = 0, True
         if start is None:
-            (v, jac), fresh = _third_order_seed(*self._christoffel_jet(p), chord), 1
+            v, jac = _third_order_seed(*self._christoffel_jet(p), chord)
+            if np.linalg.norm(v - chord) > np.linalg.norm(chord):
+                v, jac, first = chord, None, False
+            else:
+                fresh = 1
         else:
             gamma = self.christoffel_fn(p)
             b, v, jac = start
@@ -1070,13 +1082,14 @@ class ChartManifold(Manifold):
                 jac, fresh = np.eye(self.dim) - np.einsum("kij,i->kj", gamma, v), 1
         # The last accepted iterate (None before the first shot), its
         # endpoint and residual; whether the next step is the first from
-        # the seed or start; whether jac is by finite differences there.
+        # the seed or start (``first``, set above); whether jac is by
+        # finite differences there.
         base = base_end = None
         base_res = res = math.inf
-        first, exact = True, False
+        exact = False
         steps, t, step = 0, 1.0, 1.0
         first_res = None
-        for _ in range(self.max_shooting_iters):
+        for _ in range(MAX_SHOOTING_ITERS):
             end, step = self._shoot(p, v, step)
             res = float(np.linalg.norm(end - q))
             if first_res is None:

@@ -1,10 +1,22 @@
-"""Independent oracles of the center-of-mass chart, written with the
-scalar ``dist`` and ``log`` of a model rather than the stacked code the
-library solves with."""
+"""Independent oracles for the library's tests: the center-of-mass chart
+written with the scalar ``dist`` and ``log`` of a model rather than the
+stacked code the library solves with, a finite-difference cross-check of
+the connection distortion, the Jacobi initial value problem and the
+second variation, and the generalized-eigenvalue comparison of two flat
+metrics."""
 
 import numpy as np
+from scipy.linalg import eigh
 
-from karcher.manifolds import TangentVector
+from karcher.barycentric import pullback_metric
+from karcher.errors import NonRealizableError
+from karcher.flat_simplex import BarycentricWeight, FlatMetric
+from karcher.harness import _orthonormal_tangent_frame
+from karcher.integrate import solve_ode
+from karcher.jacobi import (JacobiBVP, _frame_curvature, parallel_frame,
+                            solve_bvp)
+from karcher.manifolds import (Geodesic, ManifoldPoint, TangentVector,
+                               _second_difference)
 
 
 def energy(chart, a, lam) -> float:
@@ -26,3 +38,77 @@ def grad_field(chart, a, lam) -> TangentVector:
         if li != 0.0:
             comps -= li * man.log(a, p).components
     return TangentVector(a, comps)
+
+
+def connection_gap_fd(chart, lam: BarycentricWeight, step: float = 1e-4) -> float:
+    """Cross-check value of the largest flat metric derivative computed by
+    differencing the pulled-back metric matrix along weight lines."""
+    n = chart.n
+    B = _orthonormal_tangent_frame(chart)
+    worst = 0.0
+    for u in range(n):
+        direction = np.concatenate([[-B[:, u].sum()], B[:, u]])
+        lp = BarycentricWeight(lam.values + step * direction)
+        lm = BarycentricWeight(lam.values - step * direction)
+        dmat = (pullback_metric(chart, lp) - pullback_metric(chart, lm)) / (2 * step)
+        worst = max(worst, float(np.max(np.abs(B.T @ dmat @ B))))
+    return worst
+
+
+def integrate_jacobi(gamma: Geodesic, j0: TangentVector, jdot0: TangentVector,
+                     ts: np.ndarray) -> tuple[list[TangentVector], list[TangentVector]]:
+    """Propagate a Jacobi field with given initial value and derivative;
+    returns (J(t), J'(t)) at the requested times."""
+    man = gamma.manifold
+    m = man.dim
+    frame = parallel_frame(gamma)
+    R_of_t = _frame_curvature(gamma, frame)
+
+    p = gamma.start
+    F0 = frame(0.0)
+    y = np.array([man._ip(p, j0.components, F0[a]) for a in range(m)])
+    yd = np.array([man._ip(p, jdot0.components, F0[a]) for a in range(m)])
+
+    def rhs(t, state):
+        return np.concatenate([state[m:], -(R_of_t(t) @ state[:m])])
+
+    ts = np.asarray(ts, dtype=float)
+    sol = solve_ode(rhs, (0.0, float(ts[-1])), np.concatenate([y, yd]),
+                    dense_output=True)
+    js, jdots = [], []
+    for t in ts:
+        state = sol.sol(t)
+        F = frame(t)
+        pt = gamma.point(t)
+        js.append(TangentVector(pt, F.T @ state[:m]))
+        jdots.append(TangentVector(pt, F.T @ state[m:]))
+    return js, jdots
+
+
+def second_variation(bvp: JacobiBVP, step: float = 1e-4) -> TangentVector:
+    """tau * D_s J'(0, tau): Richardson-extrapolated central difference of
+    the boundary derivative under the geodesic variation of the endpoint
+    with initial speed V (``_second_difference`` of that derivative)."""
+    gamma = bvp.geodesic
+    man = gamma.manifold
+    p = gamma.start
+
+    def boundary_derivative(endpoint: ManifoldPoint, vel: TangentVector) -> TangentVector:
+        connecting = man.geodesic_between(p, endpoint)
+        jdot_tau, _ = solve_bvp(JacobiBVP(connecting, vel))
+        return connecting.length * jdot_tau
+
+    return _second_difference(man, gamma.point(gamma.length), bvp.end_value,
+                              boundary_derivative, step)
+
+
+def compare_metrics(g1: FlatMetric, g2: FlatMetric) -> float:
+    """sup over nonzero tangents of |(g1 - g2)(v, v)| / g1(v, v), computed
+    as a generalized eigenvalue problem on the Gram matrices."""
+    if g1.n != g2.n:
+        raise ValueError("metrics have different dimensions")
+    if not g1.realizable:
+        raise NonRealizableError("reference metric must be positive definite")
+    diff = g1.G - g2.G
+    vals = eigh(diff, g1.G, eigvals_only=True)
+    return float(np.max(np.abs(vals)))

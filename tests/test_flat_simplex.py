@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 
 from karcher.errors import NonRealizableError
 from karcher.flat_simplex import (BarycentricWeight, EdgeLengthSystem,
-                                  FlatMetric, SimplexTangent, compare_metrics,
-                                  evaluate, flat_metric_from_lengths, fullness,
-                                  gram_eigen_bounds,
-                                  insphere_radius_unit_simplex,
-                                  realize_vertices, volume,
+                                  FlatMetric, SimplexTangent,
+                                  flat_metric_from_lengths, fullness,
+                                  gram_eigen_bounds, volume,
                                   volume_from_cayley_menger, volume_from_gram)
+
+from oracles import compare_metrics
 
 
 def lengths(table):
@@ -25,6 +25,12 @@ def equilateral(n, side=1.0):
 
 
 RIGHT_TRIANGLE = lengths([[0, 1, 1], [1, 0, math.sqrt(2)], [1, math.sqrt(2), 0]])
+
+
+def realize(gm):
+    """One Euclidean realization of a realizable metric, G = L L^T:
+    vertex 0 at the origin and vertex i >= 1 at row i - 1 of L."""
+    return np.vstack([np.zeros((1, gm.n)), gm.cholesky])
 
 
 # -- types --------------------------------------------------------------------
@@ -55,7 +61,7 @@ def test_edge_length_system_validation():
 def test_equilateral_edge_direction():
     gm = flat_metric_from_lengths(equilateral(2))
     v = SimplexTangent.edge(2, 0, 1)
-    assert evaluate(gm, v, v) == pytest.approx(1.0, abs=1e-15)
+    assert v.v @ gm.E @ v.v == pytest.approx(1.0, abs=1e-15)
 
 
 def test_right_triangle_gram_is_identity():
@@ -71,13 +77,13 @@ def test_degenerate_collinear_flagged_not_rejected():
         volume(gm)
 
 
-# -- evaluate -----------------------------------------------------------------
+# -- the flat bilinear form E(v, w) = sum_ij E_ij v^i w^j ----------------------
 
 def test_evaluate_equilateral_h():
     h = 0.37
     gm = flat_metric_from_lengths(equilateral(2, side=h))
     v = SimplexTangent.edge(2, 0, 1)
-    assert evaluate(gm, v, v) == pytest.approx(h ** 2, rel=1e-14)
+    assert v.v @ gm.E @ v.v == pytest.approx(h ** 2, rel=1e-14)
 
 
 @given(st.floats(-5.0, 5.0))
@@ -87,8 +93,7 @@ def test_evaluate_gauge_invariance(rho):
                          realizable=gm.realizable, cholesky=gm.cholesky)
     v = SimplexTangent([0.4, -0.9, 0.3, 0.2])
     w = SimplexTangent([-0.2, 0.1, 0.6, -0.5])
-    assert evaluate(shifted, v, w) == pytest.approx(evaluate(gm, v, w),
-                                                    abs=1e-12)
+    assert v.v @ shifted.E @ w.v == pytest.approx(v.v @ gm.E @ w.v, abs=1e-12)
 
 
 def test_evaluate_matches_realized_vertices(rng):
@@ -99,18 +104,12 @@ def test_evaluate_matches_realized_vertices(rng):
         gm = flat_metric_from_lengths(EdgeLengthSystem.from_points(pts))
         if not gm.realizable:
             continue
-        verts = realize_vertices(gm)
+        verts = realize(gm)
         vv = rng.normal(size=4)
         vv -= vv.mean()
         v = SimplexTangent(vv)
         direct = float(np.linalg.norm(vv @ verts) ** 2)
-        assert evaluate(gm, v, v) == pytest.approx(direct, rel=1e-10)
-
-
-def test_evaluate_dimension_mismatch():
-    gm = flat_metric_from_lengths(equilateral(2))
-    with pytest.raises(ValueError):
-        evaluate(gm, SimplexTangent([1.0, -1.0]), SimplexTangent([1.0, -1.0]))
+        assert v.v @ gm.E @ v.v == pytest.approx(direct, rel=1e-10)
 
 
 # -- volume ---------------------------------------------------------------------
@@ -321,13 +320,13 @@ def test_polarization_extends_quadratic_bound(rng):
     L = g1.cholesky
 
     def ge_norm(v):
-        return math.sqrt(evaluate(g1, v, v))
+        return math.sqrt(v.v @ g1.E @ v.v)
 
     for _ in range(50):
         a, b = rng.normal(size=3), rng.normal(size=3)
         v = SimplexTangent(a - a.mean())
         w = SimplexTangent(b - b.mean())
-        tvw = evaluate(g1, v, w) - evaluate(g2, v, w)
+        tvw = v.v @ g1.E @ w.v - v.v @ g2.E @ w.v
         assert abs(tvw) <= C * ge_norm(v) * ge_norm(w) * (1 + 1e-9)
 
 
@@ -346,25 +345,17 @@ def test_inner_product_estimate(rng):
         v = SimplexTangent(a - a.mean())
         Y = rng.normal(size=(n + 1, 3))
         lhs = np.linalg.norm((v.v[:, None] * Y).sum(axis=0))
-        bound = (n ** n / (theta * h)) * math.sqrt(evaluate(gm, v, v)) * \
+        bound = (n ** n / (theta * h)) * math.sqrt(v.v @ gm.E @ v.v) * \
             np.linalg.norm(Y, axis=1).sum()
         assert lhs <= bound * (1 + 1e-9)
 
 
-# -- insphere -----------------------------------------------------------------
-
-def test_insphere_radius_values():
-    assert insphere_radius_unit_simplex(1) == pytest.approx(0.5)
-    assert insphere_radius_unit_simplex(2) == pytest.approx(1 / (2 + math.sqrt(2)))
-    assert insphere_radius_unit_simplex(3) == pytest.approx(1 / (3 + math.sqrt(3)))
-    with pytest.raises(ValueError):
-        insphere_radius_unit_simplex(0)
-
+# -- realization ----------------------------------------------------------------
 
 def test_realize_vertices_reproduces_lengths(rng):
     pts = rng.uniform(-1, 1, (4, 3))
     system = EdgeLengthSystem.from_points(pts)
     gm = flat_metric_from_lengths(system)
-    verts = realize_vertices(gm)
+    verts = realize(gm)
     rebuilt = EdgeLengthSystem.from_points(verts)
     assert np.allclose(rebuilt.lengths, system.lengths, atol=1e-10)

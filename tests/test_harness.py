@@ -5,13 +5,14 @@ import pytest
 from karcher.barycentric import BarycentricWeight
 from karcher.errors import MeanSolverError
 from karcher.harness import (ConvergenceReport, achieved_fullness,
-                             check_edge_length_comparison, connection_gap_fd,
-                             edge_length_rate, equilateral_family, fit_slope,
+                             check_edge_length_comparison, edge_length_rate,
+                             equilateral_family, fit_slope,
                              generate_geodesic_simplex, interior_weights,
                              measure_distortion, run_distortion_sweep)
 from karcher.manifolds import EuclideanSpace
 
 from conftest import strict_solver
+from oracles import connection_gap_fd
 
 
 @pytest.fixture(scope="module")

@@ -37,10 +37,9 @@ def poincare_dist(a, b):
     return math.acosh(1.0 + 2.0 * d2 / ((1.0 - a @ a) * (1.0 - b @ b)))
 
 
-def make_poincare_disk(**kwargs):
+def make_poincare_disk():
     return ChartManifold(2, poincare_metric, poincare_christoffel,
-                         bounds=ManifoldBounds(1.0, 0.0, math.inf, math.inf),
-                         **kwargs)
+                         bounds=ManifoldBounds(1.0, 0.0, math.inf, math.inf))
 
 
 def polar_sphere_metric(x):
@@ -306,8 +305,11 @@ def test_array_kernels_match_scalar(space, seed):
             man.exp_array(P[:1], np.array([[0.0, 0.0, 1.1 * math.pi * man.radius]]))
 
 
-def test_chart_shooting_failure_is_reported():
-    man = make_poincare_disk(max_shooting_iters=1)
+def test_chart_shooting_failure_is_reported(monkeypatch):
+    from karcher import manifolds
+
+    monkeypatch.setattr(manifolds, "MAX_SHOOTING_ITERS", 1)
+    man = make_poincare_disk()
     p, q = man.point([0.0, 0.0]), man.point([0.7, 0.0])
     with pytest.raises(GeodesicError, match=(
             r"did not converge from p = \[0\.0, 0\.0\] to q = \[0\.7, 0\.0\] "
@@ -1125,6 +1127,16 @@ def _disk_pair(hyperbolic, rng):
             return x, y
 
 
+def disk_log_gap(disk, hyperbolic, x, y):
+    """The norm of the disk's log_x(y) minus the hyperboloid's, carried
+    over by the isometry ``lift_disk``."""
+    log = disk.log(disk.point(x), disk.point(y))
+    P = lift_disk(hyperbolic, x)
+    want = hyperbolic.log(P, lift_disk(hyperbolic, y))
+    return hyperbolic.norm(hyperbolic.tangent(
+        P, lift_disk_differential(x, log.components) - want.components))
+
+
 def test_long_cold_disk_logarithms_match_the_hyperboloid(hyperbolic, monkeypatch):
     # Far from the origin and over long distances the seed is poor: its
     # first step may fail, and the finite-difference Jacobian takes over.
@@ -1143,13 +1155,20 @@ def test_long_cold_disk_logarithms_match_the_hyperboloid(hyperbolic, monkeypatch
     pairs = [(np.array([0.49539472, -0.58909145]), np.array([0.02884016, -0.87088237]))]
     pairs += [_disk_pair(hyperbolic, rng) for _ in range(40)]
     for x, y in pairs:
-        log = disk.log(disk.point(x), disk.point(y))
-        P = lift_disk(hyperbolic, x)
-        want = hyperbolic.log(P, lift_disk(hyperbolic, y))
-        gap = hyperbolic.tangent(P, lift_disk_differential(x, log.components)
-                                 - want.components)
-        assert hyperbolic.norm(gap) <= 1e-10
+        assert disk_log_gap(disk, hyperbolic, x, y) <= 1e-10
     assert refreshes
+
+
+def test_out_of_range_cold_seed_starts_from_the_chord(hyperbolic, ode_calls):
+    # Near the rim, the third-order seed of this long logarithm lies
+    # farther from the chord than the chord's own length.  Shot from the
+    # seed, its first two shots ran toward the rim (1381 and 1321
+    # evaluations) before the take-back rule restarted from the chord:
+    # 6595 evaluations in all.
+    x = np.array([-0.4675642144546439, -0.752965925406271])
+    y = np.array([-0.19298312846227966, -0.24968783137236966])
+    assert disk_log_gap(make_poincare_disk(), hyperbolic, x, y) <= 1e-10
+    assert sum(c.nfev for c in ode_calls) <= 4000
 
 
 # -- integration steps of the chart's geodesics ------------------------------
