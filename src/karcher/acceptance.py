@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem, flat_simplex, harness, jacobi
+from . import flat_simplex, harness, jacobi
 from .barycentric import (BarycentricWeight, KarcherChart, hessian,
                           karcher_mean, pullback_metric)
 from .manifolds import EuclideanSpace, HyperbolicSpace, Manifold, Sphere
@@ -110,7 +110,12 @@ def distortion_experiment(man: Manifold, h0: float, levels: int) -> Experiment:
 def fem_ladder(man: Sphere, levels, mode: str = "flat") -> list[dict]:
     """Model problem on the sphere of radius R: the divergence-form
     Poisson equation with f = -2z/R^2 has the exact solution u = z, whose
-    surface gradient is e_z - (z/R^2) x."""
+    surface gradient is e_z - (z/R^2) x.
+
+    ``fem`` and its ``scipy.sparse`` are imported here, so runs and checks
+    without a FEM ladder do not load them."""
+    from . import fem
+
     r2 = man.radius ** 2
     return fem.poisson_ladder(
         man, levels,

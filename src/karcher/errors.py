@@ -19,7 +19,8 @@ class JacobiError(KarcherError):
 
 
 class NonRealizableError(KarcherError):
-    """Edge-length system does not embed as a Euclidean simplex."""
+    """Edge-length system does not embed as a Euclidean simplex, or a
+    generated simplex realizes too thin to measure."""
 
 
 class MeanSolverError(KarcherError):

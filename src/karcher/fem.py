@@ -15,6 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# Module-level on purpose, unlike the package's other scipy imports: a
+# caller that imports this module runs a FEM ladder, so it pays the import
+# (about 0.35 s) either way.  Deferred to the first solve, it would land
+# inside the cheapest rung and make it slower than the larger rungs, which
+# moves every per-rung timing taken of the ladder.
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 

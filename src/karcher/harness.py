@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .barycentric import KarcherChart, _stack_jets, karcher_mean, sigma
 from .errors import MeanSolverError, NonRealizableError
@@ -108,10 +107,38 @@ def interior_weights(n: int, extra: int = 20) -> list[BarycentricWeight]:
 @functools.lru_cache(maxsize=None)
 def _halton_points(n: int, extra: int) -> np.ndarray:
     """The first ``extra`` points of the unscrambled n-dimensional Halton
-    sequence, drawn once per (n, extra) and returned read-only."""
-    pts = qmc.Halton(d=n, scramble=False).random(extra)
+    sequence, drawn once per (n, extra) and returned read-only.
+
+    Column j is the radical inverse of 0, 1, ..., extra - 1 in the j-th
+    prime base.  The digits are summed lowest first, each times a weight
+    divided down by the base, in the order of scipy's van der Corput
+    kernel, so the points are bit-identical to
+    ``scipy.stats.qmc.Halton(d=n, scramble=False).random(extra)`` (the
+    tests check this).  They are computed here because importing
+    ``scipy.stats`` loads most of scipy, which took longer than the 40
+    distortion sweeps of the benchmark's pass.
+    """
+    pts = np.zeros((extra, n))
+    for col, base in enumerate(_primes(n)):
+        quotient = np.arange(extra)
+        b2r = 1.0 / base
+        while quotient.any():
+            pts[:, col] += (quotient % base) * b2r
+            b2r /= base
+            quotient //= base
     pts.flags.writeable = False
     return pts
+
+
+def _primes(n: int) -> list[int]:
+    """The first n primes, by trial division."""
+    primes = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 @dataclass(frozen=True)
@@ -314,7 +341,7 @@ def run_distortion_sweep(family: SimplexFamily) -> ConvergenceReport:
                                           family.directions, h)
         theta = achieved_fullness(chart)
         if theta < 0.9 * family.fullness_target:
-            raise ValueError(
+            raise NonRealizableError(
                 f"simplex at h={h} is too thin: fullness {theta:.3f}")
         charts.append(chart)
         thetas.append(theta)

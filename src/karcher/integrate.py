@@ -12,10 +12,16 @@ grows the step at most tenfold per step, so a shot would take three steps
 (38 right-hand sides) where one (13) suffices.  When the error estimate
 demands it the controller still rejects the step and shrinks it, so the
 rtol/atol contract is unchanged.
+
+``scipy.integrate`` is imported inside ``solve_ode``, on its first call,
+not with the package.  Only ``ChartManifold`` and the Jacobi solver
+integrate ODEs; the space-form distortion sweeps and the FEM ladder never
+do, and the import (with the scipy modules it pulls in) would be most of
+their start-up time.  Python caches the module after the first call, so
+later calls pay well under a microsecond for the lookup.
 """
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import GeodesicError
 
@@ -47,6 +53,8 @@ def solve_ode(rhs, t_span, y0, dense_output=False, first_step=None):
     more than ``ODE_MAX_NFEV`` right-hand-side evaluations, and if the
     integrator reports failure.
     """
+    from scipy.integrate import solve_ivp
+
     t0, t1 = t_span
     span = abs(t1 - t0)
     if span == 0.0:

@@ -25,8 +25,8 @@ from .integrate import solve_ode
 
 _BASE_TOL = 1e-8
 _ANTIPODE_TOL = 1e-8
-# Central-difference step of a ``ChartManifold``'s finite-difference
-# Christoffel symbols and their derivatives.
+# Central-difference step of the derivatives of a ``ChartManifold``'s
+# Christoffel symbols.
 _FD_STEP = 1e-5
 # Newton steps one ``ChartManifold`` logarithm may take.
 MAX_SHOOTING_ITERS = 50
@@ -862,30 +862,6 @@ class HyperbolicSpace(_SpaceForm):
         return np.concatenate([spatial, x[..., None, :] / r], axis=-2)
 
 
-def christoffel_from_metric(metric_fn: Callable[[np.ndarray], np.ndarray]
-                            ) -> Callable[[np.ndarray], np.ndarray]:
-    """Finite-difference Christoffel symbols Gamma[k, i, j] from a metric
-    callback, using central differences with step ``_FD_STEP``."""
-
-    def christoffel(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        d = x.size
-        dg = np.empty((d, d, d))  # dg[l] = d g / d x_l
-        for l in range(d):
-            e = np.zeros(d)
-            e[l] = _FD_STEP
-            dg[l] = (metric_fn(x + e) - metric_fn(x - e)) / (2.0 * _FD_STEP)
-        ginv = np.linalg.inv(metric_fn(x))
-        # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-        term = np.empty((d, d, d))
-        for i in range(d):
-            for j in range(d):
-                term[:, i, j] = dg[i, j, :] + dg[j, i, :] - dg[:, i, j]
-        return 0.5 * np.einsum("kl,lij->kij", ginv, term)
-
-    return christoffel
-
-
 def _jacobi_operator(gam: np.ndarray, dgam: np.ndarray, T: np.ndarray) -> np.ndarray:
     """The matrix of w -> R(w, T)T from the Christoffel symbols gam and
     their derivatives dgam[l] = d Gamma / d x_l at a point (symmetric
@@ -924,12 +900,13 @@ def _shooting_state(p: np.ndarray, q: np.ndarray, steps: int,
 
 
 class ChartManifold(Manifold):
-    """Manifold given by a metric (and optionally Christoffel) callback on
-    a single chart.  Geodesics are shot with an adaptive RK integrator and
+    """Manifold given by metric and Christoffel callbacks on a single
+    chart.  Geodesics are shot with an adaptive RK integrator and
     logarithms are found by Newton shooting on the endpoint map, to
     ``shooting_tol`` in at most ``MAX_SHOOTING_ITERS`` Newton steps.
-    Without ``christoffel_fn`` the symbols are central differences of the
-    metric (``christoffel_from_metric``).
+    ``christoffel_fn(x)`` returns Gamma[k, i, j] at x.  It is required:
+    the jets difference the symbols once more, and symbols that are
+    themselves differences of the metric are too noisy for that.
 
     Curvature bounds are taken from the caller and are not validated.
     """
@@ -938,13 +915,12 @@ class ChartManifold(Manifold):
 
     def __init__(self, dim: int,
                  metric_fn: Callable[[np.ndarray], np.ndarray],
-                 christoffel_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+                 christoffel_fn: Callable[[np.ndarray], np.ndarray],
                  bounds: ManifoldBounds | None = None):
         self.dim = dim
         self.coord_dim = dim
         self.metric_fn = metric_fn
-        self.christoffel_fn = (christoffel_fn if christoffel_fn is not None
-                               else christoffel_from_metric(metric_fn))
+        self.christoffel_fn = christoffel_fn
         self.bounds = bounds if bounds is not None else ManifoldBounds(
             0.0, 0.0, math.inf, math.inf)
 

@@ -2,8 +2,8 @@
 written with the scalar ``dist`` and ``log`` of a model rather than the
 stacked code the library solves with, a finite-difference cross-check of
 the connection distortion, the Jacobi initial value problem and the
-second variation, and the generalized-eigenvalue comparison of two flat
-metrics."""
+second variation, the generalized-eigenvalue comparison of two flat
+metrics, and finite-difference Christoffel symbols of a metric."""
 
 import numpy as np
 from scipy.linalg import eigh
@@ -15,8 +15,8 @@ from karcher.harness import _orthonormal_tangent_frame
 from karcher.integrate import solve_ode
 from karcher.jacobi import (JacobiBVP, _frame_curvature, parallel_frame,
                             solve_bvp)
-from karcher.manifolds import (Geodesic, ManifoldPoint, TangentVector,
-                               _second_difference)
+from karcher.manifolds import (_FD_STEP, Geodesic, ManifoldPoint,
+                               TangentVector, _second_difference)
 
 
 def energy(chart, a, lam) -> float:
@@ -112,3 +112,26 @@ def compare_metrics(g1: FlatMetric, g2: FlatMetric) -> float:
     diff = g1.G - g2.G
     vals = eigh(diff, g1.G, eigvals_only=True)
     return float(np.max(np.abs(vals)))
+
+
+def christoffel_from_metric(metric_fn):
+    """Finite-difference Christoffel symbols Gamma[k, i, j] from a metric
+    callback, using central differences with step ``_FD_STEP``."""
+
+    def christoffel(x):
+        x = np.asarray(x, dtype=float)
+        d = x.size
+        dg = np.empty((d, d, d))  # dg[l] = d g / d x_l
+        for l in range(d):
+            e = np.zeros(d)
+            e[l] = _FD_STEP
+            dg[l] = (metric_fn(x + e) - metric_fn(x - e)) / (2.0 * _FD_STEP)
+        ginv = np.linalg.inv(metric_fn(x))
+        # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
+        term = np.empty((d, d, d))
+        for i in range(d):
+            for j in range(d):
+                term[:, i, j] = dg[i, j, :] + dg[j, i, :] - dg[:, i, j]
+        return 0.5 * np.einsum("kl,lij->kij", ginv, term)
+
+    return christoffel

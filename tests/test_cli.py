@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,6 +185,25 @@ def test_distortion_reports_match_stored_reports(tmp_path, name, fmt):
         assert slopes[q] == pytest.approx(slope, rel=1e-9, abs=0.0)
 
 
+def test_fem_report_matches_stored_report(tmp_path):
+    # tests/data holds the report of configs/fem_poisson.json as it was
+    # before the FEM callbacks were batched, so that change can be held to
+    # it.
+    assert main(["run", str(CONFIG_DIR / "fem_poisson.json"), "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / "fem-poisson.json").read_text())
+    want = json.loads((DATA / "fem_poisson.json").read_text())
+    assert len(got["records"]) == len(want["records"]) == 4
+    for row, want_row in zip(got["records"], want["records"]):
+        assert (row["level"], row["dof"]) == (want_row["level"], want_row["dof"])
+        for key in ("h", "l2_error", "h1_error"):
+            assert row[key] == pytest.approx(want_row[key], rel=1e-9, abs=0.0)
+    assert got["fitted_slopes"].keys() == want["fitted_slopes"].keys()
+    for key, fit in want["fitted_slopes"].items():
+        assert got["fitted_slopes"][key]["slope"] == pytest.approx(
+            fit["slope"], rel=1e-9, abs=0.0)
+    assert got["failures"] == want["failures"]
+
+
 def test_euclidean_sweep_asserts_flatness(tmp_path):
     path = write_config(tmp_path, {
         "kind": "distortion-sweep",
@@ -261,7 +282,8 @@ CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
 def test_committed_config_runs(tmp_path, path):
     cfg = load_config(str(path))
     if cfg.kind == "fem-poisson":
-        # Criterion 10 runs this definition at the same levels (about 17 s).
+        # test_fem_report_matches_stored_report runs this config, and
+        # criterion 10 runs the same definition at the same levels.
         ctx = AcceptanceContext()
         assert (cfg.fem_levels, cfg.fem_mode, cfg.manifold.radius) == (
             ctx.fem_levels, "flat", 1.0)
@@ -279,3 +301,39 @@ def test_verify_flat_simplex_suite(capsys):
 
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "everything-everywhere"]) == 2
+
+
+# -- start-up ----------------------------------------------------------------------
+
+_IMPORT_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+
+def loaded():
+    return [m for m in ("scipy.integrate", "scipy.sparse", "scipy.stats")
+            if m in sys.modules]
+
+out = {}
+import karcher, karcher.cli, karcher.acceptance, karcher.harness
+out["cli"] = loaded()
+import karcher.fem
+out["fem"] = loaded()
+import numpy as np
+from karcher.manifolds import ChartManifold
+man = ChartManifold(2, lambda x: np.eye(2), lambda x: np.zeros((2, 2, 2)))
+p = man.point([0.0, 0.0])
+man.exp(p, man.tangent(p, [0.1, 0.2]))
+out["exp"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def test_entry_points_load_only_the_scipy_they_use():
+    # A fresh interpreter: this test session has imported all of scipy.
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHILD, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = json.loads(proc.stdout)
+    assert loaded["cli"] == []
+    assert loaded["fem"] == ["scipy.sparse"]
+    assert "scipy.integrate" in loaded["exp"]

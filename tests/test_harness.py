@@ -1,15 +1,17 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from karcher.barycentric import BarycentricWeight
-from karcher.errors import MeanSolverError
-from karcher.harness import (ConvergenceReport, achieved_fullness,
-                             check_edge_length_comparison, edge_length_rate,
-                             equilateral_family, fit_slope,
+from karcher.errors import KarcherError, MeanSolverError
+from karcher.harness import (ConvergenceReport, _halton_points,
+                             achieved_fullness, check_edge_length_comparison,
+                             edge_length_rate, equilateral_family, fit_slope,
                              generate_geodesic_simplex, interior_weights,
                              measure_distortion, run_distortion_sweep)
-from karcher.manifolds import EuclideanSpace
+from karcher.manifolds import EuclideanSpace, HyperbolicSpace
 
 from conftest import strict_solver
 from oracles import connection_gap_fd
@@ -66,6 +68,20 @@ def test_interior_weights_structure():
     for w in ws:
         assert w.values.min() >= 0.05 - 1e-12
         assert w.values.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [5, 20, 1000])
+def test_halton_points_match_scipy(n, k):
+    want = qmc.Halton(d=n, scramble=False).random(k)
+    assert np.array_equal(_halton_points(n, k), want)
+
+
+def test_halton_points_are_read_only():
+    pts = _halton_points(2, 20)
+    assert pts is _halton_points(2, 20)
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.5
 
 
 def test_measure_rejects_boundary_weights(sphere, sphere_family):
@@ -165,6 +181,19 @@ def test_sweep_determinism(sphere, sphere_family):
     r1 = run_distortion_sweep(fam)
     r2 = run_distortion_sweep(fam)
     assert r1.to_dict() == r2.to_dict()  # bit-identical
+
+
+def test_too_thin_simplex_raises_a_karcher_error():
+    # Far out on the hyperboloid (coordinates near 3e7) the generated
+    # triangle at h = 0.2 realizes with fullness 0.146 instead of about
+    # 0.87; the sweep must stop with a typed error, not a plain ValueError.
+    hyp = HyperbolicSpace(2, curvature=1.0)
+    d, angle = 18.0, 0.7
+    center = hyp.point([math.sinh(d) * math.cos(angle),
+                        math.sinh(d) * math.sin(angle), math.cosh(d)])
+    family = equilateral_family(hyp, center, h0=0.2, levels=5)
+    with pytest.raises(KarcherError, match="too thin"):
+        run_distortion_sweep(family)
 
 
 def test_monotone_ladder(sphere_report):
