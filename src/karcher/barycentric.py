@@ -78,7 +78,7 @@ class KarcherChart:
                 "vertex separation exceeds the convexity radius; "
                 "the center of mass may not be unique")
         self.flat_metric: FlatMetric = flat_metric_from_lengths(edge_lengths)
-        coord_scale = max(float(np.max(np.abs(v.coords))) for v in self.vertices)
+        coord_scale = float(np.abs(self.coords).max())
         self.grad_tol = max(float(default_grad_tol(self.h, coord_scale)),
                             manifold.shooting_tol)
         self._mean: tuple[ManifoldPoint | None, np.ndarray | None] = (None, None)

@@ -35,6 +35,12 @@ class MeanSolverError(KarcherError):
         self.index = index
 
 
+class SlopeFitError(KarcherError):
+    """A convergence-order fit on a curved manifold came back non-finite
+    or not positive: the measured distortion does not shrink along the
+    ladder, so the slope says nothing about its order."""
+
+
 class TriangulationError(KarcherError):
     """Mesh construction violated a quality or consistency requirement."""
 

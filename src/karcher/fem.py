@@ -31,7 +31,7 @@ from .barycentric import (KarcherChart, differential_batch,
 from .barycentric import differential  # noqa: F401
 from .errors import LinearSolverError, MeanSolverError, TriangulationError
 from .flat_simplex import EdgeLengthSystem, flat_metric_from_lengths, fullness
-from .manifolds import Sphere
+from .manifolds import ManifoldPoint, Sphere
 
 # Icosahedron vertices on the unit sphere; faces are derived from vertex
 # adjacency (chord length 2 before normalization) and wound outward.
@@ -201,7 +201,16 @@ def build_triangulation(manifold: Sphere, subdivision_level: int
     if subdivision_level < 0:
         raise ValueError("subdivision level must be nonnegative")
     coords, faces = icosphere(subdivision_level, manifold.radius)
-    points = [manifold.point(c) for c in coords]
+    # The checks of ``manifold.point``, on all vertices at once.
+    if coords.shape[1] != manifold.coord_dim:
+        raise ValueError(f"expected {manifold.coord_dim} coordinates, "
+                         f"got {coords.shape[1:]}")
+    r = np.linalg.norm(coords, axis=1)
+    bad = np.flatnonzero(manifold._off_sphere(r))
+    if bad.size:
+        raise ValueError(f"vertex {bad[0]}: point norm {r[bad[0]]} is off the "
+                         f"radius-{manifold.radius} sphere")
+    points = [ManifoldPoint(c) for c in coords]
     return KarcherTriangulation(manifold, points, faces)
 
 

@@ -95,7 +95,9 @@ class EdgeLengthSystem:
         object.__setattr__(self, "lengths", L)
         if L.ndim != 2 or L.shape[0] != L.shape[1]:
             raise ValueError("length table must be square")
-        if not np.allclose(L, L.T, rtol=0.0, atol=1e-14 * max(1.0, L.max(initial=0.0))):
+        # One max-abs compare; a NaN entry fails it.
+        asym = float(np.abs(L - L.T).max(initial=0.0))
+        if not asym <= 1e-14 * max(1.0, L.max(initial=0.0)):
             raise ValueError("length table must be symmetric")
         if np.any(np.diag(L) != 0.0):
             raise ValueError("diagonal must be zero")

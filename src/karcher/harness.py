@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barycentric import KarcherChart, _stack_jets, karcher_mean, sigma
-from .errors import MeanSolverError, NonRealizableError
+from .errors import MeanSolverError, NonRealizableError, SlopeFitError
 from .flat_simplex import BarycentricWeight, SimplexTangent, fullness
 from .manifolds import Manifold, ManifoldPoint, TangentVector
 
@@ -87,7 +87,15 @@ def achieved_fullness(chart: KarcherChart) -> float:
 
 def interior_weights(n: int, extra: int = 20) -> list[BarycentricWeight]:
     """Sample weights: the barycenter, edge midpoints pulled inward to the
-    floor MIN_INTERIOR_WEIGHT, and a low-discrepancy interior set."""
+    floor MIN_INTERIOR_WEIGHT, and a low-discrepancy interior set.
+
+    The weights are built once per (n, extra) and shared between calls,
+    so their values are read-only; each call returns a new list."""
+    return list(_interior_weights(n, extra))
+
+
+@functools.lru_cache(maxsize=None)
+def _interior_weights(n: int, extra: int) -> tuple[BarycentricWeight, ...]:
     bary = np.full(n + 1, 1.0 / (n + 1))
     out = [BarycentricWeight(bary)]
     pull = MIN_INTERIOR_WEIGHT * (n + 1)
@@ -101,7 +109,9 @@ def interior_weights(n: int, extra: int = 20) -> list[BarycentricWeight]:
             z = np.sort(row)
             lam = np.diff(np.concatenate([[0.0], z, [1.0]]))
             out.append(BarycentricWeight((1.0 - pull) * lam + pull * bary))
-    return out
+    for w in out:
+        w.values.flags.writeable = False
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,14 +204,13 @@ def _measure(charts, sample_weights, thetas=None) -> list[DistortionSample]:
     """``measure_distortion`` of each chart (all on one manifold), from
     one stack of jets with a row per (chart, weight) pair.  ``thetas``
     are the charts' ``achieved_fullness`` if the caller has them."""
-    weights = list(sample_weights)
-    for lam in weights:
-        if np.min(lam.values) < MIN_INTERIOR_WEIGHT - 1e-12:
-            raise ValueError("sample weights must be interior (entries >= 0.05)")
+    lam = np.array([w.values for w in sample_weights])   # (W, n+1)
+    if lam.min() < MIN_INTERIOR_WEIGHT - 1e-12:
+        raise ValueError("sample weights must be interior (entries >= 0.05)")
     n = charts[0].n
-    metric, dx, sig, nabla = _jet_stack(charts, weights)
+    metric, dx, sig, nabla = _jet_stack(charts, lam)
     B = np.repeat(np.array([_orthonormal_tangent_frame(c) for c in charts]),
-                  len(weights), axis=0)                   # (R, n, n)
+                  len(lam), axis=0)                       # (R, n, n)
     dxB = dx @ B                                          # (R, D, n)
     xg = np.swapaxes(dxB, 1, 2) @ metric @ dxB
     metric_gap = np.abs(xg - np.eye(n)).max(axis=(1, 2))
@@ -229,15 +238,16 @@ def _norm_rows(squares: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(squares, 0.0))
 
 
-def _jet_stack(charts, weights):
-    """Jets at every (chart, weight) pair, chart-major, from one stack of
-    ``hessian_batch`` jets: the metric in coordinates (R, D, D), or one
-    (D, D) matrix for all rows where it is constant, the dx matrices
-    (R, D, n), sigma images of the simplex basis (R, D, n), from the
-    mean's own logarithms, and nabla dx tensors (R, n, n, D)."""
+def _jet_stack(charts, weights: np.ndarray):
+    """Jets at every pair of a chart and a row of weights (W, n+1),
+    chart-major, from one stack of ``hessian_batch`` jets: the metric in
+    coordinates (R, D, D), or one (D, D) matrix for all rows where it is
+    constant, the dx matrices (R, D, n), sigma images of the simplex
+    basis (R, D, n), from the mean's own logarithms, and nabla dx tensors
+    (R, n, n, D)."""
     man = charts[0].manifold
     verts = np.repeat(np.array([c.coords for c in charts]), len(weights), axis=0)
-    lam = np.tile(np.array([w.values for w in weights]), (len(charts), 1))
+    lam = np.tile(weights, (len(charts), 1))
     try:
         points, logs, dx, nabla = _stack_jets(man, verts, lam, True)
     except MeanSolverError as exc:
@@ -349,6 +359,16 @@ def run_distortion_sweep(family: SimplexFamily) -> ConvergenceReport:
     report = fit_orders(samples)
 
     C0 = family.manifold.bounds.C0
+    if C0 > 0:
+        # On a flat space the gaps vanish and a NaN fit is the expected
+        # outcome; on a curved one it, or a slope <= 0, is a failure.
+        for name in QUANTITIES:
+            slope = report.fitted_slopes[name].slope
+            if not (math.isfinite(slope) and slope > 0.0):
+                sups = ", ".join(f"{s.to_dict()[name]:.3e}" for s in samples)
+                raise SlopeFitError(
+                    f"{name} fitted slope {slope:.3f} is not positive; suprema "
+                    f"at h = {list(family.ladder)}: [{sups}]")
     h_safe = 0.2 / math.sqrt(C0) if C0 > 0 else math.inf
     for name in QUANTITIES:
         vals = [s.to_dict()[name] for s in samples

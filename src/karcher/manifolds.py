@@ -76,10 +76,18 @@ class TangentVector:
         return TangentVector(self.base, -self.components)
 
 
+def _same_base(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the coordinates a and b name one base point: the same
+    array, or within ``_BASE_TOL`` times a's largest entry (at least 1)
+    in every entry.  A NaN entry fails the compare."""
+    if a is b:
+        return True
+    scale = max(1.0, float(np.abs(a).max()))
+    return float(np.abs(a - b).max()) <= _BASE_TOL * scale
+
+
 def _require_same_base(v: TangentVector, w: TangentVector):
-    a, b = v.base.coords, w.base.coords
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if not np.allclose(a, b, rtol=0.0, atol=_BASE_TOL * scale):
+    if not _same_base(v.base.coords, w.base.coords):
         raise BasePointError("tangent vectors have different base points")
 
 
@@ -217,8 +225,7 @@ class Manifold(ABC):
 
     def metric(self, p: ManifoldPoint, v: TangentVector, w: TangentVector) -> float:
         _require_same_base(v, w)
-        scale = max(1.0, float(np.max(np.abs(p.coords))))
-        if not np.allclose(p.coords, v.base.coords, rtol=0.0, atol=_BASE_TOL * scale):
+        if not _same_base(p.coords, v.base.coords):
             raise BasePointError("vectors are not based at the evaluation point")
         return self._ip(p, v.components, w.components)
 
@@ -692,8 +699,13 @@ class Sphere(_SpaceForm):
     def _validate_point(self, p):
         super()._validate_point(p)
         r = float(np.linalg.norm(p.coords))
-        if abs(r - self.radius) > 1e-12 * max(1.0, self.radius):
+        if self._off_sphere(r):
             raise ValueError(f"point norm {r} is off the radius-{self.radius} sphere")
+
+    def _off_sphere(self, r):
+        """Whether the coordinate norms r are too far from the radius for
+        a point of this sphere."""
+        return np.abs(r - self.radius) > 1e-12 * max(1.0, self.radius)
 
     def _ip(self, p, a, b):
         return float(np.dot(a, b))
@@ -867,9 +879,11 @@ def _jacobi_operator(gam: np.ndarray, dgam: np.ndarray, T: np.ndarray) -> np.nda
     their derivatives dgam[l] = d Gamma / d x_l at a point (symmetric
     symbols): (d_w Gamma)(T, T) - (d_T Gamma)(w, T) + Gamma(w, Gamma(T,
     T)) - Gamma(T, Gamma(w, T))."""
+    d = T.size
     dT = dgam @ T                       # dT[l] = (d_l Gamma)(., T)
     gT = gam @ T                        # w -> Gamma(w, T)
-    return (dT @ T).T - np.tensordot(T, dT, 1) + gam @ (gT @ T) - gT @ gT
+    dTT = (T @ dT.reshape(d, -1)).reshape(d, d)   # w -> (d_T Gamma)(w, T)
+    return (dT @ T).T - dTT + gam @ (gT @ T) - gT @ gT
 
 
 def _third_order_seed(gam: np.ndarray, dgam: np.ndarray, chord: np.ndarray
@@ -921,6 +935,8 @@ class ChartManifold(Manifold):
         self.coord_dim = dim
         self.metric_fn = metric_fn
         self.christoffel_fn = christoffel_fn
+        # Rows: the central-difference offsets of ``_christoffel_jet``.
+        self._fd_offsets = _FD_STEP * np.eye(dim)
         self.bounds = bounds if bounds is not None else ManifoldBounds(
             0.0, 0.0, math.inf, math.inf)
 
@@ -930,14 +946,16 @@ class ChartManifold(Manifold):
     def _geodesic_rhs(self, t, y):
         d = self.dim
         x, u = y[:d], y[d:]
-        return np.concatenate([u, -((self.christoffel_fn(x) @ u) @ u)])
+        out = np.empty_like(y)
+        out[:d] = u
+        out[d:] = -((self.christoffel_fn(x) @ u) @ u)
+        return out
 
     def _christoffel_jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gamma(x) and its central differences with step ``_FD_STEP``,
         dgam[l] = d Gamma / d x_l: 2 dim + 1 ``christoffel_fn`` calls."""
-        h = _FD_STEP
         dgam = np.array([(self.christoffel_fn(x + e) - self.christoffel_fn(x - e))
-                         / (2.0 * h) for e in h * np.eye(self.dim)])
+                         / (2.0 * _FD_STEP) for e in self._fd_offsets])
         return self.christoffel_fn(x), dgam
 
     def _shoot(self, p_coords: np.ndarray, v_comps: np.ndarray,

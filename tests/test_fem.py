@@ -70,6 +70,20 @@ def test_fullness_threshold_error(sphere, monkeypatch):
         build_triangulation(sphere, 1)
 
 
+def test_off_sphere_vertex_is_named(sphere, monkeypatch):
+    icosphere = fem.icosphere
+
+    def bent(level, radius):
+        coords, faces = icosphere(level, radius)
+        coords[5] *= 1.0 + 1e-9
+        coords[9] *= 1.0 + 1e-9
+        return coords, faces
+
+    monkeypatch.setattr(fem, "icosphere", bent)
+    with pytest.raises(ValueError, match="vertex 5: point norm"):
+        build_triangulation(sphere, 1)
+
+
 def test_level_validation(sphere):
     with pytest.raises(ValueError):
         build_triangulation(sphere, -1)

@@ -56,6 +56,23 @@ def test_edge_length_system_validation():
         lengths([[0, 0], [0, 0]])          # zero off-diagonal
 
 
+@pytest.mark.parametrize("gap, symmetric", [(0.5, True), (2.0, False),
+                                            (math.nan, False)])
+def test_edge_length_symmetry_tolerance_scales_with_lengths(gap, symmetric):
+    # Entries may differ from their mirror by 1e-14 times the longest edge
+    # (here 30); a NaN fails the check even when it is mirrored.
+    table = equilateral(2, side=30.0).lengths.copy()
+    if math.isnan(gap):
+        table[0, 1] = table[1, 0] = math.nan
+    else:
+        table[0, 1] += gap * 1e-14 * 30.0
+    if symmetric:
+        lengths(table)
+        return
+    with pytest.raises(ValueError, match="symmetric"):
+        lengths(table)
+
+
 # -- flat_metric_from_lengths -------------------------------------------------
 
 def test_equilateral_edge_direction():

@@ -70,6 +70,15 @@ def test_interior_weights_structure():
         assert w.values.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_interior_weights_are_shared_and_read_only():
+    first, again = interior_weights(2), interior_weights(2)
+    assert first is not again
+    assert [w.values.tolist() for w in first] == [w.values.tolist() for w in again]
+    with pytest.raises(ValueError):
+        first[3].values[0] = 0.5
+    assert again[3].values.tolist() == first[3].values.tolist()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("k", [5, 20, 1000])
 def test_halton_points_match_scipy(n, k):
@@ -193,6 +202,19 @@ def test_too_thin_simplex_raises_a_karcher_error():
                         math.sinh(d) * math.sin(angle), math.cosh(d)])
     family = equilateral_family(hyp, center, h0=0.2, levels=5)
     with pytest.raises(KarcherError, match="too thin"):
+        run_distortion_sweep(family)
+
+
+def test_non_positive_slope_raises_a_karcher_error():
+    # At d = 15 (coordinates near 1.6e6) the suprema stop shrinking with
+    # h and the fits come back negative or NaN; a curved-space sweep must
+    # not return them as slopes.
+    hyp = HyperbolicSpace(2, curvature=1.0)
+    d, angle = 15.0, 0.7
+    center = hyp.point([math.sinh(d) * math.cos(angle),
+                        math.sinh(d) * math.sin(angle), math.cosh(d)])
+    family = equilateral_family(hyp, center, h0=0.2, levels=5)
+    with pytest.raises(KarcherError, match="slope"):
         run_distortion_sweep(family)
 
 

@@ -173,6 +173,25 @@ def test_metric_base_point_mismatch(sphere):
         sphere.metric(q, v, v)
 
 
+@pytest.mark.parametrize("gap, same", [(0.5, True), (2.0, False),
+                                       (math.nan, False)])
+def test_base_point_tolerance_scales_with_coordinates(gap, same):
+    # Distinct point objects are one base point when their coordinates
+    # agree to 1e-8 times the largest entry (here 40).
+    man = EuclideanSpace(3)
+    p = man.point([1.0, -40.0, 3.0])
+    q = man.point(p.coords + [0.0, 0.0, gap * 1e-8 * 40.0])
+    v, w = man.tangent(p, [1.0, 0.0, 0.0]), man.tangent(q, [0.0, 1.0, 0.0])
+    if same:
+        assert (v + w).components.tolist() == [1.0, 1.0, 0.0]
+        assert man.metric(q, v, v) == 1.0
+        return
+    with pytest.raises(BasePointError):
+        v + w
+    with pytest.raises(BasePointError):
+        man.metric(q, v, v)
+
+
 # -- metric examples --------------------------------------------------------
 
 def test_metric_euclidean_identity(euclidean3):
