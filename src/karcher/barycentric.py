@@ -27,10 +27,9 @@ MAX_MEAN_ITERS = 100
 class KarcherChart:
     """n+1 manifold vertices and the mean solver's stopping tolerance.
 
-    Construction computes the geodesic edge lengths (or reuses a table
-    computed elsewhere, so mesh edges are measured exactly once), derives
-    the induced flat simplex metric, and verifies that all pairwise
-    distances stay below the manifold's convexity radius.  ``grad_tol`` is
+    Construction measures the geodesic edge lengths, derives the induced
+    flat simplex metric, and verifies that all pairwise distances stay
+    below the manifold's convexity radius.  ``grad_tol`` is
     ``default_grad_tol`` of the diameter and coordinate scale, floored at
     the manifold's logarithm tolerance ``shooting_tol``: the gradient test
     reads logarithms that are only that exact.
@@ -40,15 +39,13 @@ class KarcherChart:
     point a that ``karcher_mean`` last returned with its logarithms
     log_a(p_i), so that jets and ``sigma`` at that same point object do
     not compute them again.  On a model whose logarithm is solved for
-    (``shooting_tol > 0``) a chart that measures its own edges shoots
-    log_p0(p_j) once and keeps them: the (0, j) edge lengths are their
-    norms, which is what ``dist`` computes there, and the mean's initial
-    guess reads them.  Closed-form spaces measure every edge with
-    ``dist``.
+    (``shooting_tol > 0``) the chart shoots log_p0(p_j) once and keeps
+    them: the (0, j) edge lengths are their norms, which is what ``dist``
+    computes there, and the mean's initial guess reads them.
+    Closed-form spaces measure every edge with ``dist``.
     """
 
-    def __init__(self, manifold: Manifold, vertices,
-                 edge_lengths: EdgeLengthSystem | None = None):
+    def __init__(self, manifold: Manifold, vertices):
         self.manifold = manifold
         self.vertices = tuple(vertices)
         self.n = len(self.vertices) - 1
@@ -56,28 +53,26 @@ class KarcherChart:
             raise ValueError("need at least two vertices")
         self.coords = np.array([v.coords for v in self.vertices])
         self._edge_logs: np.ndarray | None = None
-        if edge_lengths is None:
-            n1 = self.n + 1
-            table = np.zeros((n1, n1))
-            rows = range(n1)
-            if manifold.shooting_tol > 0:
-                p0 = self.vertices[0]
-                logs = [manifold.log(p0, p) for p in self.vertices[1:]]
-                table[0, 1:] = table[1:, 0] = [manifold.norm(v) for v in logs]
-                self._edge_logs = np.array([v.components for v in logs])
-                rows = range(1, n1)
-            for i in rows:
-                for j in range(i + 1, n1):
-                    table[i, j] = table[j, i] = manifold.dist(
-                        self.vertices[i], self.vertices[j])
-            edge_lengths = EdgeLengthSystem(table)
-        self.edge_lengths = edge_lengths
-        self.h = edge_lengths.max_length
+        n1 = self.n + 1
+        table = np.zeros((n1, n1))
+        rows = range(n1)
+        if manifold.shooting_tol > 0:
+            p0 = self.vertices[0]
+            logs = [manifold.log(p0, p) for p in self.vertices[1:]]
+            table[0, 1:] = table[1:, 0] = [manifold.norm(v) for v in logs]
+            self._edge_logs = np.array([v.components for v in logs])
+            rows = range(1, n1)
+        for i in rows:
+            for j in range(i + 1, n1):
+                table[i, j] = table[j, i] = manifold.dist(
+                    self.vertices[i], self.vertices[j])
+        self.edge_lengths = EdgeLengthSystem(table)
+        self.h = self.edge_lengths.max_length
         if exceeds_convexity_radius(manifold, self.h):
             raise ValueError(
                 "vertex separation exceeds the convexity radius; "
                 "the center of mass may not be unique")
-        self.flat_metric: FlatMetric = flat_metric_from_lengths(edge_lengths)
+        self.flat_metric: FlatMetric = flat_metric_from_lengths(self.edge_lengths)
         coord_scale = float(np.abs(self.coords).max())
         self.grad_tol = max(float(default_grad_tol(self.h, coord_scale)),
                             manifold.shooting_tol)
@@ -271,9 +266,10 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
     exact in flat space.  Near the mean the update is a contraction with
     rate of order C0 h^2, so a handful of iterations reaches gradient
     norms near roundoff.  On a model that shoots its logarithms, each
-    iterate's logarithms toward the vertices, their endpoint Jacobians
-    and first-shot residuals are the next iterate's warm start
-    (``Manifold.log_array``), and each logarithm takes one shot per
+    iterate's logarithms toward the vertices are taken by
+    ``Manifold._warm_log_array``, whose state (for ``ChartManifold`` the
+    logarithms, endpoint Jacobians and first-shot residuals) warm-starts
+    the next iterate's, and each logarithm takes one shot per
     iterate: the Newton step from that shot stands in for it,
     unverified, while its first-shot residual at least halves from
     iterate to iterate (``ChartManifold._shoot_log``); any other
@@ -290,13 +286,12 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
     logs = np.empty_like(verts)
     active = np.arange(len(verts))
     iterates = np.ones(len(verts), dtype=int)
-    start = None
+    state = None
     for _ in range(MAX_MEAN_ITERS):
         if trace is not None:
             trace.append(a.copy())
         base = a[active, None]
-        cur, jac, res, exact = manifold._warm_log_array(base, verts[active], start,
-                                                        one_shot=True)
+        cur, exact, state = manifold._warm_log_array(base, verts[active], state)
         far = manifold.norm_array(cur, base).max(axis=1)
         left = np.flatnonzero(far > conv_radius * (1.0 + 1e-9))
         if left.size:
@@ -313,8 +308,8 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
         active, F, f_norm = active[keep], F[keep], f_norm[keep]
         if active.size == 0:
             return a, logs, iterates
-        if jac is not None:
-            start = (base[keep], cur[keep], jac[keep], res[keep])
+        if state is not None:
+            state = tuple(x[keep] for x in state)
         a[active] = manifold.exp_array(a[active], -F)
         iterates[active] += 1
     row = active[0]

@@ -23,15 +23,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .barycentric import (KarcherChart, differential_batch,
-                          exceeds_convexity_radius)
-# The scalar jet of tri.chart(t), which quad_data reproduces in batch.  No
-# code here calls it; it stays importable from this module because the
-# benchmark's tracer test (perfbench/test_smoke.py) looks it up here.
+from .barycentric import differential_batch, exceeds_convexity_radius
+# The scalar jet of one chart, which quad_data computes in batch for every
+# quadrature node.  No code here calls it; it stays importable from this
+# module because the benchmark's tracer test (perfbench/test_smoke.py)
+# looks it up here.
 from .barycentric import differential  # noqa: F401
 from .errors import LinearSolverError, MeanSolverError, TriangulationError
-from .flat_simplex import EdgeLengthSystem, flat_metric_from_lengths, fullness
-from .manifolds import ManifoldPoint, Sphere
+from .flat_simplex import flat_metric_from_lengths, fullness
+from .manifolds import Sphere
 
 # Icosahedron vertices on the unit sphere; faces are derived from vertex
 # adjacency (chord length 2 before normalization) and wound outward.
@@ -118,17 +118,16 @@ MIN_FULLNESS = 0.5
 class KarcherTriangulation:
     """Global sphere mesh with per-triangle flat metrics and charts.
 
-    Every mesh quantity is held as an array over triangles: the edge
-    lengths, the flat Gram matrices, and (after the first ``quad_data``
-    call) the chart jets at the quadrature nodes.  ``chart(t)`` builds the
-    scalar chart of one triangle from the same numbers.
+    Every mesh quantity is held as an array: the vertex coordinates
+    (V, coord_dim), the triangles' vertex indices (T, 3), and over
+    triangles the edge lengths, the flat Gram matrices, and (after the
+    first ``quad_data`` call) the chart jets at the quadrature nodes.
     """
 
-    def __init__(self, manifold: Sphere, points, triangles: np.ndarray):
+    def __init__(self, manifold: Sphere, coords, triangles: np.ndarray):
         self.manifold = manifold
-        self.points = list(points)
+        self.coords = np.asarray(coords, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
-        self.coords = np.array([p.coords for p in self.points])
         # Geodesic edge lengths, each undirected edge measured exactly once
         # so both adjacent triangles see the same number.
         ends = np.sort(np.stack([self.triangles[:, _EDGE_I],
@@ -163,18 +162,11 @@ class KarcherTriangulation:
 
     @property
     def num_vertices(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     @property
     def num_triangles(self) -> int:
         return len(self.triangles)
-
-    def chart(self, t: int) -> KarcherChart:
-        """Scalar chart of triangle t, with the mesh's edge lengths."""
-        table = np.zeros((3, 3))
-        table[_EDGE_I, _EDGE_J] = table[_EDGE_J, _EDGE_I] = self.edge_lengths[t]
-        return KarcherChart(self.manifold, [self.points[i] for i in self.triangles[t]],
-                            edge_lengths=EdgeLengthSystem(table))
 
     def quad_data(self) -> tuple[np.ndarray, np.ndarray]:
         """Chart jets at the quadrature nodes of every triangle (cached):
@@ -210,8 +202,7 @@ def build_triangulation(manifold: Sphere, subdivision_level: int
     if bad.size:
         raise ValueError(f"vertex {bad[0]}: point norm {r[bad[0]]} is off the "
                          f"radius-{manifold.radius} sphere")
-    points = [ManifoldPoint(c) for c in coords]
-    return KarcherTriangulation(manifold, points, faces)
+    return KarcherTriangulation(manifold, coords, faces)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,8 @@ from .flat_simplex import BarycentricWeight, SimplexTangent, fullness
 from .manifolds import Manifold, ManifoldPoint, TangentVector
 
 MIN_INTERIOR_WEIGHT = 0.05
+# Low-discrepancy points in each set of ``interior_weights``.
+INTERIOR_POINTS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,17 +87,18 @@ def achieved_fullness(chart: KarcherChart) -> float:
     return fullness(chart.flat_metric, chart.h)
 
 
-def interior_weights(n: int, extra: int = 20) -> list[BarycentricWeight]:
+def interior_weights(n: int) -> list[BarycentricWeight]:
     """Sample weights: the barycenter, edge midpoints pulled inward to the
-    floor MIN_INTERIOR_WEIGHT, and a low-discrepancy interior set.
+    floor MIN_INTERIOR_WEIGHT, and INTERIOR_POINTS low-discrepancy
+    interior points.
 
-    The weights are built once per (n, extra) and shared between calls,
-    so their values are read-only; each call returns a new list."""
-    return list(_interior_weights(n, extra))
+    The weights are built once per n and shared between calls, so their
+    values are read-only; each call returns a new list."""
+    return list(_interior_weights(n))
 
 
 @functools.lru_cache(maxsize=None)
-def _interior_weights(n: int, extra: int) -> tuple[BarycentricWeight, ...]:
+def _interior_weights(n: int) -> tuple[BarycentricWeight, ...]:
     bary = np.full(n + 1, 1.0 / (n + 1))
     out = [BarycentricWeight(bary)]
     pull = MIN_INTERIOR_WEIGHT * (n + 1)
@@ -104,11 +107,10 @@ def _interior_weights(n: int, extra: int) -> tuple[BarycentricWeight, ...]:
             lam = np.zeros(n + 1)
             lam[i] = lam[j] = 0.5
             out.append(BarycentricWeight((1.0 - pull) * lam + pull * bary))
-    if extra > 0:
-        for row in _halton_points(n, extra):
-            z = np.sort(row)
-            lam = np.diff(np.concatenate([[0.0], z, [1.0]]))
-            out.append(BarycentricWeight((1.0 - pull) * lam + pull * bary))
+    for row in _halton_points(n, INTERIOR_POINTS):
+        z = np.sort(row)
+        lam = np.diff(np.concatenate([[0.0], z, [1.0]]))
+        out.append(BarycentricWeight((1.0 - pull) * lam + pull * bary))
     for w in out:
         w.values.flags.writeable = False
     return tuple(out)
@@ -171,12 +173,6 @@ class DistortionSample:
             "dx_sigma_gap": self.sup_dx_sigma_gap,
             "nabla_dx": self.sup_nabla_dx,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "DistortionSample":
-        return DistortionSample(d["h"], d["theta"], d["metric_gap"],
-                                d["connection_gap"], d["dx_sigma_gap"],
-                                d["nabla_dx"])
 
 
 QUANTITIES = ("metric_gap", "connection_gap", "dx_sigma_gap", "nabla_dx")
@@ -270,11 +266,6 @@ class SlopeFit:
                 "stderr": self.stderr, "n_used": self.n_used,
                 "dropped_coarsest": self.dropped_coarsest}
 
-    @staticmethod
-    def from_dict(d: dict) -> "SlopeFit":
-        return SlopeFit(d["slope"], d["intercept"], d["stderr"],
-                        d["n_used"], d["dropped_coarsest"])
-
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, np.ndarray, float]:
     A = np.vstack([x, np.ones_like(x)]).T
@@ -318,14 +309,6 @@ class ConvergenceReport:
             "fitted_slopes": {k: v.to_dict() for k, v in self.fitted_slopes.items()},
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "ConvergenceReport":
-        return ConvergenceReport(
-            samples=tuple(DistortionSample.from_dict(s) for s in d["samples"]),
-            fitted_slopes={k: SlopeFit.from_dict(v)
-                           for k, v in d["fitted_slopes"].items()},
-        )
-
 
 def fit_orders(samples) -> ConvergenceReport:
     """Fit one slope per distortion quantity across the ladder."""
@@ -338,13 +321,11 @@ def fit_orders(samples) -> ConvergenceReport:
     return ConvergenceReport(samples=samples, fitted_slopes=slopes)
 
 
-def run_distortion_sweep(family: SimplexFamily) -> ConvergenceReport:
-    """Generate the ladder, measure every level and fit orders.
-
-    Every level's chart is built first; the jets of all levels and
-    weights are then measured as one stack, and aggregation is a pure
-    reduction, so results do not depend on evaluation scheduling.
-    """
+def _ladder_charts(family: SimplexFamily) -> tuple[list[KarcherChart], list[float]]:
+    """The family's chart at every ladder level and its
+    ``achieved_fullness``.  A level thinner than 0.9 of the family's
+    fullness target raises NonRealizableError before any mean is
+    taken."""
     charts, thetas = [], []
     for h in family.ladder:
         chart = generate_geodesic_simplex(family.manifold, family.center,
@@ -355,20 +336,35 @@ def run_distortion_sweep(family: SimplexFamily) -> ConvergenceReport:
                 f"simplex at h={h} is too thin: fullness {theta:.3f}")
         charts.append(chart)
         thetas.append(theta)
+    return charts, thetas
+
+
+def _check_slope(family: SimplexFamily, name: str, fit: SlopeFit, values):
+    """On a flat space the gaps vanish and a NaN fit is the expected
+    outcome; on a curved one it, or a slope <= 0, raises SlopeFitError
+    with the ladder's ``values``."""
+    if family.manifold.bounds.C0 > 0 and not (math.isfinite(fit.slope)
+                                              and fit.slope > 0.0):
+        sups = ", ".join(f"{v:.3e}" for v in values)
+        raise SlopeFitError(
+            f"{name} fitted slope {fit.slope:.3f} is not positive; suprema "
+            f"at h = {list(family.ladder)}: [{sups}]")
+
+
+def run_distortion_sweep(family: SimplexFamily) -> ConvergenceReport:
+    """Generate the ladder, measure every level and fit orders.
+
+    Every level's chart is built first; the jets of all levels and
+    weights are then measured as one stack, and aggregation is a pure
+    reduction, so results do not depend on evaluation scheduling.
+    """
+    charts, thetas = _ladder_charts(family)
     samples = _measure(charts, interior_weights(family.n), thetas)
     report = fit_orders(samples)
-
+    for name in QUANTITIES:
+        _check_slope(family, name, report.fitted_slopes[name],
+                     [s.to_dict()[name] for s in samples])
     C0 = family.manifold.bounds.C0
-    if C0 > 0:
-        # On a flat space the gaps vanish and a NaN fit is the expected
-        # outcome; on a curved one it, or a slope <= 0, is a failure.
-        for name in QUANTITIES:
-            slope = report.fitted_slopes[name].slope
-            if not (math.isfinite(slope) and slope > 0.0):
-                sups = ", ".join(f"{s.to_dict()[name]:.3e}" for s in samples)
-                raise SlopeFitError(
-                    f"{name} fitted slope {slope:.3f} is not positive; suprema "
-                    f"at h = {list(family.ladder)}: [{sups}]")
     h_safe = 0.2 / math.sqrt(C0) if C0 > 0 else math.inf
     for name in QUANTITIES:
         vals = [s.to_dict()[name] for s in samples
@@ -403,10 +399,11 @@ def check_edge_length_comparison(chart: KarcherChart) -> EdgeLengthReport:
 
 
 def edge_length_rate(family: SimplexFamily) -> tuple[list[EdgeLengthReport], SlopeFit]:
-    reports = []
-    for h in family.ladder:
-        chart = generate_geodesic_simplex(family.manifold, family.center,
-                                          family.directions, h)
-        reports.append(check_edge_length_comparison(chart))
-    fit = fit_slope([r.h for r in reports], [r.max_rel_gap for r in reports])
+    """``check_edge_length_comparison`` at every ladder level and the
+    slope of the gaps, with the ladder and slope checks of
+    ``run_distortion_sweep``."""
+    reports = [check_edge_length_comparison(chart) for chart in _ladder_charts(family)[0]]
+    gaps = [r.max_rel_gap for r in reports]
+    fit = fit_slope([r.h for r in reports], gaps)
+    _check_slope(family, "edge length gap", fit, gaps)
     return reports, fit

@@ -332,11 +332,11 @@ class Manifold(ABC):
         return second
 
     def _second_quadratic(self, p: ManifoldPoint, q: ManifoldPoint,
-                          U: TangentVector, step: float = 1e-4) -> TangentVector:
+                          U: TangentVector) -> TangentVector:
         """Quadratic form U -> sym(grad^2)(U,U): the ``_second_difference``
-        of hess_half_dist_sq(p, ., .) at q in direction U."""
+        of hess_half_dist_sq(p, ., .) at q in direction U, step 1e-4."""
         return _second_difference(
-            self, q, U, lambda x, V: self.hess_half_dist_sq(p, x, V), step)
+            self, q, U, lambda x, V: self.hess_half_dist_sq(p, x, V), 1e-4)
 
     # -- stacks ------------------------------------------------------------
     # The maps above row by row on (..., coord_dim) coordinate arrays,
@@ -350,26 +350,20 @@ class Manifold(ABC):
             return self.exp(x, TangentVector(x, u)).coords
         return _rows(exp, p, v)
 
-    def log_array(self, p: np.ndarray, q: np.ndarray, start=None) -> np.ndarray:
-        """log_p(q) row by row.  ``start``, if given, is a warm start (b,
-        v, jac): logarithms v toward q taken at nearby base points b, such
-        as a mean's previous iterate, and the endpoint Jacobians jac that
-        ``_warm_log_array`` gave with them.  Models that solve for the
-        logarithm start from it; the default and the closed forms ignore
-        it."""
+    def log_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """log_p(q) row by row, shot to ``shooting_tol`` on models that
+        solve for it."""
         return _rows(lambda x, y: self.log(ManifoldPoint(x), ManifoldPoint(y)).components,
                      p, q)
 
-    def _warm_log_array(self, p: np.ndarray, q: np.ndarray, start=None,
-                        one_shot: bool = False):
-        """``log_array`` as the mean reads it: the logarithms, what a later
-        warm start carries (endpoint Jacobians and first-shot residuals,
-        None and None for models that keep none) and whether each
-        logarithm is verified to ``shooting_tol``, always true for models
-        that do not shoot.  ``one_shot`` is ``ChartManifold``'s mode for
-        the mean."""
-        logs = self.log_array(p, q, start)
-        return logs, None, None, np.ones(logs.shape[:-1], dtype=bool)
+    def _warm_log_array(self, p: np.ndarray, q: np.ndarray, state=None):
+        """``log_array`` as the mean's iterates read it: the logarithms,
+        whether each is verified to ``shooting_tol`` (always, for models
+        that do not shoot) and the state that the next iterate passes
+        back as ``state``, None for models that keep none.  A shooting
+        model builds and reads its own state (``ChartManifold``)."""
+        logs = self.log_array(p, q)
+        return logs, np.ones(logs.shape[:-1], dtype=bool), None
 
     def dist_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return _rows(lambda x, y: self.dist(ManifoldPoint(x), ManifoldPoint(y)), p, q)
@@ -741,7 +735,7 @@ class Sphere(_SpaceForm):
         chord = np.linalg.norm(q - p, axis=-1)
         return 2.0 * self.radius * np.arcsin(np.minimum(chord / (2.0 * self.radius), 1.0))
 
-    def log_array(self, p: np.ndarray, q: np.ndarray, start=None) -> np.ndarray:
+    def log_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         r = self.radius
         chord = np.linalg.norm(q - p, axis=-1)
         theta = 2.0 * np.arcsin(np.minimum(chord / (2.0 * r), 1.0))
@@ -843,7 +837,7 @@ class HyperbolicSpace(_SpaceForm):
         d2 = np.maximum(self.ip_array(d, d), 0.0)
         return 2.0 * self.radius * np.arcsinh(np.sqrt(d2) / (2.0 * self.radius))
 
-    def log_array(self, p: np.ndarray, q: np.ndarray, start=None) -> np.ndarray:
+    def log_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         r = self.radius
         d = q - p
         d2 = np.maximum(self.ip_array(d, d), 0.0)
@@ -978,38 +972,33 @@ class ChartManifold(Manifold):
     def log(self, p, q):
         return TangentVector(p, self._shoot_log(p.coords, q.coords)[0])
 
-    def log_array(self, p, q, start=None):
-        return self._warm_log_array(p, q, start)[0]
+    def log_array(self, p, q):
+        return _rows(lambda x, y: self._shoot_log(x, y)[0], p, q)
 
-    def _warm_log_array(self, p, q, start=None, one_shot=False):
-        """``_shoot_log`` on every row: the logarithms, each one's endpoint
-        Jacobian (NaN where p = q) and first-shot residual for the next
-        warm start, and whether each is verified.
-
-        ``one_shot`` is the mean's mode, in which a start is (b, v, jac,
-        res), res the first-shot residuals that came with v.  A row's
-        guard reference is its res, or |q - p| (the residual of v = 0)
-        without a start; a row whose first shot misses by at most half
-        of it returns that shot's Newton step unverified."""
+    def _warm_log_array(self, p, q, state=None):
+        """``_shoot_log`` on every row in the mean's one-shot mode: the
+        logarithms, whether each is verified, and the state (p, logs,
+        endpoint Jacobians, NaN where p = q, and first-shot residuals) for
+        the next iterate.  From a state (b, v, jac, res) a row shoots warm
+        from v at b against jac, with res as its guard reference; without
+        one it shoots cold, against |q - p| (the residual of v = 0).  A
+        row whose first shot misses by at most half of its reference
+        returns that shot's Newton step unverified."""
         p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
         lead = p.shape[:-1]
         logs = np.empty(p.shape)
         jacs = np.full(p.shape + (self.dim,), np.nan)
         res, exact = np.empty(lead), np.empty(lead, dtype=bool)
-        if start is not None:
-            b, v, jac, *prev = start
-            b = np.broadcast_to(b, p.shape)
         for idx in np.ndindex(lead):
-            warm = None if start is None else (
-                b[idx], v[idx], None if jac is None else jac[idx])
-            ref = 0.0
-            if one_shot:
-                ref = prev[0][idx] if start is not None else np.linalg.norm(q[idx] - p[idx])
+            if state is None:
+                warm, guard = None, np.linalg.norm(q[idx] - p[idx])
+            else:
+                warm, guard = tuple(x[idx] for x in state[:3]), state[3][idx]
             logs[idx], found, res[idx], exact[idx] = self._shoot_log(
-                p[idx], q[idx], warm, ref)
+                p[idx], q[idx], warm, guard)
             if found is not None:
                 jacs[idx] = found
-        return logs, jacs, res, exact
+        return logs, exact, (p, logs, jacs, res)
 
     def _shoot_log(self, p: np.ndarray, q: np.ndarray, start=None, ref: float = 0.0
                    ) -> tuple[np.ndarray, np.ndarray | None, float, bool]:
@@ -1033,8 +1022,8 @@ class ChartManifold(Manifold):
         w toward q at a nearby base point b and its endpoint Jacobian J, it
         shoots from w moved to p by the second-order expansion, w - (p - b)
         + (Gamma(p)(q - p, q - p) - Gamma(b)(q - b, q - b))/2, against J
-        (if J is None or NaN, the second-order seed Jacobian I -
-        Gamma(p)(v0, .)).  After every accepted step the Jacobian takes a
+        (if J is NaN, the second-order seed Jacobian I - Gamma(p)(v0,
+        .)).  After every accepted step the Jacobian takes a
         rank-one (good) Broyden update from the step and the change of the
         endpoint.
 
@@ -1072,7 +1061,7 @@ class ChartManifold(Manifold):
             b, v, jac = start
             v = (v - (p - b) + 0.5 * np.einsum("kij,i,j->k", gamma, chord, chord)
                  - 0.5 * np.einsum("kij,i,j->k", self.christoffel_fn(b), q - b, q - b))
-            if jac is None or np.isnan(jac).any():
+            if np.isnan(jac).any():
                 jac, fresh = np.eye(self.dim) - np.einsum("kij,i->kj", gamma, v), 1
         # The last accepted iterate (None before the first shot), its
         # endpoint and residual; whether the next step is the first from

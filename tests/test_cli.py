@@ -8,7 +8,6 @@ import pytest
 from karcher.acceptance import AcceptanceContext
 from karcher.cli import load_config, main
 from karcher.errors import ConfigError
-from karcher.harness import ConvergenceReport
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -143,8 +142,17 @@ def test_sweep_json_roundtrip(tmp_path):
     assert main(["run", path]) == 0
     payload = json.loads((tmp_path / "reports" /
                           "distortion-sweep.json").read_text())
-    report = ConvergenceReport.from_dict(payload["report"])
-    assert report.to_dict() == payload["report"]
+    report = payload["report"]
+    assert set(report) == {"samples", "fitted_slopes"}
+    assert len(report["samples"]) == 4
+    assert all(set(sample) == {"h", "theta", "metric_gap", "connection_gap",
+                               "dx_sigma_gap", "nabla_dx"}
+               for sample in report["samples"])
+    assert set(report["fitted_slopes"]) == {
+        "metric_gap", "connection_gap", "dx_sigma_gap", "nabla_dx"}
+    assert all(set(fit) == {"slope", "intercept", "stderr", "n_used",
+                            "dropped_coarsest"}
+               for fit in report["fitted_slopes"].values())
     assert payload["version"]
     assert payload["config"]["kind"] == "distortion-sweep"
 

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from karcher import fem
-from karcher.barycentric import differential, differential_batch, karcher_mean
+from karcher.barycentric import (KarcherChart, differential, differential_batch,
+                                 karcher_mean)
 from karcher.errors import MeanSolverError, TriangulationError
 from karcher.fem import (_QUAD_LAM, KarcherTriangulation, assemble,
                          build_triangulation,
                          error_norms, poisson_ladder,
                          solve_poisson)
 from karcher.flat_simplex import BarycentricWeight, fullness
-from karcher.manifolds import Sphere
+from karcher.manifolds import ManifoldPoint, Sphere
 
 from conftest import strict_solver
 
@@ -26,6 +27,11 @@ def u_eigen(c):
 
 def grad_u_eigen(c):
     return np.array([0.0, 0.0, 1.0]) - c[2] * c
+
+
+def _chart(tri, t):
+    """The scalar chart of triangle t, which measures its own edges."""
+    return KarcherChart(tri.manifold, [ManifoldPoint(c) for c in tri.coords[tri.triangles[t]]])
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +64,7 @@ def test_h_roughly_halves_per_level(sphere, tri1):
 
 def test_level2_fullness(sphere):
     tri = build_triangulation(sphere, 2)
-    charts = [tri.chart(t) for t in range(tri.num_triangles)]
+    charts = [_chart(tri, t) for t in range(tri.num_triangles)]
     thetas = [fullness(chart.flat_metric, chart.h) for chart in charts]
     # measured minimum is 0.6971 at this level
     assert min(thetas) >= 0.69
@@ -92,12 +98,10 @@ def test_level_validation(sphere):
 def test_shared_edges_single_length(tri1):
     # Both triangles adjacent to an edge carry the same stored length.
     seen = {}
-    for t, tri_idx in enumerate(tri1.triangles):
-        table = tri1.chart(t).edge_lengths.lengths
+    for tri_idx, lengths in zip(tri1.triangles, tri1.edge_lengths):
         local = ((0, 1), (0, 2), (1, 2))
-        for (a_loc, b_loc) in local:
+        for (a_loc, b_loc), val in zip(local, lengths):
             key = tuple(sorted((tri_idx[a_loc], tri_idx[b_loc])))
-            val = table[a_loc, b_loc]
             if key in seen:
                 assert seen[key] == val  # exact float equality
             else:
@@ -105,25 +109,26 @@ def test_shared_edges_single_length(tri1):
     assert len(seen) == 120  # level-1 edge count
 
 
-def _equator(sphere, *angles, z=0.0):
-    return [sphere.point(np.array([math.cos(a), math.sin(a), z])
-                         / math.sqrt(1.0 + z * z)) for a in angles]
+def _equator(*angles, z=0.0):
+    """Unit-sphere coordinates (len(angles), 3) at height z before
+    normalization."""
+    return np.array([[math.cos(a), math.sin(a), z] for a in angles]) / math.sqrt(1.0 + z * z)
 
 
 def test_triangle_checks_name_the_triangle(sphere, tri1, monkeypatch):
-    pts = tri1.points
+    pts = tri1.coords
     good = [tuple(t) for t in tri1.triangles[:2]]
     # three points on one great circle: no flat realization
-    flat_pts = pts + _equator(sphere, 0.0, 0.2, 0.4)
+    flat_pts = np.vstack([pts, _equator(0.0, 0.2, 0.4)])
     n = len(pts)
     with pytest.raises(TriangulationError, match="triangle 2 .* no flat realization"):
         KarcherTriangulation(sphere, flat_pts, good + [(n, n + 1, n + 2)])
     # a sliver: the third vertex barely off the great circle
-    sliver = pts + _equator(sphere, 0.0, 0.4) + _equator(sphere, 0.2, z=0.01)
+    sliver = np.vstack([pts, _equator(0.0, 0.4), _equator(0.2, z=0.01)])
     with pytest.raises(TriangulationError, match="triangle 2 .* fullness 0.0"):
         KarcherTriangulation(sphere, sliver, good + [(n, n + 1, n + 2)])
     # a full triangle wider than the convexity radius
-    wide = pts + _equator(sphere, 0.0, 2.0 * math.pi / 3.0) + [sphere.point([0.0, 0.0, 1.0])]
+    wide = np.vstack([pts, _equator(0.0, 2.0 * math.pi / 3.0), [[0.0, 0.0, 1.0]]])
     monkeypatch.setattr(fem, "MIN_FULLNESS", 0.0)
     with pytest.raises(ValueError, match="triangle 2: vertex separation exceeds"):
         KarcherTriangulation(sphere, wide, good + [(n, n + 1, n + 2)])
@@ -139,7 +144,7 @@ def test_differential_batch_counts_iterations(sphere):
     expected = []
     for t, q in rows:
         trace: list = []
-        karcher_mean(tri.chart(t), BarycentricWeight(_QUAD_LAM[q]), trace=trace)
+        karcher_mean(_chart(tri, t), BarycentricWeight(_QUAD_LAM[q]), trace=trace)
         expected.append(len(trace))
     assert counts == expected
     assert max(counts) >= 2
@@ -153,7 +158,7 @@ def test_quad_data_matches_scalar_differential(radius):
     assert points.shape == (tri.num_triangles, 3, 3)
     assert dx.shape == (tri.num_triangles, 3, 3, 2)
     for t in range(tri.num_triangles):
-        chart = tri.chart(t)
+        chart = _chart(tri, t)
         for q, lam in enumerate(_QUAD_LAM):
             jet = differential(chart, BarycentricWeight(lam))
             assert np.max(np.abs(points[t, q] - jet.point.coords)) <= 1e-13 * radius
@@ -223,7 +228,7 @@ def test_unknown_mode_rejected(tri1):
 
 def test_solution_approximates_eigenfunction(tri1, sys1):
     u = solve_poisson(sys1)
-    z = np.array([p.coords[2] for p in tri1.points])
+    z = tri1.coords[:, 2]
     assert np.max(np.abs(u - z)) <= 0.05
 
 
@@ -237,7 +242,7 @@ def test_galerkin_residual_orthogonality(sys1):
 def test_solution_rotates_with_load(sphere, tri1):
     # The mesh is invariant under the cyclic coordinate rotation
     # R(x,y,z) = (y,z,x); rotating the load rotates the solution.
-    coords = np.array([p.coords for p in tri1.points])
+    coords = tri1.coords
     u1 = solve_poisson(assemble(tri1, lambda c: -2.0 * c[2], mode="flat"))
     u2 = solve_poisson(assemble(tri1, lambda c: -2.0 * c[1], mode="flat"))
     rotated_back = coords[:, [2, 0, 1]]  # R^{-1} applied to every vertex
@@ -268,7 +273,7 @@ def test_dense_and_cg_paths_agree(sphere):
 
 def test_interpolant_h1_error_first_order(sphere):
     tri = build_triangulation(sphere, 3)
-    z = np.array([p.coords[2] for p in tri.points])
+    z = tri.coords[:, 2]
     l2, h1 = error_norms(tri, z, u_eigen, grad_u_eigen)
     assert h1 <= 1.0 * tri.h
     assert l2 <= h1

@@ -5,8 +5,9 @@ import pytest
 from scipy.stats import qmc
 
 from karcher.barycentric import BarycentricWeight
-from karcher.errors import KarcherError, MeanSolverError
-from karcher.harness import (ConvergenceReport, _halton_points,
+from karcher.errors import (KarcherError, MeanSolverError, NonRealizableError,
+                            SlopeFitError)
+from karcher.harness import (INTERIOR_POINTS, _halton_points,
                              achieved_fullness, check_edge_length_comparison,
                              edge_length_rate, equilateral_family, fit_slope,
                              generate_geodesic_simplex, interior_weights,
@@ -63,8 +64,9 @@ def test_fullness_stability_across_ladder(sphere, sphere_family):
 # -- weights --------------------------------------------------------------------
 
 def test_interior_weights_structure():
-    ws = interior_weights(2, extra=20)
-    assert len(ws) == 1 + 3 + 20
+    ws = interior_weights(2)
+    assert INTERIOR_POINTS == 20
+    assert len(ws) == 1 + 3 + INTERIOR_POINTS
     for w in ws:
         assert w.values.min() >= 0.05 - 1e-12
         assert w.values.sum() == pytest.approx(1.0, abs=1e-12)
@@ -123,7 +125,7 @@ def test_measure_euclidean_all_gaps_vanish():
     center = man.point([0.0, 0.0])
     family = equilateral_family(man, center, 0.2, 1)
     chart = generate_geodesic_simplex(man, center, family.directions, 0.2)
-    sample = measure_distortion(chart, interior_weights(2, extra=5))
+    sample = measure_distortion(chart, interior_weights(2))
     assert sample.sup_metric_gap <= 1e-9
     assert sample.sup_connection_gap <= 1e-9
     assert sample.sup_dx_sigma_gap <= 1e-9
@@ -180,11 +182,6 @@ def test_fit_orders_full_pipeline(sphere_report):
     assert slopes["nabla_dx"] == pytest.approx(1.0, abs=0.25)
 
 
-def test_report_roundtrip(sphere_report):
-    clone = ConvergenceReport.from_dict(sphere_report.to_dict())
-    assert clone.to_dict() == sphere_report.to_dict()
-
-
 def test_sweep_determinism(sphere, sphere_family):
     fam = equilateral_family(sphere, sphere.point([0, 0, 1.0]), 0.2, 4)
     r1 = run_distortion_sweep(fam)
@@ -192,30 +189,29 @@ def test_sweep_determinism(sphere, sphere_family):
     assert r1.to_dict() == r2.to_dict()  # bit-identical
 
 
+def _far_hyperbolic_family(d: float, angle: float = 0.7):
+    """The equilateral family (h0 0.2, 5 levels) centered at distance d
+    from the hyperboloid's origin."""
+    hyp = HyperbolicSpace(2, curvature=1.0)
+    center = hyp.point([math.sinh(d) * math.cos(angle),
+                        math.sinh(d) * math.sin(angle), math.cosh(d)])
+    return equilateral_family(hyp, center, h0=0.2, levels=5)
+
+
 def test_too_thin_simplex_raises_a_karcher_error():
     # Far out on the hyperboloid (coordinates near 3e7) the generated
     # triangle at h = 0.2 realizes with fullness 0.146 instead of about
     # 0.87; the sweep must stop with a typed error, not a plain ValueError.
-    hyp = HyperbolicSpace(2, curvature=1.0)
-    d, angle = 18.0, 0.7
-    center = hyp.point([math.sinh(d) * math.cos(angle),
-                        math.sinh(d) * math.sin(angle), math.cosh(d)])
-    family = equilateral_family(hyp, center, h0=0.2, levels=5)
     with pytest.raises(KarcherError, match="too thin"):
-        run_distortion_sweep(family)
+        run_distortion_sweep(_far_hyperbolic_family(18.0))
 
 
 def test_non_positive_slope_raises_a_karcher_error():
     # At d = 15 (coordinates near 1.6e6) the suprema stop shrinking with
     # h and the fits come back negative or NaN; a curved-space sweep must
     # not return them as slopes.
-    hyp = HyperbolicSpace(2, curvature=1.0)
-    d, angle = 15.0, 0.7
-    center = hyp.point([math.sinh(d) * math.cos(angle),
-                        math.sinh(d) * math.sin(angle), math.cosh(d)])
-    family = equilateral_family(hyp, center, h0=0.2, levels=5)
     with pytest.raises(KarcherError, match="slope"):
-        run_distortion_sweep(family)
+        run_distortion_sweep(_far_hyperbolic_family(15.0))
 
 
 def test_monotone_ladder(sphere_report):
@@ -244,3 +240,16 @@ def test_edge_length_sphere_bounded_by_curvature(sphere, sphere_family):
 def test_edge_length_rate_slope(sphere_family):
     _, fit = edge_length_rate(sphere_family)
     assert fit.slope == pytest.approx(2.0, abs=0.25)
+
+
+def test_edge_length_rate_rejects_a_non_positive_slope():
+    # At d = 15 the gaps fit a slope near -0.49, which must not come back
+    # as a rate.
+    with pytest.raises(SlopeFitError, match="edge length gap fitted slope -"):
+        edge_length_rate(_far_hyperbolic_family(15.0))
+
+
+def test_edge_length_rate_rejects_a_too_thin_simplex():
+    # At d = 18 the ladder check stops the rate before any mean is taken.
+    with pytest.raises(NonRealizableError, match="too thin"):
+        edge_length_rate(_far_hyperbolic_family(18.0))

@@ -342,12 +342,12 @@ def test_chart_shooting_failure_is_reported(monkeypatch):
     residual = float(info.value.args[0].rsplit(" = ", 1)[1])
     assert residual >= man.shooting_tol
     # A singular Jacobian carried in by a warm start is reported the same way.
-    start = (p.coords, np.array([0.5, 0.0]), np.zeros((2, 2)))
+    state = (p.coords, np.array([0.5, 0.0]), np.zeros((2, 2)), np.array(0.0))
     with pytest.raises(GeodesicError, match=(
             r"endpoint Jacobian is singular from p = \[0\.0, 0\.0\] to "
             r"q = \[0\.7, 0\.0\] after 0 Newton steps \(0 with a fresh "
             r"Jacobian\), last residual")):
-        man.log_array(p.coords, q.coords, start=start)
+        man._warm_log_array(p.coords, q.coords, state)
 
 
 def test_chart_exp_rejects_long_vectors():
@@ -745,17 +745,21 @@ def test_chart_second_deriv_matches_hyperboloid_closed_form(hyperbolic):
 def test_warm_started_log_matches_cold_log_property(x, y, r, ang, shift, shift_ang):
     # The start is the logarithm toward q from a base point near p, as a
     # mean's previous iterate gives it, with its endpoint Jacobian and
-    # without one.
+    # without one (NaN).  A guard reference of 0 allows no one-shot step,
+    # so the warm logarithm is shot to the tolerance.
     man = make_poincare_disk()
     p = man.point([x, y])
     q = man.point(p.coords + r * np.array([math.cos(ang), math.sin(ang)]))
     b = man.point(p.coords + shift * np.array([math.cos(shift_ang),
                                                math.sin(shift_ang)]))
-    v, jac, _, exact = man._warm_log_array(b.coords, q.coords)
+    v, jac, _, exact = man._shoot_log(b.coords, q.coords)
     assert exact
     cold = man.log(p, q).components
-    for warm in (man.log_array(p.coords, q.coords, start=(b.coords, v, jac)),
-                 man.log_array(p.coords, q.coords, start=(b.coords, v, None))):
+    none = np.full((2, 2), np.nan)
+    for J in (none if jac is None else jac, none):
+        warm, verified, _ = man._warm_log_array(p.coords, q.coords,
+                                                (b.coords, v, J, np.array(0.0)))
+        assert verified
         gap = np.linalg.norm(warm - cold)
         assert gap <= 1e-10 * max(1.0, float(np.linalg.norm(cold)))
         residual = np.linalg.norm(man.exp(p, man.tangent(p, warm)).coords - q.coords)
@@ -778,7 +782,7 @@ def test_bad_start_falls_back_to_a_fresh_jacobian(start, monkeypatch):
         return jacobian(*args)
 
     monkeypatch.setattr(man, "_endpoint_jacobian", counting_jacobian)
-    warm = man.log_array(p.coords, q.coords, start=start)
+    warm = man._warm_log_array(p.coords, q.coords, (*start, np.array(0.0)))[0]
     assert refreshes
     assert np.linalg.norm(warm - cold.components) <= 1e-10
     assert np.linalg.norm(man.exp(p, man.tangent(p, warm)).coords - q.coords) \
@@ -878,17 +882,53 @@ def test_mean_returns_only_verified_logarithms(corruption, monkeypatch):
 
 def test_log_array_with_a_start_returns_verified_logarithms(monkeypatch):
     # The same warm start that the mean's one-shot mode takes as one
-    # unverified Newton step is shot to the tolerance by log_array.
+    # unverified Newton step is shot to the tolerance with a guard
+    # reference of 0.
     man = make_poincare_disk()
     p, q = np.array([0.1, -0.2]), np.array([0.3, 0.1])
     b = p + 0.01 * np.array([0.6, 0.8])
-    v, jac, _, _ = man._warm_log_array(b, q)
-    _, _, _, exact = man._warm_log_array(p, q, (b, v, jac, np.linalg.norm(q - p)),
-                                         one_shot=True)
+    v, jac, _, _ = man._shoot_log(b, q)
+    _, exact, _ = man._warm_log_array(p, q, (b, v, jac, np.linalg.norm(q - p)))
     assert not exact
     shots = _record_shots(monkeypatch)
-    warm = man.log_array(p, q, start=(b, v, jac))
-    assert _verified(shots, p, warm, q, man.shooting_tol)
+    warm, exact, _ = man._warm_log_array(p, q, (b, v, jac, np.array(0.0)))
+    assert exact and _verified(shots, p, warm, q, man.shooting_tol)
+
+
+# Three disk triangles and weights whose means take 4, 5 and 6 iterates.
+STAGGERED_VERTICES = np.array([
+    [[-0.24359938256745428, -0.2454974464605006],
+     [-0.2879238679974753, -0.3056680850058866],
+     [-0.20611298502932204, -0.2989632074724155]],
+    [[0.0012815336012201, -0.037157812329747],
+     [-0.05907421852126479, 0.05223037431362512],
+     [-0.1179865096808949, -0.07196595514109]],
+    [[0.03045906928158472, -0.16726643991668513],
+     [0.19873222894202425, -0.22537282897847666],
+     [0.17854350024991758, -0.06241371246414242]]])
+STAGGERED_WEIGHTS = np.array([
+    [0.5029351907643308, 0.23717826533696412, 0.2598865438987051],
+    [0.08095342179577188, 0.5065883539327841, 0.4124582242714441],
+    [0.10929207050592897, 0.5013575125572486, 0.38935041693682254]])
+
+
+def test_rows_leaving_the_mean_at_different_iterates_keep_their_warm_state():
+    # Each iterate keeps only the warm-start rows that stay in the
+    # iteration; a row must read its own state however many rows left
+    # before it, so every row is bit-identical to its one-row call.
+    from karcher.barycentric import differential_batch
+
+    disk = make_poincare_disk()
+    iters: list = []
+    points, dx = differential_batch(disk, STAGGERED_VERTICES, STAGGERED_WEIGHTS,
+                                    iterations=iters)
+    assert iters == [4, 5, 6]
+    for r in range(3):
+        one: list = []
+        point, jet = differential_batch(disk, STAGGERED_VERTICES[r:r + 1],
+                                        STAGGERED_WEIGHTS[r:r + 1], iterations=one)
+        assert one == [iters[r]]
+        assert np.array_equal(point[0], points[r]) and np.array_equal(jet[0], dx[r])
 
 
 def test_disk_differential_batch_shoots_each_edge_once(monkeypatch):
@@ -982,9 +1022,9 @@ def test_chart_edge_logarithms_feed_the_initial_guess(space, monkeypatch):
     # stack on the closed forms, and none on the chart.
     bases = []
 
-    def counting_log_array(p, q, start=None, _fn=man.log_array):
+    def counting_log_array(p, q, _fn=man.log_array):
         bases.append(np.asarray(p))
-        return _fn(p, q, start)
+        return _fn(p, q)
 
     monkeypatch.setattr(man, "log_array", counting_log_array)
     del calls[:]
@@ -1013,9 +1053,9 @@ def test_differential_at_the_mean_reuses_its_logarithms(chart_and_mean,
     man = chart.manifold
     bases = []
     for name in ("log", "log_array"):
-        def counting(p, q, *start, _fn=getattr(man, name)):
+        def counting(p, q, _fn=getattr(man, name)):
             bases.append(p)
-            return _fn(p, q, *start)
+            return _fn(p, q)
         monkeypatch.setattr(man, name, counting)
     hit = differential(chart, lam, at=a)
     assert not bases
