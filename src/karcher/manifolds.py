@@ -1,7 +1,7 @@
 """Riemannian manifold models.
 
 ``Manifold`` holds the interface and the generic second derivative of
-the squared distance (finite differences of the Hessian), which the
+the squared distance (a stencil of the Hessian per direction), which the
 chart-based ``ChartManifold`` uses: its geodesics, transport, curvature
 and distance Hessian come from numerically integrated ODEs.  Euclidean
 space and the two constant-curvature models, the round sphere and
@@ -30,6 +30,8 @@ _ANTIPODE_TOL = 1e-8
 _FD_STEP = 1e-5
 # Newton steps one ``ChartManifold`` logarithm may take.
 MAX_SHOOTING_ITERS = 50
+# Geodesic step of the generic second derivative's Richardson stencil.
+_STENCIL_STEP = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,9 +296,8 @@ class Manifold(ABC):
         ``w`` may also be a stack (k, coord_dim), one vector per row."""
 
     # -- derivatives of the squared-distance gradient ---------------------
-    # Every model has its own Hessian map; the second derivative defaults
-    # to finite differences of it, and models with closed forms override
-    # ``second_deriv_map`` as well.
+    # Each model defines them once, on stacks (below); the scalar maps are
+    # those stacks on one row.
 
     def hess_half_dist_sq(self, p: ManifoldPoint, q: ManifoldPoint,
                           V: TangentVector) -> TangentVector:
@@ -305,13 +306,15 @@ class Manifold(ABC):
         curvature correction."""
         return self.hess_half_dist_sq_map(p, q)(V)
 
-    @abstractmethod
     def hess_half_dist_sq_map(self, p: ManifoldPoint, q: ManifoldPoint,
                               log_qp: TangentVector | None = None
                               ) -> Callable[[TangentVector], TangentVector]:
-        """V -> hess_half_dist_sq(p, q, V).  The work that does not depend
-        on V is done once, here.  ``log_qp``, if given, is log_q(p), and
-        no logarithm is taken."""
+        """V -> hess_half_dist_sq(p, q, V): ``hess_array`` on one row,
+        whose terms are built once, here.  ``log_qp``, if given, is
+        log_q(p), and no logarithm is taken."""
+        terms = self._one_row_terms(p, q, log_qp)
+        return lambda V: TangentVector(
+            q, self.hess_array(terms, V.components[None, None])[0, 0, 0])
 
     def second_deriv_X(self, p: ManifoldPoint, q: ManifoldPoint,
                        V: TangentVector, W: TangentVector) -> TangentVector:
@@ -321,28 +324,26 @@ class Manifold(ABC):
 
     def second_deriv_map(self, p: ManifoldPoint, q: ManifoldPoint
                          ) -> Callable[[TangentVector, TangentVector], TangentVector]:
-        """(V, W) -> second_deriv_X(p, q, V, W), by polarizing the
-        quadratic form ``_second_quadratic``."""
-        def second(V: TangentVector, W: TangentVector) -> TangentVector:
-            qv = self._second_quadratic(p, q, V + W)
-            qa = self._second_quadratic(p, q, V)
-            qb = self._second_quadratic(p, q, W)
-            return 0.5 * (qv - qa - qb)
+        """(V, W) -> second_deriv_X(p, q, V, W): ``second_deriv_array`` on
+        one row."""
+        terms = self._one_row_terms(p, q)
+        return lambda V, W: TangentVector(q, self.second_deriv_array(
+            terms, np.stack([V.components, W.components])[None])[0, 0, 0, 1])
 
-        return second
-
-    def _second_quadratic(self, p: ManifoldPoint, q: ManifoldPoint,
-                          U: TangentVector) -> TangentVector:
-        """Quadratic form U -> sym(grad^2)(U,U): the ``_second_difference``
-        of hess_half_dist_sq(p, ., .) at q in direction U, step 1e-4."""
-        return _second_difference(
-            self, q, U, lambda x, V: self.hess_half_dist_sq(p, x, V), 1e-4)
+    def _one_row_terms(self, p: ManifoldPoint, q: ManifoldPoint,
+                       log_qp: TangentVector | None = None):
+        """``hess_terms_array`` of the row q with the vertex p, from
+        log_q(p), taken by the scalar ``log`` if not given."""
+        if log_qp is None:
+            log_qp = self.log(q, p)
+        return self.hess_terms_array(p.coords[None, None], q.coords[None],
+                                     log_qp.components[None, None], np.ones((1, 1), bool))
 
     # -- stacks ------------------------------------------------------------
     # The maps above row by row on (..., coord_dim) coordinate arrays,
     # broadcast over their leading axes: what the mean and the jets of
-    # ``barycentric`` read.  Each default loops the scalar method; the
-    # space forms override them with closed forms.
+    # ``barycentric`` read.  The log/exp/dist/norm defaults loop the scalar
+    # method; the space forms override them with closed forms.
 
     def exp_array(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         def exp(x, u):
@@ -377,41 +378,68 @@ class Manifold(ABC):
     # V_k at q (N, k, coord_dim).  ``hess_terms_array`` does the work that
     # does not depend on the directions, once per row and vertex.
 
+    @abstractmethod
     def hess_terms_array(self, p: np.ndarray, q: np.ndarray, logs: np.ndarray,
                          mask: np.ndarray):
         """What ``hess_array``, ``second_deriv_array`` and
         ``a_matrix_array`` read, for the vertices where ``mask`` (N, n+1)
-        holds: here p, q, the mask and the coordinate matrices (N, n+1,
-        coord_dim, coord_dim) of ``hess_half_dist_sq_map`` built from
-        log_q(p_i) there, zero elsewhere."""
-        eye = np.eye(self.coord_dim)
-        mats = np.zeros(logs.shape + eye.shape[:1])
-        for r, i in zip(*np.nonzero(mask)):
-            x = ManifoldPoint(q[r])
-            hess = self.hess_half_dist_sq_map(ManifoldPoint(p[r, i]), x,
-                                              TangentVector(x, logs[r, i]))
-            mats[r, i] = np.array([hess(TangentVector(x, e)).components for e in eye]).T
-        return p, q, mask, mats
+        holds.  The defaults below read (p, q, mask, matrices), with the
+        coordinate matrices (N, n+1, coord_dim, coord_dim) of the Hessians
+        H_i on the mask and zero elsewhere."""
 
     def hess_array(self, terms, V: np.ndarray) -> np.ndarray:
         """H_i(V_k) = hess_half_dist_sq(p_i, q, V_k) as (N, n+1, k,
-        coord_dim)."""
+        coord_dim), from the terms' coordinate matrices."""
         return np.einsum("ride,rke->rikd", terms[3], V)
 
     def second_deriv_array(self, terms, V: np.ndarray) -> np.ndarray:
-        """grad^2 X_i(V_k, V_l) as (N, n+1, k, k, coord_dim): one
-        ``second_deriv_map`` per row and vertex of the terms' mask, zero
-        elsewhere."""
-        p, q, mask, _ = terms
-        k = V.shape[1]
-        out = np.zeros(mask.shape + (k, k, self.coord_dim))
-        for r, i in zip(*np.nonzero(mask)):
-            x = ManifoldPoint(q[r])
-            second = self.second_deriv_map(ManifoldPoint(p[r, i]), x)
-            vecs = [TangentVector(x, u) for u in V[r]]
-            for a, b in zip(*np.triu_indices(k)):
-                out[r, i, a, b] = out[r, i, b, a] = second(vecs[a], vecs[b]).components
-        return out
+        """grad^2 X_i(V_k, V_l) as (N, n+1, k, k, coord_dim), zero off the
+        mask, from p, q and the mask, the terms' first three entries:
+        1/2 ((nabla_{V_k} H_i) V_l + (nabla_{V_l} H_i) V_k), with one
+        stencil per row and nonzero direction V_k.  The geodesics from q
+        along +-V_k / |V_k| carry q's tangent frame in parallel.  At
+        ``_STENCIL_STEP`` and half of it along each, the Hessian terms of
+        every vertex (from cold logarithms) are taken as matrices in that
+        frame, and Richardson-extrapolated central differences of them
+        give nabla_{V_k} H_i in the frame at q."""
+        p, q, mask = terms[:3]
+        scale = self.norm_array(V, q[:, None])                       # (N, k)
+        pairs = np.nonzero(scale)
+        if not pairs[0].size:
+            return np.zeros(mask.shape + (V.shape[1],) * 2 + (self.coord_dim,))
+        frames = self.tangent_frame_array(q)                         # (N, D, m)
+        step, points, carried = _STENCIL_STEP, [], []
+        for r, k in zip(*pairs):
+            base = ManifoldPoint(q[r])
+            basis = [TangentVector(base, e) for e in frames[r].T]
+            for sign in (1.0, -1.0):
+                u = TangentVector(base, (sign / scale[r, k]) * V[r, k])
+                gamma = self.geodesic_from(base, u, length=2.0 * step)
+                frame = self.frame_field(gamma, basis)
+                for s in (step, 0.5 * step):
+                    points.append(gamma.point(s).coords)
+                    carried.append(frame(s))
+        # One stencil point per row of x: the Hessian of each vertex
+        # there, as the matrix <E_a, H_i E_b> in the carried frame E.
+        x, E = np.array(points), np.array(carried)                   # (P, D), (P, m, D)
+        rows = np.repeat(pairs[0], 4)
+        verts, keep = p[rows], mask[rows]
+        logs = np.zeros(verts.shape)
+        logs[keep] = self.log_array(np.broadcast_to(x[:, None], verts.shape)[keep],
+                                    verts[keep])
+        hess = self.hess_array(self.hess_terms_array(verts, x, logs, keep), E)
+        mats = np.einsum("pibd,pad->piab", hess, E @ self.metric_matrix(x))
+        # By (pair, sign, step): the central differences D(s) and D(s / 2)
+        # extrapolate to (4 D(s / 2) - D(s)) / 3.
+        mats = mats.reshape((-1, 2, 2) + mats.shape[1:])
+        diff = mats[:, 0] - mats[:, 1]
+        deriv = np.zeros(scale.shape + diff.shape[2:])               # (N, k, n+1, m, m)
+        deriv[pairs] = (scale[pairs][:, None, None, None]
+                        * (8.0 * diff[:, 1] - diff[:, 0]) / (6.0 * step))
+        coefs = V @ (self.metric_matrix(q) @ frames)                 # frame components
+        grad = np.einsum("rda,rkiab,rlb->rikld", frames, deriv, coefs)
+        return np.where(mask[:, :, None, None, None],
+                        0.5 * (grad + np.swapaxes(grad, 2, 3)), 0.0)
 
     def a_matrix_array(self, terms, lam: np.ndarray, frame: np.ndarray,
                        low_frame: np.ndarray) -> np.ndarray:
@@ -421,32 +449,6 @@ class Manifold(ABC):
         cols = np.einsum("ri,rikd->rdk", lam,
                          self.hess_array(terms, np.swapaxes(frame, 1, 2)))
         return np.swapaxes(low_frame, 1, 2) @ cols
-
-
-def _second_difference(man: Manifold, q: ManifoldPoint, U: TangentVector,
-                       field: Callable[[ManifoldPoint, TangentVector], TangentVector],
-                       step: float) -> TangentVector:
-    """|U|^2 times the covariant derivative at q, in direction U / |U|, of
-    field(x, u), with u the velocity at x of the geodesic through q in
-    that direction: Richardson-extrapolated central differences of steps
-    ``step`` and ``step / 2``, each value transported back to q."""
-    scale = man.norm(U)
-    if scale == 0.0:
-        return TangentVector(q, np.zeros(man.coord_dim))
-    u_hat = U * (1.0 / scale)
-    fwd = man.geodesic_from(q, u_hat, length=2.0 * step)
-    bwd = man.geodesic_from(q, -u_hat, length=2.0 * step)
-
-    def central(s: float) -> np.ndarray:
-        hp = field(fwd.point(s), fwd.velocity(s))
-        hm = field(bwd.point(s), -1.0 * bwd.velocity(s))
-        hp0 = man.parallel_transport(fwd, s, 0.0, hp)
-        hm0 = man.parallel_transport(bwd, s, 0.0, hm)
-        return (hp0.components - hm0.components) / (2.0 * s)
-
-    d1 = central(step)
-    d2 = central(0.5 * step)
-    return TangentVector(q, (scale ** 2) * (4.0 * d2 - d1) / 3.0)
 
 
 def _rows(fn: Callable[..., np.ndarray], *arrays) -> np.ndarray:
@@ -523,11 +525,12 @@ class EuclideanSpace(Manifold):
     def curvature_rt(self, p, T, w):
         return np.zeros(np.shape(w))
 
-    def hess_half_dist_sq_map(self, p, q, log_qp=None):
-        return lambda V: TangentVector(q, V.components.copy())
+    def hess_terms_array(self, p, q, logs, mask):
+        """Identity matrices on the mask."""
+        return p, q, mask, mask[..., None, None] * np.eye(self.dim)
 
-    def second_deriv_map(self, p, q):
-        return lambda V, W: TangentVector(q, np.zeros(self.dim))
+    def second_deriv_array(self, terms, V):
+        return np.zeros(terms[2].shape + (V.shape[1],) * 2 + (self.dim,))
 
 
 class _SpaceForm(Manifold):
@@ -605,8 +608,7 @@ class _SpaceForm(Manifold):
         """The ambient form, one matrix for every point."""
         return np.diag(self.signature)
 
-    # The squared-distance derivatives read ``radial_array`` of the
-    # logarithms as their terms; the scalar maps apply them to one row.
+    # The squared-distance derivatives read ``radial_array(logs)`` as terms.
 
     def hess_terms_array(self, p, q, logs, mask):
         return self.radial_array(logs)
@@ -665,20 +667,6 @@ class _SpaceForm(Manifold):
         return ((lam * f).sum(axis=1)[:, None, None] * np.eye(self.dim)
                 + np.einsum("ri,rik,ril->rkl", lam * one_minus_f, y_frame, y_frame))
 
-    def hess_half_dist_sq_map(self, p, q, log_qp=None):
-        """Closed form: ``hess_array`` on one row."""
-        if log_qp is None:
-            log_qp = self.log(q, p)
-        radial = self.radial_array(log_qp.components[None, None])
-        return lambda V: TangentVector(
-            q, self.hess_array(radial, V.components[None, None])[0, 0, 0])
-
-    def second_deriv_map(self, p, q):
-        """Closed form: ``second_deriv_array`` on one row."""
-        radial = self.radial_array(self.log(q, p).components[None, None])
-        return lambda V, W: TangentVector(q, self.second_deriv_array(
-            radial, np.stack([V.components, W.components])[None])[0, 0, 0, 1])
-
 
 class Sphere(_SpaceForm):
     """Round sphere of given radius, in ambient coordinates."""
@@ -728,8 +716,9 @@ class Sphere(_SpaceForm):
         return TangentVector(p, (r * theta / nw) * w)
 
     def dist(self, p, q):
-        chord = float(np.linalg.norm(q.coords - p.coords))
-        return 2.0 * self.radius * math.asin(min(chord / (2.0 * self.radius), 1.0))
+        # The chord's arcsine is ill-conditioned near the antipode: one
+        # formula keeps the scalar and stacked distances bit-identical.
+        return float(self.dist_array(p.coords, q.coords))
 
     def dist_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         chord = np.linalg.norm(q - p, axis=-1)
@@ -1174,9 +1163,22 @@ class ChartManifold(Manifold):
         M = _jacobi_operator(*self._christoffel_jet(p.coords), np.asarray(T))
         return np.einsum("ab,...b->...a", M, w)
 
-    def hess_half_dist_sq_map(self, p, q, log_qp=None):
-        """One fused ODE from q along the geodesic to p, v = log_q(p) (taken
-        here if not given), with unit speed u and sigma in [0, tau], tau =
+    def hess_terms_array(self, p, q, logs, mask):
+        """(p, q, mask, matrices): ``_hess_matrix`` on the mask, zero
+        elsewhere.  A JacobiError names its row and vertex."""
+        mats = np.zeros(logs.shape + (self.dim,))
+        for r, i in zip(*np.nonzero(mask)):
+            try:
+                mats[r, i] = self._hess_matrix(q[r], logs[r, i])
+            except JacobiError as exc:
+                raise JacobiError(f"row {r}, vertex {i}: {exc}") from exc
+        return p, q, mask, mats
+
+    def _hess_matrix(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The coordinate matrix at q of the Hessian of half the squared
+        distance to p, from v = log_q(p): the identity if v = 0 (the
+        closed forms' limit at tau = 0).  Else one fused ODE from q along
+        the geodesic to p, with unit speed u and sigma in [0, tau], tau =
         |v|: the geodesic x' = u, u' = -Gamma(u, u); the parallel frame
         F_b' = -Gamma(u, F_b), Gram-Schmidt of {v, ``tangent_basis(q)``}
         at q; and the Jacobi fields Y'' = -R Y in that frame, R_ab =
@@ -1185,16 +1187,15 @@ class ChartManifold(Manifold):
         0 has J'(0) = -S^-1 C V, and the Hessian is -tau J'(0): the map
         is tau S^-1 C in q's frame.  A JacobiError is raised at a
         conjugate point: tau beyond pi / sqrt(C0), or S singular."""
-        if log_qp is None:
-            log_qp = self.log(q, p)
-        tau = self.norm(log_qp)
+        if not np.any(v):
+            return np.eye(self.dim)
+        g_q = self.metric_fn(q)
+        tau = math.sqrt(max(float(v @ g_q @ v), 0.0))
         _check_length(self, tau)
         d = m = self.dim
-        u0 = log_qp.components / tau
-        g_q = self.metric_fn(q.coords)
-        F0 = np.array(_gram_schmidt(
-            lambda a, b: float(a @ g_q @ b),
-            [u0] + [b.components for b in self.tangent_basis(q)], m))
+        u0 = v / tau
+        F0 = np.array(_gram_schmidt(lambda a, b: float(a @ g_q @ b),
+                                    [u0] + list(self.tangent_frame_array(q).T), m))
         frame, jacobi = slice(2 * d, 2 * d + m * d), slice(2 * d + m * d, None)
 
         def rhs(s, y):
@@ -1208,13 +1209,12 @@ class ChartManifold(Manifold):
                                    Y[1].ravel(), -(R @ Y[0]).ravel()])
 
         # Y(0) = [I | 0] over Y'(0) = [0 | I] is the identity of size 2m.
-        y0 = np.concatenate([q.coords, u0, F0.ravel(), np.eye(2 * m).ravel()])
+        y0 = np.concatenate([q, u0, F0.ravel(), np.eye(2 * m).ravel()])
         Y = solve_ode(rhs, (0.0, tau), y0).y[jacobi, -1].reshape(2, m, 2 * m)[0]
         C, S = Y[:, :m], Y[:, m:]
         if np.linalg.cond(S) > 1e12:
             raise JacobiError("shooting matrix is singular (conjugate point)")
-        hess = F0.T @ (tau * np.linalg.solve(S, C)) @ F0 @ g_q
-        return lambda V: TangentVector(q, hess @ V.components)
+        return F0.T @ (tau * np.linalg.solve(S, C)) @ F0 @ g_q
 
     def tangent_frame_array(self, p):
         """The inverse transposed Cholesky factor of the metric, whose

@@ -15,8 +15,8 @@ from karcher.harness import _orthonormal_tangent_frame
 from karcher.integrate import solve_ode
 from karcher.jacobi import (JacobiBVP, _frame_curvature, parallel_frame,
                             solve_bvp)
-from karcher.manifolds import (_FD_STEP, Geodesic, ManifoldPoint,
-                               TangentVector, _second_difference)
+from karcher.manifolds import (_FD_STEP, Geodesic, Manifold, ManifoldPoint,
+                               TangentVector)
 
 
 def energy(chart, a, lam) -> float:
@@ -83,6 +83,31 @@ def integrate_jacobi(gamma: Geodesic, j0: TangentVector, jdot0: TangentVector,
         js.append(TangentVector(pt, F.T @ state[:m]))
         jdots.append(TangentVector(pt, F.T @ state[m:]))
     return js, jdots
+
+
+def _second_difference(man: Manifold, q: ManifoldPoint, U: TangentVector,
+                       field, step: float) -> TangentVector:
+    """|U|^2 times the covariant derivative at q, in direction U / |U|, of
+    field(x, u), with u the velocity at x of the geodesic through q in
+    that direction: Richardson-extrapolated central differences of steps
+    ``step`` and ``step / 2``, each value transported back to q."""
+    scale = man.norm(U)
+    if scale == 0.0:
+        return TangentVector(q, np.zeros(man.coord_dim))
+    u_hat = U * (1.0 / scale)
+    fwd = man.geodesic_from(q, u_hat, length=2.0 * step)
+    bwd = man.geodesic_from(q, -u_hat, length=2.0 * step)
+
+    def central(s: float) -> np.ndarray:
+        hp = field(fwd.point(s), fwd.velocity(s))
+        hm = field(bwd.point(s), -1.0 * bwd.velocity(s))
+        hp0 = man.parallel_transport(fwd, s, 0.0, hp)
+        hm0 = man.parallel_transport(bwd, s, 0.0, hm)
+        return (hp0.components - hm0.components) / (2.0 * s)
+
+    d1 = central(step)
+    d2 = central(0.5 * step)
+    return TangentVector(q, (scale ** 2) * (4.0 * d2 - d1) / 3.0)
 
 
 def second_variation(bvp: JacobiBVP, step: float = 1e-4) -> TangentVector:

@@ -434,34 +434,41 @@ def test_hessian_symmetry(sphere_chart, rng):
 
 def test_hessian_builds_each_vertex_map_once(monkeypatch):
     # A model without closed forms: at the mean the jet reads the mean's
-    # logarithms and builds one Hessian map and one second-derivative map
-    # per vertex, each applied to every direction it needs.
+    # logarithms and builds one Hessian-terms stack with every vertex's
+    # map.  The second derivative takes two geodesics per direction and
+    # takes its Hessian terms and logarithms away from the mean.
     man = ChartManifold(2, lambda x: np.eye(2), lambda x: np.zeros((2, 2, 2)))
     chart = KarcherChart(man, [man.point(c) for c in ([0.0, 0.0], [0.3, 0.0], [0.1, 0.25])])
     lam = BarycentricWeight([0.3, 0.4, 0.3])
     a = karcher_mean(chart, lam)
-    calls = []
-    for name in ("log", "hess_half_dist_sq_map", "second_deriv_map"):
-        def counting(p, q, *args, _name=name, _fn=getattr(man, name)):
-            if q is not a and np.array_equal(p.coords, a.coords):
-                calls.append((_name, "from the mean"))
-            elif q is a or np.array_equal(q.coords, a.coords):
-                calls.append((_name, "at the mean"))
-            return _fn(p, q, *args)
-        monkeypatch.setattr(man, name, counting)
+    terms, geodesics, log_bases = [], [], []
+    hess_terms, geodesic_from, log_array = (man.hess_terms_array, man.geodesic_from,
+                                            man.log_array)
+
+    def counting_terms(p, q, logs, mask):
+        terms.append((q, mask))
+        return hess_terms(p, q, logs, mask)
+
+    def counting_geodesics(p, v, length=None):
+        geodesics.append(p.coords)
+        return geodesic_from(p, v, length)
+
+    def counting_logs(p, q):
+        log_bases.append(np.atleast_2d(p))
+        return log_array(p, q)
+
+    monkeypatch.setattr(man, "hess_terms_array", counting_terms)
+    monkeypatch.setattr(man, "geodesic_from", counting_geodesics)
+    monkeypatch.setattr(man, "log_array", counting_logs)
     jet = hessian(chart, lam, at=a)
-    assert sorted(set(calls)) == [("hess_half_dist_sq_map", "at the mean"),
-                                  ("second_deriv_map", "at the mean")]
-    for name in ("hess_half_dist_sq_map", "second_deriv_map"):
-        assert calls.count((name, "at the mean")) == chart.n + 1
-    # The same bits as a fresh second derivative per (vertex, k, l), which
-    # is what a second_deriv_X call builds.
-    own_map = type(man).second_deriv_map
-    monkeypatch.setattr(man, "second_deriv_map",
-                        lambda p, q: lambda V, W: own_map(man, p, q)(V, W))
-    per_pair = hessian(chart, lam, at=a)
-    assert np.array_equal(jet.nabla_dx_tensor, per_pair.nabla_dx_tensor)
-    assert np.array_equal(jet.dx_matrix, per_pair.dx_matrix)
+    at_mean = [mask for q, mask in terms if np.array_equal(q, a.coords[None])]
+    assert len(at_mean) == 1 and at_mean[0].all()
+    assert len(geodesics) == 2 * chart.n
+    assert all(np.array_equal(x, a.coords) for x in geodesics)
+    for bases in log_bases + [q for q, _ in terms if len(q) > 1]:
+        assert not (bases == a.coords).all(axis=1).any()
+    # Flat metric: the second derivative vanishes.
+    assert np.max(np.abs(jet.nabla_dx_tensor)) <= 1e-9
 
 
 def test_pullback_euclidean_exact(euclid_chart, rng):
