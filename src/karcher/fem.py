@@ -30,7 +30,7 @@ from .barycentric import differential_batch, exceeds_convexity_radius
 # looks it up here.
 from .barycentric import differential  # noqa: F401
 from .errors import LinearSolverError, MeanSolverError, TriangulationError
-from .flat_simplex import flat_metric_from_lengths, fullness
+from .flat_simplex import _dot, flat_metric_from_lengths, fullness
 from .manifolds import Sphere
 
 # Icosahedron vertices on the unit sphere; faces are derived from vertex
@@ -84,26 +84,34 @@ _MASS_REF = _REF_AREA * np.einsum("q,qa,qb->ab", _QUAD_W, _QUAD_LAM, _QUAD_LAM)
 
 def icosphere(level: int, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Vertex coordinates and faces of the level-times subdivided
-    icosahedron projected to the sphere of the given radius."""
-    verts = [row for row in _ICO_VERTS]
-    faces = [tuple(f) for f in _ICO_FACES]
+    icosahedron projected to the sphere of the given radius.
+
+    Each level appends the edge midpoints in the order the faces first
+    meet their edges, edges (a, b), (b, c), (c, a) of face (a, b, c), and
+    splits the face into (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca).
+    """
+    if level < 0:
+        raise ValueError("subdivision level must be nonnegative")
+    verts, faces = _ICO_VERTS, _ICO_FACES.copy()
     for _ in range(level):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            if key not in midpoint:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    return radius * np.array(verts), np.array(faces, dtype=int)
+        nv = len(verts)
+        starts = faces.ravel()
+        ends = faces[:, [1, 2, 0]].ravel()
+        keys = np.minimum(starts, ends) * nv + np.maximum(starts, ends)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)                # midpoints by first encounter
+        number = np.empty_like(order)
+        number[order] = np.arange(nv, nv + len(order))
+        seen = first[order]
+        m = verts[starts[seen]] + verts[ends[seen]]
+        # the matmul dot gives the bits of np.linalg.norm on one vector
+        m = m / np.sqrt(_dot(m, m))[:, None]
+        verts = np.concatenate([verts, m])
+        ab, bc, ca = number[inverse.reshape(-1)].reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+    return radius * verts, faces
 
 
 # Local vertex pairs of a triangle's edges, in the order edge lengths are
@@ -121,7 +129,8 @@ class KarcherTriangulation:
     Every mesh quantity is held as an array: the vertex coordinates
     (V, coord_dim), the triangles' vertex indices (T, 3), and over
     triangles the edge lengths, the flat Gram matrices, and (after the
-    first ``quad_data`` call) the chart jets at the quadrature nodes.
+    first ``quad_data`` call) the chart jets at the quadrature nodes,
+    and the values of each callback there (``at_nodes``).
     """
 
     def __init__(self, manifold: Sphere, coords, triangles: np.ndarray):
@@ -129,12 +138,14 @@ class KarcherTriangulation:
         self.coords = np.asarray(coords, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
         # Geodesic edge lengths, each undirected edge measured exactly once
-        # so both adjacent triangles see the same number.
-        ends = np.sort(np.stack([self.triangles[:, _EDGE_I],
-                                 self.triangles[:, _EDGE_J]], axis=-1), axis=-1)
-        edges, inverse = np.unique(ends.reshape(-1, 2), axis=0, return_inverse=True)
-        lengths = manifold.dist_array(self.coords[edges[:, 0]], self.coords[edges[:, 1]])
-        self.edge_lengths = lengths[inverse.reshape(-1)].reshape(-1, 3)  # (T, 3)
+        # so both adjacent triangles see the same number; the key lo * V + hi
+        # numbers the edges in (lo, hi) order.
+        i, j = self.triangles[:, _EDGE_I], self.triangles[:, _EDGE_J]
+        nv = self.num_vertices
+        keys, inverse = np.unique(np.minimum(i, j) * nv + np.maximum(i, j),
+                                  return_inverse=True)
+        lengths = manifold.dist_array(self.coords[keys // nv], self.coords[keys % nv])
+        self.edge_lengths = lengths[inverse.reshape(-1, 3)]               # (T, 3)
         self.h = float(lengths.max())
 
         tables = np.zeros((self.num_triangles, 3, 3))
@@ -159,6 +170,7 @@ class KarcherTriangulation:
                 f"triangle {bad[0]}: vertex separation exceeds the convexity "
                 "radius; the center of mass may not be unique")
         self._jets: tuple[np.ndarray, np.ndarray] | None = None
+        self._node_values: dict = {}
 
     @property
     def num_vertices(self) -> int:
@@ -184,14 +196,38 @@ class KarcherTriangulation:
             self._jets = (points.reshape(T, Q, -1), dx.reshape(T, Q, *dx.shape[1:]))
         return self._jets
 
+    def at_nodes(self, fn) -> np.ndarray:
+        """A callback of position at every quadrature node, (T, Q) or
+        (T, Q, k) in triangle then node order.
+
+        A hashable callable is evaluated once per node and triangulation:
+        its values are stored read-only, keyed by the callable itself
+        (equal bound methods of one object share them).  An unhashable
+        callable is evaluated on every call.
+        """
+        try:
+            return self._node_values[fn]
+        except KeyError:
+            store = True
+        except TypeError:
+            store = False
+        if self._jets is None:
+            self.quad_data()
+        points = self._jets[0]
+        vals = np.array([fn(c) for c in points.reshape(-1, points.shape[-1])],
+                        dtype=float)
+        vals = vals.reshape(points.shape[:2] + vals.shape[1:])
+        if store:
+            vals.flags.writeable = False
+            self._node_values[fn] = vals
+        return vals
+
 
 def build_triangulation(manifold: Sphere, subdivision_level: int
                         ) -> KarcherTriangulation:
     """Icosahedral mesh of the sphere, subdivided 4-to-1 per level."""
     if not isinstance(manifold, Sphere):
         raise ValueError("global triangulations are provided for spheres only")
-    if subdivision_level < 0:
-        raise ValueError("subdivision level must be nonnegative")
     coords, faces = icosphere(subdivision_level, manifold.radius)
     # The checks of ``manifold.point``, on all vertices at once.
     if coords.shape[1] != manifold.coord_dim:
@@ -221,26 +257,20 @@ def _pullback_metrics(dx: np.ndarray) -> np.ndarray:
     return np.einsum("tqdk,tqdl->tqkl", dx, dx)
 
 
-def _at_nodes(fn, points: np.ndarray) -> np.ndarray:
-    """A per-point callback evaluated at every quadrature node, in
-    triangle then node order."""
-    flat = points.reshape(-1, points.shape[-1])
-    vals = np.array([fn(c) for c in flat], dtype=float)
-    return vals.reshape(points.shape[:2] + vals.shape[1:])
-
-
 def assemble(tri: KarcherTriangulation, f, mode: str = "flat") -> FemSystem:
     """Assemble stiffness, mass and load.
 
     ``mode="flat"`` uses the constant per-triangle edge-length metric;
     ``mode="pulled-back"`` evaluates the pulled-back metric at the
     quadrature nodes.  The load integrates f composed with the chart map
-    in both modes.
+    in both modes.  ``f`` must be a function of position alone: it is
+    evaluated once per node and triangulation (``tri.at_nodes``), so
+    both modes read the same values.
     """
     if mode not in ("flat", "pulled-back"):
         raise ValueError(f"unknown assembly mode {mode!r}")
-    points, dx = tri.quad_data()
-    fvals = _at_nodes(f, points)                                # (T, Q)
+    dx = tri.quad_data()[1]
+    fvals = tri.at_nodes(f)                                     # (T, Q)
     if mode == "flat":
         G = tri.gram
         root = np.sqrt(np.linalg.det(G))                        # (T,)
@@ -310,14 +340,16 @@ def error_norms(tri: KarcherTriangulation, u_h: np.ndarray, u_exact,
 
     ``u_exact`` maps ambient coordinates to values; ``grad_u_exact`` maps
     them to the components of the surface gradient.  The H1 norm includes
-    the L2 part.
+    the L2 part.  Both must be functions of position alone: each is
+    evaluated once per node and triangulation (``tri.at_nodes``), so
+    later calls on the same triangulation reuse the values.
     """
-    points, dx = tri.quad_data()
+    dx = tri.quad_data()[1]
     mq = _pullback_metrics(dx)
     wroot = _REF_AREA * _QUAD_W * np.sqrt(np.linalg.det(mq))    # (T, Q)
     u_loc = np.asarray(u_h, dtype=float)[tri.triangles]         # (T, 3)
-    e_val = u_loc @ _QUAD_LAM.T - _at_nodes(u_exact, points)
-    pulled = np.einsum("tqd,tqdk->tqk", _at_nodes(grad_u_exact, points), dx)
+    e_val = u_loc @ _QUAD_LAM.T - tri.at_nodes(u_exact)
+    pulled = np.einsum("tqd,tqdk->tqk", tri.at_nodes(grad_u_exact), dx)
     diff = (u_loc @ _DPHI)[:, None, :] - pulled                 # (T, Q, 2)
     semi = np.einsum("tqk,tqk->tq", diff,
                      np.linalg.solve(mq, diff[..., None])[..., 0])

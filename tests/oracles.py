@@ -3,13 +3,15 @@ written with the scalar ``dist`` and ``log`` of a model rather than the
 stacked code the library solves with, a finite-difference cross-check of
 the connection distortion, the Jacobi initial value problem and the
 second variation, the generalized-eigenvalue comparison of two flat
-metrics, and finite-difference Christoffel symbols of a metric."""
+metrics, finite-difference Christoffel symbols of a metric, and the
+icosphere subdivided one face and one midpoint at a time."""
 
 import numpy as np
 from scipy.linalg import eigh
 
 from karcher.barycentric import pullback_metric
 from karcher.errors import NonRealizableError
+from karcher.fem import _ICO_FACES, _ICO_VERTS
 from karcher.flat_simplex import BarycentricWeight, FlatMetric
 from karcher.harness import _orthonormal_tangent_frame
 from karcher.integrate import solve_ode
@@ -160,3 +162,27 @@ def christoffel_from_metric(metric_fn):
         return 0.5 * np.einsum("kl,lij->kij", ginv, term)
 
     return christoffel
+
+
+def icosphere(level: int, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The subdivided icosahedron built face by face: a dict numbers each
+    edge's midpoint when a face first meets the edge."""
+    verts = [row for row in _ICO_VERTS]
+    faces = [tuple(f) for f in _ICO_FACES]
+    for _ in range(level):
+        midpoint: dict[tuple[int, int], int] = {}
+
+        def mid(i: int, j: int) -> int:
+            key = (i, j) if i < j else (j, i)
+            if key not in midpoint:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                midpoint[key] = len(verts) - 1
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    return radius * np.array(verts), np.array(faces, dtype=int)

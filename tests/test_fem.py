@@ -15,6 +15,7 @@ from karcher.flat_simplex import BarycentricWeight, fullness
 from karcher.manifolds import ManifoldPoint, Sphere
 
 from conftest import strict_solver
+from oracles import icosphere as icosphere_oracle
 
 
 def f_eigen(c):
@@ -93,6 +94,31 @@ def test_off_sphere_vertex_is_named(sphere, monkeypatch):
 def test_level_validation(sphere):
     with pytest.raises(ValueError):
         build_triangulation(sphere, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fem.icosphere(-1)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+@pytest.mark.parametrize("level", range(6))
+def test_icosphere_matches_face_by_face_subdivision(level, radius):
+    coords, faces = fem.icosphere(level, radius)
+    ref_coords, ref_faces = icosphere_oracle(level, radius)
+    assert np.array_equal(coords, ref_coords)
+    assert np.array_equal(faces, ref_faces) and faces.dtype == ref_faces.dtype
+
+
+def test_edge_lengths_measured_edge_by_edge(sphere):
+    tri = build_triangulation(sphere, 3)
+    lengths = {}
+    for t, corners in enumerate(tri.triangles):
+        for k, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
+            lo, hi = sorted((corners[a], corners[b]))
+            if (lo, hi) not in lengths:
+                lengths[lo, hi] = sphere.dist(ManifoldPoint(tri.coords[lo]),
+                                              ManifoldPoint(tri.coords[hi]))
+            assert tri.edge_lengths[t, k] == lengths[lo, hi]
+    assert len(lengths) == 1920
+    assert tri.h == max(lengths.values())
 
 
 def test_shared_edges_single_length(tri1):
@@ -174,6 +200,67 @@ def test_quad_data_error_names_triangle(sphere, monkeypatch):
 
 
 # -- assembly ------------------------------------------------------------------
+
+class _Counted:
+    """The eigenfunction's callbacks as bound methods that count their
+    calls; each attribute access builds a new, equal method object."""
+
+    def __init__(self):
+        self.calls = {"f": 0, "u": 0, "grad": 0}
+
+    def f(self, c):
+        self.calls["f"] += 1
+        return f_eigen(c)
+
+    def u(self, c):
+        self.calls["u"] += 1
+        return u_eigen(c)
+
+    def grad(self, c):
+        self.calls["grad"] += 1
+        return grad_u_eigen(c)
+
+
+def test_callbacks_run_once_per_node_and_triangulation(sphere):
+    tri = build_triangulation(sphere, 2)
+    nodes = 3 * tri.num_triangles
+    cb = _Counted()
+    systems = {}
+    for mode in ("flat", "pulled-back"):
+        systems[mode] = assemble(tri, cb.f, mode=mode)
+        error_norms(tri, solve_poisson(systems[mode]), cb.u, cb.grad)
+    assert cb.calls == {"f": nodes, "u": nodes, "grad": nodes}
+    # the stored values give the bits of a fresh evaluation
+    fresh_tri = build_triangulation(sphere, 2)
+    for mode, system in systems.items():
+        fresh = assemble(fresh_tri, f_eigen, mode=mode)
+        assert np.array_equal(system.load, fresh.load)
+    # a new callable object, and a new triangulation, are evaluated afresh
+    other = _Counted()
+    assemble(tri, other.f)
+    assert other.calls["f"] == nodes
+    assemble(fresh_tri, cb.f)
+    assert cb.calls["f"] == 2 * nodes
+    with pytest.raises(ValueError, match="read-only"):
+        tri.at_nodes(cb.f)[0, 0] = 0.0
+
+
+def test_unhashable_callback_is_evaluated_each_time(tri1):
+    class Height:
+        __hash__ = None
+
+        def __init__(self):
+            self.calls = 0
+
+        def __call__(self, c):
+            self.calls += 1
+            return c[2]
+
+    height = Height()
+    first = tri1.at_nodes(height)
+    assert np.array_equal(tri1.at_nodes(height), first)
+    assert height.calls == 2 * 3 * tri1.num_triangles
+
 
 def test_zero_load_gives_zero_solution(tri1):
     system = assemble(tri1, lambda c: 0.0, mode="flat")
