@@ -11,6 +11,7 @@ system driven by second derivatives of the distance functions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,24 +26,15 @@ MAX_MEAN_ITERS = 100
 
 
 class KarcherChart:
-    """n+1 manifold vertices and the mean solver's stopping tolerance.
+    """n+1 manifold vertices and the mean solver's stopping tolerance,
+    measured as a one-row call of ``_edge_tables``: the edge lengths, the
+    flat simplex metric they induce, ``grad_tol`` and the edge logarithms
+    (a one-row stack, or None) that the mean's initial guess reads.
 
-    Construction measures the geodesic edge lengths, derives the induced
-    flat simplex metric, and verifies that all pairwise distances stay
-    below the manifold's convexity radius.  ``grad_tol`` is
-    ``default_grad_tol`` of the diameter and coordinate scale, floored at
-    the manifold's logarithm tolerance ``shooting_tol``: the gradient test
-    reads logarithms that are only that exact.
-
-    ``coords`` (n+1, coord_dim) stacks the vertex coordinates, the one
-    row that the chart's means and jets solve.  The chart keeps the
-    point a that ``karcher_mean`` last returned with its logarithms
-    log_a(p_i), so that jets and ``sigma`` at that same point object do
-    not compute them again.  On a model whose logarithm is solved for
-    (``shooting_tol > 0``) the chart shoots log_p0(p_j) once and keeps
-    them: the (0, j) edge lengths are their norms, which is what ``dist``
-    computes there, and the mean's initial guess reads them.
-    Closed-form spaces measure every edge with ``dist``.
+    ``coords`` (n+1, coord_dim) stacks the vertex coordinates.  The chart
+    keeps the point a that ``karcher_mean`` last returned with its
+    logarithms log_a(p_i), so that jets and ``sigma`` at that same point
+    object do not compute them again.
     """
 
     def __init__(self, manifold: Manifold, vertices):
@@ -52,31 +44,56 @@ class KarcherChart:
         if self.n < 1:
             raise ValueError("need at least two vertices")
         self.coords = np.array([v.coords for v in self.vertices])
-        self._edge_logs: np.ndarray | None = None
-        n1 = self.n + 1
-        table = np.zeros((n1, n1))
-        rows = range(n1)
-        if manifold.shooting_tol > 0:
-            p0 = self.vertices[0]
-            logs = [manifold.log(p0, p) for p in self.vertices[1:]]
-            table[0, 1:] = table[1:, 0] = [manifold.norm(v) for v in logs]
-            self._edge_logs = np.array([v.components for v in logs])
-            rows = range(1, n1)
-        for i in rows:
-            for j in range(i + 1, n1):
-                table[i, j] = table[j, i] = manifold.dist(
-                    self.vertices[i], self.vertices[j])
-        self.edge_lengths = EdgeLengthSystem(table)
+        tables, grad_tol, self._edge_logs = _edge_tables(manifold, self.coords[None])
+        self.edge_lengths = EdgeLengthSystem(tables[0])
         self.h = self.edge_lengths.max_length
-        if exceeds_convexity_radius(manifold, self.h):
-            raise ValueError(
-                "vertex separation exceeds the convexity radius; "
-                "the center of mass may not be unique")
         self.flat_metric: FlatMetric = flat_metric_from_lengths(self.edge_lengths)
-        coord_scale = float(np.abs(self.coords).max())
-        self.grad_tol = max(float(default_grad_tol(self.h, coord_scale)),
-                            manifold.shooting_tol)
+        self.grad_tol = float(grad_tol[0])
         self._mean: tuple[ManifoldPoint | None, np.ndarray | None] = (None, None)
+
+
+def _edge_tables(manifold: Manifold, verts: np.ndarray):
+    """The edge-length tables (N, n+1, n+1) of vertex sets (N, n+1,
+    coord_dim) and each row's ``grad_tol``: ``default_grad_tol`` of its
+    diameter and coordinates, floored at ``shooting_tol``, all that the
+    mean's gradient test can read.  A model that shoots its logarithms
+    shoots each edge once, the (0, j) edges as log_p0(p_j), and returns
+    those logarithms (N, n, coord_dim); the closed forms return None.  A
+    ValueError names the first row whose diameter exceeds the convexity
+    radius."""
+    n1 = verts.shape[1]
+    i, j = _edge_pairs(n1)
+    logs = None
+    if manifold.shooting_tol > 0:
+        logs = manifold.log_array(verts[:, :1], verts[:, 1:])
+        rest = i > 0
+        lengths = np.concatenate([manifold.norm_array(logs, verts[:, :1]),
+                                  manifold.dist_array(verts[:, i[rest]], verts[:, j[rest]])],
+                                 axis=1)
+    else:
+        lengths = manifold.dist_array(verts[:, i], verts[:, j])
+    h = lengths.max(axis=1)
+    bad = np.flatnonzero(exceeds_convexity_radius(manifold, h))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"row {k}: vertex separation {h[k]:.3e} exceeds the convexity radius "
+            f"{manifold.bounds.convexity_radius:.3e}; the center of mass may not be unique")
+    tables = np.zeros((len(verts), n1, n1))
+    tables[:, i, j] = tables[:, j, i] = lengths
+    grad_tol = np.maximum(default_grad_tol(h, np.abs(verts).max(axis=(1, 2))),
+                          manifold.shooting_tol)
+    return tables, grad_tol, logs
+
+
+@functools.cache
+def _edge_pairs(n1: int) -> tuple[np.ndarray, ...]:
+    """The vertex pairs i < j of n1 vertices, built once per n1 and shared
+    read-only by every call."""
+    pairs = np.triu_indices(n1, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def exceeds_convexity_radius(manifold: Manifold, h):
@@ -142,11 +159,8 @@ def _chart_row(chart: KarcherChart, lam: BarycentricWeight,
     man = chart.manifold
     verts = chart.coords
     if at is None:
-        guess = chart._edge_logs
-        if guess is None:
-            guess = man.log_array(verts[0], verts[1:])
         a, logs, _ = _batch_mean(man, verts[None], lam.values[None],
-                                 np.array([chart.grad_tol]), guess[None], trace)
+                                 np.array([chart.grad_tol]), chart._edge_logs, trace)
         chart._mean = (ManifoldPoint(a[0]), logs[0])
     elif at is not chart._mean[0]:
         return at, man.log_array(at.coords, verts)
@@ -204,12 +218,12 @@ def differential_batch(manifold: Manifold, vertices, weights,
 
     ``vertices`` is (N, n+1, coord_dim) and ``weights`` is (N, n+1).
     Returns the points (N, coord_dim) and the dx matrices
-    (N, coord_dim, n), whose columns are the images of e_k - e_0.  Each
-    row's mean (``_batch_mean``) stops at the ``default_grad_tol`` of its
-    own chart's diameter and coordinates, floored at the manifold's
-    ``shooting_tol``, as a ``KarcherChart`` derives it.  A
-    MeanSolverError names the weights of the failing row and the row
-    itself in its ``index``.  A list passed as ``iterations`` receives
+    (N, coord_dim, n), whose columns are the images of e_k - e_0.  The
+    rows are measured by ``_edge_tables``, as a ``KarcherChart`` measures
+    its one row: a ValueError names the first row whose diameter exceeds
+    the convexity radius, and each row's mean (``_batch_mean``) stops at
+    its own ``grad_tol``.  A MeanSolverError names the weights of the
+    failing row and the row itself in its ``index``.  A list passed as ``iterations`` receives
     each row's number of iterates, the initial guess included, which is
     the length karcher_mean's ``trace`` reaches.
     """
@@ -228,25 +242,12 @@ def hessian_batch(manifold: Manifold, vertices, weights
 
 def _stack_jets(manifold: Manifold, vertices, weights, second: bool,
                 iterations: list | None = None):
-    """The means of a stack of charts, each at its own chart's tolerance
-    and from the logarithms log_p0(p_j), their logarithms log_a(p_i)
-    and their ``_jets``.  As in ``KarcherChart``, a model that shoots its
-    logarithms takes the (0, j) edge lengths as the norms of log_p0(p_j)
-    and shoots each edge once."""
+    """The means of a stack of charts, each at the tolerance and from the
+    edge logarithms of its row of ``_edge_tables``, their logarithms
+    log_a(p_i) and their ``_jets``."""
     verts = np.asarray(vertices, dtype=float)
     lam = np.asarray(weights, dtype=float)
-    guess = manifold.log_array(verts[:, :1], verts[:, 1:])
-    i, j = np.triu_indices(verts.shape[1], 1)
-    if manifold.shooting_tol > 0:
-        rest = i > 0
-        lengths = np.concatenate([manifold.norm_array(guess, verts[:, :1]),
-                                  manifold.dist_array(verts[:, i[rest]], verts[:, j[rest]])],
-                                 axis=1)
-    else:
-        lengths = manifold.dist_array(verts[:, i], verts[:, j])
-    grad_tol = np.maximum(default_grad_tol(lengths.max(axis=1),
-                                           np.abs(verts).max(axis=(1, 2))),
-                          manifold.shooting_tol)
+    _, grad_tol, guess = _edge_tables(manifold, verts)
     a, logs, iterates = _batch_mean(manifold, verts, lam, grad_tol, guess)
     if iterations is not None:
         iterations.extend(iterates.tolist())
@@ -254,7 +255,7 @@ def _stack_jets(manifold: Manifold, vertices, weights, second: bool,
 
 
 def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
-                grad_tol: np.ndarray, guess_logs: np.ndarray,
+                grad_tol: np.ndarray, guess_logs: np.ndarray | None,
                 trace: list | None = None):
     """The one center-of-mass iteration, on every row of vertices
     (N, n+1, coord_dim) and weights (N, n+1): a <- exp_a(-F(a, lambda)),
@@ -262,10 +263,10 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
     ``grad_tol``, for at most MAX_MEAN_ITERS iterates.
 
     The initial guess is the tangent-space average seen from vertex 0,
-    from the logarithms ``guess_logs`` = log_p0(p_j) (N, n, coord_dim):
-    exact in flat space.  Near the mean the update is a contraction with
-    rate of order C0 h^2, so a handful of iterations reaches gradient
-    norms near roundoff.  On a model that shoots its logarithms, each
+    from the logarithms ``guess_logs`` = log_p0(p_j) (N, n, coord_dim),
+    taken here if None: exact in flat space.  Near the mean the update is
+    a contraction with rate of order C0 h^2, so a handful of iterations
+    reaches gradient norms near roundoff.  On a model that shoots its logarithms, each
     iterate's logarithms toward the vertices are taken by
     ``Manifold._warm_log_array``, whose state (for ``ChartManifold`` the
     logarithms, endpoint Jacobians and first-shot residuals) warm-starts
@@ -282,6 +283,8 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
     failing row and the row as its ``index``.
     """
     conv_radius = manifold.bounds.convexity_radius
+    if guess_logs is None:
+        guess_logs = manifold.log_array(verts[:, :1], verts[:, 1:])
     a = manifold.exp_array(verts[:, 0], np.einsum("ri,rid->rd", lam[:, 1:], guess_logs))
     logs = np.empty_like(verts)
     active = np.arange(len(verts))

@@ -539,7 +539,8 @@ class _SpaceForm(Manifold):
     ``_ip``, of constant curvature K = sign / R^2, so one formula in
     (C, S) = (cos, sin) or (cosh, sinh) gives both models' geodesics,
     transport, curvature and squared-distance derivatives.  Each model
-    keeps its own point check, exp/log/dist and tangent frame."""
+    keeps its own point check, exp/log, ``dist_array`` and tangent
+    frame."""
 
     def __init__(self, dim: int, radius: float, K: float,
                  injectivity_radius: float, convexity_radius: float):
@@ -594,8 +595,12 @@ class _SpaceForm(Manifold):
         return _rows(lambda u: K * (tt * u - self._ip(p, u, T) * T), w)
 
     # -- closed-form stacks -------------------------------------------------
-    # Each model adds log_array/exp_array/dist_array, the same formulas as
-    # its log/exp/dist broadcast over leading axes, and tangent_frame_array.
+    # Each model adds log_array/exp_array, the same formulas as its log/exp
+    # broadcast over leading axes, dist_array and tangent_frame_array.
+
+    def dist(self, p, q):
+        """``dist_array`` on one pair, so the two are bit-identical."""
+        return float(self.dist_array(p.coords, q.coords))
 
     def ip_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The ambient form ``_ip`` row by row."""
@@ -715,11 +720,6 @@ class Sphere(_SpaceForm):
             return TangentVector(p, np.zeros(self.coord_dim))
         return TangentVector(p, (r * theta / nw) * w)
 
-    def dist(self, p, q):
-        # The chord's arcsine is ill-conditioned near the antipode: one
-        # formula keeps the scalar and stacked distances bit-identical.
-        return float(self.dist_array(p.coords, q.coords))
-
     def dist_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         chord = np.linalg.norm(q - p, axis=-1)
         return 2.0 * self.radius * np.arcsin(np.minimum(chord / (2.0 * self.radius), 1.0))
@@ -815,11 +815,6 @@ class HyperbolicSpace(_SpaceForm):
         w = q.coords - c * p.coords
         nw = math.sqrt(max(_minkowski(w, w), 0.0))
         return TangentVector(p, (r * theta / nw) * w)
-
-    def dist(self, p, q):
-        d = q.coords - p.coords
-        d2 = max(_minkowski(d, d), 0.0)
-        return 2.0 * self.radius * math.asinh(math.sqrt(d2) / (2.0 * self.radius))
 
     def dist_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         d = q - p

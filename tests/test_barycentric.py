@@ -33,10 +33,20 @@ def euclid_chart(euclidean3, rng):
 
 def test_chart_rejects_vertices_beyond_convexity(sphere):
     p0 = sphere.point([0.0, 0.0, 1.0])
-    p1 = sphere.point([0.0, 0.0, -1.0])
     p1 = sphere.point([math.sin(2.0), 0.0, math.cos(2.0)])  # dist 2 > pi/2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row 0: vertex separation 2.000e"):
         KarcherChart(sphere, [p0, p1])
+
+
+@pytest.mark.parametrize("batch", [differential_batch, hessian_batch])
+def test_batch_rejects_rows_beyond_convexity(sphere, batch):
+    # The stacks run the chart's convexity check on every row: row 1
+    # spans 2 > pi/2 and has no unique mean.
+    p0 = [0.0, 0.0, 1.0]
+    verts = np.array([[p0, [math.sin(0.2), 0.0, math.cos(0.2)]],
+                      [p0, [math.sin(2.0), 0.0, math.cos(2.0)]]])
+    with pytest.raises(ValueError, match="row 1: vertex separation 2.000e.* 1.571e"):
+        batch(sphere, verts, np.full((2, 2), 0.5))
 
 
 # -- energy -------------------------------------------------------------------

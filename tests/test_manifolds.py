@@ -308,7 +308,7 @@ def test_array_kernels_match_scalar(space, seed):
     assert np.max(np.abs(logs[-1])) == 0.0
     for k, (p, q) in enumerate(zip(ps, qs)):
         assert np.allclose(logs[k], man.log(p, q).components, rtol=0.0, atol=log_tol[k])
-        assert man.dist_array(P, Q)[k] == pytest.approx(man.dist(p, q), rel=1e-14, abs=0.0)
+        assert man.dist_array(P, Q)[k] == man.dist(p, q)
     V = 0.3 * logs
     V[0] = 0.0
     exps = man.exp_array(P, V)
@@ -988,18 +988,23 @@ def test_chart_hessian_map_from_a_log_matches_the_hyperboloid(hyperbolic):
 MEAN_VERTICES = ([0.1, 0.05], [0.22, 0.08], [0.14, 0.2])
 
 
-def _mean_vertices(space: str):
-    """The same three points in the Poincare disk chart, lifted to the
-    hyperboloid, or placed on the sphere near its north pole."""
+def _mean_vertices(space: str, scale: float = 1.0, man=None):
+    """The same three points, times ``scale``, in the Poincare disk chart
+    or the plane, lifted to the hyperboloid, or placed on the sphere near
+    its north pole; on ``man`` if given, else on a new model."""
+    corners = scale * np.array(MEAN_VERTICES)
     if space == "disk":
-        man = make_poincare_disk()
-        return man, [man.point(c) for c in MEAN_VERTICES]
+        man = man or make_poincare_disk()
+        return man, [man.point(c) for c in corners]
+    if space == "euclidean":
+        man = man or EuclideanSpace(2)
+        return man, [man.point(c) for c in corners]
     if space == "hyperbolic":
-        man = HyperbolicSpace(2)
-        return man, [lift_disk(man, np.array(c)) for c in MEAN_VERTICES]
-    man = Sphere(2)
+        man = man or HyperbolicSpace(2)
+        return man, [lift_disk(man, c) for c in corners]
+    man = man or Sphere(2)
     return man, [man.point(np.array([*c, 1.0]) / math.hypot(*c, 1.0))
-                 for c in MEAN_VERTICES]
+                 for c in corners]
 
 
 @pytest.fixture(params=["sphere", "hyperbolic", "disk"])
@@ -1015,38 +1020,64 @@ def chart_and_mean(request):
 
 @pytest.mark.parametrize("space", ["sphere", "hyperbolic", "disk"])
 def test_chart_edge_logarithms_feed_the_initial_guess(space, monkeypatch):
+    # On the disk a chart shoots each of its three edges once, and the
+    # mean starts from the kept logarithms log_p0(p_j), so it shoots
+    # nothing from p0.  A closed-form chart takes no logarithm at all, and
+    # its mean takes the initial guess's logarithms as one stack from p0.
     from karcher.barycentric import KarcherChart, karcher_mean
     from karcher.flat_simplex import BarycentricWeight
 
     man, vertices = _mean_vertices(space)
-    calls = []
-    for name in ("log", "dist"):
-        def counting(*args, _name=name, _fn=getattr(man, name), **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(man, name, counting)
-    chart = KarcherChart(man, vertices)
+    p0 = vertices[0].coords
+    bases = []
     if isinstance(man, ChartManifold):
-        # log_p0(p_1), log_p0(p_2) and dist(p_1, p_2), whose log is counted too.
-        assert calls == ["log", "log", "dist", "log"]
+        shoot_log = ChartManifold._shoot_log
+
+        def counting(self, p, q, *args):
+            bases.append(np.array(p))
+            return shoot_log(self, p, q, *args)
+
+        monkeypatch.setattr(ChartManifold, "_shoot_log", counting)
     else:
-        assert calls == ["dist"] * 3 and chart._edge_logs is None
+        for name in ("log", "log_array"):
+            def counting(p, q, _fn=getattr(man, name)):
+                bases.append(np.asarray(getattr(p, "coords", p)))
+                return _fn(p, q)
+            monkeypatch.setattr(man, name, counting)
+    chart = KarcherChart(man, vertices)
+    assert len(bases) == (3 if isinstance(man, ChartManifold) else 0)
+    assert (chart._edge_logs is None) == (not isinstance(man, ChartManifold))
+    del bases[:]
+    karcher_mean(chart, BarycentricWeight([0.2, 0.5, 0.3]))
+    from_p0 = [b for b in bases if np.array_equal(b.reshape(-1), p0)]
+    assert len(from_p0) == (0 if isinstance(man, ChartManifold) else 1)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert chart.edge_lengths.lengths[i, j] == man.dist(vertices[i], vertices[j])
-    # The mean's initial guess takes the logarithms log_p0(p_j) as one
-    # stack on the closed forms, and none on the chart.
-    bases = []
 
-    def counting_log_array(p, q, _fn=man.log_array):
-        bases.append(np.asarray(p))
-        return _fn(p, q)
 
-    monkeypatch.setattr(man, "log_array", counting_log_array)
-    del calls[:]
-    karcher_mean(chart, BarycentricWeight([0.2, 0.5, 0.3]))
-    from_p0 = [b for b in bases if np.array_equal(b, vertices[0].coords)]
-    assert not calls
-    assert len(from_p0) == (0 if isinstance(man, ChartManifold) else 1)
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic", "disk"])
+def test_chart_tables_are_rows_of_the_stack(space):
+    # A chart is a one-row call of the stacked edge tables that the jet
+    # stacks use: its table, diameter, tolerance and edge logarithms are
+    # its row of a multi-row call, and rows of other diameters keep their
+    # own tolerance.
+    from karcher.barycentric import KarcherChart, _edge_tables
+
+    man, _ = _mean_vertices(space)
+    charts = [KarcherChart(man, _mean_vertices(space, scale, man)[1])
+              for scale in (1.0, 0.5, 2.0)]
+    tables, grad_tol, logs = _edge_tables(man, np.array([c.coords for c in charts]))
+    for k, chart in enumerate(charts):
+        assert np.array_equal(chart.edge_lengths.lengths, tables[k])
+        assert chart.h == tables[k].max()
+        assert chart.grad_tol == grad_tol[k]
+        if logs is None:
+            assert chart._edge_logs is None
+        else:
+            assert np.array_equal(chart._edge_logs, logs[k:k + 1])
+    assert len({c.h for c in charts}) == 3
+    if man.shooting_tol == 0.0:
+        assert len(set(grad_tol.tolist())) == 3
 
 
 def _log_agreement(man: ChartManifold, a: ManifoldPoint, vertices) -> float:
