@@ -11,7 +11,6 @@ system driven by second derivatives of the distance functions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ MAX_MEAN_ITERS = 100
 
 class KarcherChart:
     """n+1 manifold vertices and the mean solver's stopping tolerance,
-    measured as a one-row call of ``_edge_tables``: the edge lengths, the
+    measured as a one-row call of ``_edge_lengths``: the edge lengths, the
     flat simplex metric they induce, ``grad_tol`` and the edge logarithms
     (a one-row stack, or None) that the mean's initial guess reads.
 
@@ -44,19 +43,19 @@ class KarcherChart:
         if self.n < 1:
             raise ValueError("need at least two vertices")
         self.coords = np.array([v.coords for v in self.vertices])
-        tables, grad_tol, self._edge_logs = _edge_tables(manifold, self.coords[None])
-        self.edge_lengths = EdgeLengthSystem(tables[0])
+        lengths, grad_tol, self._edge_logs = _edge_lengths(manifold, self.coords[None])
+        self.edge_lengths = EdgeLengthSystem(_length_tables(lengths[0], self.n + 1))
         self.h = self.edge_lengths.max_length
         self.flat_metric: FlatMetric = flat_metric_from_lengths(self.edge_lengths)
         self.grad_tol = float(grad_tol[0])
         self._mean: tuple[ManifoldPoint | None, np.ndarray | None] = (None, None)
 
 
-def _edge_tables(manifold: Manifold, verts: np.ndarray):
-    """The edge-length tables (N, n+1, n+1) of vertex sets (N, n+1,
-    coord_dim) and each row's ``grad_tol``: ``default_grad_tol`` of its
-    diameter and coordinates, floored at ``shooting_tol``, all that the
-    mean's gradient test can read.  A model that shoots its logarithms
+def _edge_lengths(manifold: Manifold, verts: np.ndarray):
+    """The edge lengths (N, E) of vertex sets (N, n+1, coord_dim), in
+    ``_edge_pairs`` order, and each row's ``grad_tol``: ``default_grad_tol``
+    of its diameter and coordinates, floored at ``shooting_tol``, all that
+    the mean's gradient test can read.  A model that shoots its logarithms
     shoots each edge once, the (0, j) edges as log_p0(p_j), and returns
     those logarithms (N, n, coord_dim); the closed forms return None.  A
     ValueError names the first row whose diameter exceeds the convexity
@@ -65,11 +64,12 @@ def _edge_tables(manifold: Manifold, verts: np.ndarray):
     i, j = _edge_pairs(n1)
     logs = None
     if manifold.shooting_tol > 0:
+        # The (0, j) pairs come first; a two-vertex set has no others.
         logs = manifold.log_array(verts[:, :1], verts[:, 1:])
-        rest = i > 0
-        lengths = np.concatenate([manifold.norm_array(logs, verts[:, :1]),
-                                  manifold.dist_array(verts[:, i[rest]], verts[:, j[rest]])],
-                                 axis=1)
+        lengths = manifold.norm_array(logs, verts[:, :1])
+        if n1 > 2:
+            rest = manifold.dist_array(verts[:, i[n1 - 1:]], verts[:, j[n1 - 1:]])
+            lengths = np.concatenate([lengths, rest], axis=1)
     else:
         lengths = manifold.dist_array(verts[:, i], verts[:, j])
     h = lengths.max(axis=1)
@@ -79,21 +79,25 @@ def _edge_tables(manifold: Manifold, verts: np.ndarray):
         raise ValueError(
             f"row {k}: vertex separation {h[k]:.3e} exceeds the convexity radius "
             f"{manifold.bounds.convexity_radius:.3e}; the center of mass may not be unique")
-    tables = np.zeros((len(verts), n1, n1))
-    tables[:, i, j] = tables[:, j, i] = lengths
     grad_tol = np.maximum(default_grad_tol(h, np.abs(verts).max(axis=(1, 2))),
                           manifold.shooting_tol)
-    return tables, grad_tol, logs
+    return lengths, grad_tol, logs
 
 
-@functools.cache
-def _edge_pairs(n1: int) -> tuple[np.ndarray, ...]:
-    """The vertex pairs i < j of n1 vertices, built once per n1 and shared
-    read-only by every call."""
-    pairs = np.triu_indices(n1, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
+def _length_tables(lengths: np.ndarray, n1: int) -> np.ndarray:
+    """The symmetric tables (..., n1, n1) of edge lengths (..., E) listed
+    in ``_edge_pairs`` order, zero on the diagonal."""
+    i, j = _edge_pairs(n1)
+    tables = np.zeros(np.shape(lengths)[:-1] + (n1, n1))
+    tables[..., i, j] = tables[..., j, i] = lengths
+    return tables
+
+
+def _edge_pairs(n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pairs i < j of n1 vertices in row-major order, (0, 1),
+    (0, 2), ..., (1, 2), ...: ``np.triu_indices(n1, 1)`` at less cost."""
+    r = np.arange(n1)
+    return np.nonzero(r[:, None] < r)
 
 
 def exceeds_convexity_radius(manifold: Manifold, h):
@@ -219,13 +223,13 @@ def differential_batch(manifold: Manifold, vertices, weights,
     ``vertices`` is (N, n+1, coord_dim) and ``weights`` is (N, n+1).
     Returns the points (N, coord_dim) and the dx matrices
     (N, coord_dim, n), whose columns are the images of e_k - e_0.  The
-    rows are measured by ``_edge_tables``, as a ``KarcherChart`` measures
+    rows are measured by ``_edge_lengths``, as a ``KarcherChart`` measures
     its one row: a ValueError names the first row whose diameter exceeds
     the convexity radius, and each row's mean (``_batch_mean``) stops at
     its own ``grad_tol``.  A MeanSolverError names the weights of the
-    failing row and the row itself in its ``index``.  A list passed as ``iterations`` receives
-    each row's number of iterates, the initial guess included, which is
-    the length karcher_mean's ``trace`` reaches.
+    failing row and the row itself in its ``index``.  A list passed as
+    ``iterations`` receives each row's number of iterates, the initial
+    guess included, which is the length karcher_mean's ``trace`` reaches.
     """
     a, _, dx, _ = _stack_jets(manifold, vertices, weights, False, iterations)
     return a, dx
@@ -243,11 +247,11 @@ def hessian_batch(manifold: Manifold, vertices, weights
 def _stack_jets(manifold: Manifold, vertices, weights, second: bool,
                 iterations: list | None = None):
     """The means of a stack of charts, each at the tolerance and from the
-    edge logarithms of its row of ``_edge_tables``, their logarithms
+    edge logarithms of its row of ``_edge_lengths``, their logarithms
     log_a(p_i) and their ``_jets``."""
     verts = np.asarray(vertices, dtype=float)
     lam = np.asarray(weights, dtype=float)
-    _, grad_tol, guess = _edge_tables(manifold, verts)
+    _, grad_tol, guess = _edge_lengths(manifold, verts)
     a, logs, iterates = _batch_mean(manifold, verts, lam, grad_tol, guess)
     if iterations is not None:
         iterations.extend(iterates.tolist())

@@ -23,7 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .barycentric import differential_batch, exceeds_convexity_radius
+from .barycentric import (_edge_pairs, _length_tables, differential_batch,
+                          exceeds_convexity_radius)
 # The scalar jet of one chart, which quad_data computes in batch for every
 # quadrature node.  No code here calls it; it stays importable from this
 # module because the benchmark's tracer test (perfbench/test_smoke.py)
@@ -114,11 +115,6 @@ def icosphere(level: int, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     return radius * verts, faces
 
 
-# Local vertex pairs of a triangle's edges, in the order edge lengths are
-# stored: (0, 1), (0, 2), (1, 2).
-_EDGE_I = np.array([0, 0, 1])
-_EDGE_J = np.array([1, 2, 2])
-
 # Least ``flat_simplex.fullness`` a mesh triangle may have.
 MIN_FULLNESS = 0.5
 
@@ -139,8 +135,10 @@ class KarcherTriangulation:
         self.triangles = np.asarray(triangles, dtype=int)
         # Geodesic edge lengths, each undirected edge measured exactly once
         # so both adjacent triangles see the same number; the key lo * V + hi
-        # numbers the edges in (lo, hi) order.
-        i, j = self.triangles[:, _EDGE_I], self.triangles[:, _EDGE_J]
+        # numbers the edges in (lo, hi) order.  A triangle lists its edges
+        # as the local pairs (0, 1), (0, 2), (1, 2).
+        local_i, local_j = _edge_pairs(3)
+        i, j = self.triangles[:, local_i], self.triangles[:, local_j]
         nv = self.num_vertices
         keys, inverse = np.unique(np.minimum(i, j) * nv + np.maximum(i, j),
                                   return_inverse=True)
@@ -148,9 +146,7 @@ class KarcherTriangulation:
         self.edge_lengths = lengths[inverse.reshape(-1, 3)]               # (T, 3)
         self.h = float(lengths.max())
 
-        tables = np.zeros((self.num_triangles, 3, 3))
-        tables[:, _EDGE_I, _EDGE_J] = tables[:, _EDGE_J, _EDGE_I] = self.edge_lengths
-        gm = flat_metric_from_lengths(tables)
+        gm = flat_metric_from_lengths(_length_tables(self.edge_lengths, 3))
         self.gram = gm.G                                            # (T, 2, 2)
         bad = np.flatnonzero(~gm.realizable)
         if bad.size:

@@ -1057,16 +1057,17 @@ def test_chart_edge_logarithms_feed_the_initial_guess(space, monkeypatch):
 
 @pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic", "disk"])
 def test_chart_tables_are_rows_of_the_stack(space):
-    # A chart is a one-row call of the stacked edge tables that the jet
+    # A chart is a one-row call of the stacked edge lengths that the jet
     # stacks use: its table, diameter, tolerance and edge logarithms are
     # its row of a multi-row call, and rows of other diameters keep their
     # own tolerance.
-    from karcher.barycentric import KarcherChart, _edge_tables
+    from karcher.barycentric import KarcherChart, _edge_lengths, _length_tables
 
     man, _ = _mean_vertices(space)
     charts = [KarcherChart(man, _mean_vertices(space, scale, man)[1])
               for scale in (1.0, 0.5, 2.0)]
-    tables, grad_tol, logs = _edge_tables(man, np.array([c.coords for c in charts]))
+    lengths, grad_tol, logs = _edge_lengths(man, np.array([c.coords for c in charts]))
+    tables = _length_tables(lengths, 3)
     for k, chart in enumerate(charts):
         assert np.array_equal(chart.edge_lengths.lengths, tables[k])
         assert chart.h == tables[k].max()
@@ -1078,6 +1079,26 @@ def test_chart_tables_are_rows_of_the_stack(space):
     assert len({c.h for c in charts}) == 3
     if man.shooting_tol == 0.0:
         assert len(set(grad_tol.tolist())) == 3
+
+
+def test_two_vertex_disk_chart_and_stack():
+    # A two-vertex set has only the edge (0, 1), which a shooting model
+    # measures as the norm of log_p0(p1); the chart and the stacked jets
+    # both take it, and the mean of the segment lies on it.
+    from karcher.barycentric import KarcherChart, differential, differential_batch, karcher_mean
+    from karcher.flat_simplex import BarycentricWeight
+
+    man, vertices = _mean_vertices("disk")
+    chart = KarcherChart(man, vertices[:2])
+    d = man.dist(vertices[0], vertices[1])
+    assert chart.edge_lengths.lengths[0, 1] == chart.edge_lengths.lengths[1, 0]
+    assert chart.edge_lengths.lengths[0, 1] == pytest.approx(d, rel=1e-10)
+    lam = BarycentricWeight([0.3, 0.7])
+    a = karcher_mean(chart, lam)
+    assert man.dist(vertices[0], a) == pytest.approx(0.7 * d, rel=1e-8)
+    points, dx = differential_batch(man, chart.coords[None], lam.values[None])
+    assert np.allclose(points[0], a.coords, rtol=0.0, atol=1e-12)
+    assert np.allclose(dx[0], differential(chart, lam, at=a).dx_matrix, rtol=0.0, atol=1e-8)
 
 
 def _log_agreement(man: ChartManifold, a: ManifoldPoint, vertices) -> float:
