@@ -25,16 +25,13 @@ MAX_MEAN_ITERS = 100
 
 
 class KarcherChart:
-    """n+1 manifold vertices and the mean solver's stopping tolerance,
-    measured as a one-row call of ``_edge_lengths``: the edge lengths, the
-    flat simplex metric they induce, ``grad_tol`` and the edge logarithms
-    (a one-row stack, or None) that the mean's initial guess reads.
-
-    ``coords`` (n+1, coord_dim) stacks the vertex coordinates.  The chart
-    keeps the point a that ``karcher_mean`` last returned with its
-    logarithms log_a(p_i), so that jets and ``sigma`` at that same point
-    object do not compute them again.
-    """
+    """n+1 manifold vertices, measured as a one-row stack: the edge
+    lengths, the flat simplex metric they induce, ``grad_tol`` and the
+    edge logarithms (a one-row stack, or None) of the mean's initial
+    guess.  ``coords`` (n+1, coord_dim) stacks the vertex coordinates.
+    The chart keeps the point a that ``karcher_mean`` last returned with
+    its logarithms log_a(p_i), so that jets and ``sigma`` at that same
+    point object do not compute them again."""
 
     def __init__(self, manifold: Manifold, vertices):
         self.manifold = manifold
@@ -43,7 +40,7 @@ class KarcherChart:
         if self.n < 1:
             raise ValueError("need at least two vertices")
         self.coords = np.array([v.coords for v in self.vertices])
-        lengths, grad_tol, self._edge_logs = _edge_lengths(manifold, self.coords[None])
+        lengths, grad_tol, self._edge_logs = _convex_edge_lengths(manifold, self.coords[None])
         self.edge_lengths = EdgeLengthSystem(_length_tables(lengths[0], self.n + 1))
         self.h = self.edge_lengths.max_length
         self.flat_metric: FlatMetric = flat_metric_from_lengths(self.edge_lengths)
@@ -53,13 +50,10 @@ class KarcherChart:
 
 def _edge_lengths(manifold: Manifold, verts: np.ndarray):
     """The edge lengths (N, E) of vertex sets (N, n+1, coord_dim), in
-    ``_edge_pairs`` order, and each row's ``grad_tol``: ``default_grad_tol``
-    of its diameter and coordinates, floored at ``shooting_tol``, all that
-    the mean's gradient test can read.  A model that shoots its logarithms
-    shoots each edge once, the (0, j) edges as log_p0(p_j), and returns
-    those logarithms (N, n, coord_dim); the closed forms return None.  A
-    ValueError names the first row whose diameter exceeds the convexity
-    radius."""
+    ``_edge_pairs`` order, and each row's ``_grad_tol``.  A model that
+    shoots its logarithms shoots each edge once, the (0, j) edges as
+    log_p0(p_j), and returns those logarithms (N, n, coord_dim); the
+    closed forms return None.  Nothing is checked here."""
     n1 = verts.shape[1]
     i, j = _edge_pairs(n1)
     logs = None
@@ -72,6 +66,20 @@ def _edge_lengths(manifold: Manifold, verts: np.ndarray):
             lengths = np.concatenate([lengths, rest], axis=1)
     else:
         lengths = manifold.dist_array(verts[:, i], verts[:, j])
+    return lengths, _grad_tol(manifold, lengths.max(axis=1), verts), logs
+
+
+def _grad_tol(manifold: Manifold, h: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Each row's ``default_grad_tol`` of its diameter h and coordinates
+    (N, n+1, coord_dim), floored at ``shooting_tol``."""
+    return np.maximum(default_grad_tol(h, np.abs(verts).max(axis=(1, 2))),
+                      manifold.shooting_tol)
+
+
+def _convex_edge_lengths(manifold: Manifold, verts: np.ndarray):
+    """``_edge_lengths``; a ValueError names the first row whose diameter
+    exceeds the convexity radius."""
+    lengths, grad_tol, logs = _edge_lengths(manifold, verts)
     h = lengths.max(axis=1)
     bad = np.flatnonzero(exceeds_convexity_radius(manifold, h))
     if bad.size:
@@ -79,8 +87,6 @@ def _edge_lengths(manifold: Manifold, verts: np.ndarray):
         raise ValueError(
             f"row {k}: vertex separation {h[k]:.3e} exceeds the convexity radius "
             f"{manifold.bounds.convexity_radius:.3e}; the center of mass may not be unique")
-    grad_tol = np.maximum(default_grad_tol(h, np.abs(verts).max(axis=(1, 2))),
-                          manifold.shooting_tol)
     return lengths, grad_tol, logs
 
 
@@ -223,15 +229,15 @@ def differential_batch(manifold: Manifold, vertices, weights,
     ``vertices`` is (N, n+1, coord_dim) and ``weights`` is (N, n+1).
     Returns the points (N, coord_dim) and the dx matrices
     (N, coord_dim, n), whose columns are the images of e_k - e_0.  The
-    rows are measured by ``_edge_lengths``, as a ``KarcherChart`` measures
-    its one row: a ValueError names the first row whose diameter exceeds
-    the convexity radius, and each row's mean (``_batch_mean``) stops at
-    its own ``grad_tol``.  A MeanSolverError names the weights of the
-    failing row and the row itself in its ``index``.  A list passed as
-    ``iterations`` receives each row's number of iterates, the initial
-    guess included, which is the length karcher_mean's ``trace`` reaches.
-    """
-    a, _, dx, _ = _stack_jets(manifold, vertices, weights, False, iterations)
+    rows are measured and checked as a ``KarcherChart`` measures its one
+    row, and each row's mean stops at its own ``grad_tol``.  A
+    MeanSolverError names the weights of the failing row and the row
+    itself in its ``index``.  A list passed as ``iterations`` receives
+    each row's number of iterates, the initial guess included, which is
+    the length karcher_mean's ``trace`` reaches."""
+    verts = np.asarray(vertices, dtype=float)
+    _, grad_tol, guess = _convex_edge_lengths(manifold, verts)
+    a, _, dx, _ = _stack_jets(manifold, verts, weights, grad_tol, guess, False, iterations)
     return a, dx
 
 
@@ -240,19 +246,19 @@ def hessian_batch(manifold: Manifold, vertices, weights
     """``differential_batch`` plus nabla dx: returns the points, the dx
     matrices and the tensors (N, n, n, coord_dim), symmetric in the
     middle axes."""
-    a, _, dx, nabla = _stack_jets(manifold, vertices, weights, True)
+    verts = np.asarray(vertices, dtype=float)
+    _, grad_tol, guess = _convex_edge_lengths(manifold, verts)
+    a, _, dx, nabla = _stack_jets(manifold, verts, weights, grad_tol, guess, True)
     return a, dx, nabla
 
 
-def _stack_jets(manifold: Manifold, vertices, weights, second: bool,
-                iterations: list | None = None):
-    """The means of a stack of charts, each at the tolerance and from the
-    edge logarithms of its row of ``_edge_lengths``, their logarithms
-    log_a(p_i) and their ``_jets``."""
-    verts = np.asarray(vertices, dtype=float)
+def _stack_jets(manifold: Manifold, verts: np.ndarray, weights, grad_tol: np.ndarray,
+                guess_logs: np.ndarray | None, second: bool, iterations: list | None = None):
+    """The means of a stack of charts (N, n+1, coord_dim) that the caller
+    has measured, each at its ``grad_tol`` and from its edge logarithms
+    (see ``_batch_mean``), their logarithms log_a(p_i) and ``_jets``."""
     lam = np.asarray(weights, dtype=float)
-    _, grad_tol, guess = _edge_lengths(manifold, verts)
-    a, logs, iterates = _batch_mean(manifold, verts, lam, grad_tol, guess)
+    a, logs, iterates = _batch_mean(manifold, verts, lam, grad_tol, guess_logs)
     if iterations is not None:
         iterations.extend(iterates.tolist())
     return (a, logs, *_jets(manifold, verts, lam, a, logs, second))
@@ -270,17 +276,17 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
     from the logarithms ``guess_logs`` = log_p0(p_j) (N, n, coord_dim),
     taken here if None: exact in flat space.  Near the mean the update is
     a contraction with rate of order C0 h^2, so a handful of iterations
-    reaches gradient norms near roundoff.  On a model that shoots its logarithms, each
-    iterate's logarithms toward the vertices are taken by
-    ``Manifold._warm_log_array``, whose state (for ``ChartManifold`` the
-    logarithms, endpoint Jacobians and first-shot residuals) warm-starts
-    the next iterate's, and each logarithm takes one shot per
-    iterate: the Newton step from that shot stands in for it,
-    unverified, while its first-shot residual at least halves from
-    iterate to iterate (``ChartManifold._shoot_log``); any other
-    logarithm is shot to ``shooting_tol``.  A row has converged once its
-    |F| is at most its ``grad_tol`` and every logarithm of that iterate
-    is verified, and then leaves the iteration.  Returns the means (N, coord_dim), the
+    reaches gradient norms near roundoff.  On a model that shoots its
+    logarithms, each iterate's logarithms toward the vertices are taken
+    by ``Manifold._warm_log_array``, whose state (for ``ChartManifold``
+    the logarithms, endpoint Jacobians and first-shot residuals)
+    warm-starts the next iterate's, and each logarithm takes one shot per
+    iterate: the Newton step from that shot stands in for it, unverified,
+    while its first-shot residual at least halves from iterate to iterate
+    (``ChartManifold._shoot_log``); any other logarithm is shot to
+    ``shooting_tol``.  A row has converged once its |F| is at most its
+    ``grad_tol`` and every logarithm of that iterate is verified, and
+    then leaves the iteration.  Returns the means (N, coord_dim), the
     logarithms there (N, n+1, coord_dim) and each row's iterate count; a
     list passed as ``trace`` receives a copy of the means (N, coord_dim)
     at every iterate tested.  A MeanSolverError names the weights of the

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .barycentric import (_edge_pairs, _length_tables, differential_batch,
+from .barycentric import (_edge_pairs, _grad_tol, _length_tables, _stack_jets,
                           exceeds_convexity_radius)
 # The scalar jet of one chart, which quad_data computes in batch for every
 # quadrature node.  No code here calls it; it stays importable from this
@@ -31,7 +31,7 @@ from .barycentric import (_edge_pairs, _length_tables, differential_batch,
 # looks it up here.
 from .barycentric import differential  # noqa: F401
 from .errors import LinearSolverError, MeanSolverError, TriangulationError
-from .flat_simplex import _dot, flat_metric_from_lengths, fullness
+from .flat_simplex import _dot, _flagged, flat_metric_from_lengths, fullness
 from .manifolds import Sphere
 
 # Icosahedron vertices on the unit sphere; faces are derived from vertex
@@ -148,23 +148,17 @@ class KarcherTriangulation:
 
         gm = flat_metric_from_lengths(_length_tables(self.edge_lengths, 3))
         self.gram = gm.G                                            # (T, 2, 2)
-        bad = np.flatnonzero(~gm.realizable)
-        if bad.size:
+        if (t := _flagged(~gm.realizable)) is not None:
             raise TriangulationError(
-                f"triangle {bad[0]} {self.triangles[bad[0]]} has no flat realization")
+                f"triangle {t[0]} {self.triangles[t]} has no flat realization")
         diam = self.edge_lengths.max(axis=1)
         theta = fullness(gm, diam)
-        bad = np.flatnonzero(theta < MIN_FULLNESS)
-        if bad.size:
-            t = bad[0]
-            raise TriangulationError(
-                f"triangle {t} {self.triangles[t]} fullness {theta[t]:.3f} "
-                f"below {MIN_FULLNESS}")
-        bad = np.flatnonzero(exceeds_convexity_radius(manifold, diam))
-        if bad.size:
-            raise ValueError(
-                f"triangle {bad[0]}: vertex separation exceeds the convexity "
-                "radius; the center of mass may not be unique")
+        if (t := _flagged(theta < MIN_FULLNESS)) is not None:
+            raise TriangulationError(f"triangle {t[0]} {self.triangles[t]} fullness "
+                                     f"{theta[t]:.3f} below {MIN_FULLNESS}")
+        if (t := _flagged(exceeds_convexity_radius(manifold, diam))) is not None:
+            raise ValueError(f"triangle {t[0]}: vertex separation exceeds the convexity "
+                             "radius; the center of mass may not be unique")
         self._jets: tuple[np.ndarray, np.ndarray] | None = None
         self._node_values: dict = {}
 
@@ -178,13 +172,16 @@ class KarcherTriangulation:
 
     def quad_data(self) -> tuple[np.ndarray, np.ndarray]:
         """Chart jets at the quadrature nodes of every triangle (cached):
-        points (T, Q, coord_dim) and dx matrices (T, Q, coord_dim, 2)."""
+        points (T, Q, coord_dim) and dx matrices (T, Q, coord_dim, 2), as
+        ``differential_batch`` gives them, from the edges of ``__init__``."""
         if self._jets is None:
             T, Q = self.num_triangles, len(_QUAD_W)
-            verts = np.repeat(self.coords[self.triangles], Q, axis=0)
-            weights = np.tile(_QUAD_LAM, (T, 1))
+            verts = self.coords[self.triangles]
+            grad_tol = _grad_tol(self.manifold, self.edge_lengths.max(axis=1), verts)
             try:
-                points, dx = differential_batch(self.manifold, verts, weights)
+                points, _, dx, _ = _stack_jets(
+                    self.manifold, np.repeat(verts, Q, axis=0), np.tile(_QUAD_LAM, (T, 1)),
+                    np.repeat(grad_tol, Q), None, False)
             except MeanSolverError as exc:
                 t, q = divmod(exc.index, Q)
                 raise MeanSolverError(f"triangle {t}, quadrature node {q}: {exc}",

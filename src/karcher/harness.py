@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycentric import KarcherChart, _stack_jets, karcher_mean, sigma
+from .barycentric import (KarcherChart, _edge_lengths, _edge_pairs, _length_tables,
+                          _stack_jets, exceeds_convexity_radius, karcher_mean, sigma)
 from .errors import MeanSolverError, NonRealizableError, SlopeFitError
-from .flat_simplex import BarycentricWeight, SimplexTangent, fullness
+from .flat_simplex import (BarycentricWeight, FlatMetric, SimplexTangent, _flagged,
+                           flat_metric_from_lengths, fullness)
 from .manifolds import Manifold, ManifoldPoint, TangentVector
 
 MIN_INTERIOR_WEIGHT = 0.05
@@ -61,30 +63,58 @@ def generate_geodesic_simplex(manifold: Manifold, center: ManifoldPoint,
                               directions, h: float) -> KarcherChart:
     """Vertices exp_center(s * u_i) with s chosen so the tangent-space
     simplex has maximal edge h; the geodesic edge lengths then differ from
-    h only at order C0 h^3."""
-    units = []
-    for d in directions:
-        nd = manifold.norm(d)
-        if nd == 0.0:
-            raise ValueError("zero direction vector")
-        units.append(d * (1.0 / nd))
-    sep = 0.0
-    for i in range(len(units)):
-        for j in range(i + 1, len(units)):
-            diff = units[i] - units[j]
-            sep = max(sep, manifold.norm(diff))
-    scale = h / sep
-    if scale >= manifold.bounds.convexity_radius:
-        raise ValueError("requested scale exceeds the convexity radius")
-    vertices = [manifold.exp(center, scale * u) for u in units]
-    chart = KarcherChart(manifold, vertices)
-    if not chart.flat_metric.realizable:
-        raise NonRealizableError("generated edge lengths are not realizable")
-    return chart
+    h only at order C0 h^3.  The one-level ``_ladder``, as a chart."""
+    family = SimplexFamily(manifold, center, tuple(directions), (h,), 0.0)
+    return KarcherChart(manifold, [ManifoldPoint(v) for v in _ladder(family)[0][0]])
 
 
 def achieved_fullness(chart: KarcherChart) -> float:
     return fullness(chart.flat_metric, chart.h)
+
+
+def _ladder(family: SimplexFamily):
+    """The family's ``generate_geodesic_simplex`` at every level as one
+    stack: vertices (L, n+1, coord_dim) from the scalar ``exp``,
+    diameters, ``achieved_fullness``, flat metrics' Cholesky factors
+    (L, n, n), and one ``_edge_lengths`` call's ``grad_tol`` and edge
+    logarithms.  The first failing level raises, naming its h, for the
+    first check it fails: scale and vertex separation within the
+    convexity radius, realizable lengths, fullness >= 0.9 of target."""
+    man, ladder = family.manifold, family.ladder
+    norms = [man.norm(d) for d in family.directions]
+    if 0.0 in norms:
+        raise ValueError("zero direction vector")
+    units = [d * (1.0 / nd) for d, nd in zip(family.directions, norms)]
+    sep = max((man.norm(units[i] - units[j]) for i, j in zip(*_edge_pairs(len(units)))),
+              default=0.0)
+    radius = man.bounds.convexity_radius
+    # Each check keeps the levels before its first failure, so the last
+    # failure found is the first check that the first failing level fails.
+    stop = next((k for k, h in enumerate(ladder) if h / sep >= radius), len(ladder))
+    error = None if stop == len(ladder) else ValueError(
+        f"level h={ladder[stop]}: requested scale exceeds the convexity radius")
+    if stop == 0:
+        raise error
+    verts = np.array([[man.exp(family.center, (h / sep) * u).coords for u in units]
+                      for h in ladder[:stop]])
+    lengths, grad_tol, logs = _edge_lengths(man, verts)
+    diam = lengths.max(axis=1)
+    gm = flat_metric_from_lengths(_length_tables(lengths, len(units)))
+    if (k := _flagged(exceeds_convexity_radius(man, diam))) is not None:
+        stop, error = k[0], ValueError(
+            f"level h={ladder[k[0]]}: vertex separation {diam[k]:.3e} exceeds the "
+            f"convexity radius {radius:.3e}; the center of mass may not be unique")
+    if (k := _flagged(~gm.realizable[:stop])) is not None:
+        stop, error = k[0], NonRealizableError(
+            f"level h={ladder[k[0]]}: generated edge lengths are not realizable")
+    thetas = fullness(FlatMetric(gm.n, *(x[:stop] for x in (
+        gm.E, gm.G, gm.realizable, gm.cholesky))), diam[:stop])
+    if (k := _flagged(thetas < 0.9 * family.fullness_target)) is not None:
+        stop, error = k[0], NonRealizableError(
+            f"simplex at h={ladder[k[0]]} is too thin: fullness {thetas[k]:.3f}")
+    if error is not None:
+        raise error
+    return verts, diam, thetas, gm.cholesky, grad_tol, logs
 
 
 def interior_weights(n: int) -> list[BarycentricWeight]:
@@ -102,11 +132,10 @@ def _interior_weights(n: int) -> tuple[BarycentricWeight, ...]:
     bary = np.full(n + 1, 1.0 / (n + 1))
     out = [BarycentricWeight(bary)]
     pull = MIN_INTERIOR_WEIGHT * (n + 1)
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            lam = np.zeros(n + 1)
-            lam[i] = lam[j] = 0.5
-            out.append(BarycentricWeight((1.0 - pull) * lam + pull * bary))
+    for i, j in zip(*_edge_pairs(n + 1)):
+        lam = np.zeros(n + 1)
+        lam[i] = lam[j] = 0.5
+        out.append(BarycentricWeight((1.0 - pull) * lam + pull * bary))
     for row in _halton_points(n, INTERIOR_POINTS):
         z = np.sort(row)
         lam = np.diff(np.concatenate([[0.0], z, [1.0]]))
@@ -180,33 +209,37 @@ EXPECTED_SLOPES = {"metric_gap": 2.0, "connection_gap": 1.0,
                    "dx_sigma_gap": 2.0, "nabla_dx": 1.0}
 
 
-def _orthonormal_tangent_frame(chart: KarcherChart) -> np.ndarray:
-    """Columns: reduced coordinates of a basis orthonormal for the flat
-    edge-length metric."""
-    L = chart.flat_metric.cholesky
-    if L is None:
-        raise NonRealizableError("chart's flat metric is not positive definite")
-    return np.linalg.solve(L, np.eye(chart.n)).T
-
-
 def measure_distortion(chart: KarcherChart,
                        sample_weights) -> DistortionSample:
     """Suprema of the four distortion quantities over the given interior
-    weights."""
-    return _measure([chart], sample_weights)[0]
+    weights: ``_measure`` of the chart as a one-level stack."""
+    return _measure(chart.manifold, chart.coords[None], [chart.h], [achieved_fullness(chart)],
+                    chart.flat_metric.cholesky[None], np.array([chart.grad_tol]),
+                    chart._edge_logs, sample_weights)[0]
 
 
-def _measure(charts, sample_weights, thetas=None) -> list[DistortionSample]:
-    """``measure_distortion`` of each chart (all on one manifold), from
-    one stack of jets with a row per (chart, weight) pair.  ``thetas``
-    are the charts' ``achieved_fullness`` if the caller has them."""
+def _measure(manifold: Manifold, verts, h, thetas, cholesky, grad_tol, edge_logs,
+             sample_weights) -> list[DistortionSample]:
+    """``measure_distortion`` of each level of a ``_ladder`` stack, from
+    one stack of ``hessian`` jets, a row per (level, weight) pair, that
+    reads each level's ``grad_tol`` and edge logarithms."""
     lam = np.array([w.values for w in sample_weights])   # (W, n+1)
     if lam.min() < MIN_INTERIOR_WEIGHT - 1e-12:
         raise ValueError("sample weights must be interior (entries >= 0.05)")
-    n = charts[0].n
-    metric, dx, sig, nabla = _jet_stack(charts, lam)
-    B = np.repeat(np.array([_orthonormal_tangent_frame(c) for c in charts]),
-                  len(lam), axis=0)                       # (R, n, n)
+    count, n = len(lam), lam.shape[1] - 1
+    rows = functools.partial(np.repeat, repeats=count, axis=0)
+    try:
+        points, logs, dx, nabla = _stack_jets(
+            manifold, rows(verts), np.tile(lam, (len(verts), 1)), rows(grad_tol),
+            None if edge_logs is None else rows(edge_logs), True)
+    except MeanSolverError as exc:
+        raise MeanSolverError(f"level h={h[exc.index // count]}: {exc}",
+                              index=exc.index) from exc
+    metric = manifold.metric_matrix(points)
+    sig = np.swapaxes(logs[:, 1:] - logs[:, :1], 1, 2)      # (R, D, n)
+    # Columns: a basis orthonormal for each level's flat metric, one solve.
+    eye = np.broadcast_to(np.eye(n), cholesky.shape)
+    B = rows(np.swapaxes(np.linalg.solve(cholesky, eye), 1, 2))     # (R, n, n)
     dxB = dx @ B                                          # (R, D, n)
     xg = np.swapaxes(dxB, 1, 2) @ metric @ dxB
     metric_gap = np.abs(xg - np.eye(n)).max(axis=(1, 2))
@@ -219,38 +252,17 @@ def _measure(charts, sample_weights, thetas=None) -> list[DistortionSample]:
     # <nb[u, i], dxB[:, j]> + <dxB[:, i], nb[u, j]>
     prod = low_nb @ dxB[:, None]                          # (R, n, n, n)
     conn_gap = np.abs(prod + np.swapaxes(prod, 2, 3)).max(axis=(1, 2, 3))
-    per_level = [q.reshape(len(charts), -1).max(axis=1)
+    per_level = [q.reshape(len(verts), -1).max(axis=1)
                  for q in (metric_gap, conn_gap, dx_sigma, nabla_sup)]
-    if thetas is None:
-        thetas = [achieved_fullness(chart) for chart in charts]
     return [DistortionSample(
-        h=chart.h, theta=theta,
+        h=float(hk), theta=float(theta),
         sup_metric_gap=float(m), sup_connection_gap=float(c),
         sup_dx_sigma_gap=float(d), sup_nabla_dx=float(nd))
-        for chart, theta, m, c, d, nd in zip(charts, thetas, *per_level)]
+        for hk, theta, m, c, d, nd in zip(h, thetas, *per_level)]
 
 
 def _norm_rows(squares: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(squares, 0.0))
-
-
-def _jet_stack(charts, weights: np.ndarray):
-    """Jets at every pair of a chart and a row of weights (W, n+1),
-    chart-major, from one stack of ``hessian_batch`` jets: the metric in
-    coordinates (R, D, D), or one (D, D) matrix for all rows where it is
-    constant, the dx matrices (R, D, n), sigma images of the simplex
-    basis (R, D, n), from the mean's own logarithms, and nabla dx tensors
-    (R, n, n, D)."""
-    man = charts[0].manifold
-    verts = np.repeat(np.array([c.coords for c in charts]), len(weights), axis=0)
-    lam = np.tile(weights, (len(charts), 1))
-    try:
-        points, logs, dx, nabla = _stack_jets(man, verts, lam, True)
-    except MeanSolverError as exc:
-        raise MeanSolverError(f"level h={charts[exc.index // len(weights)].h}: {exc}",
-                              index=exc.index) from exc
-    sig = np.swapaxes(logs[:, 1:] - logs[:, :1], 1, 2)
-    return man.metric_matrix(points), dx, sig, nabla
 
 
 @dataclass(frozen=True)
@@ -314,29 +326,8 @@ def fit_orders(samples) -> ConvergenceReport:
     """Fit one slope per distortion quantity across the ladder."""
     samples = tuple(samples)
     hs = [s.h for s in samples]
-    slopes = {}
-    for name in QUANTITIES:
-        values = [s.to_dict()[name] for s in samples]
-        slopes[name] = fit_slope(hs, values)
-    return ConvergenceReport(samples=samples, fitted_slopes=slopes)
-
-
-def _ladder_charts(family: SimplexFamily) -> tuple[list[KarcherChart], list[float]]:
-    """The family's chart at every ladder level and its
-    ``achieved_fullness``.  A level thinner than 0.9 of the family's
-    fullness target raises NonRealizableError before any mean is
-    taken."""
-    charts, thetas = [], []
-    for h in family.ladder:
-        chart = generate_geodesic_simplex(family.manifold, family.center,
-                                          family.directions, h)
-        theta = achieved_fullness(chart)
-        if theta < 0.9 * family.fullness_target:
-            raise NonRealizableError(
-                f"simplex at h={h} is too thin: fullness {theta:.3f}")
-        charts.append(chart)
-        thetas.append(theta)
-    return charts, thetas
+    return ConvergenceReport(samples, {name: fit_slope(hs, [s.to_dict()[name] for s in samples])
+                                       for name in QUANTITIES})
 
 
 def _check_slope(family: SimplexFamily, name: str, fit: SlopeFit, values):
@@ -352,14 +343,11 @@ def _check_slope(family: SimplexFamily, name: str, fit: SlopeFit, values):
 
 
 def run_distortion_sweep(family: SimplexFamily) -> ConvergenceReport:
-    """Generate the ladder, measure every level and fit orders.
-
-    Every level's chart is built first; the jets of all levels and
-    weights are then measured as one stack, and aggregation is a pure
-    reduction, so results do not depend on evaluation scheduling.
-    """
-    charts, thetas = _ladder_charts(family)
-    samples = _measure(charts, interior_weights(family.n), thetas)
+    """Generate the ladder, measure every level and fit orders.  The
+    ladder and then the jets of all levels and weights are each one
+    stack, and aggregation is a pure reduction, so results do not depend
+    on evaluation scheduling."""
+    samples = _measure(family.manifold, *_ladder(family), interior_weights(family.n))
     report = fit_orders(samples)
     for name in QUANTITIES:
         _check_slope(family, name, report.fitted_slopes[name],
@@ -390,11 +378,10 @@ def check_edge_length_comparison(chart: KarcherChart) -> EdgeLengthReport:
     lam = BarycentricWeight.barycenter(n)
     a = karcher_mean(chart, lam)
     worst = 0.0
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            tangent_len = man.norm(sigma(chart, lam, SimplexTangent.edge(n, j, i), at=a))
-            geodesic_len = chart.edge_lengths.lengths[i, j]
-            worst = max(worst, abs(geodesic_len - tangent_len) / geodesic_len)
+    for i, j in zip(*_edge_pairs(n + 1)):
+        tangent_len = man.norm(sigma(chart, lam, SimplexTangent.edge(n, j, i), at=a))
+        geodesic_len = chart.edge_lengths.lengths[i, j]
+        worst = max(worst, abs(geodesic_len - tangent_len) / geodesic_len)
     return EdgeLengthReport(h=chart.h, max_rel_gap=worst)
 
 
@@ -402,7 +389,9 @@ def edge_length_rate(family: SimplexFamily) -> tuple[list[EdgeLengthReport], Slo
     """``check_edge_length_comparison`` at every ladder level and the
     slope of the gaps, with the ladder and slope checks of
     ``run_distortion_sweep``."""
-    reports = [check_edge_length_comparison(chart) for chart in _ladder_charts(family)[0]]
+    reports = [check_edge_length_comparison(KarcherChart(
+        family.manifold, [ManifoldPoint(v) for v in level]))
+        for level in _ladder(family)[0]]
     gaps = [r.max_rel_gap for r in reports]
     fit = fit_slope([r.h for r in reports], gaps)
     _check_slope(family, "edge length gap", fit, gaps)

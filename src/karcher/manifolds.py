@@ -325,10 +325,14 @@ class Manifold(ABC):
     def second_deriv_map(self, p: ManifoldPoint, q: ManifoldPoint
                          ) -> Callable[[TangentVector, TangentVector], TangentVector]:
         """(V, W) -> second_deriv_X(p, q, V, W): ``second_deriv_array`` on
-        one row."""
-        terms = self._one_row_terms(p, q)
+        one row, from ``_second_terms``."""
+        terms = self._second_terms(p, q)
         return lambda V, W: TangentVector(q, self.second_deriv_array(
             terms, np.stack([V.components, W.components])[None])[0, 0, 0, 1])
+
+    def _second_terms(self, p: ManifoldPoint, q: ManifoldPoint):
+        """What ``second_deriv_array`` reads of the row q with vertex p."""
+        return self._one_row_terms(p, q)
 
     def _one_row_terms(self, p: ManifoldPoint, q: ManifoldPoint,
                        log_qp: TangentVector | None = None):
@@ -1168,6 +1172,10 @@ class ChartManifold(Manifold):
             except JacobiError as exc:
                 raise JacobiError(f"row {r}, vertex {i}: {exc}") from exc
         return p, q, mask, mats
+
+    def _second_terms(self, p, q):
+        # The generic stencil reads p, q and the mask alone: no log_q(p).
+        return p.coords[None, None], q.coords[None], np.ones((1, 1), bool)
 
     def _hess_matrix(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The coordinate matrix at q of the Hessian of half the squared

@@ -13,7 +13,6 @@ from karcher.barycentric import pullback_metric
 from karcher.errors import NonRealizableError
 from karcher.fem import _ICO_FACES, _ICO_VERTS
 from karcher.flat_simplex import BarycentricWeight, FlatMetric
-from karcher.harness import _orthonormal_tangent_frame
 from karcher.integrate import solve_ode
 from karcher.jacobi import (JacobiBVP, _frame_curvature, parallel_frame,
                             solve_bvp)
@@ -46,7 +45,8 @@ def connection_gap_fd(chart, lam: BarycentricWeight, step: float = 1e-4) -> floa
     """Cross-check value of the largest flat metric derivative computed by
     differencing the pulled-back metric matrix along weight lines."""
     n = chart.n
-    B = _orthonormal_tangent_frame(chart)
+    # Columns: a basis orthonormal for the flat edge-length metric.
+    B = np.linalg.solve(chart.flat_metric.cholesky, np.eye(n)).T
     worst = 0.0
     for u in range(n):
         direction = np.concatenate([[-B[:, u].sum()], B[:, u]])

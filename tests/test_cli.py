@@ -212,6 +212,21 @@ def test_fem_report_matches_stored_report(tmp_path):
     assert got["failures"] == want["failures"]
 
 
+@pytest.mark.parametrize("name", ["jacobi_checks", "flat_simplex_props"])
+def test_check_reports_match_stored_reports(tmp_path, name):
+    # tests/data holds the reports of these configs; every data row must
+    # come back bit for bit.  The comment lines are left out: the config
+    # line names the --out directory.
+    assert main(["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path)]) == 0
+
+    def rows(path: Path) -> list[str]:
+        return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+    got = rows(tmp_path / f"{name.replace('_', '-')}.csv")
+    assert len(got) > 100
+    assert got == rows(DATA / f"{name}.csv")
+
+
 def test_euclidean_sweep_asserts_flatness(tmp_path):
     path = write_config(tmp_path, {
         "kind": "distortion-sweep",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from karcher import fem
+from karcher import barycentric, fem
 from karcher.barycentric import (KarcherChart, differential, differential_batch,
                                  karcher_mean)
 from karcher.errors import MeanSolverError, TriangulationError
@@ -189,6 +189,23 @@ def test_quad_data_matches_scalar_differential(radius):
             jet = differential(chart, BarycentricWeight(lam))
             assert np.max(np.abs(points[t, q] - jet.point.coords)) <= 1e-13 * radius
             assert np.max(np.abs(dx[t, q] - jet.dx_matrix)) <= 1e-13 * radius
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_quad_data_reads_the_triangulation_measurement(radius, monkeypatch):
+    # quad_data takes each triangle's grad_tol from the edge lengths the
+    # triangulation measured, so it measures no edge again, and its jets
+    # are those of differential_batch, which measures its own rows.
+    man = Sphere(2, radius=radius)
+    tri = build_triangulation(man, 3)
+    rows = np.repeat(tri.coords[tri.triangles], 3, axis=0)
+    points, dx = differential_batch(man, rows, np.tile(_QUAD_LAM, (tri.num_triangles, 1)))
+    calls = []
+    monkeypatch.setattr(barycentric, "_edge_lengths", lambda *args: calls.append(args))
+    jets = tri.quad_data()
+    assert calls == []
+    assert np.array_equal(jets[0].reshape(points.shape), points)
+    assert np.array_equal(jets[1].reshape(dx.shape), dx)
 
 
 def test_quad_data_error_names_triangle(sphere, monkeypatch):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from karcher.barycentric import BarycentricWeight
+from karcher import barycentric, harness
+from karcher.barycentric import BarycentricWeight, KarcherChart
 from karcher.errors import (KarcherError, MeanSolverError, NonRealizableError,
                             SlopeFitError)
-from karcher.harness import (INTERIOR_POINTS, _halton_points,
+from karcher.harness import (INTERIOR_POINTS, SimplexFamily, _halton_points,
                              achieved_fullness, check_edge_length_comparison,
                              edge_length_rate, equilateral_family, fit_slope,
                              generate_geodesic_simplex, interior_weights,
@@ -59,6 +60,44 @@ def test_fullness_stability_across_ladder(sphere, sphere_family):
         sphere, sphere.point([0, 0, 1.0]), sphere_family.directions, h))
         for h in sphere_family.ladder]
     assert max(thetas) / min(thetas) - 1.0 < 0.05
+
+
+def test_ladder_errors_name_the_level(sphere, sphere_family):
+    # At h = 2.6 the scale 1.50 is inside the convexity radius pi / 2,
+    # but the geodesic edges (2.09) are not.
+    center = sphere.point([0, 0, 1.0])
+    match = (r"^level h=2.6: vertex separation 2.08.e\+00 exceeds the convexity "
+             r"radius 1.571e\+00")
+    with pytest.raises(ValueError, match=match):
+        generate_geodesic_simplex(sphere, center, sphere_family.directions, 2.6)
+    with pytest.raises(ValueError, match=match):
+        run_distortion_sweep(equilateral_family(sphere, center, 2.6, 4))
+    with pytest.raises(ValueError, match=r"^level h=3.5: requested scale"):
+        generate_geodesic_simplex(sphere, center, sphere_family.directions, 3.5)
+
+
+def test_ladder_names_a_non_realizable_level():
+    # At d = 18 the h = 0.05 and finer triangles collapse to roundoff;
+    # with a low enough target the two coarser levels are not too thin.
+    family = _far_hyperbolic_family(18.0)
+    match = r"^level h=0.05: generated edge lengths are not realizable"
+    with pytest.raises(NonRealizableError, match=match):
+        run_distortion_sweep(SimplexFamily(family.manifold, family.center,
+                                           family.directions, family.ladder, 0.1))
+    with pytest.raises(NonRealizableError, match=r"^level h=0.0125: generated"):
+        generate_geodesic_simplex(family.manifold, family.center,
+                                  family.directions, 0.0125)
+
+
+@pytest.mark.parametrize("later", [2.6, 3.5])
+def test_ladder_raises_for_the_first_failing_level(sphere, sphere_family, later):
+    # Level 0 is below 0.9 of a fullness target of 1; the level after it
+    # fails an earlier check (its edges, or its scale, beyond the
+    # convexity radius), but the first failing level is reported.
+    family = SimplexFamily(sphere, sphere.point([0, 0, 1.0]),
+                           sphere_family.directions, (0.2, later, 0.05, 0.025), 1.0)
+    with pytest.raises(NonRealizableError, match=r"^simplex at h=0.2 is too thin"):
+        run_distortion_sweep(family)
 
 
 # -- weights --------------------------------------------------------------------
@@ -187,6 +226,41 @@ def test_sweep_determinism(sphere, sphere_family):
     r1 = run_distortion_sweep(fam)
     r2 = run_distortion_sweep(fam)
     assert r1.to_dict() == r2.to_dict()  # bit-identical
+
+
+def test_sweep_measures_each_family_once(sphere_family, monkeypatch):
+    # The ladder is one stack: one _edge_lengths call measures every
+    # level, the jets read that measurement, and no chart is built.
+    calls = []
+    edge_lengths = barycentric._edge_lengths
+
+    def counted(man, verts):
+        calls.append(verts.shape)
+        return edge_lengths(man, verts)
+
+    def no_chart(*args):
+        raise AssertionError("the sweep built a KarcherChart")
+
+    for module in (barycentric, harness):
+        monkeypatch.setattr(module, "_edge_lengths", counted)
+    monkeypatch.setattr(KarcherChart, "__init__", no_chart)
+    run_distortion_sweep(sphere_family)
+    assert calls == [(5, 3, 3)]
+
+
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+def test_sweep_levels_are_one_level_measurements(sphere, hyperbolic, space):
+    # Each level of the stacked sweep is the sample that the one-level
+    # public calls give at that level, bit for bit.
+    man = sphere if space == "sphere" else hyperbolic
+    center = man.point([0, 0, 1.0]) if space == "sphere" else man.point(
+        [math.sinh(1.0), 0.0, math.cosh(1.0)])
+    family = equilateral_family(man, center, 0.2, 5)
+    report = run_distortion_sweep(family)
+    for h, sample in zip(family.ladder, report.samples):
+        chart = generate_geodesic_simplex(man, center, family.directions, h)
+        assert sample == measure_distortion(chart, interior_weights(2))
+        assert sample.theta == achieved_fullness(chart)
 
 
 def _far_hyperbolic_family(d: float, angle: float = 0.7):

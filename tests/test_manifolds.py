@@ -752,6 +752,26 @@ def test_chart_second_deriv_matches_hyperboloid_closed_form(hyperbolic):
                          - closed.components)) <= 1e-8
 
 
+def test_chart_second_deriv_runs_only_the_stencil(monkeypatch):
+    # The generic stencil reads no Hessian at q itself, so the scalar map
+    # on a chart takes none: one fused Jacobi ODE per stencil point (2
+    # directions, 2 signs, 2 steps) and no log_q(p), with the value of the
+    # stencil on the full one-row terms.
+    disk = make_poincare_disk()
+    p, q = disk.point(np.array([0.1, -0.05])), disk.point(np.array([-0.05, 0.12]))
+    V, W = disk.tangent(q, np.array([0.3, -0.7])), disk.tangent(q, np.array([0.5, 0.2]))
+    full = disk.second_deriv_array(disk._one_row_terms(p, q),
+                                   np.stack([V.components, W.components])[None])
+    calls = []
+    hess_matrix = disk._hess_matrix
+    monkeypatch.setattr(disk, "_hess_matrix",
+                        lambda *args: calls.append(args) or hess_matrix(*args))
+    fd = disk.second_deriv_X(p, q, V, W)
+    assert len(calls) == 8
+    assert not any(np.array_equal(x, q.coords) for x, _ in calls)
+    assert np.array_equal(fd.components, full[0, 0, 0, 1])
+
+
 # -- warm-started shooting and the mean's logarithms ------------------------
 
 @given(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(0.02, 0.2),
@@ -882,14 +902,15 @@ def test_mean_returns_only_verified_logarithms(corruption, monkeypatch):
     # Each logarithm the mean returns is a v whose own shot from the mean
     # landed within shooting_tol of its vertex, so its stopping test
     # |F| <= grad_tol reads logarithms as exact as a full shooting gives.
-    from karcher.barycentric import _stack_jets
+    from karcher.barycentric import _edge_lengths, _stack_jets
 
     disk = make_poincare_disk()
     verts, lams = _disk_rows()
     if corruption is not None:
         _corrupt_seed(monkeypatch, SEED_CORRUPTIONS[corruption])
     shots = _record_shots(monkeypatch)
-    points, logs, _, _ = _stack_jets(disk, verts, lams, False)
+    _, grad_tol, guess = _edge_lengths(disk, verts)
+    points, logs, _, _ = _stack_jets(disk, verts, lams, grad_tol, guess, False)
     for a, row_logs, row_verts in zip(points, logs, verts):
         for v, p in zip(row_logs, row_verts):
             assert _verified(shots, a, v, p, disk.shooting_tol)
