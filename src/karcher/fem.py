@@ -222,15 +222,7 @@ def build_triangulation(manifold: Sphere, subdivision_level: int
     if not isinstance(manifold, Sphere):
         raise ValueError("global triangulations are provided for spheres only")
     coords, faces = icosphere(subdivision_level, manifold.radius)
-    # The checks of ``manifold.point``, on all vertices at once.
-    if coords.shape[1] != manifold.coord_dim:
-        raise ValueError(f"expected {manifold.coord_dim} coordinates, "
-                         f"got {coords.shape[1:]}")
-    r = np.linalg.norm(coords, axis=1)
-    bad = np.flatnonzero(manifold._off_sphere(r))
-    if bad.size:
-        raise ValueError(f"vertex {bad[0]}: point norm {r[bad[0]]} is off the "
-                         f"radius-{manifold.radius} sphere")
+    manifold._check_points(coords)
     return KarcherTriangulation(manifold, coords, faces)
 
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycentric import (KarcherChart, _edge_lengths, _edge_pairs, _length_tables,
-                          _stack_jets, exceeds_convexity_radius, karcher_mean, sigma)
+from .barycentric import (KarcherChart, _batch_mean, _edge_lengths, _edge_pairs,
+                          _length_tables, _stack_jets, exceeds_convexity_radius)
 from .errors import MeanSolverError, NonRealizableError, SlopeFitError
-from .flat_simplex import (BarycentricWeight, FlatMetric, SimplexTangent, _flagged,
-                           flat_metric_from_lengths, fullness)
+from .flat_simplex import (BarycentricWeight, FlatMetric, _flagged, flat_metric_from_lengths,
+                           fullness)
 from .manifolds import Manifold, ManifoldPoint, TangentVector
 
 MIN_INTERIOR_WEIGHT = 0.05
@@ -74,10 +74,11 @@ def achieved_fullness(chart: KarcherChart) -> float:
 
 def _ladder(family: SimplexFamily):
     """The family's ``generate_geodesic_simplex`` at every level as one
-    stack: vertices (L, n+1, coord_dim) from the scalar ``exp``,
-    diameters, ``achieved_fullness``, flat metrics' Cholesky factors
-    (L, n, n), and one ``_edge_lengths`` call's ``grad_tol`` and edge
-    logarithms.  The first failing level raises, naming its h, for the
+    stack: vertices (L, n+1, coord_dim) from the scalar ``exp``, one
+    ``_edge_lengths`` call's edge lengths (L, E), ``achieved_fullness``,
+    flat metrics' Cholesky factors (L, n, n), ``grad_tol`` and edge
+    logarithms.  Directions that span no simplex raise before any
+    ``exp``; the first failing level raises, naming its h, for the
     first check it fails: scale and vertex separation within the
     convexity radius, realizable lengths, fullness >= 0.9 of target."""
     man, ladder = family.manifold, family.ladder
@@ -87,6 +88,8 @@ def _ladder(family: SimplexFamily):
     units = [d * (1.0 / nd) for d, nd in zip(family.directions, norms)]
     sep = max((man.norm(units[i] - units[j]) for i, j in zip(*_edge_pairs(len(units)))),
               default=0.0)
+    if sep == 0.0:
+        raise ValueError("need at least two distinct directions")
     radius = man.bounds.convexity_radius
     # Each check keeps the levels before its first failure, so the last
     # failure found is the first check that the first failing level fails.
@@ -114,7 +117,7 @@ def _ladder(family: SimplexFamily):
             f"simplex at h={ladder[k[0]]} is too thin: fullness {thetas[k]:.3f}")
     if error is not None:
         raise error
-    return verts, diam, thetas, gm.cholesky, grad_tol, logs
+    return verts, lengths, thetas, gm.cholesky, grad_tol, logs
 
 
 def interior_weights(n: int) -> list[BarycentricWeight]:
@@ -347,7 +350,9 @@ def run_distortion_sweep(family: SimplexFamily) -> ConvergenceReport:
     ladder and then the jets of all levels and weights are each one
     stack, and aggregation is a pure reduction, so results do not depend
     on evaluation scheduling."""
-    samples = _measure(family.manifold, *_ladder(family), interior_weights(family.n))
+    verts, lengths, *measured = _ladder(family)
+    samples = _measure(family.manifold, verts, lengths.max(axis=1), *measured,
+                       interior_weights(family.n))
     report = fit_orders(samples)
     for name in QUANTITIES:
         _check_slope(family, name, report.fitted_slopes[name],
@@ -373,26 +378,35 @@ class EdgeLengthReport:
 
 
 def check_edge_length_comparison(chart: KarcherChart) -> EdgeLengthReport:
-    man = chart.manifold
-    n = chart.n
-    lam = BarycentricWeight.barycenter(n)
-    a = karcher_mean(chart, lam)
-    worst = 0.0
-    for i, j in zip(*_edge_pairs(n + 1)):
-        tangent_len = man.norm(sigma(chart, lam, SimplexTangent.edge(n, j, i), at=a))
-        geodesic_len = chart.edge_lengths.lengths[i, j]
-        worst = max(worst, abs(geodesic_len - tangent_len) / geodesic_len)
-    return EdgeLengthReport(h=chart.h, max_rel_gap=worst)
+    """The largest relative gap between the chart's geodesic edge lengths
+    and their lengths |log_a(p_j) - log_a(p_i)| seen from the barycenter
+    a: ``_edge_gaps`` of the chart as a one-level stack."""
+    gap = _edge_gaps(chart.manifold, chart.coords[None],
+                     chart.edge_lengths.lengths[_edge_pairs(chart.n + 1)][None],
+                     np.array([chart.grad_tol]), chart._edge_logs)
+    return EdgeLengthReport(h=chart.h, max_rel_gap=float(gap[0]))
+
+
+def _edge_gaps(manifold: Manifold, verts, lengths, grad_tol, edge_logs) -> np.ndarray:
+    """``check_edge_length_comparison`` of each level of a ``_ladder``
+    stack, from one ``_batch_mean`` at the barycenters.  The tangent
+    lengths are the scalar ``norm`` row by row, as for ``sigma``: the
+    space forms' summed ``norm_array`` moves a roundoff-bound gap far out
+    on the hyperboloid (d = 15) by 3%."""
+    n1 = verts.shape[1]
+    a, logs, _ = _batch_mean(manifold, verts, np.full((len(verts), n1), 1.0 / n1),
+                             grad_tol, edge_logs)
+    i, j = _edge_pairs(n1)
+    tangent = Manifold.norm_array(manifold, logs[:, i] - logs[:, j], a[:, None])
+    return (np.abs(lengths - tangent) / lengths).max(axis=1)
 
 
 def edge_length_rate(family: SimplexFamily) -> tuple[list[EdgeLengthReport], SlopeFit]:
-    """``check_edge_length_comparison`` at every ladder level and the
-    slope of the gaps, with the ladder and slope checks of
-    ``run_distortion_sweep``."""
-    reports = [check_edge_length_comparison(KarcherChart(
-        family.manifold, [ManifoldPoint(v) for v in level]))
-        for level in _ladder(family)[0]]
-    gaps = [r.max_rel_gap for r in reports]
-    fit = fit_slope([r.h for r in reports], gaps)
+    """``check_edge_length_comparison`` at every ladder level, one stacked
+    ``_edge_gaps``, and the slope of the gaps, with the ladder and slope
+    checks of ``run_distortion_sweep``."""
+    verts, lengths, _, _, grad_tol, logs = _ladder(family)
+    hs, gaps = lengths.max(axis=1), _edge_gaps(family.manifold, verts, lengths, grad_tol, logs)
+    fit = fit_slope(hs, gaps)
     _check_slope(family, "edge length gap", fit, gaps)
-    return reports, fit
+    return [EdgeLengthReport(h=float(h), max_rel_gap=float(g)) for h, g in zip(hs, gaps)], fit

@@ -190,8 +190,9 @@ class Manifold(ABC):
     # -- point / vector construction ------------------------------------
 
     def point(self, coords) -> ManifoldPoint:
+        """The point at coords (coord_dim,): ``_check_points`` on one row."""
         p = ManifoldPoint(np.asarray(coords, dtype=float))
-        self._validate_point(p)
+        self._check_points(p.coords[None])
         return p
 
     def tangent(self, p: ManifoldPoint, components) -> TangentVector:
@@ -199,11 +200,11 @@ class Manifold(ABC):
         self._validate_tangent(v)
         return v
 
-    def _validate_point(self, p: ManifoldPoint):
-        if p.coords.shape != (self.coord_dim,):
-            raise ValueError(
-                f"expected {self.coord_dim} coordinates, got {p.coords.shape}"
-            )
+    def _check_points(self, x: np.ndarray):
+        """Raise a ValueError unless the rows of x (N, coord_dim) are
+        points of the model (``_reject_rows`` names a failing row)."""
+        if x.shape[1:] != (self.coord_dim,):
+            raise ValueError(f"expected {self.coord_dim} coordinates, got {x.shape[1:]}")
 
     def _validate_tangent(self, v: TangentVector):
         if v.components.shape != (self.coord_dim,):
@@ -296,52 +297,35 @@ class Manifold(ABC):
         ``w`` may also be a stack (k, coord_dim), one vector per row."""
 
     # -- derivatives of the squared-distance gradient ---------------------
-    # Each model defines them once, on stacks (below); the scalar maps are
-    # those stacks on one row.
+    # Each model defines them once, on stacks (below); the scalar methods
+    # here are those stacks on one row.
 
     def hess_half_dist_sq(self, p: ManifoldPoint, q: ManifoldPoint,
                           V: TangentVector) -> TangentVector:
         """Covariant derivative at q, in direction V, of half the gradient
-        of squared distance to p.  Equals the identity plus an O(C0 tau^2)
-        curvature correction."""
-        return self.hess_half_dist_sq_map(p, q)(V)
-
-    def hess_half_dist_sq_map(self, p: ManifoldPoint, q: ManifoldPoint,
-                              log_qp: TangentVector | None = None
-                              ) -> Callable[[TangentVector], TangentVector]:
-        """V -> hess_half_dist_sq(p, q, V): ``hess_array`` on one row,
-        whose terms are built once, here.  ``log_qp``, if given, is
-        log_q(p), and no logarithm is taken."""
-        terms = self._one_row_terms(p, q, log_qp)
-        return lambda V: TangentVector(
-            q, self.hess_array(terms, V.components[None, None])[0, 0, 0])
+        of squared distance to p: ``hess_array`` on one row.  Equals the
+        identity plus an O(C0 tau^2) curvature correction."""
+        return TangentVector(q, self.hess_array(self._one_row_terms(p, q),
+                                                V.components[None, None])[0, 0, 0])
 
     def second_deriv_X(self, p: ManifoldPoint, q: ManifoldPoint,
                        V: TangentVector, W: TangentVector) -> TangentVector:
         """Symmetrized second covariant derivative at q, in directions V
-        and W, of the squared-distance gradient field of p."""
-        return self.second_deriv_map(p, q)(V, W)
-
-    def second_deriv_map(self, p: ManifoldPoint, q: ManifoldPoint
-                         ) -> Callable[[TangentVector, TangentVector], TangentVector]:
-        """(V, W) -> second_deriv_X(p, q, V, W): ``second_deriv_array`` on
-        one row, from ``_second_terms``."""
-        terms = self._second_terms(p, q)
-        return lambda V, W: TangentVector(q, self.second_deriv_array(
-            terms, np.stack([V.components, W.components])[None])[0, 0, 0, 1])
+        and W, of the squared-distance gradient field of p:
+        ``second_deriv_array`` on one row, from ``_second_terms``."""
+        return TangentVector(q, self.second_deriv_array(
+            self._second_terms(p, q), np.stack([V.components, W.components])[None])[0, 0, 0, 1])
 
     def _second_terms(self, p: ManifoldPoint, q: ManifoldPoint):
         """What ``second_deriv_array`` reads of the row q with vertex p."""
         return self._one_row_terms(p, q)
 
-    def _one_row_terms(self, p: ManifoldPoint, q: ManifoldPoint,
-                       log_qp: TangentVector | None = None):
+    def _one_row_terms(self, p: ManifoldPoint, q: ManifoldPoint):
         """``hess_terms_array`` of the row q with the vertex p, from
-        log_q(p), taken by the scalar ``log`` if not given."""
-        if log_qp is None:
-            log_qp = self.log(q, p)
+        log_q(p) by the scalar ``log``."""
         return self.hess_terms_array(p.coords[None, None], q.coords[None],
-                                     log_qp.components[None, None], np.ones((1, 1), bool))
+                                     self.log(q, p).components[None, None],
+                                     np.ones((1, 1), bool))
 
     # -- stacks ------------------------------------------------------------
     # The maps above row by row on (..., coord_dim) coordinate arrays,
@@ -463,6 +447,19 @@ def _rows(fn: Callable[..., np.ndarray], *arrays) -> np.ndarray:
     arrays = [np.broadcast_to(a, lead + a.shape[-1:]) for a in arrays]
     out = [fn(*(a[idx] for a in arrays)) for idx in np.ndindex(lead)]
     return np.array(out).reshape(lead + np.shape(out[0]))
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each row pair of a and b (N, k), bit for bit."""
+    return (a[:, None] @ b[..., None])[:, 0, 0]
+
+
+def _reject_rows(bad: np.ndarray, message: Callable[[int], str]):
+    """Raise a ValueError with message(k) for the first row k where the
+    mask bad (N,) holds; a stack of several rows names k as a vertex."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError((f"vertex {k}: " if len(bad) > 1 else "") + message(k))
 
 
 def _gram_schmidt(ip: Callable[[np.ndarray, np.ndarray], float], vectors,
@@ -687,16 +684,11 @@ class Sphere(_SpaceForm):
                          injectivity_radius=math.pi * radius,
                          convexity_radius=math.pi * radius / 2.0)
 
-    def _validate_point(self, p):
-        super()._validate_point(p)
-        r = float(np.linalg.norm(p.coords))
-        if self._off_sphere(r):
-            raise ValueError(f"point norm {r} is off the radius-{self.radius} sphere")
-
-    def _off_sphere(self, r):
-        """Whether the coordinate norms r are too far from the radius for
-        a point of this sphere."""
-        return np.abs(r - self.radius) > 1e-12 * max(1.0, self.radius)
+    def _check_points(self, x):
+        super()._check_points(x)
+        r = np.sqrt(_dot_rows(x, x))
+        _reject_rows(np.abs(r - self.radius) > 1e-12 * max(1.0, self.radius),
+                     lambda k: f"point norm {r[k]} is off the radius-{self.radius} sphere")
 
     def _ip(self, p, a, b):
         return float(np.dot(a, b))
@@ -784,13 +776,12 @@ class HyperbolicSpace(_SpaceForm):
         super().__init__(dim, 1.0 / math.sqrt(curvature), -curvature,
                          injectivity_radius=math.inf, convexity_radius=math.inf)
 
-    def _validate_point(self, p):
-        super()._validate_point(p)
-        m = _minkowski(p.coords, p.coords)
-        if abs(m + self.radius ** 2) > 1e-12 * max(1.0, self.radius ** 2):
-            raise ValueError("point is off the hyperboloid sheet")
-        if p.coords[-1] <= 0:
-            raise ValueError("point is on the lower sheet")
+    def _check_points(self, x):
+        super()._check_points(x)
+        m = _dot_rows(x[:, :-1], x[:, :-1]) - x[:, -1] * x[:, -1]    # _minkowski
+        _reject_rows(np.abs(m + self.radius ** 2) > 1e-12 * max(1.0, self.radius ** 2),
+                     lambda k: "point is off the hyperboloid sheet")
+        _reject_rows(x[:, -1] <= 0, lambda k: "point is on the lower sheet")
 
     def _ip(self, p, a, b):
         return _minkowski(a, b)

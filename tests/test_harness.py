@@ -5,9 +5,10 @@ import pytest
 from scipy.stats import qmc
 
 from karcher import barycentric, harness
-from karcher.barycentric import BarycentricWeight, KarcherChart
+from karcher.barycentric import BarycentricWeight, KarcherChart, karcher_mean, sigma
 from karcher.errors import (KarcherError, MeanSolverError, NonRealizableError,
                             SlopeFitError)
+from karcher.flat_simplex import SimplexTangent
 from karcher.harness import (INTERIOR_POINTS, SimplexFamily, _halton_points,
                              achieved_fullness, check_edge_length_comparison,
                              edge_length_rate, equilateral_family, fit_slope,
@@ -98,6 +99,27 @@ def test_ladder_raises_for_the_first_failing_level(sphere, sphere_family, later)
                            sphere_family.directions, (0.2, later, 0.05, 0.025), 1.0)
     with pytest.raises(NonRealizableError, match=r"^simplex at h=0.2 is too thin"):
         run_distortion_sweep(family)
+
+
+@pytest.mark.parametrize("entry", ["sweep", "generate", "edge_rate"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_ladder_rejects_directions_that_span_no_simplex(sphere, sphere_family, entry, count,
+                                                       monkeypatch):
+    # One direction, or the same direction three times: the directions
+    # have no separation to scale by, which must be a ValueError, raised
+    # before any vertex is generated.
+    def no_exp(*args):
+        raise AssertionError("a vertex was generated")
+
+    monkeypatch.setattr(type(sphere), "exp", no_exp)
+    dirs = (sphere_family.directions[0],) * count
+    family = SimplexFamily(sphere, sphere_family.center, dirs, sphere_family.ladder,
+                           sphere_family.fullness_target)
+    call = {"sweep": lambda: run_distortion_sweep(family),
+            "generate": lambda: generate_geodesic_simplex(sphere, family.center, dirs, 0.2),
+            "edge_rate": lambda: edge_length_rate(family)}[entry]
+    with pytest.raises(ValueError, match="two distinct directions"):
+        call()
 
 
 # -- weights --------------------------------------------------------------------
@@ -314,6 +336,50 @@ def test_edge_length_sphere_bounded_by_curvature(sphere, sphere_family):
 def test_edge_length_rate_slope(sphere_family):
     _, fit = edge_length_rate(sphere_family)
     assert fit.slope == pytest.approx(2.0, abs=0.25)
+
+
+def test_edge_length_rate_measures_each_family_once(sphere_family, monkeypatch):
+    # The rate reads the ladder's one stack: one _edge_lengths call and
+    # one _batch_mean at the barycenters of all levels, and no chart.
+    calls = []
+
+    def counted(name, fn):
+        return lambda man, verts, *args: calls.append((name, verts.shape)) or fn(
+            man, verts, *args)
+
+    def no_chart(*args):
+        raise AssertionError("the rate built a KarcherChart")
+
+    for name in ("_edge_lengths", "_batch_mean"):
+        wrapped = counted(name, getattr(barycentric, name))
+        for module in (barycentric, harness):
+            monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(KarcherChart, "__init__", no_chart)
+    edge_length_rate(sphere_family)
+    assert calls == [("_edge_lengths", (5, 3, 3)), ("_batch_mean", (5, 3, 3))]
+
+
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+def test_edge_length_levels_are_one_level_comparisons(sphere, hyperbolic, space):
+    # Each level of the stacked rate is the report of the one-level call
+    # at that level, and the scalar computation (karcher_mean at the
+    # barycenter, the norm of sigma along each edge) gives its gap.
+    man = sphere if space == "sphere" else hyperbolic
+    center = man.point([0, 0, 1.0]) if space == "sphere" else man.point(
+        [math.sinh(1.0), 0.0, math.cosh(1.0)])
+    family = equilateral_family(man, center, 0.2, 5)
+    reports, _ = edge_length_rate(family)
+    lam = BarycentricWeight.barycenter(2)
+    for h, report in zip(family.ladder, reports):
+        chart = generate_geodesic_simplex(man, center, family.directions, h)
+        assert report == check_edge_length_comparison(chart)
+        a = karcher_mean(chart, lam)
+        scalar = max(
+            abs(chart.edge_lengths.lengths[i, j] - man.norm(
+                sigma(chart, lam, SimplexTangent.edge(2, j, i), at=a)))
+            / chart.edge_lengths.lengths[i, j]
+            for i, j in ((0, 1), (0, 2), (1, 2)))
+        assert report.max_rel_gap == pytest.approx(scalar, rel=1e-9, abs=0.0)
 
 
 def test_edge_length_rate_rejects_a_non_positive_slope():

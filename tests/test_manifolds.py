@@ -699,14 +699,11 @@ def test_shared_shooting_matches_per_direction_solves():
     p, q = man.point([0.1, -0.05]), man.point([-0.05, 0.12])
     g = man.geodesic_between(p, q)
     shooting = JacobiShooting(g)
-    hess = man.hess_half_dist_sq_map(p, q)
     for V in man.tangent_basis(q) + [man.tangent(q, [0.3, -0.7])]:
         shared = shooting.solve(V)
         own = solve_bvp(JacobiBVP(g, V))
         for a, b in zip(shared, own):
             assert np.array_equal(a.components, b.components)
-        assert np.array_equal(hess(V).components,
-                              man.hess_half_dist_sq(p, q, V).components)
 
 
 @pytest.mark.parametrize("make", [make_poincare_disk, make_stereographic_sphere],
@@ -726,10 +723,10 @@ def test_chart_hessian_map_matches_jacobi_shooting(make):
         p, q = man.point(xp), man.point(xq)
         gamma = man.geodesic_between(p, q)
         shooting = JacobiShooting(gamma)
-        hess = man.hess_half_dist_sq_map(p, q)
         for V in man.tangent_basis(q) + [man.tangent(q, rng.normal(size=2))]:
             want = gamma.length * shooting.solve(V)[0].components
-            assert np.max(np.abs(hess(V).components - want)) <= 1e-10
+            got = man.hess_half_dist_sq(p, q, V).components
+            assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_chart_second_deriv_matches_hyperboloid_closed_form(hyperbolic):
@@ -753,10 +750,10 @@ def test_chart_second_deriv_matches_hyperboloid_closed_form(hyperbolic):
 
 
 def test_chart_second_deriv_runs_only_the_stencil(monkeypatch):
-    # The generic stencil reads no Hessian at q itself, so the scalar map
-    # on a chart takes none: one fused Jacobi ODE per stencil point (2
-    # directions, 2 signs, 2 steps) and no log_q(p), with the value of the
-    # stencil on the full one-row terms.
+    # The generic stencil reads no Hessian at q itself, so the scalar
+    # second_deriv_X on a chart takes none: one fused Jacobi ODE per
+    # stencil point (2 directions, 2 signs, 2 steps) and no log_q(p), with
+    # the value of the stencil on the full one-row terms.
     disk = make_poincare_disk()
     p, q = disk.point(np.array([0.1, -0.05])), disk.point(np.array([-0.05, 0.12]))
     V, W = disk.tangent(q, np.array([0.3, -0.7])), disk.tangent(q, np.array([0.5, 0.2]))
@@ -990,20 +987,19 @@ def test_disk_differential_batch_shoots_each_edge_once(monkeypatch):
 
 
 def test_chart_hessian_map_from_a_log_matches_the_hyperboloid(hyperbolic):
-    # The chart's Hessian map, with its own logarithm and with a given
-    # log_q(p), against the hyperboloid's closed form, carried over by the
-    # isometry between the two models.
+    # The chart's Hessian, from its own shot logarithm, against the
+    # hyperboloid's closed form, carried over by the isometry between the
+    # two models.
     disk = make_poincare_disk()
     xp, xq = np.array([0.1, -0.05]), np.array([-0.05, 0.12])
     p, q = disk.point(xp), disk.point(xq)
-    Q = lift_disk(hyperbolic, xq)
-    closed = hyperbolic.hess_half_dist_sq_map(lift_disk(hyperbolic, xp), Q)
-    for hess in (disk.hess_half_dist_sq_map(p, q),
-                 disk.hess_half_dist_sq_map(p, q, disk.log(q, p))):
-        for V in (np.array([0.3, -0.7]), np.array([0.5, 0.2])):
-            got = lift_disk_differential(xq, hess(disk.tangent(q, V)).components)
-            want = closed(hyperbolic.tangent(Q, lift_disk_differential(xq, V)))
-            assert np.max(np.abs(got - want.components)) <= 1e-8
+    P, Q = lift_disk(hyperbolic, xp), lift_disk(hyperbolic, xq)
+    for V in (np.array([0.3, -0.7]), np.array([0.5, 0.2])):
+        got = lift_disk_differential(
+            xq, disk.hess_half_dist_sq(p, q, disk.tangent(q, V)).components)
+        want = hyperbolic.hess_half_dist_sq(
+            P, Q, hyperbolic.tangent(Q, lift_disk_differential(xq, V)))
+        assert np.max(np.abs(got - want.components)) <= 1e-8
 
 
 MEAN_VERTICES = ([0.1, 0.05], [0.22, 0.08], [0.14, 0.2])
