@@ -122,7 +122,7 @@ def fem_ladder(man: Sphere, levels, mode: str = "flat") -> list[dict]:
         f=lambda c: -2.0 * c[2] / r2,
         u_exact=lambda c: c[2],
         grad_u_exact=lambda c: np.array([0.0, 0.0, 1.0]) - (c[2] / r2) * c,
-        mode=mode)
+        modes=(mode,))[mode]
 
 
 def _fem_fit(records: list[dict], key: str) -> harness.SlopeFit:

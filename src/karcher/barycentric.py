@@ -360,10 +360,14 @@ def _frame_system(system, logs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     matrices of A (N, m, m) in the frames; ``logs`` (N, n+1, coord_dim)
     are log_a(p_i) and ``lam`` (N, n+1) the weights.  Checks that every A
     is well conditioned and solves A dx(v) = sigma(v) for the simplex
-    basis directions in the frame.  The MeanSolverError for a singular A
-    names the weights of its row and the row as its ``index``."""
+    basis directions in the frame.  The gate reads the Frobenius
+    condition number |A|_F |A^-1|_F (``_frobenius_cond``), which is never
+    below the 2-norm one, so it is never looser than a gate on
+    ``np.linalg.cond`` up to rounding.  The MeanSolverError for a
+    singular A names the weights of its row and the row as its
+    ``index``."""
     frame, low_frame, a_mat = system
-    cond = np.linalg.cond(a_mat)
+    cond = _frobenius_cond(a_mat)
     singular = np.flatnonzero(~(cond <= 1e12))
     if singular.size:
         k = singular[0]
@@ -372,6 +376,19 @@ def _frame_system(system, logs: np.ndarray, lam: np.ndarray) -> np.ndarray:
             f"{lam[k].tolist()}: cond(A) = {cond[k]:.3e}", index=int(k))
     sig = np.einsum("rjd,rdk->rkj", logs[:, 1:] - logs[:, :1], low_frame)
     return frame @ np.linalg.solve(a_mat, sig)
+
+
+def _frobenius_cond(a_mat: np.ndarray) -> np.ndarray:
+    """|A|_F |A^-1|_F of each matrix of a stack (N, m, m), from one
+    batched inverse; inf for a matrix that is exactly singular."""
+    try:
+        inv = np.linalg.inv(a_mat)
+    except np.linalg.LinAlgError:
+        if len(a_mat) == 1:
+            return np.array([np.inf])
+        return np.concatenate([_frobenius_cond(a[None]) for a in a_mat])
+    return np.sqrt(np.einsum("rij,rij->r", a_mat, a_mat)
+                   * np.einsum("rij,rij->r", inv, inv))
 
 
 def _nabla_dx(system, hess: np.ndarray, second: np.ndarray,

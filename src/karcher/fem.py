@@ -126,7 +126,8 @@ class KarcherTriangulation:
     (V, coord_dim), the triangles' vertex indices (T, 3), and over
     triangles the edge lengths, the flat Gram matrices, and (after the
     first ``quad_data`` call) the chart jets at the quadrature nodes,
-    and the values of each callback there (``at_nodes``).
+    the pulled-back metric data there (``node_metrics``), and the values
+    of each callback there (``at_nodes``).
     """
 
     def __init__(self, manifold: Sphere, coords, triangles: np.ndarray):
@@ -160,6 +161,7 @@ class KarcherTriangulation:
             raise ValueError(f"triangle {t[0]}: vertex separation exceeds the convexity "
                              "radius; the center of mass may not be unique")
         self._jets: tuple[np.ndarray, np.ndarray] | None = None
+        self._metrics: tuple[np.ndarray, np.ndarray] | None = None
         self._node_values: dict = {}
 
     @property
@@ -173,7 +175,10 @@ class KarcherTriangulation:
     def quad_data(self) -> tuple[np.ndarray, np.ndarray]:
         """Chart jets at the quadrature nodes of every triangle (cached):
         points (T, Q, coord_dim) and dx matrices (T, Q, coord_dim, 2), as
-        ``differential_batch`` gives them, from the edges of ``__init__``."""
+        ``differential_batch`` gives them, from the edges of ``__init__``.
+        The pulled-back metric data of ``node_metrics`` is formed with
+        them, once, and a TriangulationError names the triangle and node
+        of a metric whose determinant is not positive and finite."""
         if self._jets is None:
             T, Q = self.num_triangles, len(_QUAD_W)
             verts = self.coords[self.triangles]
@@ -186,8 +191,25 @@ class KarcherTriangulation:
                 t, q = divmod(exc.index, Q)
                 raise MeanSolverError(f"triangle {t}, quadrature node {q}: {exc}",
                                       index=exc.index) from exc
-            self._jets = (points.reshape(T, Q, -1), dx.reshape(T, Q, *dx.shape[1:]))
+            dx = dx.reshape(T, Q, *dx.shape[1:])
+            with np.errstate(divide="ignore", invalid="ignore"):    # checked next
+                det, inverse = _det_inv(_pullback_metrics(dx))
+            if (k := _flagged(~(np.isfinite(det) & (det > 0.0)))) is not None:
+                t, q = k
+                raise TriangulationError(
+                    f"triangle {t} {self.triangles[t]}, quadrature node {q}: pulled-back "
+                    f"metric determinant {det[k]:.3e} is not positive and finite")
+            self._metrics = (np.sqrt(det), inverse)
+            self._jets = (points.reshape(T, Q, -1), dx)
         return self._jets
+
+    def node_metrics(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pulled-back metric g = dx^T dx at every quadrature node
+        (cached with ``quad_data``): its volume factors sqrt(det g) (T, Q)
+        and inverses (T, Q, 2, 2), in the simplex basis e_k - e_0."""
+        if self._metrics is None:
+            self.quad_data()
+        return self._metrics
 
     def at_nodes(self, fn) -> np.ndarray:
         """A callback of position at every quadrature node, (T, Q) or
@@ -242,19 +264,29 @@ def _pullback_metrics(dx: np.ndarray) -> np.ndarray:
     return np.einsum("tqdk,tqdl->tqkl", dx, dx)
 
 
+def _det_inv(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants (...) and inverses (..., 2, 2) of a stack of 2 x 2
+    matrices in closed form, ad - bc and the adjugate over it: a
+    triangle's chart has n = 2."""
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    adjugate = np.stack([g[..., 1, 1], -g[..., 0, 1], -g[..., 1, 0], g[..., 0, 0]],
+                        axis=-1).reshape(g.shape)
+    return det, adjugate / det[..., None, None]
+
+
 def assemble(tri: KarcherTriangulation, f, mode: str = "flat") -> FemSystem:
     """Assemble stiffness, mass and load.
 
     ``mode="flat"`` uses the constant per-triangle edge-length metric;
-    ``mode="pulled-back"`` evaluates the pulled-back metric at the
-    quadrature nodes.  The load integrates f composed with the chart map
-    in both modes.  ``f`` must be a function of position alone: it is
-    evaluated once per node and triangulation (``tri.at_nodes``), so
-    both modes read the same values.
+    ``mode="pulled-back"`` reads the pulled-back metric's volume factors
+    and inverses at the quadrature nodes, which the triangulation forms
+    once (``tri.node_metrics``).  The load integrates f composed with the
+    chart map in both modes.  ``f`` must be a function of position alone:
+    it is evaluated once per node and triangulation (``tri.at_nodes``),
+    so both modes read the same values.
     """
     if mode not in ("flat", "pulled-back"):
         raise ValueError(f"unknown assembly mode {mode!r}")
-    dx = tri.quad_data()[1]
     fvals = tri.at_nodes(f)                                     # (T, Q)
     if mode == "flat":
         G = tri.gram
@@ -264,11 +296,10 @@ def assemble(tri: KarcherTriangulation, f, mode: str = "flat") -> FemSystem:
         # the volume factor is constant per triangle: repeat it per node
         root = np.broadcast_to(root[:, None], fvals.shape)
     else:
-        mq = _pullback_metrics(dx)                              # (T, Q, 2, 2)
-        root = np.sqrt(np.linalg.det(mq))                       # (T, Q)
+        root, inverse = tri.node_metrics()                      # (T, Q), (T, Q, 2, 2)
         wroot = _REF_AREA * _QUAD_W * root
         k_loc = np.einsum("tq,ak,tqkl,bl->tab", wroot, _DPHI,
-                          np.linalg.inv(mq), _DPHI, optimize=True)
+                          inverse, _DPHI, optimize=True)
         m_loc = np.einsum("tq,qa,qb->tab", wroot, _QUAD_LAM, _QUAD_LAM)
     f_loc = _REF_AREA * np.einsum("tq,qa->ta", _QUAD_W * root * fvals, _QUAD_LAM)
 
@@ -327,37 +358,40 @@ def error_norms(tri: KarcherTriangulation, u_h: np.ndarray, u_exact,
     them to the components of the surface gradient.  The H1 norm includes
     the L2 part.  Both must be functions of position alone: each is
     evaluated once per node and triangulation (``tri.at_nodes``), so
-    later calls on the same triangulation reuse the values.
+    later calls on the same triangulation reuse the values.  The
+    quadrature measure and the H1 seminorm read the pulled-back metric
+    data that the triangulation forms once (``tri.node_metrics``).
     """
     dx = tri.quad_data()[1]
-    mq = _pullback_metrics(dx)
-    wroot = _REF_AREA * _QUAD_W * np.sqrt(np.linalg.det(mq))    # (T, Q)
+    root, inverse = tri.node_metrics()
+    wroot = _REF_AREA * _QUAD_W * root                          # (T, Q)
     u_loc = np.asarray(u_h, dtype=float)[tri.triangles]         # (T, 3)
     e_val = u_loc @ _QUAD_LAM.T - tri.at_nodes(u_exact)
     pulled = np.einsum("tqd,tqdk->tqk", tri.at_nodes(grad_u_exact), dx)
     diff = (u_loc @ _DPHI)[:, None, :] - pulled                 # (T, Q, 2)
-    semi = np.einsum("tqk,tqk->tq", diff,
-                     np.linalg.solve(mq, diff[..., None])[..., 0])
+    semi = np.einsum("tqk,tqkl,tql->tq", diff, inverse, diff)
     l2_sq = float(np.sum(wroot * e_val ** 2))
     semi_sq = float(np.sum(wroot * semi))
     return math.sqrt(l2_sq), math.sqrt(l2_sq + semi_sq)
 
 
 def poisson_ladder(manifold: Sphere, levels, f, u_exact, grad_u_exact,
-                   mode: str = "flat") -> list[dict]:
-    """Solve the model problem on a sequence of refinement levels and
-    report mesh size, degrees of freedom and both error norms."""
-    records = []
+                   modes=("flat",)) -> dict[str, list[dict]]:
+    """Solve the model problem on a sequence of refinement levels in each
+    assembly mode and report, per mode, mesh size, degrees of freedom and
+    both error norms.  The modes share each level's one triangulation:
+    its jets, node values and metric data."""
+    records = {mode: [] for mode in modes}
     for level in levels:
         tri = build_triangulation(manifold, level)
-        system = assemble(tri, f, mode=mode)
-        u = solve_poisson(system)
-        l2, h1 = error_norms(tri, u, u_exact, grad_u_exact)
-        records.append({
-            "level": int(level),
-            "h": tri.h,
-            "dof": tri.num_vertices,
-            "l2_error": l2,
-            "h1_error": h1,
-        })
+        for mode, rows in records.items():
+            u = solve_poisson(assemble(tri, f, mode=mode))
+            l2, h1 = error_norms(tri, u, u_exact, grad_u_exact)
+            rows.append({
+                "level": int(level),
+                "h": tri.h,
+                "dof": tri.num_vertices,
+                "l2_error": l2,
+                "h1_error": h1,
+            })
     return records

@@ -5,9 +5,9 @@ import pytest
 
 from hypothesis import given, strategies as st
 
-from karcher.barycentric import (KarcherChart, differential, differential_batch,
-                                 hessian, hessian_batch, karcher_mean,
-                                 pullback_metric, sigma)
+from karcher.barycentric import (KarcherChart, _frobenius_cond, differential,
+                                 differential_batch, hessian, hessian_batch,
+                                 karcher_mean, pullback_metric, sigma)
 from karcher.errors import MeanSolverError
 from karcher.flat_simplex import BarycentricWeight, SimplexTangent
 from karcher.harness import equilateral_family, generate_geodesic_simplex
@@ -418,6 +418,52 @@ def test_singular_a_names_weights_scalar_and_batched(sphere_chart):
         with pytest.raises(MeanSolverError, match=message) as batched:
             call(man, verts, np.array([[0.3, 0.3, 0.4], [0.2, 0.4, 0.4]]))
         assert batched.value.index == 0
+
+
+def _signed_permuted_diagonals(rng, m: int, conds: np.ndarray) -> np.ndarray:
+    """Matrices (len(conds), m, m) of 2-norm condition numbers conds: the
+    rows of diag(1, ..., 1/cond), middle singular values between, scaled
+    by powers of two, signed and permuted.  Every step is exact, so LU
+    and the SVD take them without rounding."""
+    n = len(conds)
+    s = np.ones((n, m))
+    s[:, -1] = 1.0 / conds
+    s[:, 1:-1] = conds[:, None] ** -rng.uniform(0.0, 1.0, (n, m - 2))
+    s *= 2.0 ** rng.integers(-20, 21, n)[:, None] * rng.choice([-1.0, 1.0], (n, m))
+    perm = np.argsort(rng.random((n, m)), axis=1)
+    return np.eye(m)[perm] * s[:, None, :]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_frobenius_gate_never_looser_than_the_svd_gate(rng, m):
+    # |A|_F |A^-1|_F >= cond_2(A), so whatever the 2-norm gate rejects the
+    # Frobenius gate rejects too.  The exact stacks at 1e11, 1e12 (1 +- 1e-6)
+    # and 1e13 carry no rounding, so there the bound holds to 1e-12.  On
+    # the random stacks and the rotated ones at 1e11 and 1e13 both numbers
+    # carry rounding of order cond eps, which the bound allows 8 times
+    # over where it exceeds 1e-12.
+    def check(a_mat, rounded):
+        svd, fro = np.linalg.cond(a_mat), _frobenius_cond(a_mat)
+        slack = np.maximum(1e-12, 8.0 * svd * np.finfo(float).eps) if rounded else 1e-12
+        assert np.all(fro >= svd * (1.0 - slack))
+        assert np.all(~(fro <= 1e12)[~(svd <= 1e12)])
+        return svd
+
+    check(rng.normal(size=(2000, m, m)), rounded=True)
+    targets = np.repeat([1e11, 1e12 * (1.0 - 1e-6), 1e12 * (1.0 + 1e-6), 1e13], 50)
+    svd = check(_signed_permuted_diagonals(rng, m, targets), rounded=False)
+    assert np.array_equal(svd > 1e12, targets > 1e12)
+    far = np.repeat([1e11, 1e13], 500)
+    q_left = np.linalg.qr(rng.normal(size=(len(far), m, m)))[0]
+    q_right = np.linalg.qr(rng.normal(size=(len(far), m, m)))[0]
+    rotated = q_left @ _signed_permuted_diagonals(rng, m, far) @ q_right
+    svd = check(rotated, rounded=True)
+    assert np.array_equal(svd > 1e12, far > 1e12)
+
+
+def test_frobenius_gate_reads_inf_on_an_exactly_singular_row():
+    a_mat = np.array([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+    assert _frobenius_cond(a_mat).tolist() == [2.0, np.inf, 2.0]
 
 
 def test_hessian_euclidean_zero(euclid_chart, rng):

@@ -195,8 +195,9 @@ def test_distortion_reports_match_stored_reports(tmp_path, name, fmt):
 
 def test_fem_report_matches_stored_report(tmp_path):
     # tests/data holds the report of configs/fem_poisson.json as it was
-    # before the FEM callbacks were batched, so that change can be held to
-    # it.
+    # before the FEM callbacks were batched.  The flat FEM path is held to
+    # it at roundoff: the error norms' closed-form metric data moves the
+    # report by a few ulps at most.
     assert main(["run", str(CONFIG_DIR / "fem_poisson.json"), "--out", str(tmp_path)]) == 0
     got = json.loads((tmp_path / "fem-poisson.json").read_text())
     want = json.loads((DATA / "fem_poisson.json").read_text())
@@ -204,11 +205,11 @@ def test_fem_report_matches_stored_report(tmp_path):
     for row, want_row in zip(got["records"], want["records"]):
         assert (row["level"], row["dof"]) == (want_row["level"], want_row["dof"])
         for key in ("h", "l2_error", "h1_error"):
-            assert row[key] == pytest.approx(want_row[key], rel=1e-9, abs=0.0)
+            assert row[key] == pytest.approx(want_row[key], rel=1e-14, abs=0.0)
     assert got["fitted_slopes"].keys() == want["fitted_slopes"].keys()
     for key, fit in want["fitted_slopes"].items():
         assert got["fitted_slopes"][key]["slope"] == pytest.approx(
-            fit["slope"], rel=1e-9, abs=0.0)
+            fit["slope"], rel=1e-14, abs=0.0)
     assert got["failures"] == want["failures"]
 
 

@@ -216,6 +216,79 @@ def test_quad_data_error_names_triangle(sphere, monkeypatch):
         tri.quad_data()
 
 
+@pytest.mark.parametrize("fill, shown", [(0.0, r"0\.000e\+00"), (math.nan, "nan")])
+def test_degenerate_node_metric_names_triangle_and_node(sphere, monkeypatch, fill, shown):
+    # One node's dx column replaced: its pulled-back metric has a zero or
+    # NaN determinant, which the triangulation reports where it forms the
+    # metric data, whichever call gets there first.
+    stack_jets = fem._stack_jets
+
+    def degenerate(*args):
+        points, logs, dx, nabla = stack_jets(*args)
+        dx[3 * 7 + 2, :, 1] = fill                  # triangle 7, node 2
+        return points, logs, dx, nabla
+
+    monkeypatch.setattr(fem, "_stack_jets", degenerate)
+    message = (r"^triangle 7 \[.*\], quadrature node 2: pulled-back metric "
+               rf"determinant {shown} is not positive and finite$")
+    calls = (lambda tri: assemble(tri, f_eigen, mode="pulled-back"),
+             lambda tri: error_norms(tri, tri.coords[:, 2], u_eigen, grad_u_eigen),
+             lambda tri: tri.node_metrics())
+    for call in calls:
+        with pytest.raises(TriangulationError, match=message):
+            call(build_triangulation(sphere, 1))
+
+
+def test_closed_form_det_and_inverse_match_linalg():
+    # SPD stacks of condition number 1 to 1e8 at scales 1e-6 to 1e6.  The
+    # closed form and LAPACK's LU both lose about cond(g) eps to
+    # cancellation, so they agree within 32 cond(g) eps, relative.
+    rng = np.random.default_rng(7)
+    n = 4000
+    turn = rng.uniform(0.0, math.pi, n)
+    c, s = np.cos(turn), np.sin(turn)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    spread = np.stack([np.ones(n), 10.0 ** -rng.uniform(0.0, 8.0, n)], -1)
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    g = scale[:, None, None] * (rot * spread[:, None]) @ np.swapaxes(rot, 1, 2)
+    g = 0.5 * (g + np.swapaxes(g, 1, 2))
+    det, inverse = fem._det_inv(g)
+    bound = 32.0 * np.linalg.cond(g) * np.finfo(float).eps
+    want_det, want_inv = np.linalg.det(g), np.linalg.inv(g)
+    assert np.all(np.abs(det - want_det) <= bound * np.abs(want_det))
+    assert np.all(np.linalg.norm(inverse - want_inv, axis=(1, 2))
+                  <= bound * np.linalg.norm(want_inv, axis=(1, 2)))
+    assert np.linalg.cond(g).max() > 1e7
+
+
+def test_pulled_back_metrics_formed_once_per_triangulation(sphere, monkeypatch):
+    calls = []
+    pullback = fem._pullback_metrics
+    monkeypatch.setattr(fem, "_pullback_metrics",
+                        lambda dx: calls.append(dx.shape) or pullback(dx))
+    tri = build_triangulation(sphere, 1)
+    u = solve_poisson(assemble(tri, f_eigen, mode="pulled-back"))
+    first = error_norms(tri, u, u_eigen, grad_u_eigen)
+    assert error_norms(tri, u, u_eigen, grad_u_eigen) == first
+    assert calls == [(tri.num_triangles, 3, 3, 2)]
+    root, inverse = tri.node_metrics()
+    assert root.shape == (tri.num_triangles, 3)
+    assert inverse.shape == (tri.num_triangles, 3, 2, 2)
+
+
+def test_ladder_modes_share_one_triangulation(sphere, monkeypatch):
+    built = []
+    build = fem.build_triangulation
+    monkeypatch.setattr(fem, "build_triangulation",
+                        lambda *args: built.append(args[1]) or build(*args))
+    both = poisson_ladder(sphere, (1, 2), f_eigen, u_eigen, grad_u_eigen,
+                          modes=("pulled-back", "flat"))
+    assert built == [1, 2]
+    for mode, records in both.items():
+        assert records == poisson_ladder(sphere, (1, 2), f_eigen, u_eigen,
+                                         grad_u_eigen, modes=(mode,))[mode]
+
+
 # -- assembly ------------------------------------------------------------------
 
 class _Counted:
@@ -391,9 +464,10 @@ def test_constant_reproduced_exactly(tri1):
 
 
 def test_poisson_ladder_rates(sphere):
-    for mode in ("flat", "pulled-back"):
-        records = poisson_ladder(sphere, (1, 2, 3, 4, 5), f_eigen, u_eigen,
-                                 grad_u_eigen, mode=mode)
+    ladder = poisson_ladder(sphere, (1, 2, 3, 4, 5), f_eigen, u_eigen,
+                            grad_u_eigen, modes=("flat", "pulled-back"))
+    assert list(ladder) == ["flat", "pulled-back"]
+    for records in ladder.values():
         log_h = np.log([r["h"] for r in records])
         l2 = [r["l2_error"] for r in records]
         h1 = [r["h1_error"] for r in records]
