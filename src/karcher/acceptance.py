@@ -26,6 +26,8 @@ from .manifolds import EuclideanSpace, HyperbolicSpace, Manifold, Sphere
 # Half-width of the accepted band around harness.EXPECTED_SLOPES.
 SLOPE_TOLERANCES = {"metric_gap": 0.25, "connection_gap": 0.25,
                     "dx_sigma_gap": 0.3, "nabla_dx": 0.25}
+# Largest relative gap of a flat simplex's Cayley-Menger and Gram volumes.
+VOLUME_GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -234,9 +236,9 @@ def flat_simplex_experiment(seed: int, trials: int) -> Experiment:
     rows = flat_simplex_trials(np.random.default_rng(seed), trials)
     failures = []
     for r in rows:
-        if r["volume_gap"] > 1e-10:
+        if r["volume_gap"] > VOLUME_GAP_TOL:
             failures.append(_failure(f"volume agreement trial {r['trial']}",
-                                     f"{r['volume_gap']:.3e} > 1e-10"))
+                                     f"{r['volume_gap']:.3e} > {VOLUME_GAP_TOL:g}"))
         if not r["eigen_contained"]:
             failures.append(_failure(
                 f"eigenvalue containment trial {r['trial']}",
@@ -446,10 +448,10 @@ def check_flat_simplex_suite(ctx: AcceptanceContext) -> CheckResult:
     theta = flat_simplex.fullness(equilateral, 1.0)
     theta_gap = abs(theta - math.sqrt(3.0) / 2.0)
 
-    ok = worst_vol <= 1e-10 and eig_ok and theta_gap <= 1e-12
+    ok = worst_vol <= VOLUME_GAP_TOL and eig_ok and theta_gap <= 1e-12
     return CheckResult(
         "9 flat simplex suite", ok,
-        f"volume route gap {worst_vol:.2e} <= 1e-10 (200 systems); "
+        f"volume route gap {worst_vol:.2e} <= {VOLUME_GAP_TOL:g} (200 systems); "
         f"eigen containment {'ok' if eig_ok else 'VIOLATED'} (100 draws); "
         f"equilateral fullness gap {theta_gap:.2e} <= 1e-12")
 

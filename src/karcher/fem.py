@@ -255,7 +255,6 @@ class FemSystem:
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     load: np.ndarray
-    mode: str
 
 
 def _pullback_metrics(dx: np.ndarray) -> np.ndarray:
@@ -311,7 +310,7 @@ def assemble(tri: KarcherTriangulation, f, mode: str = "flat") -> FemSystem:
     shape = (nv, nv)
     stiffness = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=shape).tocsr()
     mass = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=shape).tocsr()
-    return FemSystem(stiffness=stiffness, mass=mass, load=load, mode=mode)
+    return FemSystem(stiffness=stiffness, mass=mass, load=load)
 
 
 def solve_poisson(system: FemSystem) -> np.ndarray:

@@ -77,11 +77,16 @@ def _ladder(family: SimplexFamily):
     stack: vertices (L, n+1, coord_dim) from the scalar ``exp``, one
     ``_edge_lengths`` call's edge lengths (L, E), ``achieved_fullness``,
     flat metrics' Cholesky factors (L, n, n), ``grad_tol`` and edge
-    logarithms.  Directions that span no simplex raise before any
+    logarithms.  An empty ladder, a level that is not positive and
+    finite, and directions that span no simplex raise before any
     ``exp``; the first failing level raises, naming its h, for the
     first check it fails: scale and vertex separation within the
     convexity radius, realizable lengths, fullness >= 0.9 of target."""
     man, ladder = family.manifold, family.ladder
+    if not ladder:
+        raise ValueError("need at least one ladder level")
+    if (bad := next((h for h in ladder if not 0.0 < h < math.inf), None)) is not None:
+        raise ValueError(f"level h={bad}: ladder levels must be positive and finite")
     norms = [man.norm(d) for d in family.directions]
     if 0.0 in norms:
         raise ValueError("zero direction vector")

@@ -1,14 +1,14 @@
 """Riemannian manifold models.
 
-``Manifold`` holds the interface and the generic second derivative of
-the squared distance (a stencil of the Hessian per direction), which the
-chart-based ``ChartManifold`` uses: its geodesics, transport, curvature
-and distance Hessian come from numerically integrated ODEs.  Euclidean
-space and the two constant-curvature models, the round sphere and
-hyperbolic space (hyperboloid model), have closed forms instead; the
-latter two share them through ``_SpaceForm``, written once in the sign
-of the curvature.  The closed-form spaces double as oracles for the
-generic machinery.
+``Manifold`` holds the interface.  The chart-based ``ChartManifold``
+takes its geodesics, transport, curvature and distance Hessian from
+numerically integrated ODEs, and the second derivative of the squared
+distance from a stencil of that Hessian along the chart's coordinate
+lines, made covariant by the Christoffel symbols.  Euclidean space and
+the two constant-curvature models, the round sphere and hyperbolic space
+(hyperboloid model), have closed forms instead; the latter two share
+them through ``_SpaceForm``, written once in the sign of the curvature.
+The closed-form spaces double as oracles for the chart machinery.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BasePointError, GeodesicError, JacobiError
+from .flat_simplex import _dot
 from .integrate import solve_ode
 
 _BASE_TOL = 1e-8
@@ -30,7 +31,8 @@ _ANTIPODE_TOL = 1e-8
 _FD_STEP = 1e-5
 # Newton steps one ``ChartManifold`` logarithm may take.
 MAX_SHOOTING_ITERS = 50
-# Geodesic step of the generic second derivative's Richardson stencil.
+# Step, in g-length along a coordinate line, of the Richardson stencil of
+# a ``ChartManifold``'s second derivative.
 _STENCIL_STEP = 1e-4
 
 
@@ -373,61 +375,17 @@ class Manifold(ABC):
         ``a_matrix_array`` read, for the vertices where ``mask`` (N, n+1)
         holds.  The defaults below read (p, q, mask, matrices), with the
         coordinate matrices (N, n+1, coord_dim, coord_dim) of the Hessians
-        H_i on the mask and zero elsewhere."""
+        H_i on the mask and zero elsewhere, as ``ChartManifold``'s are."""
 
     def hess_array(self, terms, V: np.ndarray) -> np.ndarray:
         """H_i(V_k) = hess_half_dist_sq(p_i, q, V_k) as (N, n+1, k,
         coord_dim), from the terms' coordinate matrices."""
         return np.einsum("ride,rke->rikd", terms[3], V)
 
+    @abstractmethod
     def second_deriv_array(self, terms, V: np.ndarray) -> np.ndarray:
-        """grad^2 X_i(V_k, V_l) as (N, n+1, k, k, coord_dim), zero off the
-        mask, from p, q and the mask, the terms' first three entries:
-        1/2 ((nabla_{V_k} H_i) V_l + (nabla_{V_l} H_i) V_k), with one
-        stencil per row and nonzero direction V_k.  The geodesics from q
-        along +-V_k / |V_k| carry q's tangent frame in parallel.  At
-        ``_STENCIL_STEP`` and half of it along each, the Hessian terms of
-        every vertex (from cold logarithms) are taken as matrices in that
-        frame, and Richardson-extrapolated central differences of them
-        give nabla_{V_k} H_i in the frame at q."""
-        p, q, mask = terms[:3]
-        scale = self.norm_array(V, q[:, None])                       # (N, k)
-        pairs = np.nonzero(scale)
-        if not pairs[0].size:
-            return np.zeros(mask.shape + (V.shape[1],) * 2 + (self.coord_dim,))
-        frames = self.tangent_frame_array(q)                         # (N, D, m)
-        step, points, carried = _STENCIL_STEP, [], []
-        for r, k in zip(*pairs):
-            base = ManifoldPoint(q[r])
-            basis = [TangentVector(base, e) for e in frames[r].T]
-            for sign in (1.0, -1.0):
-                u = TangentVector(base, (sign / scale[r, k]) * V[r, k])
-                gamma = self.geodesic_from(base, u, length=2.0 * step)
-                frame = self.frame_field(gamma, basis)
-                for s in (step, 0.5 * step):
-                    points.append(gamma.point(s).coords)
-                    carried.append(frame(s))
-        # One stencil point per row of x: the Hessian of each vertex
-        # there, as the matrix <E_a, H_i E_b> in the carried frame E.
-        x, E = np.array(points), np.array(carried)                   # (P, D), (P, m, D)
-        rows = np.repeat(pairs[0], 4)
-        verts, keep = p[rows], mask[rows]
-        logs = np.zeros(verts.shape)
-        logs[keep] = self.log_array(np.broadcast_to(x[:, None], verts.shape)[keep],
-                                    verts[keep])
-        hess = self.hess_array(self.hess_terms_array(verts, x, logs, keep), E)
-        mats = np.einsum("pibd,pad->piab", hess, E @ self.metric_matrix(x))
-        # By (pair, sign, step): the central differences D(s) and D(s / 2)
-        # extrapolate to (4 D(s / 2) - D(s)) / 3.
-        mats = mats.reshape((-1, 2, 2) + mats.shape[1:])
-        diff = mats[:, 0] - mats[:, 1]
-        deriv = np.zeros(scale.shape + diff.shape[2:])               # (N, k, n+1, m, m)
-        deriv[pairs] = (scale[pairs][:, None, None, None]
-                        * (8.0 * diff[:, 1] - diff[:, 0]) / (6.0 * step))
-        coefs = V @ (self.metric_matrix(q) @ frames)                 # frame components
-        grad = np.einsum("rda,rkiab,rlb->rikld", frames, deriv, coefs)
-        return np.where(mask[:, :, None, None, None],
-                        0.5 * (grad + np.swapaxes(grad, 2, 3)), 0.0)
+        """grad^2 X_i(V_k, V_l) = 1/2 ((nabla_{V_k} H_i) V_l + (nabla_{V_l}
+        H_i) V_k) as (N, n+1, k, k, coord_dim), from the terms."""
 
     def a_matrix_array(self, terms, lam: np.ndarray, frame: np.ndarray,
                        low_frame: np.ndarray) -> np.ndarray:
@@ -447,11 +405,6 @@ def _rows(fn: Callable[..., np.ndarray], *arrays) -> np.ndarray:
     arrays = [np.broadcast_to(a, lead + a.shape[-1:]) for a in arrays]
     out = [fn(*(a[idx] for a in arrays)) for idx in np.ndindex(lead)]
     return np.array(out).reshape(lead + np.shape(out[0]))
-
-
-def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.dot of each row pair of a and b (N, k), bit for bit."""
-    return (a[:, None] @ b[..., None])[:, 0, 0]
 
 
 def _reject_rows(bad: np.ndarray, message: Callable[[int], str]):
@@ -686,7 +639,7 @@ class Sphere(_SpaceForm):
 
     def _check_points(self, x):
         super()._check_points(x)
-        r = np.sqrt(_dot_rows(x, x))
+        r = np.sqrt(_dot(x, x))
         _reject_rows(np.abs(r - self.radius) > 1e-12 * max(1.0, self.radius),
                      lambda k: f"point norm {r[k]} is off the radius-{self.radius} sphere")
 
@@ -778,7 +731,7 @@ class HyperbolicSpace(_SpaceForm):
 
     def _check_points(self, x):
         super()._check_points(x)
-        m = _dot_rows(x[:, :-1], x[:, :-1]) - x[:, -1] * x[:, -1]    # _minkowski
+        m = _dot(x[:, :-1], x[:, :-1]) - x[:, -1] * x[:, -1]    # _minkowski
         _reject_rows(np.abs(m + self.radius ** 2) > 1e-12 * max(1.0, self.radius ** 2),
                      lambda k: "point is off the hyperboloid sheet")
         _reject_rows(x[:, -1] <= 0, lambda k: "point is on the lower sheet")
@@ -1165,8 +1118,46 @@ class ChartManifold(Manifold):
         return p, q, mask, mats
 
     def _second_terms(self, p, q):
-        # The generic stencil reads p, q and the mask alone: no log_q(p).
+        # The stencil reads p, q and the mask alone: no log_q(p).
         return p.coords[None, None], q.coords[None], np.ones((1, 1), bool)
+
+    def second_deriv_array(self, terms, V):
+        """grad^2 X_i(V_k, V_l) as (N, n+1, k, k, dim), zero off the mask,
+        from p, q and the mask, the terms' first three entries, with one
+        stencil per row and nonzero direction V_k, in coordinates.  At q
+        +- s V_k / |V_k| for s = ``_STENCIL_STEP`` and s / 2, the Hessian
+        matrices of every vertex (from cold logarithms) give d_{V_k} H_i by
+        Richardson-extrapolated central differences and H_i(q) by
+        extrapolated means; the symbols at q then give nabla_{V_k} H_i =
+        d_{V_k} H_i + [Gamma(V_k), H_i], Gamma(V)^a_b = Gamma^a_cb V^c."""
+        p, q, mask = terms[:3]
+        scale = self.norm_array(V, q[:, None])                       # (N, k)
+        pairs = np.nonzero(scale)
+        if not pairs[0].size:
+            return np.zeros(mask.shape + (V.shape[1],) * 2 + (self.dim,))
+        # Stencil points by (pair, sign, step).
+        step, u = _STENCIL_STEP, V[pairs] / scale[pairs][:, None]
+        offsets = step * np.array([1.0, 0.5, -1.0, -0.5])
+        x = (q[pairs[0]][:, None] + offsets[:, None] * u[:, None]).reshape(-1, self.dim)
+        verts, keep = p[pairs[0]].repeat(4, axis=0), mask[pairs[0]].repeat(4, axis=0)
+        logs = np.zeros(verts.shape)
+        logs[keep] = self.log_array(np.broadcast_to(x[:, None], verts.shape)[keep],
+                                    verts[keep])
+        mats = self.hess_terms_array(verts, x, logs, keep)[3]
+        # The central differences D(s) and D(s / 2) extrapolate to
+        # (4 D(s / 2) - D(s)) / 3, and so do the means.
+        mats = mats.reshape((-1, 2, 2) + mats.shape[1:])
+        diff, total = mats[:, 0] - mats[:, 1], mats[:, 0] + mats[:, 1]
+        hess = (4.0 * total[:, 1] - total[:, 0]) / 6.0
+        gam = np.einsum("pacb,pc->pab", np.array([self.christoffel_fn(q[r])
+                                                  for r in pairs[0]]), V[pairs])[:, None]
+        deriv = np.zeros(scale.shape + diff.shape[2:])               # (N, k, n+1, D, D)
+        deriv[pairs] = (scale[pairs][:, None, None, None]
+                        * (8.0 * diff[:, 1] - diff[:, 0]) / (6.0 * step)
+                        + gam @ hess - hess @ gam)
+        grad = np.einsum("rkiab,rlb->rikla", deriv, V)
+        return np.where(mask[:, :, None, None, None],
+                        0.5 * (grad + np.swapaxes(grad, 2, 3)), 0.0)
 
     def _hess_matrix(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The coordinate matrix at q of the Hessian of half the squared

@@ -491,8 +491,8 @@ def test_hessian_symmetry(sphere_chart, rng):
 def test_hessian_builds_each_vertex_map_once(monkeypatch):
     # A model without closed forms: at the mean the jet reads the mean's
     # logarithms and builds one Hessian-terms stack with every vertex's
-    # map.  The second derivative takes two geodesics per direction and
-    # takes its Hessian terms and logarithms away from the mean.
+    # map.  The second derivative takes no geodesic and takes its Hessian
+    # terms and logarithms away from the mean.
     man = ChartManifold(2, lambda x: np.eye(2), lambda x: np.zeros((2, 2, 2)))
     chart = KarcherChart(man, [man.point(c) for c in ([0.0, 0.0], [0.3, 0.0], [0.1, 0.25])])
     lam = BarycentricWeight([0.3, 0.4, 0.3])
@@ -519,8 +519,7 @@ def test_hessian_builds_each_vertex_map_once(monkeypatch):
     jet = hessian(chart, lam, at=a)
     at_mean = [mask for q, mask in terms if np.array_equal(q, a.coords[None])]
     assert len(at_mean) == 1 and at_mean[0].all()
-    assert len(geodesics) == 2 * chart.n
-    assert all(np.array_equal(x, a.coords) for x in geodesics)
+    assert not geodesics
     for bases in log_bases + [q for q, _ in terms if len(q) > 1]:
         assert not (bases == a.coords).all(axis=1).any()
     # Flat metric: the second derivative vanishes.

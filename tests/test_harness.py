@@ -122,6 +122,32 @@ def test_ladder_rejects_directions_that_span_no_simplex(sphere, sphere_family, e
         call()
 
 
+@pytest.mark.parametrize("entry, ladder", [
+    (entry, ladder) for ladder in [(), (0.2, 0.0), (-0.2, -0.1), (0.2, math.nan), (math.inf, 0.1)]
+    for entry in ["sweep", "generate", "edge_rate"] if ladder or entry != "generate"])
+def test_ladder_rejects_levels_that_are_not_positive_and_finite(sphere, sphere_family, entry,
+                                                                ladder, monkeypatch):
+    # An empty ladder, or a level that is zero, negative (the point
+    # reflection of the family) or not finite, is a ValueError raised
+    # before any vertex is generated; the one-level generator takes the
+    # first bad level as its h.
+    def no_exp(*args):
+        raise AssertionError("a vertex was generated")
+
+    monkeypatch.setattr(type(sphere), "exp", no_exp)
+    family = SimplexFamily(sphere, sphere_family.center, sphere_family.directions, ladder,
+                           sphere_family.fullness_target)
+    bad = next((h for h in ladder if not 0.0 < h < math.inf), None)
+    match = (rf"^level h={bad}: ladder levels must be positive and finite$" if ladder
+             else r"^need at least one ladder level$")
+    call = {"sweep": lambda: run_distortion_sweep(family),
+            "generate": lambda: generate_geodesic_simplex(sphere, family.center,
+                                                          family.directions, bad),
+            "edge_rate": lambda: edge_length_rate(family)}[entry]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # -- weights --------------------------------------------------------------------
 
 def test_interior_weights_structure():

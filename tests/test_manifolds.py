@@ -6,8 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from karcher.errors import BasePointError, GeodesicError, JacobiError, KarcherError
 from karcher.manifolds import (ChartManifold, EuclideanSpace, HyperbolicSpace,
-                               Manifold, ManifoldBounds, ManifoldPoint,
-                               Sphere)
+                               ManifoldBounds, ManifoldPoint, Sphere)
 
 from conftest import (endpoint_shots, random_hyperbolic_point,
                       random_sphere_point, random_unit_tangent)
@@ -604,6 +603,17 @@ def test_second_deriv_euclidean_zero(euclidean3, rng):
     assert np.max(np.abs(euclidean3.second_deriv_X(p, q, v, v).components)) == 0.0
 
 
+def chart_of_lift(X):
+    """The inverse of ``lift_stereographic`` and of ``lift_disk``, x =
+    X[:2] / (1 + X[2]), on the last axis of X."""
+    return X[..., :2] / (1.0 + X[..., 2:])
+
+
+def chart_of_lift_differential(X, V):
+    """The differential of ``chart_of_lift`` at X applied to V."""
+    return V[..., :2] / (1.0 + X[..., 2:]) - X[..., :2] * V[..., 2:] / (1.0 + X[..., 2:]) ** 2
+
+
 @pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
 def test_second_deriv_symmetry_and_fd_agreement(space, sphere, hyperbolic, rng):
     man = sphere if space == "sphere" else hyperbolic
@@ -615,9 +625,10 @@ def test_second_deriv_symmetry_and_fd_agreement(space, sphere, hyperbolic, rng):
     vw = man.second_deriv_X(p, q, v, w)
     wv = man.second_deriv_X(p, q, w, v)
     assert np.max(np.abs(vw.components - wv.components)) <= 1e-8
-    # The closed forms against the generic stencil on a stack of two rows;
-    # the second row has a masked-out vertex and a zero direction, where
-    # the stencil gives zero.
+    # The closed forms against the chart stencil on a stack of two rows,
+    # through the isometric chart of the model (stereographic, Poincare
+    # disk); the second row has a masked-out vertex and a zero direction,
+    # where the stencil gives zero.
     q1 = man.exp(q, 0.3 * w)
     u = random_unit_tangent(man, q1, rng)
     qs = np.array([q.coords, q1.coords])
@@ -627,12 +638,23 @@ def test_second_deriv_symmetry_and_fd_agreement(space, sphere, hyperbolic, rng):
     V = np.array([[v.components, w.components], [u.components, np.zeros(3)]])
     terms = man.hess_terms_array(verts, qs, man.log_array(qs[:, None], verts), mask)
     closed = np.where(mask[:, :, None, None, None], man.second_deriv_array(terms, V), 0.0)
-    fd = Manifold.second_deriv_array(man, (verts, qs, mask), V)
+    if space == "sphere":
+        chart, lift = make_stereographic_sphere(), lift_stereographic_differential
+    else:
+        chart = make_poincare_disk()
+
+        def lift(x):
+            return np.column_stack([lift_disk_differential(x, e) for e in np.eye(2)])
+    xs = chart_of_lift(qs)
+    fd = chart.second_deriv_array((chart_of_lift(verts), xs, mask),
+                                  chart_of_lift_differential(qs[:, None], V))
+    lifted = np.einsum("rda,rikla->rikld", np.array([lift(x) for x in xs]), fd)
     assert np.max(np.abs(closed)) >= 0.05
-    assert np.max(np.abs(fd - closed)) <= 1e-6
+    assert np.max(np.abs(lifted - closed)) <= 1e-6
     assert not fd[1, 2].any() and not fd[1, :, 1].any() and not fd[1, :, :, 1].any()
-    assert not Manifold.second_deriv_array(man, (verts[1:], qs[1:], mask[1:]),
-                                           V[1:, 1:]).any()
+    assert not chart.second_deriv_array(
+        (chart_of_lift(verts[1:]), xs[1:], mask[1:]),
+        chart_of_lift_differential(qs[1:, None], V[1:, 1:])).any()
 
 
 def test_second_deriv_magnitude_linear_in_tau(sphere):
@@ -1204,13 +1226,15 @@ def test_warm_started_disk_jet_takes_at_most_55_percent_of_the_cold_shots(
 
 def test_stereographic_sphere_jets_match_the_closed_form_batch():
     # Positive curvature: the seeds bend the chord the other way than on
-    # the disk.  Chart jets against differential_batch on Sphere(2).
-    from karcher.barycentric import KarcherChart, differential, differential_batch
+    # the disk.  Chart jets against differential_batch and hessian_batch
+    # on Sphere(2).
+    from karcher.barycentric import (KarcherChart, differential, differential_batch,
+                                     hessian_batch)
     from karcher.flat_simplex import BarycentricWeight
 
     man = make_stereographic_sphere()
     rng = np.random.default_rng(20)
-    jets, lifted, weights = [], [], []
+    jets, charts, lifted, weights = [], [], [], []
     for rc in np.linspace(0.0, 0.8, 20):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         center = rc * np.array([math.cos(phi), math.sin(phi)])
@@ -1221,6 +1245,7 @@ def test_stereographic_sphere_jets_match_the_closed_form_batch():
         lam = 0.05 + 0.85 * rng.dirichlet(np.ones(3))
         chart = KarcherChart(man, [man.point(x) for x in xs])
         jets.append(differential(chart, BarycentricWeight(lam)))
+        charts.append(xs)
         lifted.append([lift_stereographic(x) for x in xs])
         weights.append(lam)
     points, dx = differential_batch(Sphere(2), lifted, weights)
@@ -1229,6 +1254,12 @@ def test_stereographic_sphere_jets_match_the_closed_form_batch():
         assert np.max(np.abs(lift_stereographic(x) - point)) <= 1e-8
         assert np.max(np.abs(lift_stereographic_differential(x) @ jet.dx_matrix
                              - dx_row)) <= 1e-8
+    # The chart's coordinate stencil of nabla dx against the closed form.
+    _, _, nabla = hessian_batch(Sphere(2), lifted, weights)
+    c_points, _, c_nabla = hessian_batch(man, charts, weights)
+    lifted_nabla = np.einsum("rda,rkla->rkld", np.array(
+        [lift_stereographic_differential(x) for x in c_points]), c_nabla)
+    assert np.max(np.abs(lifted_nabla - nabla)) <= 1e-8
 
 
 def _disk_jet_gaps(hyperbolic, verts, lams):
@@ -1278,6 +1309,25 @@ def test_disk_batch_jets_at_vertex_weights_match_the_hyperboloid_batch(hyperboli
     jet_gap, nabla_gap, nabla = _disk_jet_gaps(hyperbolic, DISK_ROWS, lams)
     assert nabla >= 1e-3
     assert jet_gap <= 1e-8 and nabla_gap <= 1e-8
+
+
+def test_disk_batch_jets_take_no_transport(monkeypatch):
+    # The chart's second derivative is a stencil along coordinate lines:
+    # no geodesic, parallel frame or transport is taken, and the jets are
+    # those of a call that could take them.
+    from karcher.barycentric import hessian_batch
+
+    lams = np.array([[0.2, 0.5, 0.3], [0.45, 0.25, 0.3]])
+    disk = make_poincare_disk()
+    want = hessian_batch(disk, DISK_ROWS, lams)
+
+    def no_transport(*args, **kwargs):
+        raise AssertionError("the jets took a geodesic or a transport")
+
+    for name in ("geodesic_from", "frame_field", "parallel_transport"):
+        monkeypatch.setattr(disk, name, no_transport)
+    for got, expected in zip(hessian_batch(disk, DISK_ROWS, lams), want):
+        assert np.array_equal(got, expected)
 
 
 def test_chart_hessian_terms_name_the_failing_row_and_vertex():
