@@ -3,15 +3,21 @@
 All geodesic, transport and Jacobi-field ODEs in the package go through
 ``solve_ode`` so they share one accuracy setting.
 
-The first step tried is the whole interval.  The package's ODEs are short
-and smooth (geodesics of length at most a few units, Jacobi fields along
-them), and one DOP853 step over the interval usually passes the error
-test.  scipy's own starting-step heuristic (Hairer, Norsett & Wanner,
-*Solving ODEs I*, II.4) picks h ~ 0.02 for a unit shot, and the controller
-grows the step at most tenfold per step, so a shot would take three steps
-(38 right-hand sides) where one (13) suffices.  When the error estimate
-demands it the controller still rejects the step and shrinks it, so the
-rtol/atol contract is unchanged.
+The first step tried is the whole interval, unless the caller passes
+one.  The package's ODEs are short and smooth (geodesics of length at
+most a few units, Jacobi fields along them), and one DOP853 step over the
+interval usually passes the error test.  scipy's own starting-step
+heuristic (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4) picks h ~
+0.02 for a unit shot, and the controller grows the step at most tenfold
+per step, so a shot would take three steps (38 right-hand sides) where
+one (13) suffices.  When the error estimate demands it the controller
+still rejects the step and shrinks it, so the rtol/atol contract is
+unchanged.  A caller that integrates a run of similar ODEs passes the
+first step an earlier solve of the run accepted, and so pays for a
+rejected whole-interval try once per run: the shots of one logarithm,
+the shots of one vertex's logarithm across the iterates of one mean, and
+the Hessian ODEs of one row's vertices, as a fraction of each interval.
+No step is kept beyond the call that made the run.
 
 ``scipy.integrate`` is imported inside ``solve_ode``, on its first call,
 not with the package.  Only ``ChartManifold`` and the Jacobi solver
@@ -35,10 +41,10 @@ ODE_ATOL = 1e-13
 # solve takes in the tests is 553, in 39 steps: the first shot, along the
 # chord, of a long cold logarithm near the rim of the Poincare disk.
 # ``karcher verify all`` takes at most 400, the example configs 73 and the
-# benchmark workloads 61.  A solve that needs over eighteen times the
-# most is running into a singularity, such as a geodesic shot toward the
-# rim of the disk, whose steps shrink without end; it fails instead of
-# hanging.
+# benchmark workloads 61 (chart-ode, seeds 0-9, with the mean's retraction
+# and step memory).  A solve that needs over eighteen times the most is
+# running into a singularity, such as a geodesic shot toward the rim of
+# the disk, whose steps shrink without end; it fails instead of hanging.
 ODE_MAX_NFEV = 10_000
 
 

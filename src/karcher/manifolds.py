@@ -341,6 +341,13 @@ class Manifold(ABC):
             return self.exp(x, TangentVector(x, u)).coords
         return _rows(exp, p, v)
 
+    def retract_array(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """A retraction at p along v: a point that agrees with exp_p(v) to
+        second order in v, which is all the mean's updates need (Absil,
+        Mahony & Sepulchre 2008, ch. 4).  ``exp_array`` itself by default,
+        so the closed forms move their iterates as they always have."""
+        return self.exp_array(p, v)
+
     def log_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """log_p(q) row by row, shot to ``shooting_tol`` on models that
         solve for it."""
@@ -350,9 +357,10 @@ class Manifold(ABC):
     def _warm_log_array(self, p: np.ndarray, q: np.ndarray, state=None):
         """``log_array`` as the mean's iterates read it: the logarithms,
         whether each is verified to ``shooting_tol`` (always, for models
-        that do not shoot) and the state that the next iterate passes
-        back as ``state``, None for models that keep none.  A shooting
-        model builds and reads its own state (``ChartManifold``)."""
+        that do not shoot) and the state that the next iterate of the
+        same mean passes back as ``state``, None for models that keep
+        none.  A shooting model builds and reads its own state
+        (``ChartManifold``); nothing of it outlives the mean's call."""
         logs = self.log_array(p, q)
         return logs, np.ones(logs.shape[:-1], dtype=bool), None
 
@@ -430,6 +438,21 @@ def _gram_schmidt(ip: Callable[[np.ndarray, np.ndarray], float], vectors,
         if len(basis) == count:
             break
     return basis
+
+
+def _frame_at(g: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """A g-orthonormal frame (rows) whose first row is the g-unit vector
+    u0: with g = L L^T, the Householder QR of [L^T u0 | I] gives an
+    orthonormal Q whose first column is L^T u0, and the rows of (L^-T
+    Q)^T are g-orthonormal to roundoff, however close u0 lies to a
+    coordinate direction."""
+    low = np.linalg.cholesky(g)
+    w = low.T @ u0
+    Q = np.linalg.qr(np.column_stack([w, np.eye(len(w))]))[0]
+    Q[:, 0] = w
+    frame = np.linalg.solve(low.T, Q).T
+    frame[0] = u0
+    return frame
 
 
 def _check_length(man: Manifold, tau: float):
@@ -806,10 +829,10 @@ def _jacobi_operator(gam: np.ndarray, dgam: np.ndarray, T: np.ndarray) -> np.nda
     symbols): (d_w Gamma)(T, T) - (d_T Gamma)(w, T) + Gamma(w, Gamma(T,
     T)) - Gamma(T, Gamma(w, T))."""
     d = T.size
-    dT = dgam @ T                       # dT[l] = (d_l Gamma)(., T)
-    gT = gam @ T                        # w -> Gamma(w, T)
-    dTT = (T @ dT.reshape(d, -1)).reshape(d, d)   # w -> (d_T Gamma)(w, T)
-    return (dT @ T).T - dTT + gam @ (gT @ T) - gT @ gT
+    dT = np.dot(dgam, T)                # dT[l] = (d_l Gamma)(., T)
+    gT = np.dot(gam, T)                 # w -> Gamma(w, T)
+    dTT = np.dot(T, dT.reshape(d, -1)).reshape(d, d)   # w -> (d_T Gamma)(w, T)
+    return np.dot(dT, T).T - dTT + np.dot(gam, np.dot(gT, T)) - np.dot(gT, gT)
 
 
 def _third_order_seed(gam: np.ndarray, dgam: np.ndarray, chord: np.ndarray
@@ -861,28 +884,27 @@ class ChartManifold(Manifold):
         self.coord_dim = dim
         self.metric_fn = metric_fn
         self.christoffel_fn = christoffel_fn
-        # Rows: the central-difference offsets of ``_christoffel_jet``.
-        self._fd_offsets = _FD_STEP * np.eye(dim)
+        # Rows: the central-difference offsets of ``_christoffel_jet``,
+        # +h e_l over -h e_l.
+        self._fd_offsets = _FD_STEP * np.concatenate([np.eye(dim), -np.eye(dim)])
         self.bounds = bounds if bounds is not None else ManifoldBounds(
             0.0, 0.0, math.inf, math.inf)
 
     def _ip(self, p, a, b):
         return float(a @ self.metric_fn(p.coords) @ b)
 
+    # This right-hand side, the fused one of ``_hess_matrix`` and the
+    # ``_jacobi_operator`` it calls run once per integrator stage on arrays
+    # of a few entries, where ``np.dot`` takes about 1 us less than ``@``.
     def _geodesic_rhs(self, t, y):
-        d = self.dim
-        x, u = y[:d], y[d:]
-        out = np.empty_like(y)
-        out[:d] = u
-        out[d:] = -((self.christoffel_fn(x) @ u) @ u)
-        return out
+        x, u = y[:self.dim], y[self.dim:]
+        return np.concatenate([u, -np.dot(np.dot(self.christoffel_fn(x), u), u)])
 
     def _christoffel_jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gamma(x) and its central differences with step ``_FD_STEP``,
         dgam[l] = d Gamma / d x_l: 2 dim + 1 ``christoffel_fn`` calls."""
-        dgam = np.array([(self.christoffel_fn(x + e) - self.christoffel_fn(x - e))
-                         / (2.0 * _FD_STEP) for e in self._fd_offsets])
-        return self.christoffel_fn(x), dgam
+        near = np.array([self.christoffel_fn(z) for z in x + self._fd_offsets])
+        return self.christoffel_fn(x), (near[:self.dim] - near[self.dim:]) / (2.0 * _FD_STEP)
 
     def _shoot(self, p_coords: np.ndarray, v_comps: np.ndarray,
                step: float = 1.0) -> tuple[np.ndarray, float]:
@@ -901,44 +923,59 @@ class ChartManifold(Manifold):
             raise GeodesicError("initial vector longer than the injectivity radius")
         return ManifoldPoint(self._shoot(p.coords, v.components)[0])
 
+    def retract_array(self, p, v):
+        """p + v - Gamma_p(v, v)/2, the second-order expansion of exp_p(v):
+        one ``christoffel_fn`` call per row in place of one shot."""
+        return _rows(lambda x, u: x + u - 0.5 * ((self.christoffel_fn(x) @ u) @ u), p, v)
+
     def log(self, p, q):
         return TangentVector(p, self._shoot_log(p.coords, q.coords)[0])
 
     def log_array(self, p, q):
+        """log_p(q) row by row, each shot cold to ``shooting_tol``, its
+        first shot from the whole interval."""
         return _rows(lambda x, y: self._shoot_log(x, y)[0], p, q)
 
     def _warm_log_array(self, p, q, state=None):
         """``_shoot_log`` on every row in the mean's one-shot mode: the
         logarithms, whether each is verified, and the state (p, logs,
-        endpoint Jacobians, NaN where p = q, and first-shot residuals) for
-        the next iterate.  From a state (b, v, jac, res) a row shoots warm
-        from v at b against jac, with res as its guard reference; without
-        one it shoots cold, against |q - p| (the residual of v = 0).  A
-        row whose first shot misses by at most half of its reference
-        returns that shot's Newton step unverified."""
+        endpoint Jacobians, NaN where p = q, first-shot residuals and the
+        first steps that each row's last shot accepted) for the next
+        iterate of the same mean.  From a state (b, v, jac, res, step) a
+        row shoots warm from v at b against jac, with res as its guard
+        reference, and its first shot starts from step.  Without one it
+        shoots cold, against |q - p| (the residual of v = 0), from the
+        whole interval: the first iterate's logarithms run from the
+        initial guess toward vertices at different distances, and a step
+        passed from one row to the next cost more evaluations than it
+        saved.  A row whose first shot misses by at most half of its
+        reference returns that shot's Newton step unverified."""
         p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
         lead = p.shape[:-1]
         logs = np.empty(p.shape)
         jacs = np.full(p.shape + (self.dim,), np.nan)
-        res, exact = np.empty(lead), np.empty(lead, dtype=bool)
+        res, steps = np.empty(lead), np.empty(lead)
+        exact = np.empty(lead, dtype=bool)
         for idx in np.ndindex(lead):
             if state is None:
-                warm, guard = None, np.linalg.norm(q[idx] - p[idx])
+                warm, guard, step = None, np.linalg.norm(q[idx] - p[idx]), 1.0
             else:
-                warm, guard = tuple(x[idx] for x in state[:3]), state[3][idx]
-            logs[idx], found, res[idx], exact[idx] = self._shoot_log(
-                p[idx], q[idx], warm, guard)
+                warm, guard, step = tuple(x[idx] for x in state[:3]), state[3][idx], state[4][idx]
+            logs[idx], found, res[idx], exact[idx], steps[idx] = self._shoot_log(
+                p[idx], q[idx], warm, guard, step)
             if found is not None:
                 jacs[idx] = found
-        return logs, exact, (p, logs, jacs, res)
+        return logs, exact, (p, logs, jacs, res, steps)
 
-    def _shoot_log(self, p: np.ndarray, q: np.ndarray, start=None, ref: float = 0.0
-                   ) -> tuple[np.ndarray, np.ndarray | None, float, bool]:
+    def _shoot_log(self, p: np.ndarray, q: np.ndarray, start=None, ref: float = 0.0,
+                   step: float = 1.0
+                   ) -> tuple[np.ndarray, np.ndarray | None, float, bool, float]:
         """Newton shooting on v -> exp_p(v) - q, in coordinates, until its
         norm is below ``shooting_tol``; returns v, its estimate of the
         endpoint Jacobian of v -> exp_p(v) (None if p = q), the residual
-        of the first shot (0 if p = q) and whether v is verified: True
-        unless ``ref`` cut the shooting short.
+        of the first shot (0 if p = q), whether v is verified (True
+        unless ``ref`` cut the shooting short) and the first step that the
+        last shot accepted (``step`` if p = q).
 
         The Christoffel symbols at p and their central differences give
         the third-order Taylor expansion of the endpoint map, exp_p(v) = p
@@ -969,9 +1006,9 @@ class ChartManifold(Manifold):
         halved.  The returned Jacobian, the last one after its Broyden
         update, carries on to the next warm start.  Warm and cold
         logarithms agree to the shooting tolerance.  The first shot tries
-        the whole interval as one integration step; every later shot,
-        Newton iterate or Jacobian column, starts from the first step the
-        previous shot accepted.
+        ``step`` as its first integration step (by default the whole
+        interval); every later shot, Newton iterate or Jacobian column,
+        starts from the first step the previous shot accepted.
 
         A positive ``ref`` is the one-shot mode of a mean iterate (an
         inexact Newton step): if the first shot misses q by more than the
@@ -980,7 +1017,7 @@ class ChartManifold(Manifold):
         Any other first shot goes on as above."""
         chord = q - p
         if not np.any(chord):
-            return np.zeros(self.dim), None, 0.0, True
+            return np.zeros(self.dim), None, 0.0, True, step
         fresh, first = 0, True
         if start is None:
             v, jac = _third_order_seed(*self._christoffel_jet(p), chord)
@@ -1002,7 +1039,7 @@ class ChartManifold(Manifold):
         base = base_end = None
         base_res = res = math.inf
         exact = False
-        steps, t, step = 0, 1.0, 1.0
+        steps, t = 0, 1.0
         first_res = None
         for _ in range(MAX_SHOOTING_ITERS):
             end, step = self._shoot(p, v, step)
@@ -1016,7 +1053,7 @@ class ChartManifold(Manifold):
                     jac = jac + np.outer(end - base_end - jac @ moved, moved) / (moved @ moved)
                     first, exact = False, False
                 if done:
-                    return v, jac, first_res, True
+                    return v, jac, first_res, True, step
                 base, base_end, base_res, t = v, end, res, 1.0
             elif first:
                 v, jac, base, first = chord, None, None, False
@@ -1037,7 +1074,7 @@ class ChartManifold(Manifold):
             v = base + t * newton
             steps += 1
             if steps == 1 and first_res <= 0.5 * ref:
-                return v, jac, first_res, False
+                return v, jac, first_res, False, step
         raise GeodesicError("shooting for the logarithm did not converge"
                             + _shooting_state(p, q, steps, fresh, res))
 
@@ -1108,11 +1145,18 @@ class ChartManifold(Manifold):
 
     def hess_terms_array(self, p, q, logs, mask):
         """(p, q, mask, matrices): ``_hess_matrix`` on the mask, zero
-        elsewhere.  A JacobiError names its row and vertex."""
+        elsewhere.  Within a row, each vertex's ODE starts from the first
+        step that the previous vertex's ODE accepted, as a fraction of its
+        interval; each row starts from the whole interval, so that a row's
+        matrices are those of its one-row call.  A JacobiError names its
+        row and vertex."""
         mats = np.zeros(logs.shape + (self.dim,))
+        row, frac = -1, 1.0
         for r, i in zip(*np.nonzero(mask)):
+            if r != row:
+                row, frac = r, 1.0
             try:
-                mats[r, i] = self._hess_matrix(q[r], logs[r, i])
+                mats[r, i], frac = self._hess_matrix(q[r], logs[r, i], frac)
             except JacobiError as exc:
                 raise JacobiError(f"row {r}, vertex {i}: {exc}") from exc
         return p, q, mask, mats
@@ -1159,47 +1203,53 @@ class ChartManifold(Manifold):
         return np.where(mask[:, :, None, None, None],
                         0.5 * (grad + np.swapaxes(grad, 2, 3)), 0.0)
 
-    def _hess_matrix(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _hess_matrix(self, q: np.ndarray, v: np.ndarray, frac: float = 1.0
+                     ) -> tuple[np.ndarray, float]:
         """The coordinate matrix at q of the Hessian of half the squared
         distance to p, from v = log_q(p): the identity if v = 0 (the
         closed forms' limit at tau = 0).  Else one fused ODE from q along
         the geodesic to p, with unit speed u and sigma in [0, tau], tau =
         |v|: the geodesic x' = u, u' = -Gamma(u, u); the parallel frame
-        F_b' = -Gamma(u, F_b), Gram-Schmidt of {v, ``tangent_basis(q)``}
-        at q; and the Jacobi fields Y'' = -R Y in that frame, R_ab =
-        g(F_a, R(F_b, u)u), with Y(0) = [I | 0] and Y'(0) = [0 | I].  With
-        C, S the two blocks of Y(tau), the Jacobi field J(0) = V, J(tau) =
-        0 has J'(0) = -S^-1 C V, and the Hessian is -tau J'(0): the map
-        is tau S^-1 C in q's frame.  A JacobiError is raised at a
-        conjugate point: tau beyond pi / sqrt(C0), or S singular."""
+        F_b' = -Gamma(u, F_b), from ``_frame_at(g_q, u0)``; and the Jacobi
+        fields Y'' = -R Y in that frame, R_ab = g(F_a, R(F_b, u)u), with
+        Y(0) = [I | 0] and Y'(0) = [0 | I].  With C, S the two blocks of
+        Y(tau), the Jacobi field J(0) = V, J(tau) = 0 has J'(0) = -S^-1 C
+        V, and the Hessian is -tau J'(0): the map is tau S^-1 C in q's
+        frame.  The ODE's first step is frac tau; the returned fraction is
+        the first step it accepted over tau (``frac`` if v = 0).  A
+        JacobiError is raised at a conjugate point: tau beyond pi /
+        sqrt(C0), or S singular."""
         if not np.any(v):
-            return np.eye(self.dim)
+            return np.eye(self.dim), frac
         g_q = self.metric_fn(q)
         tau = math.sqrt(max(float(v @ g_q @ v), 0.0))
         _check_length(self, tau)
         d = m = self.dim
         u0 = v / tau
-        F0 = np.array(_gram_schmidt(lambda a, b: float(a @ g_q @ b),
-                                    [u0] + list(self.tangent_frame_array(q).T), m))
-        frame, jacobi = slice(2 * d, 2 * d + m * d), slice(2 * d + m * d, None)
+        F0 = _frame_at(g_q, u0)
+        # y = [x, u, F, Y, Y'], with Y and Y' (m, 2m) each.
+        frame = slice(2 * d, 2 * d + m * d)
+        fields = slice(frame.stop, frame.stop + 2 * m * m)
+        speeds = slice(fields.stop, None)
 
         def rhs(s, y):
             x, u = y[:d], y[d:2 * d]
             F = y[frame].reshape(m, d)
-            Y = y[jacobi].reshape(2, m, 2 * m)
             gam, dgam = self._christoffel_jet(x)
-            gu = gam @ u                                # w -> Gamma(u, w)
-            R = F @ self.metric_fn(x) @ _jacobi_operator(gam, dgam, u) @ F.T
-            return np.concatenate([u, -(gu @ u), -(F @ gu.T).ravel(),
-                                   Y[1].ravel(), -(R @ Y[0]).ravel()])
+            ngu = -np.dot(gam, u)                       # w -> -Gamma(u, w)
+            R = np.dot(np.dot(np.dot(F, self.metric_fn(x)),
+                              _jacobi_operator(gam, dgam, u)), F.T)
+            return np.concatenate([u, np.dot(ngu, u), np.dot(F, ngu.T).ravel(), y[speeds],
+                                   np.dot(-R, y[fields].reshape(m, 2 * m)).ravel()])
 
         # Y(0) = [I | 0] over Y'(0) = [0 | I] is the identity of size 2m.
         y0 = np.concatenate([q, u0, F0.ravel(), np.eye(2 * m).ravel()])
-        Y = solve_ode(rhs, (0.0, tau), y0).y[jacobi, -1].reshape(2, m, 2 * m)[0]
+        sol = solve_ode(rhs, (0.0, tau), y0, first_step=frac * tau)
+        Y = sol.y[fields, -1].reshape(m, 2 * m)
         C, S = Y[:, :m], Y[:, m:]
         if np.linalg.cond(S) > 1e12:
             raise JacobiError("shooting matrix is singular (conjugate point)")
-        return F0.T @ (tau * np.linalg.solve(S, C)) @ F0 @ g_q
+        return F0.T @ (tau * np.linalg.solve(S, C)) @ F0 @ g_q, float(sol.t[1]) / tau
 
     def tangent_frame_array(self, p):
         """The inverse transposed Cholesky factor of the metric, whose
