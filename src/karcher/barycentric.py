@@ -234,11 +234,9 @@ def differential_batch(manifold: Manifold, vertices, weights,
     MeanSolverError names the weights of the failing row and the row
     itself in its ``index``.  A list passed as ``iterations`` receives
     each row's number of iterates, the initial guess included, which is
-    the length karcher_mean's ``trace`` reaches."""
-    verts = np.asarray(vertices, dtype=float)
-    _, grad_tol, guess = _convex_edge_lengths(manifold, verts)
-    a, _, dx, _ = _stack_jets(manifold, verts, weights, grad_tol, guess, False, iterations)
-    return a, dx
+    the length karcher_mean's ``trace`` reaches.  A stack of no rows
+    returns empty arrays of these shapes."""
+    return _batch_jets(manifold, vertices, weights, False, iterations)[:2]
 
 
 def hessian_batch(manifold: Manifold, vertices, weights
@@ -246,9 +244,19 @@ def hessian_batch(manifold: Manifold, vertices, weights
     """``differential_batch`` plus nabla dx: returns the points, the dx
     matrices and the tensors (N, n, n, coord_dim), symmetric in the
     middle axes."""
+    return _batch_jets(manifold, vertices, weights, True)
+
+
+def _batch_jets(manifold: Manifold, vertices, weights, second: bool,
+                iterations: list | None = None):
+    """Points, dx and nabla dx (None unless ``second``) of a measured
+    stack; no rows reach no model, whose stacks assume at least one."""
     verts = np.asarray(vertices, dtype=float)
+    if not len(verts):
+        n, dim = verts.shape[1] - 1, verts.shape[2]
+        return np.zeros((0, dim)), np.zeros((0, dim, n)), np.zeros((0, n, n, dim))
     _, grad_tol, guess = _convex_edge_lengths(manifold, verts)
-    a, _, dx, nabla = _stack_jets(manifold, verts, weights, grad_tol, guess, True)
+    a, _, dx, nabla = _stack_jets(manifold, verts, weights, grad_tol, guess, second, iterations)
     return a, dx, nabla
 
 

@@ -299,11 +299,21 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, np.ndarray, float]
 
 def fit_slope(hs, values) -> SlopeFit:
     """Least-squares slope of log(value) against log(h); the coarsest level
-    is dropped when its residual is an outlier (pre-asymptotic pollution)."""
+    is dropped when its residual is an outlier (pre-asymptotic pollution).
+    Values are norms: a smallest one <= 1e-13 (flat space) gives a NaN
+    fit, and a NaN, infinite or negative one a SlopeFitError naming its
+    level.  Fewer than four levels, or a bad h, is a ValueError."""
     hs = np.asarray(hs, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(hs) < 4:
         raise ValueError("need at least four ladder levels to fit a slope")
+    if not np.all((hs > 0.0) & (hs < math.inf)):
+        raise ValueError(f"ladder levels must be positive and finite, got {hs.tolist()}")
+    bad = ~((values >= 0.0) & (values < math.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SlopeFitError(f"level {k} (h = {hs[k]:.6g}): value {values[k]} is not "
+                            "a finite non-negative distortion")
     if np.min(values) <= 1e-13:
         return SlopeFit(math.nan, math.nan, math.nan, len(hs), False)
     x, y = np.log(hs), np.log(values)

@@ -9,7 +9,10 @@ boundary derivative under a geodesic variation of the endpoint).
 No model computes its distance Hessian through this module:
 ``ChartManifold`` integrates its own fused Jacobi ODE from the other end
 of the geodesic, and the closed-form spaces need none.  ``JacobiShooting``
-and ``solve_bvp`` are the independent check of both.
+and ``solve_bvp`` are the independent check of both.  They read the
+model's ``geodesic_from``, ``parallel_transport`` and, off constant
+curvature, ``curvature_rt``: the closed forms give them, a
+``ChartManifold`` does not, and the tests' charts integrate them as ODEs.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ class JacobiBVP:
         _check_length(self.geodesic.manifold, self.geodesic.length)
         _require_same_base(self.end_value,
                            self.geodesic.velocity(self.geodesic.length))
-
-    @property
-    def tau(self) -> float:
-        return self.geodesic.length
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +84,7 @@ def _frame_curvature(gamma: Geodesic, frame: FrameField) -> Callable[[float], np
         x, Tc = gamma._flow(float(t))
         pt = ManifoldPoint(x)
         rv = man.curvature_rt(pt, Tc, F)        # row b is R(F[b], T)T
-        R = np.empty((m, m))
-        for b in range(m):
-            for a in range(m):
-                R[a, b] = man._ip(pt, rv[b], F[a])
-        return R
+        return np.array([[man._ip(pt, rv[b], F[a]) for b in range(m)] for a in range(m)])
 
     return R_of_t
 

@@ -1,14 +1,17 @@
 """Riemannian manifold models.
 
-``Manifold`` holds the interface.  The chart-based ``ChartManifold``
-takes its geodesics, transport, curvature and distance Hessian from
-numerically integrated ODEs, and the second derivative of the squared
-distance from a stencil of that Hessian along the chart's coordinate
-lines, made covariant by the Christoffel symbols.  Euclidean space and
-the two constant-curvature models, the round sphere and hyperbolic space
-(hyperboloid model), have closed forms instead; the latter two share
-them through ``_SpaceForm``, written once in the sign of the curvature.
-The closed-form spaces double as oracles for the chart machinery.
+``Manifold`` holds the interface that the chart and its jets read: exp,
+log, the Hessian of half the squared distance and its covariant
+derivative.  The chart-based ``ChartManifold`` shoots exp and log and
+takes its distance Hessian from numerically integrated ODEs, and the
+second derivative from a stencil of that Hessian along the chart's
+coordinate lines, made covariant by the Christoffel symbols.  Euclidean
+space and the two constant-curvature models, the round sphere and
+hyperbolic space (hyperboloid model), have closed forms instead, the
+latter two through ``_SpaceForm``, written once in the sign of the
+curvature.  Only these give geodesic curves, transport and curvature,
+for the Jacobi oracle; a chart's ODE transport is a test oracle.  The
+closed-form spaces double as oracles for the chart machinery.
 """
 
 from __future__ import annotations
@@ -248,13 +251,11 @@ class Manifold(ABC):
     def dist(self, p: ManifoldPoint, q: ManifoldPoint) -> float:
         return self.norm(self.log(p, q))
 
-    @abstractmethod
-    def geodesic_from(self, p: ManifoldPoint, v: TangentVector,
-                      length: float | None = None) -> Geodesic:
-        """Arclength geodesic starting at p in direction v.
-
-        ``length`` defaults to the norm of v.
-        """
+    # -- geodesics and transport, outside the interface --------------------
+    # Euclidean space and the space forms give ``geodesic_from(p, v,
+    # length=|v|)``, ``parallel_transport(gamma, t0, t1, v)`` and
+    # ``curvature_rt(p, T, w)`` = R(w, T)T for the Jacobi oracle, which
+    # these helpers serve; a ``ChartManifold`` gives none of them.
 
     def _unit_direction(self, v: TangentVector,
                         length: float | None) -> tuple[np.ndarray, float]:
@@ -267,20 +268,11 @@ class Manifold(ABC):
     def geodesic_between(self, p: ManifoldPoint, q: ManifoldPoint) -> Geodesic:
         return self.geodesic_from(p, self.log(p, q))
 
-    @abstractmethod
-    def parallel_transport(self, gamma: Geodesic, t0: float, t1: float,
-                           v: TangentVector) -> TangentVector:
-        ...
-
     def frame_field(self, gamma: Geodesic,
                     basis0: list[TangentVector]) -> Callable[[float], np.ndarray]:
         """Parallel frame along gamma; returns t -> (len(basis0), coord_dim)."""
-        def frame(t: float) -> np.ndarray:
-            return np.array([
-                self.parallel_transport(gamma, 0.0, t, b).components
-                for b in basis0
-            ])
-        return frame
+        return lambda t: np.array([self.parallel_transport(gamma, 0.0, t, b).components
+                                   for b in basis0])
 
     def tangent_basis(self, p: ManifoldPoint) -> list[TangentVector]:
         """Deterministic orthonormal basis of the tangent space at p: the
@@ -291,12 +283,6 @@ class Manifold(ABC):
     def tangent_frame_array(self, p: np.ndarray) -> np.ndarray:
         """Orthonormal tangent frames (..., coord_dim, dim) at the
         coordinates p (..., coord_dim), one basis vector per column."""
-
-    @abstractmethod
-    def curvature_rt(self, p: ManifoldPoint, T: np.ndarray,
-                     w: np.ndarray) -> np.ndarray:
-        """Components of R(w, T)T at p (the Jacobi operator applied to w).
-        ``w`` may also be a stack (k, coord_dim), one vector per row."""
 
     # -- derivatives of the squared-distance gradient ---------------------
     # Each model defines them once, on stacks (below); the scalar methods
@@ -487,11 +473,7 @@ class EuclideanSpace(Manifold):
     def geodesic_from(self, p, v, length=None):
         u, L = self._unit_direction(v, length)
         p0 = p.coords.copy()
-
-        def flow(t):
-            return p0 + t * u, u
-
-        return Geodesic(self, p, TangentVector(p, u), L, flow)
+        return Geodesic(self, p, TangentVector(p, u), L, lambda t: (p0 + t * u, u))
 
     def parallel_transport(self, gamma, t0, t1, v):
         return TangentVector(gamma.point(t1), v.components.copy())
@@ -869,7 +851,8 @@ class ChartManifold(Manifold):
     ``shooting_tol`` in at most ``MAX_SHOOTING_ITERS`` Newton steps.
     ``christoffel_fn(x)`` returns Gamma[k, i, j] at x.  It is required:
     the jets difference the symbols once more, and symbols that are
-    themselves differences of the metric are too noisy for that.
+    themselves differences of the metric are too noisy for that.  Its jets
+    take no geodesic curve, transport or curvature, and it gives none.
 
     Curvature bounds are taken from the caller and are not validated.
     """
@@ -1092,56 +1075,6 @@ class ChartManifold(Manifold):
             shot, step = self._shoot(p_coords, v + dv, step)
             jac[:, k] = (shot - end) / h
         return jac, step
-
-    def geodesic_from(self, p, v, length=None):
-        u, L = self._unit_direction(v, length)
-        y0 = np.concatenate([p.coords, u])
-        span = max(L, 1e-12)
-        sol = solve_ode(self._geodesic_rhs, (0.0, span), y0, dense_output=True)
-        d = self.dim
-
-        def flow(t):
-            y = sol.sol(t)
-            return y[:d], y[d:]
-
-        return Geodesic(self, p, TangentVector(p, u), L, flow)
-
-    def parallel_transport(self, gamma, t0, t1, v):
-        _require_same_base(v, gamma.velocity(t0))
-        if t0 == t1:
-            return TangentVector(gamma.point(t1), v.components.copy())
-
-        def rhs(t, w):
-            x, u = gamma._flow(t)
-            return -np.einsum("kij,i,j->k", self.christoffel_fn(x), u, w)
-
-        sol = solve_ode(rhs, (t0, t1), v.components)
-        return TangentVector(gamma.point(t1), sol.y[:, -1])
-
-    def frame_field(self, gamma, basis0):
-        d = self.dim
-        m = len(basis0)
-        w0 = np.concatenate([b.components for b in basis0])
-
-        def rhs(t, w):
-            x, u = gamma._flow(t)
-            gam = self.christoffel_fn(x)
-            wm = w.reshape(m, d)
-            return (-np.einsum("kij,i,aj->ak", gam, u, wm)).ravel()
-
-        span = max(gamma.length, 1e-12)
-        sol = solve_ode(rhs, (0.0, span), w0, dense_output=True)
-
-        def frame(t: float) -> np.ndarray:
-            return sol.sol(t).reshape(m, d)
-
-        return frame
-
-    def curvature_rt(self, p, T, w):
-        # One matrix, from one ``_christoffel_jet``, for all rows of a
-        # stack w.
-        M = _jacobi_operator(*self._christoffel_jet(p.coords), np.asarray(T))
-        return np.einsum("ab,...b->...a", M, w)
 
     def hess_terms_array(self, p, q, logs, mask):
         """(p, q, mask, matrices): ``_hess_matrix`` on the mask, zero

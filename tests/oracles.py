@@ -1,4 +1,6 @@
-"""Independent oracles for the library's tests: the center-of-mass chart
+"""Independent oracles for the library's tests: a chart manifold with ODE
+geodesics, parallel transport and curvature for the Jacobi oracle, the
+center-of-mass chart
 written with the scalar ``dist`` and ``log`` of a model rather than the
 stacked code the library solves with, a finite-difference cross-check of
 the connection distortion, the Jacobi initial value problem and the
@@ -16,8 +18,67 @@ from karcher.flat_simplex import BarycentricWeight, FlatMetric
 from karcher.integrate import solve_ode
 from karcher.jacobi import (JacobiBVP, _frame_curvature, parallel_frame,
                             solve_bvp)
-from karcher.manifolds import (_FD_STEP, Geodesic, Manifold, ManifoldPoint,
-                               TangentVector)
+from karcher.manifolds import (_FD_STEP, ChartManifold, Geodesic, Manifold,
+                               ManifoldPoint, TangentVector, _jacobi_operator,
+                               _require_same_base)
+
+
+class OracleChart(ChartManifold):
+    """A ``ChartManifold`` that also gives what the Jacobi oracle of
+    ``karcher.jacobi`` reads: arclength geodesics with dense output,
+    parallel transport and frames along them, and the curvature operator
+    from the central-difference Christoffel jet.  The library's charts
+    take none of these; here they check its Hessians by Jacobi shooting."""
+
+    def geodesic_from(self, p, v, length=None):
+        u, L = self._unit_direction(v, length)
+        y0 = np.concatenate([p.coords, u])
+        span = max(L, 1e-12)
+        sol = solve_ode(self._geodesic_rhs, (0.0, span), y0, dense_output=True)
+        d = self.dim
+
+        def flow(t):
+            y = sol.sol(t)
+            return y[:d], y[d:]
+
+        return Geodesic(self, p, TangentVector(p, u), L, flow)
+
+    def parallel_transport(self, gamma, t0, t1, v):
+        _require_same_base(v, gamma.velocity(t0))
+        if t0 == t1:
+            return TangentVector(gamma.point(t1), v.components.copy())
+
+        def rhs(t, w):
+            x, u = gamma._flow(t)
+            return -np.einsum("kij,i,j->k", self.christoffel_fn(x), u, w)
+
+        sol = solve_ode(rhs, (t0, t1), v.components)
+        return TangentVector(gamma.point(t1), sol.y[:, -1])
+
+    def frame_field(self, gamma, basis0):
+        d = self.dim
+        m = len(basis0)
+        w0 = np.concatenate([b.components for b in basis0])
+
+        def rhs(t, w):
+            x, u = gamma._flow(t)
+            gam = self.christoffel_fn(x)
+            wm = w.reshape(m, d)
+            return (-np.einsum("kij,i,aj->ak", gam, u, wm)).ravel()
+
+        span = max(gamma.length, 1e-12)
+        sol = solve_ode(rhs, (0.0, span), w0, dense_output=True)
+
+        def frame(t: float) -> np.ndarray:
+            return sol.sol(t).reshape(m, d)
+
+        return frame
+
+    def curvature_rt(self, p, T, w):
+        # One matrix, from one ``_christoffel_jet``, for all rows of a
+        # stack w.
+        M = _jacobi_operator(*self._christoffel_jet(p.coords), np.asarray(T))
+        return np.einsum("ab,...b->...a", M, w)
 
 
 def energy(chart, a, lam) -> float:

@@ -49,6 +49,22 @@ def test_batch_rejects_rows_beyond_convexity(sphere, batch):
         batch(sphere, verts, np.full((2, 2), 0.5))
 
 
+@pytest.mark.parametrize("man", [
+    EuclideanSpace(2), Sphere(2), HyperbolicSpace(2),
+    ChartManifold(2, lambda x: np.eye(2), lambda x: np.zeros((2, 2, 2)))],
+    ids=["euclidean", "sphere", "hyperbolic", "chart"])
+def test_batch_jets_of_no_rows_have_the_documented_shapes(man):
+    # An empty stack of triangles gives empty points (0, D), dx (0, D, 2)
+    # and nabla dx (0, 2, 2, D) on every model.
+    D = man.coord_dim
+    verts, lams = np.zeros((0, 3, D)), np.zeros((0, 3))
+    iterations = []
+    points, dx = differential_batch(man, verts, lams, iterations=iterations)
+    assert (points.shape, dx.shape, iterations) == ((0, D), (0, D, 2), [])
+    shapes = [x.shape for x in hessian_batch(man, verts, lams)]
+    assert shapes == [(0, D), (0, D, 2), (0, 2, 2, D)]
+
+
 # -- energy -------------------------------------------------------------------
 
 def test_energy_vertex_weight_is_zero(sphere_chart):
@@ -491,35 +507,31 @@ def test_hessian_symmetry(sphere_chart, rng):
 def test_hessian_builds_each_vertex_map_once(monkeypatch):
     # A model without closed forms: at the mean the jet reads the mean's
     # logarithms and builds one Hessian-terms stack with every vertex's
-    # map.  The second derivative takes no geodesic and takes its Hessian
-    # terms and logarithms away from the mean.
+    # map.  The second derivative takes its Hessian terms and logarithms
+    # away from the mean, and takes no geodesic: the library's chart has
+    # none to take.
     man = ChartManifold(2, lambda x: np.eye(2), lambda x: np.zeros((2, 2, 2)))
+    assert not any(hasattr(man, name) for name in
+                   ("geodesic_from", "parallel_transport", "curvature_rt"))
     chart = KarcherChart(man, [man.point(c) for c in ([0.0, 0.0], [0.3, 0.0], [0.1, 0.25])])
     lam = BarycentricWeight([0.3, 0.4, 0.3])
     a = karcher_mean(chart, lam)
-    terms, geodesics, log_bases = [], [], []
-    hess_terms, geodesic_from, log_array = (man.hess_terms_array, man.geodesic_from,
-                                            man.log_array)
+    terms, log_bases = [], []
+    hess_terms, log_array = man.hess_terms_array, man.log_array
 
     def counting_terms(p, q, logs, mask):
         terms.append((q, mask))
         return hess_terms(p, q, logs, mask)
-
-    def counting_geodesics(p, v, length=None):
-        geodesics.append(p.coords)
-        return geodesic_from(p, v, length)
 
     def counting_logs(p, q):
         log_bases.append(np.atleast_2d(p))
         return log_array(p, q)
 
     monkeypatch.setattr(man, "hess_terms_array", counting_terms)
-    monkeypatch.setattr(man, "geodesic_from", counting_geodesics)
     monkeypatch.setattr(man, "log_array", counting_logs)
     jet = hessian(chart, lam, at=a)
     at_mean = [mask for q, mask in terms if np.array_equal(q, a.coords[None])]
     assert len(at_mean) == 1 and at_mean[0].all()
-    assert not geodesics
     for bases in log_bases + [q for q, _ in terms if len(q) > 1]:
         assert not (bases == a.coords).all(axis=1).any()
     # Flat metric: the second derivative vanishes.

@@ -261,6 +261,31 @@ def test_fit_slope_requires_four_levels():
         fit_slope([0.1, 0.05, 0.025], [1.0, 0.5, 0.25])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+def test_fit_slope_rejects_corrupt_values(bad):
+    # A NaN, infinite or negative norm is not a flat ladder: it raises,
+    # naming the first level that holds one, instead of a NaN fit.
+    hs = [0.2 * 2 ** -k for k in range(5)]
+    values = [h ** 2 for h in hs]
+    values[2] = values[4] = bad
+    with pytest.raises(SlopeFitError, match=r"^level 2 \(h = 0\.05\): value "):
+        fit_slope(hs, values)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+def test_fit_slope_rejects_levels_that_are_not_positive_and_finite(h):
+    with pytest.raises(ValueError, match="levels must be positive and finite"):
+        fit_slope([0.2, h, 0.05, 0.025], [0.04, 0.01, 0.0025, 0.000625])
+
+
+def test_fit_slope_on_a_flat_ladder_is_nan():
+    # Gaps at or below 1e-13 are flat space's: the fit is NaN, unflagged.
+    hs = [0.2 * 2 ** -k for k in range(5)]
+    for values in ([0.0] * 5, [1e-3, 1e-4, 1e-13, 1e-6, 0.0]):
+        fit = fit_slope(hs, values)
+        assert math.isnan(fit.slope) and fit.n_used == 5 and not fit.dropped_coarsest
+
+
 def test_fit_orders_full_pipeline(sphere_report):
     slopes = {k: f.slope for k, f in sphere_report.fitted_slopes.items()}
     assert slopes["metric_gap"] == pytest.approx(2.0, abs=0.25)

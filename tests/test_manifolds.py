@@ -10,7 +10,7 @@ from karcher.manifolds import (ChartManifold, EuclideanSpace, HyperbolicSpace,
 
 from conftest import (endpoint_shots, random_hyperbolic_point,
                       random_sphere_point, random_unit_tangent)
-from oracles import christoffel_from_metric
+from oracles import OracleChart, christoffel_from_metric
 
 
 # -- chart test manifolds ---------------------------------------------------
@@ -38,8 +38,8 @@ def poincare_dist(a, b):
 
 
 def make_poincare_disk():
-    return ChartManifold(2, poincare_metric, poincare_christoffel,
-                         bounds=ManifoldBounds(1.0, 0.0, math.inf, math.inf))
+    return OracleChart(2, poincare_metric, poincare_christoffel,
+                       bounds=ManifoldBounds(1.0, 0.0, math.inf, math.inf))
 
 
 def polar_sphere_metric(x):
@@ -70,9 +70,9 @@ def stereographic_sphere_christoffel(x):
 def make_stereographic_sphere():
     """The unit sphere in the chart of the stereographic projection from
     the south pole."""
-    return ChartManifold(2, stereographic_sphere_metric,
-                         stereographic_sphere_christoffel,
-                         bounds=ManifoldBounds(1.0, 0.0, math.pi, math.pi / 2))
+    return OracleChart(2, stereographic_sphere_metric,
+                       stereographic_sphere_christoffel,
+                       bounds=ManifoldBounds(1.0, 0.0, math.pi, math.pi / 2))
 
 
 def lift_stereographic(x):
@@ -88,8 +88,8 @@ def lift_stereographic_differential(x):
 
 
 def make_polar_sphere():
-    return ChartManifold(2, polar_sphere_metric, polar_sphere_christoffel,
-                         bounds=ManifoldBounds(1.0, 0.0, math.pi, math.pi / 2))
+    return OracleChart(2, polar_sphere_metric, polar_sphere_christoffel,
+                       bounds=ManifoldBounds(1.0, 0.0, math.pi, math.pi / 2))
 
 
 def perturbed_flat_metric(x):
@@ -102,9 +102,9 @@ def perturbed_flat_metric(x):
 
 
 def make_perturbed_flat():
-    return ChartManifold(2, perturbed_flat_metric,
-                         christoffel_from_metric(perturbed_flat_metric),
-                         bounds=ManifoldBounds(0.5, 0.5, 5.0, 2.5))
+    return OracleChart(2, perturbed_flat_metric,
+                       christoffel_from_metric(perturbed_flat_metric),
+                       bounds=ManifoldBounds(0.5, 0.5, 5.0, 2.5))
 
 
 def lift_disk(hyperbolic, x):
@@ -1317,14 +1317,31 @@ def test_disk_batch_jets_at_vertex_weights_match_the_hyperboloid_batch(hyperboli
     assert jet_gap <= 1e-8 and nabla_gap <= 1e-8
 
 
+def test_manifold_interface_holds_what_the_library_calls():
+    # Geodesic curves, transport and curvature serve only the Jacobi
+    # oracle: the closed forms give them, the library's chart does not.
+    from karcher.manifolds import Manifold
+
+    moved = {"geodesic_from", "parallel_transport", "curvature_rt"}
+    assert Manifold.__abstractmethods__ == {
+        "_ip", "exp", "log", "tangent_frame_array", "hess_terms_array",
+        "second_deriv_array"}
+    assert not any(hasattr(ChartManifold, name) for name in moved)
+    assert "frame_field" not in vars(ChartManifold)
+    for man in (EuclideanSpace(2), Sphere(2), HyperbolicSpace(2), make_poincare_disk()):
+        assert all(callable(getattr(man, name)) for name in moved)
+
+
 def test_disk_batch_jets_take_no_transport(monkeypatch):
     # The chart's second derivative is a stencil along coordinate lines:
     # no geodesic, parallel frame or transport is taken, and the jets are
-    # those of a call that could take them.
-    from karcher.barycentric import hessian_batch
+    # those of a call that could take them.  The library's chart, which
+    # has no transport, gives the test chart's results bit for bit.
+    from karcher.barycentric import differential_batch, hessian_batch
 
     lams = np.array([[0.2, 0.5, 0.3], [0.45, 0.25, 0.3]])
     disk = make_poincare_disk()
+    plain = ChartManifold(2, poincare_metric, poincare_christoffel, bounds=disk.bounds)
     want = hessian_batch(disk, DISK_ROWS, lams)
 
     def no_transport(*args, **kwargs):
@@ -1334,6 +1351,17 @@ def test_disk_batch_jets_take_no_transport(monkeypatch):
         monkeypatch.setattr(disk, name, no_transport)
     for got, expected in zip(hessian_batch(disk, DISK_ROWS, lams), want):
         assert np.array_equal(got, expected)
+    for got, expected in zip(hessian_batch(plain, DISK_ROWS, lams), want):
+        assert np.array_equal(got, expected)
+    for got, expected in zip(differential_batch(plain, DISK_ROWS, lams),
+                             differential_batch(disk, DISK_ROWS, lams)):
+        assert np.array_equal(got, expected)
+    p, q = (ManifoldPoint(x) for x in DISK_ROWS[0, :2])
+    V, W = (disk.tangent(q, c) for c in ([0.3, -0.1], [0.2, 0.4]))
+    assert np.array_equal(plain.log(q, p).components, disk.log(q, p).components)
+    assert plain.dist(q, p) == disk.dist(q, p)
+    assert np.array_equal(plain.second_deriv_X(p, q, V, W).components,
+                          disk.second_deriv_X(p, q, V, W).components)
 
 
 def test_chart_hessian_frame_is_orthonormal_near_a_frame_column(monkeypatch):
