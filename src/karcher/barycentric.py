@@ -51,19 +51,19 @@ class KarcherChart:
 def _edge_lengths(manifold: Manifold, verts: np.ndarray):
     """The edge lengths (N, E) of vertex sets (N, n+1, coord_dim), in
     ``_edge_pairs`` order, and each row's ``_grad_tol``.  A model that
-    shoots its logarithms shoots each edge once, the (0, j) edges as
-    log_p0(p_j), and returns those logarithms (N, n, coord_dim); the
-    closed forms return None.  Nothing is checked here."""
+    shoots its logarithms shoots each edge once, as log_pi(p_j), in one
+    ``log_array`` stack that shares each vertex's symbols among its
+    edges; the lengths are the norms of those logarithms, as ``dist``
+    takes them, and the (0, j) logarithms log_p0(p_j) (N, n, coord_dim)
+    are returned.  The closed forms return None.  Nothing is checked
+    here."""
     n1 = verts.shape[1]
     i, j = _edge_pairs(n1)
     logs = None
     if manifold.shooting_tol > 0:
-        # The (0, j) pairs come first; a two-vertex set has no others.
-        logs = manifold.log_array(verts[:, :1], verts[:, 1:])
-        lengths = manifold.norm_array(logs, verts[:, :1])
-        if n1 > 2:
-            rest = manifold.dist_array(verts[:, i[n1 - 1:]], verts[:, j[n1 - 1:]])
-            lengths = np.concatenate([lengths, rest], axis=1)
+        edge_logs = manifold.log_array(verts[:, i], verts[:, j])
+        lengths = manifold.norm_array(edge_logs, verts[:, i])
+        logs = edge_logs[:, :n1 - 1]        # the (0, j) pairs come first
     else:
         lengths = manifold.dist_array(verts[:, i], verts[:, j])
     return lengths, _grad_tol(manifold, lengths.max(axis=1), verts), logs
@@ -290,12 +290,13 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
     handful of iterations reaches gradient norms near roundoff.  On a
     model that shoots its logarithms, each iterate's logarithms toward
     the vertices are taken by ``Manifold._warm_log_array``, whose state
-    (for ``ChartManifold`` the logarithms, endpoint Jacobians, first-shot
-    residuals and accepted first steps) warm-starts the next iterate's and
-    lives only as long as this call, and each logarithm takes one shot per
-    iterate: the Newton step from that shot stands in for it, unverified,
-    while its first-shot residual at least halves from iterate to iterate
-    (``ChartManifold._shoot_log``); any other logarithm is shot to
+    (for ``ChartManifold`` the logarithms, endpoint Jacobians, symbols at
+    the base points, first-shot residuals and accepted first steps)
+    warm-starts the next iterate's and lives only as long as this call,
+    and each logarithm takes one shot per iterate: the Newton step from
+    that shot stands in for it, unverified, while its first-shot residual
+    at least halves from iterate to iterate (``ChartManifold._shoot_log``);
+    any other logarithm is shot to
     ``shooting_tol``.  A row has converged once its |F| is at most its
     ``grad_tol`` and every logarithm of that iterate is verified, and
     then leaves the iteration.  Returns the means (N, coord_dim), the

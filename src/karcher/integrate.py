@@ -19,6 +19,15 @@ the shots of one vertex's logarithm across the iterates of one mean, and
 the Hessian ODEs of one row's vertices, as a fraction of each interval.
 No step is kept beyond the call that made the run.
 
+A caller that already holds the right-hand side at the start, because
+the ODEs of one run start from one point whose Christoffel symbols it
+has taken, passes that value as ``f0``.  The integrator's first
+evaluation, at (t0, y0), takes it instead of calling ``rhs``: every
+shot of one ``ChartManifold`` logarithm starts at its base point p and
+takes Gamma(p) from the logarithm's seed, and the Hessian ODEs of one
+row all start at its point q.  The value still counts as an evaluation
+toward ``nfev`` and the budget.
+
 ``scipy.integrate`` is imported inside ``solve_ode``, on its first call,
 not with the package.  Only ``ChartManifold`` and the Jacobi solver
 integrate ODEs; the space-form distortion sweeps and the FEM ladder never
@@ -48,12 +57,13 @@ ODE_ATOL = 1e-13
 ODE_MAX_NFEV = 10_000
 
 
-def solve_ode(rhs, t_span, y0, dense_output=False, first_step=None):
+def solve_ode(rhs, t_span, y0, dense_output=False, first_step=None, f0=None):
     """Integrate ``y' = rhs(t, y)`` over ``t_span`` and return the scipy
     solution object.  The first step tried is ``first_step`` (capped at
     the interval) or, by default, the whole interval; a caller that
     integrates a run of similar ODEs passes the first step its previous
-    solve accepted, ``sol.t[1] - sol.t[0]``.
+    solve accepted, ``sol.t[1] - sol.t[0]``.  ``f0``, if given, is
+    rhs(t0, y0), which the first evaluation returns without calling rhs.
 
     Raises GeodesicError on a zero-length interval, once the solve takes
     more than ``ODE_MAX_NFEV`` right-hand-side evaluations, and if the
@@ -69,12 +79,15 @@ def solve_ode(rhs, t_span, y0, dense_output=False, first_step=None):
     nfev = 0
 
     def budgeted(t, y):
-        nonlocal nfev
+        nonlocal nfev, f0
         nfev += 1
         if nfev > ODE_MAX_NFEV:
             raise GeodesicError(
                 f"ODE integration over [{t0}, {t1}] stopped at t = {t} after "
                 f"{ODE_MAX_NFEV} right-hand-side evaluations")
+        if f0 is not None:     # scipy's first evaluation is at (t0, y0)
+            value, f0 = f0, None
+            return value
         return rhs(t, y)
 
     sol = solve_ivp(budgeted, t_span, np.asarray(y0, dtype=float), method="DOP853",

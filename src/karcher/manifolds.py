@@ -229,7 +229,7 @@ class Manifold(ABC):
         same at every point: ``_ip`` of the coordinate unit vectors."""
         eye = np.eye(self.coord_dim)
         return _rows(lambda x: np.array([[self._ip(ManifoldPoint(x), e, g) for g in eye]
-                                         for e in eye]), p)
+                                         for e in eye]), p, shape=eye.shape)
 
     def metric(self, p: ManifoldPoint, v: TangentVector, w: TangentVector) -> float:
         _require_same_base(v, w)
@@ -325,7 +325,7 @@ class Manifold(ABC):
         def exp(x, u):
             x = ManifoldPoint(x)
             return self.exp(x, TangentVector(x, u)).coords
-        return _rows(exp, p, v)
+        return _rows(exp, p, v, shape=(self.coord_dim,))
 
     def retract_array(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A retraction at p along v: a point that agrees with exp_p(v) to
@@ -338,7 +338,7 @@ class Manifold(ABC):
         """log_p(q) row by row, shot to ``shooting_tol`` on models that
         solve for it."""
         return _rows(lambda x, y: self.log(ManifoldPoint(x), ManifoldPoint(y)).components,
-                     p, q)
+                     p, q, shape=(self.coord_dim,))
 
     def _warm_log_array(self, p: np.ndarray, q: np.ndarray, state=None):
         """``log_array`` as the mean's iterates read it: the logarithms,
@@ -391,14 +391,15 @@ class Manifold(ABC):
         return np.swapaxes(low_frame, 1, 2) @ cols
 
 
-def _rows(fn: Callable[..., np.ndarray], *arrays) -> np.ndarray:
+def _rows(fn: Callable[..., np.ndarray], *arrays, shape: tuple = ()) -> np.ndarray:
     """fn on each row of (..., coord_dim) arrays broadcast over their
-    leading axes, with the results stacked along those axes."""
+    leading axes, with its results, each of the given shape, stacked
+    along those axes; an empty array if there are no rows."""
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
     arrays = [np.broadcast_to(a, lead + a.shape[-1:]) for a in arrays]
     out = [fn(*(a[idx] for a in arrays)) for idx in np.ndindex(lead)]
-    return np.array(out).reshape(lead + np.shape(out[0]))
+    return np.array(out, dtype=float).reshape(lead + tuple(shape))
 
 
 def _reject_rows(bad: np.ndarray, message: Callable[[int], str]):
@@ -551,7 +552,8 @@ class _SpaceForm(Manifold):
     def curvature_rt(self, p, T, w):
         K = self.constant_sectional_curvature
         tt = self._ip(p, T, T)
-        return _rows(lambda u: K * (tt * u - self._ip(p, u, T) * T), w)
+        return _rows(lambda u: K * (tt * u - self._ip(p, u, T) * T), w,
+                     shape=(self.coord_dim,))
 
     # -- closed-form stacks -------------------------------------------------
     # Each model adds log_array/exp_array, the same formulas as its log/exp
@@ -824,15 +826,53 @@ def _third_order_seed(gam: np.ndarray, dgam: np.ndarray, chord: np.ndarray
     Gamma(v, v)/2 - (dGamma[v](v, v) - 2 Gamma(Gamma(v, v), v))/6 +
     O(|v|^4), with gam, dgam the symbols and their derivatives at p: v0 =
     c + Gamma(c, c)/2 + (dGamma[c](c, c) + Gamma(Gamma(c, c), c))/6 with
-    c = chord inverts E to that order, and the Jacobian is dE at v0."""
+    c = chord inverts E to that order, and the Jacobian is dE at v0
+    (``_seed_jacobian``)."""
     c = chord
     gc = gam @ c
     v = c + 0.5 * (gc @ c) + (c @ ((dgam @ c) @ c) + gc @ (gc @ c)) / 6.0
+    return v, _seed_jacobian(gam, dgam, v)
+
+
+def _seed_jacobian(gam: np.ndarray, dgam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """dE at v of the third-order expansion E of the endpoint map at p
+    (``_third_order_seed``), from the symbols and derivatives at p."""
     gv, dv = gam @ v, dgam @ v
     # d/dw of dGamma[v](v, v) - 2 Gamma(Gamma(v, v), v) along w
     cubic = ((dv @ v).T + 2.0 * np.tensordot(v, dv, 1)
              - 4.0 * gv @ gv - 2.0 * gam @ (gv @ v))
-    return v, np.eye(v.size) - gv - cubic / 6.0
+    return np.eye(v.size) - gv - cubic / 6.0
+
+
+# Fixed-point sweeps of ``_two_point_seed``.
+_HERMITE_SWEEPS = 5
+
+
+def _two_point_seed(jet_p: tuple[np.ndarray, np.ndarray], jet_q: tuple[np.ndarray, np.ndarray],
+                    chord: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and Jacobian of the Newton shooting for log_p(q), chord = q -
+    p, from the symbols and their derivatives at both ends.  Along the
+    geodesic x(t) from p to q, x'' = a = -Gamma(x)(x', x') and a' =
+    -dGamma[x'](x', x') - 2 Gamma(x', a).  The two-point Hermite rule on
+    the cubic through a and a' at t = 0 and 1 gives, with v = x'(0), w =
+    x'(1) and a_0, a_1 their values,
+        chord = v + 7/20 a_0 + 3/20 a_1 + 1/20 a_0' - 1/30 a_1' + O(|c|^6),
+        w = v + (a_0 + a_1)/2 + (a_0' - a_1')/12 + O(|c|^5),
+    and ``_HERMITE_SWEEPS`` sweeps of this pair from v = w = chord solve
+    it.  The seed misses by O(|c|^6), where the one-end
+    ``_third_order_seed`` misses by O(|c|^4), so a cold logarithm takes
+    fewer shots; the Jacobian is ``_seed_jacobian`` at the seed."""
+    def accel(gam, dgam, u):
+        gu = np.dot(gam, u)
+        a = -np.dot(gu, u)
+        return a, -np.dot(u, np.dot(np.dot(dgam, u), u)) - 2.0 * np.dot(gu, a)
+
+    v = w = chord
+    for _ in range(_HERMITE_SWEEPS):
+        (a0, d0), (a1, d1) = accel(*jet_p, v), accel(*jet_q, w)
+        v = chord - (7.0 * a0 + 3.0 * a1 + d0) / 20.0 + d1 / 30.0
+        w = v + 0.5 * (a0 + a1) + (d0 - d1) / 12.0
+    return v, _seed_jacobian(*jet_p, v)
 
 
 def _shooting_state(p: np.ndarray, q: np.ndarray, steps: int,
@@ -842,6 +882,32 @@ def _shooting_state(p: np.ndarray, q: np.ndarray, steps: int,
     return (f" from p = {p.tolist()} to q = {q.tolist()} after "
             f"{steps} Newton steps ({fresh} with a fresh Jacobian), last "
             f"residual |exp_p(v) - q| = {res:.3e}")
+
+
+class _Symbols:
+    """The Christoffel symbols, their ``_christoffel_jet`` and the metric
+    of one ``ChartManifold`` at the points that one call reaches, each
+    taken once per point (by its exact coordinates) and kept until the
+    call returns."""
+
+    def __init__(self, man: "ChartManifold"):
+        self._man = man
+        self._taken: dict[tuple[str, bytes], object] = {}
+
+    def _take(self, kind: str, x: np.ndarray, fn):
+        key = (kind, x.tobytes())
+        if key not in self._taken:
+            self._taken[key] = fn(x)
+        return self._taken[key]
+
+    def gamma(self, x: np.ndarray) -> np.ndarray:
+        return self._take("gamma", x, self._man.christoffel_fn)
+
+    def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._take("jet", x, lambda z: self._man._christoffel_jet(z, self.gamma(z)))
+
+    def metric(self, x: np.ndarray) -> np.ndarray:
+        return self._take("metric", x, self._man.metric_fn)
 
 
 class ChartManifold(Manifold):
@@ -876,6 +942,10 @@ class ChartManifold(Manifold):
     def _ip(self, p, a, b):
         return float(a @ self.metric_fn(p.coords) @ b)
 
+    def metric_matrix(self, p):
+        """``metric_fn`` row by row: one callback per point."""
+        return _rows(self.metric_fn, p, shape=(self.dim, self.dim))
+
     # This right-hand side, the fused one of ``_hess_matrix`` and the
     # ``_jacobi_operator`` it calls run once per integrator stage on arrays
     # of a few entries, where ``np.dot`` takes about 1 us less than ``@``.
@@ -883,21 +953,29 @@ class ChartManifold(Manifold):
         x, u = y[:self.dim], y[self.dim:]
         return np.concatenate([u, -np.dot(np.dot(self.christoffel_fn(x), u), u)])
 
-    def _christoffel_jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _christoffel_jet(self, x: np.ndarray, gam: np.ndarray | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
         """Gamma(x) and its central differences with step ``_FD_STEP``,
-        dgam[l] = d Gamma / d x_l: 2 dim + 1 ``christoffel_fn`` calls."""
+        dgam[l] = d Gamma / d x_l: 2 dim + 1 ``christoffel_fn`` calls, or
+        2 dim given gam = Gamma(x)."""
         near = np.array([self.christoffel_fn(z) for z in x + self._fd_offsets])
-        return self.christoffel_fn(x), (near[:self.dim] - near[self.dim:]) / (2.0 * _FD_STEP)
+        if gam is None:
+            gam = self.christoffel_fn(x)
+        return gam, (near[:self.dim] - near[self.dim:]) / (2.0 * _FD_STEP)
 
     def _shoot(self, p_coords: np.ndarray, v_comps: np.ndarray,
-               step: float = 1.0) -> tuple[np.ndarray, float]:
+               step: float = 1.0, gam: np.ndarray | None = None
+               ) -> tuple[np.ndarray, float]:
         """exp_p(v) in coordinates, integrated over (0, 1) from a first
         step of ``step``, and the first step the integrator accepted,
-        which the next shot of the same logarithm starts from."""
+        which the next shot of the same logarithm starts from.  Given gam
+        = Gamma(p), the first right-hand side is taken from it."""
         if not np.any(v_comps):
             return p_coords.copy(), step
         y0 = np.concatenate([p_coords, v_comps])
-        sol = solve_ode(self._geodesic_rhs, (0.0, 1.0), y0, first_step=step)
+        f0 = None if gam is None else np.concatenate(
+            [v_comps, -np.dot(np.dot(gam, v_comps), v_comps)])
+        sol = solve_ode(self._geodesic_rhs, (0.0, 1.0), y0, first_step=step, f0=f0)
         return sol.y[: self.dim, -1], float(sol.t[1])
 
     def exp(self, p, v):
@@ -909,75 +987,96 @@ class ChartManifold(Manifold):
     def retract_array(self, p, v):
         """p + v - Gamma_p(v, v)/2, the second-order expansion of exp_p(v):
         one ``christoffel_fn`` call per row in place of one shot."""
-        return _rows(lambda x, u: x + u - 0.5 * ((self.christoffel_fn(x) @ u) @ u), p, v)
+        return _rows(lambda x, u: x + u - 0.5 * ((self.christoffel_fn(x) @ u) @ u), p, v,
+                     shape=(self.dim,))
 
     def log(self, p, q):
         return TangentVector(p, self._shoot_log(p.coords, q.coords)[0])
 
     def log_array(self, p, q):
         """log_p(q) row by row, each shot cold to ``shooting_tol``, its
-        first shot from the whole interval."""
-        return _rows(lambda x, y: self._shoot_log(x, y)[0], p, q)
+        first shot from the whole interval, with one Christoffel jet per
+        distinct point of the stack, p or q: the rows share the seeds'
+        jets."""
+        symbols = _Symbols(self)
+        return _rows(lambda x, y: self._shoot_log(x, y, symbols)[0], p, q,
+                     shape=(self.dim,))
 
     def _warm_log_array(self, p, q, state=None):
         """``_shoot_log`` on every row in the mean's one-shot mode: the
         logarithms, whether each is verified, and the state (p, logs,
-        endpoint Jacobians, NaN where p = q, first-shot residuals and the
-        first steps that each row's last shot accepted) for the next
-        iterate of the same mean.  From a state (b, v, jac, res, step) a
-        row shoots warm from v at b against jac, with res as its guard
+        endpoint Jacobians, NaN where p = q, Gamma(p), first-shot
+        residuals and the first steps that each row's last shot accepted)
+        for the next iterate of the same mean.  Gamma is taken once per
+        distinct base point, and the state carries it as the next
+        iterate's Gamma(b).  From a state (b, v, jac, Gamma(b), res, step)
+        a row shoots warm from v at b against jac, with res as its guard
         reference, and its first shot starts from step.  Without one it
-        shoots cold, against |q - p| (the residual of v = 0), from the
-        whole interval: the first iterate's logarithms run from the
-        initial guess toward vertices at different distances, and a step
-        passed from one row to the next cost more evaluations than it
-        saved.  A row whose first shot misses by at most half of its
-        reference returns that shot's Newton step unverified."""
+        shoots cold from the one-end ``_third_order_seed``, against |q -
+        p| (the residual of v = 0), from the whole interval: the first
+        iterate's logarithms run from the initial guess toward vertices at
+        different distances, and a step passed from one row to the next
+        cost more evaluations than it saved.  Their first-shot residuals
+        are the next iterate's guard references, and the two-point seed's
+        far smaller ones would send every warm shot to full shooting.  A
+        row whose first shot misses by at most half of its reference
+        returns that shot's Newton step unverified."""
         p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
         lead = p.shape[:-1]
         logs = np.empty(p.shape)
         jacs = np.full(p.shape + (self.dim,), np.nan)
+        gams = np.empty(p.shape + (self.dim, self.dim))
         res, steps = np.empty(lead), np.empty(lead)
         exact = np.empty(lead, dtype=bool)
+        symbols = _Symbols(self)
         for idx in np.ndindex(lead):
+            gams[idx] = symbols.gamma(p[idx])
             if state is None:
                 warm, guard, step = None, np.linalg.norm(q[idx] - p[idx]), 1.0
             else:
-                warm, guard, step = tuple(x[idx] for x in state[:3]), state[3][idx], state[4][idx]
+                warm, guard, step = tuple(x[idx] for x in state[:4]), state[4][idx], state[5][idx]
             logs[idx], found, res[idx], exact[idx], steps[idx] = self._shoot_log(
-                p[idx], q[idx], warm, guard, step)
+                p[idx], q[idx], symbols, warm, guard, step)
             if found is not None:
                 jacs[idx] = found
-        return logs, exact, (p, logs, jacs, res, steps)
+        return logs, exact, (p, logs, jacs, gams, res, steps)
 
-    def _shoot_log(self, p: np.ndarray, q: np.ndarray, start=None, ref: float = 0.0,
-                   step: float = 1.0
+    def _shoot_log(self, p: np.ndarray, q: np.ndarray, symbols: _Symbols | None = None,
+                   start=None, ref: float = 0.0, step: float = 1.0
                    ) -> tuple[np.ndarray, np.ndarray | None, float, bool, float]:
         """Newton shooting on v -> exp_p(v) - q, in coordinates, until its
         norm is below ``shooting_tol``; returns v, its estimate of the
         endpoint Jacobian of v -> exp_p(v) (None if p = q), the residual
         of the first shot (0 if p = q), whether v is verified (True
         unless ``ref`` cut the shooting short) and the first step that the
-        last shot accepted (``step`` if p = q).
+        last shot accepted (``step`` if p = q).  The symbols and jets come
+        from ``symbols``, which a stack of logarithms shares (a new one
+        by default), and every shot, the finite-difference ones
+        included, takes its first right-hand side from Gamma(p).
 
         The Christoffel symbols at p and their central differences give
         the third-order Taylor expansion of the endpoint map, exp_p(v) = p
         + v - Gamma(v, v)/2 - (dGamma[v](v, v) - 2 Gamma(Gamma(v, v),
         v))/6 + O(|v|^4), for 2 dim + 1 ``christoffel_fn`` calls and no
-        shots.  A cold start shoots from its inverse at chord = q - p
-        against the derivative of the expansion there
-        (``_third_order_seed``).  A seed farther from the chord than the
-        chord's own length is outside the expansion's range: the shooting
-        then starts from the chord with a finite-difference Jacobian
-        (``_endpoint_jacobian``), where the take-back rule below would
-        end up after wasted shots.  With ``start`` = (b, w, J), a logarithm
-        w toward q at a nearby base point b and its endpoint Jacobian J, it
-        shoots from w moved to p by the second-order expansion, w - (p - b)
-        + (Gamma(p)(q - p, q - p) - Gamma(b)(q - b, q - b))/2, against J
-        (if J is NaN, the second-order seed Jacobian I - Gamma(p)(v0,
-        .)).  After every accepted step the Jacobian takes a
-        rank-one (good) Broyden update from the step and the change of the
-        endpoint.
+        shots.  A cold start shoots against the derivative of the
+        expansion at its seed.  A logarithm that must be verified (``ref``
+        = 0) seeds from the jets at both p and q (``_two_point_seed``),
+        whose first shot misses by O(|q - p|^6).  The mean's one-shot
+        logarithms seed from the inverse of the expansion at chord = q -
+        p (``_third_order_seed``), which misses by O(|q - p|^4): that
+        first-shot residual is the guard reference of the mean's next
+        iterate (``_warm_log_array``).  A seed farther from the chord than
+        the chord's own length is outside the expansions' range: the
+        shooting then starts from the chord with a finite-difference
+        Jacobian (``_endpoint_jacobian``), where the take-back rule below
+        would end up after wasted shots.  With ``start`` = (b, w, J,
+        Gamma(b)), a logarithm w toward q at a nearby base point b, its
+        endpoint Jacobian J and the symbols at b, it shoots from w moved to
+        p by the second-order expansion, w - (p - b) + (Gamma(p)(q - p, q
+        - p) - Gamma(b)(q - b, q - b))/2, against J (if J is NaN, the
+        second-order seed Jacobian I - Gamma(p)(v0, .)).  After every
+        accepted step the Jacobian takes a rank-one (good) Broyden update
+        from the step and the change of the endpoint.
 
         A step is accepted if it halves the residual (a step cut to t of
         the Newton step must cut it to 1 - t/2).  A failed step is taken
@@ -1001,18 +1100,26 @@ class ChartManifold(Manifold):
         chord = q - p
         if not np.any(chord):
             return np.zeros(self.dim), None, 0.0, True, step
+        if symbols is None:
+            symbols = _Symbols(self)
+        gamma = symbols.gamma(p)
         fresh, first = 0, True
         if start is None:
-            v, jac = _third_order_seed(*self._christoffel_jet(p), chord)
-            if np.linalg.norm(v - chord) > np.linalg.norm(chord):
+            # On long chords near the rim of the disk the two-point sweeps
+            # can overflow; such a seed is out of range, and NaN or inf
+            # fails the test below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                v, jac = (_two_point_seed(symbols.jet(p), symbols.jet(q), chord) if ref == 0.0
+                          else _third_order_seed(*symbols.jet(p), chord))
+                in_range = np.linalg.norm(v - chord) <= np.linalg.norm(chord)
+            if not in_range:
                 v, jac, first = chord, None, False
             else:
                 fresh = 1
         else:
-            gamma = self.christoffel_fn(p)
-            b, v, jac = start
+            b, v, jac, gamma_b = start
             v = (v - (p - b) + 0.5 * np.einsum("kij,i,j->k", gamma, chord, chord)
-                 - 0.5 * np.einsum("kij,i,j->k", self.christoffel_fn(b), q - b, q - b))
+                 - 0.5 * np.einsum("kij,i,j->k", gamma_b, q - b, q - b))
             if np.isnan(jac).any():
                 jac, fresh = np.eye(self.dim) - np.einsum("kij,i->kj", gamma, v), 1
         # The last accepted iterate (None before the first shot), its
@@ -1025,7 +1132,7 @@ class ChartManifold(Manifold):
         steps, t = 0, 1.0
         first_res = None
         for _ in range(MAX_SHOOTING_ITERS):
-            end, step = self._shoot(p, v, step)
+            end, step = self._shoot(p, v, step, gamma)
             res = float(np.linalg.norm(end - q))
             if first_res is None:
                 first_res = res
@@ -1046,7 +1153,7 @@ class ChartManifold(Manifold):
             else:
                 jac = None
             if jac is None:
-                jac, step = self._endpoint_jacobian(p, base, base_end, step)
+                jac, step = self._endpoint_jacobian(p, base, base_end, step, gamma)
                 fresh, exact = fresh + 1, True
             try:
                 newton = -np.linalg.solve(jac, base_end - q)
@@ -1062,17 +1169,18 @@ class ChartManifold(Manifold):
                             + _shooting_state(p, q, steps, fresh, res))
 
     def _endpoint_jacobian(self, p_coords: np.ndarray, v: np.ndarray,
-                           end: np.ndarray, step: float
+                           end: np.ndarray, step: float, gam: np.ndarray | None = None
                            ) -> tuple[np.ndarray, float]:
         """Forward-difference Jacobian of v -> exp_p(v) at v, whose value
-        there is ``end``, with its shots chained from ``step`` as in
+        there is ``end``, with its shots chained from ``step`` and their
+        first right-hand sides from gam = Gamma(p), if given, as in
         ``_shoot``; returns the Jacobian and the last shot's step."""
         h = 1e-7 * max(1.0, float(np.linalg.norm(v)))
         jac = np.empty((self.dim, self.dim))
         for k in range(self.dim):
             dv = np.zeros(self.dim)
             dv[k] = h
-            shot, step = self._shoot(p_coords, v + dv, step)
+            shot, step = self._shoot(p_coords, v + dv, step, gam)
             jac[:, k] = (shot - end) / h
         return jac, step
 
@@ -1081,15 +1189,18 @@ class ChartManifold(Manifold):
         elsewhere.  Within a row, each vertex's ODE starts from the first
         step that the previous vertex's ODE accepted, as a fraction of its
         interval; each row starts from the whole interval, so that a row's
-        matrices are those of its one-row call.  A JacobiError names its
-        row and vertex."""
+        matrices are those of its one-row call.  The Christoffel jet and
+        the metric at a row's q are taken once, for the frames and the
+        first right-hand sides of all the row's ODEs.  A JacobiError names
+        its row and vertex."""
         mats = np.zeros(logs.shape + (self.dim,))
         row, frac = -1, 1.0
+        symbols = _Symbols(self)
         for r, i in zip(*np.nonzero(mask)):
             if r != row:
                 row, frac = r, 1.0
             try:
-                mats[r, i], frac = self._hess_matrix(q[r], logs[r, i], frac)
+                mats[r, i], frac = self._hess_matrix(q[r], logs[r, i], frac, symbols)
             except JacobiError as exc:
                 raise JacobiError(f"row {r}, vertex {i}: {exc}") from exc
         return p, q, mask, mats
@@ -1136,8 +1247,8 @@ class ChartManifold(Manifold):
         return np.where(mask[:, :, None, None, None],
                         0.5 * (grad + np.swapaxes(grad, 2, 3)), 0.0)
 
-    def _hess_matrix(self, q: np.ndarray, v: np.ndarray, frac: float = 1.0
-                     ) -> tuple[np.ndarray, float]:
+    def _hess_matrix(self, q: np.ndarray, v: np.ndarray, frac: float = 1.0,
+                     symbols: _Symbols | None = None) -> tuple[np.ndarray, float]:
         """The coordinate matrix at q of the Hessian of half the squared
         distance to p, from v = log_q(p): the identity if v = 0 (the
         closed forms' limit at tau = 0).  Else one fused ODE from q along
@@ -1149,12 +1260,16 @@ class ChartManifold(Manifold):
         Y(tau), the Jacobi field J(0) = V, J(tau) = 0 has J'(0) = -S^-1 C
         V, and the Hessian is -tau J'(0): the map is tau S^-1 C in q's
         frame.  The ODE's first step is frac tau; the returned fraction is
-        the first step it accepted over tau (``frac`` if v = 0).  A
+        the first step it accepted over tau (``frac`` if v = 0).  The
+        jet and metric at q, which give the frame and the ODE's first
+        right-hand side, come from ``symbols`` (a new one by default).  A
         JacobiError is raised at a conjugate point: tau beyond pi /
         sqrt(C0), or S singular."""
         if not np.any(v):
             return np.eye(self.dim), frac
-        g_q = self.metric_fn(q)
+        if symbols is None:
+            symbols = _Symbols(self)
+        g_q = symbols.metric(q)
         tau = math.sqrt(max(float(v @ g_q @ v), 0.0))
         _check_length(self, tau)
         d = m = self.dim
@@ -1165,19 +1280,23 @@ class ChartManifold(Manifold):
         fields = slice(frame.stop, frame.stop + 2 * m * m)
         speeds = slice(fields.stop, None)
 
-        def rhs(s, y):
-            x, u = y[:d], y[d:2 * d]
+        def field(y, gam, dgam, g):
+            """The right-hand side at y, given the jet and metric at x."""
+            u = y[d:2 * d]
             F = y[frame].reshape(m, d)
-            gam, dgam = self._christoffel_jet(x)
             ngu = -np.dot(gam, u)                       # w -> -Gamma(u, w)
-            R = np.dot(np.dot(np.dot(F, self.metric_fn(x)),
-                              _jacobi_operator(gam, dgam, u)), F.T)
+            R = np.dot(np.dot(np.dot(F, g), _jacobi_operator(gam, dgam, u)), F.T)
             return np.concatenate([u, np.dot(ngu, u), np.dot(F, ngu.T).ravel(), y[speeds],
                                    np.dot(-R, y[fields].reshape(m, 2 * m)).ravel()])
 
+        def rhs(s, y):
+            x = y[:d]
+            return field(y, *self._christoffel_jet(x), self.metric_fn(x))
+
         # Y(0) = [I | 0] over Y'(0) = [0 | I] is the identity of size 2m.
         y0 = np.concatenate([q, u0, F0.ravel(), np.eye(2 * m).ravel()])
-        sol = solve_ode(rhs, (0.0, tau), y0, first_step=frac * tau)
+        sol = solve_ode(rhs, (0.0, tau), y0, first_step=frac * tau,
+                        f0=field(y0, *symbols.jet(q), g_q))
         Y = sol.y[fields, -1].reshape(m, 2 * m)
         C, S = Y[:, :m], Y[:, m:]
         if np.linalg.cond(S) > 1e12:
@@ -1188,4 +1307,4 @@ class ChartManifold(Manifold):
         """The inverse transposed Cholesky factor of the metric, whose
         columns are g-orthonormal."""
         return _rows(lambda x: np.linalg.solve(np.linalg.cholesky(self.metric_fn(x)),
-                                               np.eye(self.dim)).T, p)
+                                               np.eye(self.dim)).T, p, shape=(self.dim, self.dim))

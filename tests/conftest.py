@@ -58,6 +58,25 @@ def ode_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def christoffel_calls(monkeypatch):
+    """The points at which the ``christoffel_fn`` of every
+    ``ChartManifold`` built while the test runs is called, in order."""
+    from karcher.manifolds import ChartManifold
+
+    calls = []
+    init = ChartManifold.__init__
+
+    def recording_init(self, dim, metric_fn, christoffel_fn, *args, **kwargs):
+        def recording(x):
+            calls.append(np.array(x))
+            return christoffel_fn(x)
+        init(self, dim, metric_fn, recording, *args, **kwargs)
+
+    monkeypatch.setattr(ChartManifold, "__init__", recording_init)
+    return calls
+
+
 def endpoint_shots(calls, man):
     """The calls that shoot exp_p(v) on the chart manifold ``man``: its
     geodesic equation over (0, 1)."""

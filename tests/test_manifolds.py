@@ -342,8 +342,8 @@ def test_chart_shooting_failure_is_reported(monkeypatch):
     residual = float(info.value.args[0].rsplit(" = ", 1)[1])
     assert residual >= man.shooting_tol
     # A singular Jacobian carried in by a warm start is reported the same way.
-    state = (p.coords, np.array([0.5, 0.0]), np.zeros((2, 2)), np.array(0.0),
-             np.array(1.0))
+    state = (p.coords, np.array([0.5, 0.0]), np.zeros((2, 2)), man.christoffel_fn(p.coords),
+             np.array(0.0), np.array(1.0))
     with pytest.raises(GeodesicError, match=(
             r"endpoint Jacobian is singular from p = \[0\.0, 0\.0\] to "
             r"q = \[0\.7, 0\.0\] after 0 Newton steps \(0 with a fresh "
@@ -815,7 +815,8 @@ def test_warm_started_log_matches_cold_log_property(x, y, r, ang, shift, shift_a
     none = np.full((2, 2), np.nan)
     for J in (none if jac is None else jac, none):
         warm, verified, _ = man._warm_log_array(
-            p.coords, q.coords, (b.coords, v, J, np.array(0.0), np.array(step)))
+            p.coords, q.coords, (b.coords, v, J, man.christoffel_fn(b.coords), np.array(0.0),
+                                 np.array(step)))
         assert verified
         gap = np.linalg.norm(warm - cold)
         assert gap <= 1e-10 * max(1.0, float(np.linalg.norm(cold)))
@@ -840,7 +841,8 @@ def test_bad_start_falls_back_to_a_fresh_jacobian(start, monkeypatch):
 
     monkeypatch.setattr(man, "_endpoint_jacobian", counting_jacobian)
     warm = man._warm_log_array(p.coords, q.coords,
-                               (*start, np.array(0.0), np.array(1.0)))[0]
+                               (*start, man.christoffel_fn(start[0]), np.array(0.0),
+                                np.array(1.0)))[0]
     assert refreshes
     assert np.linalg.norm(warm - cold.components) <= 1e-10
     assert np.linalg.norm(man.exp(p, man.tangent(p, warm)).coords - q.coords) \
@@ -854,8 +856,8 @@ def _record_shots(monkeypatch):
     shots = []
     shoot = ChartManifold._shoot
 
-    def recording(self, p, v, step=1.0):
-        end, step = shoot(self, p, v, step)
+    def recording(self, p, v, *args):
+        end, step = shoot(self, p, v, *args)
         shots.append((p.copy(), v.copy(), end))
         return end, step
 
@@ -948,10 +950,11 @@ def test_log_array_with_a_start_returns_verified_logarithms(monkeypatch):
     b = p + 0.01 * np.array([0.6, 0.8])
     v, jac, _, _, step = man._shoot_log(b, q)
     step = np.array(step)
-    _, exact, _ = man._warm_log_array(p, q, (b, v, jac, np.linalg.norm(q - p), step))
+    gam = man.christoffel_fn(b)
+    _, exact, _ = man._warm_log_array(p, q, (b, v, jac, gam, np.linalg.norm(q - p), step))
     assert not exact
     shots = _record_shots(monkeypatch)
-    warm, exact, _ = man._warm_log_array(p, q, (b, v, jac, np.array(0.0), step))
+    warm, exact, _ = man._warm_log_array(p, q, (b, v, jac, gam, np.array(0.0), step))
     assert exact and _verified(shots, p, warm, q, man.shooting_tol)
 
 
@@ -1332,6 +1335,36 @@ def test_manifold_interface_holds_what_the_library_calls():
         assert all(callable(getattr(man, name)) for name in moved)
 
 
+def test_chart_metric_matrix_takes_one_callback_per_row(monkeypatch):
+    # The default builds each matrix from dim^2 inner products of the
+    # unit vectors, one callback each; the chart's takes the callback's
+    # matrix, which has the same entries bit for bit.
+    from karcher.manifolds import Manifold
+
+    disk = make_poincare_disk()
+    calls = []
+    metric = disk.metric_fn
+    monkeypatch.setattr(disk, "metric_fn", lambda x: calls.append(x) or metric(x))
+    rows = np.array([[0.1, -0.2], [0.3, 0.25]])
+    mats = disk.metric_matrix(rows)
+    assert len(calls) == 2
+    assert np.array_equal(mats, Manifold.metric_matrix(disk, rows))
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("space", ["euclidean", "disk"])
+def test_default_stacks_of_no_rows_are_empty(space):
+    # Shaped as the closed forms' stacks of no rows are.
+    man = EuclideanSpace(2) if space == "euclidean" else make_poincare_disk()
+    none = np.zeros((0, 2))
+    sphere_none = np.zeros((0, 3))
+    assert Sphere(2).log_array(sphere_none, sphere_none).shape == (0, 3)
+    assert man.log_array(none, none).shape == (0, 2)
+    assert man.dist_array(none, none).shape == (0,)
+    assert man.norm_array(none, none).shape == (0,)
+    assert man.metric_matrix(none).shape == (0, 2, 2)
+
+
 def test_disk_batch_jets_take_no_transport(monkeypatch):
     # The chart's second derivative is a stencil along coordinate lines:
     # no geodesic, parallel frame or transport is taken, and the jets are
@@ -1454,6 +1487,43 @@ def test_long_cold_disk_logarithms_match_the_hyperboloid(hyperbolic, monkeypatch
     assert refreshes
 
 
+def test_verified_cold_logarithms_seed_from_both_ends():
+    # A logarithm that must be verified seeds from the Christoffel jets at
+    # p and q, and its first shot misses by O(|q - p|^6).  The mean's
+    # first iterate keeps the one-end third-order seed, which misses by
+    # O(|q - p|^4): that residual is the next iterate's guard reference.
+    # Here the ratio reads 514 to 9544.
+    from karcher import manifolds
+
+    man = make_poincare_disk()
+    rng = np.random.default_rng(11)
+    for length in (0.02, 0.052):
+        for _ in range(4):
+            p = rng.uniform(-0.4, 0.4, size=2)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            q = p + length * np.array([math.cos(angle), math.sin(angle)])
+            v, _ = manifolds._third_order_seed(*man._christoffel_jet(p), q - p)
+            one_end = np.linalg.norm(man._shoot(p, v)[0] - q)
+            assert man._warm_log_array(p, q)[2][4] == one_end
+            assert 0.0 < 100.0 * man._shoot_log(p, q)[2] <= one_end
+
+
+def test_overflowing_two_point_seed_starts_from_the_chord(hyperbolic):
+    # On this long chord toward the rim the sweeps of the two-point seed
+    # overflow to 1e153 and beyond; the overflow raises no warning, and the
+    # shooting starts from the chord as for any seed out of range.
+    from karcher import manifolds
+
+    disk = make_poincare_disk()
+    x = np.array([-0.1706883, 0.46896714])
+    y = np.array([0.42228576, 0.86411937])
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, _ = manifolds._two_point_seed(disk._christoffel_jet(x), disk._christoffel_jet(y),
+                                         y - x)
+    assert not np.all(np.abs(v) < 1e150)
+    assert disk_log_gap(disk, hyperbolic, x, y) <= 1e-10
+
+
 def test_out_of_range_cold_seed_starts_from_the_chord(hyperbolic, ode_calls):
     # Near the rim, the third-order seed of this long logarithm lies
     # farther from the chord than the chord's own length.  Shot from the
@@ -1481,10 +1551,44 @@ def test_disk_jet_takes_at_most_half_the_default_first_step_nfev(ode_calls):
     # (0.36 of the evaluations) before each mean iterate shot each
     # vertex once; 36 (0.265) before the mean moved its iterates by a
     # retraction and its logarithms and Hessian ODEs started from the
-    # first steps they last accepted.
+    # first steps they last accepted; 32 (0.225) before the verified
+    # logarithms were seeded from the jets at both ends.
     _disk_jet()
-    assert len(ode_calls) == 32
-    assert sum(c.nfev for c in ode_calls) <= 0.23 * DEFAULT_FIRST_STEP_JET_NFEV
+    assert len(ode_calls) == 30
+    assert sum(c.nfev for c in ode_calls) <= 0.22 * DEFAULT_FIRST_STEP_JET_NFEV
+
+
+def test_disk_jet_takes_each_point_s_symbols_once_per_call(christoffel_calls, monkeypatch):
+    # Every shot of a logarithm takes its first right-hand side from the
+    # symbols at p that its seed took, and every Hessian ODE of a row from
+    # the jet at q, so no such solve calls ``christoffel_fn`` at its start;
+    # only the initial guess's ``exp`` shot does.  Within one call of a
+    # stack, no point's symbols are taken twice.
+    from karcher import manifolds
+
+    spans = {}
+
+    def spanning(name, fn):
+        def wrapped(*args, **kwargs):
+            start = len(christoffel_calls)
+            out = fn(*args, **kwargs)
+            spans.setdefault(name, []).append((start, len(christoffel_calls), args))
+            return out
+        return wrapped
+
+    stacks = ("log_array", "_warm_log_array", "hess_terms_array")
+    for name in stacks:
+        monkeypatch.setattr(ChartManifold, name, spanning(name, getattr(ChartManifold, name)))
+    monkeypatch.setattr(manifolds, "solve_ode", spanning("solve_ode", manifolds.solve_ode))
+    _disk_jet()
+    assert all(spans.get(name) for name in stacks)
+    at_start = [end > start and any(np.array_equal(x, y0[:2])
+                                    for x in christoffel_calls[start:end])
+                for start, end, (_, _, y0) in spans["solve_ode"]]
+    assert sum(at_start) == 1 and len(at_start) == 30
+    for name in stacks:
+        for start, end, _ in spans[name]:
+            assert len({x.tobytes() for x in christoffel_calls[start:end]}) == end - start
 
 
 def test_fresh_disk_jets_take_the_same_solves(ode_calls):
@@ -1526,12 +1630,15 @@ WHOLE_INTERVAL_HESSIAN_BATCH_NFEV = 6767
 
 
 def test_disk_hessian_batch_solves(ode_calls):
+    # 255 solves (0.94 of the evaluations) before the verified
+    # logarithms, the edge lengths' and the stencil's, were seeded from
+    # the jets at both ends.
     from karcher.barycentric import hessian_batch
 
     lams = np.array([[0.2, 0.5, 0.3], [0.45, 0.25, 0.3]])
     hessian_batch(make_poincare_disk(), DISK_ROWS, lams)
-    assert len(ode_calls) == 255
-    assert sum(c.nfev for c in ode_calls) <= 0.95 * WHOLE_INTERVAL_HESSIAN_BATCH_NFEV
+    assert len(ode_calls) == 210
+    assert sum(c.nfev for c in ode_calls) <= 0.85 * WHOLE_INTERVAL_HESSIAN_BATCH_NFEV
 
 
 def test_disk_jet_needs_no_finite_difference_jacobian(monkeypatch):
