@@ -2,7 +2,8 @@
 
 The package provides manifold models with exact geometry (sphere,
 hyperbolic space, Euclidean space) and ODE-based charts, flat simplex
-geometry from edge lengths, the Jacobi-field boundary value solver and
+geometry from edge lengths, the Jacobi-field boundary value solver
+(``JacobiShooting``, with ``solve_bvp`` as one shooting used once) and
 the two-point ODE bound check, the weighted center-of-mass coordinate map
 with first and second derivatives, a distortion-measurement harness, and
 a P1 surface FEM application: the code that ``karcher run``, ``karcher
@@ -24,6 +25,6 @@ from .flat_simplex import (BarycentricWeight, EdgeLengthSystem, FlatMetric,
 from .barycentric import (ChartJet, KarcherChart, default_grad_tol,
                           differential, differential_batch, hessian,
                           hessian_batch, karcher_mean, pullback_metric, sigma)
-from .jacobi import FrameField, JacobiBVP, ode_bound_check, solve_bvp
+from .jacobi import JacobiShooting, ode_bound_check, solve_bvp
 
 __all__ = [name for name in dir() if not name.startswith("_")]

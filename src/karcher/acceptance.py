@@ -176,7 +176,7 @@ def jacobi_cases(man: Manifold, rng: np.random.Generator,
         gamma = man.geodesic_from(p, direction, length=tau)
         q = gamma.point(tau)
         V = _random_tangent(man, q, rng, unit=False)
-        jdot_tau, _ = jacobi.solve_bvp(jacobi.JacobiBVP(gamma, V))
+        jdot_tau, _ = jacobi.solve_bvp(gamma, V)
         gap = (tau * jdot_tau.components
                - man.hess_half_dist_sq(p, q, V).components)
         cases.append({"case": case, "tau": tau,

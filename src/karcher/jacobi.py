@@ -9,15 +9,16 @@ boundary derivative under a geodesic variation of the endpoint).
 No model computes its distance Hessian through this module:
 ``ChartManifold`` integrates its own fused Jacobi ODE from the other end
 of the geodesic, and the closed-form spaces need none.  ``JacobiShooting``
-and ``solve_bvp`` are the independent check of both.  They read the
-model's ``geodesic_from``, ``parallel_transport`` and, off constant
-curvature, ``curvature_rt``: the closed forms give them, a
-``ChartManifold`` does not, and the tests' charts integrate them as ODEs.
+is the independent check of both.  It reads the model's
+``geodesic_from``, ``parallel_transport`` and, off constant curvature,
+``curvature_rt``: the closed forms give the first two, a
+``ChartManifold`` none, and the tests' charts integrate all three as ODEs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,49 +26,42 @@ import numpy as np
 from .errors import JacobiError
 from .integrate import solve_ode
 from .manifolds import (Geodesic, ManifoldPoint, TangentVector, _check_length,
-                        _gram_schmidt, _require_same_base)
+                        _require_same_base)
 
 
-@dataclass(frozen=True, eq=False)
-class JacobiBVP:
-    """Boundary data: a geodesic from p to q and the field value at q."""
-
-    geodesic: Geodesic
-    end_value: TangentVector
-
-    def __post_init__(self):
-        _check_length(self.geodesic.manifold, self.geodesic.length)
-        _require_same_base(self.end_value,
-                           self.geodesic.velocity(self.geodesic.length))
-
-
-@dataclass(frozen=True, eq=False)
-class FrameField:
-    """Parallel orthonormal frame along a geodesic, first vector tangent."""
-
-    geodesic: Geodesic
-    base_frame: np.ndarray                      # (m, coord_dim) at t = 0
-    _eval: Callable[[float], np.ndarray] = field(repr=False)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self._eval(t)
+def _gram_schmidt(ip: Callable[[np.ndarray, np.ndarray], float], vectors,
+                  count: int) -> list[np.ndarray]:
+    """Gram-Schmidt on ``vectors`` in order under the inner product ``ip``:
+    a vector whose remainder has squared norm 1e-14 or less is skipped,
+    and the loop stops once ``count`` orthonormal vectors are found."""
+    basis: list[np.ndarray] = []
+    for v in vectors:
+        for b in basis:
+            v = v - ip(v, b) * b
+        n2 = ip(v, v)
+        if n2 > 1e-14:
+            basis.append(v / math.sqrt(n2))
+        if len(basis) == count:
+            break
+    return basis
 
 
-def parallel_frame(gamma: Geodesic) -> FrameField:
+def parallel_frame(gamma: Geodesic
+                   ) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
+    """A parallel orthonormal frame along gamma whose first vector is the
+    tangent: its rows (m, coord_dim) at t = 0, and t -> its rows at t."""
     man = gamma.manifold
     p = gamma.start
-    t0 = gamma.velocity(0.0)
     # Orthonormalize {T, tangent basis...} so the frame starts with the
     # geodesic tangent; curvature matrices then have a fixed zero row.
-    candidates = (c.components for c in [t0] + man.tangent_basis(p))
+    candidates = (c.components for c in [gamma.velocity(0.0)] + man.tangent_basis(p))
     base = np.array(_gram_schmidt(lambda a, b: man._ip(p, a, b), candidates,
                                   man.dim))
-    vecs0 = [TangentVector(p, b) for b in base]
-    evaluator = man.frame_field(gamma, vecs0)
-    return FrameField(gamma, base, evaluator)
+    return base, man.frame_field(gamma, [TangentVector(p, b) for b in base])
 
 
-def _frame_curvature(gamma: Geodesic, frame: FrameField) -> Callable[[float], np.ndarray]:
+def _frame_curvature(gamma: Geodesic, frame: Callable[[float], np.ndarray]
+                     ) -> Callable[[float], np.ndarray]:
     """t -> matrix of the Jacobi operator w -> R(w, T)T in the frame."""
     man = gamma.manifold
     m = man.dim
@@ -90,26 +84,22 @@ def _frame_curvature(gamma: Geodesic, frame: FrameField) -> Callable[[float], np
 
 
 class JacobiShooting:
-    """The part of the boundary value problems J(0) = 0, J(tau) = V along
-    one geodesic that does not depend on V: the parallel frame and the
+    """The boundary value problems J(0) = 0, J(tau) = V along one
+    geodesic.  What does not depend on V is taken once: the parallel
+    frame (``base_frame`` at t = 0, ``frame`` t -> its rows) and the
     shooting matrices Phi(tau), Phi'(tau) of the fields with J(0) = 0 and
     J'(0) running through the frame.  ``solve(V)`` then costs one small
-    linear solve, so every direction at the same geodesic shares one frame
-    ODE and one shooting ODE."""
+    linear solve per direction."""
 
     def __init__(self, gamma: Geodesic):
-        _check_length(gamma.manifold, gamma.length)
-        man = gamma.manifold
-        m = man.dim
-        tau = gamma.length
-        frame = parallel_frame(gamma)
-        R_of_t = _frame_curvature(gamma, frame)
+        m, tau = gamma.manifold.dim, gamma.length
+        _check_length(gamma.manifold, tau)
+        self.base_frame, self.frame = parallel_frame(gamma)
+        R_of_t = _frame_curvature(gamma, self.frame)
 
         def rhs(t, y):
             Y = y[: m * m].reshape(m, m)
-            Yd = y[m * m:]
-            acc = -(R_of_t(t) @ Y).ravel()
-            return np.concatenate([Yd, acc])
+            return np.concatenate([y[m * m:], -(R_of_t(t) @ Y).ravel()])
 
         y0 = np.concatenate([np.zeros(m * m), np.eye(m).ravel()])
         sol = solve_ode(rhs, (0.0, tau), y0)
@@ -118,8 +108,7 @@ class JacobiShooting:
         if np.linalg.cond(self.phi) > 1e12:
             raise JacobiError("shooting matrix is singular (conjugate point)")
         self.geodesic = gamma
-        self.frame = frame
-        self.frame_end = frame(tau)
+        self.frame_end = self.frame(tau)
         self.end_velocity = gamma.velocity(tau)
 
     def solve(self, end_value: TangentVector) -> tuple[TangentVector, TangentVector]:
@@ -128,17 +117,18 @@ class JacobiShooting:
         man = self.geodesic.manifold
         q = self.end_velocity.base
         F_tau = self.frame_end
-        v_frame = np.array([man._ip(q, end_value.components, F_tau[a])
-                            for a in range(man.dim)])
+        v_frame = np.array([man._ip(q, end_value.components, row) for row in F_tau])
         u0 = np.linalg.solve(self.phi, v_frame)
-        jdot0 = TangentVector(self.geodesic.start, self.frame.base_frame.T @ u0)
+        jdot0 = TangentVector(self.geodesic.start, self.base_frame.T @ u0)
         jdot_tau = TangentVector(q, F_tau.T @ (self.phi_dot @ u0))
         return jdot_tau, jdot0
 
 
-def solve_bvp(bvp: JacobiBVP) -> tuple[TangentVector, TangentVector]:
-    """Return (J'(tau), J'(0)) for the field with J(0) = 0, J(tau) = V."""
-    return JacobiShooting(bvp.geodesic).solve(bvp.end_value)
+def solve_bvp(gamma: Geodesic, end_value: TangentVector
+              ) -> tuple[TangentVector, TangentVector]:
+    """(J'(tau), J'(0)) for the field along gamma with J(0) = 0 and
+    J(tau) = end_value: one ``JacobiShooting`` used once."""
+    return JacobiShooting(gamma).solve(end_value)
 
 
 @dataclass(frozen=True)

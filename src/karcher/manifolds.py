@@ -131,7 +131,6 @@ class Geodesic:
 
     manifold: "Manifold"
     start: ManifoldPoint
-    initial_velocity: TangentVector
     length: float
     _flow: Callable[[float], tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
@@ -223,13 +222,11 @@ class Manifold(ABC):
 
     # -- metric operations ------------------------------------------------
 
+    @abstractmethod
     def metric_matrix(self, p: np.ndarray) -> np.ndarray:
         """The metric at the coordinates p (..., coord_dim) as matrices
         (..., coord_dim, coord_dim), or as one such matrix where it is the
-        same at every point: ``_ip`` of the coordinate unit vectors."""
-        eye = np.eye(self.coord_dim)
-        return _rows(lambda x: np.array([[self._ip(ManifoldPoint(x), e, g) for g in eye]
-                                         for e in eye]), p, shape=eye.shape)
+        same at every point."""
 
     def metric(self, p: ManifoldPoint, v: TangentVector, w: TangentVector) -> float:
         _require_same_base(v, w)
@@ -253,9 +250,10 @@ class Manifold(ABC):
 
     # -- geodesics and transport, outside the interface --------------------
     # Euclidean space and the space forms give ``geodesic_from(p, v,
-    # length=|v|)``, ``parallel_transport(gamma, t0, t1, v)`` and
-    # ``curvature_rt(p, T, w)`` = R(w, T)T for the Jacobi oracle, which
-    # these helpers serve; a ``ChartManifold`` gives none of them.
+    # length=|v|)`` and ``parallel_transport(gamma, t0, t1, v)`` for the
+    # Jacobi oracle, which these helpers serve, and the space forms also
+    # ``curvature_rt(p, T, w)`` = R(w, T)T; a ``ChartManifold`` gives none
+    # of them.
 
     def _unit_direction(self, v: TangentVector,
                         length: float | None) -> tuple[np.ndarray, float]:
@@ -410,23 +408,6 @@ def _reject_rows(bad: np.ndarray, message: Callable[[int], str]):
         raise ValueError((f"vertex {k}: " if len(bad) > 1 else "") + message(k))
 
 
-def _gram_schmidt(ip: Callable[[np.ndarray, np.ndarray], float], vectors,
-                  count: int) -> list[np.ndarray]:
-    """Gram-Schmidt on ``vectors`` in order under the inner product ``ip``:
-    a vector whose remainder has squared norm 1e-14 or less is skipped,
-    and the loop stops once ``count`` orthonormal vectors are found."""
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        for b in basis:
-            v = v - ip(v, b) * b
-        n2 = ip(v, v)
-        if n2 > 1e-14:
-            basis.append(v / math.sqrt(n2))
-        if len(basis) == count:
-            break
-    return basis
-
-
 def _frame_at(g: np.ndarray, u0: np.ndarray) -> np.ndarray:
     """A g-orthonormal frame (rows) whose first row is the g-unit vector
     u0: with g = L L^T, the Householder QR of [L^T u0 | I] gives an
@@ -465,6 +446,10 @@ class EuclideanSpace(Manifold):
     def _ip(self, p, a, b):
         return float(np.dot(a, b))
 
+    def metric_matrix(self, p):
+        """The identity, one matrix for every point."""
+        return np.eye(self.dim)
+
     def exp(self, p, v):
         return ManifoldPoint(p.coords + v.components)
 
@@ -474,16 +459,13 @@ class EuclideanSpace(Manifold):
     def geodesic_from(self, p, v, length=None):
         u, L = self._unit_direction(v, length)
         p0 = p.coords.copy()
-        return Geodesic(self, p, TangentVector(p, u), L, lambda t: (p0 + t * u, u))
+        return Geodesic(self, p, L, lambda t: (p0 + t * u, u))
 
     def parallel_transport(self, gamma, t0, t1, v):
         return TangentVector(gamma.point(t1), v.components.copy())
 
     def tangent_frame_array(self, p):
         return np.zeros(np.shape(p) + (self.dim,)) + np.eye(self.dim)
-
-    def curvature_rt(self, p, T, w):
-        return np.zeros(np.shape(w))
 
     def hess_terms_array(self, p, q, logs, mask):
         """Identity matrices on the mask."""
@@ -539,7 +521,7 @@ class _SpaceForm(Manifold):
             vel = -sign * S(a) / r * p0 + C(a) * u
             return pos, vel
 
-        return Geodesic(self, p, TangentVector(p, u), L, flow)
+        return Geodesic(self, p, L, flow)
 
     def parallel_transport(self, gamma, t0, t1, v):
         T0 = gamma.velocity(t0)

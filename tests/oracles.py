@@ -16,8 +16,7 @@ from karcher.errors import NonRealizableError
 from karcher.fem import _ICO_FACES, _ICO_VERTS
 from karcher.flat_simplex import BarycentricWeight, FlatMetric
 from karcher.integrate import solve_ode
-from karcher.jacobi import (JacobiBVP, _frame_curvature, parallel_frame,
-                            solve_bvp)
+from karcher.jacobi import _frame_curvature, parallel_frame, solve_bvp
 from karcher.manifolds import (_FD_STEP, ChartManifold, Geodesic, Manifold,
                                ManifoldPoint, TangentVector, _jacobi_operator,
                                _require_same_base)
@@ -41,7 +40,7 @@ class OracleChart(ChartManifold):
             y = sol.sol(t)
             return y[:d], y[d:]
 
-        return Geodesic(self, p, TangentVector(p, u), L, flow)
+        return Geodesic(self, p, L, flow)
 
     def parallel_transport(self, gamma, t0, t1, v):
         _require_same_base(v, gamma.velocity(t0))
@@ -124,7 +123,7 @@ def integrate_jacobi(gamma: Geodesic, j0: TangentVector, jdot0: TangentVector,
     returns (J(t), J'(t)) at the requested times."""
     man = gamma.manifold
     m = man.dim
-    frame = parallel_frame(gamma)
+    _, frame = parallel_frame(gamma)
     R_of_t = _frame_curvature(gamma, frame)
 
     p = gamma.start
@@ -173,20 +172,20 @@ def _second_difference(man: Manifold, q: ManifoldPoint, U: TangentVector,
     return TangentVector(q, (scale ** 2) * (4.0 * d2 - d1) / 3.0)
 
 
-def second_variation(bvp: JacobiBVP, step: float = 1e-4) -> TangentVector:
+def second_variation(gamma: Geodesic, V: TangentVector,
+                     step: float = 1e-4) -> TangentVector:
     """tau * D_s J'(0, tau): Richardson-extrapolated central difference of
     the boundary derivative under the geodesic variation of the endpoint
     with initial speed V (``_second_difference`` of that derivative)."""
-    gamma = bvp.geodesic
     man = gamma.manifold
     p = gamma.start
 
     def boundary_derivative(endpoint: ManifoldPoint, vel: TangentVector) -> TangentVector:
         connecting = man.geodesic_between(p, endpoint)
-        jdot_tau, _ = solve_bvp(JacobiBVP(connecting, vel))
+        jdot_tau, _ = solve_bvp(connecting, vel)
         return connecting.length * jdot_tau
 
-    return _second_difference(man, gamma.point(gamma.length), bvp.end_value,
+    return _second_difference(man, gamma.point(gamma.length), V,
                               boundary_derivative, step)
 
 

@@ -31,6 +31,18 @@ def euclid_chart(euclidean3, rng):
     return pts, KarcherChart(euclidean3, [euclidean3.point(p) for p in pts])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda chart: KarcherChart(chart.manifold, chart.vertices[:1]),
+     "need at least two vertices"),
+    (lambda chart: differential(chart, BarycentricWeight(np.full(3, 1.0 / 3.0))).nabla_dx(
+        SimplexTangent([-1.0, 1.0, 0.0]), SimplexTangent([-1.0, 0.0, 1.0])),
+     "jet was built without second derivatives"),
+], ids=["one-vertex", "first-order-jet"])
+def test_chart_input_checks(sphere_chart, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(sphere_chart)
+
+
 def test_chart_rejects_vertices_beyond_convexity(sphere):
     p0 = sphere.point([0.0, 0.0, 1.0])
     p1 = sphere.point([math.sin(2.0), 0.0, math.cos(2.0)])  # dist 2 > pi/2

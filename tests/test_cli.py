@@ -17,6 +17,7 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def sphere_sweep_config(tmp_path, **overrides):
+    """A sphere distortion sweep; an override of None drops its entry."""
     payload = {
         "kind": "distortion-sweep",
         "manifold": {"kind": "sphere", "dim": 2, "radius": 1.0},
@@ -26,7 +27,7 @@ def sphere_sweep_config(tmp_path, **overrides):
         "format": "csv",
     }
     payload.update(overrides)
-    return write_config(tmp_path, payload)
+    return write_config(tmp_path, {k: v for k, v in payload.items() if v is not None})
 
 
 # -- config validation -------------------------------------------------------
@@ -92,11 +93,23 @@ def test_bad_ladder_flag_exits_2(tmp_path, capsys):
     ("manifold.radius", {"manifold": {"kind": "sphere", "radius": "2"}}),
     ("manifold.curvature", {"manifold": {"kind": "hyperbolic", "curvature": True}}),
     ("ladder.h0", {"ladder": {"h0": "0.2", "levels": 4}}),
+    ("manifold", {"manifold": None}),
+    ("manifold.dim", {"manifold": {"kind": "sphere", "dim": 1}}),
+    ("fem_levels", {"kind": "fem-poisson", "fem_levels": [1, 2, 3]}),
+    ("fem_mode", {"kind": "fem-poisson", "fem_mode": "lumped"}),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, field, overrides):
     path = sphere_sweep_config(tmp_path, **overrides)
     assert main(["run", path]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{\"kind\": ", "[1, 2]"], ids=["invalid", "not-object"])
+def test_config_that_is_not_a_json_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert "config error: json:" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -12,7 +12,7 @@ from karcher.fem import (_QUAD_LAM, KarcherTriangulation, assemble,
                          error_norms, poisson_ladder,
                          solve_poisson)
 from karcher.flat_simplex import BarycentricWeight, fullness
-from karcher.manifolds import ManifoldPoint, Sphere
+from karcher.manifolds import HyperbolicSpace, ManifoldPoint, Sphere
 
 from conftest import strict_solver
 from oracles import icosphere as icosphere_oracle
@@ -454,6 +454,11 @@ def test_interpolant_h1_error_first_order(sphere):
     l2, h1 = error_norms(tri, z, u_eigen, grad_u_eigen)
     assert h1 <= 1.0 * tri.h
     assert l2 <= h1
+
+
+def test_triangulation_is_for_spheres_only():
+    with pytest.raises(ValueError, match="spheres only"):
+        build_triangulation(HyperbolicSpace(2), 1)
 
 
 def test_constant_reproduced_exactly(tri1):

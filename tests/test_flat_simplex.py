@@ -369,6 +369,18 @@ def test_inner_product_estimate(rng):
 
 # -- realization ----------------------------------------------------------------
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: EdgeLengthSystem(np.ones((2, 3))), ValueError, "must be square"),
+    (lambda: EdgeLengthSystem(np.ones((3, 3))), ValueError, "diagonal must be zero"),
+    (lambda: gram_eigen_bounds(flat_metric_from_lengths(lengths(
+        [[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])), 3.0),
+     NonRealizableError, "need a realizable system"),
+], ids=["not-square", "nonzero-diagonal", "non-realizable"])
+def test_edge_length_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_realize_vertices_reproduces_lengths(rng):
     pts = rng.uniform(-1, 1, (4, 3))
     system = EdgeLengthSystem.from_points(pts)

@@ -122,6 +122,12 @@ def test_ladder_rejects_directions_that_span_no_simplex(sphere, sphere_family, e
         call()
 
 
+def test_ladder_rejects_a_zero_direction(sphere, sphere_family):
+    dirs = (sphere_family.directions[0] * 0.0,) + tuple(sphere_family.directions[1:])
+    with pytest.raises(ValueError, match="zero direction vector"):
+        generate_geodesic_simplex(sphere, sphere_family.center, dirs, 0.2)
+
+
 @pytest.mark.parametrize("entry, ladder", [
     (entry, ladder) for ladder in [(), (0.2, 0.0), (-0.2, -0.1), (0.2, math.nan), (math.inf, 0.1)]
     for entry in ["sweep", "generate", "edge_rate"] if ladder or entry != "generate"])
@@ -276,6 +282,22 @@ def test_fit_slope_rejects_corrupt_values(bad):
 def test_fit_slope_rejects_levels_that_are_not_positive_and_finite(h):
     with pytest.raises(ValueError, match="levels must be positive and finite"):
         fit_slope([0.2, h, 0.05, 0.025], [0.04, 0.01, 0.0025, 0.000625])
+
+
+def test_fit_slope_drops_an_outlying_coarsest_level():
+    # An h^2 ladder whose coarsest value is inflated threefold.  The rule
+    # compares that level's residual with twice the rms residual, which a
+    # single outlier on an evenly spaced ladder exceeds only from eight
+    # levels on; the remaining seven levels fit slope 2.  A ladder of
+    # four levels keeps every level.
+    hs = [0.2 * 2 ** -k for k in range(8)]
+    values = [h ** 2 for h in hs]
+    values[0] *= 3.0
+    fit = fit_slope(hs, values)
+    assert fit.dropped_coarsest and fit.n_used == 7
+    assert fit.slope == pytest.approx(2.0, abs=1e-12)
+    fit = fit_slope(hs[:4], values[:4])
+    assert not fit.dropped_coarsest and fit.n_used == 4
 
 
 def test_fit_slope_on_a_flat_ladder_is_nan():

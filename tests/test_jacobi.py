@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from karcher.errors import JacobiError
-from karcher.jacobi import (JacobiBVP, _frame_curvature, ode_bound_check,
-                            parallel_frame, solve_bvp)
+from karcher.jacobi import (_frame_curvature, ode_bound_check, parallel_frame,
+                            solve_bvp)
 from karcher.manifolds import (EuclideanSpace, HyperbolicSpace, ManifoldPoint,
                                Sphere, TangentVector)
 
@@ -36,7 +36,7 @@ def test_bvp_euclidean_linear_field():
     g = man.geodesic_from(p, man.tangent(p, [1.0, 0.0, 0.0]), length=tau)
     q = g.point(tau)
     V = man.tangent(q, [0.2, -0.4, 0.7])
-    jdot_tau, jdot_0 = solve_bvp(JacobiBVP(g, V))
+    jdot_tau, jdot_0 = solve_bvp(g, V)
     assert np.allclose(tau * jdot_tau.components, V.components, atol=1e-10)
     assert np.allclose(jdot_0.components, V.components / tau, atol=1e-10)
 
@@ -46,7 +46,7 @@ def test_bvp_sphere_perpendicular_closed_form(sphere):
     p = sphere.point([0.0, 0.0, 1.0])
     g = sphere.geodesic_from(p, sphere.tangent(p, [1, 0, 0]), length=tau)
     V = perp_unit_at_end(sphere, g)
-    jdot_tau, jdot_0 = solve_bvp(JacobiBVP(g, V))
+    jdot_tau, jdot_0 = solve_bvp(g, V)
     # J(t) = sin(t)/sin(tau) P V: derivative cos(t)/sin(tau)
     assert tau * sphere.norm(jdot_tau) == pytest.approx(
         tau / math.tan(tau), abs=1e-10)
@@ -58,7 +58,7 @@ def test_bvp_radial_is_linear(sphere):
     p = sphere.point([0.0, 0.0, 1.0])
     g = sphere.geodesic_from(p, sphere.tangent(p, [1, 0, 0]), length=tau)
     V = g.velocity(tau)  # tangential end value
-    jdot_tau, jdot_0 = solve_bvp(JacobiBVP(g, V))
+    jdot_tau, jdot_0 = solve_bvp(g, V)
     assert np.allclose(tau * jdot_tau.components, V.components, atol=1e-10)
     assert sphere.norm(jdot_0) == pytest.approx(1.0 / tau, abs=1e-10)
 
@@ -72,7 +72,7 @@ def test_bvp_reproduces_end_value(sphere, hyperbolic, rng):
         g = man.geodesic_from(p, u, length=tau)
         q = g.point(tau)
         V = random_unit_tangent(man, q, rng) * 1.7
-        jdot_tau, jdot_0 = solve_bvp(JacobiBVP(g, V))
+        jdot_tau, jdot_0 = solve_bvp(g, V)
         js, jds = integrate_jacobi(g, man.tangent(p, np.zeros(man.coord_dim)),
                                    jdot_0, [0.0, tau])
         assert man.norm(js[1] - V) <= 1e-9
@@ -87,9 +87,9 @@ def test_bvp_linearity(sphere, rng):
     v = random_unit_tangent(sphere, q, rng)
     w = random_unit_tangent(sphere, q, rng)
     a, b = 1.7, -0.4
-    jt_v, j0_v = solve_bvp(JacobiBVP(g, v))
-    jt_w, j0_w = solve_bvp(JacobiBVP(g, w))
-    jt_c, j0_c = solve_bvp(JacobiBVP(g, a * v + b * w))
+    jt_v, j0_v = solve_bvp(g, v)
+    jt_w, j0_w = solve_bvp(g, w)
+    jt_c, j0_c = solve_bvp(g, a * v + b * w)
     assert np.max(np.abs(jt_c.components
                          - a * jt_v.components - b * jt_w.components)) <= 1e-10
     assert np.max(np.abs(j0_c.components
@@ -101,7 +101,27 @@ def test_bvp_rejects_conjugate_point(sphere):
     g = sphere.geodesic_from(p, sphere.tangent(p, [1, 0, 0]), length=math.pi)
     V = perp_unit_at_end(sphere, g)
     with pytest.raises(JacobiError):
-        JacobiBVP(g, V)
+        solve_bvp(g, V)
+
+
+def test_one_solve_is_one_shooting_with_each_check_once(sphere, monkeypatch):
+    # solve_bvp gives the shared shooting's solve bit for bit, and checks
+    # the geodesic's length and the end value's base point once each.
+    from karcher import jacobi
+
+    p = sphere.point([0.0, 0.0, 1.0])
+    g = sphere.geodesic_from(p, sphere.tangent(p, [1, 0, 0]), length=0.8)
+    V = perp_unit_at_end(sphere, g) * 1.3
+    want = jacobi.JacobiShooting(g).solve(V)
+    calls = []
+    for name in ("_check_length", "_require_same_base"):
+        check = getattr(jacobi, name)
+        monkeypatch.setattr(jacobi, name, lambda *args, name=name, check=check:
+                            calls.append(name) or check(*args))
+    got = jacobi.solve_bvp(g, V)
+    assert sorted(calls) == ["_check_length", "_require_same_base"]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.components, b.components)
 
 
 def test_bvp_consistency_with_hessian_all_manifolds(sphere, hyperbolic, rng):
@@ -117,7 +137,7 @@ def test_bvp_consistency_with_hessian_all_manifolds(sphere, hyperbolic, rng):
         g = man.geodesic_from(p, u, length=tau)
         q = g.point(tau)
         V = random_unit_tangent(man, q, rng)
-        jdot_tau, _ = solve_bvp(JacobiBVP(g, V))
+        jdot_tau, _ = solve_bvp(g, V)
         closed = man.hess_half_dist_sq(p, q, V)
         assert np.max(np.abs(tau * jdot_tau.components
                              - closed.components)) <= 1e-8
@@ -130,7 +150,7 @@ def test_rauch_monotonicity(sphere, rng):
     tau = 1.4  # < pi/2
     g = sphere.geodesic_from(p, u, length=tau)
     V = perp_unit_at_end(sphere, g)
-    _, jdot_0 = solve_bvp(JacobiBVP(g, V))
+    _, jdot_0 = solve_bvp(g, V)
     ts = np.linspace(0.0, tau, 100)
     js, _ = integrate_jacobi(g, sphere.tangent(p, np.zeros(3)), jdot_0, ts)
     norms = [sphere.norm(j) for j in js]
@@ -159,7 +179,7 @@ def test_frame_orthonormal_along_geodesic(sphere, rng):
             p = man.point([0.15, -0.2])
         u = random_unit_tangent(man, p, rng)
         g = man.geodesic_from(p, u, length=0.9)
-        frame = parallel_frame(g)
+        _, frame = parallel_frame(g)
         for t in np.linspace(0.0, 0.9, 5):
             F = frame(t)
             pt = g.point(t)
@@ -176,7 +196,7 @@ def test_constant_curvature_frame_matrix_matches_curvature_rt(man, rng):
     maker = random_sphere_point if isinstance(man, Sphere) else random_hyperbolic_point
     p = maker(man, rng)
     g = man.geodesic_from(p, random_unit_tangent(man, p, rng), length=0.6)
-    frame = parallel_frame(g)
+    _, frame = parallel_frame(g)
     R_of_t = _frame_curvature(g, frame)
     K = man.constant_sectional_curvature
     assert R_of_t(0.0)[1, 1] == K
@@ -197,7 +217,7 @@ def boundary_estimate(man, g, V):
     J(0) = 0, J(tau) = V: the boundary-derivative estimate bounds the
     first by the second."""
     tau = g.length
-    jdot_tau, _ = solve_bvp(JacobiBVP(g, V))
+    jdot_tau, _ = solve_bvp(g, V)
     dev = man.norm(TangentVector(g.point(tau),
                                  tau * jdot_tau.components - V.components))
     return dev, man.bounds.C0 * tau ** 2 * man.norm(V)
@@ -245,7 +265,7 @@ def test_second_variation_flat_zero():
     p = man.point([0.0, 0.0])
     g = man.geodesic_from(p, man.tangent(p, [1.0, 0.0]), length=0.7)
     V = man.tangent(g.point(0.7), [0.4, 0.3])
-    out = second_variation(JacobiBVP(g, V))
+    out = second_variation(g, V)
     assert np.max(np.abs(out.components)) <= 1e-8
 
 
@@ -254,7 +274,7 @@ def test_second_variation_radial_vanishes(sphere):
     p = sphere.point([0.0, 0.0, 1.0])
     g = sphere.geodesic_from(p, sphere.tangent(p, [1, 0, 0]), length=tau)
     V = g.velocity(tau)
-    out = second_variation(JacobiBVP(g, V))
+    out = second_variation(g, V)
     assert sphere.norm(out) <= 1e-7
 
 
@@ -267,7 +287,7 @@ def test_second_variation_matches_closed_form_and_scales(sphere):
     for tau in taus:
         g = sphere.geodesic_from(p, sphere.tangent(p, [1, 0, 0]), length=tau)
         V = perp_unit_at_end(sphere, g)
-        fd = second_variation(JacobiBVP(g, V))
+        fd = second_variation(g, V)
         closed = sphere.second_deriv_X(p, g.point(tau), V, V)
         assert np.max(np.abs(fd.components - closed.components)) <= 1e-6
         mags.append(sphere.norm(closed))

@@ -161,6 +161,31 @@ def test_bounds_validation():
         ManifoldBounds(0.0, 0.0, 1.0, 2.0)  # convexity > injectivity
 
 
+def _zero_length_shooting(s, p):
+    from karcher.jacobi import JacobiShooting
+
+    return JacobiShooting(s.geodesic_from(p, s.tangent(p, [1.0, 0.0, 0.0]), length=0.0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s, p: ManifoldBounds(0.0, 0.0, -1.0, -1.0), ValueError,
+     "radii must be nonnegative"),
+    (lambda s, p: s.point([1.0, 0.0]), ValueError, "expected 3 coordinates"),
+    (lambda s, p: s.tangent(p, [1.0, 0.0]), ValueError,
+     "tangent component dimension mismatch"),
+    (lambda s, p: s.geodesic_from(p, s.tangent(p, [0.0, 0.0, 0.0])), GeodesicError,
+     "zero initial velocity"),
+    (_zero_length_shooting, JacobiError, "geodesic must have positive length"),
+    (lambda s, p: Sphere(2, radius=0.0), ValueError, "radius must be positive"),
+    (lambda s, p: HyperbolicSpace(2, curvature=0.0), ValueError,
+     "curvature parameter must be positive"),
+], ids=["negative-radius", "point-length", "tangent-length", "zero-velocity",
+        "zero-length-jacobi", "zero-radius", "zero-curvature"])
+def test_model_input_checks(sphere, call, error, message):
+    with pytest.raises(error, match=message):
+        call(sphere, sphere.point([0.0, 0.0, 1.0]))
+
+
 def test_metric_base_point_mismatch(sphere):
     p = sphere.point([0.0, 0.0, 1.0])
     q = sphere.point([1.0, 0.0, 0.0])
@@ -536,7 +561,7 @@ def test_hess_euclidean_identity(euclidean3, rng):
 def test_hess_sphere_closed_form_vs_bvp(sphere):
     # Oracle: for V perpendicular to the geodesic the boundary Jacobi field
     # is sin(t)/sin(tau) V, so the derivative magnitude is tau*cot(tau).
-    from karcher.jacobi import JacobiBVP, solve_bvp
+    from karcher.jacobi import solve_bvp
 
     p = sphere.point([0.0, 0.0, 1.0])
     tau = 0.7
@@ -545,7 +570,7 @@ def test_hess_sphere_closed_form_vs_bvp(sphere):
     V = sphere.parallel_transport(g, 0.0, tau, sphere.tangent(p, [0.0, 1.0, 0.0]))
     closed = sphere.hess_half_dist_sq(p, q, V)
     assert sphere.norm(closed) == pytest.approx(tau / math.tan(tau), abs=1e-12)
-    jdot_tau, _ = solve_bvp(JacobiBVP(g, V))
+    jdot_tau, _ = solve_bvp(g, V)
     assert np.max(np.abs(tau * jdot_tau.components - closed.components)) <= 1e-8
 
 
@@ -718,7 +743,7 @@ def test_curvature_rt_stack_matches_single_vectors():
 
 
 def test_shared_shooting_matches_per_direction_solves():
-    from karcher.jacobi import JacobiBVP, JacobiShooting, solve_bvp
+    from karcher.jacobi import JacobiShooting, solve_bvp
 
     man = make_poincare_disk()
     p, q = man.point([0.1, -0.05]), man.point([-0.05, 0.12])
@@ -726,7 +751,7 @@ def test_shared_shooting_matches_per_direction_solves():
     shooting = JacobiShooting(g)
     for V in man.tangent_basis(q) + [man.tangent(q, [0.3, -0.7])]:
         shared = shooting.solve(V)
-        own = solve_bvp(JacobiBVP(g, V))
+        own = solve_bvp(g, V)
         for a, b in zip(shared, own):
             assert np.array_equal(a.components, b.components)
 
@@ -1323,24 +1348,27 @@ def test_disk_batch_jets_at_vertex_weights_match_the_hyperboloid_batch(hyperboli
 def test_manifold_interface_holds_what_the_library_calls():
     # Geodesic curves, transport and curvature serve only the Jacobi
     # oracle: the closed forms give them, the library's chart does not.
+    # Flat space has none of the curvature the oracle reads off constant
+    # curvature.
     from karcher.manifolds import Manifold
 
     moved = {"geodesic_from", "parallel_transport", "curvature_rt"}
     assert Manifold.__abstractmethods__ == {
-        "_ip", "exp", "log", "tangent_frame_array", "hess_terms_array",
-        "second_deriv_array"}
+        "_ip", "metric_matrix", "exp", "log", "tangent_frame_array",
+        "hess_terms_array", "second_deriv_array"}
     assert not any(hasattr(ChartManifold, name) for name in moved)
     assert "frame_field" not in vars(ChartManifold)
-    for man in (EuclideanSpace(2), Sphere(2), HyperbolicSpace(2), make_poincare_disk()):
+    for man in (Sphere(2), HyperbolicSpace(2), make_poincare_disk()):
         assert all(callable(getattr(man, name)) for name in moved)
+    assert all(callable(getattr(EuclideanSpace(2), name))
+               for name in moved - {"curvature_rt"})
+    assert not hasattr(EuclideanSpace(2), "curvature_rt")
 
 
 def test_chart_metric_matrix_takes_one_callback_per_row(monkeypatch):
-    # The default builds each matrix from dim^2 inner products of the
-    # unit vectors, one callback each; the chart's takes the callback's
+    # Built from dim^2 inner products of the unit vectors, each matrix
+    # takes one callback per entry; the chart's takes the callback's
     # matrix, which has the same entries bit for bit.
-    from karcher.manifolds import Manifold
-
     disk = make_poincare_disk()
     calls = []
     metric = disk.metric_fn
@@ -1348,7 +1376,10 @@ def test_chart_metric_matrix_takes_one_callback_per_row(monkeypatch):
     rows = np.array([[0.1, -0.2], [0.3, 0.25]])
     mats = disk.metric_matrix(rows)
     assert len(calls) == 2
-    assert np.array_equal(mats, Manifold.metric_matrix(disk, rows))
+    eye = np.eye(2)
+    by_entry = np.array([[[disk._ip(ManifoldPoint(x), e, g) for g in eye] for e in eye]
+                         for x in rows])
+    assert np.array_equal(mats, by_entry)
     assert len(calls) == 10
 
 
@@ -1362,7 +1393,10 @@ def test_default_stacks_of_no_rows_are_empty(space):
     assert man.log_array(none, none).shape == (0, 2)
     assert man.dist_array(none, none).shape == (0,)
     assert man.norm_array(none, none).shape == (0,)
-    assert man.metric_matrix(none).shape == (0, 2, 2)
+    # Flat space has one metric matrix for every point, as the space forms
+    # have their form; the chart's is one matrix per row.
+    want = np.eye(2) if space == "euclidean" else np.zeros((0, 2, 2))
+    assert np.array_equal(man.metric_matrix(none), want)
 
 
 def test_disk_batch_jets_take_no_transport(monkeypatch):
