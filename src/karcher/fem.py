@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .barycentric import (_edge_pairs, _grad_tol, _length_tables, _stack_jets,
+from .barycentric import (_edge_lengths, _length_tables, _stack_jets,
                           exceeds_convexity_radius)
 # The scalar jet of one chart, which quad_data computes in batch for every
 # quadrature node.  No code here calls it; it stays importable from this
@@ -128,25 +128,22 @@ class KarcherTriangulation:
     first ``quad_data`` call) the chart jets at the quadrature nodes,
     the pulled-back metric data there (``node_metrics``), and the values
     of each callback there (``at_nodes``).
+
+    The constructor checks the vertices by the manifold's stacked point
+    check, which names the first one off the sphere, and measures the
+    edge lengths and each triangle's ``grad_tol`` by one ``_edge_lengths``
+    pass; both triangles on an edge read one length, as the sphere's
+    ``dist_array`` is symmetric to the bit.
     """
 
     def __init__(self, manifold: Sphere, coords, triangles: np.ndarray):
         self.manifold = manifold
         self.coords = np.asarray(coords, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
-        # Geodesic edge lengths, each undirected edge measured exactly once
-        # so both adjacent triangles see the same number; the key lo * V + hi
-        # numbers the edges in (lo, hi) order.  A triangle lists its edges
-        # as the local pairs (0, 1), (0, 2), (1, 2).
-        local_i, local_j = _edge_pairs(3)
-        i, j = self.triangles[:, local_i], self.triangles[:, local_j]
-        nv = self.num_vertices
-        keys, inverse = np.unique(np.minimum(i, j) * nv + np.maximum(i, j),
-                                  return_inverse=True)
-        lengths = manifold.dist_array(self.coords[keys // nv], self.coords[keys % nv])
-        self.edge_lengths = lengths[inverse.reshape(-1, 3)]               # (T, 3)
-        self.h = float(lengths.max())
-
+        manifold._check_points(self.coords)
+        self.edge_lengths, self.grad_tol, _ = _edge_lengths(
+            manifold, self.coords[self.triangles])                 # (T, 3), (T,)
+        self.h = float(self.edge_lengths.max())
         gm = flat_metric_from_lengths(_length_tables(self.edge_lengths, 3))
         self.gram = gm.G                                            # (T, 2, 2)
         if (t := _flagged(~gm.realizable)) is not None:
@@ -175,18 +172,17 @@ class KarcherTriangulation:
     def quad_data(self) -> tuple[np.ndarray, np.ndarray]:
         """Chart jets at the quadrature nodes of every triangle (cached):
         points (T, Q, coord_dim) and dx matrices (T, Q, coord_dim, 2), as
-        ``differential_batch`` gives them, from the edges of ``__init__``.
+        ``differential_batch`` gives them, at the ``grad_tol`` of ``__init__``.
         The pulled-back metric data of ``node_metrics`` is formed with
         them, once, and a TriangulationError names the triangle and node
         of a metric whose determinant is not positive and finite."""
         if self._jets is None:
             T, Q = self.num_triangles, len(_QUAD_W)
-            verts = self.coords[self.triangles]
-            grad_tol = _grad_tol(self.manifold, self.edge_lengths.max(axis=1), verts)
+            verts = np.repeat(self.coords[self.triangles], Q, axis=0)
             try:
                 points, _, dx, _ = _stack_jets(
-                    self.manifold, np.repeat(verts, Q, axis=0), np.tile(_QUAD_LAM, (T, 1)),
-                    np.repeat(grad_tol, Q), None, False)
+                    self.manifold, verts, np.tile(_QUAD_LAM, (T, 1)),
+                    np.repeat(self.grad_tol, Q), None, False)
             except MeanSolverError as exc:
                 t, q = divmod(exc.index, Q)
                 raise MeanSolverError(f"triangle {t}, quadrature node {q}: {exc}",
@@ -243,9 +239,7 @@ def build_triangulation(manifold: Sphere, subdivision_level: int
     """Icosahedral mesh of the sphere, subdivided 4-to-1 per level."""
     if not isinstance(manifold, Sphere):
         raise ValueError("global triangulations are provided for spheres only")
-    coords, faces = icosphere(subdivision_level, manifold.radius)
-    manifold._check_points(coords)
-    return KarcherTriangulation(manifold, coords, faces)
+    return KarcherTriangulation(manifold, *icosphere(subdivision_level, manifold.radius))
 
 
 @dataclass(frozen=True, eq=False)

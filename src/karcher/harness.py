@@ -298,8 +298,10 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, np.ndarray, float]
 
 
 def fit_slope(hs, values) -> SlopeFit:
-    """Least-squares slope of log(value) against log(h); the coarsest level
-    is dropped when its residual is an outlier (pre-asymptotic pollution).
+    """Least-squares slope of log(value) against log(h); the coarsest of
+    five or more levels is dropped if its residual exceeds twice the rms.
+    A lone outlier there passes only if 1 - h_cc > 4/n (h_cc its leverage),
+    met on an evenly spaced log-h ladder from 8 levels on, never on 5.
     Values are norms: a smallest one <= 1e-13 (flat space) gives a NaN
     fit, and a NaN, infinite or negative one a SlopeFitError naming its
     level.  Fewer than four levels, or a bad h, is a ValueError."""

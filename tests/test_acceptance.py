@@ -6,6 +6,7 @@ computed once per session through AcceptanceContext.
 
 import pytest
 
+from karcher import barycentric
 from karcher.acceptance import (AcceptanceContext, check_connection_distortion_rate,
                                 check_dx_sigma_rate, check_edge_and_submanifold,
                                 check_edge_length_rate, check_fem_poisson,
@@ -17,7 +18,7 @@ from karcher.acceptance import (AcceptanceContext, check_connection_distortion_r
 
 @pytest.fixture(scope="session")
 def ctx():
-    return AcceptanceContext(seed=0)
+    return AcceptanceContext()
 
 
 def report(result):
@@ -44,6 +45,17 @@ def test_criterion_04_nabla_dx_rate(ctx):
 
 def test_criterion_05_flat_space_exactness(ctx):
     report(check_flat_space_exactness(ctx))
+
+
+def test_flat_space_exactness_solves_each_mean_once(ctx, monkeypatch):
+    # 3 charts x 4 weights: the Hessian jet is taken at the mean that
+    # karcher_mean found, so no mean is solved a second time.
+    calls = []
+    batch_mean = barycentric._batch_mean
+    monkeypatch.setattr(barycentric, "_batch_mean",
+                        lambda *args: calls.append(1) or batch_mean(*args))
+    assert check_flat_space_exactness(ctx).passed
+    assert len(calls) == 12
 
 
 def test_criterion_06_edge_and_submanifold(ctx):

@@ -91,6 +91,21 @@ def test_off_sphere_vertex_is_named(sphere, monkeypatch):
         build_triangulation(sphere, 1)
 
 
+def test_constructor_checks_its_points(sphere, monkeypatch):
+    # Outside coordinates are checked where they arrive: a scaled mesh is
+    # refused rather than measured by the chords of off-sphere points.
+    coords, faces = fem.icosphere(1)
+    with pytest.raises(ValueError,
+                       match=r"^vertex 0: point norm 1\.01 is off the radius-1\.0 sphere$"):
+        KarcherTriangulation(sphere, 1.01 * coords, faces)
+    # build_triangulation checks its mesh once, through the constructor.
+    calls = []
+    check = sphere._check_points
+    monkeypatch.setattr(sphere, "_check_points", lambda x: calls.append(len(x)) or check(x))
+    build_triangulation(sphere, 1)
+    assert calls == [42]
+
+
 def test_level_validation(sphere):
     with pytest.raises(ValueError):
         build_triangulation(sphere, -1)
@@ -121,18 +136,21 @@ def test_edge_lengths_measured_edge_by_edge(sphere):
     assert tri.h == max(lengths.values())
 
 
-def test_shared_edges_single_length(tri1):
-    # Both triangles adjacent to an edge carry the same stored length.
-    seen = {}
-    for tri_idx, lengths in zip(tri1.triangles, tri1.edge_lengths):
-        local = ((0, 1), (0, 2), (1, 2))
-        for (a_loc, b_loc), val in zip(local, lengths):
-            key = tuple(sorted((tri_idx[a_loc], tri_idx[b_loc])))
-            if key in seen:
-                assert seen[key] == val  # exact float equality
-            else:
-                seen[key] = val
-    assert len(seen) == 120  # level-1 edge count
+def test_shared_edges_single_length():
+    # Both triangles adjacent to an edge carry the same stored length: each
+    # triangle measures its own edges, in its own vertex order, so this
+    # rests on the sphere's dist_array being symmetric to the bit.  Checked
+    # on the meshes of the FEM ladders.
+    local = ((0, 1), (0, 2), (1, 2))
+    for radius in (1.0, 2.5):
+        for level in range(5):
+            tri = build_triangulation(Sphere(2, radius=radius), level)
+            seen = {}
+            for tri_idx, lengths in zip(tri.triangles.tolist(), tri.edge_lengths):
+                for (a_loc, b_loc), val in zip(local, lengths):
+                    key = tuple(sorted((tri_idx[a_loc], tri_idx[b_loc])))
+                    assert seen.setdefault(key, val) == val  # exact float equality
+            assert len(seen) == 30 * 4 ** level, (radius, level)
 
 
 def _equator(*angles, z=0.0):
