@@ -14,19 +14,21 @@ one (13) suffices.  When the error estimate demands it the controller
 still rejects the step and shrinks it, so the rtol/atol contract is
 unchanged.  A caller that integrates a run of similar ODEs passes the
 first step an earlier solve of the run accepted, and so pays for a
-rejected whole-interval try once per run: the shots of one logarithm,
-the shots of one vertex's logarithm across the iterates of one mean, and
-the Hessian ODEs of one row's vertices, as a fraction of each interval.
-No step is kept beyond the call that made the run.
+rejected whole-interval try once per run.  A run is a group: the
+systems of one ``ChartManifold`` lockstep group, a chart's edge
+logarithms or one mean row's vertex logarithms across its iterates,
+whose every Newton round is one solve of all its pending shots; and the
+Hessian ODEs of one row's vertices, as a fraction of each interval.  No
+step is kept beyond the call that made the run.
 
 A caller that already holds the right-hand side at the start, because
-the ODEs of one run start from one point whose Christoffel symbols it
-has taken, passes that value as ``f0``.  The integrator's first
-evaluation, at (t0, y0), takes it instead of calling ``rhs``: every
-shot of one ``ChartManifold`` logarithm starts at its base point p and
-takes Gamma(p) from the logarithm's seed, and the Hessian ODEs of one
-row all start at its point q.  The value still counts as an evaluation
-toward ``nfev`` and the budget.
+each ODE of a run starts from a point whose Christoffel symbols it has
+taken, passes that value as ``f0``.  The integrator's first evaluation,
+at (t0, y0), takes it instead of calling ``rhs``: every shot of a
+lockstep system starts at its row's base point p and takes Gamma(p)
+from that row's seed, and the Hessian ODEs of one row all start at its
+point q.  The value still counts as an evaluation toward ``nfev`` and
+the budget.
 
 ``scipy.integrate`` is imported inside ``solve_ode``, on its first call,
 not with the package.  Only ``ChartManifold`` and the Jacobi solver
@@ -46,14 +48,16 @@ from .errors import GeodesicError
 ODE_RTOL = 1e-12
 ODE_ATOL = 1e-13
 
-# Right-hand-side evaluations one solve may take.  The most any successful
-# solve takes in the tests is 553, in 39 steps: the first shot, along the
-# chord, of a long cold logarithm near the rim of the Poincare disk.
+# Right-hand-side evaluations one solve may take, a system of stacked
+# shots counting one per evaluation of the whole stack.  Measured with the
+# logarithms shot in lockstep groups: the most any successful solve takes
+# in the tests is 553, in 39 steps: the first shot, along the chord, of a
+# long cold logarithm near the rim of the Poincare disk, a one-row group.
 # ``karcher verify all`` takes at most 400, the example configs 73 and the
-# benchmark workloads 61 (chart-ode, seeds 0-9, with the mean's retraction
-# and step memory).  A solve that needs over eighteen times the most is
-# running into a singularity, such as a geodesic shot toward the rim of
-# the disk, whose steps shrink without end; it fails instead of hanging.
+# benchmark workloads 61 (chart-ode, seeds 0-9: a three-row group).  A
+# solve that needs over eighteen times the most is running into a
+# singularity, such as a geodesic shot toward the rim of the disk, whose
+# steps shrink without end; it fails instead of hanging.
 ODE_MAX_NFEV = 10_000
 
 

@@ -931,9 +931,16 @@ class ChartManifold(Manifold):
     # This right-hand side, the fused one of ``_hess_matrix`` and the
     # ``_jacobi_operator`` it calls run once per integrator stage on arrays
     # of a few entries, where ``np.dot`` takes about 1 us less than ``@``.
-    def _geodesic_rhs(self, t, y):
-        x, u = y[:self.dim], y[self.dim:]
-        return np.concatenate([u, -np.dot(np.dot(self.christoffel_fn(x), u), u)])
+    def _geodesic_rhs(self, t, y, gams=None):
+        """The geodesic equation of a stack of geodesics, y = [x_0, u_0,
+        x_1, u_1, ...], each in one geodesic's arithmetic: one
+        ``christoffel_fn`` call per geodesic, or its symbols from gams."""
+        d, parts = self.dim, []
+        for k in range(0, len(y), 2 * d):
+            u = y[k + d:k + 2 * d]
+            gam = self.christoffel_fn(y[k:k + d]) if gams is None else gams[k // (2 * d)]
+            parts += [u, -np.dot(np.dot(gam, u), u)]
+        return np.concatenate(parts)
 
     def _christoffel_jet(self, x: np.ndarray, gam: np.ndarray | None = None
                          ) -> tuple[np.ndarray, np.ndarray]:
@@ -945,26 +952,23 @@ class ChartManifold(Manifold):
             gam = self.christoffel_fn(x)
         return gam, (near[:self.dim] - near[self.dim:]) / (2.0 * _FD_STEP)
 
-    def _shoot(self, p_coords: np.ndarray, v_comps: np.ndarray,
-               step: float = 1.0, gam: np.ndarray | None = None
-               ) -> tuple[np.ndarray, float]:
-        """exp_p(v) in coordinates, integrated over (0, 1) from a first
-        step of ``step``, and the first step the integrator accepted,
-        which the next shot of the same logarithm starts from.  Given gam
-        = Gamma(p), the first right-hand side is taken from it."""
-        if not np.any(v_comps):
-            return p_coords.copy(), step
-        y0 = np.concatenate([p_coords, v_comps])
-        f0 = None if gam is None else np.concatenate(
-            [v_comps, -np.dot(np.dot(gam, v_comps), v_comps)])
+    def _shots(self, p: np.ndarray, v: np.ndarray, step: float,
+               gam: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+        """exp_p(v) in coordinates for the rows of p and v (K, dim),
+        integrated over (0, 1) as one ODE system from a first step of
+        ``step``, and the first step that the system accepted.  Given gam
+        = Gamma(p) (K, dim, dim), the first right-hand side is taken from
+        it."""
+        y0 = np.concatenate([p, v], axis=1).ravel()
+        f0 = None if gam is None else self._geodesic_rhs(0.0, y0, gam)
         sol = solve_ode(self._geodesic_rhs, (0.0, 1.0), y0, first_step=step, f0=f0)
-        return sol.y[: self.dim, -1], float(sol.t[1])
+        return sol.y[:, -1].reshape(-1, 2 * self.dim)[:, :self.dim], float(sol.t[1])
 
     def exp(self, p, v):
         n = self.norm(v)
         if n > self.bounds.injectivity_radius * (1.0 + 1e-9):
             raise GeodesicError("initial vector longer than the injectivity radius")
-        return ManifoldPoint(self._shoot(p.coords, v.components)[0])
+        return ManifoldPoint(self._shots(p.coords[None], v.components[None], 1.0)[0][0])
 
     def retract_array(self, p, v):
         """p + v - Gamma_p(v, v)/2, the second-order expansion of exp_p(v):
@@ -973,19 +977,21 @@ class ChartManifold(Manifold):
                      shape=(self.dim,))
 
     def log(self, p, q):
-        return TangentVector(p, self._shoot_log(p.coords, q.coords)[0])
+        return TangentVector(p, self.log_array(p.coords, q.coords))
 
-    def log_array(self, p, q):
-        """log_p(q) row by row, each shot cold to ``shooting_tol``, its
-        first shot from the whole interval, with one Christoffel jet per
-        distinct point of the stack, p or q: the rows share the seeds'
-        jets."""
-        symbols = _Symbols(self)
-        return _rows(lambda x, y: self._shoot_log(x, y, symbols)[0], p, q,
-                     shape=(self.dim,))
+    def log_array(self, p, q, symbols: _Symbols | None = None):
+        """log_p(q), each row shot cold to ``shooting_tol`` in the
+        lockstep groups of ``_lockstep``, with one Christoffel jet per
+        distinct point of the stack, p or q, from ``symbols`` (a new one
+        by default): the rows share the seeds' jets."""
+        p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+        symbols = _Symbols(self) if symbols is None else symbols
+        found = self._lockstep(p, "edge", lambda i: self._shoot_log(p[i], q[i], symbols))
+        return np.array([f[0] for f in found]).reshape(p.shape)
 
     def _warm_log_array(self, p, q, state=None):
-        """``_shoot_log`` on every row in the mean's one-shot mode: the
+        """``_shoot_log`` on every row in the mean's one-shot mode, in the
+        lockstep groups of ``_lockstep`` (a mean row's vertices): the
         logarithms, whether each is verified, and the state (p, logs,
         endpoint Jacobians, NaN where p = q, Gamma(p), first-shot
         residuals and the first steps that each row's last shot accepted)
@@ -995,46 +1001,86 @@ class ChartManifold(Manifold):
         a row shoots warm from v at b against jac, with res as its guard
         reference, and its first shot starts from step.  Without one it
         shoots cold from the one-end ``_third_order_seed``, against |q -
-        p| (the residual of v = 0), from the whole interval: the first
-        iterate's logarithms run from the initial guess toward vertices at
-        different distances, and a step passed from one row to the next
-        cost more evaluations than it saved.  Their first-shot residuals
-        are the next iterate's guard references, and the two-point seed's
-        far smaller ones would send every warm shot to full shooting.  A
-        row whose first shot misses by at most half of its reference
-        returns that shot's Newton step unverified."""
+        p| (the residual of v = 0), from the whole interval.  Their
+        first-shot residuals are the next iterate's guard references, and
+        the two-point seed's far smaller ones would send every warm shot
+        to full shooting.  A row whose first shot misses by at most half
+        of its reference returns that shot's Newton step unverified."""
         p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-        lead = p.shape[:-1]
-        logs = np.empty(p.shape)
-        jacs = np.full(p.shape + (self.dim,), np.nan)
-        gams = np.empty(p.shape + (self.dim, self.dim))
-        res, steps = np.empty(lead), np.empty(lead)
-        exact = np.empty(lead, dtype=bool)
         symbols = _Symbols(self)
-        for idx in np.ndindex(lead):
-            gams[idx] = symbols.gamma(p[idx])
-            if state is None:
-                warm, guard, step = None, np.linalg.norm(q[idx] - p[idx]), 1.0
-            else:
-                warm, guard, step = tuple(x[idx] for x in state[:4]), state[4][idx], state[5][idx]
-            logs[idx], found, res[idx], exact[idx], steps[idx] = self._shoot_log(
-                p[idx], q[idx], symbols, warm, guard, step)
-            if found is not None:
-                jacs[idx] = found
+        gams = _rows(symbols.gamma, p, shape=(self.dim,) * 3)
+
+        def shooter(i):
+            warm = (None, np.linalg.norm(q[i] - p[i]), 1.0) if state is None else (
+                tuple(x[i] for x in state[:4]), state[4][i], state[5][i])
+            return self._shoot_log(p[i], q[i], symbols, *warm)
+
+        found = self._lockstep(p, "vertex", shooter)
+        logs, jacs, res, exact, steps = (np.array(col).reshape(p.shape[:-1] + np.shape(col[0]))
+                                         for col in zip(*found))
         return logs, exact, (p, logs, jacs, gams, res, steps)
 
-    def _shoot_log(self, p: np.ndarray, q: np.ndarray, symbols: _Symbols | None = None,
-                   start=None, ref: float = 0.0, step: float = 1.0
-                   ) -> tuple[np.ndarray, np.ndarray | None, float, bool, float]:
+    def _lockstep(self, p: np.ndarray, what: str, shooter) -> list:
+        """The results of the ``_shoot_log`` generators shooter(i) for the
+        indices i of the leading axes of p (..., dim), the base points, in
+        ``np.ndindex`` order.  A group is one index of the first axis (one
+        row if p has no leading axis), and its rows run in lockstep: each
+        round integrates the shot that each unfinished row asks for, a
+        Newton iterate or a finite-difference column, as one ODE system
+        (``_shots``) from the smallest first step that they carry, and
+        sends each row its end and the step the system accepted.  A
+        row leaves when its generator returns.  The rows of a group share
+        steps and scipy's error norm, so a row's bits are those of its
+        group's one-row call, and a one-row group is one logarithm's
+        shooting.  A GeodesicError names its row (the group) and the
+        ``what`` within it whose shooting failed, or those whose shots the
+        failed system held."""
+        lead, out = p.shape[:-1], []
+        idx = list(np.ndindex(lead))
+        size = max(1, math.prod(lead[1:]))
+        for g in range(0, len(idx), size):
+            rows = idx[g:g + size]
+            gens, asks, found = [shooter(i) for i in rows], {}, [None] * len(rows)
+            sent = dict.fromkeys(range(len(rows)))
+            try:
+                while True:
+                    for k in sent:
+                        held = [k]              # the shootings a failure names
+                        try:
+                            asks[k] = gens[k].send(sent[k])
+                        except StopIteration as stop:
+                            found[k] = stop.value
+                            asks.pop(k, None)
+                    if not asks:
+                        break
+                    held = list(asks)
+                    v, steps, gams = zip(*(asks[k] for k in held))
+                    ends, step = self._shots(np.array([p[rows[k]] for k in held]),
+                                             np.array(v), min(steps), np.array(gams))
+                    sent = {k: (end, step) for k, end in zip(held, ends)}
+            except GeodesicError as exc:
+                if not lead:
+                    raise
+                where = f"row {rows[0][0]}" + ("" if len(lead) == 1 else f", {what} {held[0]}"
+                                               if len(held) == 1 else f", {what}s {held}")
+                raise GeodesicError(f"{where}: {exc}") from exc
+            out += found
+        return out
+
+    def _shoot_log(self, p: np.ndarray, q: np.ndarray, symbols: _Symbols,
+                   start=None, ref: float = 0.0, step: float = 1.0):
         """Newton shooting on v -> exp_p(v) - q, in coordinates, until its
-        norm is below ``shooting_tol``; returns v, its estimate of the
-        endpoint Jacobian of v -> exp_p(v) (None if p = q), the residual
-        of the first shot (0 if p = q), whether v is verified (True
-        unless ``ref`` cut the shooting short) and the first step that the
-        last shot accepted (``step`` if p = q).  The symbols and jets come
-        from ``symbols``, which a stack of logarithms shares (a new one
-        by default), and every shot, the finite-difference ones
-        included, takes its first right-hand side from Gamma(p).
+        norm is below ``shooting_tol``, as a generator that ``_lockstep``
+        drives: it yields each request (v, step, Gamma(p)), one shot v
+        (dim,) from a first step of ``step``, a Newton iterate or one
+        column of a finite-difference Jacobian, and is sent back its end
+        and the first step that its system accepted.  It returns v, its
+        estimate of the endpoint Jacobian of v -> exp_p(v) (NaN if p = q),
+        the residual of the first shot (0 if p = q), whether v is verified
+        (True unless ``ref`` cut the shooting short) and the last step it
+        was sent (``step`` if p = q).  The symbols and jets come from
+        ``symbols``, which a stack of logarithms shares, and every shot
+        takes its first right-hand side from Gamma(p).
 
         The Christoffel symbols at p and their central differences give
         the third-order Taylor expansion of the endpoint map, exp_p(v) = p
@@ -1049,9 +1095,9 @@ class ChartManifold(Manifold):
         first-shot residual is the guard reference of the mean's next
         iterate (``_warm_log_array``).  A seed farther from the chord than
         the chord's own length is outside the expansions' range: the
-        shooting then starts from the chord with a finite-difference
-        Jacobian (``_endpoint_jacobian``), where the take-back rule below
-        would end up after wasted shots.  With ``start`` = (b, w, J,
+        shooting then starts from the chord with a forward-difference
+        Jacobian (one request per column), where the take-back rule
+        below would end up after wasted shots.  With ``start`` = (b, w, J,
         Gamma(b)), a logarithm w toward q at a nearby base point b, its
         endpoint Jacobian J and the symbols at b, it shoots from w moved to
         p by the second-order expansion, w - (p - b) + (Gamma(p)(q - p, q
@@ -1064,15 +1110,14 @@ class ChartManifold(Manifold):
         the Newton step must cut it to 1 - t/2).  A failed step is taken
         back.  If it was the first step from the seed or the start, that
         start is bad and the shooting restarts from the chord with a
-        finite-difference Jacobian (``_endpoint_jacobian``).  Otherwise
-        the Jacobian is recomputed by finite differences at the last
-        accepted iterate, and a step that fails with such a Jacobian is
-        halved.  The returned Jacobian, the last one after its Broyden
-        update, carries on to the next warm start.  Warm and cold
-        logarithms agree to the shooting tolerance.  The first shot tries
-        ``step`` as its first integration step (by default the whole
-        interval); every later shot, Newton iterate or Jacobian column,
-        starts from the first step the previous shot accepted.
+        finite-difference Jacobian.  Otherwise the Jacobian is recomputed
+        by finite differences at the last accepted iterate, and a step
+        that fails with such a Jacobian is halved.  The returned Jacobian,
+        the last one after its Broyden update, carries on to the next warm
+        start.  Warm and cold logarithms agree to the shooting tolerance.
+        The first request carries ``step`` (by default the whole
+        interval); every later one, Newton iterate or Jacobian column,
+        the step it was last sent.
 
         A positive ``ref`` is the one-shot mode of a mean iterate (an
         inexact Newton step): if the first shot misses q by more than the
@@ -1081,9 +1126,7 @@ class ChartManifold(Manifold):
         Any other first shot goes on as above."""
         chord = q - p
         if not np.any(chord):
-            return np.zeros(self.dim), None, 0.0, True, step
-        if symbols is None:
-            symbols = _Symbols(self)
+            return np.zeros(self.dim), np.full((self.dim,) * 2, np.nan), 0.0, True, step
         gamma = symbols.gamma(p)
         fresh, first = 0, True
         if start is None:
@@ -1114,7 +1157,7 @@ class ChartManifold(Manifold):
         steps, t = 0, 1.0
         first_res = None
         for _ in range(MAX_SHOOTING_ITERS):
-            end, step = self._shoot(p, v, step, gamma)
+            end, step = yield v, step, gamma
             res = float(np.linalg.norm(end - q))
             if first_res is None:
                 first_res = res
@@ -1135,8 +1178,11 @@ class ChartManifold(Manifold):
             else:
                 jac = None
             if jac is None:
-                jac, step = self._endpoint_jacobian(p, base, base_end, step, gamma)
-                fresh, exact = fresh + 1, True
+                h, cols = 1e-7 * max(1.0, float(np.linalg.norm(base))), []
+                for dv in h * np.eye(self.dim):
+                    shot, step = yield base + dv, step, gamma
+                    cols.append((shot - base_end) / h)
+                jac, fresh, exact = np.column_stack(cols), fresh + 1, True
             try:
                 newton = -np.linalg.solve(jac, base_end - q)
             except np.linalg.LinAlgError as exc:
@@ -1150,34 +1196,18 @@ class ChartManifold(Manifold):
         raise GeodesicError("shooting for the logarithm did not converge"
                             + _shooting_state(p, q, steps, fresh, res))
 
-    def _endpoint_jacobian(self, p_coords: np.ndarray, v: np.ndarray,
-                           end: np.ndarray, step: float, gam: np.ndarray | None = None
-                           ) -> tuple[np.ndarray, float]:
-        """Forward-difference Jacobian of v -> exp_p(v) at v, whose value
-        there is ``end``, with its shots chained from ``step`` and their
-        first right-hand sides from gam = Gamma(p), if given, as in
-        ``_shoot``; returns the Jacobian and the last shot's step."""
-        h = 1e-7 * max(1.0, float(np.linalg.norm(v)))
-        jac = np.empty((self.dim, self.dim))
-        for k in range(self.dim):
-            dv = np.zeros(self.dim)
-            dv[k] = h
-            shot, step = self._shoot(p_coords, v + dv, step, gam)
-            jac[:, k] = (shot - end) / h
-        return jac, step
-
-    def hess_terms_array(self, p, q, logs, mask):
+    def hess_terms_array(self, p, q, logs, mask, symbols: _Symbols | None = None):
         """(p, q, mask, matrices): ``_hess_matrix`` on the mask, zero
         elsewhere.  Within a row, each vertex's ODE starts from the first
         step that the previous vertex's ODE accepted, as a fraction of its
         interval; each row starts from the whole interval, so that a row's
         matrices are those of its one-row call.  The Christoffel jet and
         the metric at a row's q are taken once, for the frames and the
-        first right-hand sides of all the row's ODEs.  A JacobiError names
-        its row and vertex."""
+        first right-hand sides of all the row's ODEs, from ``symbols`` (a
+        new one by default).  A JacobiError names its row and vertex."""
         mats = np.zeros(logs.shape + (self.dim,))
         row, frac = -1, 1.0
-        symbols = _Symbols(self)
+        symbols = _Symbols(self) if symbols is None else symbols
         for r, i in zip(*np.nonzero(mask)):
             if r != row:
                 row, frac = r, 1.0
@@ -1199,7 +1229,9 @@ class ChartManifold(Manifold):
         matrices of every vertex (from cold logarithms) give d_{V_k} H_i by
         Richardson-extrapolated central differences and H_i(q) by
         extrapolated means; the symbols at q then give nabla_{V_k} H_i =
-        d_{V_k} H_i + [Gamma(V_k), H_i], Gamma(V)^a_b = Gamma^a_cb V^c."""
+        d_{V_k} H_i + [Gamma(V_k), H_i], Gamma(V)^a_b = Gamma^a_cb V^c.
+        The logarithms, the Hessians and the symbols at q share one
+        ``_Symbols``, so the call takes each point's symbols once."""
         p, q, mask = terms[:3]
         scale = self.norm_array(V, q[:, None])                       # (N, k)
         pairs = np.nonzero(scale)
@@ -1210,17 +1242,17 @@ class ChartManifold(Manifold):
         offsets = step * np.array([1.0, 0.5, -1.0, -0.5])
         x = (q[pairs[0]][:, None] + offsets[:, None] * u[:, None]).reshape(-1, self.dim)
         verts, keep = p[pairs[0]].repeat(4, axis=0), mask[pairs[0]].repeat(4, axis=0)
-        logs = np.zeros(verts.shape)
+        logs, symbols = np.zeros(verts.shape), _Symbols(self)
         logs[keep] = self.log_array(np.broadcast_to(x[:, None], verts.shape)[keep],
-                                    verts[keep])
-        mats = self.hess_terms_array(verts, x, logs, keep)[3]
+                                    verts[keep], symbols)
+        mats = self.hess_terms_array(verts, x, logs, keep, symbols)[3]
         # The central differences D(s) and D(s / 2) extrapolate to
         # (4 D(s / 2) - D(s)) / 3, and so do the means.
         mats = mats.reshape((-1, 2, 2) + mats.shape[1:])
         diff, total = mats[:, 0] - mats[:, 1], mats[:, 0] + mats[:, 1]
         hess = (4.0 * total[:, 1] - total[:, 0]) / 6.0
-        gam = np.einsum("pacb,pc->pab", np.array([self.christoffel_fn(q[r])
-                                                  for r in pairs[0]]), V[pairs])[:, None]
+        gam = np.einsum("pacb,pc->pab", np.array([symbols.gamma(q[r]) for r in pairs[0]]),
+                        V[pairs])[:, None]
         deriv = np.zeros(scale.shape + diff.shape[2:])               # (N, k, n+1, D, D)
         deriv[pairs] = (scale[pairs][:, None, None, None]
                         * (8.0 * diff[:, 1] - diff[:, 0]) / (6.0 * step)

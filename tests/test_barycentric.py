@@ -531,13 +531,13 @@ def test_hessian_builds_each_vertex_map_once(monkeypatch):
     terms, log_bases = [], []
     hess_terms, log_array = man.hess_terms_array, man.log_array
 
-    def counting_terms(p, q, logs, mask):
+    def counting_terms(p, q, logs, mask, *symbols):
         terms.append((q, mask))
-        return hess_terms(p, q, logs, mask)
+        return hess_terms(p, q, logs, mask, *symbols)
 
-    def counting_logs(p, q):
+    def counting_logs(p, q, *symbols):
         log_bases.append(np.atleast_2d(p))
-        return log_array(p, q)
+        return log_array(p, q, *symbols)
 
     monkeypatch.setattr(man, "hess_terms_array", counting_terms)
     monkeypatch.setattr(man, "log_array", counting_logs)

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from karcher.errors import BasePointError, GeodesicError, JacobiError, KarcherError
 from karcher.manifolds import (ChartManifold, EuclideanSpace, HyperbolicSpace,
-                               ManifoldBounds, ManifoldPoint, Sphere)
+                               ManifoldBounds, ManifoldPoint, Sphere, _Symbols)
 
 from conftest import (endpoint_shots, random_hyperbolic_point,
                       random_sphere_point, random_unit_tangent)
@@ -821,6 +821,46 @@ def test_chart_second_deriv_runs_only_the_stencil(monkeypatch):
 
 # -- warm-started shooting and the mean's logarithms ------------------------
 
+def _shoot_log(man, p, q, *args):
+    """``ChartManifold._shoot_log``'s results for log_p(q), run by
+    ``_lockstep`` as a one-row group."""
+    return man._lockstep(p, "edge", lambda i: man._shoot_log(p, q, _Symbols(man), *args))[0]
+
+
+def _record_requests(monkeypatch):
+    """Every shot (row, v) that a shooting generator asks
+    ``ChartManifold._lockstep`` for, where row stands for the generator,
+    one per logarithm."""
+    requests = []
+    lockstep = ChartManifold._lockstep
+
+    def recording(self, p, what, shooter):
+        def spied(i):
+            gen, sent, row = shooter(i), None, object()
+            while True:
+                try:
+                    v, step, gam = gen.send(sent)
+                except StopIteration as stop:
+                    return stop.value
+                requests.append((row, v))
+                sent = yield v, step, gam
+        return lockstep(self, p, what, spied)
+
+    monkeypatch.setattr(ChartManifold, "_lockstep", recording)
+    return requests
+
+
+def _jacobian_refreshes(requests):
+    """The finite-difference Jacobian columns among ``requests``: shots
+    that differ from an earlier shot w of their logarithm in one
+    coordinate, by 1e-7 max(1, |w|)."""
+    return [(row, v) for n, (row, v) in enumerate(requests)
+            if any(r is row and np.count_nonzero(v - w) == 1
+                   and math.isclose(np.max(np.abs(v - w)), 1e-7 * max(1.0, np.linalg.norm(w)),
+                                    rel_tol=1e-6)
+                   for r, w in requests[:n])]
+
+
 @given(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(0.02, 0.2),
        st.floats(0.0, 2 * math.pi), st.floats(0.0, 0.02),
        st.floats(0.0, 2 * math.pi))
@@ -834,11 +874,11 @@ def test_warm_started_log_matches_cold_log_property(x, y, r, ang, shift, shift_a
     q = man.point(p.coords + r * np.array([math.cos(ang), math.sin(ang)]))
     b = man.point(p.coords + shift * np.array([math.cos(shift_ang),
                                                math.sin(shift_ang)]))
-    v, jac, _, exact, step = man._shoot_log(b.coords, q.coords)
+    v, jac, _, exact, step = _shoot_log(man, b.coords, q.coords)
     assert exact
     cold = man.log(p, q).components
     none = np.full((2, 2), np.nan)
-    for J in (none if jac is None else jac, none):
+    for J in (jac, none):
         warm, verified, _ = man._warm_log_array(
             p.coords, q.coords, (b.coords, v, J, man.christoffel_fn(b.coords), np.array(0.0),
                                  np.array(step)))
@@ -857,18 +897,11 @@ def test_bad_start_falls_back_to_a_fresh_jacobian(start, monkeypatch):
     man = make_poincare_disk()
     p, q = man.point([0.1, -0.2]), man.point([0.3, 0.1])
     cold = man.log(p, q)
-    refreshes = []
-    jacobian = man._endpoint_jacobian
-
-    def counting_jacobian(*args):
-        refreshes.append(args)
-        return jacobian(*args)
-
-    monkeypatch.setattr(man, "_endpoint_jacobian", counting_jacobian)
+    requests = _record_requests(monkeypatch)
     warm = man._warm_log_array(p.coords, q.coords,
                                (*start, man.christoffel_fn(start[0]), np.array(0.0),
                                 np.array(1.0)))[0]
-    assert refreshes
+    assert _jacobian_refreshes(requests)
     assert np.linalg.norm(warm - cold.components) <= 1e-10
     assert np.linalg.norm(man.exp(p, man.tangent(p, warm)).coords - q.coords) \
         < man.shooting_tol
@@ -877,16 +910,17 @@ def test_bad_start_falls_back_to_a_fresh_jacobian(start, monkeypatch):
 # -- one shot per vertex and mean iterate, and its guard ---------------------
 
 def _record_shots(monkeypatch):
-    """Every endpoint shot of a ChartManifold as (p, v, exp_p(v))."""
+    """Every endpoint shot of a ChartManifold as (p, v, exp_p(v)): each
+    row of the systems that ``_shots`` integrates for ``_lockstep``."""
     shots = []
-    shoot = ChartManifold._shoot
+    integrate = ChartManifold._shots
 
     def recording(self, p, v, *args):
-        end, step = shoot(self, p, v, *args)
-        shots.append((p.copy(), v.copy(), end))
-        return end, step
+        ends, step = integrate(self, p, v, *args)
+        shots.extend(zip(p.copy(), v.copy(), ends))
+        return ends, step
 
-    monkeypatch.setattr(ChartManifold, "_shoot", recording)
+    monkeypatch.setattr(ChartManifold, "_shots", recording)
     return shots
 
 
@@ -973,7 +1007,7 @@ def test_log_array_with_a_start_returns_verified_logarithms(monkeypatch):
     man = make_poincare_disk()
     p, q = np.array([0.1, -0.2]), np.array([0.3, 0.1])
     b = p + 0.01 * np.array([0.6, 0.8])
-    v, jac, _, _, step = man._shoot_log(b, q)
+    v, jac, _, _, step = _shoot_log(man, b, q)
     step = np.array(step)
     gam = man.christoffel_fn(b)
     _, exact, _ = man._warm_log_array(p, q, (b, v, jac, gam, np.linalg.norm(q - p), step))
@@ -1123,8 +1157,22 @@ def test_chart_edge_logarithms_feed_the_initial_guess(space, monkeypatch):
     karcher_mean(chart, BarycentricWeight([0.2, 0.5, 0.3]))
     from_p0 = [b for b in bases if np.array_equal(b.reshape(-1), p0)]
     assert len(from_p0) == (0 if isinstance(man, ChartManifold) else 1)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        assert chart.edge_lengths.lengths[i, j] == man.dist(vertices[i], vertices[j])
+    # A chart's edges are one lockstep group, whose shots share their
+    # integration steps: each length is the norm of its row of that group,
+    # and within 1e-12 relative of its own one-row ``dist`` (5.5e-13 at
+    # most on 400 random disk and stereographic-sphere triangles of
+    # diameter up to 0.8).  A closed form's lengths are its ``dist``.
+    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+    if isinstance(man, ChartManifold):
+        x, y = chart.coords[None, i], chart.coords[None, j]
+        group = man.norm_array(man.log_array(x, y), x)[0]
+        assert np.array_equal(chart.edge_lengths.lengths[i, j], group)
+    for k in range(3):
+        d = man.dist(vertices[i[k]], vertices[j[k]])
+        if isinstance(man, ChartManifold):
+            assert abs(chart.edge_lengths.lengths[i[k], j[k]] - d) <= 1e-12 * d
+        else:
+            assert chart.edge_lengths.lengths[i[k], j[k]] == d
 
 
 @pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic", "disk"])
@@ -1178,10 +1226,17 @@ def _log_agreement(man: ChartManifold, a: ManifoldPoint, vertices) -> float:
     when both pass the shooting test: each is within shooting_tol / s of
     the exact one, s the smallest singular value of the endpoint map's
     Jacobian there."""
-    s = min(np.linalg.svd(man._endpoint_jacobian(a.coords, man.log(a, p).components,
-                                                 p.coords, 1.0)[0], compute_uv=False).min()
-            for p in vertices)
+    s = min(np.linalg.svd(_endpoint_jacobian(man, a.coords, man.log(a, p).components, p.coords),
+                          compute_uv=False).min() for p in vertices)
     return 2.0 * man.shooting_tol / s
+
+
+def _endpoint_jacobian(man: ChartManifold, p, v, end):
+    """The forward-difference Jacobian at v of v -> exp_p(v), whose value
+    there is ``end``, from one ``exp`` shot per column."""
+    h = 1e-7 * max(1.0, float(np.linalg.norm(v)))
+    shots = man.exp_array(np.broadcast_to(p, (man.dim, man.dim)), v + h * np.eye(man.dim))
+    return (shots - end).T / h
 
 
 def test_differential_at_the_mean_reuses_its_logarithms(chart_and_mean,
@@ -1505,20 +1560,13 @@ def test_long_cold_disk_logarithms_match_the_hyperboloid(hyperbolic, monkeypatch
     # Before steps were taken back and halved, the Newton iterates of the
     # first pair wandered toward the rim and the shooting did not return.
     disk = make_poincare_disk()
-    refreshes = []
-    jacobian = disk._endpoint_jacobian
-
-    def counting_jacobian(*args):
-        refreshes.append(args)
-        return jacobian(*args)
-
-    monkeypatch.setattr(disk, "_endpoint_jacobian", counting_jacobian)
+    requests = _record_requests(monkeypatch)
     rng = np.random.default_rng(3)
     pairs = [(np.array([0.49539472, -0.58909145]), np.array([0.02884016, -0.87088237]))]
     pairs += [_disk_pair(hyperbolic, rng) for _ in range(40)]
     for x, y in pairs:
         assert disk_log_gap(disk, hyperbolic, x, y) <= 1e-10
-    assert refreshes
+    assert _jacobian_refreshes(requests)
 
 
 def test_verified_cold_logarithms_seed_from_both_ends():
@@ -1537,9 +1585,9 @@ def test_verified_cold_logarithms_seed_from_both_ends():
             angle = rng.uniform(0.0, 2.0 * math.pi)
             q = p + length * np.array([math.cos(angle), math.sin(angle)])
             v, _ = manifolds._third_order_seed(*man._christoffel_jet(p), q - p)
-            one_end = np.linalg.norm(man._shoot(p, v)[0] - q)
+            one_end = np.linalg.norm(man._shots(p[None], v[None], 1.0)[0][0] - q)
             assert man._warm_log_array(p, q)[2][4] == one_end
-            assert 0.0 < 100.0 * man._shoot_log(p, q)[2] <= one_end
+            assert 0.0 < 100.0 * _shoot_log(man, p, q)[2] <= one_end
 
 
 def test_overflowing_two_point_seed_starts_from_the_chord(hyperbolic):
@@ -1570,6 +1618,142 @@ def test_out_of_range_cold_seed_starts_from_the_chord(hyperbolic, ode_calls):
     assert sum(c.nfev for c in ode_calls) <= 4000
 
 
+# Logarithms that take the finite-difference fallback, and their
+# components and distances as each shot was integrated on its own before
+# the lockstep groups: out of range, an overflowing two-point seed, a bad
+# first step.
+FALLBACK_LOGS = [
+    ((-0.4675642144546439, -0.752965925406271), (-0.19298312846227966, -0.24968783137236966),
+     (0.11901388682150608, 0.19899483699264373), 2.1626949621584655),
+    ((-0.1706883, 0.46896714), (0.42228576, 0.86411937),
+     (1.3580680063426949, 0.14962840973998895), 3.638891206592901),
+    ((0.49539472, -0.58909145), (0.02884016, -0.87088237),
+     (-0.5300082824734466, 0.09452815728210279), 2.641957543628598),
+]
+
+
+def test_fallback_logarithms_keep_their_bits(monkeypatch):
+    # A one-row group sends each finite-difference column as its own shot
+    # from the step the previous one accepted, so log and dist keep the
+    # bits they had when every shot was its own ODE.
+    disk = make_poincare_disk()
+    requests = _record_requests(monkeypatch)
+    for x, y, log, dist in FALLBACK_LOGS:
+        requests.clear()
+        p, q = disk.point(x), disk.point(y)
+        assert disk.log(p, q).components.tolist() == list(log)
+        assert _jacobian_refreshes(requests)
+        assert disk.dist(p, q) == dist
+
+
+# -- lockstep shooting ------------------------------------------------------
+
+def test_log_is_a_one_row_group_of_log_array():
+    # The scalar log is log_array on one row, with or without a leading
+    # axis, bit for bit.
+    man = make_poincare_disk()
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        x = rng.uniform(-0.4, 0.4, size=2)
+        y = x + rng.uniform(-0.3, 0.3, size=2)
+        log = man.log(man.point(x), man.point(y)).components
+        assert np.array_equal(log, man.log_array(x[None], y[None])[0])
+        assert np.array_equal(log, man.log_array(x, y))
+
+
+def test_lockstep_rows_match_their_one_row_shootings():
+    # The rows of a group (a chart's edges, a mean iterate's vertices)
+    # share their integration steps and scipy's error norm, so a row is
+    # bit-equal to its group's one-row call of the stack, not to its own
+    # shooting.  Against that, its logarithm is within 1e-13 (2.5e-14 at
+    # most on six seeds of these eight rows) and verified alike.
+    man = make_poincare_disk()
+    verts, lams = _disk_rows()
+    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+    x, y = verts[:, i], verts[:, j]
+    edges = man.log_array(x, y)
+    a = np.einsum("ri,rid->rd", lams, verts)
+    logs, exact, _ = man._warm_log_array(a[:, None], verts)
+    for r in range(len(verts)):
+        assert np.array_equal(edges[r], man.log_array(x[r:r + 1], y[r:r + 1])[0])
+        assert np.array_equal(logs[r], man._warm_log_array(a[r:r + 1, None], verts[r:r + 1])[0][0])
+        for k in range(3):
+            assert np.max(np.abs(edges[r, k] - man.log_array(x[r, k], y[r, k]))) <= 1e-13
+            log, verified, _ = man._warm_log_array(a[r], verts[r, k])
+            assert verified == exact[r, k]
+            assert np.max(np.abs(logs[r, k] - log)) <= 1e-13
+
+
+def test_lockstep_errors_name_the_row_and_its_edge_or_vertex(monkeypatch):
+    # In two-row stacks whose first row shoots nothing or succeeds, a
+    # failure of the second names it and the edge or vertex whose
+    # shooting failed, or the edges whose shots the failed system held.
+    from karcher import integrate, manifolds
+
+    man = make_poincare_disk()
+    verts = _disk_rows(count=2)[0]
+    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+    x, y = verts[:, i], verts[:, j].copy()
+    y[0] = x[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(manifolds, "MAX_SHOOTING_ITERS", 1)
+        with pytest.raises(GeodesicError, match=r"^row 1, edge 0: shooting for the logarithm "
+                                                r"did not converge from p = "):
+            man.log_array(x, y)
+    a = verts.mean(axis=1)
+    _, _, state = man._warm_log_array(a[:, None], verts)
+    jacs = state[2].copy()
+    jacs[1, 2] = 0.0
+    with pytest.raises(GeodesicError, match=r"^row 1, vertex 2: endpoint Jacobian is singular"):
+        man._warm_log_array(a[:, None] + 1e-3, verts, (*state[:2], jacs, *state[3:]))
+    far = verts.copy()
+    far[1] = [[-0.6, 0.5], [0.55, 0.45], [0.1, -0.7]]
+    monkeypatch.setattr(integrate, "ODE_MAX_NFEV", 40)
+    with pytest.raises(GeodesicError, match=r"^row 1, edges \[0, 1, 2\]: ODE integration over "
+                                            r"\[0\.0, 1\.0\] stopped at t = \S+ after 40 "):
+        man.log_array(far[:, i], far[:, j])
+
+
+def test_disk_jet_christoffel_calls(christoffel_calls):
+    # 1126 when every logarithm was shot on its own: a row of a lockstep
+    # group takes the group's steps, even where its own shot would take
+    # fewer, and pays one call per step stage for them.
+    _disk_jet()
+    assert len(christoffel_calls) == 1186
+
+
+def test_disk_second_derivatives_take_each_point_s_symbols_once(christoffel_calls,
+                                                                 monkeypatch):
+    # The stencil's logarithms, its Hessian ODEs and the symbols at q
+    # share one ``_Symbols``, so outside the ODE solves no call of
+    # ``second_deriv_array`` takes a point's symbols twice.  With a
+    # ``_Symbols`` each, 82 of its 8930 calls repeated a point.  (Right-hand
+    # sides can still meet: the first stage of a stencil shot and of the
+    # Hessian ODE along it sometimes coincide bit for bit.)
+    from karcher import manifolds
+    from karcher.barycentric import hessian_batch
+
+    solves, spans = [], []
+
+    def spanning(fn, into):
+        def wrapped(*args, **kwargs):
+            start = len(christoffel_calls)
+            out = fn(*args, **kwargs)
+            into.append(range(start, len(christoffel_calls)))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(manifolds, "solve_ode", spanning(manifolds.solve_ode, solves))
+    monkeypatch.setattr(ChartManifold, "second_deriv_array",
+                        spanning(ChartManifold.second_deriv_array, spans))
+    hessian_batch(make_poincare_disk(), DISK_ROWS, np.array([[0.2, 0.5, 0.3],
+                                                             [0.45, 0.25, 0.3]]))
+    solved = set().union(*solves)
+    [span] = spans
+    taken = [christoffel_calls[k].tobytes() for k in span if k not in solved]
+    assert taken and len(set(taken)) == len(taken)
+
+
 # -- integration steps of the chart's geodesics ------------------------------
 
 # ``_disk_jet`` took 3765 right-hand-side evaluations over its 90
@@ -1586,18 +1770,20 @@ def test_disk_jet_takes_at_most_half_the_default_first_step_nfev(ode_calls):
     # vertex once; 36 (0.265) before the mean moved its iterates by a
     # retraction and its logarithms and Hessian ODEs started from the
     # first steps they last accepted; 32 (0.225) before the verified
-    # logarithms were seeded from the jets at both ends.
+    # logarithms were seeded from the jets at both ends; 30 (0.209) before
+    # the logarithms of a chart's edges and of a mean iterate's vertices
+    # were each shot as one lockstep group, one solve per Newton round.
     _disk_jet()
-    assert len(ode_calls) == 30
-    assert sum(c.nfev for c in ode_calls) <= 0.22 * DEFAULT_FIRST_STEP_JET_NFEV
+    assert len(ode_calls) == 14
+    assert sum(c.nfev for c in ode_calls) <= 0.11 * DEFAULT_FIRST_STEP_JET_NFEV
 
 
 def test_disk_jet_takes_each_point_s_symbols_once_per_call(christoffel_calls, monkeypatch):
     # Every shot of a logarithm takes its first right-hand side from the
     # symbols at p that its seed took, and every Hessian ODE of a row from
-    # the jet at q, so no such solve calls ``christoffel_fn`` at its start;
-    # only the initial guess's ``exp`` shot does.  Within one call of a
-    # stack, no point's symbols are taken twice.
+    # the jet at q, so no such solve calls ``christoffel_fn`` at the start
+    # of any of its geodesics; only the initial guess's ``exp`` shot does.
+    # Within one call of a stack, no point's symbols are taken twice.
     from karcher import manifolds
 
     spans = {}
@@ -1614,12 +1800,13 @@ def test_disk_jet_takes_each_point_s_symbols_once_per_call(christoffel_calls, mo
     for name in stacks:
         monkeypatch.setattr(ChartManifold, name, spanning(name, getattr(ChartManifold, name)))
     monkeypatch.setattr(manifolds, "solve_ode", spanning("solve_ode", manifolds.solve_ode))
-    _disk_jet()
+    man = _disk_jet()
     assert all(spans.get(name) for name in stacks)
-    at_start = [end > start and any(np.array_equal(x, y0[:2])
-                                    for x in christoffel_calls[start:end])
-                for start, end, (_, _, y0) in spans["solve_ode"]]
-    assert sum(at_start) == 1 and len(at_start) == 30
+    at_start = [end > start and any(np.array_equal(x, x0) for x in christoffel_calls[start:end]
+                                    for x0 in (y0.reshape(-1, 4)[:, :2]
+                                               if rhs == man._geodesic_rhs else [y0[:2]]))
+                for start, end, (rhs, _, y0) in spans["solve_ode"]]
+    assert sum(at_start) == 1 and len(at_start) == 14
     for name in stacks:
         for start, end, _ in spans[name]:
             assert len({x.tobytes() for x in christoffel_calls[start:end]}) == end - start
@@ -1666,23 +1853,23 @@ WHOLE_INTERVAL_HESSIAN_BATCH_NFEV = 6767
 def test_disk_hessian_batch_solves(ode_calls):
     # 255 solves (0.94 of the evaluations) before the verified
     # logarithms, the edge lengths' and the stencil's, were seeded from
-    # the jets at both ends.
+    # the jets at both ends; 210 (0.799) before the logarithms of a
+    # chart's edges and of a mean iterate's vertices were each shot as one
+    # lockstep group.  The stencil's logarithms are one-row groups.
     from karcher.barycentric import hessian_batch
 
     lams = np.array([[0.2, 0.5, 0.3], [0.45, 0.25, 0.3]])
     hessian_batch(make_poincare_disk(), DISK_ROWS, lams)
-    assert len(ode_calls) == 210
-    assert sum(c.nfev for c in ode_calls) <= 0.85 * WHOLE_INTERVAL_HESSIAN_BATCH_NFEV
+    assert len(ode_calls) == 178
+    assert sum(c.nfev for c in ode_calls) <= 0.7 * WHOLE_INTERVAL_HESSIAN_BATCH_NFEV
 
 
 def test_disk_jet_needs_no_finite_difference_jacobian(monkeypatch):
     # The seed Jacobians and their Broyden updates carry every logarithm
     # of a small chart.
-    def refuse(*args):
-        raise AssertionError("finite-difference endpoint Jacobian")
-
-    monkeypatch.setattr(ChartManifold, "_endpoint_jacobian", refuse)
+    requests = _record_requests(monkeypatch)
     _disk_jet()
+    assert requests and not _jacobian_refreshes(requests)
 
 
 def test_short_disk_exp_is_one_whole_interval_step(ode_calls):
