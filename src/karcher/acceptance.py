@@ -405,35 +405,33 @@ def check_jacobi_oracle(ctx: AcceptanceContext) -> CheckResult:
         f"elapsed {elapsed:.1f}s <= 10s")
 
 
-def check_ode_bound(ctx: AcceptanceContext) -> CheckResult:
-    rng = np.random.default_rng(SEED)
-    failures = 0
-    worst_ratio = 0.0
-    for _ in range(50):
-        m = 3
+def ode_bound_trials(rng: np.random.Generator, n: int) -> list[tuple]:
+    """n random (A_fn, B_fn, tau) of ``jacobi.ode_bound_check``: A = a0 +
+    sin(omega t) a1 with |a0|_2 + |a1|_2 = 0.9 / tau^2, B = b0 + cos(omega t) b1."""
+    trials = []
+    for _ in range(n):
         tau = float(rng.uniform(0.3, 2.0))
-        a0 = rng.normal(size=(m, m))
-        a1 = rng.normal(size=(m, m))
+        a0 = rng.normal(size=(3, 3))
+        a1 = rng.normal(size=(3, 3))
         target = 0.9 / tau ** 2
         nrm = max(np.linalg.norm(a0, 2) + np.linalg.norm(a1, 2), 1e-12)
         a0 *= target / nrm
         a1 *= target / nrm
-        b0 = rng.normal(size=m)
-        b1 = rng.normal(size=m)
+        b0 = rng.normal(size=3)
+        b1 = rng.normal(size=3)
         omega = 2.0 * math.pi / tau
+        trials.append((lambda t, a0=a0, a1=a1, omega=omega: a0 + math.sin(omega * t) * a1,
+                       lambda t, b0=b0, b1=b1, omega=omega: b0 + math.cos(omega * t) * b1,
+                       tau))
+    return trials
 
-        def A_fn(t, a0=a0, a1=a1, omega=omega):
-            return a0 + math.sin(omega * t) * a1
 
-        def B_fn(t, b0=b0, b1=b1, omega=omega):
-            return b0 + math.cos(omega * t) * b1
-
-        report = jacobi.ode_bound_check(A_fn, B_fn, tau)
-        worst_ratio = max(worst_ratio, report.max_Udot / report.bound)
-        if not report.passed:
-            failures += 1
-    ok = failures == 0
-    return CheckResult("8 two-point ODE derivative bound", ok,
+def check_ode_bound(ctx: AcceptanceContext) -> CheckResult:
+    reports = [jacobi.ode_bound_check(*trial)
+               for trial in ode_bound_trials(np.random.default_rng(SEED), 50)]
+    failures = sum(not r.passed for r in reports)
+    worst_ratio = max(r.max_Udot / r.bound for r in reports)
+    return CheckResult("8 two-point ODE derivative bound", failures == 0,
                        f"50 trials, failures={failures}, "
                        f"worst max|U'|/(3 max|B| tau)={worst_ratio:.3f}")
 

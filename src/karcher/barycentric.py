@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MeanSolverError
 from .flat_simplex import (BarycentricWeight, EdgeLengthSystem, FlatMetric,
-                           SimplexTangent, flat_metric_from_lengths)
+                           SimplexTangent, _fold, flat_metric_from_lengths)
 from .manifolds import Manifold, ManifoldPoint, TangentVector
 
 # Iteration cap of the center-of-mass solve.
@@ -66,13 +66,13 @@ def _edge_lengths(manifold: Manifold, verts: np.ndarray):
         logs = edge_logs[:, :n1 - 1]        # the (0, j) pairs come first
     else:
         lengths = manifold.dist_array(verts[:, i], verts[:, j])
-    return lengths, _grad_tol(manifold, lengths.max(axis=1), verts), logs
+    return lengths, _grad_tol(manifold, _fold(np.maximum, lengths), verts), logs
 
 
 def _grad_tol(manifold: Manifold, h: np.ndarray, verts: np.ndarray) -> np.ndarray:
     """Each row's ``default_grad_tol`` of its diameter h and coordinates
     (N, n+1, coord_dim), floored at ``shooting_tol``."""
-    return np.maximum(default_grad_tol(h, np.abs(verts).max(axis=(1, 2))),
+    return np.maximum(default_grad_tol(h, _fold(np.maximum, _fold(np.maximum, np.abs(verts)))),
                       manifold.shooting_tol)
 
 
@@ -80,7 +80,7 @@ def _convex_edge_lengths(manifold: Manifold, verts: np.ndarray):
     """``_edge_lengths``; a ValueError names the first row whose diameter
     exceeds the convexity radius."""
     lengths, grad_tol, logs = _edge_lengths(manifold, verts)
-    h = lengths.max(axis=1)
+    h = _fold(np.maximum, lengths)
     bad = np.flatnonzero(exceeds_convexity_radius(manifold, h))
     if bad.size:
         k = bad[0]
@@ -321,7 +321,7 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
             trace.append(a.copy())
         base = a[active, None]
         cur, exact, state = manifold._warm_log_array(base, verts[active], state)
-        far = manifold.norm_array(cur, base).max(axis=1)
+        far = _fold(np.maximum, manifold.norm_array(cur, base))
         left = np.flatnonzero(far > conv_radius * (1.0 + 1e-9))
         if left.size:
             k = left[0]
@@ -331,7 +331,7 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
                 index=int(active[k]))
         F = -np.einsum("ri,rid->rd", lam[active], cur)
         f_norm = manifold.norm_array(F, base[:, 0])
-        done = (f_norm <= grad_tol[active]) & exact.all(axis=1)
+        done = (f_norm <= grad_tol[active]) & _fold(np.logical_and, exact)
         logs[active[done]] = cur[done]
         keep = ~done
         active, F, f_norm = active[keep], F[keep], f_norm[keep]

@@ -31,7 +31,7 @@ from .barycentric import (_edge_lengths, _length_tables, _stack_jets,
 # looks it up here.
 from .barycentric import differential  # noqa: F401
 from .errors import LinearSolverError, MeanSolverError, TriangulationError
-from .flat_simplex import _dot, _flagged, flat_metric_from_lengths, fullness
+from .flat_simplex import _dot, _flagged, _fold, flat_metric_from_lengths, fullness
 from .manifolds import Sphere
 
 # Icosahedron vertices on the unit sphere; faces are derived from vertex
@@ -149,7 +149,7 @@ class KarcherTriangulation:
         if (t := _flagged(~gm.realizable)) is not None:
             raise TriangulationError(
                 f"triangle {t[0]} {self.triangles[t]} has no flat realization")
-        diam = self.edge_lengths.max(axis=1)
+        diam = _fold(np.maximum, self.edge_lengths)
         theta = fullness(gm, diam)
         if (t := _flagged(theta < MIN_FULLNESS)) is not None:
             raise TriangulationError(f"triangle {t[0]} {self.triangles[t]} fullness "

@@ -20,8 +20,8 @@ import numpy as np
 from .barycentric import (KarcherChart, _batch_mean, _edge_lengths, _edge_pairs,
                           _length_tables, _stack_jets, exceeds_convexity_radius)
 from .errors import MeanSolverError, NonRealizableError, SlopeFitError
-from .flat_simplex import (BarycentricWeight, FlatMetric, _flagged, flat_metric_from_lengths,
-                           fullness)
+from .flat_simplex import (BarycentricWeight, FlatMetric, _flagged, _fold,
+                           flat_metric_from_lengths, fullness)
 from .manifolds import Manifold, ManifoldPoint, TangentVector
 
 MIN_INTERIOR_WEIGHT = 0.05
@@ -250,17 +250,17 @@ def _measure(manifold: Manifold, verts, h, thetas, cholesky, grad_tol, edge_logs
     B = rows(np.swapaxes(np.linalg.solve(cholesky, eye), 1, 2))     # (R, n, n)
     dxB = dx @ B                                          # (R, D, n)
     xg = np.swapaxes(dxB, 1, 2) @ metric @ dxB
-    metric_gap = np.abs(xg - np.eye(n)).max(axis=(1, 2))
+    metric_gap = _sup(np.abs(xg - np.eye(n)))
     gap = dxB - sig @ B
-    dx_sigma = _norm_rows(np.einsum("rda,rda->ra", gap, metric @ gap)).max(axis=1)
+    dx_sigma = _sup(_norm_rows(np.einsum("rda,rda->ra", gap, metric @ gap)))
     nb = np.einsum("rklc,rka,rlb->rabc", nabla, B, B)     # (R, n, n, D)
     low_nb = nb @ metric[..., None, :, :]
-    nabla_sup = _norm_rows(np.einsum("rabc,rabc->rab", nb, low_nb)).max(axis=(1, 2))
+    nabla_sup = _sup(_norm_rows(np.einsum("rabc,rabc->rab", nb, low_nb)))
     # flat derivative of the pulled-back metric via the product rule:
     # <nb[u, i], dxB[:, j]> + <dxB[:, i], nb[u, j]>
     prod = low_nb @ dxB[:, None]                          # (R, n, n, n)
-    conn_gap = np.abs(prod + np.swapaxes(prod, 2, 3)).max(axis=(1, 2, 3))
-    per_level = [q.reshape(len(verts), -1).max(axis=1)
+    conn_gap = _sup(np.abs(prod + np.swapaxes(prod, 2, 3)))
+    per_level = [_sup(q.reshape(len(verts), -1))
                  for q in (metric_gap, conn_gap, dx_sigma, nabla_sup)]
     return [DistortionSample(
         h=float(hk), theta=float(theta),
@@ -271,6 +271,11 @@ def _measure(manifold: Manifold, verts, h, thetas, cholesky, grad_tol, edge_logs
 
 def _norm_rows(squares: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(squares, 0.0))
+
+
+def _sup(x: np.ndarray) -> np.ndarray:
+    """The largest entry of each row of a stack (R, ...), by ``_fold``."""
+    return _fold(np.maximum, x.reshape(len(x), -1))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BasePointError, GeodesicError, JacobiError
-from .flat_simplex import _dot
+from .flat_simplex import _dot, _flagged, _fold
 from .integrate import solve_ode
 
 _BASE_TOL = 1e-8
@@ -408,6 +408,12 @@ def _reject_rows(bad: np.ndarray, message: Callable[[int], str]):
         raise ValueError((f"vertex {k}: " if len(bad) > 1 else "") + message(k))
 
 
+def _reject_stack(bad: np.ndarray, message: str):
+    """GeodesicError(message) naming the first entry of a stack where bad holds."""
+    if (k := _flagged(bad)) is not None:
+        raise GeodesicError((f"row {k[0] if len(k) == 1 else k}: " if k else "") + message)
+
+
 def _frame_at(g: np.ndarray, u0: np.ndarray) -> np.ndarray:
     """A g-orthonormal frame (rows) whose first row is the g-unit vector
     u0: with g = L L^T, the Householder QR of [L^T u0 | I] gives an
@@ -546,8 +552,12 @@ class _SpaceForm(Manifold):
         return float(self.dist_array(p.coords, q.coords))
 
     def ip_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The ambient form ``_ip`` row by row."""
-        return np.sum(a * self.signature * b, axis=-1)
+        """The ambient form ``_ip`` row by row: the bits of np.sum(a *
+        signature * b, axis=-1), not of ``_ip``'s ``np.dot`` (ROADMAP item 3
+        changes the two together), with the sign on the last slice only."""
+        ab = a * b
+        ab[..., -1] *= self._sign
+        return _fold(np.add, ab)
 
     def norm_array(self, v: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
         return np.sqrt(np.maximum(self.ip_array(v, v), 0.0))
@@ -612,7 +622,7 @@ class _SpaceForm(Manifold):
         projector."""
         y, _, f, _, one_minus_f = radial
         y_frame = np.einsum("rid,rdk->rik", y, low_frame)
-        return ((lam * f).sum(axis=1)[:, None, None] * np.eye(self.dim)
+        return (_fold(np.add, lam * f)[:, None, None] * np.eye(self.dim)
                 + np.einsum("ri,rik,ril->rkl", lam * one_minus_f, y_frame, y_frame))
 
 
@@ -659,29 +669,27 @@ class Sphere(_SpaceForm):
         return TangentVector(p, (r * theta / nw) * w)
 
     def dist_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        chord = np.linalg.norm(q - p, axis=-1)
+        chord = self.norm_array(q - p)
         return 2.0 * self.radius * np.arcsin(np.minimum(chord / (2.0 * self.radius), 1.0))
 
     def log_array(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         r = self.radius
-        chord = np.linalg.norm(q - p, axis=-1)
+        chord = self.norm_array(q - p)
         theta = 2.0 * np.arcsin(np.minimum(chord / (2.0 * r), 1.0))
-        w = q - (np.sum(q * p, axis=-1, keepdims=True) / r ** 2) * p
-        nw = np.linalg.norm(w, axis=-1, keepdims=True)
-        if np.any(_near_antipode(theta, nw[..., 0], r)):
-            raise GeodesicError("antipodal points: logarithm not unique")
-        scale = np.divide(r * theta[..., None], nw, out=np.zeros_like(nw),
-                          where=nw != 0.0)
-        return scale * w
+        w = q - (self.ip_array(q, p) / r ** 2)[..., None] * p
+        nw = self.norm_array(w)
+        _reject_stack(_near_antipode(theta, nw, r), "antipodal points: logarithm not unique")
+        scale = np.divide(r * theta, nw, out=np.zeros_like(nw), where=nw != 0.0)
+        return scale[..., None] * w
 
     def exp_array(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        t = np.linalg.norm(v, axis=-1, keepdims=True)
-        if np.any(t > self.bounds.injectivity_radius * (1.0 + 1e-9)):
-            raise GeodesicError("initial vector longer than the injectivity radius")
-        u = t / self.radius
+        t = self.norm_array(v)
+        _reject_stack(t > self.bounds.injectivity_radius * (1.0 + 1e-9),
+                      "initial vector longer than the injectivity radius")
+        u = (t / self.radius)[..., None]
         c = np.cos(u) * p + np.sinc(u / math.pi) * v
-        c *= self.radius / np.linalg.norm(c, axis=-1, keepdims=True)
-        return np.where(t == 0.0, p, c)
+        c *= (self.radius / self.norm_array(c))[..., None]
+        return np.where(t[..., None] == 0.0, p, c)
 
     def tangent_frame_array(self, p: np.ndarray) -> np.ndarray:
         """Orthonormal tangent frames (..., coord_dim, dim), one basis

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from karcher.errors import NonRealizableError
 from karcher.flat_simplex import (BarycentricWeight, EdgeLengthSystem,
@@ -10,6 +11,7 @@ from karcher.flat_simplex import (BarycentricWeight, EdgeLengthSystem,
                                   flat_metric_from_lengths, fullness,
                                   gram_eigen_bounds, volume,
                                   volume_from_cayley_menger, volume_from_gram)
+from karcher.flat_simplex import _fold
 
 from oracles import compare_metrics
 
@@ -388,3 +390,45 @@ def test_realize_vertices_reproduces_lengths(rng):
     verts = realize(gm)
     rebuilt = EdgeLengthSystem.from_points(verts)
     assert np.allclose(rebuilt.lengths, system.lengths, atol=1e-10)
+
+
+# -- _fold ------------------------------------------------------------------
+
+_MAGNITUDES = st.floats(1e-300, 1e300)
+_ENTRIES = st.one_of(_MAGNITUDES, _MAGNITUDES.map(lambda x: -x),
+                     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def _stacks(draw):
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+    return draw(hnp.arrays(float, lead + (draw(st.integers(1, 12)),), elements=_ENTRIES))
+
+
+def _tiny_tail(n):
+    # 1 + 2^-53 rounds back to 1, so a fold in order reads 1.0; numpy's
+    # pairwise sum adds the 2^-53 terms among themselves first.
+    return np.array([[1.0] + [2.0 ** -53] * (n - 1)])
+
+
+@settings(max_examples=200)
+@given(_stacks())
+@example(np.array([[-0.0, -0.0]]))          # a fold that starts from a_0 reads -0.0
+@example(_tiny_tail(8))
+@example(_tiny_tail(9))
+@example(_tiny_tail(10))
+@example(_tiny_tail(11))
+@example(_tiny_tail(12))
+def test_fold_matches_numpy_reductions_bit_for_bit(a):
+    with np.errstate(invalid="ignore", over="ignore"):
+        pairs = [(_fold(np.add, a), np.sum(a, axis=-1), True),
+                 (_fold(np.maximum, a), a.max(axis=-1), False),
+                 (_fold(np.logical_and, a > 0.0), (a > 0.0).all(axis=-1), True)]
+    for got, want, zero_sign in pairs:
+        assert np.shape(got) == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        # The sign of a zero maximum of mixed-sign zeros is numpy's own
+        # choice, and it differs between the SIMD paths numpy dispatches
+        # to (on AVX2, .max reads -0.0 where the fold reads 0.0).
+        signs = zero_sign | (want != 0.0)
+        assert np.array_equal(np.signbit(got) & signs, np.signbit(want) & signs)

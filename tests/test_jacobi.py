@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from karcher.acceptance import ode_bound_trials
 from karcher.errors import JacobiError
 from karcher.jacobi import (_frame_curvature, ode_bound_check, parallel_frame,
                             solve_bvp)
@@ -322,23 +323,8 @@ def test_ode_bound_sinusoidal_forcing():
 
 
 def test_ode_bound_random_trials(rng):
-    for _ in range(50):
-        m = 3
-        tau = float(rng.uniform(0.3, 2.0))
-        a0 = rng.normal(size=(m, m))
-        a1 = rng.normal(size=(m, m))
-        target = 0.9 / tau ** 2
-        scale = target / max(np.linalg.norm(a0, 2) + np.linalg.norm(a1, 2), 1e-12)
-        a0 *= scale
-        a1 *= scale
-        b0 = rng.normal(size=m)
-        b1 = rng.normal(size=m)
-        omega = 2 * math.pi / tau
-        report = ode_bound_check(
-            lambda t, a0=a0, a1=a1: a0 + math.sin(omega * t) * a1,
-            lambda t, b0=b0, b1=b1: b0 + math.cos(omega * t) * b1,
-            tau)
-        assert report.passed
+    for A_fn, B_fn, tau in ode_bound_trials(rng, 50):
+        assert ode_bound_check(A_fn, B_fn, tau).passed
 
 
 def test_ode_bound_rejects_large_A():

@@ -730,6 +730,34 @@ def test_scalar_closed_forms_reject_antipodal_points(sphere):
         assert isinstance(info.value, GeodesicError)
 
 
+def _north_poles(shape):
+    p = np.zeros(shape + (3,))
+    p[..., 2] = 1.0
+    return p
+
+
+def test_stacked_sphere_log_names_the_first_antipodal_row(sphere):
+    p = _north_poles((2, 3))
+    q = np.tile([0.6, 0.0, 0.8], (2, 3, 1))
+    q[1, 2] = q[1, 1] = [0.0, 0.0, -1.0]
+    with pytest.raises(GeodesicError, match=r"^row \(1, 1\): antipodal points: "):
+        sphere.log_array(p, q)
+    with pytest.raises(GeodesicError, match=r"^antipodal points: "):
+        sphere.log_array(p[1, 2], q[1, 2])
+
+
+def test_stacked_sphere_exp_names_the_first_row_past_the_injectivity_radius(sphere):
+    p = _north_poles((2, 3))
+    v = np.zeros((2, 3, 3))
+    v[..., 0] = 0.5
+    v[1, 2, 0] = v[1, 1, 1] = 1.5 * math.pi
+    with pytest.raises(GeodesicError, match=r"^row \(1, 1\): initial vector longer "
+                                            "than the injectivity radius"):
+        sphere.exp_array(p, v)
+    with pytest.raises(GeodesicError, match=r"^initial vector longer"):
+        sphere.exp_array(p[1, 2], v[1, 2])
+
+
 # -- shared Jacobi shooting and the mean's logarithms (Poincare chart) ---------
 
 def test_curvature_rt_stack_matches_single_vectors():
