@@ -7,11 +7,10 @@ from hypothesis.extra import numpy as hnp
 
 from karcher.errors import NonRealizableError
 from karcher.flat_simplex import (BarycentricWeight, EdgeLengthSystem,
-                                  FlatMetric, SimplexTangent,
+                                  FlatMetric, SimplexTangent, _fold,
                                   flat_metric_from_lengths, fullness,
                                   gram_eigen_bounds, volume,
                                   volume_from_cayley_menger, volume_from_gram)
-from karcher.flat_simplex import _fold
 
 from oracles import compare_metrics
 
