@@ -21,11 +21,9 @@ import numpy as np
 from . import flat_simplex, harness, jacobi
 from .barycentric import (BarycentricWeight, KarcherChart, hessian,
                           karcher_mean, pullback_metric)
+from .harness import EXPECTED_SLOPES, SLOPE_TOLERANCES
 from .manifolds import EuclideanSpace, HyperbolicSpace, Manifold, Sphere
 
-# Half-width of the accepted band around harness.EXPECTED_SLOPES.
-SLOPE_TOLERANCES = {"metric_gap": 0.25, "connection_gap": 0.25,
-                    "dx_sigma_gap": 0.3, "nabla_dx": 0.25}
 # Largest relative gap of a flat simplex's Cayley-Menger and Gram volumes.
 VOLUME_GAP_TOL = 1e-10
 # Every criterion's random seed, and criterion 10's FEM ladder levels.
@@ -98,7 +96,7 @@ def distortion_experiment(man: Manifold, h0: float, levels: int) -> Experiment:
     else:
         failures = []
         for name, fit in report.fitted_slopes.items():
-            target, tol = harness.EXPECTED_SLOPES[name], SLOPE_TOLERANCES[name]
+            target, tol = EXPECTED_SLOPES[name], SLOPE_TOLERANCES[name]
             if not _slope_ok(fit, target, tol):
                 failures.append(_failure(
                     f"slope of {name}",
@@ -301,7 +299,7 @@ def _slope_check(criterion: str, fit: harness.SlopeFit, target: float,
 def _sphere_sweep_check(criterion: str, ctx: AcceptanceContext, name: str,
                         limit: float | None = None) -> CheckResult:
     return _slope_check(criterion, ctx.sphere_sweep.fitted_slopes[name],
-                        harness.EXPECTED_SLOPES[name], SLOPE_TOLERANCES[name],
+                        EXPECTED_SLOPES[name], SLOPE_TOLERANCES[name],
                         ctx.timings.get("sphere_sweep"), limit)
 
 
@@ -470,8 +468,8 @@ def check_fem_poisson(ctx: AcceptanceContext) -> CheckResult:
 
 def check_edge_length_rate(ctx: AcceptanceContext) -> CheckResult:
     _, fit = harness.edge_length_rate(ctx.sphere_family)
-    return _slope_check("11 edge length comparison rate",
-                        fit, 2.0, 0.25)
+    return _slope_check("11 edge length comparison rate", fit,
+                        EXPECTED_SLOPES["edge_length_gap"], SLOPE_TOLERANCES["edge_length_gap"])
 
 
 def _random_point(man, rng):

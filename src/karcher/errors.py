@@ -36,9 +36,10 @@ class MeanSolverError(KarcherError):
 
 
 class SlopeFitError(KarcherError):
-    """A convergence-order fit on a curved manifold came back non-finite
-    or not positive: the measured distortion does not shrink along the
-    ladder, so the slope says nothing about its order."""
+    """A ladder on a curved manifold has a local slope outside the band
+    around its expected order, or a corrupt value: the measured
+    distortion does not shrink at that order, so no fitted slope would
+    say anything about it."""
 
 
 class TriangulationError(KarcherError):

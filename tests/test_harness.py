@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import qmc
 
 from karcher import barycentric, harness
@@ -9,12 +11,12 @@ from karcher.barycentric import BarycentricWeight, KarcherChart, karcher_mean, s
 from karcher.errors import (KarcherError, MeanSolverError, NonRealizableError,
                             SlopeFitError)
 from karcher.flat_simplex import SimplexTangent
-from karcher.harness import (INTERIOR_POINTS, SimplexFamily, _halton_points,
+from karcher.harness import (INTERIOR_POINTS, SimplexFamily, _check_slope, _halton_points,
                              achieved_fullness, check_edge_length_comparison,
                              edge_length_rate, equilateral_family, fit_slope,
                              generate_geodesic_simplex, interior_weights,
                              measure_distortion, run_distortion_sweep)
-from karcher.manifolds import EuclideanSpace, HyperbolicSpace
+from karcher.manifolds import EuclideanSpace, HyperbolicSpace, ManifoldPoint
 
 from conftest import strict_solver
 from oracles import connection_gap_fd
@@ -285,19 +287,17 @@ def test_fit_slope_rejects_levels_that_are_not_positive_and_finite(h):
 
 
 def test_fit_slope_drops_an_outlying_coarsest_level():
-    # An h^2 ladder whose coarsest value is inflated threefold.  The rule
-    # compares that level's residual with twice the rms residual, which a
-    # single outlier on an evenly spaced ladder exceeds only from eight
-    # levels on; the remaining seven levels fit slope 2.  A ladder of
-    # four levels keeps every level.
+    # An h^2 ladder whose coarsest value is inflated threefold.  The fit
+    # drops no level: all eight are fitted, and the outlier tilts the
+    # slope off 2.  Such a ladder is rejected by the local slopes of
+    # ``_check_slope``, not by the fit.
     hs = [0.2 * 2 ** -k for k in range(8)]
     values = [h ** 2 for h in hs]
     values[0] *= 3.0
     fit = fit_slope(hs, values)
-    assert fit.dropped_coarsest and fit.n_used == 7
-    assert fit.slope == pytest.approx(2.0, abs=1e-12)
-    fit = fit_slope(hs[:4], values[:4])
-    assert not fit.dropped_coarsest and fit.n_used == 4
+    assert fit.n_used == 8 and fit.to_dict()["dropped_coarsest"] is False
+    assert fit.slope == pytest.approx(np.polyfit(np.log(hs), np.log(values), 1)[0], abs=1e-12)
+    assert fit.slope > 2.1
 
 
 def test_fit_slope_on_a_flat_ladder_is_nan():
@@ -305,7 +305,8 @@ def test_fit_slope_on_a_flat_ladder_is_nan():
     hs = [0.2 * 2 ** -k for k in range(5)]
     for values in ([0.0] * 5, [1e-3, 1e-4, 1e-13, 1e-6, 0.0]):
         fit = fit_slope(hs, values)
-        assert math.isnan(fit.slope) and fit.n_used == 5 and not fit.dropped_coarsest
+        assert math.isnan(fit.slope) and fit.n_used == 5
+        assert fit.to_dict()["dropped_coarsest"] is False
 
 
 def test_fit_orders_full_pipeline(sphere_report):
@@ -358,12 +359,15 @@ def test_sweep_levels_are_one_level_measurements(sphere, hyperbolic, space):
         assert sample.theta == achieved_fullness(chart)
 
 
-def _far_hyperbolic_family(d: float, angle: float = 0.7):
+def _far_hyperbolic_family(d: float, angle: float = 0.7, raw: bool = False):
     """The equilateral family (h0 0.2, 5 levels) centered at distance d
-    from the hyperboloid's origin."""
+    from the hyperboloid's origin.  A ``raw`` center is a bare
+    ManifoldPoint, since ``HyperbolicSpace.point`` rejects some of them
+    (d = 12) as off the sheet."""
     hyp = HyperbolicSpace(2, curvature=1.0)
-    center = hyp.point([math.sinh(d) * math.cos(angle),
-                        math.sinh(d) * math.sin(angle), math.cosh(d)])
+    coords = np.array([math.sinh(d) * math.cos(angle),
+                       math.sinh(d) * math.sin(angle), math.cosh(d)])
+    center = ManifoldPoint(coords) if raw else hyp.point(coords)
     return equilateral_family(hyp, center, h0=0.2, levels=5)
 
 
@@ -377,10 +381,73 @@ def test_too_thin_simplex_raises_a_karcher_error():
 
 def test_non_positive_slope_raises_a_karcher_error():
     # At d = 15 (coordinates near 1.6e6) the suprema stop shrinking with
-    # h and the fits come back negative or NaN; a curved-space sweep must
-    # not return them as slopes.
+    # h, and their local slopes are far off the orders (some negative);
+    # a curved-space sweep must not return a slope for them.
     with pytest.raises(KarcherError, match="slope"):
         run_distortion_sweep(_far_hyperbolic_family(15.0))
+
+
+def test_an_off_order_interval_raises_though_the_fit_looks_fine():
+    # At d = 12 the metric gap fits a slope of 1.671 over the ladder, but
+    # its finest interval reads 0.553; the edge-length gaps fit 1.101, and
+    # their third interval reads 1.223.  Neither may come back as a slope.
+    family = _far_hyperbolic_family(12.0, raw=True)
+    with pytest.raises(SlopeFitError, match=r"^metric_gap local slope 0\.553 on "
+                                            r"h = 0\.025 -> 0\.0125 is outside 2\.0\+/-0\.25"):
+        run_distortion_sweep(family)
+    with pytest.raises(SlopeFitError, match=r"^edge_length_gap local slope 1\.223 on "
+                                            r"h = 0\.05 -> 0\.025 is outside 2\.0\+/-0\.25"):
+        edge_length_rate(family)
+
+
+@pytest.mark.parametrize("d", [0.0, 3.0, 10.0])
+def test_every_interval_shows_its_order_nearer_the_origin(d):
+    # At d = 10 the metric's finest interval reads 1.945, inside the band.
+    family = _far_hyperbolic_family(d, raw=True)
+    report = run_distortion_sweep(family)
+    _, edge_fit = edge_length_rate(family)
+    for name, fit in {**report.fitted_slopes, "edge_length_gap": edge_fit}.items():
+        assert abs(fit.slope - harness.EXPECTED_SLOPES[name]) <= harness.SLOPE_TOLERANCES[name]
+
+
+def test_check_slope_rejects_a_zero_value_without_a_warning(sphere_family):
+    # log(0) would warn, and warnings are errors: a zero on a curved
+    # ladder must raise as a bad interval.  On a flat one it is expected.
+    hs = list(sphere_family.ladder)
+    values = [h ** 2 for h in hs]
+    values[3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SlopeFitError, match=r"^metric_gap local slope inf on h = 0\.05 -> "):
+            _check_slope(sphere_family, "metric_gap", hs, values)
+        flat = EuclideanSpace(2)
+        _check_slope(equilateral_family(flat, flat.point([0.0, 0.0])), "metric_gap", hs,
+                     [0.0] * len(hs))
+
+
+@given(steps=st.lists(st.floats(0.05, 2.0), min_size=4, max_size=8),
+       log_values=st.lists(st.floats(-25.0, 3.0), min_size=8, max_size=8))
+def test_fitted_slope_lies_between_the_local_slopes(steps, log_values):
+    # The least-squares slope of a strictly monotone ladder is a convex
+    # combination of its local slopes, so bounding those bounds the fit.
+    hs = np.exp(-np.cumsum(steps))
+    values = np.exp(log_values[:len(hs)])
+    local = np.diff(np.log(values)) / np.diff(np.log(hs))
+    slope = fit_slope(hs, values).slope
+    assert local.min() - 1e-12 <= slope <= local.max() + 1e-12
+
+
+def test_a_coarsening_ladder_fits_the_same_orders_without_a_warning(sphere_family,
+                                                                   sphere_report):
+    # The local slopes do not depend on which way the ladder runs, so a
+    # ladder from fine to coarse passes the same check, fits the same
+    # orders and warns of nothing (warnings are errors here).
+    family = SimplexFamily(sphere_family.manifold, sphere_family.center,
+                           sphere_family.directions, sphere_family.ladder[::-1],
+                           sphere_family.fullness_target)
+    report = run_distortion_sweep(family)
+    for name, fit in report.fitted_slopes.items():
+        assert fit.slope == pytest.approx(sphere_report.fitted_slopes[name].slope, abs=1e-9)
 
 
 def test_monotone_ladder(sphere_report):
@@ -456,9 +523,11 @@ def test_edge_length_levels_are_one_level_comparisons(sphere, hyperbolic, space)
 
 
 def test_edge_length_rate_rejects_a_non_positive_slope():
-    # At d = 15 the gaps fit a slope near -0.49, which must not come back
-    # as a rate.
-    with pytest.raises(SlopeFitError, match="edge length gap fitted slope -"):
+    # At d = 15 the gaps grow as h shrinks and fit a slope near -0.49,
+    # which must not come back as a rate; the first interval already
+    # reads a local slope of -0.171.
+    with pytest.raises(SlopeFitError, match=r"^edge_length_gap local slope -0\.171 on "
+                                            r"h = 0\.2001 -> 0\.1008 is outside 2\.0\+/-0\.25"):
         edge_length_rate(_far_hyperbolic_family(15.0))
 
 
