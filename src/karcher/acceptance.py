@@ -85,22 +85,17 @@ def distortion_sweep(man: Manifold, h0: float = 0.2,
 
 
 def distortion_experiment(man: Manifold, h0: float, levels: int) -> Experiment:
-    """Flat space: every sampled quantity vanishes.  Curved space: every
-    fitted order lies within SLOPE_TOLERANCES of its expected value."""
+    """Flat space: every sampled quantity vanishes.  Curved space: the
+    sweep itself raises a SlopeFitError unless every local slope, and so
+    every fitted order, lies within SLOPE_TOLERANCES of its expected
+    value, so a report it returns has no failures."""
     report = distortion_sweep(man, h0, levels)
     records = [s.to_dict() for s in report.samples]
+    failures = []
     if isinstance(man, EuclideanSpace):
         failures = [_failure(f"flat {name} at h={r['h']}", f"{val:.3e} > 1e-9")
                     for r in records for name, val in r.items()
                     if name in harness.QUANTITIES and val > 1e-9]
-    else:
-        failures = []
-        for name, fit in report.fitted_slopes.items():
-            target, tol = EXPECTED_SLOPES[name], SLOPE_TOLERANCES[name]
-            if not _slope_ok(fit, target, tol):
-                failures.append(_failure(
-                    f"slope of {name}",
-                    f"{fit.slope:.3f} outside {target}+/-{tol}"))
     header = ["h", "theta", *harness.QUANTITIES]
     footer = [["slope", ""] + [report.fitted_slopes[q].slope
                                for q in harness.QUANTITIES]]

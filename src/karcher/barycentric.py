@@ -352,12 +352,21 @@ def _jets(manifold: Manifold, verts: np.ndarray, lam: np.ndarray, a: np.ndarray,
           logs: np.ndarray, second: bool):
     """dx (N, coord_dim, n) and, if ``second``, nabla dx (N, n, n,
     coord_dim) else None, at the points a with their logarithms log_a(p_i):
-    the one jet tail.  The model gives A and the Hessian and
-    second-derivative terms (``hess_terms_array``, for the vertices of
-    nonzero weight, or for all of them when nabla dx needs every Hessian),
-    and ``_frame_system`` and ``_nabla_dx`` solve for the jet."""
-    frame = manifold.tangent_frame_array(a)
-    low_frame = manifold.metric_matrix(a) @ frame
+    the one jet tail.  The model gives the frames the jets solve in
+    (``jet_frame_array``), A in them and the Hessian and second-derivative
+    terms (``hess_terms_array``, for the vertices of nonzero weight, or
+    for all of them when nabla dx needs every Hessian), and
+    ``_frame_system`` and ``_nabla_dx`` solve for the jet.
+
+    The sphere solves in its ambient coordinates, with no frame: its A
+    there keeps each tangent space and has the eigenvalues of the frame
+    matrix plus s = sum_i lam_i f_i on the normal.  The hyperboloid keeps
+    its boost frame: its ambient matrix s I + sum_i c_i y_i (J y_i)^T under
+    the Minkowski form J is not normal, with entries that grow like
+    cosh^2 of the distance from the origin, so its condition number would
+    depend on where the simplex sits.  ``ChartManifold`` and
+    ``EuclideanSpace`` keep their frames too."""
+    frame, low_frame = manifold.jet_frame_array(a)
     terms = manifold.hess_terms_array(verts, a, logs, second | (lam != 0.0))
     system = (frame, low_frame, manifold.a_matrix_array(terms, lam, frame, low_frame))
     dx = _frame_system(system, logs, lam)
@@ -370,17 +379,21 @@ def _jets(manifold: Manifold, verts: np.ndarray, lam: np.ndarray, a: np.ndarray,
 
 def _frame_system(system, logs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """dx (N, coord_dim, n) of a stack of jets, one row per (chart,
-    weight) pair.  ``system`` holds orthonormal tangent frames
-    (N, coord_dim, m) as columns, the frames lowered by the metric, so
-    that the frame components of a vector u are u @ low_frame, and the
-    matrices of A (N, m, m) in the frames; ``logs`` (N, n+1, coord_dim)
-    are log_a(p_i) and ``lam`` (N, n+1) the weights.  Checks that every A
-    is well conditioned and solves A dx(v) = sigma(v) for the simplex
-    basis directions in the frame.  The gate reads the Frobenius
-    condition number |A|_F |A^-1|_F (``_frobenius_cond``), which is never
-    below the 2-norm one, so it is never looser than a gate on
-    ``np.linalg.cond`` up to rounding.  The MeanSolverError for a
-    singular A names the weights of its row and the row as its
+    weight) pair.  ``system`` holds the frames of ``jet_frame_array``,
+    orthonormal tangent frames (N, coord_dim, m) as columns and their
+    lowered forms, so that the frame components of a vector u are
+    u @ low_frame (both None for the coordinates themselves), and the
+    matrices of A (N, m, m) in them; ``logs`` (N, n+1, coord_dim) are
+    log_a(p_i) and ``lam`` (N, n+1) the weights.  Checks that every A is
+    well conditioned and solves A dx(v) = sigma(v) for the simplex basis
+    directions.  The gate reads the Frobenius condition number
+    |A|_F |A^-1|_F (``_frobenius_cond``), which is never below the 2-norm
+    one, so it is never looser than a gate on ``np.linalg.cond`` up to
+    rounding.  Nor is it looser in the sphere's ambient coordinates: there
+    A has the eigenvalues of its frame matrix plus s = sum_i lam_i f_i,
+    and s is at most the least of them, because each f_i <= 1 on the
+    sphere; so both |A|_F and |A^-1|_F only grow.  The MeanSolverError
+    for a singular A names the weights of its row and the row as its
     ``index``."""
     frame, low_frame, a_mat = system
     cond = _frobenius_cond(a_mat)
@@ -390,8 +403,10 @@ def _frame_system(system, logs: np.ndarray, lam: np.ndarray) -> np.ndarray:
         raise MeanSolverError(
             f"Hessian combination A is numerically singular at weights "
             f"{lam[k].tolist()}: cond(A) = {cond[k]:.3e}", index=int(k))
-    sig = np.einsum("rjd,rdk->rkj", logs[:, 1:] - logs[:, :1], low_frame)
-    return frame @ np.linalg.solve(a_mat, sig)
+    diff = logs[:, 1:] - logs[:, :1]
+    if frame is None:
+        return np.linalg.solve(a_mat, np.swapaxes(diff, 1, 2))
+    return frame @ np.linalg.solve(a_mat, np.einsum("rjd,rdk->rkj", diff, low_frame))
 
 
 def _frobenius_cond(a_mat: np.ndarray) -> np.ndarray:
@@ -419,6 +434,11 @@ def _nabla_dx(system, hess: np.ndarray, second: np.ndarray,
     hdiff = hess[:, 1:] - hess[:, :1]       # [r, l, k]: H_{l+1}(V_k) - H_0(V_k)
     rhs = (np.swapaxes(hdiff, 1, 2) + hdiff
            + np.einsum("ri,rikld->rkld", lam, second))
-    rhs_frame = np.einsum("rkld,rdj->rjkl", rhs, low_frame)
+    if frame is None:
+        rhs_frame = np.moveaxis(rhs, 3, 1)
+    else:
+        rhs_frame = np.einsum("rkld,rdj->rjkl", rhs, low_frame)
     sol = np.linalg.solve(a_mat, -rhs_frame.reshape(rows, -1, n * n))
-    return (frame @ sol).reshape(rows, -1, n, n).transpose(0, 2, 3, 1)
+    if frame is not None:
+        sol = frame @ sol
+    return sol.reshape(rows, -1, n, n).transpose(0, 2, 3, 1)

@@ -178,11 +178,14 @@ class KarcherTriangulation:
         of a metric whose determinant is not positive and finite."""
         if self._jets is None:
             T, Q = self.num_triangles, len(_QUAD_W)
-            verts = np.repeat(self.coords[self.triangles], Q, axis=0)
+            tri = self.coords[self.triangles]
+            verts = np.repeat(tri, Q, axis=0)
+            # The nodes of a triangle share the mean's initial guess.
+            guess = np.repeat(self.manifold.log_array(tri[:, :1], tri[:, 1:]), Q, axis=0)
             try:
                 points, _, dx, _ = _stack_jets(
                     self.manifold, verts, np.tile(_QUAD_LAM, (T, 1)),
-                    np.repeat(self.grad_tol, Q), None, False)
+                    np.repeat(self.grad_tol, Q), guess, False)
             except MeanSolverError as exc:
                 t, q = divmod(exc.index, Q)
                 raise MeanSolverError(f"triangle {t}, quadrature node {q}: {exc}",

@@ -379,11 +379,21 @@ class Manifold(ABC):
         """grad^2 X_i(V_k, V_l) = 1/2 ((nabla_{V_k} H_i) V_l + (nabla_{V_l}
         H_i) V_k) as (N, n+1, k, k, coord_dim), from the terms."""
 
+    def jet_frame_array(self, p: np.ndarray):
+        """The frames the jets solve A in at the points p (N, coord_dim):
+        the orthonormal tangent frames (N, coord_dim, m) and their forms
+        lowered by the metric, which give the frame components of a vector
+        u as u @ low_frame; or (None, None), where the jets solve in the
+        coordinates themselves (``Sphere``)."""
+        frame = self.tangent_frame_array(p)
+        return frame, self.metric_matrix(p) @ frame
+
     def a_matrix_array(self, terms, lam: np.ndarray, frame: np.ndarray,
                        low_frame: np.ndarray) -> np.ndarray:
         """The matrices (N, m, m) of A = sum_i lam_i H_i in the orthonormal
-        frames (N, coord_dim, m), whose lowered forms ``low_frame`` give
-        the frame components of a vector u as u @ low_frame."""
+        frames (N, coord_dim, m) of ``jet_frame_array``, whose lowered
+        forms ``low_frame`` give the frame components of a vector u as
+        u @ low_frame."""
         cols = np.einsum("ri,rikd->rdk", lam,
                          self.hess_array(terms, np.swapaxes(frame, 1, 2)))
         return np.swapaxes(low_frame, 1, 2) @ cols
@@ -619,10 +629,12 @@ class _SpaceForm(Manifold):
     def a_matrix_array(self, radial, lam, frame, low_frame):
         """Closed form: sum_i lam_i (y y^T + f (P - y y^T)) in the frames,
         with y the unit direction away from vertex i and P the tangent
-        projector."""
+        projector.  With no frame (None) the same sum with P the identity,
+        in the ambient coordinates, which ``Sphere.jet_frame_array``
+        explains."""
         y, _, f, _, one_minus_f = radial
-        y_frame = np.einsum("rid,rdk->rik", y, low_frame)
-        return (_fold(np.add, lam * f)[:, None, None] * np.eye(self.dim)
+        y_frame = y if low_frame is None else np.einsum("rid,rdk->rik", y, low_frame)
+        return (_fold(np.add, lam * f)[:, None, None] * np.eye(y_frame.shape[-1])
                 + np.einsum("ri,rik,ril->rkl", lam * one_minus_f, y_frame, y_frame))
 
 
@@ -690,6 +702,15 @@ class Sphere(_SpaceForm):
         c = np.cos(u) * p + np.sinc(u / math.pi) * v
         c *= (self.radius / self.norm_array(c))[..., None]
         return np.where(t[..., None] == 0.0, p, c)
+
+    def jet_frame_array(self, p):
+        """No frames: the jets solve in the ambient coordinates, which are
+        orthonormal for the sphere's metric.  There A is s I + sum_i lam_i
+        (1 - f_i) y_i y_i^T with s = sum_i lam_i f_i; it maps each tangent
+        space T_a to itself, since the y_i are tangent at a, and the
+        normal a / R to s a / R.  So one (dim+1)-square solve against
+        tangent right-hand sides gives the tangent jets, with no frame."""
+        return None, None
 
     def tangent_frame_array(self, p: np.ndarray) -> np.ndarray:
         """Orthonormal tangent frames (..., coord_dim, dim), one basis

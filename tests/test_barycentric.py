@@ -696,3 +696,62 @@ def test_hessian_batch_is_isometry_invariant(space, seed):
     assert np.max(np.abs(m_points - points @ M.T)) <= tol
     assert np.max(np.abs(m_dx - M @ dx)) <= tol
     assert np.max(np.abs(m_nabla - nabla @ M.T)) <= tol
+
+
+def _frame_jets(man, verts, lams, points):
+    """dx and nabla dx at the points, solved in the tangent frames of
+    ``tangent_frame_array`` with A from ``a_matrix_array`` there, as
+    ``_a_operator`` forms it, and A's Frobenius condition numbers in
+    those frames and in the ambient coordinates (no frame)."""
+    frame = man.tangent_frame_array(points)
+    low_frame = man.metric_matrix(points) @ frame
+    logs = man.log_array(points[:, None], verts)
+    terms = man.hess_terms_array(verts, points, logs, np.ones(lams.shape, dtype=bool))
+    a_mat = man.a_matrix_array(terms, lams, frame, low_frame)
+    dx = frame @ np.linalg.solve(
+        a_mat, np.einsum("rjd,rdk->rkj", logs[:, 1:] - logs[:, :1], low_frame))
+    vecs = np.swapaxes(dx, 1, 2)
+    hess, second = man.hess_array(terms, vecs), man.second_deriv_array(terms, vecs)
+    hdiff = hess[:, 1:] - hess[:, :1]
+    rhs = np.swapaxes(hdiff, 1, 2) + hdiff + np.einsum("ri,rikld->rkld", lams, second)
+    nabla = np.einsum("rdj,rklj->rkld", frame, np.linalg.solve(
+        a_mat[:, None, None], -np.einsum("rkld,rdj->rklj", rhs, low_frame)[..., None])[..., 0])
+    ambient = man.a_matrix_array(terms, lams, None, None)
+    return dx, nabla, _frobenius_cond(a_mat), _frobenius_cond(ambient)
+
+
+@pytest.mark.parametrize("dim, radius", [(2, 1.0), (2, 2.5), (3, 1.0), (3, 2.5)])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_sphere_jets_in_ambient_coordinates_match_the_frame_solve(dim, radius, seed):
+    # The sphere's jets solve A in the ambient coordinates, where A keeps
+    # each tangent space and adds the eigenvalue s = sum lam_i f_i <= its
+    # least one on the normal: the same dx and nabla dx as in a tangent
+    # frame, and a cond(A) never below the frame's.  nabla dx cancels to
+    # as little as 1e-8 of its terms on small charts, and both solves carry
+    # rounding of those terms, so its gap is read against |dx|^2 / R.
+    man = Sphere(dim, radius=radius)
+    rng = np.random.default_rng(seed)
+    _, verts, lams = _batch_rows(man, rng, charts=2, weights=3, max_dist=3.0 * radius)
+    points, dx, nabla = hessian_batch(man, verts, lams)
+    assert np.array_equal(differential_batch(man, verts, lams)[1], dx)
+    want_dx, want_nabla, cond, ambient_cond = _frame_jets(man, verts, lams, points)
+    scale = np.abs(want_dx).max(axis=(1, 2))
+    assert np.all(np.abs(dx - want_dx).max(axis=(1, 2)) <= 1e-13 * scale)
+    assert np.all(np.abs(nabla - want_nabla).max(axis=(1, 2, 3)) <= 1e-13 * scale ** 2 / radius)
+    assert np.all(ambient_cond >= cond)
+
+
+def test_sphere_jets_take_no_tangent_frame(monkeypatch):
+    # Neither the FEM nodes' jets nor hessian_batch builds a QR frame on
+    # the sphere.
+    from karcher.fem import build_triangulation
+
+    man = Sphere(2)
+    tri = build_triangulation(man, 1)
+    verts = tri.coords[tri.triangles[:4]]
+    calls = []
+    monkeypatch.setattr(Sphere, "tangent_frame_array",
+                        lambda self, p: calls.append(np.shape(p)))
+    tri.quad_data()
+    hessian_batch(man, verts, np.full((4, 3), 1.0 / 3.0))
+    assert calls == []

@@ -226,6 +226,34 @@ def test_quad_data_reads_the_triangulation_measurement(radius, monkeypatch):
     assert np.array_equal(jets[1].reshape(dx.shape), dx)
 
 
+def test_quad_data_takes_the_guess_logarithms_once_per_triangle(monkeypatch):
+    # The three nodes of a triangle share its vertices, so the mean's
+    # initial guess takes log_p0(p_j) on the triangles and repeats them
+    # per node: the logarithms the mean would take on the node rows, bit
+    # for bit, since the sphere's log_array works row by row.
+    man = Sphere(2, radius=2.0)
+    tri = build_triangulation(man, 2)
+    T = tri.num_triangles
+    rows, guesses = [], []
+    log_array, stack_jets = Sphere.log_array, fem._stack_jets
+
+    def counting(self, p, q):
+        rows.append(np.broadcast_shapes(p.shape[:-1], q.shape[:-1]))
+        return log_array(self, p, q)
+
+    def recording(man, verts, weights, grad_tol, guess_logs, second):
+        guesses.append((verts, guess_logs))
+        return stack_jets(man, verts, weights, grad_tol, guess_logs, second)
+
+    monkeypatch.setattr(Sphere, "log_array", counting)
+    monkeypatch.setattr(fem, "_stack_jets", recording)
+    tri.quad_data()
+    assert rows[0] == (T, 2)
+    assert all(shape[0] <= 3 * T and shape[1:] == (3,) for shape in rows[1:])
+    (verts, guess_logs), = guesses
+    assert np.array_equal(guess_logs, log_array(man, verts[:, :1], verts[:, 1:]))
+
+
 def test_quad_data_error_names_triangle(sphere, monkeypatch):
     strict_solver(monkeypatch)
     tri = build_triangulation(sphere, 1)
