@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import MeanSolverError
 from .flat_simplex import (BarycentricWeight, EdgeLengthSystem, FlatMetric,
-                           SimplexTangent, _fold, flat_metric_from_lengths)
+                           SimplexTangent, _check_weights, _fold,
+                           flat_metric_from_lengths)
 from .manifolds import Manifold, ManifoldPoint, TangentVector
 
 # Iteration cap of the center-of-mass solve.
@@ -27,7 +28,7 @@ MAX_MEAN_ITERS = 100
 class KarcherChart:
     """n+1 manifold vertices, measured as a one-row stack: the edge
     lengths, the flat simplex metric they induce, ``grad_tol`` and the
-    edge logarithms (a one-row stack, or None) of the mean's initial
+    logarithms log_p0(p_j) (a one-row stack) of the mean's initial
     guess.  ``coords`` (n+1, coord_dim) stacks the vertex coordinates.
     The chart keeps the point a that ``karcher_mean`` last returned with
     its logarithms log_a(p_i), so that jets and ``sigma`` at that same
@@ -50,22 +51,21 @@ class KarcherChart:
 
 def _edge_lengths(manifold: Manifold, verts: np.ndarray):
     """The edge lengths (N, E) of vertex sets (N, n+1, coord_dim), in
-    ``_edge_pairs`` order, and each row's ``_grad_tol``.  A model that
-    shoots its logarithms shoots each edge once, as log_pi(p_j), in one
-    ``log_array`` stack that shares each vertex's symbols among its
-    edges; the lengths are the norms of those logarithms, as ``dist``
-    takes them, and the (0, j) logarithms log_p0(p_j) (N, n, coord_dim)
-    are returned.  The closed forms return None.  Nothing is checked
-    here."""
+    ``_edge_pairs`` order, each row's ``_grad_tol`` and the logarithms
+    log_p0(p_j) (N, n, coord_dim) of the mean's initial guess.  A model
+    that shoots its logarithms shoots each edge once, as log_pi(p_j), in
+    one ``log_array`` stack that shares each vertex's symbols among its
+    edges, and the lengths are their norms; a closed form adds one
+    ``log_array`` from p0 to its ``dist_array``.  Nothing is checked here."""
     n1 = verts.shape[1]
     i, j = _edge_pairs(n1)
-    logs = None
     if manifold.shooting_tol > 0:
         edge_logs = manifold.log_array(verts[:, i], verts[:, j])
         lengths = manifold.norm_array(edge_logs, verts[:, i])
         logs = edge_logs[:, :n1 - 1]        # the (0, j) pairs come first
     else:
         lengths = manifold.dist_array(verts[:, i], verts[:, j])
+        logs = manifold.log_array(verts[:, :1], verts[:, 1:])
     return lengths, _grad_tol(manifold, _fold(np.maximum, lengths), verts), logs
 
 
@@ -163,9 +163,9 @@ def _chart_row(chart: KarcherChart, lam: BarycentricWeight,
                at: ManifoldPoint | None, trace: list | None = None):
     """The point of a jet of the chart at weights lam and its logarithms
     log_a(p_i) (n+1, coord_dim): ``at`` if given, else the mean.  The
-    mean starts from the chart's edge logarithms where it has them, and
-    the chart keeps it with its logarithms, so a jet at that same point
-    object takes no logarithm."""
+    mean starts from the chart's logarithms log_p0(p_j), and the chart
+    keeps it with its logarithms, so a jet at that same point object
+    takes no logarithm."""
     man = chart.manifold
     verts = chart.coords
     if at is None:
@@ -229,13 +229,13 @@ def differential_batch(manifold: Manifold, vertices, weights,
     ``vertices`` is (N, n+1, coord_dim) and ``weights`` is (N, n+1).
     Returns the points (N, coord_dim) and the dx matrices
     (N, coord_dim, n), whose columns are the images of e_k - e_0.  The
-    rows are measured and checked as a ``KarcherChart`` measures its one
-    row, and each row's mean stops at its own ``grad_tol``.  A
-    MeanSolverError names the weights of the failing row and the row
-    itself in its ``index``.  A list passed as ``iterations`` receives
-    each row's number of iterates, the initial guess included, which is
-    the length karcher_mean's ``trace`` reaches.  A stack of no rows
-    returns empty arrays of these shapes."""
+    shapes, then the points and weights are checked, a ValueError naming
+    the first bad row; each row is then measured and checked as a
+    ``KarcherChart`` measures its one row, and its mean stops at its own
+    ``grad_tol``.  A MeanSolverError names the weights of the failing row
+    and the row itself in its ``index``.  A list passed as ``iterations``
+    receives each row's iterate count, the initial guess included, as
+    karcher_mean's ``trace`` counts them.  No rows give empty arrays."""
     return _batch_jets(manifold, vertices, weights, False, iterations)[:2]
 
 
@@ -249,23 +249,29 @@ def hessian_batch(manifold: Manifold, vertices, weights
 
 def _batch_jets(manifold: Manifold, vertices, weights, second: bool,
                 iterations: list | None = None):
-    """Points, dx and nabla dx (None unless ``second``) of a measured
-    stack; no rows reach no model, whose stacks assume at least one."""
+    """Points, dx and nabla dx (None unless ``second``) of a checked,
+    measured stack; no rows reach no model, whose stacks assume one."""
     verts = np.asarray(vertices, dtype=float)
+    lam = np.asarray(weights, dtype=float)
+    dim = manifold.coord_dim
+    if verts.ndim != 3 or verts.shape[2] != dim or lam.shape != verts.shape[:2]:
+        raise ValueError(f"expected vertices (N, n+1, {dim}) and weights (N, n+1), "
+                         f"got {verts.shape} and {lam.shape}")
+    manifold._check_points(verts)
+    _check_weights(lam)
     if not len(verts):
-        n, dim = verts.shape[1] - 1, verts.shape[2]
+        n = verts.shape[1] - 1
         return np.zeros((0, dim)), np.zeros((0, dim, n)), np.zeros((0, n, n, dim))
     _, grad_tol, guess = _convex_edge_lengths(manifold, verts)
-    a, _, dx, nabla = _stack_jets(manifold, verts, weights, grad_tol, guess, second, iterations)
+    a, _, dx, nabla = _stack_jets(manifold, verts, lam, grad_tol, guess, second, iterations)
     return a, dx, nabla
 
 
-def _stack_jets(manifold: Manifold, verts: np.ndarray, weights, grad_tol: np.ndarray,
-                guess_logs: np.ndarray | None, second: bool, iterations: list | None = None):
-    """The means of a stack of charts (N, n+1, coord_dim) that the caller
-    has measured, each at its ``grad_tol`` and from its edge logarithms
-    (see ``_batch_mean``), their logarithms log_a(p_i) and ``_jets``."""
-    lam = np.asarray(weights, dtype=float)
+def _stack_jets(manifold: Manifold, verts: np.ndarray, lam: np.ndarray, grad_tol: np.ndarray,
+                guess_logs: np.ndarray, second: bool, iterations: list | None = None):
+    """The means of a checked, measured stack (N, n+1, coord_dim) at
+    weights lam, each at its ``grad_tol`` and from its log_p0(p_j) (see
+    ``_batch_mean``), their logarithms log_a(p_i) and ``_jets``."""
     a, logs, iterates = _batch_mean(manifold, verts, lam, grad_tol, guess_logs)
     if iterations is not None:
         iterations.extend(iterates.tolist())
@@ -273,7 +279,7 @@ def _stack_jets(manifold: Manifold, verts: np.ndarray, weights, grad_tol: np.nda
 
 
 def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
-                grad_tol: np.ndarray, guess_logs: np.ndarray | None,
+                grad_tol: np.ndarray, guess_logs: np.ndarray,
                 trace: list | None = None):
     """The one center-of-mass iteration, on every row of vertices
     (N, n+1, coord_dim) and weights (N, n+1): a <- R_a(-F(a, lambda)),
@@ -284,8 +290,8 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
     ``ChartManifold``); the fixed point F = 0 does not depend on it.
 
     The initial guess is the tangent-space average seen from vertex 0,
-    from the logarithms ``guess_logs`` = log_p0(p_j) (N, n, coord_dim),
-    taken here if None, moved by ``exp_array``: exact in flat space.  Near
+    from the logarithms ``guess_logs`` = log_p0(p_j) (N, n, coord_dim) of
+    ``_edge_lengths``, moved by ``exp_array``: exact in flat space.  Near
     the mean the update is a contraction with rate of order C0 h^2, so a
     handful of iterations reaches gradient norms near roundoff.  On a
     model that shoots its logarithms, each iterate's logarithms toward
@@ -306,8 +312,6 @@ def _batch_mean(manifold: Manifold, verts: np.ndarray, lam: np.ndarray,
     failing row and the row as its ``index``.
     """
     conv_radius = manifold.bounds.convexity_radius
-    if guess_logs is None:
-        guess_logs = manifold.log_array(verts[:, :1], verts[:, 1:])
     # The guess's long step keeps exp: on the chart-ode benchmark's seed-0
     # pass a retraction there cost 42 more mean logarithms and saved only
     # 262 of 29 161 ODE evaluations.
@@ -386,17 +390,16 @@ def _frame_system(system, logs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     matrices of A (N, m, m) in them; ``logs`` (N, n+1, coord_dim) are
     log_a(p_i) and ``lam`` (N, n+1) the weights.  Checks that every A is
     well conditioned and solves A dx(v) = sigma(v) for the simplex basis
-    directions.  The gate reads the Frobenius condition number
-    |A|_F |A^-1|_F (``_frobenius_cond``), which is never below the 2-norm
-    one, so it is never looser than a gate on ``np.linalg.cond`` up to
-    rounding.  Nor is it looser in the sphere's ambient coordinates: there
-    A has the eigenvalues of its frame matrix plus s = sum_i lam_i f_i,
-    and s is at most the least of them, because each f_i <= 1 on the
-    sphere; so both |A|_F and |A^-1|_F only grow.  The MeanSolverError
+    directions.  The gate is ``np.linalg.cond(A, "fro") <= 1e12``, which
+    an exactly singular A (inf) and a NaN one fail; the Frobenius number
+    is never below the 2-norm one.  Nor is it lower in the sphere's
+    ambient coordinates: there A has the eigenvalues of its frame matrix
+    plus s = sum_i lam_i f_i, at most the least of them as each f_i <= 1
+    on the sphere, so |A|_F and |A^-1|_F only grow.  The MeanSolverError
     for a singular A names the weights of its row and the row as its
     ``index``."""
     frame, low_frame, a_mat = system
-    cond = _frobenius_cond(a_mat)
+    cond = np.linalg.cond(a_mat, "fro")
     singular = np.flatnonzero(~(cond <= 1e12))
     if singular.size:
         k = singular[0]
@@ -407,19 +410,6 @@ def _frame_system(system, logs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     if frame is None:
         return np.linalg.solve(a_mat, np.swapaxes(diff, 1, 2))
     return frame @ np.linalg.solve(a_mat, np.einsum("rjd,rdk->rkj", diff, low_frame))
-
-
-def _frobenius_cond(a_mat: np.ndarray) -> np.ndarray:
-    """|A|_F |A^-1|_F of each matrix of a stack (N, m, m), from one
-    batched inverse; inf for a matrix that is exactly singular."""
-    try:
-        inv = np.linalg.inv(a_mat)
-    except np.linalg.LinAlgError:
-        if len(a_mat) == 1:
-            return np.array([np.inf])
-        return np.concatenate([_frobenius_cond(a[None]) for a in a_mat])
-    return np.sqrt(np.einsum("rij,rij->r", a_mat, a_mat)
-                   * np.einsum("rij,rij->r", inv, inv))
 
 
 def _nabla_dx(system, hess: np.ndarray, second: np.ndarray,

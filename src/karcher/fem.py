@@ -131,9 +131,9 @@ class KarcherTriangulation:
 
     The constructor checks the vertices by the manifold's stacked point
     check, which names the first one off the sphere, and measures the
-    edge lengths and each triangle's ``grad_tol`` by one ``_edge_lengths``
-    pass; both triangles on an edge read one length, as the sphere's
-    ``dist_array`` is symmetric to the bit.
+    edge lengths, each triangle's ``grad_tol`` and its means' guess
+    logarithms log_p0(p_j) by one ``_edge_lengths`` pass; both triangles
+    on an edge read one length, as ``dist_array`` is symmetric to the bit.
     """
 
     def __init__(self, manifold: Sphere, coords, triangles: np.ndarray):
@@ -141,8 +141,8 @@ class KarcherTriangulation:
         self.coords = np.asarray(coords, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
         manifold._check_points(self.coords)
-        self.edge_lengths, self.grad_tol, _ = _edge_lengths(
-            manifold, self.coords[self.triangles])                 # (T, 3), (T,)
+        self.edge_lengths, self.grad_tol, self._edge_logs = _edge_lengths(
+            manifold, self.coords[self.triangles])          # (T, 3), (T,), (T, 2, 3)
         self.h = float(self.edge_lengths.max())
         gm = flat_metric_from_lengths(_length_tables(self.edge_lengths, 3))
         self.gram = gm.G                                            # (T, 2, 2)
@@ -178,14 +178,11 @@ class KarcherTriangulation:
         of a metric whose determinant is not positive and finite."""
         if self._jets is None:
             T, Q = self.num_triangles, len(_QUAD_W)
-            tri = self.coords[self.triangles]
-            verts = np.repeat(tri, Q, axis=0)
-            # The nodes of a triangle share the mean's initial guess.
-            guess = np.repeat(self.manifold.log_array(tri[:, :1], tri[:, 1:]), Q, axis=0)
             try:
                 points, _, dx, _ = _stack_jets(
-                    self.manifold, verts, np.tile(_QUAD_LAM, (T, 1)),
-                    np.repeat(self.grad_tol, Q), guess, False)
+                    self.manifold, np.repeat(self.coords[self.triangles], Q, axis=0),
+                    np.tile(_QUAD_LAM, (T, 1)), np.repeat(self.grad_tol, Q),
+                    np.repeat(self._edge_logs, Q, axis=0), False)
             except MeanSolverError as exc:
                 t, q = divmod(exc.index, Q)
                 raise MeanSolverError(f"triangle {t}, quadrature node {q}: {exc}",

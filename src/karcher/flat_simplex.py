@@ -29,10 +29,7 @@ class BarycentricWeight:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if np.any(vals < -1e-15):
-            raise ValueError("barycentric weights must be nonnegative")
-        if abs(float(vals.sum()) - 1.0) > _SUM_TOL * max(1.0, vals.size):
-            raise ValueError("barycentric weights must sum to one")
+        _check_weights(vals.reshape(1, -1))
 
     @property
     def n(self) -> int:
@@ -59,7 +56,7 @@ class SimplexTangent:
         vals = np.asarray(self.v, dtype=float)
         object.__setattr__(self, "v", vals)
         scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
-        if abs(float(vals.sum())) > _SUM_TOL * scale * vals.size:
+        if not abs(float(vals.sum())) <= _SUM_TOL * scale * vals.size:
             raise ValueError("simplex tangent components must sum to zero")
 
     @property
@@ -170,6 +167,18 @@ def _cholesky(G: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
         for i in range(j + 1, n):
             L[..., i, j] = (G[..., i, j] - _dot(L[..., i, :j], L[..., j, :j])) / L[..., j, j]
     return L, ok
+
+
+def _check_weights(lam: np.ndarray):
+    """Raise a ValueError unless every row of lam (N, n+1) has entries of
+    at least -1e-15 that sum to one within _SUM_TOL max(1, n+1), tests
+    that NaN fails; a stack of several rows names the first failing row."""
+    negative = ~_fold(np.logical_and, lam >= -1e-15)
+    off_sum = ~(np.abs(_fold(np.add, lam) - 1.0) <= _SUM_TOL * max(1.0, lam.shape[-1]))
+    for bad, message in ((negative, "barycentric weights must be nonnegative"),
+                         (off_sum, "barycentric weights must sum to one")):
+        if (k := _flagged(bad)) is not None:
+            raise ValueError((f"row {k[0]}: " if len(bad) > 1 else "") + message)
 
 
 def _flagged(mask) -> tuple | None:

@@ -242,7 +242,7 @@ def _measure(manifold: Manifold, verts, h, thetas, cholesky, grad_tol, edge_logs
     try:
         points, logs, dx, nabla = _stack_jets(
             manifold, rows(verts), np.tile(lam, (len(verts), 1)), rows(grad_tol),
-            None if edge_logs is None else rows(edge_logs), True)
+            rows(edge_logs), True)
     except MeanSolverError as exc:
         raise MeanSolverError(f"level h={h[exc.index // count]}: {exc}",
                               index=exc.index) from exc

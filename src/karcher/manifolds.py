@@ -196,6 +196,8 @@ class Manifold(ABC):
     def point(self, coords) -> ManifoldPoint:
         """The point at coords (coord_dim,): ``_check_points`` on one row."""
         p = ManifoldPoint(np.asarray(coords, dtype=float))
+        if p.coords.shape != (self.coord_dim,):
+            raise ValueError(f"expected {self.coord_dim} coordinates, got {p.coords.shape}")
         self._check_points(p.coords[None])
         return p
 
@@ -205,10 +207,10 @@ class Manifold(ABC):
         return v
 
     def _check_points(self, x: np.ndarray):
-        """Raise a ValueError unless the rows of x (N, coord_dim) are
-        points of the model (``_reject_rows`` names a failing row)."""
-        if x.shape[1:] != (self.coord_dim,):
-            raise ValueError(f"expected {self.coord_dim} coordinates, got {x.shape[1:]}")
+        """Raise a ValueError unless the points x, (N, coord_dim) or (N, n+1,
+        coord_dim), lie on the model (``_reject_rows`` names a failing one)."""
+        if x.shape[-1:] != (self.coord_dim,):
+            raise ValueError(f"expected {self.coord_dim} coordinates, got {x.shape[-1:]}")
 
     def _validate_tangent(self, v: TangentVector):
         if v.components.shape != (self.coord_dim,):
@@ -410,12 +412,12 @@ def _rows(fn: Callable[..., np.ndarray], *arrays, shape: tuple = ()) -> np.ndarr
     return np.array(out, dtype=float).reshape(lead + tuple(shape))
 
 
-def _reject_rows(bad: np.ndarray, message: Callable[[int], str]):
-    """Raise a ValueError with message(k) for the first row k where the
-    mask bad (N,) holds; a stack of several rows names k as a vertex."""
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError((f"vertex {k}: " if len(bad) > 1 else "") + message(k))
+def _reject_rows(bad: np.ndarray, message: Callable[[tuple], str]):
+    """Raise a ValueError with message(k) for the first entry k of the mask
+    bad, (N,) or (N, n+1), naming k by row and vertex if it has several."""
+    if (k := _flagged(bad)) is not None:
+        where = ", ".join(f"{axis} {i}" for axis, i in zip(("row", "vertex")[-len(k):], k))
+        raise ValueError((f"{where}: " if bad.size > 1 else "") + message(k))
 
 
 def _reject_stack(bad: np.ndarray, message: str):
@@ -749,10 +751,10 @@ class HyperbolicSpace(_SpaceForm):
 
     def _check_points(self, x):
         super()._check_points(x)
-        m = _dot(x[:, :-1], x[:, :-1]) - x[:, -1] * x[:, -1]    # _minkowski
+        m = _dot(x[..., :-1], x[..., :-1]) - x[..., -1] * x[..., -1]    # _minkowski
         _reject_rows(np.abs(m + self.radius ** 2) > 1e-12 * max(1.0, self.radius ** 2),
                      lambda k: "point is off the hyperboloid sheet")
-        _reject_rows(x[:, -1] <= 0, lambda k: "point is on the lower sheet")
+        _reject_rows(x[..., -1] <= 0, lambda k: "point is on the lower sheet")
 
     def _ip(self, p, a, b):
         return _minkowski(a, b)

@@ -5,10 +5,10 @@ import pytest
 
 from hypothesis import given, strategies as st
 
-from karcher.barycentric import (KarcherChart, _frobenius_cond, differential,
+from karcher.barycentric import (KarcherChart, _frame_system, differential,
                                  differential_batch, hessian, hessian_batch,
                                  karcher_mean, pullback_metric, sigma)
-from karcher.errors import MeanSolverError
+from karcher.errors import GeodesicError, MeanSolverError
 from karcher.flat_simplex import BarycentricWeight, SimplexTangent
 from karcher.harness import equilateral_family, generate_geodesic_simplex
 from karcher.manifolds import (ChartManifold, EuclideanSpace, HyperbolicSpace,
@@ -75,6 +75,80 @@ def test_batch_jets_of_no_rows_have_the_documented_shapes(man):
     assert (points.shape, dx.shape, iterations) == ((0, D), (0, D, 2), [])
     shapes = [x.shape for x in hessian_batch(man, verts, lams)]
     assert shapes == [(0, D), (0, D, 2), (0, 2, 2, D)]
+
+
+def _two_triangles(man):
+    """Two stacked triangles of diameter about 0.2 around the model's
+    origin point, and interior weights for both rows."""
+    offsets = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
+    if isinstance(man, Sphere):
+        tri = np.column_stack([offsets, np.ones(3)])
+        tri /= np.linalg.norm(tri, axis=1, keepdims=True)
+    else:
+        tri = np.column_stack([offsets, np.sqrt(1.0 + np.sum(offsets ** 2, axis=1))])
+    return np.array([tri, tri[::-1]]), np.array([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]])
+
+
+@pytest.mark.parametrize("batch", [differential_batch, hessian_batch])
+@pytest.mark.parametrize("scale, row, message", [
+    (0.5, None, "must sum to one"), (1.2, None, "must sum to one"),
+    (None, [0.7, 0.5, -0.2], "must be nonnegative"),
+    (None, [math.nan, 0.5, 0.5], "must be nonnegative"),
+    (None, [0.5, 0.5, math.nan], "must be nonnegative")],
+    ids=["half", "1.2", "negative", "nan-first", "nan-last"])
+def test_batch_jets_reject_weights_off_the_simplex(sphere, batch, scale, row, message):
+    # Scaled weights used to come back as the same mean with dx scaled by
+    # 1/scale, and a negative or NaN weight was accepted; now the stack
+    # names its first row that is not a point of the simplex.
+    verts, lams = _two_triangles(sphere)
+    lams[1] = lams[1] * scale if row is None else row
+    with pytest.raises(ValueError, match=f"^row 1: barycentric weights {message}$"):
+        batch(sphere, verts, lams)
+
+
+@pytest.mark.parametrize("batch", [differential_batch, hessian_batch])
+@pytest.mark.parametrize("man, scale, message", [
+    (Sphere(2), 1.1, r"point norm 1\.1.* is off the radius-1\.0 sphere"),
+    (HyperbolicSpace(2), 1.05, "point is off the hyperboloid sheet")],
+    ids=["sphere", "hyperbolic"])
+def test_batch_jets_reject_points_off_the_model(batch, man, scale, message):
+    # A stack scaled off the model used to return a different mean with
+    # no error; the model's stacked point check names row and vertex.
+    verts, lams = _two_triangles(man)
+    verts[1] *= scale
+    with pytest.raises(ValueError, match=f"^row 1, vertex 0: {message}$"):
+        batch(man, verts, lams)
+
+
+@pytest.mark.parametrize("batch", [differential_batch, hessian_batch])
+@pytest.mark.parametrize("case", ["two-coordinates", "one-weight-row", "flat-weights"])
+def test_batch_jets_reject_mismatched_shapes(sphere, batch, case):
+    # 2-coordinate vertices on Sphere(2) used to spin into MeanSolverError,
+    # and two vertex rows with one weight row raised a bare IndexError.
+    verts, lams = _two_triangles(sphere)
+    verts, lams = {"two-coordinates": (verts[..., :2], lams),
+                   "one-weight-row": (verts, lams[:1]),
+                   "flat-weights": (verts, lams.reshape(-1))}[case]
+    with pytest.raises(ValueError) as info:
+        batch(sphere, verts, lams)
+    assert str(info.value) == (f"expected vertices (N, n+1, 3) and weights (N, n+1), "
+                               f"got {verts.shape} and {lams.shape}")
+
+
+def test_antipodal_vertex_zero_fails_in_the_measurement(sphere):
+    # The measurement takes log_p0(p_j) for the mean's initial guess, so
+    # a vertex antipodal to vertex 0 fails there with the sphere's typed
+    # error, from the chart and from the stacks alike; a pair antipodal
+    # only between other vertices still fails the convexity check.
+    p, q, r = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]
+    with pytest.raises(GeodesicError, match=r"^row \(0, 0\): antipodal points"):
+        KarcherChart(sphere, [sphere.point(c) for c in (p, q, r)])
+    verts, lams = _two_triangles(sphere)
+    verts[1] = [p, r, q]
+    with pytest.raises(GeodesicError, match=r"^row \(1, 1\): antipodal points"):
+        differential_batch(sphere, verts, lams)
+    with pytest.raises(ValueError, match="row 0: vertex separation"):
+        KarcherChart(sphere, [sphere.point(c) for c in (r, p, q)])
 
 
 # -- energy -------------------------------------------------------------------
@@ -471,7 +545,7 @@ def test_frobenius_gate_never_looser_than_the_svd_gate(rng, m):
     # carry rounding of order cond eps, which the bound allows 8 times
     # over where it exceeds 1e-12.
     def check(a_mat, rounded):
-        svd, fro = np.linalg.cond(a_mat), _frobenius_cond(a_mat)
+        svd, fro = np.linalg.cond(a_mat), np.linalg.cond(a_mat, "fro")
         slack = np.maximum(1e-12, 8.0 * svd * np.finfo(float).eps) if rounded else 1e-12
         assert np.all(fro >= svd * (1.0 - slack))
         assert np.all(~(fro <= 1e12)[~(svd <= 1e12)])
@@ -490,8 +564,19 @@ def test_frobenius_gate_never_looser_than_the_svd_gate(rng, m):
 
 
 def test_frobenius_gate_reads_inf_on_an_exactly_singular_row():
-    a_mat = np.array([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
-    assert _frobenius_cond(a_mat).tolist() == [2.0, np.inf, 2.0]
+    # numpy's Frobenius condition number takes one batched inverse: an
+    # exactly singular matrix within the stack reads inf, a NaN one NaN,
+    # and the finite rows read 2 to rounding.  The gate rejects both,
+    # naming the row.
+    lam = np.full((3, 3), 1.0 / 3.0)
+    for fill in (0.0, math.nan):
+        a_mat = np.array([np.eye(2), np.full((2, 2), fill), 2.0 * np.eye(2)])
+        cond = np.linalg.cond(a_mat, "fro")
+        assert cond[1] == np.inf if fill == 0.0 else np.isnan(cond[1])
+        assert np.all(np.abs(cond[[0, 2]] - 2.0) <= 2 * np.spacing(2.0))
+        with pytest.raises(MeanSolverError, match="numerically singular") as info:
+            _frame_system((None, None, a_mat), np.zeros((3, 3, 2)), lam)
+        assert info.value.index == 1
 
 
 def test_hessian_euclidean_zero(euclid_chart, rng):
@@ -717,7 +802,7 @@ def _frame_jets(man, verts, lams, points):
     nabla = np.einsum("rdj,rklj->rkld", frame, np.linalg.solve(
         a_mat[:, None, None], -np.einsum("rkld,rdj->rklj", rhs, low_frame)[..., None])[..., 0])
     ambient = man.a_matrix_array(terms, lams, None, None)
-    return dx, nabla, _frobenius_cond(a_mat), _frobenius_cond(ambient)
+    return dx, nabla, np.linalg.cond(a_mat, "fro"), np.linalg.cond(ambient, "fro")
 
 
 @pytest.mark.parametrize("dim, radius", [(2, 1.0), (2, 2.5), (3, 1.0), (3, 2.5)])

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from karcher import acceptance
 from karcher.acceptance import FEM_LEVELS
 from karcher.cli import load_config, main
 from karcher.errors import ConfigError
@@ -310,6 +311,22 @@ def test_fem_requires_sphere(tmp_path, capsys):
     assert "manifold.kind" in capsys.readouterr().err
 
 
+def test_failed_assertion_exits_1_and_still_writes_the_report(tmp_path, capsys):
+    # A repeated level leaves the L2 errors not strictly decreasing: the
+    # run writes its report, prints the failure list and exits 1.
+    path = write_config(tmp_path, {
+        "kind": "fem-poisson",
+        "manifold": {"kind": "sphere", "dim": 2, "radius": 1.0},
+        "fem_levels": [1, 1, 2, 3],
+        "out": str(tmp_path / "reports"),
+        "format": "json"})
+    assert main(["run", path]) == 1
+    printed = json.loads(capsys.readouterr().out)
+    report = json.loads((tmp_path / "reports" / "fem-poisson.json").read_text())
+    assert [f["assertion"] for f in printed["failures"]] == ["L2 errors strictly decreasing"]
+    assert report["failures"] == printed["failures"]
+
+
 # -- committed configs -------------------------------------------------------
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
@@ -333,6 +350,17 @@ def test_verify_flat_simplex_suite(capsys):
     assert main(["verify", "flat-simplex"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out
+
+
+def test_verify_failure_exits_1_with_the_failure_list(capsys, monkeypatch):
+    monkeypatch.setitem(acceptance.CRITERIA, "9", lambda ctx: acceptance.CheckResult(
+        "9 flat simplex suite", False, "forced failure"))
+    assert main(["verify", "flat-simplex"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("[FAIL] 9 flat simplex suite: forced failure\n")
+    printed = json.loads(out.split("\n", 1)[1])
+    assert printed == {"failures": [{"criterion": "9 flat simplex suite", "passed": False,
+                                     "detail": "forced failure"}]}
 
 
 def test_verify_unknown_suite(capsys):

@@ -227,13 +227,12 @@ def test_quad_data_reads_the_triangulation_measurement(radius, monkeypatch):
 
 
 def test_quad_data_takes_the_guess_logarithms_once_per_triangle(monkeypatch):
-    # The three nodes of a triangle share its vertices, so the mean's
-    # initial guess takes log_p0(p_j) on the triangles and repeats them
-    # per node: the logarithms the mean would take on the node rows, bit
-    # for bit, since the sphere's log_array works row by row.
+    # The triangulation's one measurement takes log_p0(p_j) on the
+    # triangles, and quad_data repeats them per node as the mean's initial
+    # guess, taking no logarithm of its own for it: the logarithms the
+    # mean would take on the node rows, bit for bit, since the sphere's
+    # log_array works row by row.
     man = Sphere(2, radius=2.0)
-    tri = build_triangulation(man, 2)
-    T = tri.num_triangles
     rows, guesses = [], []
     log_array, stack_jets = Sphere.log_array, fem._stack_jets
 
@@ -247,8 +246,12 @@ def test_quad_data_takes_the_guess_logarithms_once_per_triangle(monkeypatch):
 
     monkeypatch.setattr(Sphere, "log_array", counting)
     monkeypatch.setattr(fem, "_stack_jets", recording)
+    tri = build_triangulation(man, 2)
+    T = tri.num_triangles
+    assert rows == [(T, 2)]
+    corners = tri.coords[tri.triangles]
+    assert np.array_equal(tri._edge_logs, log_array(man, corners[:, :1], corners[:, 1:]))
     tri.quad_data()
-    assert rows[0] == (T, 2)
     assert all(shape[0] <= 3 * T and shape[1:] == (3,) for shape in rows[1:])
     (verts, guess_logs), = guesses
     assert np.array_equal(guess_logs, log_array(man, verts[:, :1], verts[:, 1:]))

@@ -44,6 +44,17 @@ def test_barycentric_weight_validation():
         BarycentricWeight([-0.1, 1.1])
 
 
+def test_nan_weights_and_tangents_are_rejected():
+    # NaN fails every comparison, so both rules are phrased to fail on it;
+    # a single weight keeps its messages, with no row named.
+    with pytest.raises(ValueError, match="^barycentric weights must be nonnegative$"):
+        BarycentricWeight([math.nan, 0.5, 0.5])
+    with pytest.raises(ValueError, match="^barycentric weights must sum to one$"):
+        BarycentricWeight([0.5, 0.6])
+    with pytest.raises(ValueError, match="must sum to zero"):
+        SimplexTangent([math.nan, 1.0, -1.0])
+
+
 def test_simplex_tangent_validation():
     SimplexTangent([1.0, -1.0, 0.0])
     with pytest.raises(ValueError):

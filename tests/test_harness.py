@@ -359,6 +359,31 @@ def test_sweep_levels_are_one_level_measurements(sphere, hyperbolic, space):
         assert sample.theta == achieved_fullness(chart)
 
 
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+def test_closed_form_ladders_keep_the_guess_logarithms(sphere, hyperbolic, space,
+                                                       monkeypatch):
+    # A closed-form ladder's one measurement keeps log_p0(p_j) of every
+    # level bit for bit, and the sweep's means start from them: the only
+    # logarithm taken from a vertex 0 is the measurement's.
+    man = sphere if space == "sphere" else hyperbolic
+    center = man.point([0, 0, 1.0]) if space == "sphere" else man.point(
+        [math.sinh(1.0), 0.0, math.cosh(1.0)])
+    family = equilateral_family(man, center, 0.2, 5)
+    verts, *_, logs = harness._ladder(family)
+    assert np.array_equal(logs, man.log_array(verts[:, :1], verts[:, 1:]))
+    bases, log_array = [], type(man).log_array
+
+    def counting(self, p, q):
+        bases.append(np.broadcast_to(p, np.broadcast_shapes(p.shape, q.shape)))
+        return log_array(self, p, q)
+
+    monkeypatch.setattr(type(man), "log_array", counting)
+    run_distortion_sweep(family)
+    from_p0 = [k for k, b in enumerate(bases)
+               if any((b == p0).all(axis=-1).any() for p0 in verts[:, 0])]
+    assert from_p0 == [0] and bases[0].shape == (5, 2, 3)
+
+
 def _far_hyperbolic_family(d: float, angle: float = 0.7, raw: bool = False):
     """The equilateral family (h0 0.2, 5 levels) centered at distance d
     from the hyperboloid's origin.  A ``raw`` center is a bare

@@ -1154,15 +1154,16 @@ def chart_and_mean(request):
 
 @pytest.mark.parametrize("space", ["sphere", "hyperbolic", "disk"])
 def test_chart_edge_logarithms_feed_the_initial_guess(space, monkeypatch):
-    # On the disk a chart shoots each of its three edges once, and the
-    # mean starts from the kept logarithms log_p0(p_j), so it shoots
-    # nothing from p0.  A closed-form chart takes no logarithm at all, and
-    # its mean takes the initial guess's logarithms as one stack from p0.
+    # On the disk a chart shoots each of its three edges once; a
+    # closed-form chart adds one log_array from p0 to its dist_array, and
+    # keeps log_p0(p_j) bit for bit.  Either way the mean starts from the
+    # kept logarithms log_p0(p_j), so it takes no logarithm from p0.
     from karcher.barycentric import KarcherChart, karcher_mean
     from karcher.flat_simplex import BarycentricWeight
 
     man, vertices = _mean_vertices(space)
     p0 = vertices[0].coords
+    guess = man.log_array(p0[None, None], np.array([[v.coords for v in vertices[1:]]]))
     bases = []
     if isinstance(man, ChartManifold):
         shoot_log = ChartManifold._shoot_log
@@ -1179,12 +1180,15 @@ def test_chart_edge_logarithms_feed_the_initial_guess(space, monkeypatch):
                 return _fn(p, q)
             monkeypatch.setattr(man, name, counting)
     chart = KarcherChart(man, vertices)
-    assert len(bases) == (3 if isinstance(man, ChartManifold) else 0)
-    assert (chart._edge_logs is None) == (not isinstance(man, ChartManifold))
+    if isinstance(man, ChartManifold):
+        assert len(bases) == 3
+    else:
+        (base,) = bases
+        assert np.array_equal(base.reshape(-1), p0)
+        assert np.array_equal(chart._edge_logs, guess)
     del bases[:]
     karcher_mean(chart, BarycentricWeight([0.2, 0.5, 0.3]))
-    from_p0 = [b for b in bases if np.array_equal(b.reshape(-1), p0)]
-    assert len(from_p0) == (0 if isinstance(man, ChartManifold) else 1)
+    assert not [b for b in bases if np.array_equal(b.reshape(-1), p0)]
     # A chart's edges are one lockstep group, whose shots share their
     # integration steps: each length is the norm of its row of that group,
     # and within 1e-12 relative of its own one-row ``dist`` (5.5e-13 at
@@ -1220,10 +1224,7 @@ def test_chart_tables_are_rows_of_the_stack(space):
         assert np.array_equal(chart.edge_lengths.lengths, tables[k])
         assert chart.h == tables[k].max()
         assert chart.grad_tol == grad_tol[k]
-        if logs is None:
-            assert chart._edge_logs is None
-        else:
-            assert np.array_equal(chart._edge_logs, logs[k:k + 1])
+        assert np.array_equal(chart._edge_logs, logs[k:k + 1])
     assert len({c.h for c in charts}) == 3
     if man.shooting_tol == 0.0:
         assert len(set(grad_tol.tolist())) == 3
