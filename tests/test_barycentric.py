@@ -120,6 +120,23 @@ def test_batch_jets_reject_points_off_the_model(batch, man, scale, message):
         batch(man, verts, lams)
 
 
+@pytest.mark.parametrize("man, message", [
+    (Sphere(2), r"point norm nan is off the radius-1\.0 sphere"),
+    (HyperbolicSpace(2), "point is off the hyperboloid sheet")],
+    ids=["sphere", "hyperbolic"])
+def test_batch_jets_reject_a_nan_vertex_before_the_mean(man, message, monkeypatch):
+    # A NaN coordinate passed the point checks, which asked |err| > tol,
+    # and the mean ran 100 iterates into MeanSolverError; now the check
+    # names its row and vertex before any logarithm is taken.
+    verts, lams = _two_triangles(man)
+    verts[1, 0, 0] = math.nan
+    taken = []
+    monkeypatch.setattr(man, "log_array", lambda *args: taken.append(args))
+    with pytest.raises(ValueError, match=f"^row 1, vertex 0: {message}$"):
+        differential_batch(man, verts, lams)
+    assert not taken
+
+
 @pytest.mark.parametrize("batch", [differential_batch, hessian_batch])
 @pytest.mark.parametrize("case", ["two-coordinates", "one-weight-row", "flat-weights"])
 def test_batch_jets_reject_mismatched_shapes(sphere, batch, case):

@@ -139,6 +139,15 @@ def test_point_validation(sphere, hyperbolic):
         hyperbolic.point([0.5, 0.0, 1.0])    # off the quadric
 
 
+def test_point_checks_reject_nan(sphere, hyperbolic):
+    # NaN used to pass the checks, which asked |err| > tol.
+    with pytest.raises(ValueError, match=r"^point norm nan is off the radius-1\.0 sphere$"):
+        sphere.point([math.nan, 0.0, 1.0])
+    for x in ([math.nan, 0.0, 1.0], [0.0, 0.0, math.nan]):
+        with pytest.raises(ValueError, match="^point is off the hyperboloid sheet$"):
+            hyperbolic.point(x)
+
+
 @pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
 def test_tangent_validation(space, sphere, hyperbolic):
     man = sphere if space == "sphere" else hyperbolic
@@ -1191,9 +1200,10 @@ def test_chart_edge_logarithms_feed_the_initial_guess(space, monkeypatch):
     assert not [b for b in bases if np.array_equal(b.reshape(-1), p0)]
     # A chart's edges are one lockstep group, whose shots share their
     # integration steps: each length is the norm of its row of that group,
-    # and within 1e-12 relative of its own one-row ``dist`` (5.5e-13 at
-    # most on 400 random disk and stereographic-sphere triangles of
-    # diameter up to 0.8).  A closed form's lengths are its ``dist``.
+    # and within shooting_tol relative, the shots' relative tolerance, of
+    # its own one-row ``dist`` (8.2e-12 at most on 2000 random disk and
+    # stereographic-sphere triangles of diameter up to 0.8).  A closed
+    # form's lengths are its ``dist``.
     i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
     if isinstance(man, ChartManifold):
         x, y = chart.coords[None, i], chart.coords[None, j]
@@ -1202,7 +1212,7 @@ def test_chart_edge_logarithms_feed_the_initial_guess(space, monkeypatch):
     for k in range(3):
         d = man.dist(vertices[i[k]], vertices[j[k]])
         if isinstance(man, ChartManifold):
-            assert abs(chart.edge_lengths.lengths[i[k], j[k]] - d) <= 1e-12 * d
+            assert abs(chart.edge_lengths.lengths[i[k], j[k]] - d) <= man.shooting_tol * d
         else:
             assert chart.edge_lengths.lengths[i[k], j[k]] == d
 
@@ -1648,16 +1658,18 @@ def test_out_of_range_cold_seed_starts_from_the_chord(hyperbolic, ode_calls):
 
 
 # Logarithms that take the finite-difference fallback, and their
-# components and distances as each shot was integrated on its own before
-# the lockstep groups: out of range, an overflowing two-point seed, a bad
-# first step.
+# components and distances as each shot was integrated on its own, with
+# the shots' relative tolerance at shooting_tol: out of range, an
+# overflowing two-point seed, a bad first step.  From their bits at rtol
+# 1e-12 they moved by at most 2.7e-13 in components and 2.3e-12 in
+# distance.
 FALLBACK_LOGS = [
     ((-0.4675642144546439, -0.752965925406271), (-0.19298312846227966, -0.24968783137236966),
-     (0.11901388682150608, 0.19899483699264373), 2.1626949621584655),
+     (0.11901388682177254, 0.19899483699277715), 2.1626949621608094),
     ((-0.1706883, 0.46896714), (0.42228576, 0.86411937),
-     (1.3580680063426949, 0.14962840973998895), 3.638891206592901),
+     (1.3580680063425226, 0.14962840973983835), 3.638891206592401),
     ((0.49539472, -0.58909145), (0.02884016, -0.87088237),
-     (-0.5300082824734466, 0.09452815728210279), 2.641957543628598),
+     (-0.5300082824734297, 0.0945281572819636), 2.641957543628396),
 ]
 
 
@@ -1694,8 +1706,9 @@ def test_lockstep_rows_match_their_one_row_shootings():
     # The rows of a group (a chart's edges, a mean iterate's vertices)
     # share their integration steps and scipy's error norm, so a row is
     # bit-equal to its group's one-row call of the stack, not to its own
-    # shooting.  Against that, its logarithm is within 1e-13 (2.5e-14 at
-    # most on six seeds of these eight rows) and verified alike.
+    # shooting.  Against that, its logarithm is within the shots' absolute
+    # tolerance, shooting_tol / 10 (5.5e-13 at most on six seeds of these
+    # eight rows), and verified alike.
     man = make_poincare_disk()
     verts, lams = _disk_rows()
     i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
@@ -1703,14 +1716,15 @@ def test_lockstep_rows_match_their_one_row_shootings():
     edges = man.log_array(x, y)
     a = np.einsum("ri,rid->rd", lams, verts)
     logs, exact, _ = man._warm_log_array(a[:, None], verts)
+    tol = man.shooting_tol / 10.0
     for r in range(len(verts)):
         assert np.array_equal(edges[r], man.log_array(x[r:r + 1], y[r:r + 1])[0])
         assert np.array_equal(logs[r], man._warm_log_array(a[r:r + 1, None], verts[r:r + 1])[0][0])
         for k in range(3):
-            assert np.max(np.abs(edges[r, k] - man.log_array(x[r, k], y[r, k]))) <= 1e-13
+            assert np.max(np.abs(edges[r, k] - man.log_array(x[r, k], y[r, k]))) <= tol
             log, verified, _ = man._warm_log_array(a[r], verts[r, k])
             assert verified == exact[r, k]
-            assert np.max(np.abs(logs[r, k] - log)) <= 1e-13
+            assert np.max(np.abs(logs[r, k] - log)) <= tol
 
 
 def test_lockstep_errors_name_the_row_and_its_edge_or_vertex(monkeypatch):
@@ -1746,9 +1760,11 @@ def test_lockstep_errors_name_the_row_and_its_edge_or_vertex(monkeypatch):
 def test_disk_jet_christoffel_calls(christoffel_calls):
     # 1126 when every logarithm was shot on its own: a row of a lockstep
     # group takes the group's steps, even where its own shot would take
-    # fewer, and pays one call per step stage for them.
+    # fewer, and pays one call per step stage for them.  1186 with every
+    # ODE at rtol 1e-12, before the shots took rtol shooting_tol and the
+    # Hessian ODEs atol shooting_tol.
     _disk_jet()
-    assert len(christoffel_calls) == 1186
+    assert len(christoffel_calls) == 682
 
 
 def test_disk_second_derivatives_take_each_point_s_symbols_once(christoffel_calls,
@@ -1973,6 +1989,55 @@ def test_solve_ode_failure_names_the_interval_and_evaluations():
             r"ODE integration over \[0\.0, 2\.0\] failed after \d+ "
             r"right-hand-side evaluations: \S")):
         solve_ode(lambda t, y: y * y, (0.0, 2.0), [1.0])
+
+
+def test_solve_ode_names_where_its_right_hand_side_is_not_finite():
+    # A floating-point error in the right-hand side, or a value that is
+    # not finite, fails with the t and y it was evaluated at.  The first
+    # step tried is the whole interval, whose last stage is at t = 1.
+    from karcher.integrate import solve_ode
+
+    with pytest.raises(GeodesicError, match=(
+            r"^ODE integration over \[0\.0, 1\.0\] stopped at t = 1\.0, "
+            r"y = \[\S+\]: divide by zero encountered in divide$")):
+        solve_ode(lambda t, y: y / (1.0 - t), (0.0, 1.0), [1.0])
+    with pytest.raises(GeodesicError, match=(
+            r"^ODE integration over \[0\.0, 1\.0\] stopped at t = 1\.0, "
+            r"y = \[\S+, \S+\]: right-hand side is not finite$")):
+        solve_ode(lambda t, y: -y if t < 1.0 else np.full(2, np.nan), (0.0, 1.0), [1.0, 2.0])
+
+
+def test_chart_odes_take_their_tolerances_from_the_logarithm_tolerance(ode_calls, sphere,
+                                                                       monkeypatch):
+    # solve_ode integrates to atol and rtol = 10 atol.  The chart's shots
+    # take atol = shooting_tol / 10, so that their rtol is the logarithm
+    # tolerance, and its Hessian ODEs atol = shooting_tol; the Jacobi
+    # solver keeps the default atol 1e-13.
+    import scipy.integrate
+    from karcher import jacobi
+
+    tols, solve_ivp = [], scipy.integrate.solve_ivp
+
+    def recording(*args, rtol, atol, **kwargs):
+        tols.append((rtol, atol))
+        return solve_ivp(*args, rtol=rtol, atol=atol, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
+    man = _disk_jet()
+    p = sphere.point([0.0, 0.0, 1.0])
+    jacobi.JacobiShooting(sphere.geodesic_from(p, sphere.tangent(p, [1.0, 0.0, 0.0]),
+                                               length=0.8))
+    kinds = []
+    for call, tol in zip(ode_calls, tols, strict=True):
+        if call.rhs == man._geodesic_rhs:
+            kind, atol = "shot", man.shooting_tol / 10.0
+        elif call.rhs.__module__ == "karcher.jacobi":
+            kind, atol = "jacobi", 1e-13
+        else:
+            kind, atol = call.rhs.__qualname__, man.shooting_tol
+        kinds.append(kind)
+        assert tol == (10.0 * atol, atol)
+    assert set(kinds) == {"shot", "ChartManifold._hess_matrix.<locals>.rhs", "jacobi"}
 
 
 def test_shot_toward_the_rim_stops_at_the_evaluation_budget():
