@@ -24,13 +24,13 @@ steps (38 right-hand sides) where one (13) suffices.  When the error
 estimate demands it the controller still rejects the step and shrinks
 it, so the tolerances hold.  A caller that integrates a run of similar
 ODEs passes the first step an earlier solve of the run accepted, and so
-pays for a rejected whole-interval try once per run.  A run is a group:
-the systems of one ``ChartManifold`` lockstep group, a chart's edge
-logarithms or one mean row's vertex logarithms across its iterates,
-whose every Newton round is one solve of all its pending shots; and the
-Hessian ODEs of one row's vertices, as a fraction of each interval.  No
-step is kept beyond the call that made the run.  The chart-ode
-benchmark's seed-0 pass rejects 51 steps in its 9435 evaluations.
+pays for a rejected whole-interval try once per run.  A run is one
+``ChartManifold`` lockstep group, a chart's edge logarithms or one mean
+row's vertex logarithms across its iterates, whose every Newton round is
+one solve of all its pending shots.  No step is kept beyond the call
+that made the run, and every other solve, each Hessian ODE included,
+starts from its whole interval.  The chart-ode benchmark's seed-0 pass
+rejects 52 steps in its 9351 evaluations.
 
 A caller that already holds the right-hand side at the start, because
 each ODE of a run starts from a point whose Christoffel symbols it has

@@ -34,8 +34,12 @@ _ANTIPODE_TOL = 1e-8
 _FD_STEP = 1e-5
 # Newton steps one ``ChartManifold`` logarithm may take.
 MAX_SHOOTING_ITERS = 50
-# Step, in g-length along a coordinate line, of the Richardson stencil of
-# a ``ChartManifold``'s second derivative.
+# Step, in g-length along a coordinate line, of the central difference of
+# a ``ChartManifold``'s second derivative.  The difference is limited by
+# noise, not truncation: its Hessians carry ODE and shooting errors near
+# ``shooting_tol``, which a central difference multiplies by 0.5 / s and a
+# Richardson extrapolation over s and s / 2 by 1.5 / s, while its O(s^2)
+# truncation error stays below that noise.
 _STENCIL_STEP = 1e-4
 
 
@@ -1029,19 +1033,19 @@ class ChartManifold(Manifold):
         """``_shoot_log`` on every row in the mean's one-shot mode, in the
         lockstep groups of ``_lockstep`` (a mean row's vertices): the
         logarithms, whether each is verified, and the state (p, logs,
-        endpoint Jacobians, NaN where p = q, Gamma(p), first-shot
-        residuals and the first steps that each row's last shot accepted)
-        for the next iterate of the same mean.  Gamma is taken once per
-        distinct base point, and the state carries it as the next
-        iterate's Gamma(b).  From a state (b, v, jac, Gamma(b), res, step)
-        a row shoots warm from v at b against jac, with res as its guard
-        reference, and its first shot starts from step.  Without one it
-        shoots cold from the one-end ``_third_order_seed``, against |q -
-        p| (the residual of v = 0), from the whole interval.  Their
-        first-shot residuals are the next iterate's guard references, and
-        the two-point seed's far smaller ones would send every warm shot
-        to full shooting.  A row whose first shot misses by at most half
-        of its reference returns that shot's Newton step unverified."""
+        endpoint Jacobians, Gamma(p), first-shot residuals and the first
+        steps that each row's last shot accepted) for the next iterate of
+        the same mean.  Gamma is taken once per distinct base point, and
+        the state carries it as the next iterate's Gamma(b).  From a state
+        (b, v, jac, Gamma(b), res, step) a row shoots warm from v at b
+        against jac, with res as its guard reference, and its first shot
+        starts from step.  Without one it shoots cold from the one-end
+        ``_third_order_seed``, against |q - p| (the residual of v = 0),
+        from the whole interval.  Their first-shot residuals are the next
+        iterate's guard references, and the two-point seed's far smaller
+        ones would send every warm shot to full shooting.  A row whose
+        first shot misses by at most half of its reference returns that
+        shot's Newton step unverified."""
         p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
         symbols = _Symbols(self)
         gams = _rows(symbols.gamma, p, shape=(self.dim,) * 3)
@@ -1111,12 +1115,12 @@ class ChartManifold(Manifold):
         (dim,) from a first step of ``step``, a Newton iterate or one
         column of a finite-difference Jacobian, and is sent back its end
         and the first step that its system accepted.  It returns v, its
-        estimate of the endpoint Jacobian of v -> exp_p(v) (NaN if p = q),
-        the residual of the first shot (0 if p = q), whether v is verified
-        (True unless ``ref`` cut the shooting short) and the last step it
-        was sent (``step`` if p = q).  The symbols and jets come from
-        ``symbols``, which a stack of logarithms shares, and every shot
-        takes its first right-hand side from Gamma(p).
+        estimate of the endpoint Jacobian of v -> exp_p(v) (the identity,
+        exact, if p = q), the residual of the first shot (0 if p = q),
+        whether v is verified (True unless ``ref`` cut the shooting short)
+        and the last step it was sent (``step`` if p = q).  The symbols
+        and jets come from ``symbols``, which a stack of logarithms shares,
+        and every shot takes its first right-hand side from Gamma(p).
 
         The Christoffel symbols at p and their central differences give
         the third-order Taylor expansion of the endpoint map, exp_p(v) = p
@@ -1137,8 +1141,7 @@ class ChartManifold(Manifold):
         Gamma(b)), a logarithm w toward q at a nearby base point b, its
         endpoint Jacobian J and the symbols at b, it shoots from w moved to
         p by the second-order expansion, w - (p - b) + (Gamma(p)(q - p, q
-        - p) - Gamma(b)(q - b, q - b))/2, against J (if J is NaN, the
-        second-order seed Jacobian I - Gamma(p)(v0, .)).  After every
+        - p) - Gamma(b)(q - b, q - b))/2, against J.  After every
         accepted step the Jacobian takes a rank-one (good) Broyden update
         from the step and the change of the endpoint.
 
@@ -1162,7 +1165,7 @@ class ChartManifold(Manifold):
         Any other first shot goes on as above."""
         chord = q - p
         if not np.any(chord):
-            return np.zeros(self.dim), np.full((self.dim,) * 2, np.nan), 0.0, True, step
+            return np.zeros(self.dim), np.eye(self.dim), 0.0, True, step
         gamma = symbols.gamma(p)
         fresh, first = 0, True
         if start is None:
@@ -1181,8 +1184,6 @@ class ChartManifold(Manifold):
             b, v, jac, gamma_b = start
             v = (v - (p - b) + 0.5 * np.einsum("kij,i,j->k", gamma, chord, chord)
                  - 0.5 * np.einsum("kij,i,j->k", gamma_b, q - b, q - b))
-            if np.isnan(jac).any():
-                jac, fresh = np.eye(self.dim) - np.einsum("kij,i->kj", gamma, v), 1
         # The last accepted iterate (None before the first shot), its
         # endpoint and residual; whether the next step is the first from
         # the seed or start (``first``, set above); whether jac is by
@@ -1234,21 +1235,15 @@ class ChartManifold(Manifold):
 
     def hess_terms_array(self, p, q, logs, mask, symbols: _Symbols | None = None):
         """(p, q, mask, matrices): ``_hess_matrix`` on the mask, zero
-        elsewhere.  Within a row, each vertex's ODE starts from the first
-        step that the previous vertex's ODE accepted, as a fraction of its
-        interval; each row starts from the whole interval, so that a row's
-        matrices are those of its one-row call.  The Christoffel jet and
-        the metric at a row's q are taken once, for the frames and the
-        first right-hand sides of all the row's ODEs, from ``symbols`` (a
-        new one by default).  A JacobiError names its row and vertex."""
+        elsewhere.  The Christoffel jet and the metric at a row's q are
+        taken once, for the frames and the first right-hand sides of all
+        the row's ODEs, from ``symbols`` (a new one by default).  A
+        JacobiError names its row and vertex."""
         mats = np.zeros(logs.shape + (self.dim,))
-        row, frac = -1, 1.0
         symbols = _Symbols(self) if symbols is None else symbols
         for r, i in zip(*np.nonzero(mask)):
-            if r != row:
-                row, frac = r, 1.0
             try:
-                mats[r, i], frac = self._hess_matrix(q[r], logs[r, i], frac, symbols)
+                mats[r, i] = self._hess_matrix(q[r], logs[r, i], symbols)
             except JacobiError as exc:
                 raise JacobiError(f"row {r}, vertex {i}: {exc}") from exc
         return p, q, mask, mats
@@ -1261,44 +1256,41 @@ class ChartManifold(Manifold):
         """grad^2 X_i(V_k, V_l) as (N, n+1, k, k, dim), zero off the mask,
         from p, q and the mask, the terms' first three entries, with one
         stencil per row and nonzero direction V_k, in coordinates.  At q
-        +- s V_k / |V_k| for s = ``_STENCIL_STEP`` and s / 2, the Hessian
-        matrices of every vertex (from cold logarithms) give d_{V_k} H_i by
-        Richardson-extrapolated central differences and H_i(q) by
-        extrapolated means; the symbols at q then give nabla_{V_k} H_i =
-        d_{V_k} H_i + [Gamma(V_k), H_i], Gamma(V)^a_b = Gamma^a_cb V^c.
-        The logarithms, the Hessians and the symbols at q share one
-        ``_Symbols``, so the call takes each point's symbols once."""
+        +- s V_k / |V_k| for s = ``_STENCIL_STEP``, the Hessian matrices of
+        every vertex (from cold logarithms) give d_{V_k} H_i by a central
+        difference and H_i(q) by their mean; the symbols at q then give
+        nabla_{V_k} H_i = d_{V_k} H_i + [Gamma(V_k), H_i], Gamma(V)^a_b =
+        Gamma^a_cb V^c.  The logarithms, the Hessians and the symbols at q
+        share one ``_Symbols``, so the call takes each point's symbols
+        once."""
         p, q, mask = terms[:3]
         scale = self.norm_array(V, q[:, None])                       # (N, k)
         pairs = np.nonzero(scale)
         if not pairs[0].size:
             return np.zeros(mask.shape + (V.shape[1],) * 2 + (self.dim,))
-        # Stencil points by (pair, sign, step).
-        step, u = _STENCIL_STEP, V[pairs] / scale[pairs][:, None]
-        offsets = step * np.array([1.0, 0.5, -1.0, -0.5])
-        x = (q[pairs[0]][:, None] + offsets[:, None] * u[:, None]).reshape(-1, self.dim)
-        verts, keep = p[pairs[0]].repeat(4, axis=0), mask[pairs[0]].repeat(4, axis=0)
+        # Stencil points by (pair, sign).
+        u = V[pairs] / scale[pairs][:, None]
+        x = (q[pairs[0]][:, None] + _STENCIL_STEP * np.stack([u, -u], axis=1)
+             ).reshape(-1, self.dim)
+        verts, keep = p[pairs[0]].repeat(2, axis=0), mask[pairs[0]].repeat(2, axis=0)
         logs, symbols = np.zeros(verts.shape), _Symbols(self)
         logs[keep] = self.log_array(np.broadcast_to(x[:, None], verts.shape)[keep],
                                     verts[keep], symbols)
         mats = self.hess_terms_array(verts, x, logs, keep, symbols)[3]
-        # The central differences D(s) and D(s / 2) extrapolate to
-        # (4 D(s / 2) - D(s)) / 3, and so do the means.
-        mats = mats.reshape((-1, 2, 2) + mats.shape[1:])
-        diff, total = mats[:, 0] - mats[:, 1], mats[:, 0] + mats[:, 1]
-        hess = (4.0 * total[:, 1] - total[:, 0]) / 6.0
+        mats = mats.reshape((-1, 2) + mats.shape[1:])
+        hess = 0.5 * (mats[:, 0] + mats[:, 1])
         gam = np.einsum("pacb,pc->pab", np.array([symbols.gamma(q[r]) for r in pairs[0]]),
                         V[pairs])[:, None]
-        deriv = np.zeros(scale.shape + diff.shape[2:])               # (N, k, n+1, D, D)
+        deriv = np.zeros(scale.shape + hess.shape[1:])               # (N, k, n+1, D, D)
         deriv[pairs] = (scale[pairs][:, None, None, None]
-                        * (8.0 * diff[:, 1] - diff[:, 0]) / (6.0 * step)
+                        * (mats[:, 0] - mats[:, 1]) / (2.0 * _STENCIL_STEP)
                         + gam @ hess - hess @ gam)
         grad = np.einsum("rkiab,rlb->rikla", deriv, V)
         return np.where(mask[:, :, None, None, None],
                         0.5 * (grad + np.swapaxes(grad, 2, 3)), 0.0)
 
-    def _hess_matrix(self, q: np.ndarray, v: np.ndarray, frac: float = 1.0,
-                     symbols: _Symbols | None = None) -> tuple[np.ndarray, float]:
+    def _hess_matrix(self, q: np.ndarray, v: np.ndarray,
+                     symbols: _Symbols | None = None) -> np.ndarray:
         """The coordinate matrix at q of the Hessian of half the squared
         distance to p, from v = log_q(p): the identity if v = 0 (the
         closed forms' limit at tau = 0).  Else one fused ODE from q along
@@ -1309,14 +1301,12 @@ class ChartManifold(Manifold):
         Y(0) = [I | 0] and Y'(0) = [0 | I].  With C, S the two blocks of
         Y(tau), the Jacobi field J(0) = V, J(tau) = 0 has J'(0) = -S^-1 C
         V, and the Hessian is -tau J'(0): the map is tau S^-1 C in q's
-        frame.  The ODE's first step is frac tau; the returned fraction is
-        the first step it accepted over tau (``frac`` if v = 0).  The
-        jet and metric at q, which give the frame and the ODE's first
-        right-hand side, come from ``symbols`` (a new one by default).  A
-        JacobiError is raised at a conjugate point: tau beyond pi /
-        sqrt(C0), or S singular."""
+        frame.  The jet and metric at q, which give the frame and the
+        ODE's first right-hand side, come from ``symbols`` (a new one by
+        default).  A JacobiError is raised at a conjugate point: tau
+        beyond pi / sqrt(C0), or S singular."""
         if not np.any(v):
-            return np.eye(self.dim), frac
+            return np.eye(self.dim)
         if symbols is None:
             symbols = _Symbols(self)
         g_q = symbols.metric(q)
@@ -1345,13 +1335,13 @@ class ChartManifold(Manifold):
 
         # Y(0) = [I | 0] over Y'(0) = [0 | I] is the identity of size 2m.
         y0 = np.concatenate([q, u0, F0.ravel(), np.eye(2 * m).ravel()])
-        sol = solve_ode(rhs, (0.0, tau), y0, first_step=frac * tau,
-                        f0=field(y0, *symbols.jet(q), g_q), atol=self.shooting_tol)
+        sol = solve_ode(rhs, (0.0, tau), y0, f0=field(y0, *symbols.jet(q), g_q),
+                        atol=self.shooting_tol)
         Y = sol.y[fields, -1].reshape(m, 2 * m)
         C, S = Y[:, :m], Y[:, m:]
         if np.linalg.cond(S) > 1e12:
             raise JacobiError("shooting matrix is singular (conjugate point)")
-        return F0.T @ (tau * np.linalg.solve(S, C)) @ F0 @ g_q, float(sol.t[1]) / tau
+        return F0.T @ (tau * np.linalg.solve(S, C)) @ F0 @ g_q
 
     def tangent_frame_array(self, p):
         """The inverse transposed Cholesky factor of the metric, whose

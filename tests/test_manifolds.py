@@ -839,8 +839,8 @@ def test_chart_second_deriv_matches_hyperboloid_closed_form(hyperbolic):
 def test_chart_second_deriv_runs_only_the_stencil(monkeypatch):
     # The generic stencil reads no Hessian at q itself, so the scalar
     # second_deriv_X on a chart takes none: one fused Jacobi ODE per
-    # stencil point (2 directions, 2 signs, 2 steps) and no log_q(p), with
-    # the value of the stencil on the full one-row terms.
+    # stencil point (2 directions, 2 signs) and no log_q(p), with the
+    # value of the stencil on the full one-row terms.
     disk = make_poincare_disk()
     p, q = disk.point(np.array([0.1, -0.05])), disk.point(np.array([-0.05, 0.12]))
     V, W = disk.tangent(q, np.array([0.3, -0.7])), disk.tangent(q, np.array([0.5, 0.2]))
@@ -851,7 +851,7 @@ def test_chart_second_deriv_runs_only_the_stencil(monkeypatch):
     monkeypatch.setattr(disk, "_hess_matrix",
                         lambda *args: calls.append(args) or hess_matrix(*args))
     fd = disk.second_deriv_X(p, q, V, W)
-    assert len(calls) == 8
+    assert len(calls) == 4
     assert not any(np.array_equal(x, q.coords) for x, *_ in calls)
     assert np.array_equal(fd.components, full[0, 0, 0, 1])
 
@@ -903,9 +903,9 @@ def _jacobian_refreshes(requests):
        st.floats(0.0, 2 * math.pi))
 def test_warm_started_log_matches_cold_log_property(x, y, r, ang, shift, shift_ang):
     # The start is the logarithm toward q from a base point near p, as a
-    # mean's previous iterate gives it, with its endpoint Jacobian and
-    # without one (NaN).  A guard reference of 0 allows no one-shot step,
-    # so the warm logarithm is shot to the tolerance.
+    # mean's previous iterate gives it, with its endpoint Jacobian.  A
+    # guard reference of 0 allows no one-shot step, so the warm logarithm
+    # is shot to the tolerance.
     man = make_poincare_disk()
     p = man.point([x, y])
     q = man.point(p.coords + r * np.array([math.cos(ang), math.sin(ang)]))
@@ -914,16 +914,25 @@ def test_warm_started_log_matches_cold_log_property(x, y, r, ang, shift, shift_a
     v, jac, _, exact, step = _shoot_log(man, b.coords, q.coords)
     assert exact
     cold = man.log(p, q).components
-    none = np.full((2, 2), np.nan)
-    for J in (jac, none):
-        warm, verified, _ = man._warm_log_array(
-            p.coords, q.coords, (b.coords, v, J, man.christoffel_fn(b.coords), np.array(0.0),
-                                 np.array(step)))
-        assert verified
-        gap = np.linalg.norm(warm - cold)
-        assert gap <= 1e-10 * max(1.0, float(np.linalg.norm(cold)))
-        residual = np.linalg.norm(man.exp(p, man.tangent(p, warm)).coords - q.coords)
-        assert residual < man.shooting_tol
+    warm, verified, _ = man._warm_log_array(
+        p.coords, q.coords, (b.coords, v, jac, man.christoffel_fn(b.coords), np.array(0.0),
+                             np.array(step)))
+    assert verified
+    gap = np.linalg.norm(warm - cold)
+    assert gap <= 1e-10 * max(1.0, float(np.linalg.norm(cold)))
+    residual = np.linalg.norm(man.exp(p, man.tangent(p, warm)).coords - q.coords)
+    assert residual < man.shooting_tol
+
+
+def test_log_from_a_point_to_itself_has_the_identity_jacobian():
+    # The derivative of exp_p at v = 0 is the identity, so the endpoint
+    # Jacobian that a zero logarithm hands to a mean's next iterate is
+    # exact, and no shot is taken.
+    man = make_poincare_disk()
+    p = np.array([0.1, -0.2])
+    v, jac, res, exact, step = _shoot_log(man, p, p.copy())
+    assert np.array_equal(v, np.zeros(2)) and np.array_equal(jac, np.eye(2))
+    assert res == 0.0 and exact and step == 1.0
 
 
 @pytest.mark.parametrize("start", [
@@ -1439,6 +1448,17 @@ def test_disk_batch_jets_at_vertex_weights_match_the_hyperboloid_batch(hyperboli
     assert jet_gap <= 1e-8 and nabla_gap <= 1e-8
 
 
+def test_large_disk_triangle_jets_match_the_hyperboloid_batch(hyperbolic):
+    # Triangles of diameter up to 0.8, where the stencil's step of 1e-4
+    # amplifies its Hessians' ODE and shooting errors the most.
+    rng = np.random.default_rng(102)
+    verts = rng.uniform(-0.45, 0.45, (6, 3, 2))
+    lams = rng.dirichlet(np.ones(3), 6)
+    jet_gap, nabla_gap, nabla = _disk_jet_gaps(hyperbolic, verts[[3, 5]], lams[[3, 5]])
+    assert nabla >= 0.1
+    assert jet_gap <= 1e-8 and nabla_gap <= 5e-9
+
+
 def test_manifold_interface_holds_what_the_library_calls():
     # Geodesic curves, transport and curvature serve only the Jacobi
     # oracle: the closed forms give them, the library's chart does not.
@@ -1858,9 +1878,9 @@ def test_disk_jet_takes_each_point_s_symbols_once_per_call(christoffel_calls, mo
 
 
 def test_fresh_disk_jets_take_the_same_solves(ode_calls):
-    # The mean's first steps live in its own state and the Hessian ODEs'
-    # in one ``hess_terms_array`` call: a second jet on a fresh chart of
-    # the same manifold starts every solve as the first jet did.
+    # The mean's first steps live in its own state, and every Hessian ODE
+    # starts from its whole interval: a second jet on a fresh chart of the
+    # same manifold starts every solve as the first jet did.
     man = _disk_jet()
     first = [(c.first_step, c.nfev) for c in ode_calls]
     del ode_calls[:]
@@ -1900,13 +1920,27 @@ def test_disk_hessian_batch_solves(ode_calls):
     # logarithms, the edge lengths' and the stencil's, were seeded from
     # the jets at both ends; 210 (0.799) before the logarithms of a
     # chart's edges and of a mean iterate's vertices were each shot as one
-    # lockstep group.  The stencil's logarithms are one-row groups.
+    # lockstep group; 178 (0.356) before the stencil took one central
+    # difference, with half the stencil points.  The stencil's logarithms
+    # are one-row groups.
     from karcher.barycentric import hessian_batch
 
     lams = np.array([[0.2, 0.5, 0.3], [0.45, 0.25, 0.3]])
     hessian_batch(make_poincare_disk(), DISK_ROWS, lams)
-    assert len(ode_calls) == 178
+    assert len(ode_calls) == 102
     assert sum(c.nfev for c in ode_calls) <= 0.7 * WHOLE_INTERVAL_HESSIAN_BATCH_NFEV
+
+
+def test_hessian_odes_start_from_their_whole_interval(ode_calls):
+    # No Hessian ODE of a row starts from the step that another one
+    # accepted: each tries its whole interval, ``solve_ode``'s default.
+    man = make_poincare_disk()
+    q = np.array([[0.0, 0.05], [-0.1, 0.08]])
+    logs = man.log_array(q[:, None], DISK_ROWS)
+    del ode_calls[:]
+    man.hess_terms_array(DISK_ROWS, q, logs, np.ones((2, 3), dtype=bool))
+    assert len(ode_calls) == 6
+    assert all(c.first_step is None for c in ode_calls)
 
 
 def test_disk_jet_needs_no_finite_difference_jacobian(monkeypatch):
