@@ -373,53 +373,65 @@ def _jets(manifold: Manifold, verts: np.ndarray, lam: np.ndarray, a: np.ndarray,
     frame, low_frame = manifold.jet_frame_array(a)
     terms = manifold.hess_terms_array(verts, a, logs, second | (lam != 0.0))
     system = (frame, low_frame, manifold.a_matrix_array(terms, lam, frame, low_frame))
-    dx = _frame_system(system, logs, lam)
+    dx, a_inv = _frame_system(system, logs, lam)
     if not second:
         return dx, None
     vecs = np.swapaxes(dx, 1, 2)                                  # (N, n, D)
-    return dx, _nabla_dx(system, manifold.hess_array(terms, vecs),
+    return dx, _nabla_dx(frame, low_frame, a_inv, manifold.hess_array(terms, vecs),
                          manifold.second_deriv_array(terms, vecs), lam)
 
 
-def _frame_system(system, logs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _frame_system(system, logs: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """dx (N, coord_dim, n) of a stack of jets, one row per (chart,
-    weight) pair.  ``system`` holds the frames of ``jet_frame_array``,
-    orthonormal tangent frames (N, coord_dim, m) as columns and their
-    lowered forms, so that the frame components of a vector u are
-    u @ low_frame (both None for the coordinates themselves), and the
-    matrices of A (N, m, m) in them; ``logs`` (N, n+1, coord_dim) are
-    log_a(p_i) and ``lam`` (N, n+1) the weights.  Checks that every A is
-    well conditioned and solves A dx(v) = sigma(v) for the simplex basis
-    directions.  The gate is ``np.linalg.cond(A, "fro") <= 1e12``, which
-    an exactly singular A (inf) and a NaN one fail; the Frobenius number
-    is never below the 2-norm one.  Nor is it lower in the sphere's
-    ambient coordinates: there A has the eigenvalues of its frame matrix
-    plus s = sum_i lam_i f_i, at most the least of them as each f_i <= 1
-    on the sphere, so |A|_F and |A^-1|_F only grow.  The MeanSolverError
-    for a singular A names the weights of its row and the row as its
-    ``index``."""
+    weight) pair, and the inverses of A (N, m, m).  ``system`` holds the
+    frames of ``jet_frame_array``, orthonormal tangent frames (N,
+    coord_dim, m) as columns and their lowered forms, so that the frame
+    components of a vector u are u @ low_frame (both None for the
+    coordinates themselves), and the matrices of A (N, m, m) in them;
+    ``logs`` (N, n+1, coord_dim) are log_a(p_i) and ``lam`` (N, n+1) the
+    weights.  One solve of A against [sigma(v) | I] gives dx(v) for the
+    simplex basis directions and A^-1, and the gate is |A|_F |A^-1|_F <=
+    1e12, the bits of ``np.linalg.cond(A, "fro")``, which takes the same
+    inverse; a NaN A fails it.  An exactly singular A stops the solve,
+    and ``np.linalg.cond`` (inf there) then names the first bad row.
+    The Frobenius number is never below the 2-norm one.
+    Nor is it lower in the sphere's ambient coordinates: there A has the
+    eigenvalues of its frame matrix plus s = sum_i lam_i f_i, at most the
+    least of them as each f_i <= 1 on the sphere, so |A|_F and |A^-1|_F
+    only grow.  The MeanSolverError for a singular A names the weights of
+    its row and the row as its ``index``."""
     frame, low_frame, a_mat = system
-    cond = np.linalg.cond(a_mat, "fro")
+    diff = logs[:, 1:] - logs[:, :1]
+    if frame is None:
+        rhs = np.swapaxes(diff, 1, 2)
+    else:
+        rhs = np.einsum("rjd,rdk->rkj", diff, low_frame)
+    n = rhs.shape[2]
+    try:
+        sol = np.linalg.solve(a_mat, np.concatenate(
+            [rhs, np.broadcast_to(np.eye(a_mat.shape[1]), a_mat.shape)], axis=2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cond = (np.linalg.norm(a_mat, "fro", axis=(1, 2))
+                    * np.linalg.norm(sol[:, :, n:], "fro", axis=(1, 2)))
+    except np.linalg.LinAlgError:
+        cond = np.linalg.cond(a_mat, "fro")
     singular = np.flatnonzero(~(cond <= 1e12))
     if singular.size:
         k = singular[0]
         raise MeanSolverError(
             f"Hessian combination A is numerically singular at weights "
             f"{lam[k].tolist()}: cond(A) = {cond[k]:.3e}", index=int(k))
-    diff = logs[:, 1:] - logs[:, :1]
-    if frame is None:
-        return np.linalg.solve(a_mat, np.swapaxes(diff, 1, 2))
-    return frame @ np.linalg.solve(a_mat, np.einsum("rjd,rdk->rkj", diff, low_frame))
+    dx = sol[:, :, :n]
+    return (dx if frame is None else frame @ dx), sol[:, :, n:]
 
 
-def _nabla_dx(system, hess: np.ndarray, second: np.ndarray,
+def _nabla_dx(frame, low_frame, a_inv: np.ndarray, hess: np.ndarray, second: np.ndarray,
               lam: np.ndarray) -> np.ndarray:
     """nabla dx (N, n, n, coord_dim), symmetric in the middle axes, from
     each vertex's Hessian applied to the dx columns, H_i(V_k) as
     (N, n+1, n, coord_dim), and its second derivative grad2 X_i(V_k, V_l)
-    as (N, n+1, n, n, coord_dim): the right-hand side of ``hessian``,
-    solved in the frames of ``_frame_system`` against the same A as dx."""
-    frame, low_frame, a_mat = system
+    as (N, n+1, n, n, coord_dim): the right-hand side of ``hessian``, in
+    the frames of ``_frame_system`` and times its A^-1."""
     rows, n = hess.shape[0], hess.shape[2]
     hdiff = hess[:, 1:] - hess[:, :1]       # [r, l, k]: H_{l+1}(V_k) - H_0(V_k)
     rhs = (np.swapaxes(hdiff, 1, 2) + hdiff
@@ -428,7 +440,7 @@ def _nabla_dx(system, hess: np.ndarray, second: np.ndarray,
         rhs_frame = np.moveaxis(rhs, 3, 1)
     else:
         rhs_frame = np.einsum("rkld,rdj->rjkl", rhs, low_frame)
-    sol = np.linalg.solve(a_mat, -rhs_frame.reshape(rows, -1, n * n))
+    sol = a_inv @ -rhs_frame.reshape(rows, -1, n * n)
     if frame is not None:
         sol = frame @ sol
     return sol.reshape(rows, -1, n, n).transpose(0, 2, 3, 1)

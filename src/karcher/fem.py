@@ -15,11 +15,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# Module-level on purpose, unlike the package's other scipy imports: a
-# caller that imports this module runs a FEM ladder, so it pays the import
-# (about 0.35 s) either way.  Deferred to the first solve, it would land
-# inside the cheapest rung and make it slower than the larger rungs, which
-# moves every per-rung timing taken of the ladder.
+# Module-level on purpose, unlike the package's other scipy imports.
+# Deferring it to the first ``assemble`` (a prototype) moved perfbench's
+# distortion-sweep setup_s from 0.516 to 0.215 s and its peak RSS from 69
+# to 45 MiB, as perfbench/workloads.py imports this module for every
+# workload; but it moved fem-ladder task_p50_s from 0.039/0.035 s to
+# 0.057/0.052 s, since the import lands in the first level-1 rung and that
+# metric is the mean of the slowest level-2 and fastest level-3 rungs.
+# So the lazy import belongs in perfbench (ROADMAP item 11).
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 

@@ -296,30 +296,51 @@ class SlopeFit:
 
 
 def fit_slope(hs, values) -> SlopeFit:
-    """Least-squares slope of log(value) against log(h) over every level.
-    Values are norms: a smallest one <= 1e-13 (flat space) gives a NaN
-    fit, and a NaN, infinite or negative one a SlopeFitError naming its
-    level.  Fewer than four levels, or a bad h, is a ValueError."""
+    """Least-squares slope of log(value) against log(h) over every level:
+    the one-column ``_fit_table``."""
+    return _fit_table(hs, np.asarray(values, dtype=float)[:, None])[0]
+
+
+def _fit_table(hs, table: np.ndarray) -> list[SlopeFit]:
+    """``fit_slope`` of each column of a (levels, quantities) table, all
+    columns in one closed-form centred least squares: slope = sum x_c y /
+    sum x_c^2 with x_c = x - mean(x), intercept = mean(y) - slope
+    mean(x), stderr from the residuals; every sum runs over the levels in
+    order, so a column's fit does not depend on the others.  Values are
+    norms: a column whose smallest value is <= 1e-13 (flat space) gives
+    a NaN fit, and a NaN, infinite or negative value a SlopeFitError
+    naming its level, for the first such column.  Fewer than four
+    levels, a bad h or one h repeated at every level is a ValueError."""
     hs = np.asarray(hs, dtype=float)
-    values = np.asarray(values, dtype=float)
     if len(hs) < 4:
         raise ValueError("need at least four ladder levels to fit a slope")
     if not np.all((hs > 0.0) & (hs < math.inf)):
         raise ValueError(f"ladder levels must be positive and finite, got {hs.tolist()}")
-    bad = ~((values >= 0.0) & (values < math.inf))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise SlopeFitError(f"level {k} (h = {hs[k]:.6g}): value {values[k]} is not "
+    if (bad := _flagged(~((table.T >= 0.0) & (table.T < math.inf)))) is not None:
+        q, k = bad
+        raise SlopeFitError(f"level {k} (h = {hs[k]:.6g}): value {table[k, q]} is not "
                             "a finite non-negative distortion")
-    if np.min(values) <= 1e-13:
-        return SlopeFit(math.nan, math.nan, math.nan, len(hs))
-    x, y = np.log(hs), np.log(values)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(float(resid @ resid) / max(len(x) - 2, 1) / sxx) if sxx > 0 else math.inf
-    return SlopeFit(float(coef[0]), float(coef[1]), stderr, len(hs))
+    flat = table.min(axis=0) <= 1e-13
+    x, y = np.log(hs), np.log(np.where(flat, 1.0, table))
+    levels = len(x)
+    xbar = _sum_levels(x) / levels
+    xc = x - xbar
+    sxx = float(_sum_levels(xc * xc))
+    if sxx == 0.0:
+        raise ValueError(f"ladder levels must not all be equal, got {hs.tolist()}")
+    slope = _sum_levels(xc[:, None] * y) / sxx
+    intercept = _sum_levels(y) / levels - slope * xbar
+    resid = y - (slope * x[:, None] + intercept)
+    stderr = np.sqrt(_sum_levels(resid * resid) / max(levels - 2, 1) / sxx)
+    return [SlopeFit(math.nan, math.nan, math.nan, levels) if f else
+            SlopeFit(float(m), float(b), float(e), levels)
+            for f, m, b, e in zip(flat, slope, intercept, stderr)]
+
+
+def _sum_levels(a: np.ndarray) -> np.ndarray:
+    """The sum over the first axis of a, level by level in order, so that
+    each column's sum has the same bits whatever the other columns."""
+    return functools.reduce(np.add, a, 0.0)
 
 
 @dataclass(frozen=True)
@@ -335,45 +356,61 @@ class ConvergenceReport:
 
 
 def fit_orders(samples) -> ConvergenceReport:
-    """Fit one slope per distortion quantity across the ladder."""
+    """Fit one slope per distortion quantity across the ladder: one
+    ``_fit_table`` of the (levels, QUANTITIES) table."""
     samples = tuple(samples)
-    hs = [s.h for s in samples]
-    return ConvergenceReport(samples, {name: fit_slope(hs, [s.to_dict()[name] for s in samples])
-                                       for name in QUANTITIES})
+    hs, table = _table(samples)
+    return ConvergenceReport(samples, dict(zip(QUANTITIES, _fit_table(hs, table))))
+
+
+def _table(samples) -> tuple[list[float], np.ndarray]:
+    """The levels h and the (levels, QUANTITIES) table of the samples."""
+    rows = [s.to_dict() for s in samples]
+    return [r["h"] for r in rows], np.array([[r[q] for q in QUANTITIES] for r in rows])
 
 
 def _check_slope(family: SimplexFamily, name: str, hs, values):
+    """The one-column ``_check_slopes``."""
+    _check_slopes(family, (name,), hs, np.asarray(values, dtype=float)[:, None])
+
+
+def _check_slopes(family: SimplexFamily, names, hs, table: np.ndarray):
     """On a flat space the gaps vanish and a NaN fit is expected.  On a
-    curved one the first local slope log(v_k / v_k+1) / log(h_k / h_k+1)
-    off the band SLOPE_TOLERANCES[name] around EXPECTED_SLOPES[name] (a
-    zero value makes one) raises SlopeFitError.  On a monotone ladder the
-    least-squares slope is a convex combination of the local slopes."""
+    curved one the local slopes log(v_k / v_k+1) / log(h_k / h_k+1) of
+    every column of a (levels, names) table are taken at once, and the
+    first column in ``names`` with a local slope off the band
+    SLOPE_TOLERANCES[name] around EXPECTED_SLOPES[name] (a zero value
+    makes one) raises SlopeFitError at its first such interval.  On a
+    monotone ladder the least-squares slope is a convex combination of
+    the local slopes."""
     if family.manifold.bounds.C0 <= 0:
         return
     with np.errstate(divide="ignore", invalid="ignore"):
-        local = np.diff(np.log(values)) / np.diff(np.log(hs))
-    target, tol = EXPECTED_SLOPES[name], SLOPE_TOLERANCES[name]
-    if (k := _flagged(~(np.abs(local - target) <= tol))) is not None:
-        k = k[0]
+        local = np.diff(np.log(table), axis=0) / np.diff(np.log(hs))[:, None]
+    target = np.array([EXPECTED_SLOPES[name] for name in names])
+    tol = np.array([SLOPE_TOLERANCES[name] for name in names])
+    if (off := _flagged(~(np.abs(local - target) <= tol).T)) is not None:
+        q, k = off
+        name, values = names[q], table[:, q]
         raise SlopeFitError(
-            f"{name} local slope {local[k]:.3f} on h = {hs[k]:.4g} -> {hs[k + 1]:.4g} "
-            f"is outside {target}+/-{tol}; suprema at h = "
+            f"{name} local slope {local[k, q]:.3f} on h = {hs[k]:.4g} -> {hs[k + 1]:.4g} "
+            f"is outside {EXPECTED_SLOPES[name]}+/-{SLOPE_TOLERANCES[name]}; suprema at h = "
             f"[{', '.join(f'{h:.4g}' for h in hs)}]: [{', '.join(f'{v:.3e}' for v in values)}]")
 
 
 def run_distortion_sweep(family: SimplexFamily) -> ConvergenceReport:
-    """Generate the ladder, measure every level, fit orders and check
-    each quantity's local slopes with ``_check_slope``.  The ladder and
-    then the jets of all levels and weights are each one stack, and
-    aggregation is a pure reduction, so results do not depend on
-    evaluation scheduling."""
+    """Generate the ladder, measure every level, fit orders and check the
+    local slopes of every quantity with one ``_check_slopes``.  The
+    ladder and then the jets of all levels and weights are each one
+    stack, and aggregation is a pure reduction, so results do not depend
+    on evaluation scheduling."""
     verts, lengths, *measured = _ladder(family)
-    samples = _measure(family.manifold, verts, lengths.max(axis=1), *measured,
-                       interior_weights(family.n))
-    report = fit_orders(samples)
-    for name in QUANTITIES:
-        _check_slope(family, name, [s.h for s in samples], [s.to_dict()[name] for s in samples])
-    return report
+    samples = tuple(_measure(family.manifold, verts, lengths.max(axis=1), *measured,
+                             interior_weights(family.n)))
+    hs, table = _table(samples)
+    fits = _fit_table(hs, table)
+    _check_slopes(family, QUANTITIES, hs, table)
+    return ConvergenceReport(samples, dict(zip(QUANTITIES, fits)))
 
 
 @dataclass(frozen=True)

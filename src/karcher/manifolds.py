@@ -117,11 +117,12 @@ class ManifoldBounds:
     convexity_radius: float
 
     def __post_init__(self):
-        if self.C0 < 0 or self.C1 < 0:
+        # Each test is phrased so that NaN fails it.
+        if not (self.C0 >= 0 and self.C1 >= 0):
             raise ValueError("curvature bounds must be nonnegative")
-        if self.injectivity_radius < 0 or self.convexity_radius < 0:
+        if not (self.injectivity_radius >= 0 and self.convexity_radius >= 0):
             raise ValueError("radii must be nonnegative")
-        if self.convexity_radius > self.injectivity_radius:
+        if not self.convexity_radius <= self.injectivity_radius:
             raise ValueError("convexity radius exceeds injectivity radius")
 
 
@@ -219,6 +220,8 @@ class Manifold(ABC):
     def _validate_tangent(self, v: TangentVector):
         if v.components.shape != (self.coord_dim,):
             raise ValueError("tangent component dimension mismatch")
+        if not np.isfinite(v.components).all():
+            raise ValueError(f"tangent components {v.components.tolist()} are not finite")
 
     # -- raw inner product on components ---------------------------------
 
@@ -526,7 +529,7 @@ class _SpaceForm(Manifold):
         super()._validate_tangent(v)
         ip = self._ip(v.base, v.base.coords, v.components)
         scale = max(1.0, self.radius * float(np.linalg.norm(v.components)))
-        if abs(ip) > 1e-10 * scale:
+        if not abs(ip) <= 1e-10 * scale:
             surface = "sphere" if self._sign > 0 else "hyperboloid"
             raise ValueError(f"vector is not tangent to the {surface}")
 
@@ -664,7 +667,9 @@ class Sphere(_SpaceForm):
         return float(np.dot(a, b))
 
     def exp(self, p, v):
-        t = float(np.linalg.norm(v.components))
+        with np.errstate(over="ignore"):
+            t = float(np.linalg.norm(v.components))
+        _check_finite_length(t, v)
         if t > self.bounds.injectivity_radius * (1.0 + 1e-9):
             raise GeodesicError("initial vector longer than the injectivity radius")
         if t == 0.0:
@@ -727,6 +732,13 @@ class Sphere(_SpaceForm):
         return qmat[..., 1:self.dim + 1]
 
 
+def _check_finite_length(t: float, v: TangentVector):
+    """A GeodesicError unless the length t (or squared length) of the
+    initial vector v is finite."""
+    if not math.isfinite(t):
+        raise GeodesicError(f"initial vector {v.components.tolist()} has a non-finite length")
+
+
 def _near_antipode(theta, nw, r):
     """Whether a sphere logarithm with angle theta and tangential part of
     norm nw = r sin(theta) is within _ANTIPODE_TOL of the antipode.  Near
@@ -767,7 +779,10 @@ class HyperbolicSpace(_SpaceForm):
         return c * (self.radius / math.sqrt(-_minkowski(c, c)))
 
     def exp(self, p, v):
-        t = math.sqrt(max(_minkowski(v.components, v.components), 0.0))
+        with np.errstate(invalid="ignore", over="ignore"):
+            t2 = _minkowski(v.components, v.components)
+        _check_finite_length(t2, v)
+        t = math.sqrt(max(t2, 0.0))
         if t == 0.0:
             return ManifoldPoint(p.coords.copy())
         u = t / self.radius

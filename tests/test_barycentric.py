@@ -5,6 +5,7 @@ import pytest
 
 from hypothesis import given, strategies as st
 
+from karcher import barycentric
 from karcher.barycentric import (KarcherChart, _frame_system, differential,
                                  differential_batch, hessian, hessian_batch,
                                  karcher_mean, pullback_metric, sigma)
@@ -594,6 +595,66 @@ def test_frobenius_gate_reads_inf_on_an_exactly_singular_row():
         with pytest.raises(MeanSolverError, match="numerically singular") as info:
             _frame_system((None, None, a_mat), np.zeros((3, 3, 2)), lam)
         assert info.value.index == 1
+
+
+def _space_rows(space, sphere, hyperbolic, rng, count=8):
+    """Small triangles of the model and interior weights: near the pole
+    of the sphere, within distance 1 of the hyperboloid's vertex, and the
+    Poincare disk's ``_disk_rows``."""
+    if space == "disk":
+        from test_manifolds import _disk_rows, make_poincare_disk
+        return (make_poincare_disk(), *_disk_rows(count))
+    xy = rng.uniform(-0.5, 0.5, (count, 1, 2)) + rng.uniform(-0.08, 0.08, (count, 3, 2))
+    if space == "sphere":
+        man, verts = sphere, np.concatenate([0.2 * xy, np.ones((count, 3, 1))], axis=2)
+        verts /= np.linalg.norm(verts, axis=2, keepdims=True)
+    else:
+        man = hyperbolic
+        verts = np.concatenate([xy, np.sqrt(1.0 + np.sum(xy ** 2, axis=2, keepdims=True))],
+                               axis=2)
+    return man, verts, 0.05 + 0.85 * rng.dirichlet(np.ones(3), count)
+
+
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic", "disk"])
+def test_frame_system_takes_dx_and_its_gate_from_one_solve(space, sphere, hyperbolic, rng,
+                                                          monkeypatch):
+    # One solve of A against [sigma | I] gives the dx of a solve against
+    # sigma alone and the inverse that np.linalg.cond(A, "fro") takes,
+    # bit for bit, so the gate |A|_F |A^-1|_F is that condition number.
+    man, verts, lams = _space_rows(space, sphere, hyperbolic, rng)
+    calls = []
+
+    def recording(system, logs, lam):
+        calls.append((system, logs, _frame_system(system, logs, lam)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(barycentric, "_frame_system", recording)
+    differential_batch(man, verts, lams)
+    (frame, low_frame, a_mat), logs, (dx, a_inv) = calls[0]
+    diff = logs[:, 1:] - logs[:, :1]
+    if frame is None:
+        assert space == "sphere"
+        expected = np.linalg.solve(a_mat, np.swapaxes(diff, 1, 2))
+    else:
+        expected = frame @ np.linalg.solve(a_mat, np.einsum("rjd,rdk->rkj", diff, low_frame))
+    assert np.array_equal(dx, expected)
+    assert np.array_equal(a_inv, np.linalg.inv(a_mat))
+    gate = np.linalg.norm(a_mat, "fro", axis=(1, 2)) * np.linalg.norm(a_inv, "fro", axis=(1, 2))
+    assert np.array_equal(gate, np.linalg.cond(a_mat, "fro"))
+
+
+@pytest.mark.parametrize("rows, first, cond", [
+    ("gsng", 1, "inf"), ("gnsg", 1, "nan"), ("ggsn", 2, "inf"), ("gngs", 1, "nan")])
+def test_frame_system_names_the_first_of_a_singular_and_a_nan_row(rows, first, cond):
+    # An exactly singular row stops the one solve, and cond(A, "fro")
+    # (inf there, NaN on the NaN row) then names the first bad row.
+    blocks = {"g": np.eye(2), "s": np.zeros((2, 2)), "n": np.full((2, 2), math.nan)}
+    a_mat = np.array([blocks[r] for r in rows])
+    lam = np.full((len(rows), 3), 1.0 / 3.0)
+    with pytest.raises(MeanSolverError, match=rf"singular at weights .*: cond\(A\) = {cond}$"
+                       ) as info:
+        _frame_system((None, None, a_mat), np.zeros((len(rows), 3, 2)), lam)
+    assert info.value.index == first
 
 
 def test_hessian_euclidean_zero(euclid_chart, rng):

@@ -11,9 +11,10 @@ from karcher.barycentric import BarycentricWeight, KarcherChart, karcher_mean, s
 from karcher.errors import (KarcherError, MeanSolverError, NonRealizableError,
                             SlopeFitError)
 from karcher.flat_simplex import SimplexTangent
-from karcher.harness import (INTERIOR_POINTS, SimplexFamily, _check_slope, _halton_points,
+from karcher.harness import (INTERIOR_POINTS, QUANTITIES, DistortionSample, SimplexFamily,
+                             _check_slope, _check_slopes, _fit_table, _halton_points,
                              achieved_fullness, check_edge_length_comparison,
-                             edge_length_rate, equilateral_family, fit_slope,
+                             edge_length_rate, equilateral_family, fit_orders, fit_slope,
                              generate_geodesic_simplex, interior_weights,
                              measure_distortion, run_distortion_sweep)
 from karcher.manifolds import EuclideanSpace, HyperbolicSpace, ManifoldPoint
@@ -315,6 +316,121 @@ def test_fit_orders_full_pipeline(sphere_report):
     assert slopes["connection_gap"] == pytest.approx(1.0, abs=0.25)
     assert slopes["dx_sigma_gap"] == pytest.approx(2.0, abs=0.25)
     assert slopes["nabla_dx"] == pytest.approx(1.0, abs=0.25)
+
+
+def _random_table(rng, levels: int, columns: int = 4):
+    """A ladder of ``levels`` roughly halving h and a (levels, columns)
+    table of noisy powers of h, with orders between 0.5 and 3."""
+    hs = 0.2 * 0.5 ** np.arange(levels) * np.exp(rng.uniform(-0.1, 0.1, levels))
+    orders = rng.uniform(0.5, 3.0, columns)
+    logs = rng.uniform(-1.0, 1.0, columns) + np.log(hs)[:, None] * orders
+    return hs, np.exp(logs + rng.normal(0.0, 0.05, (levels, columns)))
+
+
+def _fit_tuple(fit):
+    return fit.slope, fit.intercept, fit.stderr, fit.n_used
+
+
+@pytest.mark.parametrize("levels", [4, 5, 7, 8, 9])
+def test_table_fit_columns_are_fit_slope_bit_for_bit(rng, levels):
+    # Every sum runs over the levels in order, so a column's fit does not
+    # depend on the columns beside it, from 8 levels on as well.
+    for _ in range(20):
+        hs, table = _random_table(rng, levels)
+        fits = _fit_table(hs, table)
+        for q, fit in enumerate(fits):
+            assert _fit_tuple(fit) == _fit_tuple(fit_slope(hs, table[:, q]))
+
+
+def test_table_fit_agrees_with_polyfit(rng):
+    # The closed-form centred fit is a least-squares line.  Its intercept
+    # ybar - slope xbar cancels terms of order |ybar| + |slope xbar|, so
+    # it is compared on that scale.
+    for _ in range(200):
+        hs, table = _random_table(rng, int(rng.integers(4, 9)))
+        x = np.log(hs)
+        for q, fit in enumerate(_fit_table(hs, table)):
+            y = np.log(table[:, q])
+            slope, intercept = np.polyfit(x, y, 1)
+            assert abs(fit.slope - slope) <= 1e-14 * abs(slope)
+            scale = abs(y.mean()) + abs(slope * x.mean())
+            assert abs(fit.intercept - intercept) <= 1e-14 * scale
+
+
+def test_a_flat_column_fits_nan_and_leaves_the_others_alone(rng):
+    hs, table = _random_table(rng, 5)
+    flat = table.copy()
+    flat[:, 1] = [1e-3, 1e-4, 1e-13, 1e-6, 0.0]
+    fits = _fit_table(hs, flat)
+    assert math.isnan(fits[1].slope) and math.isnan(fits[1].stderr) and fits[1].n_used == 5
+    for q in (0, 2, 3):
+        assert _fit_tuple(fits[q]) == _fit_tuple(_fit_table(hs, table)[q])
+
+
+def test_fit_slope_rejects_one_repeated_level():
+    # Through a single h every slope fits equally well; none comes back.
+    with pytest.raises(ValueError, match="must not all be equal"):
+        fit_slope([0.1] * 4, [0.01, 0.02, 0.01, 0.02])
+
+
+def _samples(hs, table):
+    return [DistortionSample(h, 0.87, *row) for h, row in zip(hs, table)]
+
+
+def test_a_non_finite_value_names_the_first_quantity_at_its_first_bad_level(rng):
+    # connection_gap (column 1) comes before nabla_dx (column 3) in
+    # QUANTITIES, so its bad level 3 is named although nabla_dx has a bad
+    # level 1 before it.
+    hs, table = _random_table(rng, 5)
+    table[1, 3] = math.nan
+    table[3, 1] = math.inf
+    table[4, 1] = -1.0
+    with pytest.raises(SlopeFitError, match=rf"^level 3 \(h = {hs[3]:.6g}\): value inf is not "):
+        fit_orders(_samples(hs, table))
+    table[3, 1] = table[4, 1] = 0.5
+    with pytest.raises(SlopeFitError, match=r"^level 1 \(h = .*\): value nan is not "):
+        fit_orders(_samples(hs, table))
+
+
+def test_fit_orders_fits_each_quantity_as_fit_slope(rng):
+    hs, table = _random_table(rng, 5)
+    report = fit_orders(_samples(hs, table))
+    assert list(report.fitted_slopes) == list(QUANTITIES)
+    for q, name in enumerate(QUANTITIES):
+        assert _fit_tuple(report.fitted_slopes[name]) == _fit_tuple(fit_slope(hs, table[:, q]))
+
+
+def _first_check_slope_error(family, hs, table):
+    """The message of the first ``_check_slope`` in QUANTITIES order that
+    raises, one quantity at a time, or None."""
+    for q, name in enumerate(QUANTITIES):
+        try:
+            _check_slope(family, name, hs, table[:, q])
+        except SlopeFitError as exc:
+            return str(exc)
+    return None
+
+
+def test_table_slope_check_raises_as_the_per_quantity_checks(sphere_family, rng):
+    # The local slopes of every column are taken at once; the error is
+    # the one the per-quantity loop raises first: same quantity, same
+    # interval, same message.
+    hs = list(sphere_family.ladder)
+    orders = np.array([harness.EXPECTED_SLOPES[name] for name in QUANTITIES])
+    raised = 0
+    for _ in range(200):
+        table = np.asarray(hs)[:, None] ** orders * np.exp(rng.normal(0.0, 0.06, (len(hs), 4)))
+        if rng.random() < 0.2:
+            table[rng.integers(len(hs)), rng.integers(4)] = 0.0
+        expected = _first_check_slope_error(sphere_family, hs, table)
+        if expected is None:
+            _check_slopes(sphere_family, QUANTITIES, hs, table)
+            continue
+        raised += 1
+        with pytest.raises(SlopeFitError) as info:
+            _check_slopes(sphere_family, QUANTITIES, hs, table)
+        assert str(info.value) == expected
+    assert 20 <= raised <= 180
 
 
 def test_sweep_determinism(sphere, sphere_family):

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from karcher.errors import BasePointError, GeodesicError, JacobiError, KarcherError
 from karcher.manifolds import (ChartManifold, EuclideanSpace, HyperbolicSpace,
-                               ManifoldBounds, ManifoldPoint, Sphere, _Symbols)
+                               ManifoldBounds, ManifoldPoint, Sphere, TangentVector, _Symbols)
 
 from conftest import (endpoint_shots, random_hyperbolic_point,
                       random_sphere_point, random_unit_tangent)
@@ -168,6 +168,35 @@ def test_bounds_validation():
         ManifoldBounds(-1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         ManifoldBounds(0.0, 0.0, 1.0, 2.0)  # convexity > injectivity
+
+
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic", "euclidean", "disk"])
+def test_non_finite_tangents_fail_where_they_enter(space, sphere, hyperbolic):
+    # Checked before any arithmetic, so no numpy warning escapes (warnings
+    # are errors here); the space forms' exp names a non-finite length.
+    man = {"sphere": sphere, "hyperbolic": hyperbolic, "euclidean": EuclideanSpace(3),
+           "disk": make_poincare_disk()}[space]
+    p = man.point([0.0, 0.0, 1.0][-man.coord_dim:])
+    for k, value in ((0, math.nan), (0, math.inf), (-1, -math.inf)):
+        comps = np.zeros(man.coord_dim)
+        comps[k] = value
+        with pytest.raises(ValueError, match=r"^tangent components .* are not finite$"):
+            man.tangent(p, comps)
+        if space in ("sphere", "hyperbolic"):
+            with pytest.raises(GeodesicError, match="has a non-finite length$"):
+                man.exp(p, TangentVector(p, comps))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, 0.0, math.inf, math.inf), "curvature bounds"),
+    ((0.0, math.nan, 1.0, 1.0), "curvature bounds"),
+    ((0.0, 0.0, math.nan, 1.0), "radii"),
+    ((0.0, 0.0, 1.0, math.nan), "radii"),
+])
+def test_bounds_reject_nan(args, message):
+    with pytest.raises(ValueError, match=message):
+        ManifoldBounds(*args)
+    assert ManifoldBounds(0.0, 0.0, math.inf, math.inf).convexity_radius == math.inf
 
 
 def _zero_length_shooting(s, p):
